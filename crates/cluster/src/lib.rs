@@ -12,8 +12,9 @@
 //!   connection tracking, boot/drain/shutdown life cycle, per-tick
 //!   component utilizations (which feed Mercury's `monitord`);
 //! * [`LoadBalancer`] — the LVS model: per-server weights, concurrent-
-//!   connection caps, weighted least-connections routing, and the
-//!   statistics queries Freon's `admd` performs;
+//!   connection caps, weighted least-connections routing (one request
+//!   by scan, a batch through a heap, same choices), and the statistics
+//!   queries Freon's `admd` performs;
 //! * [`ClusterSim`] — glue: offer arrivals, advance one second, collect
 //!   [`TickStats`].
 //!
@@ -42,7 +43,7 @@ mod request;
 mod server;
 mod sim;
 
-pub use lvs::{LoadBalancer, RouteOutcome};
+pub use lvs::{LoadBalancer, RouteHeap, RouteOutcome};
 pub use request::{Request, RequestKind};
 pub use server::{PowerState, Server, ServerConfig};
 pub use sim::{ClusterSim, TickStats};

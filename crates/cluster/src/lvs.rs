@@ -7,8 +7,11 @@
 //! number of concurrent connections; Freon-EC additionally quiesces
 //! servers entirely. This module reproduces exactly that control surface.
 
+use crate::request::Request;
 use crate::server::Server;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Why a request was (not) routed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -41,6 +44,66 @@ impl Default for Backend {
         }
     }
 }
+
+impl Backend {
+    /// The routing contract's eligibility rule, in one place: a server
+    /// can take one more connection when it is not quiesced, has a
+    /// positive weight, accepts connections, and sits below both its own
+    /// `max_connections` and the balancer's cap. Returns its
+    /// `connections / weight` ratio when it can, `None` when it cannot.
+    fn ratio_if_eligible(&self, server: &Server) -> Option<f64> {
+        let connections = server.connections();
+        if self.quiesced
+            || self.weight <= 0.0
+            || !server.accepts_connections()
+            || connections >= server.config().max_connections
+            || self.connection_cap.is_some_and(|cap| connections >= cap)
+        {
+            return None;
+        }
+        Some(connections as f64 / self.weight)
+    }
+}
+
+/// One eligible server in a [`RouteHeap`], ordered so that the heap's
+/// top is the routing contract's choice: the smallest ratio, ties to
+/// the lowest index.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    ratio: f64,
+    index: usize,
+}
+
+impl Ord for Candidate {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: `BinaryHeap` is a max-heap and routing wants the
+        // minimum. Ratios are never NaN or negative (weight > 0), so
+        // `total_cmp` orders them as `<` does.
+        other
+            .ratio
+            .total_cmp(&self.ratio)
+            .then_with(|| other.index.cmp(&self.index))
+    }
+}
+
+impl PartialOrd for Candidate {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Candidate {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Candidate {}
+
+/// Reusable storage for [`LoadBalancer::route_batch`]: holding one
+/// across batches means routing allocates only while the cluster grows.
+#[derive(Debug, Clone, Default)]
+pub struct RouteHeap(Vec<Candidate>);
 
 /// The weighted least-connections balancer.
 #[derive(Debug, Clone, PartialEq)]
@@ -142,27 +205,18 @@ impl LoadBalancer {
     }
 
     /// Routes one request: picks the eligible server minimizing
-    /// `connections / weight` (LVS's weighted least-connections), honours
-    /// connection caps, and reports a drop when no server can take it.
+    /// `connections / weight` (LVS's weighted least-connections), ties to
+    /// the lowest index, and reports a drop when no server can take it.
     ///
     /// Eligible means: accepting connections, not quiesced, weight > 0,
-    /// and below its cap.
+    /// below its own `max_connections` and below its cap.
     pub fn route(&self, servers: &[Server]) -> RouteOutcome {
         debug_assert_eq!(servers.len(), self.backends.len());
         let mut best: Option<(usize, f64)> = None;
         for (i, (server, backend)) in servers.iter().zip(&self.backends).enumerate() {
-            if backend.quiesced || backend.weight <= 0.0 || !server.accepts_connections() {
+            let Some(ratio) = backend.ratio_if_eligible(server) else {
                 continue;
-            }
-            if server.connections() >= server.config().max_connections {
-                continue;
-            }
-            if let Some(cap) = backend.connection_cap {
-                if server.connections() >= cap {
-                    continue;
-                }
-            }
-            let ratio = server.connections() as f64 / backend.weight;
+            };
             match best {
                 Some((_, best_ratio)) if ratio >= best_ratio => {}
                 _ => best = Some((i, ratio)),
@@ -172,6 +226,55 @@ impl LoadBalancer {
             Some((i, _)) => RouteOutcome::Routed(i),
             None => RouteOutcome::Dropped,
         }
+    }
+
+    /// Routes and admits a batch of requests arriving back to back, with
+    /// exactly the outcomes of calling [`route`](Self::route) and
+    /// [`Server::admit`] once per request, in O(N + k log N) for k
+    /// requests over N servers instead of O(k N).
+    ///
+    /// Within a batch the only thing that changes any server's ratio or
+    /// eligibility is the admission just made, so the eligible servers
+    /// go into a min-heap once and each request re-keys (or retires) the
+    /// one server it landed on. `on_outcome` sees every request's
+    /// outcome in arrival order.
+    pub fn route_batch(
+        &self,
+        servers: &mut [Server],
+        heap: &mut RouteHeap,
+        requests: impl IntoIterator<Item = Request>,
+        mut on_outcome: impl FnMut(RouteOutcome),
+    ) {
+        debug_assert_eq!(servers.len(), self.backends.len());
+        let mut requests = requests.into_iter().peekable();
+        if requests.peek().is_none() {
+            return;
+        }
+        let mut candidates = std::mem::take(&mut heap.0);
+        candidates.clear();
+        candidates.extend(servers.iter().zip(&self.backends).enumerate().filter_map(
+            |(index, (server, backend))| {
+                let ratio = backend.ratio_if_eligible(server)?;
+                Some(Candidate { ratio, index })
+            },
+        ));
+        let mut candidates = BinaryHeap::from(candidates);
+        for request in requests {
+            let Some(mut top) = candidates.peek_mut() else {
+                on_outcome(RouteOutcome::Dropped);
+                continue;
+            };
+            let index = top.index;
+            servers[index].admit(request);
+            match self.backends[index].ratio_if_eligible(&servers[index]) {
+                Some(ratio) => top.ratio = ratio,
+                None => {
+                    PeekMut::pop(top);
+                }
+            }
+            on_outcome(RouteOutcome::Routed(index));
+        }
+        heap.0 = candidates.into_vec();
     }
 }
 

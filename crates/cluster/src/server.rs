@@ -66,6 +66,8 @@ pub struct Server {
     tick_disk_used: f64,
     tick_completed: usize,
     tick_request_seconds: f64,
+    /// Connections aborted by hard shutdowns since construction.
+    killed_total: u64,
     /// CPU frequency scale in `[MIN_SPEED_SCALE, 1]` — the DVFS /
     /// clock-throttling lever the paper's §4.3 compares Freon against.
     speed_scale: f64,
@@ -90,6 +92,7 @@ impl Server {
             tick_disk_used: 0.0,
             tick_completed: 0,
             tick_request_seconds: 0.0,
+            killed_total: 0,
             speed_scale: 1.0,
         }
     }
@@ -153,13 +156,19 @@ impl Server {
         self.completed_last_tick
     }
 
+    /// Connections aborted by [`shutdown_hard`](Self::shutdown_hard)
+    /// since construction — accepted by the balancer, never completed.
+    pub fn killed_total(&self) -> u64 {
+        self.killed_total
+    }
+
     /// Hands the server a new connection.
     ///
     /// # Panics
     ///
     /// Panics in debug builds when called on a server that does not accept
     /// connections; the load balancer never routes to one.
-    pub(crate) fn admit(&mut self, request: Request) {
+    pub fn admit(&mut self, request: Request) {
         debug_assert!(
             self.accepts_connections(),
             "routed to a non-accepting server"
@@ -199,6 +208,7 @@ impl Server {
     /// many connections were killed.
     pub fn shutdown_hard(&mut self) -> usize {
         let killed = self.active.len();
+        self.killed_total += killed as u64;
         self.active.clear();
         self.state = PowerState::Off;
         self.cpu_utilization = 0.0;
@@ -212,7 +222,7 @@ impl Server {
     }
 
     /// Starts a new one-second tick: resets the per-tick accumulators.
-    pub(crate) fn begin_tick(&mut self) {
+    pub fn begin_tick(&mut self) {
         self.tick_cpu_used = 0.0;
         self.tick_disk_used = 0.0;
         self.tick_completed = 0;
@@ -222,7 +232,7 @@ impl Server {
     /// Request-seconds accumulated this tick: the time-integral of the
     /// number of requests in the system (Little's law turns this into a
     /// mean response time: `Σ request-seconds / Σ completions`).
-    pub(crate) fn tick_request_seconds(&self) -> f64 {
+    pub fn tick_request_seconds(&self) -> f64 {
         self.tick_request_seconds
     }
 
@@ -230,7 +240,7 @@ impl Server {
     /// The cluster simulation calls this many times per tick, interleaved
     /// with request admission, so connections drain *during* the second —
     /// matching how a real balancer observes concurrency.
-    pub(crate) fn serve_slice(&mut self, fraction: f64) {
+    pub fn serve_slice(&mut self, fraction: f64) {
         if !self.is_serving() {
             return;
         }
@@ -298,7 +308,7 @@ impl Server {
 
     /// Finishes the tick: computes utilizations and advances the
     /// lifecycle. Returns the number of requests completed this tick.
-    pub(crate) fn end_tick(&mut self) -> usize {
+    pub fn end_tick(&mut self) -> usize {
         match self.state {
             PowerState::Off => {
                 self.cpu_utilization = 0.0;

@@ -1,6 +1,6 @@
 //! The cluster simulation: servers + balancer + per-tick statistics.
 
-use crate::lvs::{LoadBalancer, RouteOutcome};
+use crate::lvs::{LoadBalancer, RouteHeap, RouteOutcome};
 use crate::request::Request;
 use crate::server::{Server, ServerConfig};
 use serde::{Deserialize, Serialize};
@@ -33,6 +33,8 @@ pub struct TickStats {
 pub struct ClusterSim {
     servers: Vec<Server>,
     lvs: LoadBalancer,
+    /// Routing scratch, reused by every admission batch.
+    route_heap: RouteHeap,
     time_s: u64,
     total_offered: u64,
     total_dropped: u64,
@@ -52,6 +54,7 @@ impl ClusterSim {
         ClusterSim {
             servers: configs.into_iter().map(Server::new).collect(),
             lvs: LoadBalancer::new(n),
+            route_heap: RouteHeap::default(),
             time_s: 0,
             total_offered: 0,
             total_dropped: 0,
@@ -119,6 +122,12 @@ impl ClusterSim {
         self.total_completed
     }
 
+    /// Connections aborted by hard shutdowns since construction. They
+    /// are not counted as dropped: the balancer had accepted them.
+    pub fn total_killed(&self) -> u64 {
+        self.servers.iter().map(Server::killed_total).sum()
+    }
+
     /// Fraction of all offered requests that were dropped, in `[0, 1]`.
     pub fn drop_rate(&self) -> f64 {
         if self.total_offered == 0 {
@@ -150,15 +159,15 @@ impl ClusterSim {
         let per_slot = arrivals.len().div_ceil(Self::SLOTS.max(1));
         let mut queue = arrivals.into_iter();
         for _ in 0..Self::SLOTS {
-            for request in queue.by_ref().take(per_slot) {
-                match self.lvs.route(&self.servers) {
-                    RouteOutcome::Routed(i) => {
-                        self.servers[i].admit(request);
-                        stats.routed += 1;
-                    }
+            self.lvs.route_batch(
+                &mut self.servers,
+                &mut self.route_heap,
+                queue.by_ref().take(per_slot),
+                |outcome| match outcome {
+                    RouteOutcome::Routed(_) => stats.routed += 1,
                     RouteOutcome::Dropped => stats.dropped += 1,
-                }
-            }
+                },
+            );
             for server in &mut self.servers {
                 server.serve_slice(slice);
             }
@@ -332,6 +341,38 @@ mod tests {
             heavy_rt > 3.0 * light_rt,
             "no queueing delay: {light_rt} vs {heavy_rt}"
         );
+    }
+
+    #[test]
+    fn requests_are_conserved_through_a_kill_and_a_drain() {
+        use crate::server::PowerState;
+        // ~3.5 s of CPU demand per second over three servers: queues
+        // build to `max_connections`, so the kill aborts a full server
+        // and the balancer drops as well.
+        let mut sim = ClusterSim::homogeneous(3, ServerConfig::default());
+        let mut routed = 0u64;
+        for t in 0..30 {
+            if t == 5 {
+                assert!(sim.server_mut(0).shutdown_hard() > 0);
+            }
+            if t == 10 {
+                sim.server_mut(1).shutdown_graceful();
+                assert_eq!(sim.server(1).state(), PowerState::Draining);
+            }
+            let stats = sim.tick(burst(if t < 15 { 400 } else { 20 }));
+            assert_eq!(stats.offered, stats.routed + stats.dropped);
+            routed += stats.routed as u64;
+            let in_flight: usize = stats.connections.iter().sum();
+            assert_eq!(
+                routed,
+                sim.total_completed() + in_flight as u64 + sim.total_killed(),
+                "second {t}"
+            );
+            assert_eq!(sim.total_offered(), routed + sim.total_dropped());
+        }
+        assert_eq!(sim.total_killed(), sim.server(0).killed_total());
+        assert!(sim.total_killed() > 0 && sim.total_dropped() > 0);
+        assert_eq!(sim.server(1).state(), PowerState::Off, "drained");
     }
 
     #[test]

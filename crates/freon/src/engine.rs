@@ -213,6 +213,12 @@ impl<'a> Experiment<'a> {
     pub fn run(mut self, policy: &mut dyn ThermalPolicy) -> Result<ExperimentLog, mercury::Error> {
         let n = self.sim.len();
         let mut solver = ClusterSolver::new(self.model, self.config.solver.clone())?;
+        // One solver tick per simulated second is microseconds of work
+        // per room; handing it to the tick pool costs two cross-thread
+        // wake-ups whose latency is the host scheduler's, not ours, and
+        // made run times differ from run to run. Thread count never
+        // changes a machine's arithmetic, so logs are unaffected.
+        solver.set_threads(1);
         let mut runner = self.script.map(FiddleScript::runner);
         let mut log = ExperimentLog::new(policy.name());
         let metrics = ExperimentMetrics::new();
@@ -289,6 +295,24 @@ impl<'a> Experiment<'a> {
             );
         }
 
+        // What the policy sees, built once: node names never change and
+        // node order is stable, so each second only rewrites the values.
+        let mut snapshots: Vec<ServerSnapshot> = (0..n)
+            .map(|i| ServerSnapshot {
+                temps: solver
+                    .machine_at(i)
+                    .temperatures()
+                    .into_iter()
+                    .map(|(name, c)| (name, c.0))
+                    .collect(),
+                cpu_util: 0.0,
+                disk_util: 0.0,
+                connections: 0,
+                powered: true,
+                accepting: true,
+            })
+            .collect();
+
         for t in 0..self.config.duration_s {
             let sec_span = tracer.start("engine.second", "freon");
             if let Some(r) = runner.as_mut() {
@@ -334,24 +358,18 @@ impl<'a> Experiment<'a> {
 
             solver.step();
 
-            // Policy observation.
-            let snapshots: Vec<ServerSnapshot> = (0..n)
-                .map(|i| {
-                    let machine = solver.machine_at(i);
-                    ServerSnapshot {
-                        temps: machine
-                            .temperatures()
-                            .into_iter()
-                            .map(|(name, c)| (name, c.0))
-                            .collect(),
-                        cpu_util: stats.cpu_utilization[i],
-                        disk_util: stats.disk_utilization[i],
-                        connections: stats.connections[i],
-                        powered: self.sim.server(i).is_powered(),
-                        accepting: self.sim.server(i).accepts_connections(),
-                    }
-                })
-                .collect();
+            // Policy observation: refresh the snapshots in place.
+            for (i, snap) in snapshots.iter_mut().enumerate() {
+                let machine = solver.machine_at(i);
+                for (j, (_, celsius)) in snap.temps.iter_mut().enumerate() {
+                    *celsius = machine.temperature_at(j).0;
+                }
+                snap.cpu_util = stats.cpu_utilization[i];
+                snap.disk_util = stats.disk_utilization[i];
+                snap.connections = stats.connections[i];
+                snap.powered = self.sim.server(i).is_powered();
+                snap.accepting = self.sim.server(i).accepts_connections();
+            }
             policy.control(t, &snapshots, &mut self.sim);
 
             // Policies can also steer the thermal plant itself (e.g. a
