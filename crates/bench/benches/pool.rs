@@ -1,50 +1,27 @@
-//! Tick-pool and fused-replay benchmarks: persistent workers vs
-//! spawn-per-tick scheduling, and fused multi-tick replay vs a per-tick
+//! Fused-replay benchmark: fused multi-tick replay vs a per-tick
 //! `step()` loop.
 //!
-//! The pool benches time a single parallel cluster tick under each
-//! scheduler at two thread's worth of work — the delta is pure per-tick
-//! orchestration (condvar wake vs thread spawn/join). The replay bench
-//! drives the paper's trace-replay shape: a long constant-utilization
+//! Drives the paper's trace-replay shape: a long constant-utilization
 //! span where the fused path keeps chunk matrices hot and pays
 //! plan/gather/scatter once per span.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mercury::presets::{self, nodes};
-use mercury::solver::{ClusterSolver, SolverConfig, TickScheduler};
-use std::hint::black_box;
-
-const POOL_THREADS: usize = 2;
+use mercury::solver::{ClusterSolver, SolverConfig};
 
 /// A warmed-up replicated cluster at 70% CPU on every machine.
-fn steady_cluster(n: usize, threads: usize, scheduler: TickScheduler) -> ClusterSolver {
+fn steady_cluster(n: usize) -> ClusterSolver {
     let model = presets::validation_cluster(n);
     let mut s = ClusterSolver::new(&model, SolverConfig::default()).unwrap();
-    s.set_threads(threads);
-    s.set_scheduler(scheduler);
+    s.set_threads(1);
     for i in 1..=n {
         s.set_utilization(&format!("machine{i}"), nodes::CPU, 0.7)
             .unwrap();
     }
     for _ in 0..20 {
-        s.step(); // builds the batch plan (and spawns the pool)
+        s.step(); // builds the batch plan
     }
     s
-}
-
-fn bench_pool_vs_spawn(c: &mut Criterion, n: usize) {
-    for (label, scheduler) in [
-        ("pool", TickScheduler::Pool),
-        ("spawn", TickScheduler::SpawnPerTick),
-    ] {
-        c.bench_function(&format!("cluster{n}_pool_vs_spawn/{label}"), |b| {
-            let mut s = steady_cluster(n, POOL_THREADS, scheduler);
-            b.iter(|| {
-                s.step();
-                black_box(&s);
-            });
-        });
-    }
 }
 
 fn bench_replay_fused_vs_loop(c: &mut Criterion) {
@@ -55,25 +32,19 @@ fn bench_replay_fused_vs_loop(c: &mut Criterion) {
     let mut group = c.benchmark_group("replay_fused_vs_loop");
     group.sample_size(10);
     group.bench_function("per_tick_loop", |b| {
-        let mut s = steady_cluster(MACHINES, 1, TickScheduler::Pool);
+        let mut s = steady_cluster(MACHINES);
         b.iter(|| (0..TICKS).for_each(|_| s.step()));
     });
     group.bench_function("fused", |b| {
-        let mut s = steady_cluster(MACHINES, 1, TickScheduler::Pool);
+        let mut s = steady_cluster(MACHINES);
         b.iter(|| s.step_for(TICKS));
     });
     group.finish();
 }
 
-fn bench_pool(c: &mut Criterion) {
-    bench_pool_vs_spawn(c, 256);
-    bench_pool_vs_spawn(c, 1024);
-    bench_replay_fused_vs_loop(c);
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(40);
-    targets = bench_pool
+    targets = bench_replay_fused_vs_loop
 }
 criterion_main!(benches);

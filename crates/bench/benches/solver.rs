@@ -51,7 +51,8 @@ fn bench_solver(c: &mut Criterion) {
     c.bench_function("solver_tick_cluster64_parallel", |b| {
         let cluster = presets::validation_cluster(64);
         let mut solver = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
-        solver.set_threads(0); // auto: one chunk per available core
+        // Explicit: the automatic policy keeps a room this small serial.
+        solver.set_threads(2);
         for i in 1..=64 {
             solver
                 .set_utilization(&format!("machine{i}"), nodes::CPU, 0.7)
@@ -85,6 +86,36 @@ fn bench_solver(c: &mut Criterion) {
             });
         }
     }
+
+    // `replay_churn`'s shape without the file: every cell changes every
+    // tick and 128 of the 1024 fans are re-commanded every 10 ticks, so
+    // the per-machine-tick cost of a diverged machine reads beside the
+    // uniform `solver_tick_cluster1024_batched` above.
+    c.bench_function("cluster1024_fan_churn", |b| {
+        let cluster = presets::validation_cluster(1024);
+        let mut solver = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
+        solver.set_threads(1);
+        let cpu = solver.machine_at(0).node_index(nodes::CPU).unwrap();
+        let mut tick = 0usize;
+        b.iter(|| {
+            for m in 0..1024 {
+                let u = ((tick * 31 + m * 17) % 100) as f64 / 100.0;
+                solver.machine_at_mut(m).set_utilization_at(cpu, u).unwrap();
+            }
+            if tick.is_multiple_of(10) {
+                for m in (0..1024).step_by(8) {
+                    let scale = 0.7 + ((tick / 10 * 7 + m) % 60) as f64 / 100.0;
+                    solver
+                        .machine_at_mut(m)
+                        .set_fan_cfm(presets::FAN_CFM * scale)
+                        .unwrap();
+                }
+            }
+            solver.step();
+            tick += 1;
+            black_box(solver.time());
+        });
+    });
 
     // SIMD lane-width evidence: the batched 1024-machine tick on every
     // backend the host supports (exact mode), named by backend and lane

@@ -6,10 +6,10 @@
 //! AVX-512 register) block could straddle two lines. [`AlignedVec`]
 //! is a minimal fixed-length `f64` buffer whose storage is allocated
 //! at 64-byte alignment; it derefs to `[f64]` so the rest of the
-//! batch code is oblivious. Rows at odd lane counts are still
-//! unaligned mid-matrix — the kernels use unaligned loads and the
-//! alignment is a starting-address guarantee that keeps the common
-//! full-chunk (32-lane) case line-aligned on every row.
+//! batch code is oblivious. Chunk row strides are padded to 8 lanes
+//! (`simd::LANE_PAD`), one cache line, so an aligned start keeps every
+//! row of every chunk line-aligned; the kernels still use unaligned
+//! loads and do not depend on it.
 
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ops::{Deref, DerefMut};

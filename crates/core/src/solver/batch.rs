@@ -29,20 +29,54 @@
 //!   interact (no horizontal reductions), so batched, per-machine,
 //!   serial, and parallel stepping all produce the same bits.
 //!
-//! Machines whose kernel constants have diverged from their source model
-//! (fan-speed, heat-k, or air-fraction fiddles) or that carry
-//! force-pinned nodes fall back transparently to the per-machine path;
-//! see [`super::machine::Solver::batch_eligible`]. Groups are split into
-//! fixed-width chunks of at most [`CHUNK_LANES`] machines so that (a)
-//! the working set of one chunk stays cache-resident and (b) parallel
-//! cluster ticks can hand whole chunks to worker threads — chunk width
-//! never depends on the thread count, so parallelism cannot change
-//! results.
+//! ## Group classes
+//!
+//! Eligible machines are grouped by `(structural fingerprint, class)`:
+//!
+//! - **Shared operator** — machines whose kernel constants still match
+//!   their source model. They compile to bit-identical operators, so
+//!   the group keeps one copy of the weights and the sweep splats each
+//!   weight across the row.
+//! - **Per-lane weights, `N` sub-steps** — machines a fan-speed, heat-k
+//!   or air-fraction fiddle has diverged from the model. A fiddle
+//!   changes an operator's *weights* (and sometimes its sub-step
+//!   count), not its CSR structure, so such machines still share
+//!   offsets, sources and `1/(m·c)`; each chunk carries
+//!   `[entries × lanes]` and `[nodes × lanes]` weight matrices beside
+//!   its state, and the same sweep loads a lane's weights where the
+//!   shared class splats them. Lanes of a chunk advance together, so
+//!   the sub-step count is part of the class: a fan command that moves
+//!   a machine from 14 to 15 sub-steps moves it to another group.
+//!
+//! What still steps per-machine: machines with force-pinned nodes
+//! (pinning changes the boundary-flag pattern a group shares; see
+//! [`super::machine::Solver::batch_eligible`]) and classes with fewer
+//! than [`MIN_GROUP`] members. Groups are split into fixed-width chunks
+//! of at most [`CHUNK_LANES`] machines so that (a) the working set of
+//! one chunk stays cache-resident and (b) parallel cluster ticks can
+//! hand whole chunks to worker threads — chunk width never depends on
+//! the thread count, so parallelism cannot change results. A chunk's
+//! row stride is its lane count rounded up to [`LANE_PAD`]: the dead
+//! lanes are zero in every matrix (weights included) and therefore stay
+//! zero, and every row is whole vector blocks on every backend.
+//!
+//! ## What a tick re-reads
+//!
+//! A warm chunk holds last tick's state, so the gather rewrites only
+//! what changed, told apart by two solver flags: *inputs repriced*
+//! (a utilization or power-model change — the lane's component
+//! `power_dt` rows and its generated heat) and *temperatures rewritten
+//! outside the chunk* (a direct step, `set_temperature`, a restore —
+//! the lane's whole `cur` column). Boundary rows are re-read every
+//! tick, because the room graph rewrites inlets every tick. A lane's
+//! weight column is rewritten when its solver's rebuild epoch moved,
+//! which [`BatchSet::plan`] sees because the epoch is in the signature.
 
 use super::aligned::{AlignedVec, MATRIX_ALIGN};
 use super::kernel::AssembledOp;
 use super::machine::Solver;
-use super::simd::{self, SimdBackend, Sweep};
+use super::simd::{self, SimdBackend, Sweep, LANE_PAD};
+use std::collections::HashMap;
 
 /// Maximum machines (f64 lanes) per batch chunk. 32 lanes keep one
 /// chunk's three `[nodes × lanes]` matrices a few KiB — cache-resident —
@@ -52,25 +86,61 @@ use super::simd::{self, SimdBackend, Sweep};
 /// chunks are distributed.
 pub(crate) const CHUNK_LANES: usize = 32;
 
-/// Below this many same-fingerprint machines, batching is not worth the
-/// per-tick gather/scatter: the pair stays on the per-machine path.
+/// Below this many same-class machines, batching is not worth the
+/// per-tick gather/scatter: the machine stays on the per-machine path.
 const MIN_GROUP: usize = 2;
+
+/// What machines must have in common to step in one group.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct GroupKey {
+    fingerprint: u64,
+    /// `None` for undiverged machines (one shared operator); the
+    /// compiled sub-step count for diverged ones (per-lane weights).
+    per_lane_substeps: Option<usize>,
+}
+
+/// One machine's entry in the plan signature: its group key plus, for a
+/// diverged machine, the rebuild epoch the plan last saw — so a rebuilt
+/// kernel forces the replan that refreshes its weight column. `None`
+/// for machines that may not batch.
+type Signature = Option<(GroupKey, u64)>;
+
+fn signature_of(machine: &mut Solver) -> Signature {
+    if !machine.batch_eligible() {
+        return None;
+    }
+    let (per_lane_substeps, epoch) = if machine.diverged() {
+        // Reading the sub-step count compiles a pending rebuild — the
+        // one `fill_tick_inputs` would run later this tick.
+        let substeps = machine.compiled_kernel().substeps();
+        (Some(substeps), machine.rebuild_epoch())
+    } else {
+        (None, 0)
+    };
+    let key = GroupKey {
+        fingerprint: machine.fingerprint(),
+        per_lane_substeps,
+    };
+    Some((key, epoch))
+}
 
 /// One group's shared, read-only sub-step operator — a deep copy of the
 /// representative machine's assembled [`AssembledOp`], plus the group's
 /// boundary mask (inlet nodes; eligible machines have no force-pinned
 /// nodes, so the mask is structural and identical across the group).
+/// A per-lane group shares everything but the weights.
 #[derive(Debug)]
 pub(crate) struct SharedOp {
     n: usize,
     substeps: usize,
     op_off: Vec<u32>,
     op_src: Vec<u32>,
+    /// Empty when `per_lane`: each chunk carries its lanes' weights.
     op_w: Vec<f64>,
     self_w: Vec<f64>,
     inv_capacity: Vec<f64>,
-    /// Refreshed from the representative each tick (cheap: `n` bools).
     fixed: Vec<bool>,
+    per_lane: bool,
     /// Lane-sweep backend, stamped from the owning [`BatchSet`] so a
     /// pool work item `(op, chunk)` carries everything a tick needs.
     backend: SimdBackend,
@@ -79,33 +149,42 @@ pub(crate) struct SharedOp {
 }
 
 impl SharedOp {
-    fn from_assembled(op: AssembledOp<'_>, backend: SimdBackend, fast_math: bool) -> Self {
+    fn from_representative(
+        solver: &mut Solver,
+        per_lane: bool,
+        backend: SimdBackend,
+        fast_math: bool,
+    ) -> Self {
+        let op = solver.compiled_kernel().assembled_op();
+        let weights = |w: &[f64]| if per_lane { Vec::new() } else { w.to_vec() };
         SharedOp {
             n: op.n,
             substeps: op.substeps,
             op_off: op.op_off.to_vec(),
             op_src: op.op_src.to_vec(),
-            op_w: op.op_w.to_vec(),
-            self_w: op.self_w.to_vec(),
+            op_w: weights(op.op_w),
+            self_w: weights(op.self_w),
             inv_capacity: op.inv_capacity.to_vec(),
-            fixed: vec![false; op.n],
+            fixed: solver.tick_inputs().0.to_vec(),
+            per_lane,
             backend,
             fast_math,
         }
     }
 
     /// Exact (bitwise) equality with another machine's assembled
-    /// operator. Fingerprint-equal machines compile to identical
-    /// operators by construction; this check makes a 64-bit fingerprint
-    /// collision harmless instead of silently wrong.
+    /// operator — of everything the group shares: structure and
+    /// `1/(m·c)` always, the weights unless each lane carries its own.
+    /// Class-equal machines compile to matching operators by
+    /// construction; this check makes a 64-bit fingerprint collision
+    /// harmless instead of silently wrong.
     fn matches(&self, op: &AssembledOp<'_>) -> bool {
         self.n == op.n
             && self.substeps == op.substeps
             && self.op_off == op.op_off
             && self.op_src == op.op_src
-            && bits_eq(&self.op_w, op.op_w)
-            && bits_eq(&self.self_w, op.self_w)
             && bits_eq(&self.inv_capacity, op.inv_capacity)
+            && (self.per_lane || (bits_eq(&self.op_w, op.op_w) && bits_eq(&self.self_w, op.self_w)))
     }
 }
 
@@ -120,36 +199,78 @@ pub(crate) struct Chunk {
     /// Cluster machine indices, in cluster order; lane `l` holds
     /// machine `members[l]`.
     members: Vec<usize>,
-    /// `[nodes × lanes]` temperature matrices, double-buffered and
+    /// Row stride of every matrix: `members.len()` rounded up to
+    /// [`LANE_PAD`]. Lanes past `members.len()` are dead — never
+    /// written, so zero everywhere, which the sweep maps to zero.
+    stride: usize,
+    /// `[nodes × stride]` temperature matrices, double-buffered and
     /// 64-byte aligned for the vector sweep. `fixed` rows are kept
     /// valid in *both* buffers (written at gather time, skipped by the
     /// sweep), so the double-buffer swap never stales them.
     cur: AlignedVec,
     next: AlignedVec,
-    /// `[nodes × lanes]` per-sub-step power ΔT, 64-byte aligned.
+    /// `[nodes × stride]` per-sub-step power ΔT, 64-byte aligned. Only
+    /// component rows are ever written; air rows stay zero.
     power_dt: AlignedVec,
+    /// Per-lane operator weights, `[entries × stride]` and
+    /// `[nodes × stride]`; empty in a shared-operator group.
+    op_w: AlignedVec,
+    self_w: AlignedVec,
+    /// The rebuild epoch each lane's weight column was copied at (0 =
+    /// never); empty in a shared-operator group.
+    epochs: Vec<u64>,
     /// Per-lane heat generated over the tick (Joules), for
-    /// [`Solver::finish_tick`] bookkeeping.
+    /// [`Solver::finish_tick_span`] bookkeeping.
     generated: Vec<f64>,
     /// Whether the chunk's matrices already hold every member's state
-    /// from the previous tick. A warm chunk only re-gathers boundary
-    /// rows (the inter-machine graph rewrites inlets each tick) and
-    /// lanes whose solver reports changed inputs; everything else is
-    /// bit-identical to what the scatter just wrote back.
+    /// from the previous tick (see the module docs for what a warm
+    /// chunk re-reads).
     warm: bool,
 }
 
 impl Chunk {
-    fn new(members: Vec<usize>, n: usize) -> Self {
+    fn new(members: Vec<usize>, op: &SharedOp) -> Self {
         let lanes = members.len();
+        let stride = lanes.next_multiple_of(LANE_PAD);
+        let weights = |rows: usize| AlignedVec::zeroed(if op.per_lane { rows * stride } else { 0 });
         Chunk {
             members,
-            cur: AlignedVec::zeroed(n * lanes),
-            next: AlignedVec::zeroed(n * lanes),
-            power_dt: AlignedVec::zeroed(n * lanes),
+            stride,
+            cur: AlignedVec::zeroed(op.n * stride),
+            next: AlignedVec::zeroed(op.n * stride),
+            power_dt: AlignedVec::zeroed(op.n * stride),
+            op_w: weights(op.op_src.len()),
+            self_w: weights(op.n),
+            epochs: vec![0; if op.per_lane { lanes } else { 0 }],
             generated: vec![0.0; lanes],
             warm: false,
         }
+    }
+
+    /// Copies the weights of every lane whose solver was rebuilt since
+    /// its column was written (all of them, for a new chunk). Returns
+    /// `false` if a rebuilt operator no longer has the group's
+    /// structure — the caller then regroups from scratch.
+    fn refresh_weights(&mut self, op: &SharedOp, machines: &mut [Solver]) -> bool {
+        for l in 0..self.epochs.len() {
+            let solver = &mut machines[self.members[l]];
+            let epoch = solver.rebuild_epoch();
+            if self.epochs[l] == epoch {
+                continue;
+            }
+            let own = solver.compiled_kernel().assembled_op();
+            if !op.matches(&own) {
+                return false;
+            }
+            for (j, &w) in own.op_w.iter().enumerate() {
+                self.op_w[j * self.stride + l] = w;
+            }
+            for (i, &w) in own.self_w.iter().enumerate() {
+                self.self_w[i * self.stride + l] = w;
+            }
+            self.epochs[l] = epoch;
+        }
+        true
     }
 
     /// Advances every lane by one tick (all sub-steps). Pure compute on
@@ -165,21 +286,26 @@ impl Chunk {
     /// already valid in both buffers (see [`BatchSet::begin_tick`]) and
     /// are skipped outright.
     pub(crate) fn tick(&mut self, op: &SharedOp) {
-        let lanes = self.members.len();
         debug_assert_eq!(self.cur.as_ptr() as usize % MATRIX_ALIGN, 0);
         debug_assert_eq!(self.next.as_ptr() as usize % MATRIX_ALIGN, 0);
         debug_assert_eq!(self.power_dt.as_ptr() as usize % MATRIX_ALIGN, 0);
+        let (op_w, self_w): (&[f64], &[f64]) = if op.per_lane {
+            (&self.op_w, &self.self_w)
+        } else {
+            (&op.op_w, &op.self_w)
+        };
         for _ in 0..op.substeps {
             simd::substep(
                 op.backend,
                 op.fast_math,
                 Sweep {
                     n: op.n,
-                    lanes,
+                    lanes: self.stride,
                     op_off: &op.op_off,
                     op_src: &op.op_src,
-                    op_w: &op.op_w,
-                    self_w: &op.self_w,
+                    op_w,
+                    self_w,
+                    lane_w: op.per_lane,
                     fixed: &op.fixed,
                     power_dt: &self.power_dt,
                     cur: &self.cur,
@@ -191,26 +317,86 @@ impl Chunk {
     }
 }
 
-/// One structural group: the shared operator plus its member chunks.
+/// One group: the shared operator plus its member chunks.
 #[derive(Debug)]
 struct Group {
+    key: GroupKey,
+    /// Every chunk's members, concatenated (cluster order).
+    members: Vec<usize>,
     op: SharedOp,
     chunks: Vec<Chunk>,
 }
 
+impl Group {
+    /// Builds a cold group from the machines of one class. Deep-copies
+    /// the representative's operator, then verifies every member
+    /// compiled to the same bits (a fingerprint collision demotes the
+    /// odd one out to the per-machine path). `None` if fewer than
+    /// [`MIN_GROUP`] members survive.
+    fn build(
+        key: GroupKey,
+        members: &[usize],
+        machines: &mut [Solver],
+        backend: SimdBackend,
+        fast_math: bool,
+    ) -> Option<Group> {
+        let per_lane = key.per_lane_substeps.is_some();
+        let op =
+            SharedOp::from_representative(&mut machines[members[0]], per_lane, backend, fast_math);
+        let verified: Vec<usize> = members
+            .iter()
+            .copied()
+            .filter(|&m| {
+                let same = op.matches(&machines[m].compiled_kernel().assembled_op());
+                debug_assert!(same, "fingerprint collision between machines");
+                same
+            })
+            .collect();
+        if verified.len() < MIN_GROUP {
+            return None;
+        }
+        let chunks = verified
+            .chunks(CHUNK_LANES)
+            .map(|c| {
+                let mut chunk = Chunk::new(c.to_vec(), &op);
+                let fresh = chunk.refresh_weights(&op, machines);
+                debug_assert!(fresh, "members were verified above");
+                chunk
+            })
+            .collect();
+        Some(Group {
+            key,
+            members: verified,
+            op,
+            chunks,
+        })
+    }
+
+    /// Refreshes the weights of every lane whose solver was rebuilt, so
+    /// the group's chunks stay warm across a replan that left its
+    /// members alone. `false` if a lane no longer fits (see
+    /// [`Chunk::refresh_weights`]).
+    fn refresh_weights(&mut self, machines: &mut [Solver]) -> bool {
+        self.chunks
+            .iter_mut()
+            .all(|chunk| chunk.refresh_weights(&self.op, machines))
+    }
+}
+
 /// The cluster's batch plan: which machines step together, and the
 /// matrices they step in. Owned by `ClusterSolver`; rebuilt only when
-/// membership changes (a machine diverges, a pin appears/disappears, or
-/// batching is toggled).
+/// the signature changes (a machine diverges or is re-fiddled, a pin
+/// appears/disappears, or batching is toggled), and then only for the
+/// groups whose membership changed.
 #[derive(Debug, Default)]
 pub(crate) struct BatchSet {
     groups: Vec<Group>,
     /// `membership[m]` — machine `m` steps on the batched path.
     membership: Vec<bool>,
-    /// The `(fingerprint, eligible)` vector the current plan was built
-    /// from; a cheap per-tick comparison detects membership changes.
-    signature: Vec<(u64, bool)>,
-    planned: bool,
+    /// The per-machine signature the current plan was built from,
+    /// compared (and updated) in place every tick; empty until the
+    /// first plan.
+    signature: Vec<Signature>,
     /// Lane-sweep backend for every chunk tick. Defaults to the
     /// process-wide [`SimdBackend::select`]; bit-identical across
     /// backends in default mode.
@@ -226,7 +412,6 @@ impl BatchSet {
             groups: Vec::new(),
             membership: vec![false; n_machines],
             signature: Vec::new(),
-            planned: false,
             backend: SimdBackend::select(),
             fast_math: false,
         }
@@ -268,7 +453,7 @@ impl BatchSet {
 
     /// Number of machines currently stepped on the batched path.
     pub(crate) fn batched_machines(&self) -> usize {
-        self.membership.iter().filter(|&&b| b).count()
+        self.groups.iter().map(|g| g.members.len()).sum()
     }
 
     /// Drops the plan; every machine steps per-machine until `plan` runs
@@ -277,84 +462,70 @@ impl BatchSet {
         self.groups.clear();
         self.membership.iter_mut().for_each(|b| *b = false);
         self.signature.clear();
-        self.planned = false;
     }
 
     /// (Re)partitions the cluster into batch groups. Cheap when nothing
-    /// changed: recomputes the `(fingerprint, eligible)` signature and
-    /// compares it to the current plan's.
+    /// changed: one pass comparing each machine's signature with the
+    /// stored one, in place, allocating nothing.
     ///
     /// Returns `None` when the existing plan still stands, or
     /// `Some(demotions)` after a replan — the number of machines that
-    /// were on the batched path before and are not any more (diverged,
-    /// grew a pin, or their group shrank below [`MIN_GROUP`]). The
-    /// cluster feeds this into its telemetry.
+    /// were on the batched path before and are not any more (grew a
+    /// pin, or their class shrank below [`MIN_GROUP`]). The cluster
+    /// feeds this into its telemetry. A replan keeps every group whose
+    /// key and member list are unchanged, chunks warm, so one fan
+    /// command does not make the rest of the room re-gather.
     pub(crate) fn plan(&mut self, machines: &mut [Solver]) -> Option<u64> {
-        let signature: Vec<(u64, bool)> = machines
-            .iter()
-            .map(|m| (m.fingerprint(), m.batch_eligible()))
-            .collect();
-        if self.planned && signature == self.signature {
+        let mut changed = self.signature.len() != machines.len();
+        self.signature.resize(machines.len(), None);
+        for (seen, machine) in self.signature.iter_mut().zip(machines.iter_mut()) {
+            let now = signature_of(machine);
+            if *seen != now {
+                *seen = now;
+                changed = true;
+            }
+        }
+        if !changed {
             return None;
         }
 
-        self.groups.clear();
-        let was_batched = std::mem::take(&mut self.membership);
-        self.membership.resize(machines.len(), false);
-
-        // Group eligible machines by fingerprint, preserving first-seen
-        // order so the plan is deterministic in machine order.
-        let mut order: Vec<u64> = Vec::new();
-        let mut by_print: std::collections::HashMap<u64, Vec<usize>> =
-            std::collections::HashMap::new();
-        for (m, &(print, eligible)) in signature.iter().enumerate() {
-            if !eligible {
-                continue;
+        // Group eligible machines by key, preserving first-seen order
+        // so the plan is deterministic in machine order.
+        let mut order: Vec<GroupKey> = Vec::new();
+        let mut by_key: HashMap<GroupKey, Vec<usize>> = HashMap::new();
+        for (m, signature) in self.signature.iter().enumerate() {
+            if let Some((key, _)) = signature {
+                let members = by_key.entry(*key).or_default();
+                if members.is_empty() {
+                    order.push(*key);
+                }
+                members.push(m);
             }
-            let entry = by_print.entry(print).or_default();
-            if entry.is_empty() {
-                order.push(print);
-            }
-            entry.push(m);
         }
 
-        for print in order {
-            let members = by_print.remove(&print).expect("grouped above");
+        let mut old: HashMap<GroupKey, Group> = self.groups.drain(..).map(|g| (g.key, g)).collect();
+        let was_batched = std::mem::take(&mut self.membership);
+        self.membership.resize(machines.len(), false);
+        for key in order {
+            let members = &by_key[&key];
             if members.len() < MIN_GROUP {
                 continue;
             }
-            // Deep-copy the representative's operator, then verify every
-            // member compiled to the same bits (fingerprint collisions
-            // demote the odd one out to the per-machine path).
-            let op = SharedOp::from_assembled(
-                machines[members[0]].compiled_kernel().assembled_op(),
-                self.backend,
-                self.fast_math,
-            );
-            let mut verified = Vec::with_capacity(members.len());
-            for &m in &members {
-                if op.matches(&machines[m].compiled_kernel().assembled_op()) {
-                    verified.push(m);
-                } else {
-                    debug_assert!(false, "fingerprint collision between machines");
-                }
-            }
-            if verified.len() < MIN_GROUP {
+            let kept = old
+                .remove(&key)
+                .filter(|group| group.members == *members)
+                .and_then(|mut group| group.refresh_weights(machines).then_some(group));
+            let Some(group) =
+                kept.or_else(|| Group::build(key, members, machines, self.backend, self.fast_math))
+            else {
                 continue;
-            }
-            for &m in &verified {
+            };
+            for &m in &group.members {
                 self.membership[m] = true;
             }
-            let n = op.n;
-            let chunks = verified
-                .chunks(CHUNK_LANES)
-                .map(|c| Chunk::new(c.to_vec(), n))
-                .collect();
-            self.groups.push(Group { op, chunks });
+            self.groups.push(group);
         }
 
-        self.signature = signature;
-        self.planned = true;
         let demotions = was_batched
             .iter()
             .zip(&self.membership)
@@ -383,67 +554,52 @@ impl BatchSet {
     pub(crate) fn planned_substeps(&self) -> u64 {
         self.groups
             .iter()
-            .map(|g| {
-                let members: usize = g.chunks.iter().map(|c| c.members.len()).sum();
-                (members * g.op.substeps) as u64
-            })
+            .map(|g| (g.members.len() * g.op.substeps) as u64)
             .sum()
     }
 
     /// Tick preamble for every batched machine: runs the identical
     /// per-machine input pricing ([`Solver::fill_tick_inputs`]), then
-    /// gathers temperatures and per-node power ΔT into the chunk
-    /// matrices. The representative's boundary mask is copied into the
-    /// shared operator (it is structural, hence identical group-wide).
+    /// brings the chunk matrices up to date with whatever changed in
+    /// the solver since the last tick (everything, for a cold chunk).
     pub(crate) fn begin_tick(&mut self, machines: &mut [Solver]) {
         for group in &mut self.groups {
-            let op = &mut group.op;
-            let mut first = true;
+            let op = &group.op;
             for chunk in &mut group.chunks {
-                let lanes = chunk.members.len();
-                for l in 0..lanes {
-                    let solver = &mut machines[chunk.members[l]];
+                let stride = chunk.stride;
+                for (l, &m) in chunk.members.iter().enumerate() {
+                    let solver = &mut machines[m];
                     let repriced = solver.fill_tick_inputs();
+                    let rewritten = solver.take_temps_dirty();
                     let (fixed, power_q) = solver.tick_inputs();
-                    if first {
-                        op.fixed.copy_from_slice(fixed);
-                        first = false;
-                    } else {
-                        debug_assert_eq!(op.fixed, fixed, "boundary mask diverged within group");
-                    }
+                    debug_assert_eq!(op.fixed, fixed, "boundary mask diverged within group");
                     let temps = solver.temps();
-                    if chunk.warm && !repriced {
-                        // Nothing about this lane changed outside the
-                        // chunk except possibly its boundary rows (the
-                        // room graph rewrote the inlet); non-boundary
-                        // rows still hold the previous scatter's bits.
-                        // Fixed rows go into *both* buffers: the sweep
-                        // skips them, so each buffer must carry its own
-                        // copy across the double-buffer swaps.
-                        for (i, (&fixed, t)) in op.fixed.iter().zip(temps).enumerate() {
-                            if fixed {
-                                chunk.cur[i * lanes + l] = t.0;
-                                chunk.next[i * lanes + l] = t.0;
-                            }
+                    if !chunk.warm || rewritten {
+                        for (i, t) in temps.iter().enumerate() {
+                            chunk.cur[i * stride + l] = t.0;
                         }
-                        continue;
                     }
-                    // `sum_q` accumulates in node order — the scalar
-                    // kernel's exact `generated` bookkeeping.
-                    let mut sum_q = 0.0;
-                    for i in 0..op.n {
-                        let q = power_q[i];
-                        sum_q += q;
-                        chunk.cur[i * lanes + l] = temps[i].0;
-                        if op.fixed[i] {
-                            // Skipped by the sweep — pre-write the
-                            // boundary value into both buffers once
-                            // instead of copying it every sub-step.
-                            chunk.next[i * lanes + l] = temps[i].0;
+                    // Boundary rows change outside the chunk every tick
+                    // (the room graph rewrites the inlet). They go into
+                    // *both* buffers: the sweep skips them, so each
+                    // buffer must carry its own copy across the
+                    // double-buffer swaps.
+                    for &i in solver.inlet_nodes() {
+                        chunk.cur[i * stride + l] = temps[i].0;
+                        chunk.next[i * stride + l] = temps[i].0;
+                    }
+                    if !chunk.warm || repriced {
+                        // `sum_q` accumulates in node order — the scalar
+                        // kernel's exact `generated` bookkeeping, less
+                        // its additions of the air nodes' +0.0.
+                        let mut sum_q = 0.0;
+                        for &i in solver.component_nodes() {
+                            let q = power_q[i];
+                            sum_q += q;
+                            chunk.power_dt[i * stride + l] = q * op.inv_capacity[i];
                         }
-                        chunk.power_dt[i * lanes + l] = q * op.inv_capacity[i];
+                        chunk.generated[l] = sum_q * op.substeps as f64;
                     }
-                    chunk.generated[l] = sum_q * op.substeps as f64;
                 }
                 chunk.warm = true;
             }
@@ -472,31 +628,19 @@ impl BatchSet {
             .collect()
     }
 
-    /// Tick epilogue: scatters chunk temperatures back into each member
-    /// solver and books its heat/time accounting, exactly as
-    /// [`Solver::step`]'s epilogue does.
-    pub(crate) fn finish_tick(&mut self, machines: &mut [Solver]) {
-        self.scatter(machines, 1);
-    }
-
-    /// Span epilogue for fused replay: the same scatter as
-    /// [`BatchSet::finish_tick`], but booking `span` ticks of heat/time
-    /// accounting at once — the chunk matrices stayed hot for the whole
-    /// span, so there is exactly one scatter to pay.
+    /// Epilogue of `span` ticks (1 for a per-tick step, more for a
+    /// fused replay span — the chunk matrices stayed hot throughout, so
+    /// there is exactly one scatter to pay): scatters chunk
+    /// temperatures back into each member solver and books its
+    /// heat/time accounting, exactly as [`Solver::step`]'s epilogue
+    /// does.
     pub(crate) fn finish_span(&mut self, machines: &mut [Solver], span: usize) {
-        self.scatter(machines, span);
-    }
-
-    fn scatter(&mut self, machines: &mut [Solver], span: usize) {
         for group in &mut self.groups {
-            let n = group.op.n;
             for chunk in &mut group.chunks {
-                let lanes = chunk.members.len();
-                for l in 0..lanes {
-                    let solver = &mut machines[chunk.members[l]];
-                    let temps = solver.temps_mut();
-                    for (i, t) in temps.iter_mut().enumerate().take(n) {
-                        t.0 = chunk.cur[i * lanes + l];
+                for (l, &m) in chunk.members.iter().enumerate() {
+                    let solver = &mut machines[m];
+                    for (i, t) in solver.temps_mut().iter_mut().enumerate() {
+                        t.0 = chunk.cur[i * chunk.stride + l];
                     }
                     solver.finish_tick_span(chunk.generated[l], span);
                 }
@@ -531,10 +675,9 @@ impl BatchSet {
             return None;
         }
         let chunk = &self.groups[g as usize].chunks[c as usize];
-        let lanes = chunk.members.len();
         let mut sum = 0.0;
         for &i in nodes {
-            sum += chunk.cur[i as usize * lanes + l as usize];
+            sum += chunk.cur[i as usize * chunk.stride + l as usize];
         }
         Some(sum / nodes.len() as f64)
     }
@@ -543,7 +686,7 @@ impl BatchSet {
     /// probe recording inside a fused span.
     pub(crate) fn lane_value(&self, g: u32, c: u32, l: u32, node: usize) -> f64 {
         let chunk = &self.groups[g as usize].chunks[c as usize];
-        chunk.cur[node * chunk.members.len() + l as usize]
+        chunk.cur[node * chunk.stride + l as usize]
     }
 
     /// Writes a boundary temperature into the given rows of a chunk
@@ -553,10 +696,9 @@ impl BatchSet {
     /// buffers to survive the per-sub-step double-buffer swaps.
     pub(crate) fn write_lane_rows(&mut self, g: u32, c: u32, l: u32, nodes: &[usize], t: f64) {
         let chunk = &mut self.groups[g as usize].chunks[c as usize];
-        let lanes = chunk.members.len();
         for &i in nodes {
-            chunk.cur[i * lanes + l as usize] = t;
-            chunk.next[i * lanes + l as usize] = t;
+            chunk.cur[i * chunk.stride + l as usize] = t;
+            chunk.next[i * chunk.stride + l as usize] = t;
         }
     }
 }

@@ -15,27 +15,14 @@ use std::collections::HashMap;
 use std::time::Instant;
 use telemetry::Tracer;
 
-/// Below this cluster size the automatic thread policy stays serial: the
-/// per-tick work of a handful of machines is cheaper than waking a thread
-/// pool for them.
-const SERIAL_MACHINE_CUTOFF: usize = 8;
-
-/// How parallel ticks distribute their work across threads; see
-/// [`ClusterSolver::set_scheduler`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TickScheduler {
-    /// The persistent [`TickPool`]: workers spawned once, parked between
-    /// ticks, fed one unified queue of solo-machine and batch-chunk work
-    /// items capped at exactly the configured thread count.
-    #[default]
-    Pool,
-    /// The legacy baseline: fresh `std::thread::scope` threads every
-    /// tick, solo slices and chunk slices each fanned out separately
-    /// (which can oversubscribe to 2× the configured thread count).
-    /// Kept selectable for pool-vs-spawn benchmarking only; trajectories
-    /// are bit-identical either way.
-    SpawnPerTick,
-}
+/// Work units a pool worker must have before the automatic thread
+/// policy adds it: one unit per solo machine-tick (≈1 µs), four per
+/// batch chunk-tick (≤32 lanes, ≈4 µs). Below this a tick is cheaper
+/// than the pool's publish → wake → barrier round trip: measured with
+/// `experiments replay`, two workers lose to one up to 64 chunks per
+/// worker and only draw level from 128 (see CHANGES.md, PR 15).
+const MIN_UNITS_PER_WORKER: usize = 512;
+const CHUNK_UNITS: usize = 4;
 
 /// A resolved `(machine, node)` temperature probe for
 /// [`ClusterSolver::step_for_recorded`]: resolve names once, then record
@@ -104,9 +91,6 @@ pub struct ClusterSolver {
     /// first parallel tick, resized lazily when the effective thread
     /// count changes, joined on drop.
     pool: TickPool,
-    /// Which parallel-tick execution strategy to use (see
-    /// [`ClusterSolver::set_scheduler`]).
-    scheduler: TickScheduler,
     /// Pool runs so far, for 1-in-[`TICK_LATENCY_SAMPLE`] busy/idle
     /// sampling.
     pool_runs: u64,
@@ -174,7 +158,6 @@ impl ClusterSolver {
             batch,
             batching: true,
             pool: TickPool::new(),
-            scheduler: TickScheduler::default(),
             pool_runs: 0,
             time: Seconds(0.0),
             dt: cfg.dt,
@@ -331,12 +314,13 @@ impl ClusterSolver {
 
     /// Sets the number of worker threads used to step machines each tick.
     ///
-    /// `0` (the default) is the **auto sentinel**: serial for clusters
-    /// of at most 8 machines, one thread per available core (via
-    /// [`std::thread::available_parallelism`], capped at the machine
-    /// count) for larger rooms. Any explicit value is clamped to the
-    /// machine count; [`ClusterSolver::effective_threads`] reports the
-    /// resolved count. Parallel ticks run on a persistent worker pool
+    /// `0` (the default) is the **auto sentinel**: one worker per 128
+    /// batch chunks or 512 solo machines of per-tick work in the
+    /// current batch plan — serial below twice that, where waking the
+    /// pool costs more than the tick — capped at the available cores
+    /// ([`std::thread::available_parallelism`]). Any explicit value is
+    /// clamped to the machine count;
+    /// [`ClusterSolver::effective_threads`] reports the resolved count. Parallel ticks run on a persistent worker pool
     /// that is resized lazily at the next tick after a change here (an
     /// existing pool is torn down and respawned, counted in
     /// `mercury_cluster_pool_resizes_total`). The thread count never
@@ -346,27 +330,11 @@ impl ClusterSolver {
         self.threads = threads;
     }
 
-    /// Selects how parallel ticks are executed (default:
-    /// [`TickScheduler::Pool`]). The spawn-per-tick strategy exists so
-    /// benchmarks can A/B the persistent pool against the legacy scoped
-    /// spawn within one binary — like [`ClusterSolver::set_batching`],
-    /// this is a benchmarking switch, not a correctness knob: both
-    /// strategies produce bit-identical trajectories. Fused replay spans
-    /// ([`ClusterSolver::step_for`]) always use the pool.
-    pub fn set_scheduler(&mut self, scheduler: TickScheduler) {
-        self.scheduler = scheduler;
-    }
-
-    /// The currently selected parallel-tick scheduler.
-    pub fn scheduler(&self) -> TickScheduler {
-        self.scheduler
-    }
-
     /// Worker threads currently alive in the persistent tick pool
     /// (0 until the first parallel tick). After any parallel tick this
-    /// equals [`ClusterSolver::effective_threads`] at that tick — never
-    /// the 2× a mixed solo/chunk tick could reach under the legacy
-    /// spawn-per-tick fan-out.
+    /// equals [`ClusterSolver::effective_threads`] at that tick: solo
+    /// machines and chunks share one queue, so a tick with both kinds
+    /// of work still runs on exactly that many workers.
     pub fn pool_workers(&self) -> usize {
         self.pool.worker_count()
     }
@@ -376,10 +344,13 @@ impl ClusterSolver {
     ///
     /// When enabled, machines that share a [`structural
     /// fingerprint`](crate::model::MachineModel::structural_fingerprint)
-    /// and have not been fiddled away from their source model step
-    /// together through one shared structure-of-arrays kernel — the fast
-    /// path for trace-replicated rooms. Batched and per-machine stepping
-    /// are bit-identical; this switch exists for benchmarking and for
+    /// step together through one structure-of-arrays kernel — the fast
+    /// path for trace-replicated rooms. Machines fiddled away from
+    /// their source model (fan speed, heat k, air fraction) stay on it,
+    /// grouped by sub-step count with per-lane operator weights; only
+    /// machines with force-pinned nodes, and machines alone in their
+    /// group, step per-machine. Batched and per-machine stepping are
+    /// bit-identical; this switch exists for benchmarking and for
     /// pinning down a suspect path, not for correctness.
     pub fn set_batching(&mut self, on: bool) {
         self.batching = on;
@@ -495,19 +466,26 @@ impl ClusterSolver {
         &self.tracer
     }
 
-    /// The thread count [`ClusterSolver::step`] will actually use.
+    /// The thread count [`ClusterSolver::step`] will actually use,
+    /// given the current batch plan (before the first tick there is no
+    /// plan, and every machine counts as solo).
     pub fn effective_threads(&self) -> usize {
         let n = self.machines.len();
         if n == 0 {
             return 1;
         }
-        match self.threads {
-            0 if n <= SERIAL_MACHINE_CUTOFF => 1,
-            0 => std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-                .min(n),
-            t => t.min(n),
+        if self.threads != 0 {
+            return self.threads.min(n);
+        }
+        let solos = n - self.batch.batched_machines();
+        let units = CHUNK_UNITS * self.batch.chunk_count() + solos;
+        match units / MIN_UNITS_PER_WORKER {
+            0 | 1 => 1,
+            workers => workers.min(
+                std::thread::available_parallelism()
+                    .map(|p| p.get())
+                    .unwrap_or(1),
+            ),
         }
     }
 
@@ -583,9 +561,10 @@ impl ClusterSolver {
     }
 
     fn step_machines(&mut self, parent: u64) {
-        // Partition the cluster: structurally identical, unfiddled
-        // machines step batched; the rest step per-machine. The plan is
-        // rebuilt only when membership changes.
+        // Partition the cluster: machines of one structure and class
+        // step batched; pinned machines and singleton classes step
+        // per-machine. The plan is rebuilt only when a signature
+        // changes.
         let plan_span = self.tracer.start_child("batch.plan", "solver", parent);
         if self.batching {
             if let Some(demotions) = self.batch.plan(&mut self.machines) {
@@ -616,77 +595,36 @@ impl ClusterSolver {
             }
             self.batch.tick_serial();
         } else {
-            match self.scheduler {
-                // Parallel fan-out over two kinds of independent work
-                // item: solo machines (their whole `step`) and batch
-                // chunks (pure compute on chunk-owned state), in one
-                // unified queue drained by exactly `threads` persistent
-                // workers. Work is distributed by item, not by
-                // thread-dependent matrix strides, so the thread count
-                // never changes any machine's arithmetic.
-                TickScheduler::Pool => {
-                    let batch = &mut self.batch;
-                    let mut items: Vec<WorkItem<'_>> = self
-                        .machines
-                        .iter_mut()
-                        .enumerate()
-                        .filter(|(i, _)| !batch.is_batched(*i))
-                        .map(|(_, m)| WorkItem::Step(m))
-                        .collect();
-                    items.extend(
-                        batch
-                            .par_items()
-                            .into_iter()
-                            .map(|(op, chunk)| WorkItem::Chunk { op, chunk }),
-                    );
-                    run_on_pool(
-                        &mut self.pool,
-                        &self.metrics,
-                        self.instrumented,
-                        &mut self.pool_runs,
-                        &mut items,
-                        threads,
-                        sweep_id,
-                    );
-                }
-                // The legacy per-tick scoped spawn, kept as the
-                // benchmark baseline (including its historical
-                // oversubscription: solo slices and chunk slices each
-                // fan out by `threads`).
-                TickScheduler::SpawnPerTick => {
-                    let batch = &self.batch;
-                    let mut solos: Vec<&mut Solver> = self
-                        .machines
-                        .iter_mut()
-                        .enumerate()
-                        .filter(|(i, _)| !batch.is_batched(*i))
-                        .map(|(_, m)| m)
-                        .collect();
-                    let mut items = self.batch.par_items();
-                    std::thread::scope(|scope| {
-                        if !solos.is_empty() {
-                            let chunk = solos.len().div_ceil(threads);
-                            for slice in solos.chunks_mut(chunk) {
-                                scope.spawn(move || {
-                                    for m in slice {
-                                        m.step();
-                                    }
-                                });
-                            }
-                        }
-                        if !items.is_empty() {
-                            let chunk = items.len().div_ceil(threads);
-                            for slice in items.chunks_mut(chunk) {
-                                scope.spawn(move || {
-                                    for (op, c) in slice.iter_mut() {
-                                        c.tick(op);
-                                    }
-                                });
-                            }
-                        }
-                    });
-                }
-            }
+            // Parallel fan-out over two kinds of independent work item:
+            // solo machines (their whole `step`) and batch chunks (pure
+            // compute on chunk-owned state), in one unified queue
+            // drained by exactly `threads` persistent workers. Work is
+            // distributed by item, not by thread-dependent matrix
+            // strides, so the thread count never changes any machine's
+            // arithmetic.
+            let batch = &mut self.batch;
+            let mut items: Vec<WorkItem<'_>> = self
+                .machines
+                .iter_mut()
+                .enumerate()
+                .filter(|(i, _)| !batch.is_batched(*i))
+                .map(|(_, m)| WorkItem::Step(m))
+                .collect();
+            items.extend(
+                batch
+                    .par_items()
+                    .into_iter()
+                    .map(|(op, chunk)| WorkItem::Chunk { op, chunk }),
+            );
+            run_on_pool(
+                &mut self.pool,
+                &self.metrics,
+                self.instrumented,
+                &mut self.pool_runs,
+                &mut items,
+                threads,
+                sweep_id,
+            );
         }
 
         self.tracer.end(sweep_span);
@@ -694,7 +632,7 @@ impl ClusterSolver {
         // Scatter batched results back and book per-machine accounting
         // (serial: touches every member solver).
         let scatter_span = self.tracer.start_child("batch.scatter", "solver", parent);
-        self.batch.finish_tick(&mut self.machines);
+        self.batch.finish_span(&mut self.machines, 1);
         self.tracer.end(scatter_span);
 
         // Bulk tick accounting for the batched path: a handful of adds
@@ -1168,33 +1106,36 @@ mod tests {
     fn thread_policy_clamps_and_defaults() {
         let cluster = presets::validation_cluster(4);
         let mut s = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
-        // 4 machines is under the serial cutoff.
+        // Four machines are far too little work to wake a pool for.
         assert_eq!(s.effective_threads(), 1);
         s.set_threads(16);
         assert_eq!(s.effective_threads(), 4);
         s.set_threads(2);
         assert_eq!(s.effective_threads(), 2);
-        // The 0 sentinel on a room above the cutoff resolves to the
-        // host's parallelism, capped at the machine count.
-        let cluster = presets::validation_cluster(12);
-        let s = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
-        let auto = std::thread::available_parallelism()
+        // The 0 sentinel follows the plan's work: 1100 solo machines
+        // are two workers' worth (cores permitting), the same room
+        // batched into 35 chunks is not.
+        let cluster = presets::validation_cluster(1100);
+        let mut s = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
+        let cores = std::thread::available_parallelism()
             .map(|p| p.get())
-            .unwrap_or(1)
-            .min(12);
-        assert_eq!(s.effective_threads(), auto);
+            .unwrap_or(1);
+        assert_eq!(s.effective_threads(), cores.min(2), "no plan yet");
+        s.step();
+        assert_eq!(s.batched_machines(), 1100);
+        assert_eq!(s.effective_threads(), 1);
     }
 
     #[test]
     fn pool_caps_workers_at_the_thread_count() {
-        // A cluster with both solo and batched work in the same tick:
-        // the legacy spawn path would run 2×threads scoped threads here;
+        // A cluster with both solo and batched work in the same tick (a
+        // pinned machine and a one-member diverged class step solo):
         // the unified pool queue must hold exactly `threads` workers.
         let cluster = presets::validation_cluster(12);
         let mut s = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
         s.machine_mut("machine3")
             .unwrap()
-            .set_fan_cfm(20.0)
+            .force_temperature("cpu", Celsius(60.0))
             .unwrap();
         s.machine_mut("machine7")
             .unwrap()
@@ -1202,8 +1143,7 @@ mod tests {
             .unwrap();
         s.set_threads(2);
         s.step();
-        assert!(s.batched_machines() > 0, "batched work present");
-        assert!(s.batched_machines() < 12, "solo work present");
+        assert_eq!(s.batched_machines(), 10, "batched and solo work present");
         assert_eq!(s.pool_workers(), 2, "one worker per configured thread");
         // A mid-run resize takes effect at the next tick.
         s.set_threads(3);
@@ -1212,36 +1152,30 @@ mod tests {
     }
 
     #[test]
-    fn schedulers_and_fusion_match_exactly() {
+    fn pool_and_fusion_match_exactly() {
         let model = presets::validation_cluster(10);
         let mut pooled = ClusterSolver::new(&model, SolverConfig::default()).unwrap();
-        let mut spawned = ClusterSolver::new(&model, SolverConfig::default()).unwrap();
         let mut looped = ClusterSolver::new(&model, SolverConfig::default()).unwrap();
         pooled.set_threads(2);
-        spawned.set_threads(2);
-        spawned.set_scheduler(TickScheduler::SpawnPerTick);
         looped.set_threads(1);
-        for s in [&mut pooled, &mut spawned, &mut looped] {
+        for s in [&mut pooled, &mut looped] {
             s.set_utilization("machine2", "cpu", 0.7).unwrap();
             s.machine_mut("machine5")
                 .unwrap()
                 .set_fan_cfm(20.0)
                 .unwrap();
         }
-        // Fused replay (pool), fused replay (spawn per tick for the
-        // first tick of each call), and a hand-rolled per-tick loop.
+        // Fused replay on the pool against a hand-rolled serial
+        // per-tick loop.
         pooled.step_for(40);
-        spawned.step_for(40);
         for _ in 0..40 {
             looped.step();
         }
         for m in 0..pooled.len() {
             let a = pooled.machine_at(m).temperatures();
-            let b = spawned.machine_at(m).temperatures();
-            let c = looped.machine_at(m).temperatures();
-            for (((name, ta), (_, tb)), (_, tc)) in a.iter().zip(&b).zip(&c) {
+            let b = looped.machine_at(m).temperatures();
+            for ((name, ta), (_, tb)) in a.iter().zip(&b) {
                 assert_eq!(ta.0.to_bits(), tb.0.to_bits(), "machine {m} node {name}");
-                assert_eq!(ta.0.to_bits(), tc.0.to_bits(), "machine {m} node {name}");
             }
         }
         assert!(
@@ -1295,7 +1229,8 @@ mod tests {
         assert_eq!(s.metrics().batched_machines.get(), 12.0);
         assert!(s.metrics().batch_chunks.get() >= 1.0);
 
-        // A fan fiddle demotes machine3 to the solo path at the replan.
+        // A fan fiddle leaves machine3 alone in its class, which demotes
+        // it to the solo path at the replan.
         s.machine_mut("machine3")
             .unwrap()
             .set_fan_cfm(20.0)

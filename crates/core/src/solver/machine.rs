@@ -91,20 +91,37 @@ pub struct Solver {
     /// inlets) and per-sub-step generated heat per node.
     fixed: Vec<bool>,
     power_q: Vec<f64>,
+    /// Component node indices in node order — the only nodes that
+    /// generate heat, hence the only ones repricing visits.
+    components: Vec<usize>,
+    /// Force-pinned nodes (`forced[i].is_some()`), kept as a count so
+    /// [`Solver::batch_eligible`] is O(1).
+    pinned: usize,
     dirty: bool,
-    /// Set when the per-tick inputs (boundary flags, generated heat) or
-    /// externally written temperature state may have changed since the
-    /// last [`Solver::fill_tick_inputs`]; cleared there. While clear,
-    /// stepping reuses the priced inputs, and the batched cluster kernel
-    /// additionally skips re-gathering this machine's non-boundary rows.
+    /// Kernel rebuilds so far. A per-lane batch chunk copies this
+    /// machine's operator weights; a changed epoch tells it the copy is
+    /// stale.
+    rebuild_epoch: u64,
+    /// Set when the generated heat may have changed since the last
+    /// [`Solver::fill_tick_inputs`] (utilization, power model, or the
+    /// sub-step length after a rebuild); cleared there. While clear,
+    /// stepping reuses the priced heat.
     inputs_dirty: bool,
+    /// Set when temperatures were written outside a batch chunk (a
+    /// direct step, `set_temperature`, a pin, a restore) since the last
+    /// [`Solver::take_temps_dirty`]. A warm chunk re-reads a lane's
+    /// non-boundary rows only when this is set; repricing alone does
+    /// not touch them.
+    temps_dirty: bool,
     /// Structural fingerprint of the source model
     /// ([`MachineModel::structural_fingerprint`]), captured at
     /// construction for batch grouping.
     fingerprint: u64,
     /// Set once any kernel constant diverges from the source model
-    /// (fan speed, heat k, air fraction). A diverged solver steps on the
-    /// per-machine path; it never rejoins a batch group.
+    /// (fan speed, heat k, air fraction). A diverged solver no longer
+    /// shares its group's operator weights: it batches with machines of
+    /// the same structure and sub-step count, each lane carrying its own
+    /// weights (see `super::batch`).
     diverged: bool,
     cfg: SolverConfig,
     time: Seconds,
@@ -113,8 +130,10 @@ pub struct Solver {
     /// bundle; a cluster member shares its cluster's bundle (see
     /// [`Solver::share_metrics`]).
     metrics: SolverMetrics,
-    /// Solo-path ticks stepped, used to sample tick latency 1-in-
-    /// [`TICK_LATENCY_SAMPLE`].
+    /// Ticks stepped on the per-machine path or as a diverged batch
+    /// lane, used to sample solo tick latency 1-in-
+    /// [`TICK_LATENCY_SAMPLE`]. Serialized by `mercury-ckpt-v1`, so
+    /// which machines book it cannot follow which path stepped them.
     ticks_stepped: u64,
     /// Runtime instrumentation switch (default on). Exists for overhead
     /// A/B measurements within one binary; the compile-time switch is
@@ -167,6 +186,9 @@ impl Solver {
             .collect();
         let initial = cfg.initial_temperature.unwrap_or(model.inlet_temperature());
         let inlets: Vec<usize> = model.inlets().iter().map(|id| id.index()).collect();
+        let components = (0..n)
+            .filter(|&i| matches!(kind[i], NodeRt::Component { .. }))
+            .collect();
         let mut solver = Solver {
             machine: model.name().to_string(),
             names,
@@ -193,8 +215,12 @@ impl Solver {
             kernel: StepKernel::new(cfg.dt, cfg.stability_limit),
             fixed: vec![false; n],
             power_q: vec![0.0; n],
+            components,
+            pinned: 0,
             dirty: true,
+            rebuild_epoch: 0,
             inputs_dirty: true,
+            temps_dirty: true,
             fingerprint: model.structural_fingerprint(),
             diverged: false,
             cfg,
@@ -205,9 +231,10 @@ impl Solver {
             instrumented: true,
         };
         solver.refresh();
-        // Inlets start at the boundary temperature even when
-        // `initial_temperature` differs.
+        // Inlets are boundary nodes, and start at the boundary
+        // temperature even when `initial_temperature` differs.
         for &i in &solver.inlets.clone() {
+            solver.fixed[i] = true;
             solver.temp[i] = solver.inlet_temperature;
         }
         Ok(solver)
@@ -439,9 +466,12 @@ impl Solver {
     /// Returns [`Error::UnknownNode`] for unknown names.
     pub fn force_temperature(&mut self, name: &str, t: Celsius) -> Result<(), Error> {
         let i = self.index(name)?;
-        self.forced[i] = Some(t);
+        if self.forced[i].replace(t).is_none() {
+            self.pinned += 1;
+        }
+        self.fixed[i] = true;
         self.temp[i] = t;
-        self.inputs_dirty = true;
+        self.temps_dirty = true;
         Ok(())
     }
 
@@ -452,11 +482,14 @@ impl Solver {
     /// Returns [`Error::UnknownNode`] for unknown names.
     pub fn release_temperature(&mut self, name: &str) -> Result<(), Error> {
         let i = self.index(name)?;
-        self.forced[i] = None;
-        if self.inlets.contains(&i) {
+        if self.forced[i].take().is_some() {
+            self.pinned -= 1;
+        }
+        self.fixed[i] = self.inlets.contains(&i);
+        if self.fixed[i] {
             self.temp[i] = self.inlet_temperature;
         }
-        self.inputs_dirty = true;
+        self.temps_dirty = true;
         Ok(())
     }
 
@@ -468,7 +501,7 @@ impl Solver {
     pub fn set_temperature(&mut self, name: &str, t: Celsius) -> Result<(), Error> {
         let i = self.index(name)?;
         self.temp[i] = t;
-        self.inputs_dirty = true;
+        self.temps_dirty = true;
         Ok(())
     }
 
@@ -615,6 +648,7 @@ impl Solver {
                 .add(self.kernel.flow_recomputes() - recomputes_before);
         }
         self.dirty = false;
+        self.rebuild_epoch += 1;
         // A rebuild can change the sub-step length, which the generated
         // heat is priced against.
         self.inputs_dirty = true;
@@ -646,17 +680,17 @@ impl Solver {
         self.instrumented = on;
     }
 
-    /// Prices this tick's per-machine inputs exactly as [`Solver::step`]
-    /// does: recompiles the kernel if dirty, then fills the boundary
-    /// flags and the per-sub-step generated heat. The batched cluster
-    /// kernel calls this before gathering the machine's state so both
-    /// paths run the identical preamble.
+    /// Prices this tick's generated heat exactly as [`Solver::step`]
+    /// does: recompiles the kernel if dirty, then fills the per-sub-step
+    /// heat of every component. The batched cluster kernel calls this
+    /// before gathering the machine's state so both paths run the
+    /// identical preamble. (The boundary flags need no pricing: pins
+    /// update them in place.)
     ///
-    /// The inputs only change when a setter ran since the last pricing
-    /// (utilization, power model, forced nodes, a kernel rebuild), so
-    /// unchanged inputs are reused. Returns whether a repricing happened
-    /// — the batch gather uses this to skip re-reading rows it already
-    /// holds.
+    /// The heat only changes when a setter ran since the last pricing
+    /// (utilization, power model, a kernel rebuild), so unchanged inputs
+    /// are reused. Returns whether a repricing happened — the batch
+    /// gather rewrites the lane's power rows only then.
     pub(crate) fn fill_tick_inputs(&mut self) -> bool {
         if self.dirty {
             self.refresh();
@@ -665,43 +699,39 @@ impl Solver {
             return false;
         }
         let dts = self.kernel.dt_sub();
-        for i in 0..self.names.len() {
-            self.fixed[i] = self.forced[i].is_some()
-                || matches!(
-                    self.kind[i],
-                    NodeRt::Air {
-                        kind: AirKind::Inlet,
-                        ..
-                    }
-                );
-            self.power_q[i] = match &self.kind[i] {
-                NodeRt::Component { power, .. } => {
-                    crate::physics::heat_generated(power, self.utilization[i], dts).0
-                }
-                NodeRt::Air { .. } => 0.0,
-            };
+        for &i in &self.components {
+            if let NodeRt::Component { power, .. } = &self.kind[i] {
+                self.power_q[i] = crate::physics::heat_generated(power, self.utilization[i], dts).0;
+            }
         }
         self.inputs_dirty = false;
         true
     }
 
-    /// Books the results of one tick stepped outside this solver (by the
-    /// batched cluster kernel): heat accounting and the time advance —
-    /// the exact epilogue of [`Solver::step`].
-    pub(crate) fn finish_tick(&mut self, generated: f64) {
-        self.generated_last_tick = Joules(generated);
-        self.time.0 += self.cfg.dt.0;
+    /// Whether temperatures were written outside a batch chunk since the
+    /// last call; clears the flag. The chunk holding this machine
+    /// re-reads the whole lane when set.
+    pub(crate) fn take_temps_dirty(&mut self) -> bool {
+        std::mem::take(&mut self.temps_dirty)
     }
 
-    /// Books `span` ticks stepped outside this solver in one fused
-    /// replay span. Time advances by repeated addition — the bit-exact
-    /// trajectory `span` calls of [`Solver::finish_tick`] would produce
-    /// — and `generated` is the per-tick heat (constant across the span,
+    /// Books `span` ticks stepped outside this solver (by the batched
+    /// cluster kernel): heat accounting and the time advance, the
+    /// epilogue of [`Solver::step`]. Time advances by repeated addition
+    /// — the bit-exact trajectory `span` single steps would produce —
+    /// and `generated` is the per-tick heat (constant across the span,
     /// so the last tick's value equals every tick's).
+    ///
+    /// A diverged machine also books `ticks_stepped`, as it did when it
+    /// stepped per-machine: the counter is in the checkpoint format, and
+    /// a blob must not record which path stepped a machine.
     pub(crate) fn finish_tick_span(&mut self, generated: f64, span: usize) {
         self.generated_last_tick = Joules(generated);
         for _ in 0..span {
             self.time.0 += self.cfg.dt.0;
+        }
+        if self.diverged {
+            self.ticks_stepped += span as u64;
         }
     }
 
@@ -725,7 +755,7 @@ impl Solver {
             self.time.0 += self.cfg.dt.0;
         }
         self.ticks_stepped += span as u64;
-        self.inputs_dirty = true;
+        self.temps_dirty = true;
     }
 
     /// Overwrites the inlet boundary field without touching node
@@ -752,12 +782,27 @@ impl Solver {
         self.fingerprint
     }
 
-    /// Whether this machine may step on the batched path this tick: its
-    /// kernel constants still match the source model and no node is
-    /// force-pinned (pinning changes the boundary-flag pattern, which a
-    /// batch group shares structurally).
+    /// Whether this machine may step on the batched path this tick: no
+    /// node is force-pinned (pinning changes the boundary-flag pattern,
+    /// which a batch group shares structurally).
     pub(crate) fn batch_eligible(&self) -> bool {
-        !self.diverged && self.forced.iter().all(Option::is_none)
+        self.pinned == 0
+    }
+
+    /// Whether a kernel constant has diverged from the source model, so
+    /// the machine needs its own operator weights.
+    pub(crate) fn diverged(&self) -> bool {
+        self.diverged
+    }
+
+    /// Kernel rebuilds so far (never 0 once constructed).
+    pub(crate) fn rebuild_epoch(&self) -> u64 {
+        self.rebuild_epoch
+    }
+
+    /// Component node indices, in node order.
+    pub(crate) fn component_nodes(&self) -> &[usize] {
+        &self.components
     }
 
     /// Recompiles the kernel if a change is pending, then exposes it
@@ -769,7 +814,8 @@ impl Solver {
         &self.kernel
     }
 
-    /// The per-tick inputs priced by [`Solver::fill_tick_inputs`].
+    /// The per-tick inputs: the boundary flags (always current) and the
+    /// heat priced by [`Solver::fill_tick_inputs`].
     pub(crate) fn tick_inputs(&self) -> (&[bool], &[f64]) {
         (&self.fixed, &self.power_q)
     }
@@ -857,7 +903,9 @@ impl Solver {
             self.temp[i] = Celsius(r.f64("node temperature")?);
             self.utilization[i] = Utilization::new(r.f64("node utilization")?);
             self.forced[i] = r.opt_f64("forced temperature")?.map(Celsius);
+            self.fixed[i] = self.forced[i].is_some() || self.inlets.contains(&i);
         }
+        self.pinned = self.forced.iter().flatten().count();
         r.count("heat edge", self.heat_edges.len())?;
         for edge in &mut self.heat_edges {
             edge.2 = WattsPerKelvin(r.f64("heat conductance")?);
@@ -866,10 +914,12 @@ impl Solver {
         for edge in &mut self.air_edges {
             edge.2 = r.f64("air fraction")?;
         }
-        // Force a kernel rebuild and input re-pricing on the next tick;
-        // both are pure functions of the state restored above.
+        // Force a kernel rebuild, input re-pricing and a lane re-gather
+        // on the next tick; all are pure functions of the state restored
+        // above.
         self.dirty = true;
         self.inputs_dirty = true;
+        self.temps_dirty = true;
         Ok(())
     }
 
@@ -889,11 +939,12 @@ impl Solver {
         let started = if timed { Some(Instant::now()) } else { None };
         self.fill_tick_inputs();
         let generated = self.kernel.tick(&mut self.temp, &self.fixed, &self.power_q);
-        self.finish_tick(generated);
+        self.generated_last_tick = Joules(generated);
+        self.time.0 += self.cfg.dt.0;
         // A direct step rewrites this solver's temperatures outside any
         // batch chunk; if the solver is a chunk member, the chunk must
         // re-gather the lane before reusing it.
-        self.inputs_dirty = true;
+        self.temps_dirty = true;
         self.ticks_stepped += 1;
         if self.instrumented {
             self.metrics.ticks.inc();
@@ -937,7 +988,7 @@ impl Solver {
         }
         // Same epilogue as `step`: externally visible state changed, so
         // any batch chunk holding this machine must re-gather its lane.
-        self.inputs_dirty = true;
+        self.temps_dirty = true;
         self.ticks_stepped += ticks as u64;
         if self.instrumented {
             self.metrics.ticks.add(ticks as u64);
@@ -986,7 +1037,7 @@ impl Solver {
             sink(self.time, &scratch);
         }
         self.generated_last_tick = Joules(generated);
-        self.inputs_dirty = true;
+        self.temps_dirty = true;
         self.ticks_stepped += ticks as u64;
         if self.instrumented {
             self.metrics.ticks.add(ticks as u64);

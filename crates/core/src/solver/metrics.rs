@@ -129,21 +129,26 @@ pub struct ClusterMetrics {
     /// phases + machine stepping), recorded in nanoseconds every tick.
     pub tick_nanos: Histogram,
     /// `mercury_cluster_batched_machines` — machines on the batched SoA
-    /// path in the latest tick.
+    /// path in the latest tick, diverged (fan-/heat-k-/air-fraction-
+    /// fiddled) machines in per-lane-weight groups included.
     pub batched_machines: Gauge,
     /// `mercury_cluster_solo_machines` — machines on the per-machine
-    /// path in the latest tick.
+    /// path in the latest tick: those with a force-pinned node and
+    /// those alone in their batch class.
     pub solo_machines: Gauge,
     /// `mercury_cluster_batch_chunks` — chunks in the current plan.
     pub batch_chunks: Gauge,
-    /// `mercury_cluster_chunk_occupancy` — lanes per chunk, observed
-    /// each time the batch plan is rebuilt. A healthy replicated room
-    /// shows a spike at `CHUNK_LANES`; fragmentation after heavy
-    /// fiddling shows up as mass in the low buckets.
+    /// `mercury_cluster_chunk_occupancy` — live lanes per chunk (row
+    /// padding excluded), observed each time the batch plan is rebuilt.
+    /// A healthy replicated room shows a spike at `CHUNK_LANES`;
+    /// diverged machines group by sub-step count, so heavy fan
+    /// actuation shows up as mass in the low buckets.
     pub chunk_occupancy: Histogram,
-    /// `mercury_cluster_solo_demotions_total` — machines that left the
-    /// batched path because they diverged from their source model or
-    /// grew a force-pinned node.
+    /// `mercury_cluster_solo_demotions_total` — machines a replan moved
+    /// off the batched path because they grew a force-pinned node or
+    /// were left alone in their class. A fan, heat-k or air-fraction
+    /// command by itself does not demote: the machine moves to a
+    /// per-lane-weight group.
     pub solo_demotions: Counter,
     /// `mercury_cluster_pool_workers` — persistent tick-pool workers
     /// currently alive (0 until the first parallel tick).
@@ -206,7 +211,7 @@ impl ClusterMetrics {
         );
         registry.register_gauge(
             "mercury_cluster_solo_machines",
-            "Machines stepped on the per-machine path in the latest tick",
+            "Machines stepped on the per-machine path in the latest tick (pinned, or alone in their batch class)",
             &[],
             &self.solo_machines,
         );
@@ -218,14 +223,14 @@ impl ClusterMetrics {
         );
         registry.register_histogram(
             "mercury_cluster_chunk_occupancy",
-            "Occupied lanes per batch chunk, observed at plan time",
+            "Live lanes per batch chunk (row padding excluded), observed at plan time",
             &[],
             &self.chunk_occupancy,
             1.0,
         );
         registry.register_counter(
             "mercury_cluster_solo_demotions_total",
-            "Machines demoted from the batched to the per-machine path",
+            "Machines a replan demoted to the per-machine path (grew a pin, or left alone in their class)",
             &[],
             &self.solo_demotions,
         );

@@ -36,8 +36,10 @@
 //! Structurally identical machines — the common case under the paper's
 //! trace replication (§2.3) — are additionally stepped *batched*: the
 //! private `batch` module groups them by structural fingerprint and
-//! sweeps each group over one shared operator in a structure-of-arrays
-//! layout, bit-identical to per-machine stepping (see
+//! sweeps each group in a structure-of-arrays layout — over one shared
+//! operator, or, for machines a fan/heat-k/air-fraction fiddle has
+//! diverged from their model, over per-lane operator weights —
+//! bit-identical to per-machine stepping (see
 //! [`ClusterSolver::set_batching`]). The lane sweeps run explicitly
 //! vectorized (the private `simd` module; [`SimdBackend`]) with a
 //! runtime-detected instruction set, still bit-identical by default,
@@ -66,7 +68,7 @@ mod metrics;
 mod pool;
 mod simd;
 
-pub use cluster::{ClusterProbe, ClusterSolver, TickScheduler};
+pub use cluster::{ClusterProbe, ClusterSolver};
 pub use flows::{air_flows, model_air_flows, required_substeps};
 pub use machine::{Solver, SolverConfig};
 pub use metrics::{ClusterMetrics, SolverMetrics};

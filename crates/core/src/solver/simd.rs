@@ -34,17 +34,17 @@
 //! scalar `f64` (`mul` then `add`, same IEEE 754 rounding), the
 //! per-lane operation order is unchanged (block-outer/entry-inner
 //! nesting reorders nothing within a lane because lanes are
-//! independent), and remainder lanes (`lanes % width`) run the scalar
-//! sequence verbatim. `tests/batch_equivalence.rs` holds every backend
-//! to bitwise equality with the per-machine kernel.
+//! independent), and rows are whole blocks: `batch` pads every chunk
+//! with dead all-zero lanes to [`LANE_PAD`], so there are no remainder
+//! lanes. `tests/batch_equivalence.rs` holds every backend to bitwise
+//! equality with the per-machine kernel.
 //!
 //! In the opt-in **fast-math mode** (`ClusterSolver::set_fast_math`)
 //! the sweep may contract each multiply-add into a fused FMA (one
 //! rounding instead of two) and may reassociate the per-row
 //! accumulation. The current kernels contract but do not reassociate;
-//! `Sse2`'s vector blocks have no FMA hardware and keep the exact
-//! two-rounding sequence (its remainder-lane tail still contracts via
-//! `f64::mul_add`), and the `Scalar` backend ignores the flag entirely.
+//! `Sse2` has no FMA hardware and keeps the exact two-rounding
+//! sequence, and the `Scalar` backend ignores the flag entirely.
 //! Fast-math trajectories are specified by the
 //! bounded-divergence contract in `DESIGN.md` §3b ("Vectorized lane
 //! sweeps") and `tests/fast_math_divergence.rs`, not by bit-identity.
@@ -165,18 +165,33 @@ impl SimdBackend {
     }
 }
 
-/// Borrowed view of one chunk sub-step: the shared operator rows plus
-/// the chunk's `[nodes × lanes]` matrices. `cur` is read-only, `next`
-/// is written; `fixed` rows are skipped entirely (both buffers already
-/// hold their boundary values — see `batch::BatchSet::begin_tick`).
+/// Row stride granularity of chunk matrices: the widest vector block.
+/// `batch` pads every chunk's live lanes with dead (all-zero) lanes to a
+/// multiple of this, so a row is whole blocks on every backend and the
+/// sweep needs no remainder loop.
+pub(crate) const LANE_PAD: usize = 8;
+
+/// Borrowed view of one chunk sub-step: the operator plus the chunk's
+/// `[nodes × lanes]` matrices. `cur` is read-only, `next` is written;
+/// `fixed` rows are skipped entirely (both buffers already hold their
+/// boundary values — see `batch::BatchSet::begin_tick`).
+///
+/// The operator's weights come from one of two sources. Shared
+/// (`lane_w` false): `op_w` holds one weight per entry and `self_w` one
+/// per node, splat across the row. Per-lane (`lane_w` true): `op_w` is
+/// an `[entries × lanes]` matrix and `self_w` a `[nodes × lanes]`
+/// matrix, so each lane multiplies by its own machine's weights. The
+/// per-lane operation sequence is the same either way.
 #[derive(Debug)]
 pub(crate) struct Sweep<'a> {
     pub n: usize,
+    /// Row stride: live plus dead lanes, a multiple of [`LANE_PAD`].
     pub lanes: usize,
     pub op_off: &'a [u32],
     pub op_src: &'a [u32],
     pub op_w: &'a [f64],
     pub self_w: &'a [f64],
+    pub lane_w: bool,
     pub fixed: &'a [bool],
     pub power_dt: &'a [f64],
     pub cur: &'a [f64],
@@ -185,13 +200,17 @@ pub(crate) struct Sweep<'a> {
 
 impl Sweep<'_> {
     fn check(&self) {
+        // Not a debug assertion: with no remainder loop, lanes past the
+        // last whole block would silently stay unstepped.
+        assert_eq!(self.lanes % LANE_PAD, 0, "row stride is not padded");
+        let per_weight = if self.lane_w { self.lanes } else { 1 };
         debug_assert_eq!(self.cur.len(), self.n * self.lanes);
         debug_assert_eq!(self.next.len(), self.n * self.lanes);
         debug_assert_eq!(self.power_dt.len(), self.n * self.lanes);
-        debug_assert_eq!(self.self_w.len(), self.n);
+        debug_assert_eq!(self.self_w.len(), self.n * per_weight);
         debug_assert_eq!(self.fixed.len(), self.n);
         debug_assert_eq!(self.op_off.len(), self.n + 1);
-        debug_assert_eq!(self.op_src.len(), self.op_w.len());
+        debug_assert_eq!(self.op_w.len(), self.op_src.len() * per_weight);
         debug_assert!(self.op_src.iter().all(|&s| (s as usize) < self.n));
     }
 }
@@ -205,7 +224,6 @@ impl Sweep<'_> {
 pub(crate) fn substep(backend: SimdBackend, fast: bool, sweep: Sweep<'_>) {
     sweep.check();
     match backend {
-        SimdBackend::Scalar => substep_scalar(sweep),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the cluster only selects backends that passed
         // `SimdBackend::supported` on this host (sse2 is the x86-64
@@ -226,36 +244,51 @@ pub(crate) fn substep(backend: SimdBackend, fast: bool, sweep: Sweep<'_>) {
         #[allow(unsafe_code)]
         // SAFETY: as above — NEON is the aarch64 baseline.
         SimdBackend::Neon => unsafe { neon::substep_neon(sweep, fast) },
-        #[allow(unreachable_patterns)]
-        _ => substep_scalar(sweep),
+        _ if sweep.lane_w => substep_scalar::<true>(sweep),
+        _ => substep_scalar::<false>(sweep),
     }
 }
 
 /// The scalar reference sweep: the row-pass loop the batched kernel has
 /// always run, minus the fixed-row copies (fixed rows are pre-written
 /// into both buffers at gather time). Per lane this is the scalar
-/// machine kernel's exact operation sequence.
-fn substep_scalar(s: Sweep<'_>) {
+/// machine kernel's exact operation sequence, with the lane's weights
+/// read from the source `LANE_W` names.
+fn substep_scalar<const LANE_W: bool>(s: Sweep<'_>) {
     let lanes = s.lanes;
     for i in 0..s.n {
         if s.fixed[i] {
             continue;
         }
         let row = i * lanes;
-        let sw = s.self_w[i];
         let cur_row = &s.cur[row..row + lanes];
         let pd_row = &s.power_dt[row..row + lanes];
         let next_row = &mut s.next[row..row + lanes];
-        for l in 0..lanes {
-            next_row[l] = sw * cur_row[l] + pd_row[l];
+        if LANE_W {
+            let sw_row = &s.self_w[row..row + lanes];
+            for l in 0..lanes {
+                next_row[l] = sw_row[l] * cur_row[l] + pd_row[l];
+            }
+        } else {
+            let sw = s.self_w[i];
+            for l in 0..lanes {
+                next_row[l] = sw * cur_row[l] + pd_row[l];
+            }
         }
         for j in s.op_off[i] as usize..s.op_off[i + 1] as usize {
             let src = s.op_src[j] as usize * lanes;
-            let w = s.op_w[j];
             let src_row = &s.cur[src..src + lanes];
             let next_row = &mut s.next[row..row + lanes];
-            for l in 0..lanes {
-                next_row[l] += w * src_row[l];
+            if LANE_W {
+                let w_row = &s.op_w[j * lanes..(j + 1) * lanes];
+                for l in 0..lanes {
+                    next_row[l] += w_row[l] * src_row[l];
+                }
+            } else {
+                let w = s.op_w[j];
+                for l in 0..lanes {
+                    next_row[l] += w * src_row[l];
+                }
             }
         }
     }
@@ -283,9 +316,16 @@ trait VecF64: Copy {
 /// One group of `G` consecutive `V::WIDTH`-lane blocks of a node row,
 /// accumulated fully in registers: the `self_w`/`ΔT_power` pass, then
 /// the whole operator row, then one store per block. Grouping shares
-/// each entry's weight splat and source-offset computation across the
-/// `G` blocks and gives the CPU `G` independent accumulate chains to
-/// overlap (a single block's chain is latency-bound).
+/// each entry's source-offset computation (and, for shared weights, its
+/// weight splat) across the `G` blocks and gives the CPU `G`
+/// independent accumulate chains to overlap (a single block's chain is
+/// latency-bound).
+///
+/// `LANE_W` names the weight source at compile time, so the
+/// shared-weight instantiation carries none of the per-lane address
+/// arithmetic: `sw` points at the node's self weight and `op_w` at the
+/// entry weights (shared), or at the node's row of the `[nodes × lanes]`
+/// matrix and at the `[entries × lanes]` matrix (per-lane).
 ///
 /// # Safety
 ///
@@ -293,25 +333,30 @@ trait VecF64: Copy {
 /// `col + G·V::WIDTH ≤ lanes` plus the `Sweep` bounds (`Sweep::check`).
 #[allow(unsafe_code, clippy::too_many_arguments)]
 #[inline(always)]
-unsafe fn sweep_row_group<V: VecF64, const FAST: bool, const G: usize>(
+unsafe fn sweep_row_group<V: VecF64, const FAST: bool, const LANE_W: bool, const G: usize>(
     cur: *const f64,
     pd: *const f64,
     next: *mut f64,
     lanes: usize,
     row: usize,
     col: usize,
-    sw: f64,
+    sw: *const f64,
     op_src: &[u32],
-    op_w: &[f64],
+    op_w: *const f64,
     lo: usize,
     hi: usize,
 ) {
     // SAFETY (whole body): bounds guaranteed by the caller as above.
     unsafe {
-        let swv = V::splat(sw);
+        let shared_sw = if LANE_W { V::splat(0.0) } else { V::splat(*sw) };
         let mut acc = [V::splat(0.0); G];
         for (g, a) in acc.iter_mut().enumerate() {
             let off = row + col + g * V::WIDTH;
+            let swv = if LANE_W {
+                V::load(sw.add(col + g * V::WIDTH))
+            } else {
+                shared_sw
+            };
             let c = V::load(cur.add(off));
             let p = V::load(pd.add(off));
             *a = if FAST {
@@ -322,8 +367,17 @@ unsafe fn sweep_row_group<V: VecF64, const FAST: bool, const G: usize>(
         }
         for j in lo..hi {
             let srow = *op_src.get_unchecked(j) as usize * lanes + col;
-            let w = V::splat(*op_w.get_unchecked(j));
+            let shared_w = if LANE_W {
+                V::splat(0.0)
+            } else {
+                V::splat(*op_w.add(j))
+            };
             for (g, a) in acc.iter_mut().enumerate() {
+                let w = if LANE_W {
+                    V::load(op_w.add(j * lanes + col + g * V::WIDTH))
+                } else {
+                    shared_w
+                };
                 let v = V::load(cur.add(srow + g * V::WIDTH));
                 *a = if FAST {
                     V::mul_add(w, v, *a)
@@ -341,8 +395,8 @@ unsafe fn sweep_row_group<V: VecF64, const FAST: bool, const G: usize>(
 /// The generic blocked sweep: for each non-fixed node row, lane blocks
 /// accumulate the whole operator row in registers before one store per
 /// block (the scalar pass re-loads and re-stores `next` per operator
-/// entry) — in groups of four blocks while they last, then singly —
-/// and remainder lanes run the scalar sequence. Per lane the operation
+/// entry) — in groups of four blocks while they last, then singly; the
+/// padded row stride leaves no remainder lanes. Per lane the operation
 /// order is exactly the scalar sweep's, so with `FAST = false` the
 /// result is bit-identical.
 ///
@@ -352,56 +406,63 @@ unsafe fn sweep_row_group<V: VecF64, const FAST: bool, const G: usize>(
 /// the `Sweep` bounds (`Sweep::check`).
 #[allow(unsafe_code)]
 #[inline(always)]
-unsafe fn sweep_vec<V: VecF64, const FAST: bool>(s: Sweep<'_>) {
+unsafe fn sweep_vec<V: VecF64, const FAST: bool, const LANE_W: bool>(s: Sweep<'_>) {
     let lanes = s.lanes;
-    let vec_lanes = (lanes / V::WIDTH) * V::WIDTH;
     let cur = s.cur.as_ptr();
     let pd = s.power_dt.as_ptr();
     let next = s.next.as_mut_ptr();
+    let self_w = s.self_w.as_ptr();
+    let op_w = s.op_w.as_ptr();
     for i in 0..s.n {
         // SAFETY (whole body): `Sweep::check` established that every
         // row index `i·lanes + l` with `i < n`, `l < lanes` and every
         // source row `op_src[j]·lanes + l` lies inside the three
-        // `n·lanes` matrices, and `op_off[i]..op_off[i+1]` indexes
-        // `op_src`/`op_w` (CSR invariant from operator assembly).
+        // `n·lanes` matrices, that `op_off[i]..op_off[i+1]` indexes
+        // `op_src` (CSR invariant from operator assembly), that
+        // `self_w`/`op_w` hold one weight per node/entry — or one row of
+        // `lanes` weights per node/entry when `LANE_W` — and that
+        // `lanes` is a whole number of `V::WIDTH` blocks.
         unsafe {
             if *s.fixed.get_unchecked(i) {
                 continue;
             }
             let row = i * lanes;
-            let sw = *s.self_w.get_unchecked(i);
+            let sw = self_w.add(if LANE_W { row } else { i });
             let lo = *s.op_off.get_unchecked(i) as usize;
             let hi = *s.op_off.get_unchecked(i + 1) as usize;
             let mut col = 0usize;
             while col + 4 * V::WIDTH <= lanes {
-                sweep_row_group::<V, FAST, 4>(
-                    cur, pd, next, lanes, row, col, sw, s.op_src, s.op_w, lo, hi,
+                sweep_row_group::<V, FAST, LANE_W, 4>(
+                    cur, pd, next, lanes, row, col, sw, s.op_src, op_w, lo, hi,
                 );
                 col += 4 * V::WIDTH;
             }
             while col + V::WIDTH <= lanes {
-                sweep_row_group::<V, FAST, 1>(
-                    cur, pd, next, lanes, row, col, sw, s.op_src, s.op_w, lo, hi,
+                sweep_row_group::<V, FAST, LANE_W, 1>(
+                    cur, pd, next, lanes, row, col, sw, s.op_src, op_w, lo, hi,
                 );
                 col += V::WIDTH;
             }
-            for l in vec_lanes..lanes {
-                let mut t = if FAST {
-                    sw.mul_add(*cur.add(row + l), *pd.add(row + l))
-                } else {
-                    sw * *cur.add(row + l) + *pd.add(row + l)
-                };
-                for j in lo..hi {
-                    let src = *s.op_src.get_unchecked(j) as usize * lanes + l;
-                    let w = *s.op_w.get_unchecked(j);
-                    t = if FAST {
-                        w.mul_add(*cur.add(src), t)
-                    } else {
-                        t + w * *cur.add(src)
-                    };
-                }
-                *next.add(row + l) = t;
-            }
+        }
+    }
+}
+
+/// Picks the `(FAST, LANE_W)` instantiation of [`sweep_vec`] for a
+/// sweep — the one body every backend's entry point runs.
+///
+/// # Safety
+///
+/// As [`sweep_vec`].
+#[allow(unsafe_code)]
+#[inline(always)]
+unsafe fn sweep_modes<V: VecF64>(s: Sweep<'_>, fast: bool) {
+    // SAFETY: forwarded to the caller.
+    unsafe {
+        match (fast, s.lane_w) {
+            (false, false) => sweep_vec::<V, false, false>(s),
+            (false, true) => sweep_vec::<V, false, true>(s),
+            (true, false) => sweep_vec::<V, true, false>(s),
+            (true, true) => sweep_vec::<V, true, true>(s),
         }
     }
 }
@@ -409,7 +470,7 @@ unsafe fn sweep_vec<V: VecF64, const FAST: bool>(s: Sweep<'_>) {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86 {
-    use super::{sweep_vec, Sweep, VecF64};
+    use super::{sweep_modes, Sweep, VecF64};
     use std::arch::x86_64::*;
 
     #[derive(Clone, Copy)]
@@ -512,40 +573,28 @@ mod x86 {
     /// Caller guarantees sse2 (x86-64 baseline) and validated bounds.
     #[target_feature(enable = "sse2")]
     pub(super) unsafe fn substep_sse2(s: Sweep<'_>, fast: bool) {
-        if fast {
-            sweep_vec::<F64x2, true>(s);
-        } else {
-            sweep_vec::<F64x2, false>(s);
-        }
+        sweep_modes::<F64x2>(s, fast);
     }
 
     /// # Safety
     /// Caller guarantees runtime avx2+fma and validated bounds.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn substep_avx2(s: Sweep<'_>, fast: bool) {
-        if fast {
-            sweep_vec::<F64x4, true>(s);
-        } else {
-            sweep_vec::<F64x4, false>(s);
-        }
+        sweep_modes::<F64x4>(s, fast);
     }
 
     /// # Safety
     /// Caller guarantees runtime avx512f and validated bounds.
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn substep_avx512(s: Sweep<'_>, fast: bool) {
-        if fast {
-            sweep_vec::<F64x8, true>(s);
-        } else {
-            sweep_vec::<F64x8, false>(s);
-        }
+        sweep_modes::<F64x8>(s, fast);
     }
 }
 
 #[cfg(target_arch = "aarch64")]
 #[allow(unsafe_code)]
 mod neon {
-    use super::{sweep_vec, Sweep, VecF64};
+    use super::{sweep_modes, Sweep, VecF64};
     use std::arch::aarch64::*;
 
     #[derive(Clone, Copy)]
@@ -584,11 +633,7 @@ mod neon {
     /// Caller guarantees NEON (aarch64 baseline) and validated bounds.
     #[target_feature(enable = "neon")]
     pub(super) unsafe fn substep_neon(s: Sweep<'_>, fast: bool) {
-        if fast {
-            sweep_vec::<F64x2, true>(s);
-        } else {
-            sweep_vec::<F64x2, false>(s);
-        }
+        sweep_modes::<F64x2>(s, fast);
     }
 }
 
@@ -616,7 +661,10 @@ mod tests {
 
     /// Random small operators: every supported backend's exact sweep
     /// must be bitwise equal to the scalar sweep, and the fast-math
-    /// sweep must stay finite and close, at awkward lane counts.
+    /// sweep must stay finite and close, at every block-count residue
+    /// of the four-block grouping — with shared weights and with
+    /// per-lane weights. Per-lane weights that repeat the shared ones
+    /// in every lane must reproduce the shared sweep bit for bit.
     #[test]
     fn vector_sweeps_match_scalar_bitwise() {
         // Deterministic xorshift so the test needs no rng dependency.
@@ -627,7 +675,7 @@ mod tests {
             state ^= state << 17;
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
-        for &lanes in &[1usize, 2, 3, 4, 5, 7, 8, 15, 31, 32] {
+        for &lanes in &[8usize, 16, 24, 32, 40] {
             let n = 6;
             // A diagonally-plausible random operator: ~2 entries/node.
             let mut op_off = vec![0u32];
@@ -644,17 +692,24 @@ mod tests {
             let fixed: Vec<bool> = (0..n).map(|i| i == 0).collect();
             let cur: Vec<f64> = (0..n * lanes).map(|_| 20.0 + rnd() * 30.0).collect();
             let power_dt: Vec<f64> = (0..n * lanes).map(|_| rnd() * 0.01).collect();
-            let mut want = vec![0.0; n * lanes];
+            let repeat = |w: &[f64]| -> Vec<f64> {
+                w.iter()
+                    .flat_map(|&x| std::iter::repeat_n(x, lanes))
+                    .collect()
+            };
+            let own_op_w: Vec<f64> = (0..op_w.len() * lanes).map(|_| rnd() * 0.2).collect();
+            let own_self_w: Vec<f64> = (0..n * lanes).map(|_| 0.6 + rnd() * 0.4).collect();
             // Fixed rows are pre-written into both buffers by the
             // gather; mirror that here.
-            for i in 0..n {
-                if fixed[i] {
-                    want[i * lanes..(i + 1) * lanes]
-                        .copy_from_slice(&cur[i * lanes..(i + 1) * lanes]);
+            let blank = {
+                let mut next = cur.clone();
+                for i in (0..n).filter(|&i| !fixed[i]) {
+                    next[i * lanes..(i + 1) * lanes].fill(0.0);
                 }
-            }
-            let mut got = want.clone();
-            let sweep = |next: &mut [f64], backend, fast| {
+                next
+            };
+            let sweep = |op_w: &[f64], self_w: &[f64], lane_w, backend, fast| {
+                let mut next = blank.clone();
                 substep(
                     backend,
                     fast,
@@ -663,36 +718,43 @@ mod tests {
                         lanes,
                         op_off: &op_off,
                         op_src: &op_src,
-                        op_w: &op_w,
-                        self_w: &self_w,
+                        op_w,
+                        self_w,
+                        lane_w,
                         fixed: &fixed,
                         power_dt: &power_dt,
                         cur: &cur,
-                        next,
+                        next: &mut next,
                     },
                 );
+                next
             };
-            sweep(&mut want, SimdBackend::Scalar, false);
-            for backend in SimdBackend::ALL.into_iter().filter(|b| b.supported()) {
-                got.copy_from_slice(&cur);
-                for i in 0..n {
-                    if !fixed[i] {
-                        got[i * lanes..(i + 1) * lanes].fill(0.0);
-                    }
-                }
-                sweep(&mut got, backend, false);
-                for (k, (w, g)) in want.iter().zip(&got).enumerate() {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let shared = sweep(&op_w, &self_w, false, SimdBackend::Scalar, false);
+            let repeated = sweep(
+                &repeat(&op_w),
+                &repeat(&self_w),
+                true,
+                SimdBackend::Scalar,
+                false,
+            );
+            assert_eq!(bits(&shared), bits(&repeated), "lanes={lanes}");
+            for (lane_w, op_w, self_w) in [(false, &op_w, &self_w), (true, &own_op_w, &own_self_w)]
+            {
+                let want = sweep(op_w, self_w, lane_w, SimdBackend::Scalar, false);
+                for backend in SimdBackend::ALL.into_iter().filter(|b| b.supported()) {
+                    let got = sweep(op_w, self_w, lane_w, backend, false);
                     assert_eq!(
-                        w.to_bits(),
-                        g.to_bits(),
-                        "{} lanes={lanes} idx={k}: {w} vs {g}",
+                        bits(&want),
+                        bits(&got),
+                        "{} lanes={lanes} lane_w={lane_w}",
                         backend.name()
                     );
-                }
-                // Fast-math: same values within one sub-step's rounding.
-                sweep(&mut got, backend, true);
-                for (w, g) in want.iter().zip(&got) {
-                    assert!((w - g).abs() < 1e-12, "{} fast diverged", backend.name());
+                    // Fast-math: same values within one sub-step's rounding.
+                    let fast = sweep(op_w, self_w, lane_w, backend, true);
+                    for (w, g) in want.iter().zip(&fast) {
+                        assert!((w - g).abs() < 1e-12, "{} fast diverged", backend.name());
+                    }
                 }
             }
         }

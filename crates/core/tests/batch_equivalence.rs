@@ -4,14 +4,18 @@
 //! fingerprint-identical machines) must be *bit-identical* to the
 //! per-machine path, at every thread count, on clusters that mix
 //! replicated machines, structurally unique machines, and machines
-//! fiddled away from their source model mid-run. These tests drive both
-//! paths over the same inputs and compare every node temperature bitwise.
+//! fiddled away from their source model mid-run — which stay batched,
+//! in per-lane-weight groups. These tests drive both paths over the
+//! same inputs and compare every node temperature bitwise.
 //!
 //! Test names contain `batch` so CI can run exactly this suite in
 //! release mode (`cargo test -p mercury --release -- batch`), where the
 //! vectorized sweep actually engages.
 
-use mercury::presets::{self, nodes};
+mod common;
+
+use common::{assert_same_state, run, script_strategy, supported_backends, Event, Fiddle, Setup};
+use mercury::presets::{self, nodes, FAN_CFM};
 use mercury::solver::{ClusterSolver, SimdBackend, Solver, SolverConfig};
 use mercury::units::Celsius;
 use proptest::prelude::*;
@@ -36,8 +40,8 @@ fn assert_bit_identical(a: &ClusterSolver, b: &ClusterSolver, context: &str) {
 
 /// One scripted run: identical inputs pushed into a solver configured
 /// with (batching, threads). Exercises replica fan-fiddles mid-run (a
-/// machine leaving its batch group), per-variant utilizations, and a
-/// forced inlet. `backend` forces the batched lane sweeps onto one
+/// machine left alone in its class steps per-machine), per-variant
+/// utilizations, and a forced inlet. `backend` forces the batched lane sweeps onto one
 /// SIMD backend (`None` keeps the host default).
 #[allow(clippy::too_many_arguments)]
 fn scripted_run(
@@ -67,7 +71,8 @@ fn scripted_run(
     for tick in 0..ticks {
         if tick == fiddle_tick {
             // Kick one machine off the batched path mid-run: a fan-speed
-            // fiddle diverges its kernel from the source model.
+            // fiddle diverges its kernel from the source model, and a
+            // class of one does not batch.
             let name = &names[fiddle_machine % names.len()];
             s.machine_mut(name).unwrap().set_fan_cfm(30.0).unwrap();
         }
@@ -197,7 +202,8 @@ fn batched_replicated_cluster_is_bit_identical_at_all_thread_counts() {
     }
 }
 
-/// A machine whose fan is fiddled leaves the batch group; the rest stay.
+/// A machine whose fan is fiddled leaves the shared-operator group; alone
+/// in its class, it steps per-machine. The rest stay.
 #[test]
 fn batch_membership_follows_divergence() {
     let cluster = presets::validation_cluster(12);
@@ -257,4 +263,144 @@ fn batch_flow_cache_invalidated_exactly_once_by_fan_change() {
         .unwrap();
     s.step();
     assert_eq!(recomputes.get(), 3);
+}
+
+/// Sub-steps per tick of a Table 1 machine at a fan scale.
+fn substeps_at(scale: f64) -> usize {
+    let mut s = Solver::new(&presets::validation_machine(), SolverConfig::default()).unwrap();
+    s.set_fan_cfm(FAN_CFM * scale).unwrap();
+    s.substeps_per_tick()
+}
+
+fn fan(tick: usize, machine: usize, scale: f64) -> Event {
+    Event {
+        tick,
+        machine,
+        fiddle: Fiddle::Fan(scale),
+    }
+}
+
+/// Fan-commanded machines stay on the batched path, grouped by sub-step
+/// count; `batched_machines()` counts them, so a silent fall-back to
+/// the per-machine kernel fails here. The script walks one machine
+/// through everything that must refresh its lane: a re-command inside
+/// its class (same group, new weights), the same speed again, a speed
+/// that flips its sub-step count (another group), and a pin and release.
+#[test]
+fn batch_diverged_machines_stay_batched_by_substep_class() {
+    let (slow, slower, fast) = (0.8, 0.805, 1.25);
+    assert_eq!(substeps_at(slow), substeps_at(slower), "one class");
+    assert_ne!(substeps_at(slow), substeps_at(fast), "two classes");
+    let cluster = presets::recirculating_cluster(12, 0.3);
+    let utils = [0.9, 0.2, 0.55];
+    let mut script: Vec<Event> = vec![
+        fan(0, 0, slow),
+        fan(0, 1, slow),
+        fan(0, 2, slower),
+        fan(0, 3, fast),
+        fan(0, 4, fast),
+        fan(0, 5, fast),
+    ];
+    let batched_after = |script: &[Event], ticks: usize| {
+        let reference = run(&cluster, &utils, script, ticks, Setup::PER_MACHINE);
+        let batched = run(&cluster, &utils, script, ticks, Setup::BATCHED);
+        assert_same_state(&reference, &batched, &format!("{ticks} ticks"));
+        batched.batched_machines()
+    };
+    assert_eq!(batched_after(&script, 8), 12, "two per-lane groups");
+    // New weights inside the class, then the same speed re-commanded.
+    script.push(fan(8, 1, slower));
+    script.push(fan(12, 1, slower));
+    assert_eq!(batched_after(&script, 16), 12);
+    // A sub-step flip moves machine 2 into the other group...
+    script.push(fan(16, 2, fast));
+    assert_eq!(batched_after(&script, 24), 12);
+    // ...and one more leaves machine 0 alone in its class: solo.
+    script.push(fan(24, 1, fast));
+    assert_eq!(batched_after(&script, 32), 11);
+    // A pin takes a diverged machine off the batch; a release returns it.
+    script.push(Event {
+        tick: 32,
+        machine: 4,
+        fiddle: Fiddle::Pin(55.0),
+    });
+    assert_eq!(batched_after(&script, 40), 10);
+    script.push(Event {
+        tick: 40,
+        machine: 4,
+        fiddle: Fiddle::Release,
+    });
+    assert_eq!(batched_after(&script, 48), 11);
+}
+
+/// Per-lane groups of 2, 7, 8, 9, 31, 32 and 33 machines — every
+/// residue of the 8-lane row padding, and a second chunk — are
+/// bit-identical to the per-machine kernel on every backend, per tick
+/// and fused, with the room's exhaust recirculating into its inlets (a
+/// dead lane leaking into a live one would show there first).
+#[test]
+fn batch_per_lane_groups_match_at_every_row_padding() {
+    let utils = [0.85, 0.15, 0.6, 0.4, 0.95];
+    for group in [2usize, 7, 8, 9, 31, 32, 33] {
+        let cluster = presets::recirculating_cluster(group + 3, 0.3);
+        // Distinct speeds inside one sub-step class; three undiverged
+        // machines keep a shared-operator group beside it.
+        let scale = |m: usize| 0.8 + m as f64 * 1e-4;
+        assert_eq!(substeps_at(scale(0)), substeps_at(scale(group)));
+        let mut script: Vec<Event> = (0..group).map(|m| fan(3, m, scale(m))).collect();
+        script.push(fan(11, group - 1, scale(group)));
+        script.push(fan(11, 0, scale(0)));
+        let reference = run(&cluster, &utils, &script, 25, Setup::PER_MACHINE);
+        for backend in supported_backends() {
+            for fused in [false, true] {
+                let drive = Setup {
+                    backend: Some(backend),
+                    fused,
+                    ..Setup::BATCHED
+                };
+                let batched = run(&cluster, &utils, &script, 25, drive);
+                assert_eq!(batched.batched_machines(), group + 3);
+                assert_same_state(
+                    &reference,
+                    &batched,
+                    &format!("group of {group} on {} fused={fused}", backend.name()),
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Rooms of 1..=70 replicated machines under a random script of fan,
+    /// heat-k and air-fraction commands, pins, releases and utilization
+    /// changes against a subset of the machines, repeatedly: batched
+    /// stepping is bit-identical to per-machine stepping on every
+    /// backend (unsupported draws fall back to scalar).
+    #[test]
+    fn batch_fiddled_rooms_match_per_machine(
+        machines in 1usize..=70,
+        subset in 1usize..=24,
+        script in script_strategy(30, 24, 0..40),
+        utils in proptest::collection::vec(0.0f64..1.0, 3..6),
+        backend_idx in 0usize..SimdBackend::ALL.len(),
+    ) {
+        let backend = SimdBackend::ALL[backend_idx];
+        let backend = if backend.supported() { backend } else { SimdBackend::Scalar };
+        let cluster = presets::recirculating_cluster(machines, 0.25);
+        let script: Vec<Event> = script
+            .into_iter()
+            .map(|e| Event { machine: e.machine % subset, ..e })
+            .collect();
+        let reference = run(&cluster, &utils, &script, 30, Setup::PER_MACHINE);
+        prop_assert_eq!(reference.batched_machines(), 0);
+        let drive = Setup { backend: Some(backend), ..Setup::BATCHED };
+        let batched = run(&cluster, &utils, &script, 30, drive);
+        assert_same_state(
+            &reference,
+            &batched,
+            &format!("{machines} machines on {}", backend.name()),
+        );
+    }
 }

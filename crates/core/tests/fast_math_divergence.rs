@@ -16,6 +16,9 @@
 //! Test names contain `fast_math` so CI can run exactly this suite
 //! (`cargo test -p mercury --release --test fast_math_divergence`).
 
+mod common;
+
+use common::{run, supported_backends, Event, Fiddle, Setup};
 use mercury::presets::{self, nodes};
 use mercury::solver::{ClusterSolver, SimdBackend, SolverConfig};
 use proptest::prelude::*;
@@ -94,6 +97,64 @@ fn fast_math_divergence_bounded_over_5k_tick_replays() {
                 backend.name()
             );
         }
+    }
+}
+
+/// The bound holds for diverged machines too: their per-lane-weight
+/// groups run the same contracted sweep, each lane on its own weights.
+/// Half the room is fan-commanded into two sub-step classes and one
+/// machine's heat k is retuned, before the first tick and again mid-run.
+#[test]
+fn fast_math_divergence_bounded_with_diverged_machines() {
+    let machines = 16;
+    let cluster = presets::validation_cluster(machines);
+    let utils = [0.95, 0.1, 0.7, 0.4];
+    let mut script: Vec<Event> = (0..machines / 2)
+        .map(|m| Event {
+            tick: 0,
+            machine: m,
+            fiddle: Fiddle::Fan(if m % 2 == 0 { 0.8 } else { 1.25 } + m as f64 * 1e-4),
+        })
+        .collect();
+    script.push(Event {
+        tick: 0,
+        machine: 3,
+        fiddle: Fiddle::HeatK(0.9),
+    });
+    script.push(Event {
+        tick: 2500,
+        machine: 4,
+        fiddle: Fiddle::Fan(1.25),
+    });
+    let exact = run(&cluster, &utils, &script, 5000, Setup::PER_MACHINE);
+    for backend in supported_backends() {
+        let drive = Setup {
+            backend: Some(backend),
+            fast_math: true,
+            fused: true,
+            threads: 2,
+            ..Setup::BATCHED
+        };
+        let fast = run(&cluster, &utils, &script, 5000, drive);
+        assert_eq!(fast.batched_machines(), machines, "diverged lanes batched");
+        let mut worst = 0.0f64;
+        for m in 0..machines {
+            let ta = exact.machine_at(m).temperatures();
+            let tb = fast.machine_at(m).temperatures();
+            for ((_, x), (_, y)) in ta.iter().zip(&tb) {
+                assert!(y.0.is_finite(), "fast-math produced a non-finite value");
+                worst = worst.max((x.0 - y.0).abs());
+            }
+        }
+        eprintln!(
+            "fast-math divergence, diverged room, {}: {worst:.3e} °C",
+            backend.name()
+        );
+        assert!(
+            worst <= EPSILON_CELSIUS,
+            "{} diverged {worst:.3e} °C (bound {EPSILON_CELSIUS:.0e})",
+            backend.name()
+        );
     }
 }
 

@@ -1,19 +1,21 @@
 //! Equivalence tests for the persistent tick pool and fused replay.
 //!
-//! Four ways of advancing a cluster must be *bit-identical*: serial
-//! per-machine stepping, pool-parallel stepping (the persistent-worker
-//! default), legacy spawn-per-tick stepping, and fused multi-tick
-//! replay (`step_for`). These tests drive all four over the same
+//! Three ways of advancing a cluster must be *bit-identical*: serial
+//! per-machine stepping, pool-parallel stepping, and fused multi-tick
+//! replay (`step_for`). These tests drive all three over the same
 //! scripted inputs — mixed solo/batched clusters, mid-run fiddles that
-//! break fused spans and demote machines from the batch, and
+//! break fused spans and move machines between batch groups, and
 //! `set_threads` resizes mid-run — and compare every node temperature
 //! bitwise at 1, 2 and 8 threads.
 //!
 //! Test names contain `pool` so CI can run exactly this suite in
 //! release mode (`cargo test -p mercury --release -- batch pool`).
 
+mod common;
+
+use common::{assert_same_state, run, script_strategy, Event, Fiddle, Setup};
 use mercury::presets::{self, nodes};
-use mercury::solver::{ClusterSolver, SimdBackend, SolverConfig, TickScheduler};
+use mercury::solver::{ClusterSolver, SimdBackend, SolverConfig};
 use mercury::units::Celsius;
 use proptest::prelude::*;
 
@@ -51,13 +53,12 @@ fn assert_bit_identical(a: &ClusterSolver, b: &ClusterSolver, context: &str) {
 
 /// One scripted run in three segments. Between segments — the only
 /// places external mutation is allowed, and therefore natural fused
-/// span breaks — the script fiddles one machine's fan (demoting it
-/// from the batch) and optionally resizes the thread pool.
+/// span breaks — the script fiddles one machine's fan (moving it out
+/// of its batch group) and optionally resizes the thread pool.
 #[allow(clippy::too_many_arguments)]
 fn scripted_run(
     cluster: &mercury::model::ClusterModel,
     drive: Drive,
-    scheduler: TickScheduler,
     batching: bool,
     threads: usize,
     resize_to: Option<usize>,
@@ -67,7 +68,6 @@ fn scripted_run(
 ) -> ClusterSolver {
     let mut s = ClusterSolver::new(cluster, SolverConfig::default()).unwrap();
     s.set_batching(batching);
-    s.set_scheduler(scheduler);
     s.set_threads(threads);
     let names: Vec<String> = s.machine_names().iter().map(|n| n.to_string()).collect();
     for (i, name) in names.iter().enumerate() {
@@ -97,12 +97,12 @@ fn scripted_run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Serial, pool-parallel, spawn-per-tick, and fused-replay stepping
-    /// are bit-identical on mixed clusters with a mid-run fan fiddle, a
+    /// Serial, pool-parallel, and fused-replay stepping are
+    /// bit-identical on mixed clusters with a mid-run fan fiddle, a
     /// forced inlet, and a mid-run `set_threads` resize, at 1, 2 and 8
     /// threads.
     #[test]
-    fn pool_fused_and_spawn_match_serial_on_mixed_clusters(
+    fn pool_and_fused_match_serial_on_mixed_clusters(
         replicated in 3usize..8,
         unique in 0usize..3,
         utils in proptest::collection::vec(0.0f64..1.0, 3..6),
@@ -116,13 +116,13 @@ proptest! {
         let segments = [seg0, seg1, seg2];
         let cluster = presets::mixed_cluster(replicated, unique);
         let serial = scripted_run(
-            &cluster, Drive::PerTick, TickScheduler::Pool, false, 1, None,
+            &cluster, Drive::PerTick, false, 1, None,
             &utils, fiddle_machine, segments,
         );
         prop_assert_eq!(serial.batched_machines(), 0);
         let pooled = scripted_run(
-            &cluster, Drive::PerTick, TickScheduler::Pool, true, threads,
-            Some(resize_to), &utils, fiddle_machine, segments,
+            &cluster, Drive::PerTick, true, threads, Some(resize_to), &utils,
+            fiddle_machine, segments,
         );
         // The pool resizes lazily at the next *parallel* tick: after a
         // resize to > 1 threads the worker count matches; a resize to 1
@@ -132,19 +132,14 @@ proptest! {
         } else {
             prop_assert!(pooled.pool_workers() <= pooled.len().min(threads));
         }
-        let spawned = scripted_run(
-            &cluster, Drive::PerTick, TickScheduler::SpawnPerTick, true,
-            threads, Some(resize_to), &utils, fiddle_machine, segments,
-        );
         let fused = scripted_run(
-            &cluster, Drive::Fused, TickScheduler::Pool, true, threads,
-            Some(resize_to), &utils, fiddle_machine, segments,
+            &cluster, Drive::Fused, true, threads, Some(resize_to), &utils,
+            fiddle_machine, segments,
         );
         // The parallel runs really engaged the batched path (replicas
         // minus at most the fiddled one still group).
         prop_assert!(fused.batched_machines() >= replicated - 1);
         assert_bit_identical(&serial, &pooled, "pool vs serial");
-        assert_bit_identical(&serial, &spawned, "spawn vs serial");
         assert_bit_identical(&serial, &fused, "fused vs serial");
     }
 }
@@ -292,21 +287,120 @@ fn pool_parallel_and_fused_match_on_every_simd_backend() {
 }
 
 /// `set_threads(0)` means "pick for me": the pool sizes itself to the
-/// host's available parallelism (capped by machine count).
+/// tick's work, capped by the host's available parallelism — and stays
+/// serial when the plan holds too little work to pay for a wake-up.
 #[test]
 fn pool_auto_thread_selection_tracks_available_parallelism() {
-    let cluster = presets::validation_cluster(12);
+    let cluster = presets::validation_cluster(1100);
     let mut s = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
     s.set_threads(0);
+    // 1100 solo machines: two workers' worth of per-tick work.
+    s.set_batching(false);
     let auto = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-        .min(12);
+        .min(2);
     assert_eq!(s.effective_threads(), auto);
     s.step();
     if auto > 1 {
         assert_eq!(s.pool_workers(), auto);
     } else {
         assert_eq!(s.pool_workers(), 0, "serial ticks never spawn workers");
+    }
+    // The same room batched is 35 chunks: serial.
+    s.set_batching(true);
+    s.step();
+    assert_eq!(s.effective_threads(), 1);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Rooms of 1..=70 machines under a random fiddle script (fan,
+    /// heat-k, air-fraction, pins, releases — see `common`): pool-
+    /// parallel and fused stepping at 1, 2 and 8 threads, with a
+    /// checkpoint → restore → continue in the middle, end bit-identical
+    /// to serial per-machine stepping that never left its solver.
+    #[test]
+    fn pool_fiddled_rooms_match_serial_through_fusion_and_restore(
+        machines in 1usize..=70,
+        subset in 1usize..=24,
+        script in script_strategy(36, 24, 0..40),
+        utils in proptest::collection::vec(0.0f64..1.0, 3..6),
+        threads in prop_oneof![Just(1usize), Just(2usize), Just(8usize)],
+        fused in any::<bool>(),
+        restore_at in 1usize..36,
+    ) {
+        let cluster = presets::recirculating_cluster(machines, 0.25);
+        let script: Vec<Event> = script
+            .into_iter()
+            .map(|e| Event { machine: e.machine % subset, ..e })
+            .collect();
+        let serial = run(&cluster, &utils, &script, 36, Setup::PER_MACHINE);
+        let drive = Setup {
+            threads,
+            fused,
+            restore_at: Some(restore_at),
+            ..Setup::BATCHED
+        };
+        let pooled = run(&cluster, &utils, &script, 36, drive);
+        assert_same_state(
+            &serial,
+            &pooled,
+            &format!("{machines} machines, {threads} threads, fused={fused}, restored at {restore_at}"),
+        );
+    }
+}
+
+/// A checkpoint does not record which path stepped a machine: after 200
+/// churned ticks with fan commands every 10, the blob of a batched room
+/// equals the blob of the same room stepped per-machine, byte for byte.
+///
+/// Every machine is fan-commanded before the first tick. `mercury-ckpt-v1`
+/// carries a tick counter that undiverged batched machines have never
+/// booked, so only a diverged room has path-independent bytes; dropping
+/// the field is a format change.
+#[test]
+fn pool_checkpoint_bytes_ignore_the_batching_path() {
+    let machines = 40;
+    let cluster = presets::recirculating_cluster(machines, 0.2);
+    // Five speeds: several per-lane groups, re-dealt every 10 ticks so
+    // machines keep changing groups and weights; every cell changes
+    // every tick.
+    let scale = |m: usize, round: usize| 0.7 + ((m * 7 + round * 3) % 5) as f64 * 0.15;
+    let mut script = Vec::new();
+    for tick in 0..200 {
+        for m in 0..machines {
+            if tick % 10 == 0 && (tick == 0 || m % 3 == 0) {
+                script.push(Event {
+                    tick,
+                    machine: m,
+                    fiddle: Fiddle::Fan(scale(m, tick / 10)),
+                });
+            }
+            script.push(Event {
+                tick,
+                machine: m,
+                fiddle: Fiddle::Utilization(((tick * 31 + m * 17) % 100) as f64 / 100.0),
+            });
+        }
+    }
+    let utils = [0.5];
+    let per_machine = run(&cluster, &utils, &script, 200, Setup::PER_MACHINE);
+    for threads in [1usize, 2] {
+        let drive = Setup {
+            threads,
+            ..Setup::BATCHED
+        };
+        let batched = run(&cluster, &utils, &script, 200, drive);
+        assert!(
+            batched.batched_machines() >= machines - 5,
+            "only {} of {machines} diverged machines batched",
+            batched.batched_machines()
+        );
+        assert!(
+            batched.checkpoint() == per_machine.checkpoint(),
+            "checkpoint bytes differ between batched ({threads} threads) and per-machine"
+        );
     }
 }

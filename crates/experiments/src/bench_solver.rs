@@ -17,7 +17,7 @@ use mercury::model::{AirKind, ClusterEndpoint, ClusterModel, MachineModel};
 use mercury::physics;
 use mercury::presets::{self, nodes};
 use mercury::solver::{
-    air_flows, required_substeps, ClusterSolver, SimdBackend, Solver, SolverConfig, TickScheduler,
+    air_flows, required_substeps, ClusterSolver, SimdBackend, Solver, SolverConfig,
 };
 use mercury::units::{Celsius, KilogramsPerSecond, Seconds, Utilization};
 use std::collections::HashMap;
@@ -295,29 +295,20 @@ fn time_replicated_cluster(
     Ok((secs, s.batched_machines()))
 }
 
-/// Best-of-`runs` wall time for `ticks` cluster ticks at `n` machines
-/// under one scheduling / replay mode: `scheduler` picks the parallel
-/// backend (persistent pool vs legacy spawn-per-tick), and `fused`
-/// chooses one `step_for` span versus a per-tick `step()` loop (the
-/// pre-fusion replay shape). Utilization is constant, so repeated runs
-/// on the same steady-state solver are directly comparable.
-fn time_replay(
-    n: usize,
-    ticks: usize,
-    threads: usize,
-    scheduler: TickScheduler,
-    fused: bool,
-    runs: usize,
-) -> Result<f64> {
+/// Best-of-`runs` single-threaded wall time for `ticks` cluster ticks
+/// at `n` machines: `fused` chooses one `step_for` span versus a
+/// per-tick `step()` loop (the pre-fusion replay shape). Utilization is
+/// constant, so repeated runs on the same steady-state solver are
+/// directly comparable.
+fn time_replay(n: usize, ticks: usize, fused: bool, runs: usize) -> Result<f64> {
     let model = presets::validation_cluster(n);
     let mut s = ClusterSolver::new(&model, SolverConfig::default())?;
-    s.set_threads(threads);
-    s.set_scheduler(scheduler);
+    s.set_threads(1);
     for i in 1..=n {
         s.set_utilization(&format!("machine{i}"), nodes::CPU, 0.7)?;
     }
     for _ in 0..20 {
-        s.step(); // warm-up (also builds the batch plan and the pool)
+        s.step(); // warm-up (also builds the batch plan)
     }
     let mut best = f64::INFINITY;
     for _ in 0..runs {
@@ -575,7 +566,8 @@ pub fn bench_solver() -> Result {
     // record the thread count actually used otherwise.
     let parallel = if cores > 1 {
         let mut s = ClusterSolver::new(&cluster_model, SolverConfig::default())?;
-        s.set_threads(0); // auto
+        // Explicit: the automatic policy keeps a 64-machine room serial.
+        s.set_threads(cores);
         for i in 1..=64 {
             s.set_utilization(&format!("machine{i}"), nodes::CPU, 0.7)?;
         }
@@ -642,51 +634,6 @@ pub fn bench_solver() -> Result {
         batch_speedup_1024,
     );
 
-    // --- persistent pool vs spawn-per-tick, per-tick stepping ------------
-    // Two threads on either backend: the delta is pure per-tick
-    // orchestration (condvar wake vs thread spawn/join), which is real
-    // even when a small host time-slices the workers.
-    let pool_threads = 2usize;
-    let pool_vs_spawn = |n: usize, ticks: usize| -> Result<(f64, f64)> {
-        let spawn_s = time_replay(
-            n,
-            ticks,
-            pool_threads,
-            TickScheduler::SpawnPerTick,
-            false,
-            3,
-        )?;
-        let pool_s = time_replay(n, ticks, pool_threads, TickScheduler::Pool, false, 3)?;
-        Ok((spawn_s, pool_s))
-    };
-    let (spawn_256_s, pool_256_s) = pool_vs_spawn(256, 1200)?;
-    let (spawn_1024_s, pool_1024_s) = pool_vs_spawn(1024, 300)?;
-    let pool_speedup_256 = spawn_256_s / pool_256_s;
-    let pool_speedup_1024 = spawn_1024_s / pool_1024_s;
-    let pool_json = |name: &str, n: usize, ticks: usize, spawn_s: f64, pool_s: f64, sp: f64| {
-        format!(
-            "\"{name}\": {{\n    \"model\": \"validation_cluster({n})\",\n    \"ticks\": {ticks},\n    \"threads\": {pool_threads},\n    \"spawn_per_tick_seconds\": {spawn_s:.3},\n    \"pool_seconds\": {pool_s:.3},\n    \"spawn_ticks_per_sec\": {:.1},\n    \"pool_ticks_per_sec\": {:.1},\n    \"pool_speedup\": {sp:.2}\n  }}",
-            ticks as f64 / spawn_s,
-            ticks as f64 / pool_s,
-        )
-    };
-    let pool_256_json = pool_json(
-        "pool_vs_spawn_256",
-        256,
-        1200,
-        spawn_256_s,
-        pool_256_s,
-        pool_speedup_256,
-    );
-    let pool_1024_json = pool_json(
-        "pool_vs_spawn_1024",
-        1024,
-        300,
-        spawn_1024_s,
-        pool_1024_s,
-        pool_speedup_1024,
-    );
-
     // --- fused replay vs per-tick loop: steady-state 10k-tick trace ------
     // Constant utilization for the whole span — the paper's trace-replay
     // shape — so the fused path keeps the chunk matrices hot and pays
@@ -694,8 +641,8 @@ pub fn bench_solver() -> Result {
     // ≥1.3× over per-tick stepping (the PR 2 replay shape).
     let replay_ticks = 10_000usize;
     let fused_replay = |n: usize| -> Result<(f64, f64)> {
-        let loop_s = time_replay(n, replay_ticks, 1, TickScheduler::Pool, false, 3)?;
-        let fused_s = time_replay(n, replay_ticks, 1, TickScheduler::Pool, true, 3)?;
+        let loop_s = time_replay(n, replay_ticks, false, 3)?;
+        let fused_s = time_replay(n, replay_ticks, true, 3)?;
         Ok((loop_s, fused_s))
     };
     let (loop_256_s, fused_256_s) = fused_replay(256)?;
@@ -833,7 +780,7 @@ pub fn bench_solver() -> Result {
     let replay_json = replay_bench.to_json();
 
     let json = format!(
-        "{{\n  \"hardware\": {{ \"cores\": {cores}, \"peak_rss_bytes\": {rss} }},\n  \"single_machine\": {{\n    \"model\": \"validation_machine\",\n    \"ticks\": {ticks},\n    \"reference_ticks_per_sec\": {machine_ref_tps:.1},\n    \"kernel_ticks_per_sec\": {machine_kern_tps:.1},\n    \"speedup\": {machine_speedup:.2}\n  }},\n  \"cluster_64\": {{\n    \"model\": \"validation_cluster(64)\",\n    \"ticks\": {cluster_ticks},\n    \"reference_seconds\": {cluster_ref_s:.3},\n    \"kernel_serial_seconds\": {cluster_serial_s:.3},\n    \"kernel_batched_seconds\": {cluster_batched_s:.3},\n    {parallel_json},\n    \"reference_ticks_per_sec\": {cluster_ref_tps:.1},\n    \"kernel_serial_ticks_per_sec\": {cluster_serial_tps:.1},\n    \"kernel_batched_ticks_per_sec\": {cluster_batched_tps:.1},\n    \"speedup_vs_reference\": {cluster_speedup:.2}\n  }},\n  {s256},\n  {s1024},\n  {pool_256_json},\n  {pool_1024_json},\n  {fused_256_json},\n  {fused_1024_json},\n  {simd_json},\n  {telemetry_json},\n  {trace_json},\n  {sampler_json},\n  {replay_json}\n}}\n"
+        "{{\n  \"hardware\": {{ \"cores\": {cores}, \"peak_rss_bytes\": {rss} }},\n  \"single_machine\": {{\n    \"model\": \"validation_machine\",\n    \"ticks\": {ticks},\n    \"reference_ticks_per_sec\": {machine_ref_tps:.1},\n    \"kernel_ticks_per_sec\": {machine_kern_tps:.1},\n    \"speedup\": {machine_speedup:.2}\n  }},\n  \"cluster_64\": {{\n    \"model\": \"validation_cluster(64)\",\n    \"ticks\": {cluster_ticks},\n    \"reference_seconds\": {cluster_ref_s:.3},\n    \"kernel_serial_seconds\": {cluster_serial_s:.3},\n    \"kernel_batched_seconds\": {cluster_batched_s:.3},\n    {parallel_json},\n    \"reference_ticks_per_sec\": {cluster_ref_tps:.1},\n    \"kernel_serial_ticks_per_sec\": {cluster_serial_tps:.1},\n    \"kernel_batched_ticks_per_sec\": {cluster_batched_tps:.1},\n    \"speedup_vs_reference\": {cluster_speedup:.2}\n  }},\n  {s256},\n  {s1024},\n  {fused_256_json},\n  {fused_1024_json},\n  {simd_json},\n  {telemetry_json},\n  {trace_json},\n  {sampler_json},\n  {replay_json}\n}}\n"
     );
     std::fs::write("BENCH_solver.json", &json)?;
     println!("wrote BENCH_solver.json");
@@ -865,13 +812,6 @@ pub fn bench_solver() -> Result {
     verdict(
         batch_speedup_256 >= 3.0,
         "256-machine replicated cluster: batched kernel ≥3× the per-machine kernel",
-    );
-    measured(&format!(
-        "pool vs spawn-per-tick, {pool_threads} threads: 256 machines {spawn_256_s:.2} s → {pool_256_s:.2} s ({pool_speedup_256:.2}×), 1024 machines {spawn_1024_s:.2} s → {pool_1024_s:.2} s ({pool_speedup_1024:.2}×)"
-    ));
-    verdict(
-        pool_speedup_256 >= 1.0 && pool_speedup_1024 >= 1.0,
-        "persistent pool is never slower than spawn-per-tick",
     );
     measured(&format!(
         "fused 10k-tick replay: 256 machines {loop_256_s:.2} s → {fused_256_s:.2} s ({fused_speedup_256:.2}×), 1024 machines {loop_1024_s:.2} s → {fused_1024_s:.2} s ({fused_speedup_1024:.2}×)"

@@ -213,12 +213,6 @@ impl<'a> Experiment<'a> {
     pub fn run(mut self, policy: &mut dyn ThermalPolicy) -> Result<ExperimentLog, mercury::Error> {
         let n = self.sim.len();
         let mut solver = ClusterSolver::new(self.model, self.config.solver.clone())?;
-        // One solver tick per simulated second is microseconds of work
-        // per room; handing it to the tick pool costs two cross-thread
-        // wake-ups whose latency is the host scheduler's, not ours, and
-        // made run times differ from run to run. Thread count never
-        // changes a machine's arithmetic, so logs are unaffected.
-        solver.set_threads(1);
         let mut runner = self.script.map(FiddleScript::runner);
         let mut log = ExperimentLog::new(policy.name());
         let metrics = ExperimentMetrics::new();
