@@ -10,13 +10,17 @@
 //!   paper's trace mixes small static files with 25 ms CGI requests);
 //! * [`Server`] — an Apache-like server: processor-sharing CPU and disk,
 //!   connection tracking, boot/drain/shutdown life cycle, per-tick
-//!   component utilizations (which feed Mercury's `monitord`);
+//!   component utilizations (which feed Mercury's `monitord`). Once
+//!   admitted, a request is its two remaining demands and nothing else;
 //! * [`LoadBalancer`] — the LVS model: per-server weights, concurrent-
 //!   connection caps, weighted least-connections routing (one request
-//!   by scan, a batch through a heap, same choices), and the statistics
-//!   queries Freon's `admd` performs;
+//!   by scan, a batch through a heap of packed integer keys, same
+//!   choices), and the statistics queries Freon's `admd` performs;
 //! * [`ClusterSim`] — glue: offer arrivals, advance one second, collect
-//!   [`TickStats`].
+//!   [`TickStats`]. [`ClusterSim::tick`] takes the arrivals as any
+//!   `IntoIterator<Item = Request>` whose iterator knows its length — a
+//!   `Vec<Request>`, or a lazy source such as `workload_gen::Arrivals`
+//!   that makes each request as it is routed.
 //!
 //! Everything the real Freon does to a real LVS — set a weight, cap
 //! connections, quiesce a server, read per-server connection counts — has

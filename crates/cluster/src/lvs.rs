@@ -10,7 +10,7 @@
 use crate::request::Request;
 use crate::server::Server;
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Why a request was (not) routed.
@@ -65,40 +65,30 @@ impl Backend {
     }
 }
 
-/// One eligible server in a [`RouteHeap`], ordered so that the heap's
-/// top is the routing contract's choice: the smallest ratio, ties to
-/// the lowest index.
-#[derive(Debug, Clone, Copy)]
-struct Candidate {
-    ratio: f64,
-    index: usize,
-}
+/// One eligible server in a [`RouteHeap`], packed into one integer so
+/// that the heap's top is the routing contract's choice: the ratio's
+/// bit pattern in the high word, the index in the low word. Ratios are
+/// never negative or NaN (connections ≥ 0, weight > 0), and for such
+/// floats integer order of the bits is `total_cmp` order, +∞ included;
+/// the low word then breaks ties to the lowest index. `Reverse` because
+/// `BinaryHeap` is a max-heap and routing wants the minimum.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Candidate(Reverse<u128>);
 
-impl Ord for Candidate {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: `BinaryHeap` is a max-heap and routing wants the
-        // minimum. Ratios are never NaN or negative (weight > 0), so
-        // `total_cmp` orders them as `<` does.
-        other
-            .ratio
-            .total_cmp(&self.ratio)
-            .then_with(|| other.index.cmp(&self.index))
+impl Candidate {
+    fn new(ratio: f64, index: usize) -> Self {
+        debug_assert!(
+            ratio.is_sign_positive() && !ratio.is_nan(),
+            "routing ratio {ratio} breaks the packed key's precondition"
+        );
+        Candidate(Reverse(u128::from(ratio.to_bits()) << 64 | index as u128))
+    }
+
+    fn index(self) -> usize {
+        // Truncates to the low word: the `usize` `new` was given.
+        self.0 .0 as usize
     }
 }
-
-impl PartialOrd for Candidate {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for Candidate {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Candidate {}
 
 /// Reusable storage for [`LoadBalancer::route_batch`]: holding one
 /// across batches means routing allocates only while the cluster grows.
@@ -255,7 +245,7 @@ impl LoadBalancer {
         candidates.extend(servers.iter().zip(&self.backends).enumerate().filter_map(
             |(index, (server, backend))| {
                 let ratio = backend.ratio_if_eligible(server)?;
-                Some(Candidate { ratio, index })
+                Some(Candidate::new(ratio, index))
             },
         ));
         let mut candidates = BinaryHeap::from(candidates);
@@ -264,10 +254,10 @@ impl LoadBalancer {
                 on_outcome(RouteOutcome::Dropped);
                 continue;
             };
-            let index = top.index;
+            let index = top.index();
             servers[index].admit(request);
             match self.backends[index].ratio_if_eligible(&servers[index]) {
-                Some(ratio) => top.ratio = ratio,
+                Some(ratio) => *top = Candidate::new(ratio, index),
                 None => {
                     PeekMut::pop(top);
                 }
@@ -283,6 +273,47 @@ mod tests {
     use super::*;
     use crate::request::Request;
     use crate::server::{Server, ServerConfig};
+    use proptest::prelude::*;
+
+    /// `connections / weight` over the weights routing can meet: 1,
+    /// subnormal (every busy server's ratio is +∞), huge, and distinct.
+    fn ratio() -> impl Strategy<Value = f64> {
+        let weight = prop_oneof![
+            Just(1.0),
+            Just(5e-324),
+            Just(f64::MAX),
+            Just(0.25),
+            0.1..4.0f64,
+        ];
+        (0..6usize, weight).prop_map(|(connections, weight)| connections as f64 / weight)
+    }
+
+    fn index() -> impl Strategy<Value = usize> {
+        prop_oneof![0..4usize, Just(usize::MAX)]
+    }
+
+    proptest! {
+        #[test]
+        fn packed_keys_order_like_total_cmp_then_index(
+            a in ratio(),
+            b in ratio(),
+            i in index(),
+            j in index(),
+        ) {
+            let (x, y) = (Candidate::new(a, i), Candidate::new(b, j));
+            // Reversed: the heap's maximum is the smallest (ratio, index).
+            prop_assert_eq!(y.cmp(&x), a.total_cmp(&b).then(i.cmp(&j)));
+            prop_assert_eq!((x.index(), y.index()), (i, j));
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn packing_a_negative_or_nan_ratio_is_a_bug() {
+        for ratio in [-0.0, -1.0, f64::NAN] {
+            assert!(std::panic::catch_unwind(|| Candidate::new(ratio, 0)).is_err());
+        }
+    }
 
     fn servers(n: usize) -> Vec<Server> {
         (0..n)

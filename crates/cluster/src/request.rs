@@ -24,14 +24,12 @@ pub const DYNAMIC_CPU_MS: f64 = 25.0;
 /// Default disk demand of a dynamic request, milliseconds.
 pub const DYNAMIC_DISK_MS: f64 = 1.0;
 
-/// One client request with its remaining service demands.
+/// One client request with its service demands.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Request {
     kind: RequestKind,
     cpu_ms: f64,
     disk_ms: f64,
-    remaining_cpu_ms: f64,
-    remaining_disk_ms: f64,
 }
 
 impl Request {
@@ -52,8 +50,6 @@ impl Request {
             kind,
             cpu_ms: cpu,
             disk_ms: disk,
-            remaining_cpu_ms: cpu,
-            remaining_disk_ms: disk,
         }
     }
 
@@ -81,30 +77,6 @@ impl Request {
     pub fn disk_ms(&self) -> f64 {
         self.disk_ms
     }
-
-    /// CPU demand not yet served, ms.
-    pub fn remaining_cpu_ms(&self) -> f64 {
-        self.remaining_cpu_ms
-    }
-
-    /// Disk demand not yet served, ms.
-    pub fn remaining_disk_ms(&self) -> f64 {
-        self.remaining_disk_ms
-    }
-
-    /// Serves up to the given budgets; returns `(cpu_used, disk_used)`.
-    pub(crate) fn serve(&mut self, cpu_budget_ms: f64, disk_budget_ms: f64) -> (f64, f64) {
-        let cpu_used = self.remaining_cpu_ms.min(cpu_budget_ms.max(0.0));
-        self.remaining_cpu_ms -= cpu_used;
-        let disk_used = self.remaining_disk_ms.min(disk_budget_ms.max(0.0));
-        self.remaining_disk_ms -= disk_used;
-        (cpu_used, disk_used)
-    }
-
-    /// Whether every demand has been served.
-    pub fn is_complete(&self) -> bool {
-        self.remaining_cpu_ms <= 1e-9 && self.remaining_disk_ms <= 1e-9
-    }
 }
 
 #[cfg(test)]
@@ -123,31 +95,9 @@ mod tests {
     }
 
     #[test]
-    fn serving_drains_demands_and_completes() {
-        let mut r = Request::new(RequestKind::Dynamic, 10.0, 4.0);
-        assert!(!r.is_complete());
-        let (c, d) = r.serve(6.0, 10.0);
-        assert_eq!((c, d), (6.0, 4.0));
-        assert!(!r.is_complete());
-        let (c, d) = r.serve(100.0, 100.0);
-        assert_eq!((c, d), (4.0, 0.0));
-        assert!(r.is_complete());
-        // Further service consumes nothing.
-        assert_eq!(r.serve(5.0, 5.0), (0.0, 0.0));
-    }
-
-    #[test]
     fn bad_demands_are_clamped() {
         let r = Request::new(RequestKind::Static, -5.0, f64::NAN);
         assert_eq!(r.cpu_ms(), 0.0);
         assert_eq!(r.disk_ms(), 0.0);
-        assert!(r.is_complete());
-    }
-
-    #[test]
-    fn negative_budgets_serve_nothing() {
-        let mut r = Request::static_file();
-        assert_eq!(r.serve(-1.0, -1.0), (0.0, 0.0));
-        assert_eq!(r.remaining_cpu_ms(), STATIC_CPU_MS);
     }
 }

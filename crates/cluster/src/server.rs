@@ -58,7 +58,9 @@ pub enum PowerState {
 pub struct Server {
     config: ServerConfig,
     state: PowerState,
-    active: Vec<Request>,
+    /// Remaining `[cpu, disk]` demand, ms, of each active connection in
+    /// admission order — all the service model reads of a request.
+    active: Vec<[f64; 2]>,
     completed_last_tick: usize,
     cpu_utilization: f64,
     disk_utilization: f64,
@@ -72,6 +74,9 @@ pub struct Server {
     /// clock-throttling lever the paper's §4.3 compares Freon against.
     speed_scale: f64,
 }
+
+/// Demand below which a connection no longer wants a resource, ms.
+const SERVED_MS: f64 = 1e-9;
 
 /// The lowest CPU frequency scale a server supports (real parts offer a
 /// limited set of voltage/frequency pairs; we allow a continuous range
@@ -173,7 +178,7 @@ impl Server {
             self.accepts_connections(),
             "routed to a non-accepting server"
         );
-        self.active.push(request);
+        self.active.push([request.cpu_ms(), request.disk_ms()]);
     }
 
     /// Begins the power-on sequence. No-op unless the server is off.
@@ -241,64 +246,47 @@ impl Server {
     /// with request admission, so connections drain *during* the second —
     /// matching how a real balancer observes concurrency.
     pub fn serve_slice(&mut self, fraction: f64) {
-        if !self.is_serving() {
+        // An idle server runs no round, completes nothing and adds
+        // `0 × fraction` request-seconds: nothing to write.
+        if !self.is_serving() || self.active.is_empty() {
             return;
         }
         let mut cpu_left = self.config.cpu_capacity_ms * self.speed_scale * fraction;
         let mut disk_left = self.config.disk_capacity_ms * fraction;
+        // Locals, so that the charging loop keeps them in registers: a
+        // store through `active` might alias a field of `self`.
+        let (mut cpu_used, mut disk_used) = (self.tick_cpu_used, self.tick_disk_used);
         // Round-based processor sharing: split the remaining budget
         // equally among connections that still need that resource; repeat
         // until the budget or the demand is exhausted.
         for _ in 0..32 {
-            let cpu_hungry = self
-                .active
-                .iter()
-                .filter(|r| r.remaining_cpu_ms() > 1e-9)
-                .count();
-            let disk_hungry = self
-                .active
-                .iter()
-                .filter(|r| r.remaining_disk_ms() > 1e-9)
-                .count();
-            if (cpu_hungry == 0 || cpu_left <= 1e-9) && (disk_hungry == 0 || disk_left <= 1e-9) {
+            let cpu_hungry = self.active.iter().filter(|r| r[0] > SERVED_MS).count();
+            let disk_hungry = self.active.iter().filter(|r| r[1] > SERVED_MS).count();
+            if (cpu_hungry == 0 || cpu_left <= SERVED_MS)
+                && (disk_hungry == 0 || disk_left <= SERVED_MS)
+            {
                 break;
             }
-            let cpu_share = if cpu_hungry > 0 {
-                cpu_left / cpu_hungry as f64
-            } else {
-                0.0
-            };
-            let disk_share = if disk_hungry > 0 {
-                disk_left / disk_hungry as f64
-            } else {
-                0.0
-            };
-            for r in &mut self.active {
-                let want_cpu = if r.remaining_cpu_ms() > 1e-9 {
-                    cpu_share
-                } else {
-                    0.0
-                };
-                let want_disk = if r.remaining_disk_ms() > 1e-9 {
-                    disk_share
-                } else {
-                    0.0
-                };
-                let (c, d) = r.serve(want_cpu, want_disk);
-                cpu_left -= c;
-                disk_left -= d;
-                self.tick_cpu_used += c;
-                self.tick_disk_used += d;
+            // With nobody hungry the quotient is ±∞ or NaN, and nobody
+            // is offered it.
+            let cpu_offer = (cpu_left / cpu_hungry as f64).max(0.0);
+            let disk_offer = (disk_left / disk_hungry as f64).max(0.0);
+            for [cpu, disk] in &mut self.active {
+                let used = cpu.min(if *cpu > SERVED_MS { cpu_offer } else { 0.0 });
+                *cpu -= used;
+                cpu_left -= used;
+                cpu_used += used;
+                let used = disk.min(if *disk > SERVED_MS { disk_offer } else { 0.0 });
+                *disk -= used;
+                disk_left -= used;
+                disk_used += used;
             }
         }
-        self.active.retain(|r| {
-            if r.is_complete() {
-                self.tick_completed += 1;
-                false
-            } else {
-                true
-            }
-        });
+        (self.tick_cpu_used, self.tick_disk_used) = (cpu_used, disk_used);
+        let before = self.active.len();
+        self.active
+            .retain(|[cpu, disk]| *cpu > SERVED_MS || *disk > SERVED_MS);
+        self.tick_completed += before - self.active.len();
         // Requests still in the system at the end of the slice have spent
         // (at least) the slice in it; completed requests spent part of it,
         // which this under-counts by at most one slice each — a bounded,
@@ -356,7 +344,7 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{Request, RequestKind};
+    use crate::request::{Request, RequestKind, STATIC_CPU_MS, STATIC_DISK_MS};
 
     #[test]
     fn idle_server_has_zero_utilization() {
@@ -365,6 +353,56 @@ mod tests {
         assert_eq!(s.cpu_utilization(), 0.0);
         assert_eq!(s.disk_utilization(), 0.0);
         assert!(s.accepts_connections());
+    }
+
+    #[test]
+    fn serving_drains_demands_and_completes() {
+        // 6 ms of CPU and 10 ms of disk per second against a request
+        // that wants 10 and 4.
+        let mut s = Server::new(ServerConfig {
+            cpu_capacity_ms: 6.0,
+            disk_capacity_ms: 10.0,
+            ..Default::default()
+        });
+        s.admit(Request::new(RequestKind::Dynamic, 10.0, 4.0));
+        assert_eq!(s.tick(), 0);
+        assert_eq!((s.cpu_utilization(), s.disk_utilization()), (1.0, 0.4));
+        assert_eq!(s.connections(), 1);
+        assert_eq!(s.tick(), 1);
+        assert_eq!(
+            (s.cpu_utilization(), s.disk_utilization()),
+            (4.0 / 6.0, 0.0)
+        );
+        assert_eq!(s.connections(), 0);
+        // Further service consumes nothing.
+        assert_eq!(s.tick(), 0);
+        assert_eq!((s.cpu_utilization(), s.disk_utilization()), (0.0, 0.0));
+    }
+
+    #[test]
+    fn negative_budgets_serve_nothing() {
+        let mut s = Server::new(ServerConfig::default());
+        s.admit(Request::static_file());
+        s.begin_tick();
+        s.serve_slice(-1.0);
+        assert_eq!(s.end_tick(), 0);
+        assert_eq!((s.cpu_utilization(), s.disk_utilization()), (0.0, 0.0));
+        // The demand is untouched: the next second serves all of it.
+        assert_eq!(s.tick(), 1);
+        assert_eq!(s.cpu_utilization(), STATIC_CPU_MS / 1000.0);
+        assert_eq!(s.disk_utilization(), STATIC_DISK_MS / 1000.0);
+    }
+
+    #[test]
+    fn a_zero_demand_request_completes_in_the_next_slice() {
+        // Clamped to nothing, it is complete at admission; no round runs
+        // for it, yet the slice must count and remove it.
+        let mut s = Server::new(ServerConfig::default());
+        s.admit(Request::new(RequestKind::Static, -5.0, f64::NAN));
+        assert_eq!(s.connections(), 1);
+        assert_eq!(s.tick(), 1);
+        assert_eq!(s.connections(), 0);
+        assert_eq!(s.tick_request_seconds(), 0.0);
     }
 
     #[test]

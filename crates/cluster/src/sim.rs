@@ -146,18 +146,23 @@ impl ClusterSim {
     const SLOTS: usize = 20;
 
     /// Routes this tick's arrivals and advances every server by one
-    /// second.
-    pub fn tick(&mut self, arrivals: Vec<Request>) -> TickStats {
+    /// second. The arrivals are split evenly over the admission slots,
+    /// so their number must be known up front: a `Vec<Request>`, or any
+    /// exact-size iterator that makes each request as it is routed.
+    pub fn tick(
+        &mut self,
+        arrivals: impl IntoIterator<Item = Request, IntoIter: ExactSizeIterator>,
+    ) -> TickStats {
+        let mut queue = arrivals.into_iter();
         let mut stats = TickStats {
-            offered: arrivals.len(),
+            offered: queue.len(),
             ..TickStats::default()
         };
         for server in &mut self.servers {
             server.begin_tick();
         }
         let slice = 1.0 / Self::SLOTS as f64;
-        let per_slot = arrivals.len().div_ceil(Self::SLOTS.max(1));
-        let mut queue = arrivals.into_iter();
+        let per_slot = stats.offered.div_ceil(Self::SLOTS);
         for _ in 0..Self::SLOTS {
             self.lvs.route_batch(
                 &mut self.servers,
@@ -253,7 +258,7 @@ mod tests {
         // whose sizes correlate with arrival order spreads *connections*
         // evenly but not CPU — that is faithful LVS behaviour.)
         let mut sim = ClusterSim::homogeneous(4, ServerConfig::default());
-        let stats = sim.tick((0..400).map(|_| Request::dynamic()).collect());
+        let stats = sim.tick((0..400).map(|_| Request::dynamic()));
         let max = stats.cpu_utilization.iter().cloned().fold(0.0, f64::max);
         let min = stats.cpu_utilization.iter().cloned().fold(1.0, f64::min);
         assert!(max - min < 0.15, "uneven load: {:?}", stats.cpu_utilization);

@@ -1,4 +1,5 @@
-//! The routing contract, checked three ways.
+//! The routing contract and the service model, each against an oracle
+//! that shares no code with the crate.
 //!
 //! `ClusterSim::tick` routes each admission batch through
 //! `LoadBalancer::route_batch` (one heap per batch); `LoadBalancer::route`
@@ -9,27 +10,44 @@
 //! `connections / weight`, ties to the lowest index; nobody eligible is a
 //! drop. Because the oracle shares no code with the crate, dropping an
 //! eligibility clause or the index tie-break from the crate fails here.
+//!
+//! `Server::serve_slice` keeps two floats per connection, skips idle
+//! servers and compacts by count. `ReferenceServer` below is the service
+//! model as first written — full request records, two counting passes
+//! and one charging pass per round, a completion test per record — and
+//! a whole `ClusterSim` must match a cluster of them bit for bit.
 
 use cluster_sim::{
-    ClusterSim, LoadBalancer, Request, RouteHeap, RouteOutcome, Server, ServerConfig, TickStats,
+    ClusterSim, LoadBalancer, PowerState, Request, RequestKind, RouteHeap, RouteOutcome, Server,
+    ServerConfig, TickStats,
 };
 use proptest::prelude::*;
 
+/// What routing may read of a server: accepting, connections,
+/// `max_connections`.
+type ServerView = (bool, usize, usize);
+
+fn view(server: &Server) -> ServerView {
+    (
+        server.accepts_connections(),
+        server.connections(),
+        server.config().max_connections,
+    )
+}
+
 /// The contract, restated independently of the crate's implementation.
-fn oracle_route(lvs: &LoadBalancer, servers: &[Server]) -> RouteOutcome {
+fn oracle_route(lvs: &LoadBalancer, servers: impl Iterator<Item = ServerView>) -> RouteOutcome {
     let mut best: Option<(usize, f64)> = None;
-    for (i, server) in servers.iter().enumerate() {
-        let eligible = server.accepts_connections()
+    for (i, (accepting, connections, max_connections)) in servers.enumerate() {
+        let eligible = accepting
             && !lvs.is_quiesced(i)
             && lvs.weight(i) > 0.0
-            && server.connections() < server.config().max_connections
-            && lvs
-                .connection_cap(i)
-                .is_none_or(|cap| server.connections() < cap);
+            && connections < max_connections
+            && lvs.connection_cap(i).is_none_or(|cap| connections < cap);
         if !eligible {
             continue;
         }
-        let ratio = server.connections() as f64 / lvs.weight(i);
+        let ratio = connections as f64 / lvs.weight(i);
         if best.is_none_or(|(_, least)| ratio < least) {
             best = Some((i, ratio));
         }
@@ -140,7 +158,7 @@ proptest! {
 
         let mut expected = Vec::with_capacity(batch);
         for _ in 0..batch {
-            let outcome = oracle_route(&lvs, &by_oracle);
+            let outcome = oracle_route(&lvs, by_oracle.iter().map(view));
             prop_assert_eq!(lvs.route(&by_scan), outcome);
             if let RouteOutcome::Routed(i) = outcome {
                 by_oracle[i].admit(Request::static_file());
@@ -167,9 +185,219 @@ proptest! {
     }
 }
 
-/// `ClusterSim::tick` as it was before the heap: the same 20 admission
-/// slots, each request routed by the `route()` scan.
-fn reference_tick(lvs: &LoadBalancer, servers: &mut [Server], arrivals: Vec<Request>) -> TickStats {
+/// A request as the service model first kept it: the demands it came
+/// with beside what is left of them.
+#[derive(Debug, Clone)]
+struct ReferenceRequest {
+    remaining_cpu_ms: f64,
+    remaining_disk_ms: f64,
+}
+
+impl ReferenceRequest {
+    fn serve(&mut self, cpu_budget_ms: f64, disk_budget_ms: f64) -> (f64, f64) {
+        let cpu_used = self.remaining_cpu_ms.min(cpu_budget_ms.max(0.0));
+        self.remaining_cpu_ms -= cpu_used;
+        let disk_used = self.remaining_disk_ms.min(disk_budget_ms.max(0.0));
+        self.remaining_disk_ms -= disk_used;
+        (cpu_used, disk_used)
+    }
+
+    fn is_complete(&self) -> bool {
+        self.remaining_cpu_ms <= 1e-9 && self.remaining_disk_ms <= 1e-9
+    }
+}
+
+/// `Server` as first written, life cycle included, sharing nothing with
+/// it but the public `ServerConfig` and `PowerState` types.
+#[derive(Debug, Clone)]
+struct ReferenceServer {
+    config: ServerConfig,
+    state: PowerState,
+    active: Vec<ReferenceRequest>,
+    speed_scale: f64,
+    cpu_utilization: f64,
+    disk_utilization: f64,
+    tick_cpu_used: f64,
+    tick_disk_used: f64,
+    tick_completed: usize,
+    tick_request_seconds: f64,
+    killed_total: u64,
+}
+
+impl ReferenceServer {
+    fn new(config: ServerConfig) -> Self {
+        ReferenceServer {
+            config,
+            state: PowerState::On,
+            active: Vec::new(),
+            speed_scale: 1.0,
+            cpu_utilization: 0.0,
+            disk_utilization: 0.0,
+            tick_cpu_used: 0.0,
+            tick_disk_used: 0.0,
+            tick_completed: 0,
+            tick_request_seconds: 0.0,
+            killed_total: 0,
+        }
+    }
+
+    fn view(&self) -> ServerView {
+        (
+            self.state == PowerState::On,
+            self.active.len(),
+            self.config.max_connections,
+        )
+    }
+
+    fn admit(&mut self, request: &Request) {
+        self.active.push(ReferenceRequest {
+            remaining_cpu_ms: request.cpu_ms(),
+            remaining_disk_ms: request.disk_ms(),
+        });
+    }
+
+    fn set_speed_scale(&mut self, scale: f64) {
+        self.speed_scale = if scale.is_finite() {
+            scale.clamp(0.25, 1.0)
+        } else {
+            1.0
+        };
+    }
+
+    fn power_on(&mut self) {
+        if self.state == PowerState::Off {
+            self.state = match self.config.boot_seconds {
+                0 => PowerState::On,
+                remaining => PowerState::Booting { remaining },
+            };
+        }
+    }
+
+    fn shutdown_graceful(&mut self) {
+        self.state = match self.state {
+            PowerState::On if !self.active.is_empty() => PowerState::Draining,
+            PowerState::On | PowerState::Booting { .. } => PowerState::Off,
+            state => state,
+        };
+    }
+
+    fn shutdown_hard(&mut self) -> usize {
+        let killed = self.active.len();
+        self.killed_total += killed as u64;
+        self.active.clear();
+        self.state = PowerState::Off;
+        self.cpu_utilization = 0.0;
+        self.disk_utilization = 0.0;
+        killed
+    }
+
+    fn begin_tick(&mut self) {
+        self.tick_cpu_used = 0.0;
+        self.tick_disk_used = 0.0;
+        self.tick_completed = 0;
+        self.tick_request_seconds = 0.0;
+    }
+
+    /// The three-pass processor-sharing loop, verbatim.
+    fn serve_slice(&mut self, fraction: f64) {
+        if !matches!(self.state, PowerState::On | PowerState::Draining) {
+            return;
+        }
+        let mut cpu_left = self.config.cpu_capacity_ms * self.speed_scale * fraction;
+        let mut disk_left = self.config.disk_capacity_ms * fraction;
+        for _ in 0..32 {
+            let cpu_hungry = self
+                .active
+                .iter()
+                .filter(|r| r.remaining_cpu_ms > 1e-9)
+                .count();
+            let disk_hungry = self
+                .active
+                .iter()
+                .filter(|r| r.remaining_disk_ms > 1e-9)
+                .count();
+            if (cpu_hungry == 0 || cpu_left <= 1e-9) && (disk_hungry == 0 || disk_left <= 1e-9) {
+                break;
+            }
+            let cpu_share = if cpu_hungry > 0 {
+                cpu_left / cpu_hungry as f64
+            } else {
+                0.0
+            };
+            let disk_share = if disk_hungry > 0 {
+                disk_left / disk_hungry as f64
+            } else {
+                0.0
+            };
+            for r in &mut self.active {
+                let want_cpu = if r.remaining_cpu_ms > 1e-9 {
+                    cpu_share
+                } else {
+                    0.0
+                };
+                let want_disk = if r.remaining_disk_ms > 1e-9 {
+                    disk_share
+                } else {
+                    0.0
+                };
+                let (c, d) = r.serve(want_cpu, want_disk);
+                cpu_left -= c;
+                disk_left -= d;
+                self.tick_cpu_used += c;
+                self.tick_disk_used += d;
+            }
+        }
+        self.active.retain(|r| {
+            if r.is_complete() {
+                self.tick_completed += 1;
+                false
+            } else {
+                true
+            }
+        });
+        self.tick_request_seconds += self.active.len() as f64 * fraction;
+    }
+
+    fn end_tick(&mut self) -> usize {
+        match self.state {
+            PowerState::Off => {
+                self.cpu_utilization = 0.0;
+                self.disk_utilization = 0.0;
+            }
+            PowerState::Booting { remaining } => {
+                self.cpu_utilization = 1.0;
+                self.disk_utilization = 0.5;
+                self.state = if remaining <= 1 {
+                    PowerState::On
+                } else {
+                    PowerState::Booting {
+                        remaining: remaining - 1,
+                    }
+                };
+            }
+            PowerState::On | PowerState::Draining => {
+                self.cpu_utilization = (self.tick_cpu_used
+                    / (self.config.cpu_capacity_ms * self.speed_scale))
+                    .clamp(0.0, 1.0);
+                self.disk_utilization =
+                    (self.tick_disk_used / self.config.disk_capacity_ms).clamp(0.0, 1.0);
+                if self.state == PowerState::Draining && self.active.is_empty() {
+                    self.state = PowerState::Off;
+                }
+            }
+        }
+        self.tick_completed
+    }
+}
+
+/// `ClusterSim::tick` rebuilt from the two oracles: the same 20
+/// admission slots, each request routed by the contract's scan and
+/// served by the reference server.
+fn reference_tick(
+    lvs: &LoadBalancer,
+    servers: &mut [ReferenceServer],
+    arrivals: &[Request],
+) -> TickStats {
     const SLOTS: usize = 20;
     let mut stats = TickStats {
         offered: arrivals.len(),
@@ -179,10 +407,10 @@ fn reference_tick(lvs: &LoadBalancer, servers: &mut [Server], arrivals: Vec<Requ
         server.begin_tick();
     }
     let per_slot = arrivals.len().div_ceil(SLOTS);
-    let mut queue = arrivals.into_iter();
+    let mut queue = arrivals.iter();
     for _ in 0..SLOTS {
         for request in queue.by_ref().take(per_slot) {
-            match lvs.route(servers) {
+            match oracle_route(lvs, servers.iter().map(ReferenceServer::view)) {
                 RouteOutcome::Routed(i) => {
                     servers[i].admit(request);
                     stats.routed += 1;
@@ -196,11 +424,11 @@ fn reference_tick(lvs: &LoadBalancer, servers: &mut [Server], arrivals: Vec<Requ
     }
     for server in servers.iter_mut() {
         stats.completed += server.end_tick();
-        stats.request_seconds += server.tick_request_seconds();
+        stats.request_seconds += server.tick_request_seconds;
     }
-    stats.connections = connections(servers);
-    stats.cpu_utilization = servers.iter().map(Server::cpu_utilization).collect();
-    stats.disk_utilization = servers.iter().map(Server::disk_utilization).collect();
+    stats.connections = servers.iter().map(|s| s.active.len()).collect();
+    stats.cpu_utilization = servers.iter().map(|s| s.cpu_utilization).collect();
+    stats.disk_utilization = servers.iter().map(|s| s.disk_utilization).collect();
     stats
 }
 
@@ -218,17 +446,34 @@ fn bits(stats: &TickStats) -> (Vec<usize>, Vec<u64>) {
     (counts, floats)
 }
 
-/// The paper's mix: 30% CGI, the rest static files.
-fn burst(count: usize) -> Vec<Request> {
-    (0..count)
-        .map(|k| {
-            if k % 10 < 3 {
-                Request::dynamic()
-            } else {
-                Request::static_file()
-            }
-        })
-        .collect()
+/// The paper's two kinds, plus what stresses the service model: a
+/// request complete at admission, one far above a slice's budget, a
+/// disk-bound one, and arbitrary demands whose sums round differently
+/// in a different order.
+fn request() -> impl Strategy<Value = Request> {
+    prop_oneof![
+        Just(Request::dynamic()),
+        Just(Request::static_file()),
+        Just(Request::static_file()),
+        Just(Request::new(RequestKind::Static, 0.0, 0.0)),
+        Just(Request::new(RequestKind::Dynamic, 5_000.0, 0.0)),
+        Just(Request::new(RequestKind::Static, 1.0, 30.0)),
+        (0.0..60.0f64, 0.0..60.0f64).prop_map(|(cpu, disk)| Request::new(
+            RequestKind::Dynamic,
+            cpu,
+            disk
+        )),
+    ]
+}
+
+fn server_config() -> impl Strategy<Value = ServerConfig> {
+    let capacity = || prop_oneof![Just(1000.0), 150.0..3000.0f64];
+    (capacity(), capacity(), 4..40usize).prop_map(|(cpu, disk, max_connections)| ServerConfig {
+        cpu_capacity_ms: cpu,
+        disk_capacity_ms: disk,
+        boot_seconds: 2,
+        max_connections,
+    })
 }
 
 /// What Freon does to a running cluster between ticks.
@@ -237,6 +482,7 @@ enum Action {
     SetWeight(usize, f64),
     SetCap(usize, Option<usize>),
     SetQuiesced(usize, bool),
+    SetSpeedScale(usize, f64),
     ShutdownHard(usize),
     ShutdownGraceful(usize),
     PowerOn(usize),
@@ -247,6 +493,7 @@ fn action() -> impl Strategy<Value = Action> {
         (0..64usize, weight()).prop_map(|(i, w)| Action::SetWeight(i, w)),
         (0..64usize, proptest::option::of(0..30usize)).prop_map(|(i, c)| Action::SetCap(i, c)),
         (0..64usize, any::<bool>()).prop_map(|(i, q)| Action::SetQuiesced(i, q)),
+        (0..64usize, 0.1..1.2f64).prop_map(|(i, s)| Action::SetSpeedScale(i, s)),
         (0..64usize).prop_map(Action::ShutdownHard),
         (0..64usize).prop_map(Action::ShutdownGraceful),
         (0..64usize).prop_map(Action::PowerOn),
@@ -254,25 +501,25 @@ fn action() -> impl Strategy<Value = Action> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn tick_equals_the_scan_built_reference_tick(
-        n in 1..=12usize,
-        max_connections in 4..40usize,
+        configs in proptest::collection::vec(server_config(), 1..=12),
         seconds in proptest::collection::vec(
-            (0..320usize, proptest::collection::vec(action(), 0..3)),
+            (
+                proptest::collection::vec(request(), 0..320),
+                proptest::collection::vec(action(), 0..3),
+            ),
             4..14,
         ),
     ) {
-        let config = ServerConfig {
-            max_connections,
-            boot_seconds: 2,
-            ..ServerConfig::default()
-        };
-        let mut sim = ClusterSim::homogeneous(n, config.clone());
+        let n = configs.len();
+        let mut sim = ClusterSim::new(configs.clone());
         let mut lvs = LoadBalancer::new(n);
-        let mut servers: Vec<Server> = (0..n).map(|_| Server::new(config.clone())).collect();
+        let mut servers: Vec<ReferenceServer> =
+            configs.into_iter().map(ReferenceServer::new).collect();
+        let (mut request_seconds, mut completed) = (0.0f64, 0u64);
 
         for (arrivals, actions) in &seconds {
             for action in actions {
@@ -289,6 +536,10 @@ proptest! {
                         sim.lvs_mut().set_quiesced(i % n, quiesced);
                         lvs.set_quiesced(i % n, quiesced);
                     }
+                    Action::SetSpeedScale(i, scale) => {
+                        sim.server_mut(i % n).set_speed_scale(scale);
+                        servers[i % n].set_speed_scale(scale);
+                    }
                     Action::ShutdownHard(i) => {
                         let killed = sim.server_mut(i % n).shutdown_hard();
                         prop_assert_eq!(servers[i % n].shutdown_hard(), killed);
@@ -303,12 +554,33 @@ proptest! {
                     }
                 }
             }
-            let got = sim.tick(burst(*arrivals));
-            let expected = reference_tick(&lvs, &mut servers, burst(*arrivals));
+            // A `Vec` one second, a lazy exact-size iterator the next.
+            let got = if sim.time_s().is_multiple_of(2) {
+                sim.tick(arrivals.clone())
+            } else {
+                sim.tick(arrivals.iter().cloned())
+            };
+            let expected = reference_tick(&lvs, &mut servers, arrivals);
             prop_assert_eq!(bits(&got), bits(&expected));
             prop_assert_eq!(got.offered, got.routed + got.dropped);
+            request_seconds += expected.request_seconds;
+            completed += expected.completed as u64;
+            // `bits` covered each server's connections and utilizations;
+            // the life cycle is what is left to see of one.
+            for (i, reference) in servers.iter().enumerate() {
+                prop_assert_eq!((i, sim.server(i).state()), (i, reference.state));
+            }
         }
-        let killed: u64 = servers.iter().map(Server::killed_total).sum();
+        let mean_response_time_s = if completed == 0 {
+            0.0
+        } else {
+            request_seconds / completed as f64
+        };
+        prop_assert_eq!(
+            sim.mean_response_time_s().to_bits(),
+            mean_response_time_s.to_bits()
+        );
+        let killed: u64 = servers.iter().map(|s| s.killed_total).sum();
         prop_assert_eq!(sim.total_killed(), killed);
     }
 }

@@ -217,21 +217,6 @@ impl UtilizationTrace {
         Ok(())
     }
 
-    /// Reads a trace back from the CSV format produced by
-    /// [`UtilizationTrace::write_csv`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidInput`] for malformed headers, rows of the
-    /// wrong width, or non-numeric utilizations.
-    #[deprecated(
-        since = "0.1.0",
-        note = "holds the whole file in RAM; use `read_csv_from` with a `BufRead` instead"
-    )]
-    pub fn read_csv(text: &str) -> Result<UtilizationTrace, Error> {
-        Self::read_csv_from(text.as_bytes())
-    }
-
     /// Reads a trace from any [`BufRead`] source producing the CSV format
     /// of [`UtilizationTrace::write_csv`], line by line — the raw text is
     /// never held in memory, only the parsed samples. This is the reader
@@ -668,18 +653,6 @@ mod tests {
         assert!(text.starts_with("# machine=server interval_s=1"));
         let back = UtilizationTrace::read_csv_from(text.as_bytes()).unwrap();
         assert_eq!(back, trace);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_str_reader_delegates_to_the_streaming_one() {
-        let trace = staircase_trace("server");
-        let mut buffer = Vec::new();
-        trace.write_csv(&mut buffer).unwrap();
-        let text = String::from_utf8(buffer).unwrap();
-        let old = UtilizationTrace::read_csv(&text).unwrap();
-        let new = UtilizationTrace::read_csv_from(text.as_bytes()).unwrap();
-        assert_eq!(old, new);
     }
 
     #[test]

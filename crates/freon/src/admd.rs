@@ -117,9 +117,8 @@ mod tests {
     fn loaded_sim(n: usize) -> ClusterSim {
         let mut sim = ClusterSim::homogeneous(n, ServerConfig::default());
         // Long-running requests so connections persist across samples.
-        let arrivals = (0..n * 20)
-            .map(|_| Request::new(cluster_sim::RequestKind::Dynamic, 60_000.0, 0.0))
-            .collect();
+        let arrivals =
+            (0..n * 20).map(|_| Request::new(cluster_sim::RequestKind::Dynamic, 60_000.0, 0.0));
         sim.tick(arrivals);
         sim
     }

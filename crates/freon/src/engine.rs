@@ -316,8 +316,7 @@ impl<'a> Experiment<'a> {
                 }
             }
 
-            let arrivals = self.trace.arrivals_at(t);
-            let stats = self.sim.tick(arrivals);
+            let stats = self.sim.tick(self.trace.arrivals_at(t));
 
             // monitord: utilizations into Mercury, with power-state
             // bookkeeping.

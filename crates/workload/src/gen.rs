@@ -114,6 +114,40 @@ struct SecondCounts {
     dynamic_count: u32,
 }
 
+/// One second of a [`WorkloadTrace`]'s arrivals, materialized lazily:
+/// what [`WorkloadTrace::arrivals_at`] returns and `ClusterSim::tick`
+/// consumes without a per-second `Vec`. Its length is exact.
+#[derive(Debug, Clone)]
+pub struct Arrivals {
+    dynamic: Request,
+    dynamic_left: u32,
+    static_file: Request,
+    static_left: u32,
+}
+
+impl Iterator for Arrivals {
+    type Item = Request;
+
+    fn next(&mut self) -> Option<Request> {
+        if self.dynamic_left > 0 {
+            self.dynamic_left -= 1;
+            Some(self.dynamic.clone())
+        } else if self.static_left > 0 {
+            self.static_left -= 1;
+            Some(self.static_file.clone())
+        } else {
+            None
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.dynamic_left as usize + self.static_left as usize;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Arrivals {}
+
 /// A pre-generated arrival schedule: per-second static/dynamic counts,
 /// materialized back into [`Request`] values at replay time.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -133,21 +167,15 @@ impl WorkloadTrace {
         &self.mix
     }
 
-    /// The arrivals of second `t` (empty past the end).
-    pub fn arrivals_at(&self, t: u64) -> Vec<Request> {
-        match self.seconds.get(t as usize) {
-            None => Vec::new(),
-            Some(counts) => {
-                let mut out =
-                    Vec::with_capacity((counts.static_count + counts.dynamic_count) as usize);
-                for _ in 0..counts.dynamic_count {
-                    out.push(self.mix.request(RequestKind::Dynamic));
-                }
-                for _ in 0..counts.static_count {
-                    out.push(self.mix.request(RequestKind::Static));
-                }
-                out
-            }
+    /// The arrivals of second `t` (none past the end): the dynamic
+    /// requests, then the static ones, each made as it is taken.
+    pub fn arrivals_at(&self, t: u64) -> Arrivals {
+        let counts = self.seconds.get(t as usize);
+        Arrivals {
+            dynamic: self.mix.request(RequestKind::Dynamic),
+            dynamic_left: counts.map_or(0, |c| c.dynamic_count),
+            static_file: self.mix.request(RequestKind::Static),
+            static_left: counts.map_or(0, |c| c.static_count),
         }
     }
 
@@ -309,7 +337,7 @@ mod tests {
             let arrivals = trace.arrivals_at(t);
             assert_eq!(arrivals.len() as u32, trace.offered_at(t));
         }
-        assert!(trace.arrivals_at(100).is_empty());
+        assert_eq!(trace.arrivals_at(100).len(), 0);
         assert_eq!(trace.offered_at(100), 0);
     }
 

@@ -15,7 +15,11 @@
 //! * [`WorkloadGenerator`] — seeded Poisson arrivals following a profile;
 //! * [`WorkloadTrace`] — a pre-generated, serializable arrival schedule
 //!   (so an experiment and its baseline see the *identical* request
-//!   sequence).
+//!   sequence);
+//! * [`Arrivals`] — one second of a trace, as
+//!   [`WorkloadTrace::arrivals_at`] returns it: an exact-size iterator
+//!   that makes each request as it is taken, which is what
+//!   `ClusterSim::tick` consumes. Collect it when a `Vec` is wanted.
 //!
 //! ```
 //! use workload_gen::{DiurnalProfile, RequestMix, WorkloadGenerator};
@@ -37,6 +41,6 @@ mod gen;
 mod mix;
 mod profile;
 
-pub use gen::{WorkloadGenerator, WorkloadTrace};
+pub use gen::{Arrivals, WorkloadGenerator, WorkloadTrace};
 pub use mix::RequestMix;
 pub use profile::DiurnalProfile;
