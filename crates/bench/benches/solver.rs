@@ -117,15 +117,10 @@ fn bench_solver(c: &mut Criterion) {
         });
     });
 
-    // SIMD lane-width evidence: the batched 1024-machine tick on every
-    // backend the host supports (exact mode), named by backend and lane
-    // width, plus fast-math on the auto-selected backend.
+    // The batched 1024-machine tick at every compile level of the lane
+    // sweep the host supports.
     for backend in SimdBackend::ALL.into_iter().filter(|b| b.supported()) {
-        let name = format!(
-            "solver_tick_cluster1024_simd_{}_w{}",
-            backend.name(),
-            backend.lane_width()
-        );
+        let name = format!("solver_tick_cluster1024_simd_{}", backend.name());
         c.bench_function(&name, |b| {
             let cluster = presets::validation_cluster(1024);
             let mut solver = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
@@ -143,22 +138,6 @@ fn bench_solver(c: &mut Criterion) {
             });
         });
     }
-    c.bench_function("solver_tick_cluster1024_simd_fast_math", |b| {
-        let cluster = presets::validation_cluster(1024);
-        let mut solver = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
-        solver.set_threads(1);
-        solver.set_fast_math(true);
-        for i in 1..=1024 {
-            solver
-                .set_utilization(&format!("machine{i}"), nodes::CPU, 0.7)
-                .unwrap();
-        }
-        solver.step();
-        b.iter(|| {
-            solver.step();
-            black_box(solver.time());
-        });
-    });
 
     c.bench_function("solver_temperature_query", |b| {
         let solver = Solver::new(&model, SolverConfig::default()).unwrap();

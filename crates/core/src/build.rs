@@ -26,7 +26,7 @@ pub fn build_labels() -> [(&'static str, &'static str); 3] {
     [
         ("version", VERSION),
         ("git", GIT_HASH),
-        ("simd", SimdBackend::select().name()),
+        ("simd", SimdBackend::detect().name()),
     ]
 }
 

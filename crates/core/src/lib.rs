@@ -69,11 +69,11 @@
 // `deny`, not `forbid`: the sanctioned exceptions are (a) the scoped
 // pointer hand-off inside `solver::pool`, which discharges the same
 // obligation `std::thread::scope` does internally (the driver outlives
-// every borrow it publishes), (b) the vector intrinsics behind
-// `solver::simd` (dispatch is gated on runtime feature detection and
-// every kernel is held bitwise-equal to the safe scalar sweep), and
-// (c) the aligned chunk buffers in `solver::aligned` (a fixed-length
-// `Vec<f64>` at cache-line alignment), and (d) the read-only `mmap`
+// every borrow it publishes), (b) the two `#[target_feature]` call
+// sites in `solver::simd` (each guarded by runtime detection of its
+// feature; the sweep they call is safe Rust), (c) the aligned chunk
+// buffers in `solver::aligned` (a fixed-length `Vec<f64>` at
+// cache-line alignment), and (d) the read-only `mmap`
 // of `.events` trace files in `trace::stream` (a private mapping of
 // an immutable file, unmapped on drop, with a buffered-read fallback
 // on the same code path). Each site carries a SAFETY comment, is

@@ -144,17 +144,10 @@ pub(crate) struct SharedOp {
     /// Lane-sweep backend, stamped from the owning [`BatchSet`] so a
     /// pool work item `(op, chunk)` carries everything a tick needs.
     backend: SimdBackend,
-    /// Fast-math lane mode (FMA contraction), stamped like `backend`.
-    fast_math: bool,
 }
 
 impl SharedOp {
-    fn from_representative(
-        solver: &mut Solver,
-        per_lane: bool,
-        backend: SimdBackend,
-        fast_math: bool,
-    ) -> Self {
+    fn from_representative(solver: &mut Solver, per_lane: bool, backend: SimdBackend) -> Self {
         let op = solver.compiled_kernel().assembled_op();
         let weights = |w: &[f64]| if per_lane { Vec::new() } else { w.to_vec() };
         SharedOp {
@@ -168,7 +161,6 @@ impl SharedOp {
             fixed: solver.tick_inputs().0.to_vec(),
             per_lane,
             backend,
-            fast_math,
         }
     }
 
@@ -281,10 +273,9 @@ impl Chunk {
     /// `t = self_w·T_i + ΔT_power`, then `+= w_j·T_src(j)` in operator
     /// order — run as row sweeps by `super::simd` on the operator's
     /// stamped backend. Lanes are independent, so the sweep reorders
-    /// nothing within a lane; in default (non-fast-math) mode every
-    /// backend is bit-identical to the scalar path. `fixed` rows are
-    /// already valid in both buffers (see [`BatchSet::begin_tick`]) and
-    /// are skipped outright.
+    /// nothing within a lane and every backend is bit-identical to the
+    /// scalar kernel. `fixed` rows are already valid in both buffers
+    /// (see [`BatchSet::begin_tick`]) and are skipped outright.
     pub(crate) fn tick(&mut self, op: &SharedOp) {
         debug_assert_eq!(self.cur.as_ptr() as usize % MATRIX_ALIGN, 0);
         debug_assert_eq!(self.next.as_ptr() as usize % MATRIX_ALIGN, 0);
@@ -297,7 +288,6 @@ impl Chunk {
         for _ in 0..op.substeps {
             simd::substep(
                 op.backend,
-                op.fast_math,
                 Sweep {
                     n: op.n,
                     lanes: self.stride,
@@ -338,11 +328,9 @@ impl Group {
         members: &[usize],
         machines: &mut [Solver],
         backend: SimdBackend,
-        fast_math: bool,
     ) -> Option<Group> {
         let per_lane = key.per_lane_substeps.is_some();
-        let op =
-            SharedOp::from_representative(&mut machines[members[0]], per_lane, backend, fast_math);
+        let op = SharedOp::from_representative(&mut machines[members[0]], per_lane, backend);
         let verified: Vec<usize> = members
             .iter()
             .copied()
@@ -397,13 +385,9 @@ pub(crate) struct BatchSet {
     /// compared (and updated) in place every tick; empty until the
     /// first plan.
     signature: Vec<Signature>,
-    /// Lane-sweep backend for every chunk tick. Defaults to the
-    /// process-wide [`SimdBackend::select`]; bit-identical across
-    /// backends in default mode.
+    /// Lane-sweep backend for every chunk tick. Defaults to
+    /// [`SimdBackend::detect`]; bit-identical across backends.
     backend: SimdBackend,
-    /// Opt-in fast-math lane mode (FMA contraction; bounded divergence
-    /// instead of bit-identity).
-    fast_math: bool,
 }
 
 impl BatchSet {
@@ -412,8 +396,7 @@ impl BatchSet {
             groups: Vec::new(),
             membership: vec![false; n_machines],
             signature: Vec::new(),
-            backend: SimdBackend::select(),
-            fast_math: false,
+            backend: SimdBackend::detect(),
         }
     }
 
@@ -430,19 +413,6 @@ impl BatchSet {
         self.backend = backend;
         for group in &mut self.groups {
             group.op.backend = backend;
-        }
-    }
-
-    /// Whether fast-math lane sweeps are enabled.
-    pub(crate) fn fast_math(&self) -> bool {
-        self.fast_math
-    }
-
-    /// Toggles fast-math lane sweeps, restamping existing operators.
-    pub(crate) fn set_fast_math(&mut self, fast: bool) {
-        self.fast_math = fast;
-        for group in &mut self.groups {
-            group.op.fast_math = fast;
         }
     }
 
@@ -515,8 +485,7 @@ impl BatchSet {
                 .remove(&key)
                 .filter(|group| group.members == *members)
                 .and_then(|mut group| group.refresh_weights(machines).then_some(group));
-            let Some(group) =
-                kept.or_else(|| Group::build(key, members, machines, self.backend, self.fast_math))
+            let Some(group) = kept.or_else(|| Group::build(key, members, machines, self.backend))
             else {
                 continue;
             };

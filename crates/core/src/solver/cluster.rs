@@ -365,21 +365,19 @@ impl ClusterSolver {
     }
 
     /// The SIMD backend the batched lane sweeps run on. Defaults to the
-    /// widest instruction set the host supports (overridable process-wide
-    /// via the `MERCURY_SIMD` environment variable; see
-    /// [`SimdBackend::select`]).
+    /// widest instruction set the host supports
+    /// ([`SimdBackend::detect`]).
     pub fn simd_backend(&self) -> SimdBackend {
         self.batch.backend()
     }
 
     /// Forces the batched lane sweeps onto a specific [`SimdBackend`].
     ///
-    /// In default (non-fast-math) mode every backend is bit-identical —
-    /// this switch exists for benchmarking and for pinning down a
-    /// suspect path (like [`ClusterSolver::set_batching`]), and it is
-    /// how the equivalence suites force each backend on one host. Takes
-    /// effect on the next tick; the `mercury_solver_simd_lane_width`
-    /// gauge follows.
+    /// Every backend is bit-identical — this switch exists for
+    /// benchmarking and for pinning down a suspect path (like
+    /// [`ClusterSolver::set_batching`]), and it is how the equivalence
+    /// suites force each backend on one host. Takes effect on the next
+    /// tick; the `mercury_solver_simd_lane_width` gauge follows.
     ///
     /// # Errors
     ///
@@ -398,26 +396,6 @@ impl ClusterSolver {
             .simd_lane_width
             .set(backend.lane_width() as f64);
         Ok(())
-    }
-
-    /// Enables or disables **fast-math lane sweeps** on the batched path
-    /// (default: disabled).
-    ///
-    /// Fast-math permits FMA contraction and reassociated accumulation
-    /// in the chunk sub-step, trading the repo's bit-identity invariant
-    /// for peak replay throughput. Trajectories stay within the bounded
-    /// divergence documented in `DESIGN.md` §"Vectorized lane sweeps"
-    /// (|ΔT| ≤ ~1e-8 °C over 5k-tick replays, enforced by
-    /// `tests/fast_math_divergence.rs`); machines on the per-machine
-    /// path are unaffected. Leave this off when exact repeatability
-    /// across hosts matters more than the last ~10% of throughput.
-    pub fn set_fast_math(&mut self, on: bool) {
-        self.batch.set_fast_math(on);
-    }
-
-    /// Whether fast-math lane sweeps are enabled.
-    pub fn fast_math(&self) -> bool {
-        self.batch.fast_math()
     }
 
     /// Number of machines stepped on the batched path in the most recent

@@ -59,8 +59,8 @@ pub struct SolverMetrics {
     /// counts as one; only changes that move the flows (fan speed, air
     /// fractions) add more.
     pub flow_recomputes: Counter,
-    /// `mercury_solver_simd_lane_width` — `f64` lanes per vector block
-    /// in the batched sweep's active SIMD backend (1 = scalar). Set at
+    /// `mercury_solver_simd_lane_width` — `f64` lanes per vector
+    /// register at the batched sweep's active SIMD level. Set at
     /// cluster construction and on
     /// [`super::ClusterSolver::set_simd_backend`].
     pub simd_lane_width: Gauge,
@@ -102,7 +102,7 @@ impl SolverMetrics {
         );
         registry.register_gauge(
             "mercury_solver_simd_lane_width",
-            "f64 lanes per vector block in the batched sweep's SIMD backend",
+            "f64 lanes per vector register at the batched sweep's SIMD level",
             &[],
             &self.simd_lane_width,
         );

@@ -40,11 +40,10 @@
 //! operator, or, for machines a fan/heat-k/air-fraction fiddle has
 //! diverged from their model, over per-lane operator weights —
 //! bit-identical to per-machine stepping (see
-//! [`ClusterSolver::set_batching`]). The lane sweeps run explicitly
-//! vectorized (the private `simd` module; [`SimdBackend`]) with a
-//! runtime-detected instruction set, still bit-identical by default,
-//! plus an opt-in bounded-divergence fast-math mode
-//! ([`ClusterSolver::set_fast_math`]).
+//! [`ClusterSolver::set_batching`]). The lane sweep is one safe body
+//! (the private `simd` module) compiled at the target's baseline and,
+//! on x86-64, for AVX2 and AVX-512; the widest level the host has is
+//! detected at run time ([`SimdBackend`]) and all are bit-identical.
 //!
 //! Parallel cluster ticks run on a persistent worker pool (the private
 //! `pool` module) — workers spawn once and park between ticks — and

@@ -87,8 +87,8 @@ proptest! {
     /// Batched and per-machine stepping are bit-identical on a mixed
     /// cluster (replicas + structural variants + a mid-run fan fiddle +
     /// a forced inlet), at thread counts 1, 2 and 3, on every SIMD
-    /// backend the host supports (unsupported draws fall back to
-    /// scalar, so every backend index is a valid case everywhere).
+    /// backend the host supports (unsupported draws fall back to the
+    /// baseline, so every backend index is a valid case everywhere).
     #[test]
     fn batched_matches_per_machine_on_mixed_clusters(
         replicated in 3usize..8,
@@ -100,7 +100,7 @@ proptest! {
         backend_idx in 0usize..SimdBackend::ALL.len(),
     ) {
         let backend = SimdBackend::ALL[backend_idx];
-        let backend = if backend.supported() { backend } else { SimdBackend::Scalar };
+        let backend = if backend.supported() { backend } else { SimdBackend::Baseline };
         let cluster = presets::mixed_cluster(replicated, unique);
         let baseline = scripted_run(
             &cluster, false, 1, None, &utils, fiddle_machine, fiddle_tick, 30,
@@ -127,10 +127,10 @@ proptest! {
 }
 
 /// Every supported SIMD backend is bit-identical to the per-machine
-/// path at lane counts that stress remainder handling: cluster sizes
+/// path at lane counts that stress the dead-lane padding: cluster sizes
 /// 2, 3, 31, 32 and 33 produce chunks of 1 (the 33rd machine's
-/// remainder chunk), 2, 3, 31 and a full 32 lanes, covering every
-/// `lanes % width` residue for 2-, 4- and 8-wide blocks.
+/// remainder chunk), 2, 3, 31 and a full 32 live lanes, so strides of
+/// one narrow block and of one wide block, full and part-dead.
 #[test]
 fn batched_backends_match_at_odd_lane_counts() {
     let utils = [0.85, 0.15, 0.6, 0.4, 0.95];
@@ -161,27 +161,20 @@ fn batched_backends_match_at_odd_lane_counts() {
 }
 
 /// Forcing an unsupported backend is a checked error; the selected
-/// backend and the lane-width gauge stay put.
+/// backend and the lane-width gauge stay put. (An AVX-512 host supports
+/// all three levels and has nothing to reject.)
 #[test]
 fn batch_backend_selection_is_validated() {
     let cluster = presets::validation_cluster(4);
     let mut s = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
-    let host_default = s.simd_backend();
-    assert!(host_default.supported());
-    // Scalar is supported everywhere; at least one of the vector
-    // backends must be rejected on any single-architecture host.
-    s.set_simd_backend(SimdBackend::Scalar).unwrap();
-    assert_eq!(s.simd_backend(), SimdBackend::Scalar);
-    let unsupported: Vec<SimdBackend> = SimdBackend::ALL
-        .into_iter()
-        .filter(|b| !b.supported())
-        .collect();
-    assert!(!unsupported.is_empty(), "no host supports every backend");
-    for backend in unsupported {
+    assert_eq!(s.simd_backend(), SimdBackend::detect());
+    s.set_simd_backend(SimdBackend::Baseline).unwrap();
+    assert_eq!(s.simd_backend(), SimdBackend::Baseline);
+    for backend in SimdBackend::ALL.into_iter().filter(|b| !b.supported()) {
         assert!(s.set_simd_backend(backend).is_err());
         assert_eq!(
             s.simd_backend(),
-            SimdBackend::Scalar,
+            SimdBackend::Baseline,
             "rejected switch stuck"
         );
     }
@@ -377,7 +370,7 @@ proptest! {
     /// heat-k and air-fraction commands, pins, releases and utilization
     /// changes against a subset of the machines, repeatedly: batched
     /// stepping is bit-identical to per-machine stepping on every
-    /// backend (unsupported draws fall back to scalar).
+    /// backend (unsupported draws fall back to the baseline).
     #[test]
     fn batch_fiddled_rooms_match_per_machine(
         machines in 1usize..=70,
@@ -387,7 +380,7 @@ proptest! {
         backend_idx in 0usize..SimdBackend::ALL.len(),
     ) {
         let backend = SimdBackend::ALL[backend_idx];
-        let backend = if backend.supported() { backend } else { SimdBackend::Scalar };
+        let backend = if backend.supported() { backend } else { SimdBackend::Baseline };
         let cluster = presets::recirculating_cluster(machines, 0.25);
         let script: Vec<Event> = script
             .into_iter()

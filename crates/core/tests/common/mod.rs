@@ -1,8 +1,8 @@
 //! Script machinery shared by the diverged-room equivalence suites
-//! (`batch_equivalence.rs`, `pool_equivalence.rs`,
-//! `fast_math_divergence.rs`): a room whose machines are fan-, heat-k-
-//! and air-fraction-fiddled, pinned and released mid-run, driven the
-//! same way through differently configured solvers.
+//! (`batch_equivalence.rs`, `pool_equivalence.rs`): a room whose
+//! machines are fan-, heat-k- and air-fraction-fiddled, pinned and
+//! released mid-run, driven the same way through differently configured
+//! solvers.
 
 #![allow(dead_code)] // each suite uses its own subset
 
@@ -78,7 +78,6 @@ pub struct Setup {
     pub batching: bool,
     pub threads: usize,
     pub backend: Option<SimdBackend>,
-    pub fast_math: bool,
     /// `step_for` between events instead of one `step` per tick.
     pub fused: bool,
     /// Before this tick: checkpoint, restore into a fresh solver,
@@ -92,7 +91,6 @@ impl Setup {
         batching: false,
         threads: 1,
         backend: None,
-        fast_math: false,
         fused: false,
         restore_at: None,
     };
@@ -110,7 +108,6 @@ impl Setup {
         if let Some(backend) = self.backend {
             s.set_simd_backend(backend).unwrap();
         }
-        s.set_fast_math(self.fast_math);
         s
     }
 }

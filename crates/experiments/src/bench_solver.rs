@@ -16,9 +16,7 @@ use crate::common::{measured, paper, verdict};
 use mercury::model::{AirKind, ClusterEndpoint, ClusterModel, MachineModel};
 use mercury::physics;
 use mercury::presets::{self, nodes};
-use mercury::solver::{
-    air_flows, required_substeps, ClusterSolver, SimdBackend, Solver, SolverConfig,
-};
+use mercury::solver::{air_flows, required_substeps, ClusterSolver, Solver, SolverConfig};
 use mercury::units::{Celsius, KilogramsPerSecond, Seconds, Utilization};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -317,33 +315,6 @@ fn time_replay(n: usize, ticks: usize, fused: bool, runs: usize) -> Result<f64> 
         } else {
             time(|| (0..ticks).for_each(|_| s.step()))
         });
-    }
-    Ok(best)
-}
-
-/// Best-of-`runs` wall time for a `ticks`-tick fused replay of the
-/// 1024-machine batched cluster on one SIMD backend, with fast-math on
-/// or off — the per-backend × per-lane-width evidence behind the
-/// `simd` section of `BENCH_solver.json`.
-fn time_simd_backend(
-    n: usize,
-    ticks: usize,
-    backend: SimdBackend,
-    fast_math: bool,
-    runs: usize,
-) -> Result<f64> {
-    let model = presets::validation_cluster(n);
-    let mut s = ClusterSolver::new(&model, SolverConfig::default())?;
-    s.set_threads(1);
-    s.set_simd_backend(backend)?;
-    s.set_fast_math(fast_math);
-    for i in 1..=n {
-        s.set_utilization(&format!("machine{i}"), nodes::CPU, 0.7)?;
-    }
-    s.step_for(20); // warm-up (also builds the batch plan)
-    let mut best = f64::INFINITY;
-    for _ in 0..runs {
-        best = best.min(time(|| s.step_for(ticks)));
     }
     Ok(best)
 }
@@ -671,45 +642,6 @@ pub fn bench_solver() -> Result {
         fused_speedup_1024,
     );
 
-    // --- SIMD lane sweeps: per backend × lane width, fast-math A/B -------
-    // Fused 600-tick replays of the 1024-machine room, best of 3 per
-    // configuration: every backend the host supports in exact mode,
-    // then fast-math on the auto-selected backend. The scalar row is
-    // the reference path (`MERCURY_SIMD=scalar`); the selected vector
-    // backend being slower than it is a hard failure.
-    let simd_ticks = 600usize;
-    let simd_runs = 3usize;
-    let selected = SimdBackend::select();
-    let mut backend_rows = Vec::new();
-    let mut scalar_tps = 0.0f64;
-    let mut selected_tps = 0.0f64;
-    for backend in SimdBackend::ALL.into_iter().filter(|b| b.supported()) {
-        let secs = time_simd_backend(1024, simd_ticks, backend, false, simd_runs)?;
-        let tps = simd_ticks as f64 / secs;
-        if backend == SimdBackend::Scalar {
-            scalar_tps = tps;
-        }
-        if backend == selected {
-            selected_tps = tps;
-        }
-        backend_rows.push(format!(
-            "      \"{}\": {{ \"lane_width\": {}, \"seconds\": {secs:.3}, \"ticks_per_sec\": {tps:.1} }}",
-            backend.name(),
-            backend.lane_width()
-        ));
-    }
-    let fast_s = time_simd_backend(1024, simd_ticks, selected, true, simd_runs)?;
-    let fast_tps = simd_ticks as f64 / fast_s;
-    let vector_vs_scalar = selected_tps / scalar_tps;
-    let fast_vs_exact = fast_tps / selected_tps;
-    let simd_json = format!(
-        "\"simd\": {{\n    \"model\": \"validation_cluster(1024)\",\n    \"ticks\": {simd_ticks},\n    \"runs\": {simd_runs},\n    \"threads\": 1,\n    \"selected_backend\": \"{}\",\n    \"selected_lane_width\": {},\n    \"backends\": {{\n{}\n    }},\n    \"fast_math\": {{ \"backend\": \"{}\", \"seconds\": {fast_s:.3}, \"ticks_per_sec\": {fast_tps:.1}, \"speedup_vs_exact\": {fast_vs_exact:.2} }},\n    \"vector_vs_scalar_speedup\": {vector_vs_scalar:.2}\n  }}",
-        selected.name(),
-        selected.lane_width(),
-        backend_rows.join(",\n"),
-        selected.name(),
-    );
-
     // --- telemetry overhead: instrumented vs switched-off, best of 3 -----
     let telem_ticks = 1200usize;
     let telem_runs = 3usize;
@@ -780,7 +712,7 @@ pub fn bench_solver() -> Result {
     let replay_json = replay_bench.to_json();
 
     let json = format!(
-        "{{\n  \"hardware\": {{ \"cores\": {cores}, \"peak_rss_bytes\": {rss} }},\n  \"single_machine\": {{\n    \"model\": \"validation_machine\",\n    \"ticks\": {ticks},\n    \"reference_ticks_per_sec\": {machine_ref_tps:.1},\n    \"kernel_ticks_per_sec\": {machine_kern_tps:.1},\n    \"speedup\": {machine_speedup:.2}\n  }},\n  \"cluster_64\": {{\n    \"model\": \"validation_cluster(64)\",\n    \"ticks\": {cluster_ticks},\n    \"reference_seconds\": {cluster_ref_s:.3},\n    \"kernel_serial_seconds\": {cluster_serial_s:.3},\n    \"kernel_batched_seconds\": {cluster_batched_s:.3},\n    {parallel_json},\n    \"reference_ticks_per_sec\": {cluster_ref_tps:.1},\n    \"kernel_serial_ticks_per_sec\": {cluster_serial_tps:.1},\n    \"kernel_batched_ticks_per_sec\": {cluster_batched_tps:.1},\n    \"speedup_vs_reference\": {cluster_speedup:.2}\n  }},\n  {s256},\n  {s1024},\n  {fused_256_json},\n  {fused_1024_json},\n  {simd_json},\n  {telemetry_json},\n  {trace_json},\n  {sampler_json},\n  {replay_json}\n}}\n"
+        "{{\n  \"hardware\": {{ \"cores\": {cores}, \"peak_rss_bytes\": {rss} }},\n  \"single_machine\": {{\n    \"model\": \"validation_machine\",\n    \"ticks\": {ticks},\n    \"reference_ticks_per_sec\": {machine_ref_tps:.1},\n    \"kernel_ticks_per_sec\": {machine_kern_tps:.1},\n    \"speedup\": {machine_speedup:.2}\n  }},\n  \"cluster_64\": {{\n    \"model\": \"validation_cluster(64)\",\n    \"ticks\": {cluster_ticks},\n    \"reference_seconds\": {cluster_ref_s:.3},\n    \"kernel_serial_seconds\": {cluster_serial_s:.3},\n    \"kernel_batched_seconds\": {cluster_batched_s:.3},\n    {parallel_json},\n    \"reference_ticks_per_sec\": {cluster_ref_tps:.1},\n    \"kernel_serial_ticks_per_sec\": {cluster_serial_tps:.1},\n    \"kernel_batched_ticks_per_sec\": {cluster_batched_tps:.1},\n    \"speedup_vs_reference\": {cluster_speedup:.2}\n  }},\n  {s256},\n  {s1024},\n  {fused_256_json},\n  {fused_1024_json},\n  {telemetry_json},\n  {trace_json},\n  {sampler_json},\n  {replay_json}\n}}\n"
     );
     std::fs::write("BENCH_solver.json", &json)?;
     println!("wrote BENCH_solver.json");
@@ -819,31 +751,6 @@ pub fn bench_solver() -> Result {
     verdict(
         fused_speedup_1024 >= 1.3,
         "1024-machine steady-state 10k-tick replay ≥1.3× over per-tick stepping",
-    );
-    measured(&format!(
-        "SIMD lane sweeps, 1024-machine fused replay: scalar {scalar_tps:.0} ticks/s, {} (w{}) {selected_tps:.0} ticks/s ({vector_vs_scalar:.2}×), fast-math {fast_tps:.0} ticks/s ({fast_vs_exact:.2}× vs exact)",
-        selected.name(),
-        selected.lane_width(),
-    ));
-    verdict(
-        vector_vs_scalar >= 1.0,
-        "selected vector backend is not slower than the scalar sweep",
-    );
-    if vector_vs_scalar < 1.0 {
-        return Err(format!(
-            "selected SIMD backend {} ({selected_tps:.1} ticks/s) is slower than \
-             the scalar sweep ({scalar_tps:.1} ticks/s)",
-            selected.name()
-        )
-        .into());
-    }
-    verdict(
-        vector_vs_scalar >= 2.0,
-        "bit-exact vector sweep ≥2× the scalar batched 1024-machine replay",
-    );
-    verdict(
-        fast_vs_exact >= 0.98,
-        "fast-math lane mode at least matches the bit-exact vector path",
     );
     measured(&format!(
         "telemetry overhead, 256-machine batched tick: instrumented {instrumented_s:.3} s vs off {uninstrumented_s:.3} s ({overhead_pct:+.2}%)"

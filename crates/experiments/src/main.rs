@@ -79,6 +79,13 @@ fn run(command: &str) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn run_with(command: &str, args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    // One subcommand per invocation: in `fig11 fig12` nothing would read
+    // `fig12`, and a word dropped silently looks like a run that happened.
+    if !matches!(command, "scenarios" | "replay") {
+        if let Some(extra) = args.first() {
+            return Err(format!("unexpected argument `{extra}` after `{command}`\n{USAGE}").into());
+        }
+    }
     match command {
         "scenarios" => scenarios::scenarios(args),
         "table1" => misc::table1(),
@@ -129,5 +136,36 @@ fn run_with(command: &str, args: &[String]) -> Result<(), Box<dyn std::error::Er
             Ok(())
         }
         other => Err(format!("unknown subcommand `{other}`\n{USAGE}").into()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn words(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    #[test]
+    fn trailing_words_are_rejected_with_the_usage_text() {
+        let err = run_with("fig11", &words(&["fig12"]))
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("unexpected argument `fig12` after `fig11`"),
+            "{err}"
+        );
+        assert!(err.contains(USAGE), "{err}");
+    }
+
+    /// The flags still reach the subcommands that take them: `--fast`
+    /// parses, and the run stops at the scenario lookup.
+    #[test]
+    fn scenarios_flags_still_parse() {
+        let err = run_with("scenarios", &words(&["--fast", "--scenario", "no_such"]))
+            .unwrap_err()
+            .to_string();
+        assert_eq!(err, "no scenario named `no_such`");
     }
 }
