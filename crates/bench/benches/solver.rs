@@ -117,6 +117,59 @@ fn bench_solver(c: &mut Criterion) {
         });
     });
 
+    // The input-carrying half of `replay_churn` alone (no fan commands):
+    // two cells of every machine change on every tick, ten ticks per
+    // iteration — through the solvers and one `step()` per tick, or as
+    // one `step_for_fed` span that prices them in the chunk lanes.
+    for fed in [false, true] {
+        let name = format!("cluster1024_churn_{}", if fed { "fed" } else { "step" });
+        c.bench_function(&name, |b| {
+            let cluster = presets::validation_cluster(1024);
+            let mut solver = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
+            solver.set_threads(1);
+            let cells = [nodes::CPU, nodes::DISK_PLATTERS]
+                .map(|c| solver.machine_at(0).node_index(c).unwrap());
+            let u = |tick: usize, m: usize, c: usize| {
+                ((tick * 31 + m * 17 + c * 7) % 100) as f64 / 100.0
+            };
+            let mut tick = 0usize;
+            b.iter(|| {
+                if fed {
+                    solver
+                        .step_for_fed(
+                            10,
+                            &[],
+                            |_, _| {},
+                            |inputs| {
+                                for m in 0..1024 {
+                                    for (c, &node) in cells.iter().enumerate() {
+                                        inputs.set_utilization_at(m, node, u(tick, m, c))?;
+                                    }
+                                }
+                                tick += 1;
+                                Ok(true)
+                            },
+                        )
+                        .unwrap();
+                } else {
+                    for _ in 0..10 {
+                        for m in 0..1024 {
+                            for (c, &node) in cells.iter().enumerate() {
+                                solver
+                                    .machine_at_mut(m)
+                                    .set_utilization_at(node, u(tick, m, c))
+                                    .unwrap();
+                            }
+                        }
+                        solver.step();
+                        tick += 1;
+                    }
+                }
+                black_box(solver.time());
+            });
+        });
+    }
+
     // The batched 1024-machine tick at every compile level of the lane
     // sweep the host supports.
     for backend in SimdBackend::ALL.into_iter().filter(|b| b.supported()) {

@@ -434,6 +434,12 @@ impl ScriptRunner {
         out
     }
 
+    /// When the next command that has not fired yet falls due, or `None`
+    /// once every event has fired.
+    pub fn next_due(&self) -> Option<Seconds> {
+        self.events.get(self.next).map(|e| e.at)
+    }
+
     /// Whether every event has fired.
     pub fn is_finished(&self) -> bool {
         self.next >= self.events.len()

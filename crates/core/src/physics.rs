@@ -61,9 +61,20 @@ impl PowerModel {
     pub fn power(&self, utilization: Utilization) -> Watts {
         let u = utilization.fraction();
         match self {
-            PowerModel::Linear { base, max } => Watts(base.0 + u * (max.0 - base.0)),
+            PowerModel::Linear { base, max } => Watts(linear_power(base.0, max.0 - base.0, u)),
             PowerModel::Constant(w) => *w,
             PowerModel::Table(points) => interpolate_table(points, u),
+        }
+    }
+
+    /// `(P_base, P_max − P_base)` of a [`PowerModel::Linear`] model —
+    /// what [`linear_power`] takes — or `None` for the other forms. The
+    /// batched solver keeps these per chunk lane so that it can price a
+    /// utilization where the sweep consumes it.
+    pub fn linear_coefficients(&self) -> Option<(f64, f64)> {
+        match self {
+            PowerModel::Linear { base, max } => Some((base.0, max.0 - base.0)),
+            PowerModel::Constant(_) | PowerModel::Table(_) => None,
         }
     }
 
@@ -116,6 +127,15 @@ impl PowerModel {
             }
         }
     }
+}
+
+/// Equation 4 in Watts: `P(u) = P_base + u · span`, with
+/// `span = P_max − P_base`. The one place the expression is written:
+/// [`PowerModel::power`] and the batched solver's in-lane pricing both
+/// call it, so the two cannot drift apart by a rounding.
+#[inline]
+pub fn linear_power(base: f64, span: f64, u: f64) -> f64 {
+    base + u * span
 }
 
 fn interpolate_table(points: &[(Utilization, Watts)], u: f64) -> Watts {
@@ -204,6 +224,23 @@ mod tests {
         assert!((half.0 - 19.0).abs() < 1e-12);
         assert_eq!(cpu.base(), Watts(7.0));
         assert_eq!(cpu.max(), Watts(31.0));
+    }
+
+    #[test]
+    fn linear_coefficients_reproduce_power_bit_for_bit() {
+        let cpu = PowerModel::linear(7.0, 31.0);
+        let (base, span) = cpu.linear_coefficients().unwrap();
+        for u in [0.0, 0.1, 1.0 / 3.0, 0.73, 1.0] {
+            assert_eq!(
+                linear_power(base, span, u).to_bits(),
+                cpu.power(Utilization::new(u)).0.to_bits()
+            );
+        }
+        assert!(PowerModel::Constant(Watts(40.0))
+            .linear_coefficients()
+            .is_none());
+        let table = PowerModel::Table(vec![(Utilization::new(0.0), Watts(10.0))]);
+        assert!(table.linear_coefficients().is_none());
     }
 
     #[test]

@@ -71,6 +71,27 @@
 //! tick, because the room graph rewrites inlets every tick. A lane's
 //! weight column is rewritten when its solver's rebuild epoch moved,
 //! which [`BatchSet::plan`] sees because the epoch is in the signature.
+//!
+//! ## Inputs that arrive inside a span
+//!
+//! Between the ticks of a fused span the chunk is the only copy of its
+//! lanes' state, so a utilization that lands there
+//! ([`super::TickInputs`]) is priced where it is consumed. Each chunk
+//! carries `[monitored components × stride]` rows of the lane's linear
+//! power coefficients `(P_base, P_max − P_base)` — read from the
+//! solvers when the chunk is first fed and after `set_power_model`,
+//! never on an ordinary repriced gather — and of pending utilizations, beside
+//! `[components × stride]` rows of the per-sub-step heat `q`.
+//! [`BatchSet::price_lane`] computes
+//! `q = (P_base + u·(P_max − P_base))·dt_sub` with the function
+//! `PowerModel::power` itself calls, stores `q` and `q·inv_capacity`,
+//! and remembers `u`; the lane's generated heat is re-summed from the
+//! `q` rows by the next [`Chunk::tick`], and [`BatchSet::finish_span`]
+//! hands the remembered utilizations to the member solvers. A cell with
+//! no linear coefficients (a `Table` or `Constant` model, a component
+//! the group's representative does not monitor) is priced by its solver
+//! instead and only the resulting heat is written
+//! ([`BatchSet::write_lane_heat`]) — decided per cell, from the rows.
 
 use super::aligned::{AlignedVec, MATRIX_ALIGN};
 use super::kernel::AssembledOp;
@@ -141,6 +162,19 @@ pub(crate) struct SharedOp {
     inv_capacity: Vec<f64>,
     fixed: Vec<bool>,
     per_lane: bool,
+    /// Seconds per sub-step: what generated heat is priced against.
+    dt_sub: f64,
+    /// Component node indices in node order (structural, so shared)
+    /// and each node's row in the chunks' `[components × stride]` heat
+    /// matrix ([`NO_ROW`] for air regions).
+    components: Vec<usize>,
+    component_row: Vec<u32>,
+    /// The components the representative monitors — the ones a feed may
+    /// set — and each node's row in the `[monitored × stride]` pricing
+    /// matrices. Monitoring is not part of the fingerprint; a lane that
+    /// monitors something else is priced by its solver.
+    monitored: Vec<usize>,
+    monitored_row: Vec<u32>,
     /// Lane-sweep backend, stamped from the owning [`BatchSet`] so a
     /// pool work item `(op, chunk)` carries everything a tick needs.
     backend: SimdBackend,
@@ -148,8 +182,22 @@ pub(crate) struct SharedOp {
 
 impl SharedOp {
     fn from_representative(solver: &mut Solver, per_lane: bool, backend: SimdBackend) -> Self {
+        let fixed = solver.tick_inputs().0.to_vec();
+        let components = solver.component_nodes().to_vec();
+        let monitored: Vec<usize> = components
+            .iter()
+            .copied()
+            .filter(|&i| solver.is_monitored_at(i))
+            .collect();
         let op = solver.compiled_kernel().assembled_op();
         let weights = |w: &[f64]| if per_lane { Vec::new() } else { w.to_vec() };
+        let rows = |nodes: &[usize]| {
+            let mut row_of = vec![NO_ROW; op.n];
+            for (row, &i) in nodes.iter().enumerate() {
+                row_of[i] = row as u32;
+            }
+            row_of
+        };
         SharedOp {
             n: op.n,
             substeps: op.substeps,
@@ -158,8 +206,13 @@ impl SharedOp {
             op_w: weights(op.op_w),
             self_w: weights(op.self_w),
             inv_capacity: op.inv_capacity.to_vec(),
-            fixed: solver.tick_inputs().0.to_vec(),
+            fixed,
             per_lane,
+            dt_sub: op.dt_sub,
+            component_row: rows(&components),
+            components,
+            monitored_row: rows(&monitored),
+            monitored,
             backend,
         }
     }
@@ -173,6 +226,7 @@ impl SharedOp {
     fn matches(&self, op: &AssembledOp<'_>) -> bool {
         self.n == op.n
             && self.substeps == op.substeps
+            && self.dt_sub.to_bits() == op.dt_sub.to_bits()
             && self.op_off == op.op_off
             && self.op_src == op.op_src
             && bits_eq(&self.inv_capacity, op.inv_capacity)
@@ -180,9 +234,51 @@ impl SharedOp {
     }
 }
 
+/// A node with no row in a `[components × stride]` or
+/// `[monitored × stride]` matrix.
+const NO_ROW: u32 = u32::MAX;
+
 fn bits_eq(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
+
+/// One monitored component on one lane, as the chunk prices it.
+#[derive(Debug, Clone, Copy)]
+struct PricedCell {
+    /// Linear power coefficients `P_base` and `P_max − P_base`; NaN
+    /// where the member solver has to price the cell.
+    base: f64,
+    span: f64,
+    /// A utilization priced in the lane and not yet handed to the
+    /// member solver; NaN when there is none.
+    pending: f64,
+}
+
+impl PricedCell {
+    const SOLVER_PRICED: PricedCell = PricedCell {
+        base: f64::NAN,
+        span: f64::NAN,
+        pending: f64::NAN,
+    };
+}
+
+/// Reads one lane's linear power coefficients from its solver into the
+/// `[monitored × stride]` matrix `priced`, column `l`.
+fn load_coefficients(
+    priced: &mut [PricedCell],
+    stride: usize,
+    l: usize,
+    op: &SharedOp,
+    solver: &Solver,
+) {
+    for (row, &i) in op.monitored.iter().enumerate() {
+        let cell = &mut priced[row * stride + l];
+        (cell.base, cell.span) = solver.lane_pricing(i).unwrap_or((f64::NAN, f64::NAN));
+    }
+}
+
+// `Chunk::fed` has one bit per lane.
+const _: () = assert!(CHUNK_LANES <= u32::BITS as usize);
 
 /// One chunk of a batch group: up to [`CHUNK_LANES`] machines stepped
 /// together over node-major state matrices.
@@ -211,9 +307,23 @@ pub(crate) struct Chunk {
     /// The rebuild epoch each lane's weight column was copied at (0 =
     /// never); empty in a shared-operator group.
     epochs: Vec<u64>,
+    /// `[components × stride]` per-sub-step heat `q` of every lane's
+    /// components (`power_dt` holds `q·inv_capacity`), kept so that a
+    /// lane's generated heat can be re-summed after one cell changed.
+    power_q: Vec<f64>,
+    /// `[monitored × stride]` cells this chunk may price itself (see
+    /// the module docs); empty until a feed first writes to the chunk,
+    /// so a room that only ever steps per tick never carries them.
+    priced: Vec<PricedCell>,
+    /// Lanes (bit `l`) with a pending utilization in `priced`.
+    fed: u32,
     /// Per-lane heat generated over the tick (Joules), for
-    /// [`Solver::finish_tick_span`] bookkeeping.
+    /// [`Solver::finish_tick_span`] bookkeeping: `Σ q` in node order
+    /// times the sub-step count, re-summed by the next [`Chunk::tick`]
+    /// whenever `power_q` changed (`resum`) — so it always reads the
+    /// heat of the last tick run, never of inputs not yet stepped.
     generated: Vec<f64>,
+    resum: bool,
     /// Whether the chunk's matrices already hold every member's state
     /// from the previous tick (see the module docs for what a warm
     /// chunk re-reads).
@@ -234,7 +344,11 @@ impl Chunk {
             op_w: weights(op.op_src.len()),
             self_w: weights(op.n),
             epochs: vec![0; if op.per_lane { lanes } else { 0 }],
+            power_q: vec![0.0; op.components.len() * stride],
+            priced: Vec::new(),
+            fed: 0,
             generated: vec![0.0; lanes],
+            resum: true,
             warm: false,
         }
     }
@@ -265,6 +379,15 @@ impl Chunk {
         true
     }
 
+    /// Sets the per-sub-step heat of component `node` on lane `l`.
+    fn set_heat(&mut self, op: &SharedOp, node: usize, l: usize, q: f64) {
+        let row = op.component_row[node];
+        debug_assert_ne!(row, NO_ROW, "only components generate heat");
+        self.power_q[row as usize * self.stride + l] = q;
+        self.power_dt[node * self.stride + l] = q * op.inv_capacity[node];
+        self.resum = true;
+    }
+
     /// Advances every lane by one tick (all sub-steps). Pure compute on
     /// chunk-owned state plus the shared read-only operator — safe to
     /// run concurrently with other chunks.
@@ -280,6 +403,20 @@ impl Chunk {
         debug_assert_eq!(self.cur.as_ptr() as usize % MATRIX_ALIGN, 0);
         debug_assert_eq!(self.next.as_ptr() as usize % MATRIX_ALIGN, 0);
         debug_assert_eq!(self.power_dt.as_ptr() as usize % MATRIX_ALIGN, 0);
+        if std::mem::take(&mut self.resum) {
+            // Per lane `0.0 + q₀ + q₁ + …` in node order: the scalar
+            // kernel's exact `generated` bookkeeping, less its additions
+            // of the air nodes' +0.0.
+            self.generated.fill(0.0);
+            for row in self.power_q.chunks_exact(self.stride) {
+                for (sum, q) in self.generated.iter_mut().zip(row) {
+                    *sum += q;
+                }
+            }
+            for sum in &mut self.generated {
+                *sum *= op.substeps as f64;
+            }
+        }
         let (op_w, self_w): (&[f64], &[f64]) = if op.per_lane {
             (&self.op_w, &self.self_w)
         } else {
@@ -306,6 +443,10 @@ impl Chunk {
         }
     }
 }
+
+/// A machine's `(group, chunk, lane)` coordinates under the current
+/// plan (see [`BatchSet::lane_map`]).
+pub(crate) type Lane = (u32, u32, u32);
 
 /// One group: the shared operator plus its member chunks.
 #[derive(Debug)]
@@ -540,8 +681,10 @@ impl BatchSet {
                     let solver = &mut machines[m];
                     let repriced = solver.fill_tick_inputs();
                     let rewritten = solver.take_temps_dirty();
+                    let remodelled = solver.take_power_models_dirty();
                     let (fixed, power_q) = solver.tick_inputs();
                     debug_assert_eq!(op.fixed, fixed, "boundary mask diverged within group");
+                    debug_assert_eq!(op.components, solver.component_nodes());
                     let temps = solver.temps();
                     if !chunk.warm || rewritten {
                         for (i, t) in temps.iter().enumerate() {
@@ -558,16 +701,17 @@ impl BatchSet {
                         chunk.next[i * stride + l] = temps[i].0;
                     }
                     if !chunk.warm || repriced {
-                        // `sum_q` accumulates in node order — the scalar
-                        // kernel's exact `generated` bookkeeping, less
-                        // its additions of the air nodes' +0.0.
-                        let mut sum_q = 0.0;
-                        for &i in solver.component_nodes() {
-                            let q = power_q[i];
-                            sum_q += q;
-                            chunk.power_dt[i * stride + l] = q * op.inv_capacity[i];
+                        for (row, &i) in op.components.iter().enumerate() {
+                            chunk.power_q[row * stride + l] = power_q[i];
+                            chunk.power_dt[i * stride + l] = power_q[i] * op.inv_capacity[i];
                         }
-                        chunk.generated[l] = sum_q * op.substeps as f64;
+                        chunk.resum = true;
+                    }
+                    // Not on every repriced gather: a room that changes
+                    // utilizations each tick through its solvers would
+                    // pay for rows only a fed span reads.
+                    if remodelled && !chunk.priced.is_empty() {
+                        load_coefficients(&mut chunk.priced, stride, l, op, solver);
                     }
                 }
                 chunk.warm = true;
@@ -600,19 +744,35 @@ impl BatchSet {
     /// Epilogue of `span` ticks (1 for a per-tick step, more for a
     /// fused replay span — the chunk matrices stayed hot throughout, so
     /// there is exactly one scatter to pay): scatters chunk
-    /// temperatures back into each member solver and books its
-    /// heat/time accounting, exactly as [`Solver::step`]'s epilogue
-    /// does.
+    /// temperatures back into each member solver, hands it the
+    /// utilizations its lane priced during the span (the solver
+    /// reprices them itself at the next gather, as after any
+    /// `set_utilization_at`), and books its heat/time accounting,
+    /// exactly as [`Solver::step`]'s epilogue does.
     pub(crate) fn finish_span(&mut self, machines: &mut [Solver], span: usize) {
         for group in &mut self.groups {
+            let op = &group.op;
             for chunk in &mut group.chunks {
+                let stride = chunk.stride;
                 for (l, &m) in chunk.members.iter().enumerate() {
                     let solver = &mut machines[m];
                     for (i, t) in solver.temps_mut().iter_mut().enumerate() {
-                        t.0 = chunk.cur[i * chunk.stride + l];
+                        t.0 = chunk.cur[i * stride + l];
+                    }
+                    if chunk.fed & (1 << l) != 0 {
+                        for (row, &i) in op.monitored.iter().enumerate() {
+                            let pending = &mut chunk.priced[row * stride + l].pending;
+                            let u = std::mem::replace(pending, f64::NAN);
+                            if !u.is_nan() {
+                                solver
+                                    .set_utilization_at(i, u)
+                                    .expect("only monitored components are priced in the lanes");
+                            }
+                        }
                     }
                     solver.finish_tick_span(chunk.generated[l], span);
                 }
+                chunk.fed = 0;
             }
         }
     }
@@ -621,7 +781,7 @@ impl BatchSet {
     /// current plan, or `None` for machines on the per-machine path.
     /// Built once per fused span so per-tick chunk reads and writes are
     /// straight indexing.
-    pub(crate) fn lane_map(&self, n_machines: usize) -> Vec<Option<(u32, u32, u32)>> {
+    pub(crate) fn lane_map(&self, n_machines: usize) -> Vec<Option<Lane>> {
         let mut map = vec![None; n_machines];
         for (g, group) in self.groups.iter().enumerate() {
             for (c, chunk) in group.chunks.iter().enumerate() {
@@ -669,5 +829,54 @@ impl BatchSet {
             chunk.cur[i * chunk.stride + l as usize] = t;
             chunk.next[i * chunk.stride + l as usize] = t;
         }
+    }
+
+    /// Prices utilization `u` of component `node` on a chunk lane, in
+    /// place (see the module docs); `machines` is the room, read only
+    /// the first time a chunk is fed, for its lanes' coefficients.
+    /// Returns `false`, having written nothing, when the lane has no
+    /// linear coefficients for the cell: the caller then prices it
+    /// through the member solver and calls
+    /// [`BatchSet::write_lane_heat`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range.
+    pub(crate) fn price_lane(
+        &mut self,
+        (g, c, l): Lane,
+        node: usize,
+        u: f64,
+        machines: &[Solver],
+    ) -> bool {
+        let group = &mut self.groups[g as usize];
+        let op = &group.op;
+        let row = op.monitored_row[node];
+        if row == NO_ROW {
+            return false;
+        }
+        let (chunk, l) = (&mut group.chunks[c as usize], l as usize);
+        if chunk.priced.is_empty() {
+            chunk.priced = vec![PricedCell::SOLVER_PRICED; op.monitored.len() * chunk.stride];
+            for (lane, &m) in chunk.members.iter().enumerate() {
+                load_coefficients(&mut chunk.priced, chunk.stride, lane, op, &machines[m]);
+            }
+        }
+        let cell = &mut chunk.priced[row as usize * chunk.stride + l];
+        if cell.span.is_nan() {
+            return false;
+        }
+        cell.pending = u;
+        let q = crate::physics::linear_power(cell.base, cell.span, u) * op.dt_sub;
+        chunk.fed |= 1 << l;
+        chunk.set_heat(op, node, l, q);
+        true
+    }
+
+    /// Writes the per-sub-step heat `q` its solver priced for component
+    /// `node` into a chunk lane.
+    pub(crate) fn write_lane_heat(&mut self, (g, c, l): Lane, node: usize, q: f64) {
+        let group = &mut self.groups[g as usize];
+        group.chunks[c as usize].set_heat(&group.op, node, l as usize, q);
     }
 }

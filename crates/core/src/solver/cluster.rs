@@ -1,7 +1,7 @@
 //! The cluster solver: per-machine solvers coupled by the inter-machine
 //! air-flow graph.
 
-use super::batch::BatchSet;
+use super::batch::{BatchSet, Lane};
 use super::kernel::MixGraph;
 use super::machine::{Solver, SolverConfig};
 use super::metrics::{ClusterMetrics, TICK_LATENCY_SAMPLE};
@@ -31,6 +31,80 @@ const CHUNK_UNITS: usize = 4;
 pub struct ClusterProbe {
     machine: usize,
     node: usize,
+}
+
+/// The inputs of the tick about to run, handed to the feed of
+/// [`ClusterSolver::step_for_fed`] before every tick of a span.
+///
+/// Inputs land at tick boundaries — the semantics `.events` replay and
+/// `monitord`'s once-a-second reports already have — so a span does not
+/// have to end where one changes. Before the span's first tick a write
+/// goes to the machine's [`Solver`]; once the span is in the chunk
+/// lanes it is priced where the lane sweep reads it (`solver::batch`),
+/// and the solver gets the utilization back when the span ends. Either
+/// way the room ends up exactly where
+/// `machine_at_mut(m).set_utilization_at(node, u)` before a
+/// [`ClusterSolver::step`] would have left it.
+#[derive(Debug)]
+pub struct TickInputs<'a> {
+    machines: &'a mut [Solver],
+    /// The chunk matrices and each machine's lane in them; `None`
+    /// before the span's first tick.
+    lanes: Option<(&'a mut BatchSet, &'a [Option<Lane>])>,
+    time: Seconds,
+    changed: bool,
+}
+
+impl TickInputs<'_> {
+    /// Number of machines in the room.
+    pub fn machines(&self) -> usize {
+        self.machines.len()
+    }
+
+    /// Emulated time at the start of the tick these inputs are for.
+    pub fn time(&self) -> Seconds {
+        self.time
+    }
+
+    /// Sets the utilization of the monitored component `node` (from
+    /// [`Solver::node_index`]) of machine `machine` (cluster index),
+    /// from this tick on.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidInput`] when the node is not a monitored
+    /// component, like [`Solver::set_utilization_at`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `machine` or `node` is out of range.
+    pub fn set_utilization_at(
+        &mut self,
+        machine: usize,
+        node: usize,
+        utilization: impl Into<Utilization>,
+    ) -> Result<(), Error> {
+        let u: Utilization = utilization.into();
+        self.changed = true;
+        let in_lane = self
+            .lanes
+            .as_mut()
+            .and_then(|(batch, lanes)| lanes[machine].map(|lane| (batch, lane)));
+        let Some((batch, lane)) = in_lane else {
+            // Before the first tick, or a solo machine: its solver
+            // reprices when it next steps.
+            return self.machines[machine].set_utilization_at(node, u);
+        };
+        if !batch.price_lane(lane, node, u.fraction(), self.machines) {
+            // No linear coefficients for this cell (a table or constant
+            // model, or not a monitored component at all): the solver
+            // validates and prices it, the lane takes the heat.
+            let solver = &mut self.machines[machine];
+            solver.set_utilization_at(node, u)?;
+            batch.write_lane_heat(lane, node, solver.price_node(node));
+        }
+        Ok(())
+    }
 }
 
 /// Emulates the temperatures of an entire machine room (Figure 1c).
@@ -187,10 +261,16 @@ impl ClusterSolver {
         self.machines.iter().map(Solver::machine_name).collect()
     }
 
+    /// The index of the named machine (its position in
+    /// [`ClusterSolver::machine_names`], what
+    /// [`ClusterSolver::machine_at`] takes), or `None` for unknown
+    /// names.
+    pub fn machine_position(&self, name: &str) -> Option<usize> {
+        self.by_name.get(name).copied()
+    }
+
     fn machine_index(&self, name: &str) -> Result<usize, Error> {
-        self.by_name
-            .get(name)
-            .copied()
+        self.machine_position(name)
             .ok_or_else(|| Error::UnknownMachine {
                 name: name.to_string(),
             })
@@ -635,22 +715,26 @@ impl ClusterSolver {
     /// Advances the room by `ticks` ticks.
     ///
     /// For `ticks ≥ 2` this is the fused replay path: the first tick
-    /// runs as a normal [`ClusterSolver::step`] (absorbing any fiddles
-    /// since the last call — the batch plan, flow caches, and priced
-    /// inputs all refresh there), and the remaining `ticks − 1` run as
-    /// one *fused span* inside the kernel/batch layer. Within the span
-    /// no external code can run, so every machine's inputs are provably
-    /// stable: chunk matrices stay hot across ticks (no per-tick
-    /// gather/scatter), inter-machine mixing reads exhausts straight off
-    /// the chunk lanes and writes inlets straight back, solo machines
-    /// skip their idempotent repricing, and plan checks plus sampled
-    /// metrics are paid once per span. The trajectory is bit-identical
-    /// to calling [`ClusterSolver::step`] in a loop — the equivalence
-    /// proptests hold it to that at every thread count. Use
+    /// runs as a normal [`ClusterSolver::step`] and the remaining
+    /// `ticks − 1` run as one *fused span* inside the kernel/batch
+    /// layer. The first tick stays a full step because it is what
+    /// absorbs whatever happened since the last call — fiddles, a
+    /// restore, direct writes to a machine: the batch plan, flow caches,
+    /// kernel rebuilds, priced inputs and the gather all refresh there.
+    /// Within the span no code but the span's own feed can run (see
+    /// [`ClusterSolver::step_for_fed`]; this method's feed does
+    /// nothing), and a feed can only change utilizations, so chunk
+    /// matrices stay hot across ticks (no per-tick gather/scatter),
+    /// inter-machine mixing reads exhausts straight off the chunk lanes
+    /// and writes inlets straight back, solo machines reprice only when
+    /// fed, and plan checks plus sampled metrics are paid once per span.
+    /// The trajectory is bit-identical to calling
+    /// [`ClusterSolver::step`] in a loop — the equivalence proptests
+    /// hold it to that at every thread count. Use
     /// [`ClusterSolver::step_for_recorded`] to observe per-tick history
     /// from inside a span.
     pub fn step_for(&mut self, ticks: usize) {
-        self.replay(ticks, &[], &mut |_, _| {});
+        self.step_for_recorded(ticks, &[], |_, _| {});
     }
 
     /// Serializes the room's full mutable state to a `mercury-ckpt-v1`
@@ -750,17 +834,65 @@ impl ClusterSolver {
     where
         F: FnMut(Seconds, &[Celsius]),
     {
-        self.replay(ticks, probes, &mut sink);
+        self.replay(ticks, probes, &mut sink, &mut |_| Ok(true))
+            .expect("a feed that does nothing cannot fail");
     }
 
+    /// Advances the room by up to `ticks` ticks like
+    /// [`ClusterSolver::step_for_recorded`], calling `feed` before
+    /// every tick with that tick's [`TickInputs`]. A utilization the
+    /// feed sets takes effect from that tick on, exactly as
+    /// `machine_at_mut(m).set_utilization_at(node, u)` followed by
+    /// [`ClusterSolver::step`] would — bit for bit, checkpoint bytes
+    /// included — but the span does not end there: after the first
+    /// tick the change is priced in the chunk lanes (see
+    /// [`TickInputs`]). This is how trace replay keeps a room whose
+    /// every cell changes every tick inside one fused span.
+    ///
+    /// `feed` returns `Ok(false)` to end the span before the tick it
+    /// was called for. Returns the number of ticks stepped.
+    ///
+    /// # Errors
+    ///
+    /// The first error `feed` returns, after the span has been closed
+    /// at the ticks already stepped (state scattered back, time and
+    /// counters booked), so the room is at a consistent tick boundary.
+    /// Inputs set by a call that then ends the span or fails stay set,
+    /// for whatever tick comes next.
+    pub fn step_for_fed<S, F>(
+        &mut self,
+        ticks: usize,
+        probes: &[ClusterProbe],
+        mut sink: S,
+        mut feed: F,
+    ) -> Result<usize, Error>
+    where
+        S: FnMut(Seconds, &[Celsius]),
+        F: FnMut(&mut TickInputs<'_>) -> Result<bool, Error>,
+    {
+        self.replay(ticks, probes, &mut sink, &mut feed)
+    }
+
+    /// The one replay loop behind `step_for`, `step_for_recorded` and
+    /// `step_for_fed`; returns the ticks stepped.
     fn replay(
         &mut self,
         ticks: usize,
         probes: &[ClusterProbe],
         sink: &mut dyn FnMut(Seconds, &[Celsius]),
-    ) {
+        feed: Feed<'_>,
+    ) -> Result<usize, Error> {
         if ticks == 0 {
-            return;
+            return Ok(0);
+        }
+        let mut first = TickInputs {
+            machines: &mut self.machines,
+            lanes: None,
+            time: self.time,
+            changed: false,
+        };
+        if !feed(&mut first)? {
+            return Ok(0);
         }
         let mut scratch = vec![Celsius(0.0); probes.len()];
         self.step();
@@ -770,25 +902,33 @@ impl ClusterSolver {
             }
             sink(self.time, &scratch);
         }
-        if ticks > 1 {
-            self.fused_span(ticks - 1, probes, sink, &mut scratch);
+        if ticks == 1 {
+            return Ok(1);
         }
+        let (done, result) = self.fused_span(ticks - 1, probes, sink, &mut scratch, feed);
+        result.map(|()| 1 + done)
     }
 
-    /// Runs `span` ticks fused: mixing and stepping operate directly on
-    /// the chunk matrices (and the solo solvers), with the scatter, span
-    /// accounting, and metrics paid once at the end. The caller (always
-    /// [`ClusterSolver::replay`]) has just completed a normal tick, so
-    /// the batch plan is current, every chunk is warm, and every solo
-    /// machine's inputs are priced — and nothing can invalidate any of
-    /// that before this method returns.
+    /// Runs up to `span` ticks fused: mixing and stepping operate
+    /// directly on the chunk matrices (and the solo solvers), with the
+    /// scatter, span accounting, and metrics paid once at the end. The
+    /// caller (always [`ClusterSolver::replay`]) has just completed a
+    /// normal tick, so the batch plan is current, every chunk is warm,
+    /// and every solo machine's inputs are priced — and until this
+    /// method returns only `feed` can touch the room, through
+    /// [`TickInputs`], which cannot invalidate any of that.
+    ///
+    /// Returns the ticks stepped — fewer than `span` when `feed` ended
+    /// the span or failed — and `feed`'s error, if any; the epilogue has
+    /// run either way.
     fn fused_span(
         &mut self,
         span: usize,
         probes: &[ClusterProbe],
         sink: &mut dyn FnMut(Seconds, &[Celsius]),
         scratch: &mut [Celsius],
-    ) {
+        feed: Feed<'_>,
+    ) -> (usize, Result<(), Error>) {
         let started = if telemetry::enabled() && self.instrumented {
             Some(Instant::now())
         } else {
@@ -808,7 +948,37 @@ impl ClusterSolver {
             .iter()
             .map(Solver::inlet_temperature)
             .collect();
-        for _ in 0..span {
+        let mut done = 0;
+        // Ticks that took an input, and the input-stable runs between
+        // them (what `fused_ticks`/`fused_spans` have always counted).
+        let mut fed_ticks = 0u64;
+        let mut stable_run = 0u64;
+        let mut result = Ok(());
+        while done < span {
+            let mut inputs = TickInputs {
+                machines: &mut self.machines,
+                lanes: Some((&mut self.batch, &lane)),
+                time: self.time,
+                changed: false,
+            };
+            match feed(&mut inputs) {
+                Ok(true) => {}
+                Ok(false) => break,
+                Err(e) => {
+                    result = Err(e);
+                    break;
+                }
+            }
+            if inputs.changed {
+                fed_ticks += 1;
+                if self.instrumented && stable_run > 0 {
+                    self.metrics.fused_spans.observe(stable_run);
+                }
+                stable_run = 0;
+            } else {
+                stable_run += 1;
+            }
+
             // Phase 0: previous-tick exhausts — read off the chunk lanes
             // for batched machines, off the solver for solos.
             for m in 0..n {
@@ -892,6 +1062,7 @@ impl ClusterSolver {
             }
 
             self.time.0 += self.dt.0;
+            done += 1;
             if !probes.is_empty() {
                 for (s, p) in scratch.iter_mut().zip(probes) {
                     *s = match lane[p.machine] {
@@ -904,24 +1075,29 @@ impl ClusterSolver {
         }
 
         // Span epilogue: one scatter plus per-machine span accounting,
-        // and the inlet fields batched machines skipped per tick.
-        self.batch.finish_span(&mut self.machines, span);
+        // and the inlet fields batched machines skipped per tick. Runs
+        // for a span of no ticks too: the feed may have set inputs
+        // before ending it, and the lanes hand those back here.
+        self.batch.finish_span(&mut self.machines, done);
         for m in 0..n {
             if lane[m].is_some() {
                 self.machines[m].set_inlet_field(inlet_now[m]);
             } else {
-                self.machines[m].finish_span(span);
+                self.machines[m].finish_span(done);
             }
         }
 
         // Bulk metrics: counters stay exact; the latency histograms get
         // one per-tick mean observation per span.
-        if self.instrumented {
-            let span_u64 = span as u64;
-            self.metrics.ticks.add(span_u64);
-            self.metrics.fused_ticks.add(span_u64);
-            self.metrics.fused_spans.observe(span_u64);
-            self.metrics.solver.ticks.add(n as u64 * span_u64);
+        if self.instrumented && done > 0 {
+            let done_u64 = done as u64;
+            self.metrics.ticks.add(done_u64);
+            self.metrics.fed_ticks.add(fed_ticks);
+            self.metrics.fused_ticks.add(done_u64 - fed_ticks);
+            if stable_run > 0 {
+                self.metrics.fused_spans.observe(stable_run);
+            }
+            self.metrics.solver.ticks.add(n as u64 * done_u64);
             let solo_substeps: u64 = (0..n)
                 .filter(|&m| lane[m].is_none())
                 .map(|m| self.machines[m].current_substeps() as u64)
@@ -929,21 +1105,25 @@ impl ClusterSolver {
             self.metrics
                 .solver
                 .substeps
-                .add((self.batch.planned_substeps() + solo_substeps) * span_u64);
+                .add((self.batch.planned_substeps() + solo_substeps) * done_u64);
             if let Some(started) = started {
                 let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                self.metrics.tick_nanos.observe(nanos / span_u64);
+                self.metrics.tick_nanos.observe(nanos / done_u64);
             }
         }
         if trace_span.is_live() {
             let args = vec![
-                (Cow::Borrowed("ticks"), span.to_string()),
+                (Cow::Borrowed("ticks"), done.to_string()),
                 (Cow::Borrowed("machines"), n.to_string()),
             ];
             self.tracer.end_with_args(trace_span, args);
         }
+        (done, result)
     }
 }
+
+/// What [`ClusterSolver::step_for_fed`] calls before every tick.
+type Feed<'f> = &'f mut dyn FnMut(&mut TickInputs<'_>) -> Result<bool, Error>;
 
 /// Runs a unified work-item list on the persistent pool and books the
 /// pool's telemetry: queue depth and resize count every run, busy/idle

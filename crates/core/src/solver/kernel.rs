@@ -126,6 +126,9 @@ pub(crate) struct StepKernel {
 pub(crate) struct AssembledOp<'a> {
     pub n: usize,
     pub substeps: usize,
+    /// Length of one sub-step in seconds: what generated heat is
+    /// priced against.
+    pub dt_sub: f64,
     pub op_off: &'a [u32],
     pub op_src: &'a [u32],
     pub op_w: &'a [f64],
@@ -187,6 +190,7 @@ impl StepKernel {
         AssembledOp {
             n: self.n,
             substeps: self.substeps,
+            dt_sub: self.dt_sub.0,
             op_off: &self.op_off,
             op_src: &self.op_src,
             op_w: &self.op_w,

@@ -113,6 +113,11 @@ pub struct Solver {
     /// non-boundary rows only when this is set; repricing alone does
     /// not touch them.
     temps_dirty: bool,
+    /// Set when a component's power model may differ from what a batch
+    /// chunk copied into its pricing rows (construction,
+    /// [`Solver::set_power_model`]); cleared by
+    /// [`Solver::take_power_models_dirty`].
+    power_models_dirty: bool,
     /// Structural fingerprint of the source model
     /// ([`MachineModel::structural_fingerprint`]), captured at
     /// construction for batch grouping.
@@ -221,6 +226,7 @@ impl Solver {
             rebuild_epoch: 0,
             inputs_dirty: true,
             temps_dirty: true,
+            power_models_dirty: true,
             fingerprint: model.structural_fingerprint(),
             diverged: false,
             cfg,
@@ -263,20 +269,27 @@ impl Solver {
     /// Names of the monitored components (the ones that accept
     /// [`Solver::set_utilization`]).
     pub fn monitored_components(&self) -> Vec<&str> {
-        self.kind
-            .iter()
-            .enumerate()
-            .filter(|(_, k)| {
-                matches!(
-                    k,
-                    NodeRt::Component {
-                        monitored: true,
-                        ..
-                    }
-                )
-            })
-            .map(|(i, _)| self.names[i].as_str())
+        (0..self.kind.len())
+            .filter(|&i| self.is_monitored_at(i))
+            .map(|i| self.names[i].as_str())
             .collect()
+    }
+
+    /// Whether the node at `index` (from [`Solver::node_index`]) is a
+    /// monitored component, i.e. accepts
+    /// [`Solver::set_utilization_at`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub fn is_monitored_at(&self, index: usize) -> bool {
+        matches!(
+            self.kind[index],
+            NodeRt::Component {
+                monitored: true,
+                ..
+            }
+        )
     }
 
     /// Whether the named node is an inlet air region.
@@ -614,6 +627,7 @@ impl Solver {
             NodeRt::Component { power, .. } => {
                 *power = model;
                 self.inputs_dirty = true;
+                self.power_models_dirty = true;
                 Ok(())
             }
             NodeRt::Air { .. } => Err(Error::invalid_input(format!(
@@ -698,14 +712,46 @@ impl Solver {
         if !self.inputs_dirty {
             return false;
         }
-        let dts = self.kernel.dt_sub();
-        for &i in &self.components {
-            if let NodeRt::Component { power, .. } = &self.kind[i] {
-                self.power_q[i] = crate::physics::heat_generated(power, self.utilization[i], dts).0;
-            }
+        for c in 0..self.components.len() {
+            let i = self.components[c];
+            self.power_q[i] = self.price_node(i);
         }
         self.inputs_dirty = false;
         true
+    }
+
+    /// The heat node `i` generates per sub-step at its current
+    /// utilization (Equation 3; zero for an air region). The compiled
+    /// kernel must be current — it is inside a tick and inside a span.
+    pub(crate) fn price_node(&self, i: usize) -> f64 {
+        match &self.kind[i] {
+            NodeRt::Component { power, .. } => {
+                crate::physics::heat_generated(power, self.utilization[i], self.kernel.dt_sub()).0
+            }
+            NodeRt::Air { .. } => 0.0,
+        }
+    }
+
+    /// `(P_base, P_max − P_base)` when node `i` is a monitored component
+    /// with a linear power model — the cells a batch chunk can price in
+    /// its own lanes ([`crate::physics::linear_power`]). `None` for
+    /// everything else: those go through [`Solver::set_utilization_at`]
+    /// and [`Solver::price_node`].
+    pub(crate) fn lane_pricing(&self, i: usize) -> Option<(f64, f64)> {
+        match &self.kind[i] {
+            NodeRt::Component {
+                power,
+                monitored: true,
+            } => power.linear_coefficients(),
+            _ => None,
+        }
+    }
+
+    /// Whether a power model changed since the last call; clears the
+    /// flag. The chunk holding this machine re-reads the lane's pricing
+    /// coefficients when set.
+    pub(crate) fn take_power_models_dirty(&mut self) -> bool {
+        std::mem::take(&mut self.power_models_dirty)
     }
 
     /// Whether temperatures were written outside a batch chunk since the
@@ -735,14 +781,15 @@ impl Solver {
         }
     }
 
-    /// One repricing-free kernel tick, for fused replay of a solo
-    /// machine: the caller (the cluster's fused span) guarantees the
-    /// tick inputs were priced by a preceding [`Solver::step`] and that
-    /// no setter ran since — repricing would reproduce the same bits, so
-    /// skipping it is exact. Heat accounting lands immediately; the time
-    /// advance and tick bookkeeping are booked once per span via
-    /// [`Solver::finish_span`].
+    /// One kernel tick of a solo machine inside the cluster's fused
+    /// span. The span's first tick was a full [`Solver::step`], so the
+    /// kernel is compiled; the heat is repriced only when the span's
+    /// feed changed a utilization since (otherwise repricing would
+    /// reproduce the same bits, and is skipped). Heat accounting lands
+    /// immediately; the time advance and tick bookkeeping are booked
+    /// once per span via [`Solver::finish_span`].
     pub(crate) fn tick_fused(&mut self) {
+        self.fill_tick_inputs();
         let generated = self.kernel.tick(&mut self.temp, &self.fixed, &self.power_q);
         self.generated_last_tick = Joules(generated);
     }

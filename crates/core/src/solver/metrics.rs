@@ -168,12 +168,21 @@ pub struct ClusterMetrics {
     /// spent waiting within sampled runs (`workers × run − busy`).
     /// `idle / (idle + busy)` is the pool's wasted-parallelism fraction.
     pub pool_idle_nanos: Counter,
-    /// `mercury_cluster_fused_ticks_total` — ticks executed inside fused
-    /// replay spans (see `ClusterSolver::step_for`), where plan/gather/
-    /// scatter and sampled metrics are paid once per span.
+    /// `mercury_cluster_fused_ticks_total` — *input-stable* ticks
+    /// executed inside fused replay spans (see
+    /// `ClusterSolver::step_for`): in the chunk lanes, plan/gather/
+    /// scatter and sampled metrics paid once per span, and no input
+    /// taken from the span's feed.
     pub fused_ticks: Counter,
-    /// `mercury_cluster_fused_span_ticks` — fused-span lengths, observed
-    /// once per span.
+    /// `mercury_cluster_fed_ticks_total` — ticks executed inside fused
+    /// replay spans whose feed changed an input
+    /// (`ClusterSolver::step_for_fed`): as cheap as a fused tick plus
+    /// the in-lane pricing. `fused + fed` is every in-lane tick; the
+    /// rest of `mercury_cluster_ticks_total` are full steps.
+    pub fed_ticks: Counter,
+    /// `mercury_cluster_fused_span_ticks` — lengths of the input-stable
+    /// runs of in-lane ticks (a fed tick ends a run), observed once per
+    /// run.
     pub fused_spans: Histogram,
     /// The machine-level bundle shared by every solver in the cluster.
     pub solver: SolverMetrics,
@@ -267,13 +276,19 @@ impl ClusterMetrics {
         );
         registry.register_counter(
             "mercury_cluster_fused_ticks_total",
-            "Ticks executed inside fused replay spans",
+            "Input-stable ticks executed inside fused replay spans",
             &[],
             &self.fused_ticks,
         );
+        registry.register_counter(
+            "mercury_cluster_fed_ticks_total",
+            "Ticks executed inside fused replay spans that took an input from the span's feed",
+            &[],
+            &self.fed_ticks,
+        );
         registry.register_histogram(
             "mercury_cluster_fused_span_ticks",
-            "Fused replay span lengths, observed once per span",
+            "Lengths of input-stable runs of ticks inside fused replay spans, observed once per run",
             &[],
             &self.fused_spans,
             1.0,
@@ -312,6 +327,7 @@ mod tests {
             "mercury_cluster_pool_busy_nanos_total",
             "mercury_cluster_pool_idle_nanos_total",
             "mercury_cluster_fused_ticks_total",
+            "mercury_cluster_fed_ticks_total",
             "mercury_cluster_fused_span_ticks",
         ] {
             assert!(text.contains(family), "missing {family} in:\n{text}");

@@ -47,11 +47,14 @@
 //!
 //! Parallel cluster ticks run on a persistent worker pool (the private
 //! `pool` module) — workers spawn once and park between ticks — and
-//! multi-tick replays ([`ClusterSolver::step_for`]) fuse input-stable
-//! spans so the per-tick orchestration (plan checks, gather/scatter,
-//! repricing, sampled metrics) is paid once per span; see `DESIGN.md`
-//! §"Tick execution".
-
+//! multi-tick replays ([`ClusterSolver::step_for`]) run as fused spans
+//! so the per-tick orchestration (plan checks, gather/scatter, sampled
+//! metrics) is paid once per span. Inputs land at tick boundaries, so a
+//! span does not end where one changes: a feed
+//! ([`ClusterSolver::step_for_fed`], [`TickInputs`]) sets utilizations
+//! before any tick and the batched lanes price them in place — how
+//! trace replay keeps a room whose every cell changes every tick inside
+//! one span; see `DESIGN.md` §3b.
 //!
 //! Both solvers meter themselves through always-on [`telemetry`] handles
 //! (tick counts, sampled latencies, batch-plan shape); see the `metrics`
@@ -67,7 +70,7 @@ mod metrics;
 mod pool;
 mod simd;
 
-pub use cluster::{ClusterProbe, ClusterSolver};
+pub use cluster::{ClusterProbe, ClusterSolver, TickInputs};
 pub use flows::{air_flows, model_air_flows, required_substeps};
 pub use machine::{Solver, SolverConfig};
 pub use metrics::{ClusterMetrics, SolverMetrics};

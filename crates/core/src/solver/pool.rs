@@ -53,7 +53,7 @@ use telemetry::Tracer;
 pub(crate) enum WorkItem<'a> {
     /// A full [`Solver::step`] of one solo machine (per-tick path).
     Step(&'a mut Solver),
-    /// A repricing-free kernel tick of one solo machine (fused replay).
+    /// One in-span kernel tick of one solo machine (fused replay).
     FusedStep(&'a mut Solver),
     /// One batch chunk's tick against its group's shared operator.
     Chunk {

@@ -23,7 +23,7 @@ pub mod events;
 pub mod stream;
 
 use crate::error::Error;
-use crate::fiddle::FiddleScript;
+use crate::fiddle::{FiddleScript, ScriptRunner};
 use crate::model::{ClusterModel, MachineModel};
 use crate::solver::{ClusterSolver, Solver, SolverConfig};
 use crate::units::{Celsius, Seconds, Utilization};
@@ -151,11 +151,13 @@ impl UtilizationTrace {
     /// The utilizations in effect at emulated time `t` (step function:
     /// the most recent row at or before `t`, clamped to the last row).
     pub fn at(&self, t: Seconds) -> Option<&[Utilization]> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let idx = ((t.0 / self.interval.0).floor().max(0.0) as usize).min(self.samples.len() - 1);
-        Some(&self.samples[idx])
+        self.row_at(t).map(|row| self.samples[row].as_slice())
+    }
+
+    /// Index of the row [`UtilizationTrace::at`] returns for `t`.
+    fn row_at(&self, t: Seconds) -> Option<usize> {
+        let last = self.samples.len().checked_sub(1)?;
+        Some(((t.0 / self.interval.0).floor().max(0.0) as usize).min(last))
     }
 
     /// The full series for one component.
@@ -446,6 +448,11 @@ pub fn run_offline(
 /// Replays one trace per machine through a cluster solver. Columns are
 /// named `machine:node`.
 ///
+/// The in-memory twin of `.events` replay, on the same loop: between
+/// two script commands the run is one
+/// [`ClusterSolver::step_for_fed`] span that takes each trace row at
+/// its tick boundary and reads every temperature back through probes.
+///
 /// # Errors
 ///
 /// Returns [`Error::InvalidInput`] when the trace count differs from the
@@ -465,9 +472,11 @@ pub fn run_offline_cluster(
     }
     let mut cluster = ClusterSolver::new(model, cfg)?;
     let mut columns = Vec::new();
+    let mut probes = Vec::new();
     for m in model.machines() {
         for node in m.nodes() {
             columns.push(format!("{}:{}", m.name(), node.name()));
+            probes.push(cluster.probe(m.name(), node.name())?);
         }
     }
     let mut log = TemperatureLog::new(columns);
@@ -475,28 +484,56 @@ pub fn run_offline_cluster(
     let max_duration = traces.iter().map(|t| t.duration().0).fold(0.0, f64::max);
     let dt = cluster.machine_at(0).dt().0;
     let ticks = (max_duration / dt).round() as usize;
-    for _ in 0..ticks {
-        let now = cluster.time();
+    // Names to node indices once, not per cell per tick.
+    let mut nodes = Vec::with_capacity(traces.len());
+    for (i, trace) in traces.iter().enumerate() {
+        let machine = cluster.machine_at(i);
+        let of_trace = trace
+            .components()
+            .iter()
+            .map(|c| machine.node_index(c).ok_or_else(|| Error::unknown_node(c)))
+            .collect::<Result<Vec<usize>, Error>>()?;
+        nodes.push(of_trace);
+    }
+    // The row of each trace last pushed: a row that still holds is not
+    // pushed again.
+    let mut pushed: Vec<Option<usize>> = vec![None; traces.len()];
+    let mut done = 0;
+    while done < ticks {
         if let Some(r) = runner.as_mut() {
-            r.apply_due_to_cluster(now, &mut cluster)?;
+            r.apply_due_to_cluster(cluster.time(), &mut cluster)?;
         }
-        for (i, trace) in traces.iter().enumerate() {
-            if let Some(row) = trace.at(now) {
-                let row = row.to_vec();
-                let machine = cluster.machine_at_mut(i);
-                for (component, u) in trace.components().iter().zip(row) {
-                    machine.set_utilization(component, u)?;
+        // One fed span up to the tick the script next has a command due
+        // before: traces in, temperatures out, all inside the solver.
+        done += cluster.step_for_fed(
+            ticks - done,
+            &probes,
+            |time, temps| {
+                log.push(time, temps).expect("one probe per log column");
+            },
+            |inputs| {
+                let now = inputs.time();
+                if runner
+                    .as_ref()
+                    .and_then(ScriptRunner::next_due)
+                    .is_some_and(|at| at.0 <= now.0)
+                {
+                    return Ok(false);
                 }
-            }
-        }
-        cluster.step();
-        let mut temps = Vec::new();
-        for i in 0..cluster.len() {
-            for (_, t) in cluster.machine_at(i).temperatures() {
-                temps.push(t);
-            }
-        }
-        log.push(cluster.time(), &temps)?;
+                for (i, trace) in traces.iter().enumerate() {
+                    let row = trace.row_at(now);
+                    if row == pushed[i] {
+                        continue;
+                    }
+                    pushed[i] = row;
+                    let Some(row) = row else { continue };
+                    for (&node, &u) in nodes[i].iter().zip(&trace.samples[row]) {
+                        inputs.set_utilization_at(i, node, u)?;
+                    }
+                }
+                Ok(true)
+            },
+        )?;
     }
     Ok(log)
 }
@@ -634,6 +671,104 @@ mod tests {
         // Identical traces on identical machines give identical curves.
         for (a, b) in c1.iter().zip(&c2) {
             assert!((a - b).abs() < 1e-9);
+        }
+    }
+
+    /// The per-tick loop `run_offline_cluster` was before it moved onto
+    /// the fed span: every cell through its solver by name, one
+    /// `step()`, every temperature read back by name.
+    fn offline_cluster_per_tick(
+        model: &ClusterModel,
+        traces: &[UtilizationTrace],
+        script: Option<&FiddleScript>,
+    ) -> TemperatureLog {
+        let mut cluster = ClusterSolver::new(model, SolverConfig::default()).unwrap();
+        let mut columns = Vec::new();
+        for m in model.machines() {
+            for node in m.nodes() {
+                columns.push(format!("{}:{}", m.name(), node.name()));
+            }
+        }
+        let mut log = TemperatureLog::new(columns);
+        let mut runner = script.map(FiddleScript::runner);
+        let max_duration = traces.iter().map(|t| t.duration().0).fold(0.0, f64::max);
+        let ticks = (max_duration / cluster.machine_at(0).dt().0).round() as usize;
+        for _ in 0..ticks {
+            let now = cluster.time();
+            if let Some(r) = runner.as_mut() {
+                r.apply_due_to_cluster(now, &mut cluster).unwrap();
+            }
+            for (i, trace) in traces.iter().enumerate() {
+                if let Some(row) = trace.at(now) {
+                    let machine = cluster.machine_at_mut(i);
+                    for (component, &u) in trace.components().iter().zip(row) {
+                        machine.set_utilization(component, u).unwrap();
+                    }
+                }
+            }
+            cluster.step();
+            let temps: Vec<Celsius> = (0..cluster.len())
+                .flat_map(|i| cluster.machine_at(i).temperatures())
+                .map(|(_, t)| t)
+                .collect();
+            log.push(cluster.time(), &temps).unwrap();
+        }
+        log
+    }
+
+    #[test]
+    fn offline_cluster_log_matches_the_per_tick_loop() {
+        let cluster = presets::validation_cluster(5);
+        let components = vec![nodes::CPU.to_string(), nodes::DISK_PLATTERS.to_string()];
+        // Unequal lengths and intervals: the short traces clamp to their
+        // last row, the slow one holds each row for three ticks, and one
+        // machine has no samples at all.
+        let wave = |m: usize, interval: f64, rows: usize| {
+            let name = format!("machine{}", m + 1);
+            UtilizationTrace::from_fn(name, interval, components.clone(), rows, |t, c| {
+                ((t * 0.37 + m as f64 + c as f64 * 0.5).sin() * 0.5 + 0.5).clamp(0.0, 1.0)
+            })
+            .unwrap()
+        };
+        let traces = vec![
+            wave(0, 1.0, 90),
+            wave(1, 1.0, 40),
+            wave(2, 3.0, 20),
+            UtilizationTrace::new("machine4", 1.0, components.clone()).unwrap(),
+            wave(4, 1.0, 1),
+        ];
+        // Commands due mid-trace — a pin (the machine leaves its batch
+        // group), a fan change, a power model, a release — two of them
+        // on the same tick, plus one due before the first tick.
+        let script = FiddleScript::parse(
+            "fiddle machine2 fanspeed 30\n\
+             sleep 17\n\
+             fiddle machine1 temperature cpu 55\n\
+             fiddle machine3 power cpu 9 40\n\
+             sleep 20\n\
+             fiddle machine1 release cpu\n\
+             sleep 30.5\n\
+             fiddle machine5 fanspeed 45\n",
+        )
+        .unwrap();
+        for script in [None, Some(&script)] {
+            let fed = run_offline_cluster(&cluster, &traces, Default::default(), script).unwrap();
+            let reference = offline_cluster_per_tick(&cluster, &traces, script);
+            assert_eq!(fed.len(), 90);
+            assert_eq!(fed.columns(), reference.columns());
+            let bits = |log: &TemperatureLog| -> Vec<Vec<u64>> {
+                log.rows
+                    .iter()
+                    .map(|row| row.iter().map(|v| v.to_bits()).collect())
+                    .collect()
+            };
+            assert_eq!(fed.times(), reference.times());
+            assert_eq!(
+                bits(&fed),
+                bits(&reference),
+                "scripted: {}",
+                script.is_some()
+            );
         }
     }
 

@@ -8,11 +8,16 @@
 //! accounted exactly by [`EventsStream::memory_bytes`] the same way
 //! `telemetry::Tsdb` accounts its ring memory.
 //!
-//! Replay feeds [`ClusterSolver::step_for`] directly from decoded
-//! frames with **zero per-tick allocation**: each HOLD run in the file
-//! becomes one fused multi-tick span, and between spans only the cells
-//! that actually changed are pushed into the solvers (so machines whose
-//! inputs held keep their warm batch lanes).
+//! Replay is one [`ClusterSolver::step_for_fed`] call per
+//! [`EventsStream::replay_ticks`], with **zero per-tick allocation**:
+//! the stream is the span's feed. Before each tick it decodes the next
+//! frame if the current input-stable span (a FULL/DELTA frame plus the
+//! HOLD run after it) is used up, and pushes only the cells that
+//! actually changed into that tick's [`TickInputs`]. Inputs land at
+//! tick boundaries, so a changed cell does not end the solver's fused
+//! span: after the call's first tick the room stays in the chunk lanes
+//! and the change is priced there — a trace whose every cell changes
+//! every tick replays in the same loop as one that holds for minutes.
 //!
 //! # Safety
 //!
@@ -26,7 +31,7 @@
 
 use super::events::{self, EventsHeader, Record, RecordCursor, TAG_DELTA, TAG_FULL, TAG_HOLD};
 use crate::error::Error;
-use crate::solver::ClusterSolver;
+use crate::solver::{ClusterSolver, TickInputs};
 use crate::units::Utilization;
 use std::fs::File;
 use std::io::{BufReader, Read};
@@ -40,7 +45,8 @@ use telemetry::{Counter, Gauge, Registry};
 pub struct ReplayMetrics {
     /// `mercury_replay_frames_decoded_total` — FULL/DELTA frames decoded.
     pub frames_decoded: Counter,
-    /// `mercury_replay_spans_total` — fused spans fed to `step_for`.
+    /// `mercury_replay_spans_total` — input-stable spans begun (a span
+    /// resumed by a later `replay_ticks` call counts again).
     pub spans: Counter,
     /// `mercury_replay_ticks_total` — trace ticks replayed.
     pub ticks: Counter,
@@ -70,7 +76,7 @@ impl ReplayMetrics {
         );
         registry.register_counter(
             "mercury_replay_spans_total",
-            "Fused input-stable spans fed to step_for during replay",
+            "Input-stable spans begun during replay",
             &[],
             &self.spans,
         );
@@ -468,11 +474,13 @@ impl EventsStream {
                 };
                 // Extend the span over any immediately following HOLD
                 // records by peeking (position only advances when the
-                // peeked record really is a HOLD).
+                // peeked record really is a HOLD). A record that does
+                // not decode is left for the call that reaches it, so
+                // every tick before it replays, as when streaming.
                 loop {
                     let peek_pos = cursor.pos();
-                    match cursor.next()? {
-                        Some(Record::Hold(n)) => span += u64::from(n),
+                    match cursor.next() {
+                        Ok(Some(Record::Hold(n))) => span += u64::from(n),
                         _ => {
                             cursor.rewind_to(peek_pos);
                             break;
@@ -620,20 +628,19 @@ impl EventsStream {
     }
 
     /// Pushes the cells of `cur` that differ from the last application
-    /// into the bound cluster machines. On the first application (or
-    /// after a seek) every cell is pushed.
-    fn apply_current(&mut self, binding: &ClusterBinding, cluster: &mut ClusterSolver) {
+    /// into the tick's inputs. On the first application (or after a
+    /// seek) every cell is pushed.
+    fn apply_current(&mut self, binding: &ClusterBinding, inputs: &mut TickInputs<'_>) {
         let width = self.header.components.len();
         for (m, &machine_index) in binding.machines.iter().enumerate() {
-            let solver = cluster.machine_at_mut(machine_index);
             for c in 0..width {
                 let cell = m * width + c;
                 if self.applied_valid && self.applied[cell] == self.cur[cell] {
                     continue;
                 }
                 let u = Utilization::new(events::dequantize(self.cur[cell]));
-                solver
-                    .set_utilization_at(binding.nodes[cell], u)
+                inputs
+                    .set_utilization_at(machine_index, binding.nodes[cell], u)
                     .expect("binding validated the node is a monitored component");
             }
         }
@@ -641,14 +648,17 @@ impl EventsStream {
         self.applied_valid = true;
     }
 
-    /// Replays up to `max_ticks` ticks into `cluster`, fusing each
-    /// input-stable span into one [`ClusterSolver::step_for`] call.
+    /// Replays up to `max_ticks` ticks into `cluster` as one
+    /// [`ClusterSolver::step_for_fed`] span fed from the decoded frames.
     /// Returns the per-call statistics; `ticks` is less than `max_ticks`
     /// only when the trace ended.
     ///
     /// # Errors
     ///
-    /// Propagates decode errors; [`Error::InvalidInput`] when `binding`
+    /// Propagates decode errors — the cluster is then at a consistent
+    /// tick boundary, `cluster.time()` and this stream's
+    /// `mercury_replay_ticks_total` covering exactly the ticks stepped
+    /// before the bad record; [`Error::InvalidInput`] when `binding`
     /// was built for a different stream shape.
     pub fn replay_ticks(
         &mut self,
@@ -662,31 +672,39 @@ impl EventsStream {
             ));
         }
         let mut stats = ReplayStats::default();
-        while stats.ticks < max_ticks {
-            if self.span_left == 0 {
-                let Some(span) = self.next_span()? else {
-                    break;
-                };
-                self.span_left = span;
-                self.apply_current(binding, cluster);
-            } else if !self.applied_valid {
-                // Resuming a split span (e.g. right after a seek): the
-                // values for the remainder still need to reach the
-                // solvers.
-                self.apply_current(binding, cluster);
-            }
-            let chunk = self.span_left.min(max_ticks - stats.ticks);
-            cluster.step_for(chunk as usize);
-            self.span_left -= chunk;
-            stats.ticks += chunk;
-            stats.spans += 1;
-        }
+        let limit = usize::try_from(max_ticks).unwrap_or(usize::MAX);
+        let result = cluster.step_for_fed(
+            limit,
+            &[],
+            |_, _| {},
+            |inputs| {
+                if self.span_left == 0 {
+                    let Some(span) = self.next_span()? else {
+                        return Ok(false);
+                    };
+                    self.span_left = span;
+                    self.apply_current(binding, inputs);
+                    stats.spans += 1;
+                } else if stats.ticks == 0 {
+                    // Resuming a span an earlier call (or a seek) split.
+                    if !self.applied_valid {
+                        // Right after a seek: the values for the
+                        // remainder still need to reach the solvers.
+                        self.apply_current(binding, inputs);
+                    }
+                    stats.spans += 1;
+                }
+                self.span_left -= 1;
+                stats.ticks += 1;
+                Ok(true)
+            },
+        );
         self.metrics.ticks.add(stats.ticks);
         self.metrics.spans.add(stats.spans);
         if let Some(rss) = peak_rss_bytes() {
             self.metrics.peak_rss.set(rss as f64);
         }
-        Ok(stats)
+        result.map(|_| stats)
     }
 
     /// Replays the remainder of the trace into `cluster`.
@@ -708,7 +726,8 @@ impl EventsStream {
 pub struct ReplayStats {
     /// Ticks stepped.
     pub ticks: u64,
-    /// `step_for` spans issued (1 span may cover many ticks).
+    /// Input-stable spans begun or resumed (1 span may cover many
+    /// ticks; every one of them ran in the same solver span).
     pub spans: u64,
 }
 
@@ -745,13 +764,11 @@ impl ClusterBinding {
                 header.interval_s, dt
             )));
         }
-        let names = cluster.machine_names();
         let mut machines = Vec::with_capacity(header.machines.len());
         let mut nodes = Vec::with_capacity(header.machines.len() * header.components.len());
         for name in &header.machines {
-            let index = names
-                .iter()
-                .position(|n| *n == name.as_str())
+            let index = cluster
+                .machine_position(name)
                 .ok_or_else(|| Error::UnknownMachine { name: name.clone() })?;
             let solver = cluster.machine_at(index);
             machines.push(index);
@@ -759,7 +776,7 @@ impl ClusterBinding {
                 let node = solver
                     .node_index(component)
                     .ok_or_else(|| Error::unknown_node(component))?;
-                if !solver.monitored_components().contains(&component.as_str()) {
+                if !solver.is_monitored_at(node) {
                     return Err(Error::invalid_input(format!(
                         "`{component}` on `{name}` is not a monitored component"
                     )));

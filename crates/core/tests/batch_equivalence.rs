@@ -14,10 +14,14 @@
 
 mod common;
 
-use common::{assert_same_state, run, script_strategy, supported_backends, Event, Fiddle, Setup};
+use common::{
+    assert_same_state, run, script_strategy, supported_backends, Event, FedInputs, FedPlan, Fiddle,
+    Remodel, Setup,
+};
 use mercury::presets::{self, nodes, FAN_CFM};
 use mercury::solver::{ClusterSolver, SimdBackend, Solver, SolverConfig};
 use mercury::units::Celsius;
+use mercury::Error;
 use proptest::prelude::*;
 
 /// Bitwise comparison of every node temperature on every machine.
@@ -396,4 +400,276 @@ proptest! {
             &format!("{machines} machines on {}", backend.name()),
         );
     }
+}
+
+// --- the fed span ---------------------------------------------------------
+//
+// `step_for_fed` against "the same inputs through
+// `machine_at_mut(..).set_utilization_at`, then `step()`" (the driver is
+// `common::FedPlan::check`). Names start `batch_fed_` so the CI filter
+// above picks them up.
+
+fn remodel_strategy(ticks: usize) -> impl Strategy<Value = Vec<Remodel>> {
+    proptest::collection::vec(
+        (0..ticks, 0usize..24, 0usize..3).prop_map(|(tick, machine, kind)| Remodel {
+            tick,
+            machine,
+            kind,
+        }),
+        0..6,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Rooms of 1..=70 machines, some with table or constant power
+    /// models from the start and some re-modelled between spans, under
+    /// the random fiddle scripts of `common` (so shared-operator lanes,
+    /// per-lane lanes and solo machines all occur), fed dense or sparse
+    /// inputs by feeds that may end the span early — with or without
+    /// having set the next tick's inputs first: tick by tick and span
+    /// by span the room equals one that took the same inputs through
+    /// its solvers and stepped, on every backend.
+    #[test]
+    fn batch_fed_span_matches_set_then_step(
+        machines in 1usize..=70,
+        subset in 1usize..=24,
+        script in script_strategy(30, 24, 0..30),
+        remodels in remodel_strategy(30),
+        utils in proptest::collection::vec(0.0f64..1.0, 3..6),
+        seed in any::<u64>(),
+        density in prop_oneof![Just(100u64), Just(100u64), 0u64..30],
+        cut in prop_oneof![Just(0usize), 1usize..9],
+        write_at_cut in any::<bool>(),
+        backend_idx in 0usize..SimdBackend::ALL.len(),
+    ) {
+        let backend = SimdBackend::ALL[backend_idx];
+        let backend = if backend.supported() { backend } else { SimdBackend::Baseline };
+        let cluster = presets::recirculating_cluster(machines, 0.25);
+        let script: Vec<Event> = script
+            .into_iter()
+            .map(|e| Event { machine: e.machine % subset, ..e })
+            .collect();
+        FedPlan {
+            cluster: &cluster,
+            utils: &utils,
+            script: &script,
+            remodels: &remodels,
+            inputs: FedInputs { seed, density },
+            ticks: 30,
+            cut,
+            write_at_cut,
+        }
+        .check(Setup { backend: Some(backend), ..Setup::BATCHED });
+    }
+}
+
+/// A plain fed plan over `cluster`: dense inputs, nothing between spans.
+fn dense_plan<'a>(cluster: &'a mercury::model::ClusterModel, ticks: usize) -> FedPlan<'a> {
+    FedPlan {
+        cluster,
+        utils: &[0.3, 0.8],
+        script: &[],
+        remodels: &[],
+        inputs: FedInputs {
+            seed: 21,
+            density: 100,
+        },
+        ticks,
+        cut: 0,
+        write_at_cut: false,
+    }
+}
+
+/// The churn regime on every backend: every cell of a replicated room
+/// changes every tick and the whole run is one span, priced in the
+/// chunk lanes with `(base, max − base)` and handed back at its end —
+/// utilizations, generated heat and checkpoint bytes included.
+#[test]
+fn batch_fed_dense_inputs_price_in_the_lanes() {
+    let cluster = presets::validation_cluster(37);
+    for backend in supported_backends() {
+        let fed = dense_plan(&cluster, 25).check(Setup {
+            backend: Some(backend),
+            ..Setup::BATCHED
+        });
+        assert_eq!(fed.batched_machines(), 37, "{}", backend.name());
+    }
+}
+
+/// A power model set between two fed spans reaches the lane's pricing
+/// coefficients: linear to other linear coefficients, to a table the
+/// lane cannot price, and back.
+#[test]
+fn batch_fed_reprices_after_set_power_model() {
+    let cluster = presets::validation_cluster(9);
+    let remodels: Vec<Remodel> = [(8, 2, 0), (8, 5, 1), (16, 5, 0), (16, 7, 2), (24, 2, 1)]
+        .into_iter()
+        .map(|(tick, machine, kind)| Remodel {
+            tick,
+            machine,
+            kind,
+        })
+        .collect();
+    let fed = FedPlan {
+        remodels: &remodels,
+        ..dense_plan(&cluster, 32)
+    }
+    .check(Setup::BATCHED);
+    assert_eq!(
+        fed.batched_machines(),
+        9,
+        "re-modelled machines stay in their lanes"
+    );
+}
+
+/// Solo machines — one pinned, one alone in its fan class — take their
+/// inputs through their solvers and reprice before every in-span tick.
+#[test]
+fn batch_fed_solo_machines_reprice_in_span() {
+    let cluster = presets::validation_cluster(8);
+    let script = [
+        Event {
+            tick: 0,
+            machine: 1,
+            fiddle: Fiddle::Pin(48.0),
+        },
+        Event {
+            tick: 0,
+            machine: 4,
+            fiddle: Fiddle::Fan(0.6),
+        },
+    ];
+    let fed = FedPlan {
+        script: &script,
+        ..dense_plan(&cluster, 20)
+    }
+    .check(Setup::BATCHED);
+    assert_eq!(fed.batched_machines(), 6);
+}
+
+/// A feed that fails mid-span leaves the room at the tick boundary it
+/// had reached — the ticks stepped so far scattered back and booked —
+/// and the next span picks up from there.
+#[test]
+fn batch_fed_feed_errors_close_the_span() {
+    let cluster = presets::validation_cluster(12);
+    let mut fed = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
+    let mut stepped = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
+    let cpu = fed.machine_at(0).node_index(nodes::CPU).unwrap();
+    let inlet = fed.machine_at(0).node_index(nodes::INLET).unwrap();
+    let u = |tick: usize, m: usize| ((tick * 13 + m * 7) % 100) as f64 / 100.0;
+    let mut tick = 0;
+    let err = fed
+        .step_for_fed(
+            20,
+            &[],
+            |_, _| {},
+            |inputs| {
+                if tick == 7 {
+                    return Err(Error::invalid_input("bad record"));
+                }
+                for m in 0..12 {
+                    inputs.set_utilization_at(m, cpu, u(tick, m))?;
+                }
+                tick += 1;
+                Ok(true)
+            },
+        )
+        .unwrap_err();
+    assert!(matches!(err, Error::InvalidInput { .. }), "{err}");
+    for t in 0..7 {
+        for m in 0..12 {
+            stepped
+                .machine_at_mut(m)
+                .set_utilization_at(cpu, u(t, m))
+                .unwrap();
+        }
+        stepped.step();
+    }
+    assert_same_state(&fed, &stepped, "after the failed span");
+    assert!(fed.checkpoint() == stepped.checkpoint());
+
+    // A cell that is not a monitored component is the feed's own error,
+    // before the span's first tick (no tick runs) and in the lanes (one
+    // has).
+    for in_lane in [false, true] {
+        let mut calls = 0;
+        let err = fed
+            .step_for_fed(
+                5,
+                &[],
+                |_, _| {},
+                |inputs| {
+                    if calls == usize::from(in_lane) {
+                        inputs.set_utilization_at(3, inlet, 0.5)?;
+                    }
+                    calls += 1;
+                    Ok(true)
+                },
+            )
+            .unwrap_err();
+        assert!(matches!(err, Error::InvalidInput { .. }), "{err}");
+        if in_lane {
+            stepped.step();
+        }
+        assert_same_state(&fed, &stepped, "after the rejected cell");
+    }
+    fed.step_for(3);
+    stepped.step_for(3);
+    assert_same_state(&fed, &stepped, "continuing");
+}
+
+/// `fused_ticks` and the `fused_span_ticks` histogram go on counting
+/// input-stable in-lane ticks and runs; in-lane ticks that took an
+/// input are `fed_ticks`.
+#[test]
+#[cfg(feature = "instrument")]
+fn batch_fed_ticks_count_apart_from_fused_ticks() {
+    let cluster = presets::validation_cluster(6);
+    let mut s = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
+    let cpu = s.machine_at(0).node_index(nodes::CPU).unwrap();
+    // 31 ticks: one full step, then inputs on in-lane ticks 5, 6 and 20.
+    let mut tick = 0;
+    let stepped = s
+        .step_for_fed(
+            31,
+            &[],
+            |_, _| {},
+            |inputs| {
+                if [0, 5, 6, 20].contains(&tick) {
+                    inputs.set_utilization_at(2, cpu, tick as f64 / 40.0)?;
+                }
+                tick += 1;
+                Ok(true)
+            },
+        )
+        .unwrap();
+    assert_eq!(stepped, 31);
+    let m = s.metrics();
+    assert_eq!(m.ticks.get(), 31);
+    assert_eq!(m.fed_ticks.get(), 3);
+    assert_eq!(m.fused_ticks.get(), 27);
+    // Input-stable runs: ticks 1–4, 7–19, 21–30.
+    let runs = m.fused_spans.snapshot();
+    assert_eq!(runs.count, 3);
+    assert_eq!(runs.sum, 27);
+
+    // A span whose every tick takes an input has no fused tick at all.
+    s.step_for_fed(
+        10,
+        &[],
+        |_, _| {},
+        |inputs| {
+            inputs.set_utilization_at(0, cpu, 0.5)?;
+            Ok(true)
+        },
+    )
+    .unwrap();
+    let m = s.metrics();
+    assert_eq!(m.ticks.get(), 41);
+    assert_eq!(m.fed_ticks.get(), 12);
+    assert_eq!(m.fused_ticks.get(), 27);
+    assert_eq!(m.fused_spans.snapshot().count, 3);
 }

@@ -2,14 +2,16 @@
 //! (`batch_equivalence.rs`, `pool_equivalence.rs`): a room whose
 //! machines are fan-, heat-k- and air-fraction-fiddled, pinned and
 //! released mid-run, driven the same way through differently configured
-//! solvers.
+//! solvers — and, for the fed span ([`FedPlan`]), a second room that
+//! takes the same inputs through its solvers one `step()` at a time.
 
 #![allow(dead_code)] // each suite uses its own subset
 
-use mercury::model::ClusterModel;
+use mercury::model::{ClusterModel, PowerModel};
 use mercury::presets::{nodes, FAN_CFM};
-use mercury::solver::{ClusterSolver, SimdBackend, SolverConfig};
-use mercury::units::Celsius;
+use mercury::solver::{ClusterSolver, SimdBackend, SolverConfig, TickInputs};
+use mercury::units::{Celsius, Utilization, Watts};
+use mercury::Error;
 use proptest::prelude::*;
 
 /// One mid-run command against one machine.
@@ -112,7 +114,7 @@ impl Setup {
     }
 }
 
-fn apply(s: &mut ClusterSolver, event: &Event) {
+pub fn apply(s: &mut ClusterSolver, event: &Event) {
     let machine = event.machine % s.len();
     let solver = s.machine_at_mut(machine);
     match event.fiddle {
@@ -205,4 +207,232 @@ pub fn assert_same_state(a: &ClusterSolver, b: &ClusterSolver, context: &str) {
 /// The backends this host can run.
 pub fn supported_backends() -> impl Iterator<Item = SimdBackend> {
     SimdBackend::ALL.into_iter().filter(|b| b.supported())
+}
+
+/// The components a [`FedPlan`] feeds, as `.events` replay does.
+pub const FED_COMPONENTS: [&str; 2] = [nodes::CPU, nodes::DISK_PLATTERS];
+
+/// Utilizations that land at tick boundaries: a pure function of
+/// `(seed, tick, machine, component)`, so the fed room and the stepped
+/// room draw the same values without sharing state.
+#[derive(Debug, Clone, Copy)]
+pub struct FedInputs {
+    pub seed: u64,
+    /// Percentage of cells that change on any one tick: 100 is the
+    /// churn regime, a few percent the sparse one, 0 feeds nothing.
+    pub density: u64,
+}
+
+impl FedInputs {
+    /// What cell `(machine, component)` changes to at `tick`, if it does.
+    pub fn at(&self, tick: usize, machine: usize, component: usize) -> Option<f64> {
+        // splitmix64 over the coordinates.
+        let mut h = self
+            .seed
+            .wrapping_add((tick as u64) << 40 | (machine as u64) << 8 | component as u64)
+            .wrapping_add(0x9e37_79b9_7f4a_7c15);
+        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        h ^= h >> 31;
+        (h % 100 < self.density).then(|| ((h >> 32) % 1001) as f64 / 1000.0)
+    }
+
+    /// Every change due at `tick`, as `(machine, component, u)`.
+    fn due(self, tick: usize, machines: usize) -> impl Iterator<Item = (usize, usize, f64)> {
+        (0..machines).flat_map(move |m| {
+            (0..FED_COMPONENTS.len()).filter_map(move |c| self.at(tick, m, c).map(|u| (m, c, u)))
+        })
+    }
+}
+
+/// A power model swapped onto one machine's CPU before tick `tick`
+/// (taken modulo the room size, like [`Event::machine`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Remodel {
+    pub tick: usize,
+    pub machine: usize,
+    /// 0 linear, 1 table, 2 constant — the last two cannot be priced in
+    /// a chunk lane.
+    pub kind: usize,
+}
+
+impl Remodel {
+    fn model(&self) -> PowerModel {
+        match self.kind % 3 {
+            0 => PowerModel::linear(9.0, 40.0),
+            1 => PowerModel::Table(vec![
+                (Utilization::new(0.0), Watts(8.0)),
+                (Utilization::new(0.4), Watts(21.0)),
+                (Utilization::new(1.0), Watts(33.0)),
+            ]),
+            _ => PowerModel::Constant(Watts(12.5)),
+        }
+    }
+}
+
+/// One fed-span equivalence case; see [`FedPlan::check`].
+#[derive(Debug, Clone)]
+pub struct FedPlan<'a> {
+    pub cluster: &'a ClusterModel,
+    pub utils: &'a [f64],
+    /// Fiddles between `step_for_fed` calls (fan, heat-k, air fraction,
+    /// pins, releases, utilizations through the solver).
+    pub script: &'a [Event],
+    /// Power-model changes between calls; tick 0 entries are in place
+    /// before the first span.
+    pub remodels: &'a [Remodel],
+    pub inputs: FedInputs,
+    pub ticks: usize,
+    /// The feed ends every span after this many ticks (0 = never).
+    pub cut: usize,
+    /// The feed sets the next tick's inputs *before* it ends the span.
+    pub write_at_cut: bool,
+}
+
+impl FedPlan<'_> {
+    /// Drives one room through `step_for_fed` (configured by `setup`)
+    /// and a second through "the same inputs via
+    /// `machine_at_mut(..).set_utilization_at`, then `step()`", and
+    /// holds them together: every node temperature and the clock after
+    /// every tick (through probes, from inside the span), and
+    /// `checkpoint()` bytes, `generated_last_tick`, `utilization()` and
+    /// `time()` wherever a span ends. Returns the fed room.
+    pub fn check(&self, setup: Setup) -> ClusterSolver {
+        let mut fed = setup.build(self.cluster);
+        let mut stepped = Setup {
+            threads: 1,
+            ..setup
+        }
+        .build(self.cluster);
+        let n = fed.len();
+        let node_of: Vec<usize> = FED_COMPONENTS
+            .iter()
+            .map(|c| fed.machine_at(0).node_index(c).unwrap())
+            .collect();
+        let names: Vec<String> = fed.machine_names().iter().map(|s| s.to_string()).collect();
+        let node_names: Vec<String> = fed.machine_at(0).node_names().map(str::to_string).collect();
+        let probes: Vec<_> = names
+            .iter()
+            .flat_map(|m| node_names.iter().map(move |node| (m, node)))
+            .map(|(m, node)| fed.probe(m, node).unwrap())
+            .collect();
+        for s in [&mut fed, &mut stepped] {
+            for m in 0..n {
+                let u = self.utils[m % self.utils.len()];
+                let solver = s.machine_at_mut(m);
+                solver.set_utilization(nodes::CPU, u).unwrap();
+                solver
+                    .set_utilization(nodes::DISK_PLATTERS, 1.0 - u)
+                    .unwrap();
+            }
+        }
+
+        let mut stops: Vec<usize> = self.script.iter().map(|e| e.tick).collect();
+        stops.extend(self.remodels.iter().map(|r| r.tick));
+        stops.push(self.ticks);
+        stops.retain(|&t| t <= self.ticks);
+        stops.sort_unstable();
+        stops.dedup();
+        let mut at = 0;
+        for stop in stops {
+            while at < stop {
+                let mut history: Vec<(u64, Vec<u64>)> = Vec::new();
+                let mut now = fed.time().0;
+                let dt = fed.machine_at(0).dt().0;
+                let mut fed_ticks = 0;
+                let push = |inputs: &mut TickInputs<'_>, tick: usize| -> Result<(), Error> {
+                    for (m, c, u) in self.inputs.due(tick, n) {
+                        inputs.set_utilization_at(m, node_of[c], u)?;
+                    }
+                    Ok(())
+                };
+                let stepped_now = fed
+                    .step_for_fed(
+                        stop - at,
+                        &probes,
+                        |time, temps| {
+                            let bits = temps.iter().map(|t| t.0.to_bits()).collect();
+                            history.push((time.0.to_bits(), bits));
+                        },
+                        |inputs| {
+                            assert_eq!(inputs.machines(), n);
+                            assert_eq!(inputs.time().0.to_bits(), now.to_bits(), "feed clock");
+                            if self.cut != 0 && fed_ticks == self.cut {
+                                if self.write_at_cut {
+                                    push(inputs, at + fed_ticks)?;
+                                }
+                                return Ok(false);
+                            }
+                            push(inputs, at + fed_ticks)?;
+                            fed_ticks += 1;
+                            now += dt;
+                            Ok(true)
+                        },
+                    )
+                    .unwrap();
+                assert_eq!(stepped_now, fed_ticks);
+                assert_eq!(history.len(), fed_ticks);
+                assert!(fed_ticks > 0, "a span steps at least its first tick");
+
+                let through_solvers = |stepped: &mut ClusterSolver, tick: usize| {
+                    for (m, c, u) in self.inputs.due(tick, n) {
+                        stepped
+                            .machine_at_mut(m)
+                            .set_utilization_at(node_of[c], u)
+                            .unwrap();
+                    }
+                };
+                for (k, (time, temps)) in history.iter().enumerate() {
+                    through_solvers(&mut stepped, at + k);
+                    stepped.step();
+                    assert_eq!(*time, stepped.time().0.to_bits(), "tick {}: clock", at + k);
+                    let mut probe = 0;
+                    for m in 0..n {
+                        for (name, t) in stepped.machine_at(m).temperatures() {
+                            assert_eq!(
+                                temps[probe],
+                                t.0.to_bits(),
+                                "tick {}: machine {m} node {name}",
+                                at + k
+                            );
+                            probe += 1;
+                        }
+                    }
+                }
+                at += fed_ticks;
+                if self.write_at_cut && at < stop {
+                    // The feed set tick `at`'s inputs before ending the
+                    // span; the stepped room has them set the same way.
+                    through_solvers(&mut stepped, at);
+                }
+                let context = format!("after tick {at}");
+                assert_same_state(&fed, &stepped, &context);
+                for m in 0..n {
+                    for c in FED_COMPONENTS {
+                        assert_eq!(
+                            fed.machine_at(m).utilization(c).unwrap(),
+                            stepped.machine_at(m).utilization(c).unwrap(),
+                            "{context}: machine {m} utilization of {c}"
+                        );
+                    }
+                }
+                assert!(
+                    fed.checkpoint() == stepped.checkpoint(),
+                    "{context}: checkpoint bytes differ"
+                );
+            }
+            for s in [&mut fed, &mut stepped] {
+                // Script order within a tick, as in [`run`].
+                for event in self.script.iter().filter(|e| e.tick == at) {
+                    apply(s, event);
+                }
+                for r in self.remodels.iter().filter(|r| r.tick == at) {
+                    s.machine_at_mut(r.machine % n)
+                        .set_power_model(nodes::CPU, r.model())
+                        .unwrap();
+                }
+            }
+        }
+        fed
+    }
 }

@@ -13,7 +13,10 @@
 
 mod common;
 
-use common::{assert_same_state, run, script_strategy, Event, Fiddle, Setup};
+use common::{
+    assert_same_state, run, script_strategy, supported_backends, Event, FedInputs, FedPlan, Fiddle,
+    Remodel, Setup,
+};
 use mercury::presets::{self, nodes};
 use mercury::solver::{ClusterSolver, SimdBackend, SolverConfig};
 use mercury::units::Celsius;
@@ -402,5 +405,94 @@ fn pool_checkpoint_bytes_ignore_the_batching_path() {
             batched.checkpoint() == per_machine.checkpoint(),
             "checkpoint bytes differ between batched ({threads} threads) and per-machine"
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The fed span on the pool: rooms of 1..=70 machines under a
+    /// random fiddle script (so solo machines and chunks share the
+    /// queue), some with table power models, fed dense or sparse inputs
+    /// by feeds that may end the span early, at 1, 2 and 3 threads —
+    /// tick by tick and span by span equal to a room that took the same
+    /// inputs through its solvers and stepped serially (the driver is
+    /// `common::FedPlan::check`).
+    #[test]
+    fn pool_fed_span_matches_set_then_step(
+        machines in 1usize..=70,
+        subset in 1usize..=24,
+        script in script_strategy(24, 24, 0..30),
+        tables in proptest::collection::vec((0usize..24, 0usize..24), 0..4),
+        utils in proptest::collection::vec(0.0f64..1.0, 3..6),
+        seed in any::<u64>(),
+        density in prop_oneof![Just(100u64), 0u64..30],
+        cut in prop_oneof![Just(0usize), 1usize..9],
+        threads in 1usize..=3,
+    ) {
+        let cluster = presets::recirculating_cluster(machines, 0.25);
+        let script: Vec<Event> = script
+            .into_iter()
+            .map(|e| Event { machine: e.machine % subset, ..e })
+            .collect();
+        let remodels: Vec<Remodel> = tables
+            .into_iter()
+            .map(|(tick, machine)| Remodel { tick, machine, kind: 1 })
+            .collect();
+        FedPlan {
+            cluster: &cluster,
+            utils: &utils,
+            script: &script,
+            remodels: &remodels,
+            inputs: FedInputs { seed, density },
+            ticks: 24,
+            cut,
+            write_at_cut: seed % 2 == 0,
+        }
+        .check(Setup { threads, ..Setup::BATCHED });
+    }
+}
+
+/// Solo machines reprice on the pool too: a pinned machine and one alone
+/// in its fan class step as `FusedStep` items beside the chunks, every
+/// cell changing every tick, on every backend at 2 and 3 threads.
+#[test]
+fn pool_fed_solo_machines_reprice_on_the_pool() {
+    let cluster = presets::validation_cluster(40);
+    let script = [
+        Event {
+            tick: 0,
+            machine: 3,
+            fiddle: Fiddle::Pin(52.0),
+        },
+        Event {
+            tick: 0,
+            machine: 17,
+            fiddle: Fiddle::Fan(0.7),
+        },
+    ];
+    for backend in supported_backends() {
+        for threads in [2usize, 3] {
+            let fed = FedPlan {
+                cluster: &cluster,
+                utils: &[0.2, 0.9, 0.5],
+                script: &script,
+                remodels: &[],
+                inputs: FedInputs {
+                    seed: 5,
+                    density: 100,
+                },
+                ticks: 18,
+                cut: 0,
+                write_at_cut: false,
+            }
+            .check(Setup {
+                threads,
+                backend: Some(backend),
+                ..Setup::BATCHED
+            });
+            assert_eq!(fed.batched_machines(), 38);
+            assert_eq!(fed.pool_workers(), threads);
+        }
     }
 }

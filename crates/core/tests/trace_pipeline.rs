@@ -259,6 +259,170 @@ fn binding_validates_shape_and_interval() {
     assert!(ClusterBinding::new(&coarse, &two).is_err());
 }
 
+/// A header that lists the room's machines in another order binds each
+/// row to the machine it names (through the cluster's name map, not by
+/// position), and what a binding rejects is unchanged.
+#[test]
+fn binding_resolves_shuffled_headers_by_name() {
+    const ROOM: usize = 7;
+    let order = [3usize, 0, 6, 1, 5, 2, 4];
+    let level = |m: usize| 0.1 + 0.1 * m as f64;
+    let traces: Vec<UtilizationTrace> = order
+        .iter()
+        .map(|&m| {
+            let mut t = UtilizationTrace::new(
+                format!("machine{}", m + 1),
+                1.0,
+                COMPONENTS.iter().map(|c| c.to_string()).collect(),
+            )
+            .unwrap();
+            for _ in 0..3 {
+                t.push_row(&[level(m), 1.0 - level(m)]).unwrap();
+            }
+            t
+        })
+        .collect();
+    let (path, _guard) = write_events(&traces, "shuffled");
+    let mut stream = EventsStream::open(&path).unwrap();
+    let mut c = cluster(ROOM, 1);
+    let binding = ClusterBinding::new(stream.header(), &c).unwrap();
+    stream.replay(&binding, &mut c).unwrap();
+    for m in 0..ROOM {
+        let name = format!("machine{}", m + 1);
+        assert_eq!(c.machine_position(&name), Some(m));
+        let solver = c.machine(&name).unwrap();
+        assert_eq!(
+            solver.utilization("cpu").unwrap().fraction().to_bits(),
+            events::dequantize(quantize(level(m))).to_bits(),
+            "{name} took another machine's row"
+        );
+        assert_eq!(
+            solver
+                .utilization("disk_platters")
+                .unwrap()
+                .fraction()
+                .to_bits(),
+            events::dequantize(quantize(1.0 - level(m))).to_bits(),
+        );
+    }
+    assert_eq!(c.machine_position("machine8"), None);
+
+    let header = stream.header().clone();
+    let mut renamed = header.clone();
+    renamed.machines[4] = "no-such-machine".into();
+    assert!(matches!(
+        ClusterBinding::new(&renamed, &c),
+        Err(mercury::Error::UnknownMachine { name }) if name == "no-such-machine"
+    ));
+    let mut shell = header.clone();
+    shell.components[1] = "disk_shell".into();
+    assert!(matches!(
+        ClusterBinding::new(&shell, &c),
+        Err(mercury::Error::InvalidInput { reason })
+            if reason == "`disk_shell` on `machine4` is not a monitored component"
+    ));
+    let mut ghost = header;
+    ghost.components[0] = "no-such-node".into();
+    assert!(matches!(
+        ClusterBinding::new(&ghost, &c),
+        Err(mercury::Error::UnknownNode { name }) if name == "no-such-node"
+    ));
+}
+
+/// A decode error in the middle of a replay — a DELTA record cut short,
+/// a tag that is none of the three — stops the one fed span the replay
+/// runs in at a tick boundary: `replay_ticks` reports `InvalidInput`,
+/// the cluster's clock reads the ticks actually stepped, and its
+/// checkpoint equals that of a per-tick replay stopped at the same tick.
+#[test]
+fn replay_decode_errors_leave_the_cluster_at_a_tick_boundary() {
+    const ROOM: usize = 40; // two chunks
+    const TICKS: usize = 24;
+    let cells = ROOM * COMPONENTS.len();
+    // A quarter of the cells change on every tick: one DELTA per tick.
+    let mut row = vec![0.5; cells];
+    let rows: Vec<Vec<f64>> = (0..TICKS)
+        .map(|t| {
+            for (i, cell) in row.iter_mut().enumerate() {
+                if (i + t) % 4 == 0 {
+                    *cell = ((i * 7 + t * 13) % 101) as f64 / 100.0;
+                }
+            }
+            row.clone()
+        })
+        .collect();
+    let traces = traces_from_rows(ROOM, &rows);
+    let (bytes, stats) = events::encode_to_vec(&traces).unwrap();
+    assert_eq!(stats.delta_frames as usize, TICKS - 1, "one DELTA per tick");
+
+    // Byte offset of every record (one per tick: nothing holds).
+    let header_len = events::EventsHeader::parse(&bytes).unwrap().1;
+    let mut starts = Vec::new();
+    let mut at = header_len;
+    while at < bytes.len() {
+        starts.push(at);
+        at += match bytes[at] {
+            0x01 => 1 + 2 * cells,
+            0x02 => {
+                let n = u32::from_le_bytes(bytes[at + 1..at + 5].try_into().unwrap());
+                5 + 6 * n as usize
+            }
+            other => panic!("unexpected record tag {other:#04x}"),
+        };
+    }
+    assert_eq!(starts.len(), TICKS);
+
+    let mut truncated = bytes[..starts[13] + 5 + 6 * 3 + 2].to_vec();
+    truncated.shrink_to_fit();
+    let mut bad_tag = bytes.clone();
+    bad_tag[starts[17]] = 0x7f;
+
+    let decoded = events::decode(&bytes).unwrap();
+    let reference_at = |ticks: usize| {
+        let mut c = cluster(ROOM, 1);
+        for t in 0..ticks {
+            for trace in &decoded {
+                let row = trace.at(mercury::units::Seconds(t as f64)).unwrap();
+                let machine = c.machine_mut(trace.machine()).unwrap();
+                for (component, u) in COMPONENTS.iter().zip(row) {
+                    machine.set_utilization(component, *u).unwrap();
+                }
+            }
+            c.step();
+        }
+        c
+    };
+
+    type Opener = fn(&PathBuf) -> Result<EventsStream, mercury::Error>;
+    let modes: [(&str, Opener); 2] = [
+        ("mapped", |p| EventsStream::open_mapped(p)),
+        ("buffered", |p| EventsStream::open_buffered(p)),
+    ];
+    for (what, corrupt, good_ticks) in [("truncated", &truncated, 13), ("bad tag", &bad_tag, 17)] {
+        let path = unique_path("midspan");
+        let _guard = Cleanup(path.clone());
+        std::fs::write(&path, corrupt).unwrap();
+        let reference = reference_at(good_ticks);
+        for (mode, open) in modes {
+            let mut stream = open(&path).unwrap();
+            let mut c = cluster(ROOM, 1);
+            let binding = ClusterBinding::new(stream.header(), &c).unwrap();
+            let err = stream.replay(&binding, &mut c).unwrap_err();
+            assert!(
+                matches!(err, mercury::Error::InvalidInput { .. }),
+                "{what}, {mode}: {err}"
+            );
+            assert_eq!(c.batched_machines(), ROOM, "the span ran in the lanes");
+            assert_eq!(c.time().0, good_ticks as f64, "{what}, {mode}: clock");
+            assert_eq!(stream.position(), good_ticks as u64, "{what}, {mode}");
+            assert!(
+                c.checkpoint() == reference.checkpoint(),
+                "{what}, {mode}: state is not that of tick {good_ticks}"
+            );
+        }
+    }
+}
+
 /// The replay core: mapped replay, buffered replay, and a hand-rolled
 /// per-tick `set_utilization` loop over the decoded trace all produce
 /// bitwise-identical trajectories, and the stream's decode memory stays
