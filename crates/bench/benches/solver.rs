@@ -170,6 +170,38 @@ fn bench_solver(c: &mut Criterion) {
         });
     }
 
+    // A fused span over the room with the property the span's air mix
+    // relies on (every inlet reads only the supply, the one junction is
+    // read by nothing: the mix runs once, at the span's end) and over the
+    // room without it (every inlet reads the hot aisle: it runs every
+    // tick).
+    for (name, cluster) in [
+        (
+            "cluster1024_fused_ideal_room",
+            presets::validation_cluster(1024),
+        ),
+        (
+            "cluster1024_fused_recirculating_room",
+            presets::recirculating_cluster(1024, 0.2),
+        ),
+    ] {
+        c.bench_function(name, |b| {
+            let mut solver = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
+            solver.set_threads(1);
+            for m in 0..1024 {
+                solver
+                    .machine_at_mut(m)
+                    .set_utilization(nodes::CPU, (m % 10) as f64 / 10.0)
+                    .unwrap();
+            }
+            solver.step_for(30); // warm-up: plan, gather, hot chunks
+            b.iter(|| {
+                solver.step_for(30);
+                black_box(solver.time());
+            });
+        });
+    }
+
     // The batched 1024-machine tick at every compile level of the lane
     // sweep the host supports.
     for backend in SimdBackend::ALL.into_iter().filter(|b| b.supported()) {

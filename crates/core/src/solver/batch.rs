@@ -92,11 +92,27 @@
 //! the group's representative does not monitor) is priced by its solver
 //! instead and only the resulting heat is written
 //! ([`BatchSet::write_lane_heat`]) — decided per cell, from the rows.
+//!
+//! ## The room's air mix inside a span
+//!
+//! Inlet and exhaust rows are structural, like `fixed`, so the group's
+//! operator lists them and the room mixes chunk by chunk, not machine
+//! by machine: [`BatchSet::record_exhausts`] sums every lane's exhaust
+//! rows in one row pass per exhaust before a fused tick sweeps,
+//! [`BatchSet::exhaust_means`] turns the sums into the per-machine
+//! observations the mixing plan reads, and [`BatchSet::write_inlets`]
+//! writes mixed inlets into both buffers' inlet rows. Each chunk
+//! carries its lanes' inlet field too: gathered only in a group without
+//! exhaust regions (it is what such a machine shows the room), and
+//! handed back at [`BatchSet::finish_span`] only for lanes the mix
+//! wrote — a per-tick `step()` pays neither. Which sinks a span mixes
+//! at all is the mixing plan's call (`super::kernel::MixGraph`).
 
 use super::aligned::{AlignedVec, MATRIX_ALIGN};
 use super::kernel::AssembledOp;
 use super::machine::Solver;
 use super::simd::{self, SimdBackend, Sweep, LANE_PAD};
+use crate::units::Celsius;
 use std::collections::HashMap;
 
 /// Maximum machines (f64 lanes) per batch chunk. 32 lanes keep one
@@ -175,6 +191,10 @@ pub(crate) struct SharedOp {
     /// monitors something else is priced by its solver.
     monitored: Vec<usize>,
     monitored_row: Vec<u32>,
+    /// Inlet rows (the `fixed` ones: eligible machines carry no pins)
+    /// and exhaust rows, in node order — structural, so shared.
+    inlets: Vec<usize>,
+    exhausts: Vec<usize>,
     /// Lane-sweep backend, stamped from the owning [`BatchSet`] so a
     /// pool work item `(op, chunk)` carries everything a tick needs.
     backend: SimdBackend,
@@ -183,6 +203,9 @@ pub(crate) struct SharedOp {
 impl SharedOp {
     fn from_representative(solver: &mut Solver, per_lane: bool, backend: SimdBackend) -> Self {
         let fixed = solver.tick_inputs().0.to_vec();
+        // Eligible machines carry no pins: the fixed rows are the inlets.
+        let inlets: Vec<usize> = (0..fixed.len()).filter(|&i| fixed[i]).collect();
+        let exhausts = solver.exhaust_nodes();
         let components = solver.component_nodes().to_vec();
         let monitored: Vec<usize> = components
             .iter()
@@ -213,6 +236,8 @@ impl SharedOp {
             components,
             monitored_row: rows(&monitored),
             monitored,
+            inlets,
+            exhausts,
             backend,
         }
     }
@@ -277,7 +302,7 @@ fn load_coefficients(
     }
 }
 
-// `Chunk::fed` has one bit per lane.
+// `Chunk::fed` and `Chunk::inlet_set` have one bit per lane.
 const _: () = assert!(CHUNK_LANES <= u32::BITS as usize);
 
 /// One chunk of a batch group: up to [`CHUNK_LANES`] machines stepped
@@ -324,6 +349,16 @@ pub(crate) struct Chunk {
     /// heat of the last tick run, never of inputs not yet stepped.
     generated: Vec<f64>,
     resum: bool,
+    /// Per-lane sum of the exhaust rows, in node order from `0.0`, as
+    /// recorded by [`BatchSet::record_exhausts`] (`[stride]`).
+    exhaust_sum: Vec<f64>,
+    /// Per-lane inlet boundary temperature — the solver's inlet field
+    /// while a fused span runs in the lanes: gathered in a group
+    /// without exhaust regions (it is what such a machine shows the
+    /// room), written by the room's air mix.
+    inlet: Vec<f64>,
+    /// Lanes (bit `l`) whose inlet the mix wrote since the last scatter.
+    inlet_set: u32,
     /// Whether the chunk's matrices already hold every member's state
     /// from the previous tick (see the module docs for what a warm
     /// chunk re-reads).
@@ -349,6 +384,9 @@ impl Chunk {
             fed: 0,
             generated: vec![0.0; lanes],
             resum: true,
+            exhaust_sum: vec![0.0; stride],
+            inlet: vec![0.0; lanes],
+            inlet_set: 0,
             warm: false,
         }
     }
@@ -696,9 +734,12 @@ impl BatchSet {
                     // *both* buffers: the sweep skips them, so each
                     // buffer must carry its own copy across the
                     // double-buffer swaps.
-                    for &i in solver.inlet_nodes() {
+                    for &i in &op.inlets {
                         chunk.cur[i * stride + l] = temps[i].0;
                         chunk.next[i * stride + l] = temps[i].0;
+                    }
+                    if op.exhausts.is_empty() {
+                        chunk.inlet[l] = solver.inlet_temperature().0;
                     }
                     if !chunk.warm || repriced {
                         for (row, &i) in op.components.iter().enumerate() {
@@ -744,11 +785,12 @@ impl BatchSet {
     /// Epilogue of `span` ticks (1 for a per-tick step, more for a
     /// fused replay span — the chunk matrices stayed hot throughout, so
     /// there is exactly one scatter to pay): scatters chunk
-    /// temperatures back into each member solver, hands it the
-    /// utilizations its lane priced during the span (the solver
-    /// reprices them itself at the next gather, as after any
-    /// `set_utilization_at`), and books its heat/time accounting,
-    /// exactly as [`Solver::step`]'s epilogue does.
+    /// temperatures (and any inlet field the span's mix wrote) back into
+    /// each member solver, hands it the utilizations its lane priced
+    /// during the span (the solver reprices them itself at the next
+    /// gather, as after any `set_utilization_at`), and books its
+    /// heat/time accounting, exactly as [`Solver::step`]'s epilogue
+    /// does.
     pub(crate) fn finish_span(&mut self, machines: &mut [Solver], span: usize) {
         for group in &mut self.groups {
             let op = &group.op;
@@ -758,6 +800,9 @@ impl BatchSet {
                     let solver = &mut machines[m];
                     for (i, t) in solver.temps_mut().iter_mut().enumerate() {
                         t.0 = chunk.cur[i * stride + l];
+                    }
+                    if chunk.inlet_set & (1 << l) != 0 {
+                        solver.set_inlet_field(Celsius(chunk.inlet[l]));
                     }
                     if chunk.fed & (1 << l) != 0 {
                         for (row, &i) in op.monitored.iter().enumerate() {
@@ -773,6 +818,7 @@ impl BatchSet {
                     solver.finish_tick_span(chunk.generated[l], span);
                 }
                 chunk.fed = 0;
+                chunk.inlet_set = 0;
             }
         }
     }
@@ -793,22 +839,69 @@ impl BatchSet {
         map
     }
 
-    /// The inter-machine exhaust observation read straight off a chunk
-    /// lane: the mean over `nodes` in node order — the identical
-    /// accumulation the cluster's scalar `exhaust_temperature` performs
-    /// on a solver's scattered temperatures. `None` when the machine has
-    /// no exhaust regions (the caller falls back to its inlet, as the
-    /// scalar path does).
-    pub(crate) fn lane_exhaust(&self, g: u32, c: u32, l: u32, nodes: &[u32]) -> Option<f64> {
-        if nodes.is_empty() {
-            return None;
+    /// Records every lane's exhaust sum from the chunk's current state:
+    /// per lane `0.0 + T_e₀ + T_e₁ + …` over the exhaust rows in node
+    /// order — the additions the cluster's scalar `exhaust_temperature`
+    /// makes on a solver's scattered temperatures — as one row pass per
+    /// exhaust. Called before a fused tick sweeps, so after the span the
+    /// sums are those the span's last tick mixed from.
+    pub(crate) fn record_exhausts(&mut self) {
+        for group in &mut self.groups {
+            for chunk in &mut group.chunks {
+                let stride = chunk.stride;
+                chunk.exhaust_sum.fill(0.0);
+                for &i in &group.op.exhausts {
+                    let row = &chunk.cur[i * stride..(i + 1) * stride];
+                    for (sum, &t) in chunk.exhaust_sum.iter_mut().zip(row) {
+                        *sum += t;
+                    }
+                }
+            }
         }
-        let chunk = &self.groups[g as usize].chunks[c as usize];
-        let mut sum = 0.0;
-        for &i in nodes {
-            sum += chunk.cur[i as usize * chunk.stride + l as usize];
+    }
+
+    /// Writes each batched machine's exhaust observation at the last
+    /// [`BatchSet::record_exhausts`] into `out[m]`: the mean of its
+    /// exhaust regions, or its inlet temperature if it has none — as
+    /// the scalar `exhaust_temperature` reads it off a solver.
+    pub(crate) fn exhaust_means(&self, out: &mut [Celsius]) {
+        for group in &self.groups {
+            let exhausts = group.op.exhausts.len();
+            for chunk in &group.chunks {
+                for (l, &m) in chunk.members.iter().enumerate() {
+                    out[m] = Celsius(if exhausts == 0 {
+                        chunk.inlet[l]
+                    } else {
+                        chunk.exhaust_sum[l] / exhausts as f64
+                    });
+                }
+            }
         }
-        Some(sum / nodes.len() as f64)
+    }
+
+    /// Sets the inlet boundary of every batched machine `m` for which
+    /// `inlet(m)` is `Some` — the fused span's equivalent of
+    /// `set_inlet_temperature` on the scattered solver. Inlet rows are
+    /// `fixed`, which the sweep skips rather than copies, so the value
+    /// goes into both buffers to survive the per-sub-step swaps; the
+    /// field reaches the solver at [`BatchSet::finish_span`].
+    pub(crate) fn write_inlets(&mut self, mut inlet: impl FnMut(usize) -> Option<Celsius>) {
+        for group in &mut self.groups {
+            for chunk in &mut group.chunks {
+                let stride = chunk.stride;
+                for (l, &m) in chunk.members.iter().enumerate() {
+                    let Some(t) = inlet(m) else {
+                        continue;
+                    };
+                    chunk.inlet[l] = t.0;
+                    chunk.inlet_set |= 1 << l;
+                    for &i in &group.op.inlets {
+                        chunk.cur[i * stride + l] = t.0;
+                        chunk.next[i * stride + l] = t.0;
+                    }
+                }
+            }
+        }
     }
 
     /// One node's current temperature on a chunk lane, for per-tick
@@ -816,19 +909,6 @@ impl BatchSet {
     pub(crate) fn lane_value(&self, g: u32, c: u32, l: u32, node: usize) -> f64 {
         let chunk = &self.groups[g as usize].chunks[c as usize];
         chunk.cur[node * chunk.stride + l as usize]
-    }
-
-    /// Writes a boundary temperature into the given rows of a chunk
-    /// lane — the fused span's equivalent of `set_inlet_temperature` on
-    /// the scattered solver. Boundary rows are `fixed`, which the sweep
-    /// skips rather than copies, so the value is written into both
-    /// buffers to survive the per-sub-step double-buffer swaps.
-    pub(crate) fn write_lane_rows(&mut self, g: u32, c: u32, l: u32, nodes: &[usize], t: f64) {
-        let chunk = &mut self.groups[g as usize].chunks[c as usize];
-        for &i in nodes {
-            chunk.cur[i * chunk.stride + l as usize] = t;
-            chunk.next[i * chunk.stride + l as usize] = t;
-        }
     }
 
     /// Prices utilization `u` of component `node` on a chunk lane, in

@@ -725,9 +725,12 @@ impl ClusterSolver {
     /// [`ClusterSolver::step_for_fed`]; this method's feed does
     /// nothing), and a feed can only change utilizations, so chunk
     /// matrices stay hot across ticks (no per-tick gather/scatter),
-    /// inter-machine mixing reads exhausts straight off the chunk lanes
-    /// and writes inlets straight back, solo machines reprice only when
-    /// fed, and plan checks plus sampled metrics are paid once per span.
+    /// solo machines reprice only when fed, and plan checks plus sampled
+    /// metrics are paid once per span. The room's air mix runs chunk by
+    /// chunk, and only for the sinks a span can change: an inlet that
+    /// reads only supplies keeps the value the first tick mixed, and a
+    /// junction nothing in the room reads is mixed once, at the span's
+    /// end, from the exhausts its last tick saw.
     /// The trajectory is bit-identical to calling
     /// [`ClusterSolver::step`] in a loop — the equivalence proptests
     /// hold it to that at every thread count. Use
@@ -911,9 +914,10 @@ impl ClusterSolver {
 
     /// Runs up to `span` ticks fused: mixing and stepping operate
     /// directly on the chunk matrices (and the solo solvers), with the
-    /// scatter, span accounting, and metrics paid once at the end. The
-    /// caller (always [`ClusterSolver::replay`]) has just completed a
-    /// normal tick, so the batch plan is current, every chunk is warm,
+    /// deferred junctions, the scatter, span accounting, and metrics
+    /// paid once at the end. The caller (always
+    /// [`ClusterSolver::replay`]) has just completed a normal tick, so
+    /// the batch plan is current, every chunk is warm,
     /// and every solo machine's inputs are priced — and until this
     /// method returns only `feed` can touch the room, through
     /// [`TickInputs`], which cannot invalidate any of that.
@@ -941,13 +945,12 @@ impl ClusterSolver {
         let threads = self.effective_threads();
         let n = self.machines.len();
         let lane = self.batch.lane_map(n);
-        // The inlet each machine currently sees; stands in for the solver
-        // field while batched lanes live only in the chunk matrices.
-        let mut inlet_now: Vec<Celsius> = self
-            .machines
-            .iter()
-            .map(Solver::inlet_temperature)
-            .collect();
+        let solos: Vec<usize> = (0..n).filter(|&m| lane[m].is_none()).collect();
+        // What the room's air mix costs a fused tick (see `MixGraph`):
+        // live sinks are mixed every tick; deferred junctions once, at
+        // the end, from the exhausts the last tick recorded.
+        let live = self.mix.span_live();
+        let records = live || self.mix.has_deferred();
         let mut done = 0;
         // Ticks that took an input, and the input-stable runs between
         // them (what `fused_ticks`/`fused_spans` have always counted).
@@ -979,49 +982,40 @@ impl ClusterSolver {
                 stable_run += 1;
             }
 
-            // Phase 0: previous-tick exhausts — read off the chunk lanes
-            // for batched machines, off the solver for solos.
-            for m in 0..n {
-                self.exhaust_scratch[m] = match lane[m] {
-                    Some((g, c, l)) => self
-                        .batch
-                        .lane_exhaust(g, c, l, self.mix.exhaust_nodes(m))
-                        .map(Celsius)
-                        .unwrap_or(inlet_now[m]),
-                    None => exhaust_temperature(&self.machines[m], self.mix.exhaust_nodes(m)),
-                };
-            }
-            self.mix.begin_tick(
-                &self.supply_temps,
-                &self.junction_temps,
-                &self.exhaust_scratch,
-            );
-
-            // Phase 1: junctions, in model order.
-            for j in 0..self.junction_temps.len() {
-                if let Some(t) = self.mix.mix_junction(j) {
-                    self.junction_temps[j] = t;
+            // Phase 0: previous-tick exhausts — off the solver for solos,
+            // one row sum per chunk for batched machines.
+            if records {
+                for &m in &solos {
+                    self.exhaust_scratch[m] =
+                        exhaust_temperature(&self.machines[m], self.mix.exhaust_nodes(m));
                 }
+                self.batch.record_exhausts();
             }
 
-            // Phase 2: machine inlets — written straight into the chunk
-            // inlet rows for batched machines (those rows are `fixed`,
-            // so the chunk tick carries them through every sub-step).
-            for m in 0..n {
-                let forced = self.forced_inlets[m];
-                let mixed = if forced.is_some() {
-                    forced
-                } else {
-                    self.mix.mix_inlet(m)
+            // Phases 1–2, live sinks only: junctions in model order, then
+            // inlets — written straight into the chunk inlet rows for
+            // batched machines (those rows are `fixed`, so the chunk tick
+            // carries them through every sub-step).
+            if live {
+                self.batch.exhaust_means(&mut self.exhaust_scratch);
+                self.mix.begin_tick(
+                    &self.supply_temps,
+                    &self.junction_temps,
+                    &self.exhaust_scratch,
+                );
+                self.mix.mix_live_junctions(&mut self.junction_temps);
+                let (mix, forced) = (&self.mix, &self.forced_inlets);
+                let inlet = |m: usize| {
+                    if mix.inlet_live(m) {
+                        forced[m].or_else(|| mix.mix_inlet(m))
+                    } else {
+                        None
+                    }
                 };
-                if let Some(t) = mixed {
-                    inlet_now[m] = t;
-                    match lane[m] {
-                        Some((g, c, l)) => {
-                            let nodes = self.machines[m].inlet_nodes();
-                            self.batch.write_lane_rows(g, c, l, nodes, t.0);
-                        }
-                        None => self.machines[m].set_inlet_temperature(t),
+                self.batch.write_inlets(inlet);
+                for &m in &solos {
+                    if let Some(t) = inlet(m) {
+                        self.machines[m].set_inlet_temperature(t);
                     }
                 }
             }
@@ -1029,10 +1023,8 @@ impl ClusterSolver {
             // Phase 3: step. Chunk matrices stay hot — no gather, no
             // scatter, no plan check until the span ends.
             if threads <= 1 {
-                for (m, l) in lane.iter().enumerate() {
-                    if l.is_none() {
-                        self.machines[m].tick_fused();
-                    }
+                for &m in &solos {
+                    self.machines[m].tick_fused();
                 }
                 self.batch.tick_serial();
             } else {
@@ -1074,17 +1066,26 @@ impl ClusterSolver {
             }
         }
 
-        // Span epilogue: one scatter plus per-machine span accounting,
-        // and the inlet fields batched machines skipped per tick. Runs
-        // for a span of no ticks too: the feed may have set inputs
-        // before ending it, and the lanes hand those back here.
-        self.batch.finish_span(&mut self.machines, done);
-        for m in 0..n {
-            if lane[m].is_some() {
-                self.machines[m].set_inlet_field(inlet_now[m]);
-            } else {
-                self.machines[m].finish_span(done);
+        // Span epilogue. Deferred junctions mix once, from the exhausts
+        // the last tick recorded (already scattered if the room is live)
+        // and live junctions that are final by now.
+        if done > 0 && self.mix.has_deferred() {
+            if !live {
+                self.batch.exhaust_means(&mut self.exhaust_scratch);
             }
+            self.mix.begin_tick(
+                &self.supply_temps,
+                &self.junction_temps,
+                &self.exhaust_scratch,
+            );
+            self.mix.mix_deferred_junctions(&mut self.junction_temps);
+        }
+        // One scatter plus per-machine span accounting. Runs for a span
+        // of no ticks too: the feed may have set inputs before ending
+        // it, and the lanes hand those back here.
+        self.batch.finish_span(&mut self.machines, done);
+        for &m in &solos {
+            self.machines[m].finish_span(done);
         }
 
         // Bulk metrics: counters stay exact; the latency histograms get
@@ -1098,9 +1099,9 @@ impl ClusterSolver {
                 self.metrics.fused_spans.observe(stable_run);
             }
             self.metrics.solver.ticks.add(n as u64 * done_u64);
-            let solo_substeps: u64 = (0..n)
-                .filter(|&m| lane[m].is_none())
-                .map(|m| self.machines[m].current_substeps() as u64)
+            let solo_substeps: u64 = solos
+                .iter()
+                .map(|&m| self.machines[m].current_substeps() as u64)
                 .sum();
             self.metrics
                 .solver

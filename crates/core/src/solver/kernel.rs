@@ -484,6 +484,23 @@ impl StepKernel {
 /// once ([`MixGraph::begin_tick`]) and mixes by index, replacing the
 /// per-tick `HashMap<ClusterEndpoint, Celsius>` (and its `String` clones)
 /// of the original implementation.
+///
+/// ## What a fused span mixes
+///
+/// Inside a fused span only the span's feed runs between ticks, and a
+/// feed only sets utilizations: supply temperatures, forced inlets and
+/// the graph itself are fixed until the span ends. So each sink is
+/// classified once, from the graph alone:
+///
+/// - an inlet is *span-invariant* when every source it reads is a
+///   supply — each tick of the span would mix the value the span's
+///   first (full) tick already set;
+/// - a junction is *deferred* when no edge reads it and every junction
+///   it reads comes before it in model order — its value after the span
+///   depends only on the last tick's exhausts and on junctions that are
+///   already final, so mixing it once at the span's end from the last
+///   tick's exhausts gives the bits a per-tick loop leaves;
+/// - every other sink is *live* and is mixed every tick.
 #[derive(Debug)]
 pub(crate) struct MixGraph {
     n_supply: usize,
@@ -500,6 +517,11 @@ pub(crate) struct MixGraph {
     exhaust_node: Vec<u32>,
     /// Endpoint temperatures for the current tick, by slot.
     temps: Vec<f64>,
+    /// Span classes: `inlet_live[m]` unless machine `m`'s inlet is
+    /// span-invariant; live and deferred junctions, each in model order.
+    inlet_live: Vec<bool>,
+    live_junctions: Vec<u32>,
+    deferred_junctions: Vec<u32>,
 }
 
 impl MixGraph {
@@ -575,6 +597,36 @@ impl MixGraph {
             exhaust_off[m + 1] = exhaust_node.len() as u32;
         }
 
+        // Span classes (see the type docs). Slots below `n_supply` are
+        // supplies, the next `n_junction` junctions.
+        let junction_slot = |s: u32| {
+            (s as usize)
+                .checked_sub(n_supply)
+                .filter(|&j| j < n_junction)
+        };
+        let inlet_live = (0..n_machine)
+            .map(|m| {
+                inlet_src[inlet_off[m] as usize..inlet_off[m + 1] as usize]
+                    .iter()
+                    .any(|&s| s as usize >= n_supply)
+            })
+            .collect();
+        let mut read = vec![false; n_junction];
+        for &s in junction_src.iter().chain(&inlet_src) {
+            if let Some(j) = junction_slot(s) {
+                read[j] = true;
+            }
+        }
+        let (deferred_junctions, live_junctions): (Vec<u32>, Vec<u32>) = (0..n_junction as u32)
+            .partition(|&j| {
+                let sources = &junction_src
+                    [junction_off[j as usize] as usize..junction_off[j as usize + 1] as usize];
+                !read[j as usize]
+                    && sources
+                        .iter()
+                        .all(|&s| junction_slot(s).is_none_or(|k| k < j as usize))
+            });
+
         MixGraph {
             n_supply,
             junction_off,
@@ -586,6 +638,48 @@ impl MixGraph {
             exhaust_off,
             exhaust_node,
             temps: vec![0.0; n_supply + n_junction + n_machine],
+            inlet_live,
+            live_junctions,
+            deferred_junctions,
+        }
+    }
+
+    /// Whether machine `m`'s inlet reads anything but supplies, and so
+    /// must be mixed on every tick of a fused span.
+    pub(crate) fn inlet_live(&self, m: usize) -> bool {
+        self.inlet_live[m]
+    }
+
+    /// Whether any sink must be mixed on every tick of a fused span.
+    pub(crate) fn span_live(&self) -> bool {
+        !self.live_junctions.is_empty() || self.inlet_live.contains(&true)
+    }
+
+    /// Whether any junction is mixed only at a fused span's end.
+    pub(crate) fn has_deferred(&self) -> bool {
+        !self.deferred_junctions.is_empty()
+    }
+
+    /// Mixes the live junctions in model order, into `junctions` — a
+    /// fused tick's junction pass (see [`MixGraph::mix_junction`]).
+    pub(crate) fn mix_live_junctions(&mut self, junctions: &mut [Celsius]) {
+        for k in 0..self.live_junctions.len() {
+            let j = self.live_junctions[k] as usize;
+            if let Some(t) = self.mix_junction(j) {
+                junctions[j] = t;
+            }
+        }
+    }
+
+    /// Mixes the deferred junctions in model order, into `junctions` —
+    /// once, at a fused span's end, with the slots loaded from the
+    /// span's last tick.
+    pub(crate) fn mix_deferred_junctions(&mut self, junctions: &mut [Celsius]) {
+        for k in 0..self.deferred_junctions.len() {
+            let j = self.deferred_junctions[k] as usize;
+            if let Some(t) = self.mix_junction(j) {
+                junctions[j] = t;
+            }
         }
     }
 
@@ -741,6 +835,101 @@ mod tests {
                     .unwrap();
             assert_eq!(got.0, want.0, "machine {m} inlet");
         }
+    }
+
+    /// Two machines whose inlets read supply `ac`, the given junctions,
+    /// and the given edges at fraction 0.5 each.
+    fn room(junctions: &[&str], edges: &[(ClusterEndpoint, ClusterEndpoint)]) -> MixGraph {
+        let mut b = ClusterModel::builder();
+        b.supply("ac", 18.0);
+        for j in junctions {
+            b.junction(*j);
+        }
+        for m in 0..2 {
+            let m = b.machine(machine(&format!("m{m}")));
+            b.edge(
+                ClusterEndpoint::Supply("ac".into()),
+                ClusterEndpoint::MachineInlet(m),
+                1.0,
+            );
+        }
+        for (from, to) in edges {
+            b.edge(from.clone(), to.clone(), 0.5);
+        }
+        MixGraph::build(&b.build().unwrap())
+    }
+
+    fn junction(name: &str) -> ClusterEndpoint {
+        ClusterEndpoint::Junction(name.into())
+    }
+
+    #[test]
+    fn mix_graph_classifies_the_ideal_room() {
+        let mix = MixGraph::build(&crate::presets::validation_cluster(6));
+        assert!(
+            (0..6).all(|m| !mix.inlet_live(m)),
+            "inlets read the supply only"
+        );
+        assert_eq!(mix.deferred_junctions, [0], "cluster_exhaust is deferred");
+        assert!(mix.live_junctions.is_empty());
+        assert!(!mix.span_live());
+        assert!(mix.has_deferred());
+    }
+
+    #[test]
+    fn mix_graph_classifies_the_recirculating_room() {
+        let mix = MixGraph::build(&crate::presets::recirculating_cluster(6, 0.2));
+        assert!((0..6).all(|m| mix.inlet_live(m)), "inlets read hot_aisle");
+        assert_eq!(mix.live_junctions, [0], "hot_aisle feeds the inlets");
+        assert!(mix.deferred_junctions.is_empty());
+        assert!(mix.span_live());
+    }
+
+    #[test]
+    fn mix_graph_keeps_a_junction_read_by_a_later_one_live() {
+        // `a` is read only by `b`, which comes after it; nothing reads
+        // `b`, and `b` reads only an earlier junction: deferred.
+        let mix = room(
+            &["a", "b"],
+            &[
+                (ClusterEndpoint::MachineExhaust(0), junction("a")),
+                (junction("a"), junction("b")),
+                (ClusterEndpoint::MachineExhaust(1), junction("b")),
+            ],
+        );
+        assert_eq!(mix.live_junctions, [0]);
+        assert_eq!(mix.deferred_junctions, [1]);
+        assert!((0..2).all(|m| !mix.inlet_live(m)));
+    }
+
+    #[test]
+    fn mix_graph_does_not_defer_a_junction_reading_a_later_one() {
+        // `a` reads `b`, declared after it: `a` would see `b`'s
+        // previous-tick value, which the span's end no longer has.
+        let mix = room(
+            &["a", "b"],
+            &[
+                (junction("b"), junction("a")),
+                (ClusterEndpoint::MachineExhaust(0), junction("b")),
+            ],
+        );
+        assert_eq!(mix.live_junctions, [0, 1], "b is read, a reads later");
+        assert!(mix.deferred_junctions.is_empty());
+    }
+
+    #[test]
+    fn mix_graph_treats_an_inlet_without_edges_as_span_invariant() {
+        // The builder allows edge-less inlets only in a room without
+        // edges; such an inlet keeps whatever it was set to.
+        let mut b = ClusterModel::builder();
+        b.supply("ac", 18.0);
+        b.junction("a");
+        b.machine(machine("m0"));
+        let mix = MixGraph::build(&b.build().unwrap());
+        assert_eq!(mix.inlet_off, [0, 0], "no inlet edge");
+        assert!(!mix.inlet_live(0));
+        assert!(!mix.span_live());
+        assert_eq!(mix.deferred_junctions, [0], "nothing reads `a`");
     }
 
     #[test]

@@ -806,15 +806,26 @@ impl Solver {
     }
 
     /// Overwrites the inlet boundary field without touching node
-    /// temperatures — the fused span writes inlet rows directly into the
-    /// chunk matrices and syncs the field once at span end.
+    /// temperatures — a batch chunk carries the field beside its inlet
+    /// rows and hands it back when it scatters.
     pub(crate) fn set_inlet_field(&mut self, t: Celsius) {
         self.inlet_temperature = t;
     }
 
-    /// Node indices of the inlet air regions, in model order.
-    pub(crate) fn inlet_nodes(&self) -> &[usize] {
-        &self.inlets
+    /// Node indices of the exhaust air regions, in model order (cold:
+    /// a batch group reads its representative's once).
+    pub(crate) fn exhaust_nodes(&self) -> Vec<usize> {
+        (0..self.kind.len())
+            .filter(|&i| {
+                matches!(
+                    self.kind[i],
+                    NodeRt::Air {
+                        kind: AirKind::Exhaust,
+                        ..
+                    }
+                )
+            })
+            .collect()
     }
 
     /// Sub-steps per tick of the currently compiled kernel, without the

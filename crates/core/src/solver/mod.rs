@@ -54,7 +54,8 @@
 //! ([`ClusterSolver::step_for_fed`], [`TickInputs`]) sets utilizations
 //! before any tick and the batched lanes price them in place — how
 //! trace replay keeps a room whose every cell changes every tick inside
-//! one span; see `DESIGN.md` §3b.
+//! one span. Inside a span traversal 3 runs chunk by chunk, and only
+//! for the sinks a span can change; see `DESIGN.md` §3b.
 //!
 //! Both solvers meter themselves through always-on [`telemetry`] handles
 //! (tick counts, sampled latencies, batch-plan shape); see the `metrics`

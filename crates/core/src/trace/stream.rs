@@ -54,8 +54,9 @@ pub struct ReplayMetrics {
     /// the stream's lifetime (0 when streaming buffered).
     pub mapped_bytes: Counter,
     /// `mercury_replay_peak_rss_bytes` — the process's peak resident set
-    /// (`VmHWM`), refreshed at the end of every replay call; the gauge
-    /// behind the flat-memory assertion.
+    /// (`VmHWM`), refreshed when a replay call reaches the end of the
+    /// trace or fails (not mid-trace: each read is a procfs round trip);
+    /// the gauge behind the flat-memory assertion.
     pub peak_rss: Gauge,
 }
 
@@ -94,7 +95,7 @@ impl ReplayMetrics {
         );
         registry.register_gauge(
             "mercury_replay_peak_rss_bytes",
-            "Peak resident set size (VmHWM) observed after replay",
+            "Peak resident set size (VmHWM), read when a replay call reaches the end of the trace or fails",
             &[],
             &self.peak_rss,
         );
@@ -701,8 +702,13 @@ impl EventsStream {
         );
         self.metrics.ticks.add(stats.ticks);
         self.metrics.spans.add(stats.spans);
-        if let Some(rss) = peak_rss_bytes() {
-            self.metrics.peak_rss.set(rss as f64);
+        // A procfs read costs microseconds, and callers that replay in
+        // short calls make many: the gauge is refreshed when a call
+        // reaches the end of the trace or fails, not on every call.
+        if result.is_err() || self.position() == self.header.ticks {
+            if let Some(rss) = peak_rss_bytes() {
+                self.metrics.peak_rss.set(rss as f64);
+            }
         }
         result.map(|_| stats)
     }

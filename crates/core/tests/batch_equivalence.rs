@@ -15,8 +15,9 @@
 mod common;
 
 use common::{
-    assert_same_state, run, script_strategy, supported_backends, Event, FedInputs, FedPlan, Fiddle,
-    Remodel, Setup,
+    assert_same_state, mix_calls_strategy, mix_room_strategy, run, script_strategy,
+    supported_backends, Event, FedInputs, FedPlan, Fiddle, MixCall, MixPlan, MixRoom, Remodel,
+    Setup,
 };
 use mercury::presets::{self, nodes, FAN_CFM};
 use mercury::solver::{ClusterSolver, SimdBackend, Solver, SolverConfig};
@@ -672,4 +673,190 @@ fn batch_fed_ticks_count_apart_from_fused_ticks() {
     assert_eq!(m.fed_ticks.get(), 12);
     assert_eq!(m.fused_ticks.get(), 27);
     assert_eq!(m.fused_spans.snapshot().count, 3);
+}
+
+// --- the room's air mix inside a span ----------------------------------------
+//
+// A fused span mixes only the sinks it can change: inlets that read
+// anything but supplies and junctions something reads (or that read a
+// later junction) every tick, the other junctions once at its end.
+// `common::MixPlan::check` holds a room to one stepped one `step()` at a
+// time on one thread, down to every junction temperature and the
+// checkpoint bytes. Names start `batch_mix_` so the CI filter above
+// picks them up.
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random rooms — 1–2 supplies, 0–3 junctions linked in either
+    /// declaration order, recirculation into some inlets, machines with
+    /// zero, one and two exhaust regions, pinned machines — through fed
+    /// spans that end early or fail, recorded spans, forced inlets,
+    /// releases and supply changes, on every backend.
+    #[test]
+    fn batch_mix_random_rooms_match_per_tick_stepping(
+        room in mix_room_strategy(),
+        calls in mix_calls_strategy(),
+        backend_idx in 0usize..SimdBackend::ALL.len(),
+    ) {
+        let backend = SimdBackend::ALL[backend_idx];
+        let backend = if backend.supported() { backend } else { SimdBackend::Baseline };
+        MixPlan { room: &room, calls: &calls }
+            .check(Setup { backend: Some(backend), ..Setup::BATCHED });
+    }
+}
+
+/// The ideal room's one junction is read by nothing and mixed once per
+/// span, from the exhausts the span's last tick saw.
+#[test]
+fn batch_mix_deferred_junctions_mix_from_the_last_tick() {
+    let room = MixRoom {
+        exhausts: vec![1, 2, 0],
+        ..MixRoom::ideal(12)
+    };
+    let calls = [
+        MixCall::fed(20),
+        MixCall::Recorded { ticks: 15 },
+        MixCall::Supply { supply: 0, t: 24.0 },
+        MixCall::fed(10),
+    ];
+    let fused = MixPlan {
+        room: &room,
+        calls: &calls,
+    }
+    .check(Setup::BATCHED);
+    assert_eq!(fused.batched_machines(), 12);
+}
+
+/// A span the feed ends, or fails, after some ticks still mixes its
+/// deferred junctions.
+#[test]
+fn batch_mix_deferral_runs_when_the_feed_ends_or_fails() {
+    let end = |end: usize, fail: bool| MixCall::Fed {
+        ticks: 10,
+        end: Some(end),
+        fail,
+    };
+    let calls = [
+        end(2, false),
+        end(5, true),
+        end(0, false),
+        end(1, true),
+        end(7, false),
+        end(3, true),
+    ];
+    MixPlan {
+        room: &MixRoom::ideal(10),
+        calls: &calls,
+    }
+    .check(Setup::BATCHED);
+}
+
+/// `j0` reads `j1`, declared after it, and nothing reads `j0`: it must
+/// still mix every tick, because each tick reads `j1`'s value from the
+/// tick before. `j2` reads the earlier `j1` and is deferred.
+#[test]
+fn batch_mix_junction_chains_in_both_orders() {
+    let room = MixRoom {
+        junctions: 3,
+        exhaust_to: vec![Some(1)],
+        links: vec![(1, 0), (1, 2)],
+        ..MixRoom::ideal(10)
+    };
+    let calls = [
+        MixCall::fed(15),
+        MixCall::Recorded { ticks: 10 },
+        MixCall::Fed {
+            ticks: 12,
+            end: Some(6),
+            fail: false,
+        },
+    ];
+    MixPlan {
+        room: &room,
+        calls: &calls,
+    }
+    .check(Setup::BATCHED);
+}
+
+/// The hot aisle `j0` recirculates into every other inlet; `j1` beside
+/// it takes some exhausts and feeds nothing.
+fn recirculating_room(machines: usize) -> MixRoom {
+    MixRoom {
+        junctions: 2,
+        exhaust_to: vec![Some(0), Some(1), Some(0)],
+        recirculate: vec![Some(0), None],
+        ..MixRoom::ideal(machines)
+    }
+}
+
+/// The recirculated inlets mix every tick; the others keep the value
+/// the supply gave them.
+#[test]
+fn batch_mix_recirculated_inlets_mix_every_tick() {
+    let calls = [
+        MixCall::fed(15),
+        MixCall::Recorded { ticks: 10 },
+        MixCall::Fed {
+            ticks: 12,
+            end: Some(4),
+            fail: true,
+        },
+    ];
+    MixPlan {
+        room: &recirculating_room(12),
+        calls: &calls,
+    }
+    .check(Setup::BATCHED);
+}
+
+/// A forced inlet holds through spans that mix its neighbours every
+/// tick, and rejoins the mix once released.
+#[test]
+fn batch_mix_forced_inlets_hold_inside_live_spans() {
+    let calls = [
+        MixCall::Force {
+            machine: 2,
+            t: 33.0,
+        },
+        MixCall::Force {
+            machine: 5,
+            t: 27.5,
+        },
+        MixCall::fed(12),
+        MixCall::Recorded { ticks: 8 },
+        MixCall::Release { machine: 2 },
+        MixCall::fed(10),
+    ];
+    MixPlan {
+        room: &recirculating_room(12),
+        calls: &calls,
+    }
+    .check(Setup::BATCHED);
+}
+
+/// Pinned machines step solo; their exhausts reach the deferred
+/// junction as the span's last tick saw them, not as the span left
+/// them.
+#[test]
+fn batch_mix_solo_exhausts_reach_deferred_junctions() {
+    let room = MixRoom {
+        pinned: vec![2, 5],
+        ..MixRoom::ideal(10)
+    };
+    let calls = [
+        MixCall::fed(15),
+        MixCall::Recorded { ticks: 10 },
+        MixCall::Fed {
+            ticks: 9,
+            end: Some(4),
+            fail: false,
+        },
+    ];
+    let fused = MixPlan {
+        room: &room,
+        calls: &calls,
+    }
+    .check(Setup::BATCHED);
+    assert_eq!(fused.batched_machines(), 8);
 }

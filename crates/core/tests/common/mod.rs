@@ -4,15 +4,19 @@
 //! released mid-run, driven the same way through differently configured
 //! solvers — and, for the fed span ([`FedPlan`]), a second room that
 //! takes the same inputs through its solvers one `step()` at a time.
+//! For the room's air mix inside a span ([`MixPlan`]), random rooms of
+//! supplies, junctions, recirculation and pinned machines are held to a
+//! per-machine room that takes the same calls one `step()` at a time.
 
 #![allow(dead_code)] // each suite uses its own subset
 
-use mercury::model::{ClusterModel, PowerModel};
-use mercury::presets::{nodes, FAN_CFM};
+use mercury::model::{ClusterEndpoint, ClusterModel, MachineModel, PowerModel};
+use mercury::presets::{self, nodes, FAN_CFM};
 use mercury::solver::{ClusterSolver, SimdBackend, SolverConfig, TickInputs};
 use mercury::units::{Celsius, Utilization, Watts};
 use mercury::Error;
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// One mid-run command against one machine.
 #[derive(Debug, Clone)]
@@ -435,4 +439,375 @@ impl FedPlan<'_> {
         }
         fed
     }
+}
+
+// --- rooms for the air-mix suites -----------------------------------------
+
+/// A server with `exhausts` exhaust regions: one is the Table 1 server
+/// itself, zero or two a CPU-only box whose CPU air drains nowhere or
+/// splits between a front and a rear exhaust. The count is structural,
+/// so machines of different counts batch in different groups.
+pub fn mix_machine(name: &str, exhausts: usize) -> MachineModel {
+    if exhausts == 1 {
+        return presets::validation_machine().renamed(name);
+    }
+    let mut b = MachineModel::builder(name);
+    b.component(nodes::CPU)
+        .mass_kg(0.151)
+        .specific_heat(896.0)
+        .power_range(7.0, 31.0);
+    b.inlet(nodes::INLET);
+    b.air(nodes::CPU_AIR);
+    b.heat_edge(nodes::CPU, nodes::CPU_AIR, 0.75).unwrap();
+    b.air_edge(nodes::INLET, nodes::CPU_AIR, 1.0).unwrap();
+    if exhausts == 2 {
+        b.exhaust("exhaust_front");
+        b.exhaust("exhaust_rear");
+        b.air_edge(nodes::CPU_AIR, "exhaust_front", 0.6).unwrap();
+        b.air_edge(nodes::CPU_AIR, "exhaust_rear", 0.4).unwrap();
+    }
+    b.build().unwrap()
+}
+
+/// A machine room for the air-mix suites. Per-machine lists are cycled
+/// over the machines; supply and junction indices are taken modulo
+/// their counts, and junction edges are dropped in a room without
+/// junctions.
+#[derive(Debug, Clone)]
+pub struct MixRoom {
+    pub machines: usize,
+    /// Exhaust regions of each machine (see [`mix_machine`]).
+    pub exhausts: Vec<usize>,
+    /// 1 or 2 AC supplies; machine `m`'s inlet reads supply `m % supplies`.
+    pub supplies: usize,
+    pub junctions: usize,
+    /// The junction each machine's exhaust feeds, if any.
+    pub exhaust_to: Vec<Option<usize>>,
+    /// The junction recirculating into each machine's inlet, if any.
+    pub recirculate: Vec<Option<usize>>,
+    /// Junction → junction edges, in either declaration order
+    /// (self-loops and repeats dropped).
+    pub links: Vec<(usize, usize)>,
+    /// Machines whose CPU is pinned before the first call: they step
+    /// solo.
+    pub pinned: Vec<usize>,
+}
+
+impl MixRoom {
+    /// Figure 1c's ideal room: every inlet reads the one supply, every
+    /// exhaust feeds one junction nothing reads; machines with one and
+    /// with two exhaust regions alternate.
+    pub fn ideal(machines: usize) -> MixRoom {
+        MixRoom {
+            machines,
+            exhausts: vec![1, 2],
+            supplies: 1,
+            junctions: 1,
+            exhaust_to: vec![Some(0)],
+            recirculate: vec![None],
+            links: Vec::new(),
+            pinned: Vec::new(),
+        }
+    }
+
+    pub fn model(&self) -> ClusterModel {
+        let cycle = |v: &[Option<usize>], m: usize| v[m % v.len()].filter(|_| self.junctions > 0);
+        let junction = |j: usize| ClusterEndpoint::Junction(format!("j{}", j % self.junctions));
+        let mut b = ClusterModel::builder();
+        for s in 0..self.supplies {
+            b.supply(format!("ac{s}"), 18.0 + 4.0 * s as f64);
+        }
+        for j in 0..self.junctions {
+            b.junction(format!("j{j}"));
+        }
+        for m in 0..self.machines {
+            let exhausts = self.exhausts[m % self.exhausts.len()];
+            let i = b.machine(mix_machine(&format!("m{m}"), exhausts));
+            let supply = ClusterEndpoint::Supply(format!("ac{}", m % self.supplies));
+            let inlet = ClusterEndpoint::MachineInlet(i);
+            match cycle(&self.recirculate, m) {
+                Some(j) => {
+                    b.edge(supply, inlet.clone(), 0.8);
+                    b.edge(junction(j), inlet, 0.2);
+                }
+                None => {
+                    b.edge(supply, inlet, 1.0);
+                }
+            }
+            if let Some(j) = cycle(&self.exhaust_to, m) {
+                b.edge(ClusterEndpoint::MachineExhaust(i), junction(j), 1.0);
+            }
+        }
+        if self.junctions > 0 {
+            let mut linked = HashSet::new();
+            for &(from, to) in &self.links {
+                let (from, to) = (from % self.junctions, to % self.junctions);
+                if from != to && linked.insert((from, to)) {
+                    b.edge(junction(from), junction(to), 0.5);
+                }
+            }
+        }
+        b.build().unwrap()
+    }
+}
+
+/// Random [`MixRoom`]s: 2–40 machines of up to three exhaust counts,
+/// 1–2 supplies, 0–3 junctions, exhausts into some junctions,
+/// recirculation into some inlets, up to three junction links and up to
+/// two pinned machines.
+pub fn mix_room_strategy() -> impl Strategy<Value = MixRoom> {
+    let junction = || prop_oneof![Just(None), (0usize..3).prop_map(Some)];
+    (
+        2usize..=40,
+        proptest::collection::vec(0usize..3, 1..=3),
+        1usize..=2,
+        0usize..=3,
+        proptest::collection::vec(junction(), 1..=5),
+        proptest::collection::vec(junction(), 1..=5),
+        proptest::collection::vec((0usize..3, 0usize..3), 0..=3),
+        proptest::collection::vec(0usize..40, 0..=2),
+    )
+        .prop_map(
+            |(machines, exhausts, supplies, junctions, exhaust_to, recirculate, links, pinned)| {
+                MixRoom {
+                    machines,
+                    exhausts,
+                    supplies,
+                    junctions,
+                    exhaust_to,
+                    recirculate,
+                    links,
+                    pinned,
+                }
+            },
+        )
+}
+
+/// One call a [`MixPlan`] makes on both rooms.
+#[derive(Debug, Clone)]
+pub enum MixCall {
+    /// `step_for_fed(ticks)`. The feed sets CPU utilizations on about
+    /// half the machines before every tick and ends the span at its
+    /// `end`-th call (so after `end` ticks, if fewer than `ticks`) with
+    /// `Ok(false)` — or with an error, if `fail`.
+    Fed {
+        ticks: usize,
+        end: Option<usize>,
+        fail: bool,
+    },
+    /// `step_for_recorded(ticks)`.
+    Recorded { ticks: usize },
+    /// `force_inlet(machine, t)`.
+    Force { machine: usize, t: f64 },
+    /// `release_inlet(machine)`.
+    Release { machine: usize },
+    /// `set_supply_temperature(supply, t)`.
+    Supply { supply: usize, t: f64 },
+}
+
+impl MixCall {
+    pub const fn fed(ticks: usize) -> MixCall {
+        MixCall::Fed {
+            ticks,
+            end: None,
+            fail: false,
+        }
+    }
+}
+
+/// Random call sequences: fed spans (ending at 0, 1 or k ticks, or
+/// failing), recorded spans, and forced inlets, releases and supply
+/// changes between them.
+pub fn mix_calls_strategy() -> impl Strategy<Value = Vec<MixCall>> {
+    let end = prop_oneof![
+        Just(None),
+        Just(Some(0usize)),
+        Just(Some(1)),
+        Just(Some(2)),
+        (3usize..9).prop_map(Some)
+    ];
+    let fed = (1usize..12, end, any::<bool>()).prop_map(|(ticks, end, fail)| MixCall::Fed {
+        ticks,
+        end,
+        fail,
+    });
+    let call = prop_oneof![
+        fed.clone(),
+        fed,
+        (1usize..12).prop_map(|ticks| MixCall::Recorded { ticks }),
+        (0usize..40, 25.0f64..40.0).prop_map(|(machine, t)| MixCall::Force { machine, t }),
+        (0usize..40).prop_map(|machine| MixCall::Release { machine }),
+        (0usize..2, 15.0f64..26.0).prop_map(|(supply, t)| MixCall::Supply { supply, t }),
+    ];
+    proptest::collection::vec(call, 2..=7)
+}
+
+/// One air-mix equivalence case; see [`MixPlan::check`].
+#[derive(Debug, Clone)]
+pub struct MixPlan<'a> {
+    pub room: &'a MixRoom,
+    pub calls: &'a [MixCall],
+}
+
+impl MixPlan<'_> {
+    /// Makes `calls` on a room configured by `setup` and on a room
+    /// stepped one `step()` at a time on one thread with the same
+    /// inputs, and holds them together by bit pattern: every probe
+    /// value after every tick (every node of every machine, from inside
+    /// the span), and after every call the clock, every node
+    /// temperature, every inlet field, every junction temperature and
+    /// the `checkpoint()` bytes. (The stepped room batches like the
+    /// other: `mercury-ckpt-v1` books a tick counter only for machines
+    /// off the shared-operator path.) Returns the room under test.
+    pub fn check(&self, setup: Setup) -> ClusterSolver {
+        let model = self.room.model();
+        let mut fast = setup.build(&model);
+        let mut slow = Setup {
+            threads: 1,
+            ..setup
+        }
+        .build(&model);
+        let n = fast.len();
+        let name = |m: usize| format!("m{}", m % n);
+        let cpu: Vec<usize> = (0..n)
+            .map(|m| fast.machine_at(m).node_index(nodes::CPU).unwrap())
+            .collect();
+        let probes: Vec<_> = (0..n)
+            .flat_map(|m| {
+                let nodes: Vec<String> = fast
+                    .machine_at(m)
+                    .node_names()
+                    .map(str::to_string)
+                    .collect();
+                nodes.into_iter().map(move |node| (m, node))
+            })
+            .map(|(m, node)| fast.probe(&name(m), &node).unwrap())
+            .collect();
+        for s in [&mut fast, &mut slow] {
+            for &m in &self.room.pinned {
+                s.machine_at_mut(m % n)
+                    .force_temperature(nodes::CPU, Celsius(70.0))
+                    .unwrap();
+            }
+        }
+        // Half the machines change their CPU utilization on any tick.
+        let input = |tick: usize, m: usize| {
+            let h = (tick * 7919 + m * 104_729) % 1009;
+            h.is_multiple_of(2).then(|| (h % 101) as f64 / 100.0)
+        };
+
+        let mut tick = 0;
+        for (k, call) in self.calls.iter().enumerate() {
+            let context = format!("call {k} ({call:?})");
+            let mut history: Vec<Vec<u64>> = Vec::new();
+            let record = |history: &mut Vec<Vec<u64>>, temps: &[Celsius]| {
+                history.push(temps.iter().map(|t| t.0.to_bits()).collect());
+            };
+            match *call {
+                MixCall::Fed { ticks, end, fail } => {
+                    let mut calls = 0;
+                    let result = fast.step_for_fed(
+                        ticks,
+                        &probes,
+                        |_, temps| record(&mut history, temps),
+                        |inputs| {
+                            if end == Some(calls) {
+                                return if fail {
+                                    Err(Error::invalid_input("the feed failed"))
+                                } else {
+                                    Ok(false)
+                                };
+                            }
+                            for (m, &cpu) in cpu.iter().enumerate() {
+                                if let Some(u) = input(tick + calls, m) {
+                                    inputs.set_utilization_at(m, cpu, u)?;
+                                }
+                            }
+                            calls += 1;
+                            Ok(true)
+                        },
+                    );
+                    let stepped = end.map_or(ticks, |e| e.min(ticks));
+                    match result {
+                        Ok(done) => {
+                            assert!(!fail || stepped == ticks, "{context}: no error");
+                            assert_eq!(done, stepped, "{context}: ticks stepped");
+                        }
+                        Err(e) => assert!(fail && stepped < ticks, "{context}: {e}"),
+                    }
+                    assert_eq!(history.len(), stepped, "{context}: ticks recorded");
+                }
+                MixCall::Recorded { ticks } => {
+                    fast.step_for_recorded(ticks, &probes, |_, temps| record(&mut history, temps));
+                }
+                MixCall::Force { machine, t } => {
+                    for s in [&mut fast, &mut slow] {
+                        s.force_inlet(&name(machine), Celsius(t)).unwrap();
+                    }
+                }
+                MixCall::Release { machine } => {
+                    for s in [&mut fast, &mut slow] {
+                        s.release_inlet(&name(machine)).unwrap();
+                    }
+                }
+                MixCall::Supply { supply, t } => {
+                    let supply = format!("ac{}", supply % self.room.supplies);
+                    for s in [&mut fast, &mut slow] {
+                        s.set_supply_temperature(&supply, Celsius(t)).unwrap();
+                    }
+                }
+            }
+            let fed = matches!(call, MixCall::Fed { .. });
+            for (at, temps) in history.iter().enumerate() {
+                if fed {
+                    for (m, &cpu) in cpu.iter().enumerate() {
+                        if let Some(u) = input(tick, m) {
+                            slow.machine_at_mut(m).set_utilization_at(cpu, u).unwrap();
+                        }
+                    }
+                }
+                slow.step();
+                tick += 1;
+                let want = (0..n).flat_map(|m| slow.machine_at(m).temperatures());
+                for (p, ((node, t), got)) in want.zip(temps).enumerate() {
+                    assert_eq!(
+                        *got,
+                        t.0.to_bits(),
+                        "{context}, tick {at}: probe {p} ({node})"
+                    );
+                }
+            }
+            assert_mix_state(&fast, &slow, self.room, &context);
+        }
+        fast
+    }
+}
+
+/// [`assert_same_state`] plus every inlet field, every junction
+/// temperature and the checkpoint bytes.
+pub fn assert_mix_state(a: &ClusterSolver, b: &ClusterSolver, room: &MixRoom, context: &str) {
+    assert_same_state(a, b, context);
+    for m in 0..a.len() {
+        assert_eq!(
+            a.machine_at(m).inlet_temperature().0.to_bits(),
+            b.machine_at(m).inlet_temperature().0.to_bits(),
+            "{context}: machine {m} inlet field"
+        );
+    }
+    for j in 0..room.junctions {
+        let name = format!("j{j}");
+        let (x, y) = (
+            a.junction_temperature(&name).unwrap(),
+            b.junction_temperature(&name).unwrap(),
+        );
+        assert_eq!(
+            x.0.to_bits(),
+            y.0.to_bits(),
+            "{context}: junction {name}: {x} vs {y}"
+        );
+    }
+    assert!(
+        a.checkpoint() == b.checkpoint(),
+        "{context}: checkpoint bytes differ"
+    );
 }

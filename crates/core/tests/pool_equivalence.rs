@@ -14,8 +14,9 @@
 mod common;
 
 use common::{
-    assert_same_state, run, script_strategy, supported_backends, Event, FedInputs, FedPlan, Fiddle,
-    Remodel, Setup,
+    assert_same_state, mix_calls_strategy, mix_room_strategy, run, script_strategy,
+    supported_backends, Event, FedInputs, FedPlan, Fiddle, MixCall, MixPlan, MixRoom, Remodel,
+    Setup,
 };
 use mercury::presets::{self, nodes};
 use mercury::solver::{ClusterSolver, SimdBackend, SolverConfig};
@@ -493,6 +494,70 @@ fn pool_fed_solo_machines_reprice_on_the_pool() {
             });
             assert_eq!(fed.batched_machines(), 38);
             assert_eq!(fed.pool_workers(), threads);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The room's air mix on the pool: the random rooms and calls of
+    /// `common::MixPlan` (live and deferred sinks, solo machines beside
+    /// chunks, spans that end early or fail) at 1, 2 and 3 threads, held
+    /// to a room stepped one `step()` at a time on one thread.
+    #[test]
+    fn pool_mix_random_rooms_match_per_tick_stepping(
+        room in mix_room_strategy(),
+        calls in mix_calls_strategy(),
+        threads in 1usize..=3,
+    ) {
+        MixPlan { room: &room, calls: &calls }.check(Setup { threads, ..Setup::BATCHED });
+    }
+}
+
+/// Live and deferred sinks with solo machines beside the chunks, on
+/// every backend at 2 and 3 threads: a hot aisle recirculating into
+/// some inlets, a junction reading a later one, an unread junction, two
+/// pinned machines and a forced inlet.
+#[test]
+fn pool_mix_live_and_deferred_sinks_on_the_pool() {
+    let room = MixRoom {
+        exhausts: vec![1, 2, 0],
+        junctions: 3,
+        exhaust_to: vec![Some(0), Some(2)],
+        recirculate: vec![Some(0), None, None],
+        links: vec![(2, 1)],
+        pinned: vec![4, 11],
+        ..MixRoom::ideal(36)
+    };
+    let calls = [
+        MixCall::fed(12),
+        MixCall::Force {
+            machine: 3,
+            t: 31.0,
+        },
+        MixCall::Recorded { ticks: 9 },
+        MixCall::Fed {
+            ticks: 10,
+            end: Some(5),
+            fail: true,
+        },
+        MixCall::Supply { supply: 0, t: 20.5 },
+        MixCall::fed(8),
+    ];
+    for backend in supported_backends() {
+        for threads in [2usize, 3] {
+            let fused = MixPlan {
+                room: &room,
+                calls: &calls,
+            }
+            .check(Setup {
+                threads,
+                backend: Some(backend),
+                ..Setup::BATCHED
+            });
+            assert_eq!(fused.batched_machines(), 34);
+            assert_eq!(fused.pool_workers(), threads);
         }
     }
 }

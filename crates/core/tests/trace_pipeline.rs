@@ -8,7 +8,7 @@
 use mercury::presets;
 use mercury::solver::{ClusterSolver, SolverConfig};
 use mercury::trace::events::{self, quantize, QUANT_BOUND};
-use mercury::trace::stream::{ClusterBinding, EventsStream};
+use mercury::trace::stream::{peak_rss_bytes, ClusterBinding, EventsStream, ReplayMetrics};
 use mercury::trace::UtilizationTrace;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -493,6 +493,38 @@ fn mapped_and_buffered_replay_match_per_tick_feeding() {
             "{mode} replay diverged from per-tick feeding"
         );
         assert_eq!(c.time(), truth.time());
+    }
+}
+
+/// `mercury_replay_peak_rss_bytes` is read from procfs when a replay
+/// call reaches the end of the trace, not on every call: a 10-tick call
+/// mid-trace leaves the gauge as it was.
+#[test]
+#[cfg(feature = "instrument")]
+fn replay_reads_peak_rss_at_the_end_of_the_trace_only() {
+    let rows: Vec<Vec<f64>> = (0..60)
+        .map(|t| vec![(t % 7) as f64 / 7.0, 0.5, 0.25, (t % 3) as f64 / 3.0])
+        .collect();
+    let (path, _guard) = write_events(&traces_from_rows(2, &rows), "rss");
+    let mut stream = EventsStream::open(&path).unwrap();
+    let metrics = ReplayMetrics::new();
+    stream.set_metrics(metrics.clone());
+    let mut c = cluster(2, 1);
+    let binding = ClusterBinding::new(stream.header(), &c).unwrap();
+
+    metrics.peak_rss.set(1.0);
+    stream.replay_ticks(&binding, &mut c, 10).unwrap();
+    assert_eq!(stream.position(), 10);
+    assert_eq!(metrics.peak_rss.get(), 1.0, "mid-trace call read procfs");
+
+    stream.replay(&binding, &mut c).unwrap();
+    assert_eq!(stream.position(), rows.len() as u64);
+    if let Some(rss) = peak_rss_bytes() {
+        let gauge = metrics.peak_rss.get();
+        assert!(
+            gauge > 1.0 && gauge <= rss as f64,
+            "gauge {gauge}, VmHWM {rss}"
+        );
     }
 }
 
