@@ -74,24 +74,34 @@
 //!
 //! ## Inputs that arrive inside a span
 //!
-//! Between the ticks of a fused span the chunk is the only copy of its
-//! lanes' state, so a utilization that lands there
-//! ([`super::TickInputs`]) is priced where it is consumed. Each chunk
-//! carries `[monitored components × stride]` rows of the lane's linear
-//! power coefficients `(P_base, P_max − P_base)` — read from the
-//! solvers when the chunk is first fed and after `set_power_model`,
-//! never on an ordinary repriced gather — and of pending utilizations, beside
-//! `[components × stride]` rows of the per-sub-step heat `q`.
-//! [`BatchSet::price_lane`] computes
-//! `q = (P_base + u·(P_max − P_base))·dt_sub` with the function
+//! A replay call runs every tick in the lanes, its first included, so
+//! the chunk is the only copy of its lanes' state while the call's feed
+//! runs, and a utilization that lands there ([`super::TickInputs`]) is
+//! priced where it is consumed. Each chunk carries
+//! `[monitored components × stride]` rows of the lane's linear power
+//! coefficients `(P_base, P_max − P_base)` — read from the solvers when
+//! the chunk is first fed and after `set_power_model`, never on an
+//! ordinary repriced gather — and of pending utilizations, beside
+//! `[components × stride]` rows of the per-sub-step heat `q`. Pricing
+//! computes `q = (P_base + u·(P_max − P_base))·dt_sub` with the function
 //! `PowerModel::power` itself calls, stores `q` and `q·inv_capacity`,
 //! and remembers `u`; the lane's generated heat is re-summed from the
 //! `q` rows by the next [`Chunk::tick`], and [`BatchSet::finish_span`]
-//! hands the remembered utilizations to the member solvers. A cell with
-//! no linear coefficients (a `Table` or `Constant` model, a component
-//! the group's representative does not monitor) is priced by its solver
-//! instead and only the resulting heat is written
+//! hands each remembered utilization to its member solver *with* its
+//! `q` — the bits the solver would price — so the next gather reprices
+//! nothing. A cell with no linear coefficients (a `Table` or `Constant`
+//! model, a component the group's representative does not monitor) is
+//! priced by its solver instead and only the resulting heat is written
 //! ([`BatchSet::write_lane_heat`]) — decided per cell, from the rows.
+//!
+//! One cell at a time, [`BatchSet::price_lane`] prices a write. A whole
+//! input frame (`super::InputFrame`, how `.events` replay feeds) is
+//! routed once per call instead — [`BatchSet::route_frame`] maps each
+//! chunk's `[monitored × stride]` rows to frame indices and lists the
+//! cells the lanes cannot price — and [`BatchSet::price_frame`] prices
+//! every routed cell chunk by chunk, row by row, reading its value
+//! straight from the feed. The routing is per call because the plan,
+//! and with it every cell's lane, may change between calls.
 //!
 //! ## The room's air mix inside a span
 //!
@@ -285,6 +295,13 @@ impl PricedCell {
         span: f64::NAN,
         pending: f64::NAN,
     };
+
+    /// Remembers `u` and returns its per-sub-step heat `q` — the one
+    /// expression every in-lane write prices with.
+    fn price(&mut self, u: f64, dt_sub: f64) -> f64 {
+        self.pending = u;
+        crate::physics::linear_power(self.base, self.span, u) * dt_sub
+    }
 }
 
 /// Reads one lane's linear power coefficients from its solver into the
@@ -342,6 +359,12 @@ pub(crate) struct Chunk {
     priced: Vec<PricedCell>,
     /// Lanes (bit `l`) with a pending utilization in `priced`.
     fed: u32,
+    /// `[monitored × stride]` index of the routed input frame's cell
+    /// each lane row takes ([`NO_ROW`] for none), and the lanes (bit
+    /// `l`) it reaches — valid while [`BatchSet::route_frame`]'s frame
+    /// is routed.
+    frame_rows: Vec<u32>,
+    frame_lanes: u32,
     /// Per-lane heat generated over the tick (Joules), for
     /// [`Solver::finish_tick_span`] bookkeeping: `Σ q` in node order
     /// times the sub-step count, re-summed by the next [`Chunk::tick`]
@@ -382,6 +405,8 @@ impl Chunk {
             power_q: vec![0.0; op.components.len() * stride],
             priced: Vec::new(),
             fed: 0,
+            frame_rows: Vec::new(),
+            frame_lanes: 0,
             generated: vec![0.0; lanes],
             resum: true,
             exhaust_sum: vec![0.0; stride],
@@ -423,6 +448,41 @@ impl Chunk {
         debug_assert_ne!(row, NO_ROW, "only components generate heat");
         self.power_q[row as usize * self.stride + l] = q;
         self.power_dt[node * self.stride + l] = q * op.inv_capacity[node];
+        self.resum = true;
+    }
+
+    /// Allocates the pricing cells and reads every lane's coefficients
+    /// the first time the chunk is fed.
+    fn ensure_priced(&mut self, op: &SharedOp, machines: &[Solver]) {
+        if self.priced.is_empty() {
+            self.priced = vec![PricedCell::SOLVER_PRICED; op.monitored.len() * self.stride];
+            for (l, &m) in self.members.iter().enumerate() {
+                load_coefficients(&mut self.priced, self.stride, l, op, &machines[m]);
+            }
+        }
+    }
+
+    /// Prices the routed frame's cells of this chunk, row by row:
+    /// `value(k)` is frame cell `k`'s utilization.
+    fn price_frame(&mut self, op: &SharedOp, value: &impl Fn(usize) -> f64) {
+        let stride = self.stride;
+        let lanes = self.members.len();
+        for (row, &node) in op.monitored.iter().enumerate() {
+            let cells = row * stride..row * stride + lanes;
+            let q_row = op.component_row[node] as usize * stride;
+            let dt_row = node * stride;
+            let inv_capacity = op.inv_capacity[node];
+            let routed = self.frame_rows[cells.clone()].iter();
+            for (l, (&k, cell)) in routed.zip(&mut self.priced[cells]).enumerate() {
+                if k == NO_ROW {
+                    continue;
+                }
+                let q = cell.price(value(k as usize), op.dt_sub);
+                self.power_q[q_row + l] = q;
+                self.power_dt[dt_row + l] = q * inv_capacity;
+            }
+        }
+        self.fed |= self.frame_lanes;
         self.resum = true;
     }
 
@@ -567,6 +627,10 @@ pub(crate) struct BatchSet {
     /// Lane-sweep backend for every chunk tick. Defaults to
     /// [`SimdBackend::detect`]; bit-identical across backends.
     backend: SimdBackend,
+    /// The id of the input frame the chunks' `frame_rows` route, and the
+    /// frame cells the lanes cannot price (see [`BatchSet::route_frame`]).
+    frame: Option<u64>,
+    frame_fallback: Vec<u32>,
 }
 
 impl BatchSet {
@@ -576,6 +640,8 @@ impl BatchSet {
             membership: vec![false; n_machines],
             signature: Vec::new(),
             backend: SimdBackend::detect(),
+            frame: None,
+            frame_fallback: Vec::new(),
         }
     }
 
@@ -782,15 +848,14 @@ impl BatchSet {
             .collect()
     }
 
-    /// Epilogue of `span` ticks (1 for a per-tick step, more for a
-    /// fused replay span — the chunk matrices stayed hot throughout, so
-    /// there is exactly one scatter to pay): scatters chunk
-    /// temperatures (and any inlet field the span's mix wrote) back into
-    /// each member solver, hands it the utilizations its lane priced
-    /// during the span (the solver reprices them itself at the next
-    /// gather, as after any `set_utilization_at`), and books its
-    /// heat/time accounting, exactly as [`Solver::step`]'s epilogue
-    /// does.
+    /// Epilogue of `span` ticks (1 for a per-tick step, any number for a
+    /// replay call — the chunk matrices stayed hot throughout, so there
+    /// is exactly one scatter to pay): scatters chunk temperatures (and
+    /// any inlet field the span's mix wrote) back into each member
+    /// solver, hands it the utilizations its lane priced during the span
+    /// together with the heat they were priced at (so the next gather
+    /// reprices nothing), and books its heat/time accounting, exactly as
+    /// [`Solver::step`]'s epilogue does.
     pub(crate) fn finish_span(&mut self, machines: &mut [Solver], span: usize) {
         for group in &mut self.groups {
             let op = &group.op;
@@ -809,9 +874,8 @@ impl BatchSet {
                             let pending = &mut chunk.priced[row * stride + l].pending;
                             let u = std::mem::replace(pending, f64::NAN);
                             if !u.is_nan() {
-                                solver
-                                    .set_utilization_at(i, u)
-                                    .expect("only monitored components are priced in the lanes");
+                                let q = chunk.power_q[op.component_row[i] as usize * stride + l];
+                                solver.hand_back_priced(i, u, q);
                             }
                         }
                     }
@@ -936,21 +1000,91 @@ impl BatchSet {
             return false;
         }
         let (chunk, l) = (&mut group.chunks[c as usize], l as usize);
-        if chunk.priced.is_empty() {
-            chunk.priced = vec![PricedCell::SOLVER_PRICED; op.monitored.len() * chunk.stride];
-            for (lane, &m) in chunk.members.iter().enumerate() {
-                load_coefficients(&mut chunk.priced, chunk.stride, lane, op, &machines[m]);
-            }
-        }
+        chunk.ensure_priced(op, machines);
         let cell = &mut chunk.priced[row as usize * chunk.stride + l];
         if cell.span.is_nan() {
             return false;
         }
-        cell.pending = u;
-        let q = crate::physics::linear_power(cell.base, cell.span, u) * op.dt_sub;
+        let q = cell.price(u, op.dt_sub);
         chunk.fed |= 1 << l;
         chunk.set_heat(op, node, l, q);
         true
+    }
+
+    /// Forgets the routed input frame: the next
+    /// [`BatchSet::route_frame`] routes afresh. A replay call opens with
+    /// this, because the plan — and with it every cell's lane, and
+    /// whether the lane can price it — may have changed since the last.
+    pub(crate) fn unroute_frame(&mut self) {
+        self.frame = None;
+    }
+
+    /// Routes input frame `id` — cell `k` is `(machine, node)` =
+    /// `cells[k]` — onto the chunk rows, unless it is routed already:
+    /// each cell the lanes can price gets its lane row's
+    /// `frame_rows` entry, and every other cell (a solo machine, a node
+    /// the group's representative does not monitor, a lane without
+    /// linear coefficients for it) is listed in
+    /// [`BatchSet::frame_fallback`], for the caller to set one by one.
+    pub(crate) fn route_frame(
+        &mut self,
+        id: u64,
+        cells: &[(u32, u32)],
+        lanes: &[Option<Lane>],
+        machines: &[Solver],
+    ) {
+        if self.frame == Some(id) {
+            return;
+        }
+        for group in &mut self.groups {
+            let op = &group.op;
+            for chunk in &mut group.chunks {
+                chunk.ensure_priced(op, machines);
+                chunk.frame_rows.clear();
+                chunk.frame_rows.resize(chunk.priced.len(), NO_ROW);
+                chunk.frame_lanes = 0;
+            }
+        }
+        self.frame_fallback.clear();
+        for (k, &(m, node)) in cells.iter().enumerate() {
+            let in_lane = lanes[m as usize].filter(|&(g, c, l)| {
+                let group = &mut self.groups[g as usize];
+                let row = group.op.monitored_row[node as usize];
+                if row == NO_ROW {
+                    return false;
+                }
+                let chunk = &mut group.chunks[c as usize];
+                let at = row as usize * chunk.stride + l as usize;
+                if chunk.priced[at].span.is_nan() {
+                    return false;
+                }
+                chunk.frame_rows[at] = k as u32;
+                chunk.frame_lanes |= 1 << l;
+                true
+            });
+            if in_lane.is_none() {
+                self.frame_fallback.push(k as u32);
+            }
+        }
+        self.frame = Some(id);
+    }
+
+    /// Prices every lane cell of the routed frame at `value(k)`, chunk by
+    /// chunk and row by row — what [`BatchSet::price_lane`] does for one
+    /// cell. The fallback cells are the caller's.
+    pub(crate) fn price_frame(&mut self, value: impl Fn(usize) -> f64) {
+        for group in &mut self.groups {
+            for chunk in &mut group.chunks {
+                if chunk.frame_lanes != 0 {
+                    chunk.price_frame(&group.op, &value);
+                }
+            }
+        }
+    }
+
+    /// The routed frame's cells the lanes cannot price, by frame index.
+    pub(crate) fn frame_fallback(&self) -> &[u32] {
+        &self.frame_fallback
     }
 
     /// Writes the per-sub-step heat `q` its solver priced for component

@@ -11,7 +11,8 @@ use crate::error::Error;
 use crate::model::ClusterModel;
 use crate::units::{Celsius, Seconds, Utilization};
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use telemetry::Tracer;
 
@@ -33,24 +34,48 @@ pub struct ClusterProbe {
     node: usize,
 }
 
+/// A resolved set of `(machine, node)` input cells for
+/// [`TickInputs::set_frame`] — what [`ClusterProbe`] is for outputs:
+/// validated once by [`ClusterSolver::input_frame`], then set whole, as
+/// one frame, on every tick that changes.
+#[derive(Debug, Clone)]
+pub struct InputFrame {
+    /// Tells the room's per-call routing which frame it routed.
+    id: u64,
+    /// `(machine, node)` of cell `k`.
+    cells: Vec<(u32, u32)>,
+}
+
+impl InputFrame {
+    /// Cells in the frame.
+    pub fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Whether the frame has no cells.
+    pub fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
+}
+
 /// The inputs of the tick about to run, handed to the feed of
 /// [`ClusterSolver::step_for_fed`] before every tick of a span.
 ///
 /// Inputs land at tick boundaries — the semantics `.events` replay and
 /// `monitord`'s once-a-second reports already have — so a span does not
-/// have to end where one changes. Before the span's first tick a write
-/// goes to the machine's [`Solver`]; once the span is in the chunk
-/// lanes it is priced where the lane sweep reads it (`solver::batch`),
-/// and the solver gets the utilization back when the span ends. Either
-/// way the room ends up exactly where
+/// have to end where one changes. A replay call runs every tick in the
+/// chunk lanes, its first included, so a write is priced where the lane
+/// sweep reads it (`solver::batch`) and the solver gets the utilization
+/// back, with its heat, when the call ends; a solo machine takes it in
+/// its [`Solver`]. Either way the room ends up exactly where
 /// `machine_at_mut(m).set_utilization_at(node, u)` before a
 /// [`ClusterSolver::step`] would have left it.
 #[derive(Debug)]
 pub struct TickInputs<'a> {
     machines: &'a mut [Solver],
-    /// The chunk matrices and each machine's lane in them; `None`
-    /// before the span's first tick.
-    lanes: Option<(&'a mut BatchSet, &'a [Option<Lane>])>,
+    /// The chunk matrices and each machine's lane in them.
+    batch: &'a mut BatchSet,
+    lanes: &'a [Option<Lane>],
     time: Seconds,
     changed: bool,
 }
@@ -86,24 +111,50 @@ impl TickInputs<'_> {
     ) -> Result<(), Error> {
         let u: Utilization = utilization.into();
         self.changed = true;
-        let in_lane = self
-            .lanes
-            .as_mut()
-            .and_then(|(batch, lanes)| lanes[machine].map(|lane| (batch, lane)));
-        let Some((batch, lane)) = in_lane else {
-            // Before the first tick, or a solo machine: its solver
-            // reprices when it next steps.
+        let Some(lane) = self.lanes[machine] else {
+            // A solo machine: its solver reprices before it next ticks.
             return self.machines[machine].set_utilization_at(node, u);
         };
-        if !batch.price_lane(lane, node, u.fraction(), self.machines) {
+        if !self
+            .batch
+            .price_lane(lane, node, u.fraction(), self.machines)
+        {
             // No linear coefficients for this cell (a table or constant
             // model, or not a monitored component at all): the solver
             // validates and prices it, the lane takes the heat.
             let solver = &mut self.machines[machine];
             solver.set_utilization_at(node, u)?;
-            batch.write_lane_heat(lane, node, solver.price_node(node));
+            self.batch
+                .write_lane_heat(lane, node, solver.price_node(node));
         }
         Ok(())
+    }
+
+    /// Sets every cell of `frame` from this tick on: cell `k` takes
+    /// utilization `value(k)` (clamped like [`Utilization::new`]). The
+    /// same as [`TickInputs::set_utilization_at`] on each cell, bit for
+    /// bit, but the room routes the frame onto its chunk rows once per
+    /// call and prices it row by row; only the cells the lanes cannot
+    /// price go one by one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cell of `frame` is out of range for this room or not
+    /// one of its monitored components — which a frame
+    /// [`ClusterSolver::input_frame`] built on this room, or on another
+    /// room of the same model, never is.
+    pub fn set_frame(&mut self, frame: &InputFrame, value: impl Fn(usize) -> f64) {
+        self.changed = true;
+        self.batch
+            .route_frame(frame.id, &frame.cells, self.lanes, self.machines);
+        self.batch
+            .price_frame(|k| Utilization::new(value(k)).fraction());
+        for i in 0..self.batch.frame_fallback().len() {
+            let k = self.batch.frame_fallback()[i] as usize;
+            let (m, node) = frame.cells[k];
+            self.set_utilization_at(m as usize, node as usize, Utilization::new(value(k)))
+                .expect("input_frame validated the cell");
+        }
     }
 }
 
@@ -506,8 +557,10 @@ impl ClusterSolver {
     /// Attaches a span [`Tracer`]: every tick records its phase spans
     /// (`cluster.tick` → `cluster.mix` / `cluster.machines` →
     /// `batch.plan` / `batch.gather` / `cluster.sweep` /
-    /// `batch.scatter`), fused replay records one `cluster.fused_span`
-    /// boundary per span, and the tick pool records per-worker
+    /// `batch.scatter`), a replay call records its opening
+    /// (`cluster.tick` → `batch.plan` / `batch.gather`) and then one
+    /// `cluster.fused_span` boundary for all its ticks, closed by its
+    /// `batch.scatter`, and the tick pool records per-worker
     /// `pool.worker` busy spans on sampled runs (the same
     /// 1-in-[`TICK_LATENCY_SAMPLE`] cadence as the busy/idle gauges, so
     /// the tracing-on overhead contract holds). A detached tracer (the
@@ -618,7 +671,10 @@ impl ClusterSolver {
         }
     }
 
-    fn step_machines(&mut self, parent: u64) {
+    /// Brings the chunk lanes up to date with the room: the batch plan,
+    /// then the gather. Shared by [`ClusterSolver::step`] and the opening
+    /// of a replay call.
+    fn open_lanes(&mut self, parent: u64) {
         // Partition the cluster: machines of one structure and class
         // step batched; pinned machines and singleton classes step
         // per-machine. The plan is rebuilt only when a signature
@@ -641,7 +697,22 @@ impl ClusterSolver {
         let gather_span = self.tracer.start_child("batch.gather", "solver", parent);
         self.batch.begin_tick(&mut self.machines);
         self.tracer.end(gather_span);
+    }
 
+    /// Sets the plan-shape gauges from the current batch plan.
+    fn book_plan_gauges(&self) {
+        let batched = self.batch.batched_machines();
+        self.metrics.batched_machines.set(batched as f64);
+        self.metrics
+            .solo_machines
+            .set((self.machines.len() - batched) as f64);
+        self.metrics
+            .batch_chunks
+            .set(self.batch.chunk_count() as f64);
+    }
+
+    fn step_machines(&mut self, parent: u64) {
+        self.open_lanes(parent);
         let threads = self.effective_threads();
         let sweep_span = self.tracer.start_child("cluster.sweep", "solver", parent);
         let sweep_id = sweep_span.id();
@@ -696,14 +767,8 @@ impl ClusterSolver {
         // Bulk tick accounting for the batched path: a handful of adds
         // per room tick (the solo path counts itself in Solver::step).
         if self.instrumented {
+            self.book_plan_gauges();
             let batched = self.batch.batched_machines();
-            self.metrics.batched_machines.set(batched as f64);
-            self.metrics
-                .solo_machines
-                .set((self.machines.len() - batched) as f64);
-            self.metrics
-                .batch_chunks
-                .set(self.batch.chunk_count() as f64);
             self.metrics.solver.ticks.add(batched as u64);
             self.metrics
                 .solver
@@ -714,23 +779,22 @@ impl ClusterSolver {
 
     /// Advances the room by `ticks` ticks.
     ///
-    /// For `ticks ≥ 2` this is the fused replay path: the first tick
-    /// runs as a normal [`ClusterSolver::step`] and the remaining
-    /// `ticks − 1` run as one *fused span* inside the kernel/batch
-    /// layer. The first tick stays a full step because it is what
-    /// absorbs whatever happened since the last call — fiddles, a
-    /// restore, direct writes to a machine: the batch plan, flow caches,
-    /// kernel rebuilds, priced inputs and the gather all refresh there.
-    /// Within the span no code but the span's own feed can run (see
-    /// [`ClusterSolver::step_for_fed`]; this method's feed does
+    /// This is the fused replay path: the call first opens the chunk
+    /// lanes — the batch plan, flow caches, kernel rebuilds and the
+    /// gather absorb whatever happened since the last call (fiddles, a
+    /// restore, direct writes to a machine) — and then runs all `ticks`
+    /// as one *fused span* inside the kernel/batch layer, closed by one
+    /// scatter. Within the span no code but the span's own feed can run
+    /// (see [`ClusterSolver::step_for_fed`]; this method's feed does
     /// nothing), and a feed can only change utilizations, so chunk
     /// matrices stay hot across ticks (no per-tick gather/scatter),
     /// solo machines reprice only when fed, and plan checks plus sampled
-    /// metrics are paid once per span. The room's air mix runs chunk by
-    /// chunk, and only for the sinks a span can change: an inlet that
-    /// reads only supplies keeps the value the first tick mixed, and a
-    /// junction nothing in the room reads is mixed once, at the span's
-    /// end, from the exhausts its last tick saw.
+    /// metrics are paid once per call. The room's air mix runs chunk by
+    /// chunk: the first tick mixes every sink, as [`ClusterSolver::step`]
+    /// does, and later ticks only the sinks a span can change — an
+    /// inlet that reads only supplies keeps the value the first tick
+    /// mixed, and a junction nothing in the room reads is mixed once
+    /// more, at the span's end, from the exhausts its last tick saw.
     /// The trajectory is bit-identical to calling
     /// [`ClusterSolver::step`] in a loop — the equivalence proptests
     /// hold it to that at every thread count. Use
@@ -826,6 +890,50 @@ impl ClusterSolver {
         })
     }
 
+    /// Resolves `(machine, node)` cells — cluster machine indices and
+    /// [`Solver::node_index`] node indices — into an [`InputFrame`] for
+    /// [`TickInputs::set_frame`]; cell `k` of the frame is `cells[k]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidInput`] for a machine or node index out of
+    /// range, a node that is not a monitored component, or a cell listed
+    /// twice.
+    pub fn input_frame(&self, cells: &[(usize, usize)]) -> Result<InputFrame, Error> {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        let mut seen = HashSet::with_capacity(cells.len());
+        let mut resolved = Vec::with_capacity(cells.len());
+        for &(m, node) in cells {
+            let solver = self.machines.get(m).ok_or_else(|| {
+                Error::invalid_input(format!(
+                    "machine index {m} is out of range for a room of {}",
+                    self.machines.len()
+                ))
+            })?;
+            let name = solver.machine_name();
+            let Some(component) = solver.node_names().nth(node) else {
+                return Err(Error::invalid_input(format!(
+                    "node index {node} is out of range on `{name}`"
+                )));
+            };
+            if !solver.is_monitored_at(node) {
+                return Err(Error::invalid_input(format!(
+                    "`{component}` on `{name}` is not a monitored component"
+                )));
+            }
+            if !seen.insert((m, node)) {
+                return Err(Error::invalid_input(format!(
+                    "`{component}` on `{name}` is in the frame twice"
+                )));
+            }
+            resolved.push((m as u32, node as u32));
+        }
+        Ok(InputFrame {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            cells: resolved,
+        })
+    }
+
     /// Advances the room by `ticks` ticks like
     /// [`ClusterSolver::step_for`], delivering each tick's probed
     /// temperatures to `sink`: the post-tick emulated time and the
@@ -847,13 +955,16 @@ impl ClusterSolver {
     /// feed sets takes effect from that tick on, exactly as
     /// `machine_at_mut(m).set_utilization_at(node, u)` followed by
     /// [`ClusterSolver::step`] would — bit for bit, checkpoint bytes
-    /// included — but the span does not end there: after the first
-    /// tick the change is priced in the chunk lanes (see
-    /// [`TickInputs`]). This is how trace replay keeps a room whose
+    /// included — but the span does not end there: the change is priced
+    /// in the chunk lanes, on the call's first tick as on every other
+    /// (see [`TickInputs`]). This is how trace replay keeps a room whose
     /// every cell changes every tick inside one fused span.
     ///
     /// `feed` returns `Ok(false)` to end the span before the tick it
-    /// was called for. Returns the number of ticks stepped.
+    /// was called for. Returns the number of ticks stepped. A call whose
+    /// first feed ends it (or fails) without setting anything leaves the
+    /// room's state — its [`ClusterSolver::checkpoint`] bytes — as it
+    /// was.
     ///
     /// # Errors
     ///
@@ -878,6 +989,16 @@ impl ClusterSolver {
 
     /// The one replay loop behind `step_for`, `step_for_recorded` and
     /// `step_for_fed`; returns the ticks stepped.
+    ///
+    /// The call opens the chunk lanes first — plan and gather under a
+    /// `cluster.tick` span, as a step does — and then runs every tick
+    /// fused: mixing and stepping operate directly on the chunk matrices
+    /// (and the solo solvers), with the deferred junctions, the scatter,
+    /// span accounting and metrics paid once at the end. From the
+    /// opening until this method returns only `feed` can touch the room,
+    /// through [`TickInputs`], which cannot invalidate the plan, a kernel
+    /// or a lane. The first tick is booked as a full step: in `ticks`,
+    /// not in `fed_ticks`, `fused_ticks` or the `fused_span_ticks` runs.
     fn replay(
         &mut self,
         ticks: usize,
@@ -888,58 +1009,21 @@ impl ClusterSolver {
         if ticks == 0 {
             return Ok(0);
         }
-        let mut first = TickInputs {
-            machines: &mut self.machines,
-            lanes: None,
-            time: self.time,
-            changed: false,
-        };
-        if !feed(&mut first)? {
-            return Ok(0);
-        }
-        let mut scratch = vec![Celsius(0.0); probes.len()];
-        self.step();
-        if !probes.is_empty() {
-            for (s, p) in scratch.iter_mut().zip(probes) {
-                *s = self.machines[p.machine].temperature_at(p.node);
-            }
-            sink(self.time, &scratch);
-        }
-        if ticks == 1 {
-            return Ok(1);
-        }
-        let (done, result) = self.fused_span(ticks - 1, probes, sink, &mut scratch, feed);
-        result.map(|()| 1 + done)
-    }
-
-    /// Runs up to `span` ticks fused: mixing and stepping operate
-    /// directly on the chunk matrices (and the solo solvers), with the
-    /// deferred junctions, the scatter, span accounting, and metrics
-    /// paid once at the end. The caller (always
-    /// [`ClusterSolver::replay`]) has just completed a normal tick, so
-    /// the batch plan is current, every chunk is warm,
-    /// and every solo machine's inputs are priced — and until this
-    /// method returns only `feed` can touch the room, through
-    /// [`TickInputs`], which cannot invalidate any of that.
-    ///
-    /// Returns the ticks stepped — fewer than `span` when `feed` ended
-    /// the span or failed — and `feed`'s error, if any; the epilogue has
-    /// run either way.
-    fn fused_span(
-        &mut self,
-        span: usize,
-        probes: &[ClusterProbe],
-        sink: &mut dyn FnMut(Seconds, &[Celsius]),
-        scratch: &mut [Celsius],
-        feed: Feed<'_>,
-    ) -> (usize, Result<(), Error>) {
         let started = if telemetry::enabled() && self.instrumented {
             Some(Instant::now())
         } else {
             None
         };
-        // One boundary span per fused region — per-tick spans inside the
-        // span would defeat the point of fusing.
+        let open_span = self.tracer.start("cluster.tick", "solver");
+        self.open_lanes(open_span.id());
+        self.tracer.end(open_span);
+        self.batch.unroute_frame();
+        if self.instrumented {
+            self.book_plan_gauges();
+        }
+
+        // One boundary span per call — per-tick spans inside the span
+        // would defeat the point of fusing.
         let trace_span = self.tracer.start("cluster.fused_span", "solver");
         let trace_id = trace_span.id();
         let threads = self.effective_threads();
@@ -947,20 +1031,24 @@ impl ClusterSolver {
         let lane = self.batch.lane_map(n);
         let solos: Vec<usize> = (0..n).filter(|&m| lane[m].is_none()).collect();
         // What the room's air mix costs a fused tick (see `MixGraph`):
-        // live sinks are mixed every tick; deferred junctions once, at
-        // the end, from the exhausts the last tick recorded.
+        // the first tick mixes every sink, later ones only the live
+        // sinks; deferred junctions mix once more, at the end, from the
+        // exhausts the last tick recorded.
         let live = self.mix.span_live();
         let records = live || self.mix.has_deferred();
+        let mut scratch = vec![Celsius(0.0); probes.len()];
         let mut done = 0;
-        // Ticks that took an input, and the input-stable runs between
-        // them (what `fused_ticks`/`fused_spans` have always counted).
+        // In-lane ticks after the first that took an input, and the
+        // input-stable runs between them (what `fused_ticks`/
+        // `fused_spans` have always counted).
         let mut fed_ticks = 0u64;
         let mut stable_run = 0u64;
         let mut result = Ok(());
-        while done < span {
+        while done < ticks {
             let mut inputs = TickInputs {
                 machines: &mut self.machines,
-                lanes: Some((&mut self.batch, &lane)),
+                batch: &mut self.batch,
+                lanes: &lane,
                 time: self.time,
                 changed: false,
             };
@@ -972,14 +1060,17 @@ impl ClusterSolver {
                     break;
                 }
             }
-            if inputs.changed {
-                fed_ticks += 1;
-                if self.instrumented && stable_run > 0 {
-                    self.metrics.fused_spans.observe(stable_run);
+            let first = done == 0;
+            if !first {
+                if inputs.changed {
+                    fed_ticks += 1;
+                    if self.instrumented && stable_run > 0 {
+                        self.metrics.fused_spans.observe(stable_run);
+                    }
+                    stable_run = 0;
+                } else {
+                    stable_run += 1;
                 }
-                stable_run = 0;
-            } else {
-                stable_run += 1;
             }
 
             // Phase 0: previous-tick exhausts — off the solver for solos,
@@ -992,21 +1083,34 @@ impl ClusterSolver {
                 self.batch.record_exhausts();
             }
 
-            // Phases 1–2, live sinks only: junctions in model order, then
-            // inlets — written straight into the chunk inlet rows for
-            // batched machines (those rows are `fixed`, so the chunk tick
-            // carries them through every sub-step).
-            if live {
-                self.batch.exhaust_means(&mut self.exhaust_scratch);
+            // Phases 1–2: junctions in model order, then inlets — written
+            // straight into the chunk inlet rows for batched machines
+            // (those rows are `fixed`, so the chunk tick carries them
+            // through every sub-step). The first tick mixes every sink,
+            // as `step()` does: it absorbs supply changes, forced inlets
+            // and releases since the last call; later ticks only the
+            // live sinks.
+            if first || live {
+                if records {
+                    self.batch.exhaust_means(&mut self.exhaust_scratch);
+                }
                 self.mix.begin_tick(
                     &self.supply_temps,
                     &self.junction_temps,
                     &self.exhaust_scratch,
                 );
-                self.mix.mix_live_junctions(&mut self.junction_temps);
+                if first {
+                    for j in 0..self.junction_temps.len() {
+                        if let Some(t) = self.mix.mix_junction(j) {
+                            self.junction_temps[j] = t;
+                        }
+                    }
+                } else {
+                    self.mix.mix_live_junctions(&mut self.junction_temps);
+                }
                 let (mix, forced) = (&self.mix, &self.forced_inlets);
                 let inlet = |m: usize| {
-                    if mix.inlet_live(m) {
+                    if first || mix.inlet_live(m) {
                         forced[m].or_else(|| mix.mix_inlet(m))
                     } else {
                         None
@@ -1021,7 +1125,7 @@ impl ClusterSolver {
             }
 
             // Phase 3: step. Chunk matrices stay hot — no gather, no
-            // scatter, no plan check until the span ends.
+            // scatter, no plan check until the call ends.
             if threads <= 1 {
                 for &m in &solos {
                     self.machines[m].tick_fused();
@@ -1062,13 +1166,13 @@ impl ClusterSolver {
                         None => self.machines[p.machine].temperature_at(p.node),
                     };
                 }
-                sink(self.time, scratch);
+                sink(self.time, &scratch);
             }
         }
 
-        // Span epilogue. Deferred junctions mix once, from the exhausts
-        // the last tick recorded (already scattered if the room is live)
-        // and live junctions that are final by now.
+        // Epilogue. Deferred junctions mix once more, from the exhausts
+        // the last tick recorded (already scattered if the room is live
+        // or only one tick ran) and live junctions that are final by now.
         if done > 0 && self.mix.has_deferred() {
             if !live {
                 self.batch.exhaust_means(&mut self.exhaust_scratch);
@@ -1080,21 +1184,23 @@ impl ClusterSolver {
             );
             self.mix.mix_deferred_junctions(&mut self.junction_temps);
         }
-        // One scatter plus per-machine span accounting. Runs for a span
+        // One scatter plus per-machine span accounting. Runs for a call
         // of no ticks too: the feed may have set inputs before ending
         // it, and the lanes hand those back here.
+        let scatter_span = self.tracer.start_child("batch.scatter", "solver", trace_id);
         self.batch.finish_span(&mut self.machines, done);
         for &m in &solos {
             self.machines[m].finish_span(done);
         }
+        self.tracer.end(scatter_span);
 
         // Bulk metrics: counters stay exact; the latency histograms get
-        // one per-tick mean observation per span.
+        // one per-tick mean observation per call.
         if self.instrumented && done > 0 {
             let done_u64 = done as u64;
             self.metrics.ticks.add(done_u64);
             self.metrics.fed_ticks.add(fed_ticks);
-            self.metrics.fused_ticks.add(done_u64 - fed_ticks);
+            self.metrics.fused_ticks.add(done_u64 - 1 - fed_ticks);
             if stable_run > 0 {
                 self.metrics.fused_spans.observe(stable_run);
             }
@@ -1119,7 +1225,7 @@ impl ClusterSolver {
             ];
             self.tracer.end_with_args(trace_span, args);
         }
-        (done, result)
+        result.map(|()| done)
     }
 }
 
@@ -1405,9 +1511,10 @@ mod tests {
         // Construction compiled each machine's flows once; the fiddle
         // recompiled machine3's.
         assert_eq!(m.solver.flow_recomputes.get(), 13);
-        // step_for(9) = one normal tick + one fused span of 8; each
-        // timed section contributes one latency observation.
-        assert!(m.tick_nanos.snapshot().count >= 3);
+        // step_for(9) runs all nine ticks in the lanes, the first booked
+        // as a full step; the step and the call each contribute one
+        // latency observation.
+        assert_eq!(m.tick_nanos.snapshot().count, 2);
         assert_eq!(m.fused_ticks.get(), 8);
         assert_eq!(m.fused_spans.snapshot().count, 1);
 
@@ -1458,7 +1565,9 @@ mod tests {
             assert!(w.tid >= 1, "worker lanes start at 1");
         }
 
-        // Fused replay records one boundary span for the whole region.
+        // Fused replay opens its lanes under a `cluster.tick` of its own
+        // (plan and gather, no mix or sweep), then records one boundary
+        // span for every tick of the call, closed by its scatter.
         s.step_for(10);
         let spans = tracer.recent(1000);
         let fused = spans
@@ -1466,7 +1575,23 @@ mod tests {
             .find(|r| r.name == "cluster.fused_span")
             .expect("fused boundary span");
         let ticks = fused.args.iter().find(|(k, _)| k == "ticks").unwrap();
-        assert_eq!(ticks.1, "9", "step_for(10) = 1 normal tick + 9 fused");
+        assert_eq!(ticks.1, "10", "step_for(10) runs every tick in the lanes");
+        let opening = spans
+            .iter()
+            .rfind(|r| r.name == "cluster.tick")
+            .expect("the call's opening span");
+        assert_ne!(opening.id, tick.id);
+        assert_eq!(opening.parent, 0, "the opening does not nest");
+        assert_eq!(fused.parent, 0, "nor does the fused span");
+        let under = |parent: u64| -> Vec<&str> {
+            spans
+                .iter()
+                .filter(|r| r.parent == parent && r.name != "pool.worker")
+                .map(|r| r.name.as_ref())
+                .collect()
+        };
+        assert_eq!(under(opening.id), ["batch.plan", "batch.gather"]);
+        assert_eq!(under(fused.id), ["batch.scatter"]);
 
         // Tracing never touches the numerics.
         let mut untraced = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();

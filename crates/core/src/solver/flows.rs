@@ -26,42 +26,97 @@ pub fn air_flows(
     inlets: &[NodeId],
     fan_mass_flow: KilogramsPerSecond,
 ) -> (Vec<KilogramsPerSecond>, Vec<KilogramsPerSecond>) {
+    let edges: Vec<(usize, usize, f64)> = air_edges
+        .iter()
+        .map(|e| (e.from.index(), e.to.index(), e.fraction))
+        .collect();
+    let index = |ids: &[NodeId]| ids.iter().map(|id| id.index()).collect::<Vec<_>>();
+    let (mut edge_flow, mut inflow) = (Vec::new(), Vec::new());
+    air_flows_into(
+        nodes_len,
+        &edges,
+        &index(topo),
+        &index(inlets),
+        fan_mass_flow,
+        &mut FlowScratch::default(),
+        &mut edge_flow,
+        &mut inflow,
+    );
+    (edge_flow, inflow)
+}
+
+/// The working memory of [`air_flows_into`], reusable across calls.
+#[derive(Debug, Default)]
+pub(crate) struct FlowScratch {
+    out_off: Vec<u32>,
+    out_edge: Vec<u32>,
+    cursor: Vec<u32>,
+    available: Vec<f64>,
+}
+
+/// [`air_flows`] over `(from, to, fraction)` edges and node indices — the
+/// layout a solver stores — into `edge_flow` and `inflow`, working in
+/// `scratch`: the one implementation, allocation-free once the buffers
+/// have grown.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn air_flows_into(
+    nodes_len: usize,
+    air_edges: &[(usize, usize, f64)],
+    topo: &[usize],
+    inlets: &[usize],
+    fan_mass_flow: KilogramsPerSecond,
+    scratch: &mut FlowScratch,
+    edge_flow: &mut Vec<KilogramsPerSecond>,
+    inflow: &mut Vec<KilogramsPerSecond>,
+) {
+    let FlowScratch {
+        out_off,
+        out_edge,
+        cursor,
+        available,
+    } = scratch;
     // Group edge indices by source: out_off[i]..out_off[i+1] indexes the
     // edges leaving node i, in declaration order.
-    let mut out_off = vec![0u32; nodes_len + 1];
-    for e in air_edges {
-        out_off[e.from.index() + 1] += 1;
+    refill(out_off, nodes_len + 1, 0);
+    for &(from, _, _) in air_edges {
+        out_off[from + 1] += 1;
     }
     for i in 0..nodes_len {
         out_off[i + 1] += out_off[i];
     }
-    let mut out_edge = vec![0u32; air_edges.len()];
-    let mut cursor: Vec<u32> = out_off[..nodes_len].to_vec();
-    for (i, e) in air_edges.iter().enumerate() {
-        out_edge[cursor[e.from.index()] as usize] = i as u32;
-        cursor[e.from.index()] += 1;
+    refill(out_edge, air_edges.len(), 0);
+    cursor.clear();
+    cursor.extend_from_slice(&out_off[..nodes_len]);
+    for (i, &(from, _, _)) in air_edges.iter().enumerate() {
+        out_edge[cursor[from] as usize] = i as u32;
+        cursor[from] += 1;
     }
 
-    let mut edge_flow = vec![KilogramsPerSecond(0.0); air_edges.len()];
-    let mut inflow = vec![KilogramsPerSecond(0.0); nodes_len];
-    let mut available = vec![0.0_f64; nodes_len];
-    for inlet in inlets {
-        available[inlet.index()] = fan_mass_flow.0;
+    refill(edge_flow, air_edges.len(), KilogramsPerSecond(0.0));
+    refill(inflow, nodes_len, KilogramsPerSecond(0.0));
+    refill(available, nodes_len, 0.0);
+    for &inlet in inlets {
+        available[inlet] = fan_mass_flow.0;
     }
-    for node in topo {
-        let out = available[node.index()];
+    for &node in topo {
+        let out = available[node];
         if out <= 0.0 {
             continue;
         }
-        for &i in &out_edge[out_off[node.index()] as usize..out_off[node.index() + 1] as usize] {
-            let e = &air_edges[i as usize];
-            let f = out * e.fraction;
+        for &i in &out_edge[out_off[node] as usize..out_off[node + 1] as usize] {
+            let (_, to, fraction) = air_edges[i as usize];
+            let f = out * fraction;
             edge_flow[i as usize] = KilogramsPerSecond(f);
-            inflow[e.to.index()].0 += f;
-            available[e.to.index()] += f;
+            inflow[to].0 += f;
+            available[to] += f;
         }
     }
-    (edge_flow, inflow)
+}
+
+/// Makes `v` `len` copies of `value`, keeping its allocation.
+pub(crate) fn refill<T: Copy>(v: &mut Vec<T>, len: usize, value: T) {
+    v.clear();
+    v.resize(len, value);
 }
 
 /// Computes the number of sub-steps needed for one tick of `dt` seconds to
@@ -82,17 +137,40 @@ pub fn required_substeps(
     inflow: &[KilogramsPerSecond],
     air_mass: &[Option<f64>],
 ) -> usize {
+    required_substeps_in(
+        dt,
+        limit,
+        heat_edges,
+        capacity,
+        inflow,
+        |i| air_mass[i],
+        &mut Vec::new(),
+    )
+}
+
+/// [`required_substeps`] with the air masses read through `air_mass(i)`
+/// and the per-node rates summed in `conductive`: the one
+/// implementation, allocation-free once `conductive` has grown.
+pub(crate) fn required_substeps_in(
+    dt: Seconds,
+    limit: f64,
+    heat_edges: &[(usize, usize, WattsPerKelvin)],
+    capacity: &[JoulesPerKelvin],
+    inflow: &[KilogramsPerSecond],
+    air_mass: impl Fn(usize) -> Option<f64>,
+    conductive: &mut Vec<f64>,
+) -> usize {
     let n = capacity.len();
-    let mut conductive = vec![0.0_f64; n];
+    refill(conductive, n, 0.0);
     for (a, b, k) in heat_edges {
         conductive[*a] += k.0 / capacity[*a].0;
         conductive[*b] += k.0 / capacity[*b].0;
     }
     let mut max_rate = conductive.iter().copied().fold(0.0_f64, f64::max);
-    for (i, mass) in air_mass.iter().enumerate() {
-        if let Some(m) = mass {
-            if *m > 0.0 {
-                max_rate = max_rate.max(inflow[i].0 / m);
+    for (i, flow) in inflow.iter().enumerate().take(n) {
+        if let Some(m) = air_mass(i) {
+            if m > 0.0 {
+                max_rate = max_rate.max(flow.0 / m);
             }
         }
     }
@@ -115,7 +193,7 @@ pub fn required_substeps(
 /// `Solver::metrics`) so tests can assert the invalidation contract: a
 /// fan-speed change invalidates the cached flows exactly once.
 #[derive(Debug, Clone, Default)]
-pub struct FlowCache {
+pub(crate) struct FlowCache {
     valid: bool,
     /// Cache key: fan mass-flow bits plus every air edge as
     /// `(from, to, fraction bits)` in declaration order.
@@ -128,16 +206,20 @@ pub struct FlowCache {
 
 impl FlowCache {
     /// Creates an empty (invalid) cache.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Times the cached flows have been (re)computed since construction.
-    pub fn recomputes(&self) -> u64 {
+    pub(crate) fn recomputes(&self) -> u64 {
         self.recomputes
     }
 
-    fn key_matches(&self, air_edges: &[AirEdge], fan_mass_flow: KilogramsPerSecond) -> bool {
+    fn key_matches(
+        &self,
+        air_edges: &[(usize, usize, f64)],
+        fan_mass_flow: KilogramsPerSecond,
+    ) -> bool {
         self.valid
             && self.key_fan == fan_mass_flow.0.to_bits()
             && self.key_edges.len() == air_edges.len()
@@ -145,33 +227,41 @@ impl FlowCache {
                 .key_edges
                 .iter()
                 .zip(air_edges)
-                .all(|(&(from, to, frac), e)| {
-                    from == e.from.0 && to == e.to.0 && frac == e.fraction.to_bits()
-                })
+                .all(|(&key, &edge)| key == Self::key(edge))
     }
 
-    /// Returns the flow distribution for the given graph, recomputing
-    /// via [`air_flows`] only when the fan mass flow or an air-edge
-    /// fraction actually changed since the last call.
-    pub fn flows(
+    fn key((from, to, fraction): (usize, usize, f64)) -> (u32, u32, u64) {
+        (from as u32, to as u32, fraction.to_bits())
+    }
+
+    /// Returns the flow distribution for the given graph (laid out as
+    /// [`air_flows_into`] takes it), recomputing it in place — working in
+    /// `scratch` — only when the fan mass flow or an air-edge fraction
+    /// actually changed since the last call.
+    pub(crate) fn flows(
         &mut self,
         nodes_len: usize,
-        air_edges: &[AirEdge],
-        topo: &[NodeId],
-        inlets: &[NodeId],
+        air_edges: &[(usize, usize, f64)],
+        topo: &[usize],
+        inlets: &[usize],
         fan_mass_flow: KilogramsPerSecond,
+        scratch: &mut FlowScratch,
     ) -> (&[KilogramsPerSecond], &[KilogramsPerSecond]) {
         if !self.key_matches(air_edges, fan_mass_flow) {
-            let (edge_flow, inflow) = air_flows(nodes_len, air_edges, topo, inlets, fan_mass_flow);
-            self.edge_flow = edge_flow;
-            self.inflow = inflow;
+            air_flows_into(
+                nodes_len,
+                air_edges,
+                topo,
+                inlets,
+                fan_mass_flow,
+                scratch,
+                &mut self.edge_flow,
+                &mut self.inflow,
+            );
             self.key_fan = fan_mass_flow.0.to_bits();
             self.key_edges.clear();
-            self.key_edges.extend(
-                air_edges
-                    .iter()
-                    .map(|e| (e.from.0, e.to.0, e.fraction.to_bits())),
-            );
+            self.key_edges
+                .extend(air_edges.iter().map(|&edge| Self::key(edge)));
             self.valid = true;
             self.recomputes += 1;
         }
@@ -304,72 +394,44 @@ mod tests {
     #[test]
     fn flow_cache_recomputes_only_on_flow_affecting_changes() {
         let model = paper_airflow_model();
+        let n = model.nodes().len();
         let inlets: Vec<NodeId> = model.inlets();
+        // The cache reads the graph as a solver stores it.
+        let edges: Vec<(usize, usize, f64)> = model
+            .air_edges()
+            .iter()
+            .map(|e| (e.from.index(), e.to.index(), e.fraction))
+            .collect();
+        let topo: Vec<usize> = model.topo_order().iter().map(|id| id.index()).collect();
+        let inlet_nodes: Vec<usize> = inlets.iter().map(|id| id.index()).collect();
         let mut cache = FlowCache::new();
-        assert_eq!(cache.recomputes(), 0);
+        let mut scratch = FlowScratch::default();
+        let mut flows = |edges: &[(usize, usize, f64)], fan: KilogramsPerSecond| {
+            let (edge_flow, inflow) = cache.flows(n, edges, &topo, &inlet_nodes, fan, &mut scratch);
+            (edge_flow.to_vec(), inflow.to_vec(), cache.recomputes())
+        };
 
         let fan = model.fan().mass_flow();
-        let (direct_edges, direct_inflow) = air_flows(
-            model.nodes().len(),
-            model.air_edges(),
-            model.topo_order(),
-            &inlets,
-            fan,
-        );
-        let (edges, inflow) = cache.flows(
-            model.nodes().len(),
-            model.air_edges(),
-            model.topo_order(),
-            &inlets,
-            fan,
-        );
-        assert_eq!(edges, direct_edges.as_slice());
-        assert_eq!(inflow, direct_inflow.as_slice());
-        assert_eq!(cache.recomputes(), 1);
+        let direct = air_flows(n, model.air_edges(), model.topo_order(), &inlets, fan);
+        let (edge_flow, inflow, recomputes) = flows(&edges, fan);
+        assert_eq!((edge_flow, inflow), direct);
+        assert_eq!(recomputes, 1);
 
         // Same inputs: served from cache.
         for _ in 0..5 {
-            cache.flows(
-                model.nodes().len(),
-                model.air_edges(),
-                model.topo_order(),
-                &inlets,
-                fan,
-            );
+            assert_eq!(flows(&edges, fan).2, 1);
         }
-        assert_eq!(cache.recomputes(), 1);
 
         // A fan change invalidates exactly once.
         let faster = KilogramsPerSecond(fan.0 * 2.0);
-        cache.flows(
-            model.nodes().len(),
-            model.air_edges(),
-            model.topo_order(),
-            &inlets,
-            faster,
-        );
-        assert_eq!(cache.recomputes(), 2);
-        cache.flows(
-            model.nodes().len(),
-            model.air_edges(),
-            model.topo_order(),
-            &inlets,
-            faster,
-        );
-        assert_eq!(cache.recomputes(), 2);
+        assert_eq!(flows(&edges, faster).2, 2);
+        assert_eq!(flows(&edges, faster).2, 2);
 
         // A fraction change invalidates too.
-        let mut edited = model.air_edges().to_vec();
-        edited[0].fraction = 0.35;
-        edited[1].fraction = 0.55;
-        cache.flows(
-            model.nodes().len(),
-            &edited,
-            model.topo_order(),
-            &inlets,
-            faster,
-        );
-        assert_eq!(cache.recomputes(), 3);
+        let mut edited = edges.clone();
+        edited[0].2 = 0.35;
+        edited[1].2 = 0.55;
+        assert_eq!(flows(&edited, faster).2, 3);
     }
 
     #[test]

@@ -52,9 +52,27 @@
 //!   `w_self` in `[1 − 2·limit, 1]`, so assembling the row reassociates
 //!   well-conditioned sums only.
 
-use super::flows::{required_substeps, FlowCache};
-use crate::model::{ClusterEndpoint, ClusterModel, NodeId};
+use super::flows::{required_substeps_in, FlowCache, FlowScratch};
+use crate::model::{ClusterEndpoint, ClusterModel};
 use crate::units::{Celsius, JoulesPerKelvin, KilogramsPerSecond, Seconds, WattsPerKelvin};
+use std::cell::RefCell;
+
+/// The working memory of a kernel rebuild: CSR fill cursors, the flow
+/// walk's buffers and the per-node conductive rates.
+#[derive(Debug, Default)]
+struct RebuildScratch {
+    cursor: Vec<u32>,
+    flow: FlowScratch,
+    conductive: Vec<f64>,
+}
+
+thread_local! {
+    /// One [`RebuildScratch`] per thread rather than per kernel: a
+    /// rebuild runs on whichever thread steps the machine, and a copy in
+    /// every kernel would grow a 1024-machine room by ≈0.5 MB of buffers
+    /// that sit idle between fan commands.
+    static REBUILD_SCRATCH: RefCell<RebuildScratch> = RefCell::default();
+}
 
 /// Flattened per-machine stepping state: CSR topology, precomputed rate
 /// constants, and scratch buffers, all reused across ticks.
@@ -199,9 +217,11 @@ impl StepKernel {
         }
     }
 
-    /// Recompresses the topology and reprices every derived constant.
+    /// Recompresses the topology and reprices every derived constant,
+    /// allocation-free once the buffers have grown: the kernel's own are
+    /// reused, and the working memory lives in [`REBUILD_SCRATCH`].
     ///
-    /// `air_mass[i]` is `Some(kg)` for air regions and `None` for
+    /// `air_mass(i)` is `Some(kg)` for air regions and `None` for
     /// components. Edge lists use the same `(a, b, k)` / `(from, to,
     /// fraction)` layout the solver stores.
     #[allow(clippy::too_many_arguments)]
@@ -213,7 +233,33 @@ impl StepKernel {
         inlets: &[usize],
         fan_mass_flow: KilogramsPerSecond,
         capacity: &[JoulesPerKelvin],
-        air_mass: &[Option<f64>],
+        air_mass: impl Fn(usize) -> Option<f64>,
+    ) {
+        REBUILD_SCRATCH.with_borrow_mut(|scratch| {
+            self.rebuild_in(
+                scratch,
+                heat_edges,
+                air_edges,
+                topo,
+                inlets,
+                fan_mass_flow,
+                capacity,
+                air_mass,
+            );
+        });
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn rebuild_in(
+        &mut self,
+        scratch: &mut RebuildScratch,
+        heat_edges: &[(usize, usize, WattsPerKelvin)],
+        air_edges: &[(usize, usize, f64)],
+        topo: &[usize],
+        inlets: &[usize],
+        fan_mass_flow: KilogramsPerSecond,
+        capacity: &[JoulesPerKelvin],
+        air_mass: impl Fn(usize) -> Option<f64>,
     ) {
         let n = capacity.len();
         debug_assert!(n < u32::MAX as usize, "node count exceeds CSR index width");
@@ -239,7 +285,9 @@ impl StepKernel {
         self.heat_nbr.resize(2 * heat_edges.len(), 0);
         self.heat_k.clear();
         self.heat_k.resize(2 * heat_edges.len(), 0.0);
-        let mut cursor: Vec<u32> = self.heat_off[..n].to_vec();
+        let cursor = &mut scratch.cursor;
+        cursor.clear();
+        cursor.extend_from_slice(&self.heat_off[..n]);
         for &(a, b, k) in heat_edges {
             let ca = cursor[a] as usize;
             self.heat_nbr[ca] = b as u32;
@@ -252,26 +300,14 @@ impl StepKernel {
         }
 
         // Air flows: delegate to the shared propagation routine in
-        // `flows` — the single home of flow-graph walking — then index
-        // the per-edge result into the incoming CSR below. Rebuilds are
-        // cold (only on topology-affecting changes), so the id-vector
-        // conversions don't matter. The dirty-tracked cache replays the
-        // stored distribution when neither the fan mass flow nor an
-        // air-edge fraction changed (e.g. a heat-k rebuild).
-        let model_edges: Vec<crate::model::AirEdge> = air_edges
-            .iter()
-            .map(|&(from, to, fraction)| crate::model::AirEdge {
-                from: NodeId(from as u32),
-                to: NodeId(to as u32),
-                fraction,
-            })
-            .collect();
-        let topo_ids: Vec<NodeId> = topo.iter().map(|&i| NodeId(i as u32)).collect();
-        let inlet_ids: Vec<NodeId> = inlets.iter().map(|&i| NodeId(i as u32)).collect();
+        // `flows` — the single home of flow-graph walking, which reads
+        // the solver's edge tuples as they are — then index the per-edge
+        // result into the incoming CSR below. The dirty-tracked cache
+        // replays the stored distribution when neither the fan mass flow
+        // nor an air-edge fraction changed (e.g. a heat-k rebuild).
         let (edge_flow, inflow) =
             self.flow_cache
-                .flows(n, &model_edges, &topo_ids, &inlet_ids, fan_mass_flow);
-        let edge_flow = edge_flow.to_vec();
+                .flows(n, air_edges, topo, inlets, fan_mass_flow, &mut scratch.flow);
         self.inflow.clear();
         self.inflow.extend_from_slice(inflow);
 
@@ -288,23 +324,26 @@ impl StepKernel {
         self.air_src.resize(air_edges.len(), 0);
         self.air_flow.clear();
         self.air_flow.resize(air_edges.len(), 0.0);
-        let mut in_cursor: Vec<u32> = self.air_off[..n].to_vec();
+        let cursor = &mut scratch.cursor;
+        cursor.clear();
+        cursor.extend_from_slice(&self.air_off[..n]);
         for (ei, &(from, to, _)) in air_edges.iter().enumerate() {
-            let c = in_cursor[to] as usize;
+            let c = cursor[to] as usize;
             self.air_src[c] = from as u32;
             self.air_flow[c] = edge_flow[ei].0;
-            in_cursor[to] += 1;
+            cursor[to] += 1;
         }
 
         // Sub-step count first: the advection coefficients depend on the
         // sub-step length.
-        self.substeps = required_substeps(
+        self.substeps = required_substeps_in(
             self.dt,
             self.stability_limit,
             heat_edges,
             capacity,
             &self.inflow,
-            air_mass,
+            &air_mass,
+            &mut scratch.conductive,
         );
         self.dt_sub = Seconds(self.dt.0 / self.substeps as f64);
 
@@ -333,7 +372,7 @@ impl StepKernel {
         self.inv_streams_mass.clear();
         self.inv_streams_mass.resize(n, 0.0);
         for &node in topo {
-            let Some(mass_kg) = air_mass[node] else {
+            let Some(mass_kg) = air_mass(node) else {
                 continue;
             };
             let mut streams_mass = 0.0;
@@ -976,7 +1015,7 @@ mod tests {
             &inlets,
             model.fan().mass_flow(),
             &capacity,
-            &air_mass,
+            |i| air_mass[i],
         );
         assert!(kernel.substeps() >= 1);
         assert!((kernel.dt_sub().0 * kernel.substeps() as f64 - 1.0).abs() < 1e-12);

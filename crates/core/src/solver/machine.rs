@@ -638,15 +638,8 @@ impl Solver {
 
     /// Recompiles the kernel from the current edge lists and fan speed.
     fn refresh(&mut self) {
-        let air_mass: Vec<Option<f64>> = self
-            .kind
-            .iter()
-            .map(|k| match k {
-                NodeRt::Air { mass_kg, .. } => Some(*mass_kg),
-                NodeRt::Component { .. } => None,
-            })
-            .collect();
         let recomputes_before = self.kernel.flow_recomputes();
+        let kind = &self.kind;
         self.kernel.rebuild(
             &self.heat_edges,
             &self.air_edges,
@@ -654,7 +647,10 @@ impl Solver {
             &self.inlets,
             self.fan.mass_flow(),
             &self.capacity,
-            &air_mass,
+            |i| match kind[i] {
+                NodeRt::Air { mass_kg, .. } => Some(mass_kg),
+                NodeRt::Component { .. } => None,
+            },
         );
         if self.instrumented {
             self.metrics
@@ -747,6 +743,20 @@ impl Solver {
         }
     }
 
+    /// Takes back utilization `u` of monitored component `i` together
+    /// with the per-sub-step heat `q` a batch chunk priced it at
+    /// ([`Solver::lane_pricing`] against this kernel's sub-step) —
+    /// exactly what [`Solver::fill_tick_inputs`] would price, so the
+    /// inputs are not marked stale and the next gather reprices nothing.
+    pub(crate) fn hand_back_priced(&mut self, i: usize, u: f64, q: f64) {
+        debug_assert!(
+            self.is_monitored_at(i),
+            "only monitored cells are priced in the lanes"
+        );
+        self.utilization[i] = Utilization::new(u);
+        self.power_q[i] = q;
+    }
+
     /// Whether a power model changed since the last call; clears the
     /// flag. The chunk holding this machine re-reads the lane's pricing
     /// coefficients when set.
@@ -766,12 +776,17 @@ impl Solver {
     /// epilogue of [`Solver::step`]. Time advances by repeated addition
     /// — the bit-exact trajectory `span` single steps would produce —
     /// and `generated` is the per-tick heat (constant across the span,
-    /// so the last tick's value equals every tick's).
+    /// so the last tick's value equals every tick's). A span of no ticks
+    /// books nothing: the chunk may not have run a tick since it was
+    /// gathered.
     ///
     /// A diverged machine also books `ticks_stepped`, as it did when it
     /// stepped per-machine: the counter is in the checkpoint format, and
     /// a blob must not record which path stepped a machine.
     pub(crate) fn finish_tick_span(&mut self, generated: f64, span: usize) {
+        if span == 0 {
+            return;
+        }
         self.generated_last_tick = Joules(generated);
         for _ in 0..span {
             self.time.0 += self.cfg.dt.0;
@@ -782,12 +797,12 @@ impl Solver {
     }
 
     /// One kernel tick of a solo machine inside the cluster's fused
-    /// span. The span's first tick was a full [`Solver::step`], so the
-    /// kernel is compiled; the heat is repriced only when the span's
-    /// feed changed a utilization since (otherwise repricing would
-    /// reproduce the same bits, and is skipped). Heat accounting lands
-    /// immediately; the time advance and tick bookkeeping are booked
-    /// once per span via [`Solver::finish_span`].
+    /// span: [`Solver::step`] without its epilogue. The heat is repriced
+    /// (and a pending rebuild compiled) only when something changed
+    /// since the last pricing — on an in-span tick, only the span's feed
+    /// can have. Heat accounting lands immediately; the time advance and
+    /// tick bookkeeping are booked once per span via
+    /// [`Solver::finish_span`].
     pub(crate) fn tick_fused(&mut self) {
         self.fill_tick_inputs();
         let generated = self.kernel.tick(&mut self.temp, &self.fixed, &self.power_q);

@@ -170,19 +170,21 @@ pub struct ClusterMetrics {
     pub pool_idle_nanos: Counter,
     /// `mercury_cluster_fused_ticks_total` — *input-stable* ticks
     /// executed inside fused replay spans (see
-    /// `ClusterSolver::step_for`): in the chunk lanes, plan/gather/
-    /// scatter and sampled metrics paid once per span, and no input
-    /// taken from the span's feed.
+    /// `ClusterSolver::step_for`) after each call's first: in the chunk
+    /// lanes, plan/gather/scatter and sampled metrics paid once per
+    /// call, and no input taken from the span's feed.
     pub fused_ticks: Counter,
-    /// `mercury_cluster_fed_ticks_total` — ticks executed inside fused
-    /// replay spans whose feed changed an input
+    /// `mercury_cluster_fed_ticks_total` — ticks after a replay call's
+    /// first whose feed changed an input
     /// (`ClusterSolver::step_for_fed`): as cheap as a fused tick plus
-    /// the in-lane pricing. `fused + fed` is every in-lane tick; the
-    /// rest of `mercury_cluster_ticks_total` are full steps.
+    /// the in-lane pricing. The rest of `mercury_cluster_ticks_total`
+    /// beside `fused + fed` are `step()`s and the first tick of each
+    /// replay call, which runs in the lanes but is booked as a full
+    /// step.
     pub fed_ticks: Counter,
     /// `mercury_cluster_fused_span_ticks` — lengths of the input-stable
-    /// runs of in-lane ticks (a fed tick ends a run), observed once per
-    /// run.
+    /// runs of in-lane ticks after each call's first (a fed tick ends a
+    /// run), observed once per run.
     pub fused_spans: Histogram,
     /// The machine-level bundle shared by every solver in the cluster.
     pub solver: SolverMetrics,

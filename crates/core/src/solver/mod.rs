@@ -49,13 +49,17 @@
 //! `pool` module) — workers spawn once and park between ticks — and
 //! multi-tick replays ([`ClusterSolver::step_for`]) run as fused spans
 //! so the per-tick orchestration (plan checks, gather/scatter, sampled
-//! metrics) is paid once per span. Inputs land at tick boundaries, so a
-//! span does not end where one changes: a feed
+//! metrics) is paid once per call — every tick of a call runs in the
+//! lanes, its first included. Inputs land at tick boundaries, so a span
+//! does not end where one changes: a feed
 //! ([`ClusterSolver::step_for_fed`], [`TickInputs`]) sets utilizations
-//! before any tick and the batched lanes price them in place — how
-//! trace replay keeps a room whose every cell changes every tick inside
-//! one span. Inside a span traversal 3 runs chunk by chunk, and only
-//! for the sinks a span can change; see `DESIGN.md` §3b.
+//! before any tick — one cell at a time, or a whole resolved
+//! [`InputFrame`] — and the batched lanes price them in place, handing
+//! them back to the solvers with their heat when the call ends. That is
+//! how trace replay keeps a room whose every cell changes every tick
+//! inside one span. Inside a span traversal 3 runs chunk by chunk: the
+//! first tick mixes every sink, later ticks only the sinks a span can
+//! change; see `DESIGN.md` §3b.
 //!
 //! Both solvers meter themselves through always-on [`telemetry`] handles
 //! (tick counts, sampled latencies, batch-plan shape); see the `metrics`
@@ -71,7 +75,7 @@ mod metrics;
 mod pool;
 mod simd;
 
-pub use cluster::{ClusterProbe, ClusterSolver, TickInputs};
+pub use cluster::{ClusterProbe, ClusterSolver, InputFrame, TickInputs};
 pub use flows::{air_flows, model_air_flows, required_substeps};
 pub use machine::{Solver, SolverConfig};
 pub use metrics::{ClusterMetrics, SolverMetrics};

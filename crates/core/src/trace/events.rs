@@ -39,6 +39,7 @@
 
 use crate::error::Error;
 use crate::trace::UtilizationTrace;
+use std::collections::HashSet;
 use std::io::Write;
 
 /// File magic, "mercury-events-v1".
@@ -149,14 +150,24 @@ impl EventsHeader {
             )));
         }
         let ticks = r.u64()?;
-        let mut machine_names = Vec::with_capacity(machines);
-        for _ in 0..machines {
-            machine_names.push(r.name()?);
-        }
-        let mut component_names = Vec::with_capacity(components);
-        for _ in 0..components {
-            component_names.push(r.name()?);
-        }
+        // A name twice would bind two frame rows (or columns) to one
+        // machine (or component); the encoder never writes one.
+        let mut names = |count: usize, table: &str| {
+            let mut seen = HashSet::with_capacity(count);
+            let mut names = Vec::with_capacity(count);
+            for _ in 0..count {
+                let name = r.name()?;
+                if !seen.insert(name.clone()) {
+                    return Err(ReadFail::bad(format!(
+                        "duplicate {table} name `{name}` in the events header"
+                    )));
+                }
+                names.push(name);
+            }
+            Ok(names)
+        };
+        let machine_names = names(machines, "machine")?;
+        let component_names = names(components, "component")?;
         Ok((
             EventsHeader {
                 interval_s,
@@ -224,8 +235,16 @@ pub fn encode<W: Write>(traces: &[UtilizationTrace], w: &mut W) -> Result<Encode
         .first()
         .ok_or_else(|| Error::invalid_input("no traces to encode"))?;
     let components: Vec<String> = first.components().to_vec();
+    let mut seen = HashSet::with_capacity(components.len());
+    if let Some(twice) = components.iter().find(|c| !seen.insert(c.as_str())) {
+        return Err(Error::invalid_input(format!(
+            "duplicate component name `{twice}` in trace `{}`",
+            first.machine()
+        )));
+    }
     let ticks = first.len();
     let mut machines = Vec::with_capacity(traces.len());
+    let mut seen = HashSet::with_capacity(traces.len());
     for t in traces {
         if t.interval().0.to_bits() != first.interval().0.to_bits() {
             return Err(Error::invalid_input(format!(
@@ -250,7 +269,7 @@ pub fn encode<W: Write>(traces: &[UtilizationTrace], w: &mut W) -> Result<Encode
                 first.machine()
             )));
         }
-        if machines.iter().any(|m| m == t.machine()) {
+        if !seen.insert(t.machine()) {
             return Err(Error::invalid_input(format!(
                 "duplicate machine name `{}` in trace bundle",
                 t.machine()
@@ -692,6 +711,10 @@ mod tests {
         bad_len.pop();
         bad_len.push(a.replicate_for("m1"));
         assert!(encode_to_vec(&bad_len).is_err(), "duplicate machine name");
+        let twice =
+            UtilizationTrace::from_fn("m1", 1.0, vec!["cpu".into(), "cpu".into()], 10, |_, _| 0.5)
+                .unwrap();
+        assert!(encode_to_vec(&[twice]).is_err(), "duplicate component name");
         let other_components =
             UtilizationTrace::from_fn("m2", 1.0, vec!["gpu".into()], 10, |_, _| 0.5).unwrap();
         assert!(encode_to_vec(&[a.clone(), other_components]).is_err());

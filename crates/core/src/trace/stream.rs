@@ -12,12 +12,15 @@
 //! [`EventsStream::replay_ticks`], with **zero per-tick allocation**:
 //! the stream is the span's feed. Before each tick it decodes the next
 //! frame if the current input-stable span (a FULL/DELTA frame plus the
-//! HOLD run after it) is used up, and pushes only the cells that
-//! actually changed into that tick's [`TickInputs`]. Inputs land at
-//! tick boundaries, so a changed cell does not end the solver's fused
-//! span: after the call's first tick the room stays in the chunk lanes
-//! and the change is priced there — a trace whose every cell changes
-//! every tick replays in the same loop as one that holds for minutes.
+//! HOLD run after it) is used up, and — when the decoded frame differs
+//! from the one last applied — sets it whole as that tick's inputs
+//! ([`TickInputs::set_frame`] over the [`ClusterBinding`]'s
+//! [`InputFrame`]), dequantizing each cell where the lanes price it
+//! rather than into a buffer of its own. Inputs land at tick boundaries,
+//! so a changed frame does not end the solver's fused span: the whole
+//! call runs in the chunk lanes and each chunk prices its rows of the
+//! frame in one pass — a trace whose every cell changes every tick
+//! replays in the same loop as one that holds for minutes.
 //!
 //! # Safety
 //!
@@ -31,8 +34,7 @@
 
 use super::events::{self, EventsHeader, Record, RecordCursor, TAG_DELTA, TAG_FULL, TAG_HOLD};
 use crate::error::Error;
-use crate::solver::{ClusterSolver, TickInputs};
-use crate::units::Utilization;
+use crate::solver::{ClusterSolver, InputFrame, TickInputs};
 use std::fs::File;
 use std::io::{BufReader, Read};
 use std::path::Path;
@@ -628,23 +630,15 @@ impl EventsStream {
         Ok(())
     }
 
-    /// Pushes the cells of `cur` that differ from the last application
-    /// into the tick's inputs. On the first application (or after a
-    /// seek) every cell is pushed.
+    /// Sets the whole frame `cur` as the tick's inputs, unless it equals
+    /// the last one applied (always after a seek or on the first
+    /// application).
     fn apply_current(&mut self, binding: &ClusterBinding, inputs: &mut TickInputs<'_>) {
-        let width = self.header.components.len();
-        for (m, &machine_index) in binding.machines.iter().enumerate() {
-            for c in 0..width {
-                let cell = m * width + c;
-                if self.applied_valid && self.applied[cell] == self.cur[cell] {
-                    continue;
-                }
-                let u = Utilization::new(events::dequantize(self.cur[cell]));
-                inputs
-                    .set_utilization_at(machine_index, binding.nodes[cell], u)
-                    .expect("binding validated the node is a monitored component");
-            }
+        if self.applied_valid && self.applied == self.cur {
+            return;
         }
+        let cur = &self.cur;
+        inputs.set_frame(&binding.frame, |k| events::dequantize(cur[k]));
         self.applied.copy_from_slice(&self.cur);
         self.applied_valid = true;
     }
@@ -667,7 +661,7 @@ impl EventsStream {
         cluster: &mut ClusterSolver,
         max_ticks: u64,
     ) -> Result<ReplayStats, Error> {
-        if binding.nodes.len() != self.cur.len() {
+        if binding.frame.len() != self.cur.len() {
             return Err(Error::invalid_input(
                 "cluster binding does not match this stream's frame shape",
             ));
@@ -738,14 +732,13 @@ pub struct ReplayStats {
 }
 
 /// Precomputed name-free routing from `.events` cells to cluster solver
-/// inputs: one dense node index per `(machine, component)` cell, so the
-/// replay hot path never hashes a string.
+/// inputs: the room's [`InputFrame`] over the stream's
+/// `(machine, component)` cells, in frame order, so the replay hot path
+/// never hashes a string and sets each decoded frame whole.
 #[derive(Debug, Clone)]
 pub struct ClusterBinding {
-    /// Cluster machine index per stream machine row.
-    machines: Vec<usize>,
-    /// Node index per cell (`machine-major`, same layout as frames).
-    nodes: Vec<usize>,
+    /// Cell `k` of a decoded frame is cell `k` of this input frame.
+    frame: InputFrame,
 }
 
 impl ClusterBinding {
@@ -770,27 +763,22 @@ impl ClusterBinding {
                 header.interval_s, dt
             )));
         }
-        let mut machines = Vec::with_capacity(header.machines.len());
-        let mut nodes = Vec::with_capacity(header.machines.len() * header.components.len());
+        let mut cells = Vec::with_capacity(header.cells());
         for name in &header.machines {
             let index = cluster
                 .machine_position(name)
                 .ok_or_else(|| Error::UnknownMachine { name: name.clone() })?;
             let solver = cluster.machine_at(index);
-            machines.push(index);
             for component in &header.components {
                 let node = solver
                     .node_index(component)
                     .ok_or_else(|| Error::unknown_node(component))?;
-                if !solver.is_monitored_at(node) {
-                    return Err(Error::invalid_input(format!(
-                        "`{component}` on `{name}` is not a monitored component"
-                    )));
-                }
-                nodes.push(node);
+                cells.push((index, node));
             }
         }
-        Ok(ClusterBinding { machines, nodes })
+        Ok(ClusterBinding {
+            frame: cluster.input_frame(&cells)?,
+        })
     }
 }
 

@@ -15,9 +15,9 @@
 mod common;
 
 use common::{
-    assert_same_state, mix_calls_strategy, mix_room_strategy, run, script_strategy,
-    supported_backends, Event, FedInputs, FedPlan, Fiddle, MixCall, MixPlan, MixRoom, Remodel,
-    Setup,
+    assert_same_state, frame_calls_strategy, frame_room_strategy, mix_calls_strategy,
+    mix_room_strategy, run, script_strategy, supported_backends, Event, FedInputs, FedPlan, Fiddle,
+    FrameCall, FramePlan, FrameRoom, MixCall, MixPlan, MixRoom, Remodel, Setup,
 };
 use mercury::presets::{self, nodes, FAN_CFM};
 use mercury::solver::{ClusterSolver, SimdBackend, Solver, SolverConfig};
@@ -859,4 +859,273 @@ fn batch_mix_solo_exhausts_reach_deferred_junctions() {
     }
     .check(Setup::BATCHED);
     assert_eq!(fused.batched_machines(), 8);
+}
+
+// --- whole-frame feeds ----------------------------------------------------
+//
+// `TickInputs::set_frame` against per-cell `set_utilization_at` feeds and
+// against a set-then-`step()` loop (the driver is
+// `common::FramePlan::check`). A replay call runs its first tick in the
+// lanes too, so these also hold the call's opening — every sink mixed,
+// the frame priced in the lanes, one scatter — to a full `step()`. Names
+// start `batch_frame_` so the CI filter above picks them up.
+
+fn frame_plan<'a>(room: &'a FrameRoom, calls: &'a [FrameCall]) -> FramePlan<'a> {
+    FramePlan {
+        room,
+        calls,
+        inputs: FedInputs {
+            seed: 77,
+            density: 60,
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random rooms — lanes monitoring more or less than their group's
+    /// representative, recirculation, pinned machines — through fed
+    /// spans that end at 0, 1 or k ticks or fail, with supply changes,
+    /// fan commands (per-lane groups, singleton classes), pins, releases
+    /// and table or constant power models between them, on every
+    /// backend.
+    #[test]
+    fn batch_frame_random_rooms_match_cell_feeds_and_steps(
+        room in frame_room_strategy(),
+        calls in frame_calls_strategy(),
+        seed in any::<u64>(),
+        density in prop_oneof![Just(100u64), 0u64..60],
+        backend_idx in 0usize..SimdBackend::ALL.len(),
+    ) {
+        let backend = SimdBackend::ALL[backend_idx];
+        let backend = if backend.supported() { backend } else { SimdBackend::Baseline };
+        FramePlan { room: &room, calls: &calls, inputs: FedInputs { seed, density } }
+            .check(Setup { backend: Some(backend), ..Setup::BATCHED });
+    }
+}
+
+/// Cells the lanes cannot price go one by one, through their solvers:
+/// a node the group's representative does not monitor, a constant
+/// model, and CPUs re-modelled to a table or a constant between spans.
+/// Every representative variant leads a group once.
+#[test]
+fn batch_frame_fallback_cells_take_the_per_cell_path() {
+    let remodel = |machine, kind| FrameCall::Remodel { machine, kind };
+    let calls = [
+        FrameCall::fed(6),
+        remodel(4, 1),
+        remodel(7, 2),
+        FrameCall::fed(7),
+        remodel(4, 0),
+        FrameCall::fed(5),
+    ];
+    for monitors in [vec![0, 1, 2], vec![1, 0, 2], vec![2, 1, 0]] {
+        let room = FrameRoom {
+            monitors,
+            ..FrameRoom::ideal(12)
+        };
+        let framed = frame_plan(&room, &calls).check(Setup::BATCHED);
+        assert_eq!(framed.batched_machines(), 12);
+    }
+}
+
+/// Solo machines — pinned, and alone in their fan class — take their
+/// cells in their solvers, beside lanes that price theirs.
+#[test]
+fn batch_frame_solo_machines_take_their_cells_in_their_solvers() {
+    let room = FrameRoom {
+        pinned: vec![3],
+        ..FrameRoom::ideal(10)
+    };
+    let calls = [
+        FrameCall::Fan {
+            machine: 6,
+            scale: 0.6,
+        },
+        FrameCall::fed(9),
+        FrameCall::fed(4),
+    ];
+    let framed = frame_plan(&room, &calls).check(Setup::BATCHED);
+    assert_eq!(framed.batched_machines(), 8);
+}
+
+/// The heat a lane priced goes back to the solver with the utilization:
+/// after fan commands regroup the room and a pin moves a machine solo,
+/// the cold chunks and the solo kernel read the handed-back heat.
+#[test]
+fn batch_frame_hand_back_carries_the_heat_into_a_regroup() {
+    let fan = |machine, scale| FrameCall::Fan { machine, scale };
+    let calls = [
+        FrameCall::fed(5),
+        fan(1, 0.75),
+        fan(2, 0.75),
+        fan(5, 0.75),
+        FrameCall::fed(1),
+        FrameCall::Pin { machine: 8 },
+        fan(9, 1.25),
+        fan(10, 1.25),
+        FrameCall::fed(1),
+        fan(2, 1.25),
+        FrameCall::Release { machine: 8 },
+        FrameCall::fed(4),
+    ];
+    frame_plan(&FrameRoom::ideal(12), &calls).check(Setup::BATCHED);
+}
+
+/// A call's first tick mixes every sink, as `step()` does: a supply
+/// changed between calls reaches the inlets that read only the supply,
+/// and the unread junction, on the call's first tick — also for calls
+/// of one tick.
+#[test]
+fn batch_frame_first_tick_mixes_every_sink() {
+    let calls = [
+        FrameCall::fed(4),
+        FrameCall::Supply(24.0),
+        FrameCall::fed(1),
+        FrameCall::Supply(16.5),
+        FrameCall::fed(6),
+        FrameCall::Supply(21.0),
+        FrameCall::fed(2),
+    ];
+    for recirculate in [vec![false], vec![true, false]] {
+        let room = FrameRoom {
+            recirculate,
+            ..FrameRoom::ideal(12)
+        };
+        frame_plan(&room, &calls).check(Setup::BATCHED);
+    }
+}
+
+/// Spans the feed ends at 0, 1 or k ticks, or fails there, with and
+/// without setting that tick's inputs first. A call whose first feed
+/// ends it having set nothing leaves the checkpoint bytes unchanged
+/// (the driver asserts it): the lanes open, but nothing is mixed before
+/// a tick runs.
+#[test]
+fn batch_frame_spans_end_or_fail_at_any_tick() {
+    let mut calls = Vec::new();
+    for end in [0, 1, 3] {
+        for (fail, write) in [(false, false), (true, false), (false, true), (true, true)] {
+            calls.push(FrameCall::Fed {
+                ticks: 6,
+                end: Some(end),
+                fail,
+                write,
+            });
+        }
+        calls.push(FrameCall::Supply(19.0 + end as f64));
+    }
+    calls.push(FrameCall::fed(3));
+    let room = FrameRoom {
+        recirculate: vec![false, true],
+        pinned: vec![4],
+        ..FrameRoom::ideal(11)
+    };
+    frame_plan(&room, &calls).check(Setup::BATCHED);
+}
+
+/// One frame, fed across calls whose plans differ: each call routes it
+/// afresh, so a cell follows its machine into another group, another
+/// chunk, onto the solo path and back.
+#[test]
+fn batch_frame_routes_afresh_after_a_replan() {
+    let fan = |machine, scale| FrameCall::Fan { machine, scale };
+    let calls = [
+        FrameCall::fed(3),
+        fan(0, 0.75),
+        fan(33, 0.75),
+        FrameCall::fed(3),
+        FrameCall::Pin { machine: 5 },
+        fan(0, 1.0),
+        FrameCall::fed(3),
+        FrameCall::Release { machine: 5 },
+        fan(33, 1.25),
+        fan(34, 1.25),
+        FrameCall::fed(3),
+    ];
+    frame_plan(&FrameRoom::ideal(40), &calls).check(Setup::BATCHED);
+}
+
+/// A call's first tick is booked as a full step: in `ticks`, not in
+/// `fed_ticks`, `fused_ticks` or the `fused_span_ticks` runs — whether
+/// its feed sets a frame or not.
+#[test]
+#[cfg(feature = "instrument")]
+fn batch_frame_first_tick_is_booked_as_a_full_step() {
+    let room = FrameRoom::ideal(9);
+    let mut s = ClusterSolver::new(&room.model(), SolverConfig::default()).unwrap();
+    let frame = s.input_frame(&room.cells(&s)).unwrap();
+    // 12 ticks: frames on ticks 0, 4 and 5.
+    let mut tick = 0;
+    s.step_for_fed(
+        12,
+        &[],
+        |_, _| {},
+        |inputs| {
+            if [0, 4, 5].contains(&tick) {
+                inputs.set_frame(&frame, |k| (k + tick) as f64 / 40.0);
+            }
+            tick += 1;
+            Ok(true)
+        },
+    )
+    .unwrap();
+    let m = s.metrics();
+    assert_eq!(m.ticks.get(), 12);
+    assert_eq!(m.fed_ticks.get(), 2);
+    assert_eq!(m.fused_ticks.get(), 9);
+    // Input-stable runs: ticks 1–3 and 6–11.
+    let runs = m.fused_spans.snapshot();
+    assert_eq!((runs.count, runs.sum), (2, 9));
+    // A call of one tick books one full step and nothing else.
+    s.step_for_fed(
+        1,
+        &[],
+        |_, _| {},
+        |inputs| {
+            inputs.set_frame(&frame, |_| 0.5);
+            Ok(true)
+        },
+    )
+    .unwrap();
+    let m = s.metrics();
+    assert_eq!(m.ticks.get(), 13);
+    assert_eq!(m.fed_ticks.get(), 2);
+    assert_eq!(m.fused_ticks.get(), 9);
+}
+
+/// `input_frame` takes each cell once, on a known machine, at a
+/// monitored component — the checks a `.events` binding makes.
+#[test]
+fn batch_frame_rejects_cells_it_cannot_take() {
+    let room = FrameRoom::ideal(3);
+    let s = ClusterSolver::new(&room.model(), SolverConfig::default()).unwrap();
+    let node = |m: usize, name: &str| s.machine_at(m).node_index(name).unwrap();
+    let cpu = node(0, nodes::CPU);
+    assert!(s.input_frame(&[]).unwrap().is_empty());
+    let frame = s.input_frame(&[(2, cpu), (0, cpu), (0, node(0, "disk"))]);
+    assert_eq!(frame.unwrap().len(), 3);
+    let invalid = |cells: &[(usize, usize)], says: &str| match s.input_frame(cells) {
+        Err(Error::InvalidInput { reason }) => assert!(reason.contains(says), "{reason}"),
+        other => panic!("{cells:?}: {other:?}"),
+    };
+    invalid(&[(0, cpu), (3, cpu)], "machine index 3 is out of range");
+    invalid(&[(1, 99)], "node index 99 is out of range on `m1`");
+    invalid(
+        &[(1, node(1, "disk"))],
+        "`disk` on `m1` is not a monitored component",
+    );
+    invalid(
+        &[(0, node(0, "nic"))],
+        "`nic` on `m0` is not a monitored component",
+    );
+    invalid(
+        &[(0, node(0, nodes::INLET))],
+        "`inlet` on `m0` is not a monitored",
+    );
+    invalid(
+        &[(2, cpu), (1, cpu), (2, cpu)],
+        "`cpu` on `m2` is in the frame twice",
+    );
 }

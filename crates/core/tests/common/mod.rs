@@ -811,3 +811,443 @@ pub fn assert_mix_state(a: &ClusterSolver, b: &ClusterSolver, room: &MixRoom, co
         "{context}: checkpoint bytes differ"
     );
 }
+
+// --- whole-frame feeds ----------------------------------------------------
+
+/// The components of a [`frame_machine`], in node order.
+pub const FRAME_COMPONENTS: [&str; 3] = [nodes::CPU, "disk", "nic"];
+
+/// A server for the frame suites: `cpu` and `disk` on linear power
+/// models and `nic` on a constant one, all cooled by one air path.
+/// `monitors` picks what `monitord` reports — 0: `cpu` and `disk`,
+/// 1: `cpu` only, 2: all three. Monitoring is not structure, so the
+/// three variants batch together: a lane can monitor a node its group's
+/// representative does not, and the other way round.
+pub fn frame_machine(name: &str, monitors: usize) -> MachineModel {
+    let mut b = MachineModel::builder(name);
+    b.component(nodes::CPU)
+        .mass_kg(0.151)
+        .specific_heat(896.0)
+        .power_range(7.0, 31.0);
+    b.component("disk")
+        .mass_kg(0.336)
+        .specific_heat(896.0)
+        .power_range(9.0, 14.0)
+        .monitored(monitors != 1);
+    b.component("nic")
+        .mass_kg(0.05)
+        .specific_heat(900.0)
+        .constant_power(3.0)
+        .monitored(monitors == 2);
+    b.inlet(nodes::INLET);
+    b.air(nodes::CPU_AIR);
+    b.exhaust(nodes::EXHAUST);
+    b.heat_edge(nodes::CPU, nodes::CPU_AIR, 0.75).unwrap();
+    b.heat_edge("disk", nodes::CPU_AIR, 1.9).unwrap();
+    b.heat_edge("nic", nodes::CPU_AIR, 0.5).unwrap();
+    b.air_edge(nodes::INLET, nodes::CPU_AIR, 1.0).unwrap();
+    b.air_edge(nodes::CPU_AIR, nodes::EXHAUST, 1.0).unwrap();
+    b.fan_cfm(FAN_CFM);
+    b.build().unwrap()
+}
+
+/// A room of [`frame_machine`]s, `m0..`: supply `ac0` feeds every inlet,
+/// every exhaust feeds the junction `j0`, and `j0` recirculates into the
+/// inlets of the machines `recirculate` marks — so `j0` is deferred in a
+/// room without recirculation and live in one with it. Per-machine lists
+/// are cycled over the machines.
+#[derive(Debug, Clone)]
+pub struct FrameRoom {
+    pub machines: usize,
+    /// The [`frame_machine`] variant of each machine.
+    pub monitors: Vec<usize>,
+    pub recirculate: Vec<bool>,
+    /// Machines whose CPU is pinned before the first call: they step
+    /// solo.
+    pub pinned: Vec<usize>,
+}
+
+impl FrameRoom {
+    /// `machines` machines of every monitoring variant, without
+    /// recirculation or pins.
+    pub fn ideal(machines: usize) -> FrameRoom {
+        FrameRoom {
+            machines,
+            monitors: vec![0, 1, 2],
+            recirculate: vec![false],
+            pinned: Vec::new(),
+        }
+    }
+
+    pub fn model(&self) -> ClusterModel {
+        let mut b = ClusterModel::builder();
+        b.supply("ac0", 18.0);
+        b.junction("j0");
+        let j0 = || ClusterEndpoint::Junction("j0".into());
+        for m in 0..self.machines {
+            let monitors = self.monitors[m % self.monitors.len()];
+            let i = b.machine(frame_machine(&format!("m{m}"), monitors));
+            let supply = ClusterEndpoint::Supply("ac0".into());
+            let inlet = ClusterEndpoint::MachineInlet(i);
+            if self.recirculate[m % self.recirculate.len()] {
+                b.edge(supply, inlet.clone(), 0.8);
+                b.edge(j0(), inlet, 0.2);
+            } else {
+                b.edge(supply, inlet, 1.0);
+            }
+            b.edge(ClusterEndpoint::MachineExhaust(i), j0(), 1.0);
+        }
+        b.build().unwrap()
+    }
+
+    /// The frame the suites feed: the monitored components of every
+    /// machine but a few, last machine first — so frame order is neither
+    /// room order nor lane order.
+    pub fn cells(&self, room: &ClusterSolver) -> Vec<(usize, usize)> {
+        let mut cells = Vec::new();
+        for m in 0..room.len() {
+            let solver = room.machine_at(m);
+            for (c, name) in FRAME_COMPONENTS.iter().enumerate() {
+                let node = solver.node_index(name).unwrap();
+                if solver.is_monitored_at(node) && (m + 2 * c) % 7 != 3 {
+                    cells.push((m, node));
+                }
+            }
+        }
+        cells.reverse();
+        cells
+    }
+}
+
+/// Random [`FrameRoom`]s: 2–40 machines of up to three monitoring
+/// variants, recirculation into some inlets, up to two pinned machines.
+pub fn frame_room_strategy() -> impl Strategy<Value = FrameRoom> {
+    (
+        2usize..=40,
+        proptest::collection::vec(0usize..3, 1..=3),
+        proptest::collection::vec(any::<bool>(), 1..=3),
+        proptest::collection::vec(0usize..40, 0..=2),
+    )
+        .prop_map(|(machines, monitors, recirculate, pinned)| FrameRoom {
+            machines,
+            monitors,
+            recirculate,
+            pinned,
+        })
+}
+
+/// One call a [`FramePlan`] makes on its rooms; machine indices are
+/// taken modulo the room size.
+#[derive(Debug, Clone, Copy)]
+pub enum FrameCall {
+    /// `step_for_fed(ticks)`. The feed sets the tick's inputs on every
+    /// tick that has any and ends the span at its `end`-th call (so
+    /// after `end` ticks, if fewer than `ticks`) with `Ok(false)` — or
+    /// with an error, if `fail` — having set that tick's inputs first if
+    /// `write`.
+    Fed {
+        ticks: usize,
+        end: Option<usize>,
+        fail: bool,
+        write: bool,
+    },
+    /// `set_supply_temperature(ac0, t)`.
+    Supply(f64),
+    /// `set_fan_cfm(FAN_CFM × scale)`: a per-lane group, or solo.
+    Fan { machine: usize, scale: f64 },
+    /// `force_temperature(cpu, 65)`: solo.
+    Pin { machine: usize },
+    /// `release_temperature(cpu)`.
+    Release { machine: usize },
+    /// A power model swapped onto the CPU, as [`Remodel::kind`] says.
+    Remodel { machine: usize, kind: usize },
+}
+
+impl FrameCall {
+    pub const fn fed(ticks: usize) -> FrameCall {
+        FrameCall::Fed {
+            ticks,
+            end: None,
+            fail: false,
+            write: false,
+        }
+    }
+}
+
+/// Random call sequences: fed spans (ending at 0, 1 or k ticks or
+/// failing, with or without the last inputs set) and, between them,
+/// supply changes, fan commands, pins, releases and power models.
+pub fn frame_calls_strategy() -> impl Strategy<Value = Vec<FrameCall>> {
+    let end = prop_oneof![
+        Just(None),
+        Just(Some(0usize)),
+        Just(Some(1)),
+        (2usize..9).prop_map(Some)
+    ];
+    let fed =
+        (1usize..12, end, any::<bool>(), any::<bool>()).prop_map(|(ticks, end, fail, write)| {
+            FrameCall::Fed {
+                ticks,
+                end,
+                fail,
+                write,
+            }
+        });
+    // Fed spans are listed three times to make them the common draw.
+    let call = prop_oneof![
+        fed.clone(),
+        fed.clone(),
+        fed,
+        (15.0f64..26.0).prop_map(FrameCall::Supply),
+        (0usize..40, 0usize..17).prop_map(|(machine, i)| FrameCall::Fan {
+            machine,
+            scale: 0.5 + i as f64 / 16.0,
+        }),
+        (0usize..40).prop_map(|machine| FrameCall::Pin { machine }),
+        (0usize..40).prop_map(|machine| FrameCall::Release { machine }),
+        (0usize..40, 0usize..3).prop_map(|(machine, kind)| FrameCall::Remodel { machine, kind }),
+    ];
+    proptest::collection::vec(call, 2..=8)
+}
+
+/// One whole-frame equivalence case; see [`FramePlan::check`].
+#[derive(Debug, Clone)]
+pub struct FramePlan<'a> {
+    pub room: &'a FrameRoom,
+    pub calls: &'a [FrameCall],
+    /// Frame cell `k` changes at tick `t` to `inputs.at(t, k, 0)`, except
+    /// on every fourth tick, which holds every cell.
+    pub inputs: FedInputs,
+}
+
+impl FramePlan<'_> {
+    /// Makes `calls` on three rooms of `room`: one fed whole frames
+    /// (`TickInputs::set_frame`, configured by `setup`), one fed the
+    /// changed cells one by one (`TickInputs::set_utilization_at`, same
+    /// setup), and one that takes the same cells through its solvers and
+    /// `step()`s on one thread. Holds them together by bit pattern:
+    /// every probe after every tick (every node of every machine), and
+    /// after every call the clock, every node temperature, inlet field
+    /// and junction temperature and the `checkpoint()` bytes — and the
+    /// two fed rooms' `fed_ticks`, `fused_ticks` and `fused_span_ticks`.
+    /// A call whose first feed ends it without setting anything must
+    /// leave the framed room's checkpoint bytes as they were. Returns
+    /// the framed room.
+    pub fn check(&self, setup: Setup) -> ClusterSolver {
+        let model = self.room.model();
+        let mut framed = setup.build(&model);
+        let mut celled = setup.build(&model);
+        let mut stepped = Setup {
+            threads: 1,
+            ..setup
+        }
+        .build(&model);
+        let n = framed.len();
+        let cells = self.room.cells(&framed);
+        let frame = framed.input_frame(&cells).unwrap();
+        assert_eq!(frame.len(), cells.len());
+        let probes: Vec<_> = (0..n)
+            .flat_map(|m| {
+                let solver = framed.machine_at(m);
+                let nodes: Vec<String> = solver.node_names().map(str::to_string).collect();
+                nodes.into_iter().map(move |node| (format!("m{m}"), node))
+            })
+            .map(|(m, node)| framed.probe(&m, &node).unwrap())
+            .collect();
+        for s in [&mut framed, &mut celled, &mut stepped] {
+            for &m in &self.room.pinned {
+                s.machine_at_mut(m % n)
+                    .force_temperature(nodes::CPU, Celsius(70.0))
+                    .unwrap();
+            }
+        }
+        let due = |tick: usize| -> Vec<(usize, f64)> {
+            if tick % 4 == 3 {
+                return Vec::new();
+            }
+            (0..cells.len())
+                .filter_map(|k| self.inputs.at(tick, k, 0).map(|u| (k, u)))
+                .collect()
+        };
+        // The framed room's inputs, as the frame sets them whole.
+        let mut values = vec![0.0; cells.len()];
+
+        let mut tick = 0;
+        for (i, &call) in self.calls.iter().enumerate() {
+            let context = format!("call {i} ({call:?})");
+            match call {
+                FrameCall::Fed {
+                    ticks,
+                    end,
+                    fail,
+                    write,
+                } => {
+                    let before = framed.checkpoint();
+                    let stepped_ticks = end.map_or(ticks, |e| e.min(ticks));
+                    let ended = end.is_some_and(|e| e < ticks);
+                    let ending = |calls: usize| -> Option<Result<bool, Error>> {
+                        (end == Some(calls)).then(|| {
+                            if fail {
+                                Err(Error::invalid_input("the feed failed"))
+                            } else {
+                                Ok(false)
+                            }
+                        })
+                    };
+                    let mut histories: [Vec<Vec<u64>>; 2] = Default::default();
+                    let [framed_history, celled_history] = &mut histories;
+                    let mut calls = 0;
+                    let result = framed.step_for_fed(
+                        ticks,
+                        &probes,
+                        |_, temps| framed_history.push(bits(temps)),
+                        |inputs| {
+                            let stop = ending(calls);
+                            if stop.is_none() || write {
+                                let changes = due(tick + calls);
+                                if !changes.is_empty() {
+                                    for &(k, u) in &changes {
+                                        values[k] = u;
+                                    }
+                                    inputs.set_frame(&frame, |k| values[k]);
+                                }
+                            }
+                            calls += 1;
+                            stop.unwrap_or(Ok(true))
+                        },
+                    );
+                    let fed_result = |result: Result<usize, Error>| match result {
+                        Ok(done) => {
+                            assert!(!(fail && ended), "{context}: no error");
+                            assert_eq!(done, stepped_ticks, "{context}: ticks stepped");
+                        }
+                        Err(e) => assert!(fail && ended, "{context}: {e}"),
+                    };
+                    fed_result(result);
+                    calls = 0;
+                    let result = celled.step_for_fed(
+                        ticks,
+                        &probes,
+                        |_, temps| celled_history.push(bits(temps)),
+                        |inputs| {
+                            let stop = ending(calls);
+                            if stop.is_none() || write {
+                                for (k, u) in due(tick + calls) {
+                                    let (m, node) = cells[k];
+                                    inputs.set_utilization_at(m, node, u)?;
+                                }
+                            }
+                            calls += 1;
+                            stop.unwrap_or(Ok(true))
+                        },
+                    );
+                    fed_result(result);
+                    assert_eq!(framed_history.len(), stepped_ticks, "{context}");
+                    assert_eq!(
+                        framed_history, celled_history,
+                        "{context}: framed vs celled"
+                    );
+
+                    let through_solvers = |stepped: &mut ClusterSolver, tick: usize| {
+                        for (k, u) in due(tick) {
+                            let (m, node) = cells[k];
+                            stepped
+                                .machine_at_mut(m)
+                                .set_utilization_at(node, u)
+                                .unwrap();
+                        }
+                    };
+                    for (at, temps) in framed_history.iter().enumerate() {
+                        through_solvers(&mut stepped, tick + at);
+                        stepped.step();
+                        let want = (0..n).flat_map(|m| stepped.machine_at(m).temperatures());
+                        for (p, ((node, t), got)) in want.zip(temps).enumerate() {
+                            assert_eq!(
+                                *got,
+                                t.0.to_bits(),
+                                "{context}, tick {at}: probe {p} ({node})"
+                            );
+                        }
+                    }
+                    tick += stepped_ticks;
+                    if ended && write {
+                        through_solvers(&mut stepped, tick);
+                    }
+                    if end == Some(0) && !write {
+                        assert!(
+                            framed.checkpoint() == before,
+                            "{context}: a call that stepped and set nothing moved the room"
+                        );
+                    }
+                }
+                FrameCall::Supply(t) => {
+                    for s in [&mut framed, &mut celled, &mut stepped] {
+                        s.set_supply_temperature("ac0", Celsius(t)).unwrap();
+                    }
+                }
+                FrameCall::Fan { machine, scale } => {
+                    for s in [&mut framed, &mut celled, &mut stepped] {
+                        s.machine_at_mut(machine % n)
+                            .set_fan_cfm(FAN_CFM * scale)
+                            .unwrap();
+                    }
+                }
+                FrameCall::Pin { machine } => {
+                    for s in [&mut framed, &mut celled, &mut stepped] {
+                        s.machine_at_mut(machine % n)
+                            .force_temperature(nodes::CPU, Celsius(65.0))
+                            .unwrap();
+                    }
+                }
+                FrameCall::Release { machine } => {
+                    for s in [&mut framed, &mut celled, &mut stepped] {
+                        s.machine_at_mut(machine % n)
+                            .release_temperature(nodes::CPU)
+                            .unwrap();
+                    }
+                }
+                FrameCall::Remodel { machine, kind } => {
+                    let model = Remodel {
+                        tick: 0,
+                        machine,
+                        kind,
+                    }
+                    .model();
+                    for s in [&mut framed, &mut celled, &mut stepped] {
+                        s.machine_at_mut(machine % n)
+                            .set_power_model(nodes::CPU, model.clone())
+                            .unwrap();
+                    }
+                }
+            }
+            // The frame rooms wire one junction, `j0`, as `MixRoom::ideal`.
+            let junctions = MixRoom::ideal(n);
+            assert_mix_state(&framed, &celled, &junctions, &format!("{context}: celled"));
+            assert_mix_state(
+                &framed,
+                &stepped,
+                &junctions,
+                &format!("{context}: stepped"),
+            );
+            let (a, b) = (framed.metrics(), celled.metrics());
+            assert_eq!(a.ticks.get(), b.ticks.get(), "{context}: ticks");
+            assert_eq!(a.fed_ticks.get(), b.fed_ticks.get(), "{context}: fed_ticks");
+            assert_eq!(
+                a.fused_ticks.get(),
+                b.fused_ticks.get(),
+                "{context}: fused_ticks"
+            );
+            let (x, y) = (a.fused_spans.snapshot(), b.fused_spans.snapshot());
+            assert_eq!(
+                (x.count, x.sum),
+                (y.count, y.sum),
+                "{context}: fused_span_ticks"
+            );
+        }
+        framed
+    }
+}
+
+fn bits(temps: &[Celsius]) -> Vec<u64> {
+    temps.iter().map(|t| t.0.to_bits()).collect()
+}

@@ -14,9 +14,9 @@
 mod common;
 
 use common::{
-    assert_same_state, mix_calls_strategy, mix_room_strategy, run, script_strategy,
-    supported_backends, Event, FedInputs, FedPlan, Fiddle, MixCall, MixPlan, MixRoom, Remodel,
-    Setup,
+    assert_same_state, frame_calls_strategy, frame_room_strategy, mix_calls_strategy,
+    mix_room_strategy, run, script_strategy, supported_backends, Event, FedInputs, FedPlan, Fiddle,
+    FrameCall, FramePlan, FrameRoom, MixCall, MixPlan, MixRoom, Remodel, Setup,
 };
 use mercury::presets::{self, nodes};
 use mercury::solver::{ClusterSolver, SimdBackend, SolverConfig};
@@ -558,6 +558,77 @@ fn pool_mix_live_and_deferred_sinks_on_the_pool() {
             });
             assert_eq!(fused.batched_machines(), 34);
             assert_eq!(fused.pool_workers(), threads);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Whole-frame feeds on the pool: the random rooms and calls of
+    /// `common::FramePlan` (solo machines beside chunks, lanes that
+    /// cannot price some of their cells, spans that end early or fail)
+    /// at 1, 2 and 3 threads, held to per-cell feeds and to a room
+    /// stepped one `step()` at a time on one thread.
+    #[test]
+    fn pool_frame_random_rooms_match_at_one_to_three_threads(
+        room in frame_room_strategy(),
+        calls in frame_calls_strategy(),
+        seed in any::<u64>(),
+        threads in 1usize..=3,
+    ) {
+        FramePlan { room: &room, calls: &calls, inputs: FedInputs { seed, density: 100 } }
+            .check(Setup { threads, ..Setup::BATCHED });
+    }
+}
+
+/// Solo machines and cells the lanes cannot price on the pool, on every
+/// backend at 2 and 3 threads: a pinned machine and one alone in its
+/// fan class step as `FusedStep` items beside the chunks while the
+/// frame lands on both.
+#[test]
+fn pool_frame_solo_and_fallback_cells_on_the_pool() {
+    let room = FrameRoom {
+        recirculate: vec![true, false],
+        pinned: vec![7],
+        ..FrameRoom::ideal(36)
+    };
+    let calls = [
+        FrameCall::Fan {
+            machine: 20,
+            scale: 0.7,
+        },
+        FrameCall::Remodel {
+            machine: 11,
+            kind: 1,
+        },
+        FrameCall::fed(9),
+        FrameCall::Supply(20.5),
+        FrameCall::Fed {
+            ticks: 8,
+            end: Some(3),
+            fail: true,
+            write: true,
+        },
+        FrameCall::fed(6),
+    ];
+    for backend in supported_backends() {
+        for threads in [2usize, 3] {
+            let framed = FramePlan {
+                room: &room,
+                calls: &calls,
+                inputs: FedInputs {
+                    seed: 13,
+                    density: 100,
+                },
+            }
+            .check(Setup {
+                threads,
+                backend: Some(backend),
+                ..Setup::BATCHED
+            });
+            assert_eq!(framed.batched_machines(), 34);
+            assert_eq!(framed.pool_workers(), threads);
         }
     }
 }

@@ -217,6 +217,33 @@ fn stream_rejects_corrupt_files() {
         assert!(EventsStream::open_buffered(&path).is_err());
     }
 
+    // A header naming one machine (or component) twice fails at open in
+    // both modes: the two rows would bind to one machine. Each case
+    // rewrites the second name of a table (its u16 length and bytes)
+    // into the first.
+    for (name, first) in [
+        (&b"machine2"[..], &b"machine1"[..]),
+        (b"disk_platters", b"cpu"),
+    ] {
+        let at = bytes
+            .windows(name.len())
+            .position(|w| w == name)
+            .expect("name in the header");
+        let mut twice = bytes.clone();
+        twice[at - 2..at].copy_from_slice(&(first.len() as u16).to_le_bytes());
+        twice.splice(at..at + name.len(), first.iter().copied());
+        let header = events::EventsHeader::parse(&twice);
+        assert!(
+            matches!(&header, Err(mercury::Error::InvalidInput { reason }) if reason.contains("duplicate")),
+            "{header:?}"
+        );
+        let path = unique_path("corrupt");
+        let _guard = Cleanup(path.clone());
+        std::fs::write(&path, &twice).unwrap();
+        assert!(EventsStream::open_mapped(&path).is_err());
+        assert!(EventsStream::open_buffered(&path).is_err());
+    }
+
     // Trailing garbage after the declared tick count fails during replay.
     let mut padded = bytes.clone();
     padded.extend_from_slice(&[0x03, 1, 0, 0, 0]); // one extra HOLD tick
