@@ -115,8 +115,9 @@
 //! carries its lanes' inlet field too: gathered only in a group without
 //! exhaust regions (it is what such a machine shows the room), and
 //! handed back at [`BatchSet::finish_span`] only for lanes the mix
-//! wrote — a per-tick `step()` pays neither. Which sinks a span mixes
-//! at all is the mixing plan's call (`super::kernel::MixGraph`).
+//! wrote. Every call mixes every sink on its first tick, a one-tick
+//! `step()` included; which sinks it mixes after that is the mixing
+//! plan's call (`super::kernel::MixGraph`).
 
 use super::aligned::{AlignedVec, MATRIX_ALIGN};
 use super::kernel::AssembledOp;
@@ -543,7 +544,7 @@ impl Chunk {
 }
 
 /// A machine's `(group, chunk, lane)` coordinates under the current
-/// plan (see [`BatchSet::lane_map`]).
+/// plan (see [`BatchSet::lane`]).
 pub(crate) type Lane = (u32, u32, u32);
 
 /// One group: the shared operator plus its member chunks.
@@ -618,8 +619,12 @@ impl Group {
 #[derive(Debug, Default)]
 pub(crate) struct BatchSet {
     groups: Vec<Group>,
-    /// `membership[m]` — machine `m` steps on the batched path.
-    membership: Vec<bool>,
+    /// Machine `m`'s lane under the current plan, `None` for a machine on
+    /// the per-machine path — and those machines, in cluster order. Both
+    /// are rebuilt only when the plan is, so a tick reads them without
+    /// building them.
+    lanes: Vec<Option<Lane>>,
+    solos: Vec<usize>,
     /// The per-machine signature the current plan was built from,
     /// compared (and updated) in place every tick; empty until the
     /// first plan.
@@ -637,7 +642,8 @@ impl BatchSet {
     pub(crate) fn new(n_machines: usize) -> Self {
         BatchSet {
             groups: Vec::new(),
-            membership: vec![false; n_machines],
+            lanes: vec![None; n_machines],
+            solos: (0..n_machines).collect(),
             signature: Vec::new(),
             backend: SimdBackend::detect(),
             frame: None,
@@ -661,9 +667,19 @@ impl BatchSet {
         }
     }
 
-    /// Whether machine `m` is currently stepped on the batched path.
-    pub(crate) fn is_batched(&self, m: usize) -> bool {
-        self.membership.get(m).copied().unwrap_or(false)
+    /// Machine `m`'s `(group, chunk, lane)` under the current plan, or
+    /// `None` when it steps on the per-machine path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is out of range.
+    pub(crate) fn lane(&self, m: usize) -> Option<Lane> {
+        self.lanes[m]
+    }
+
+    /// The machines on the per-machine path, in cluster order.
+    pub(crate) fn solos(&self) -> &[usize] {
+        &self.solos
     }
 
     /// Number of machines currently stepped on the batched path.
@@ -675,8 +691,24 @@ impl BatchSet {
     /// again.
     pub(crate) fn clear(&mut self) {
         self.groups.clear();
-        self.membership.iter_mut().for_each(|b| *b = false);
         self.signature.clear();
+        self.index_lanes(self.lanes.len());
+    }
+
+    /// Rebuilds the lane map and the solo list from the groups.
+    fn index_lanes(&mut self, n_machines: usize) {
+        self.lanes.clear();
+        self.lanes.resize(n_machines, None);
+        for (g, group) in self.groups.iter().enumerate() {
+            for (c, chunk) in group.chunks.iter().enumerate() {
+                for (l, &m) in chunk.members.iter().enumerate() {
+                    self.lanes[m] = Some((g as u32, c as u32, l as u32));
+                }
+            }
+        }
+        self.solos.clear();
+        self.solos
+            .extend((0..n_machines).filter(|&m| self.lanes[m].is_none()));
     }
 
     /// (Re)partitions the cluster into batch groups. Cheap when nothing
@@ -719,8 +751,7 @@ impl BatchSet {
         }
 
         let mut old: HashMap<GroupKey, Group> = self.groups.drain(..).map(|g| (g.key, g)).collect();
-        let was_batched = std::mem::take(&mut self.membership);
-        self.membership.resize(machines.len(), false);
+        let was_batched = std::mem::take(&mut self.lanes);
         for key in order {
             let members = &by_key[&key];
             if members.len() < MIN_GROUP {
@@ -734,16 +765,14 @@ impl BatchSet {
             else {
                 continue;
             };
-            for &m in &group.members {
-                self.membership[m] = true;
-            }
             self.groups.push(group);
         }
+        self.index_lanes(machines.len());
 
         let demotions = was_batched
             .iter()
-            .zip(&self.membership)
-            .filter(|&(was, is)| *was && !*is)
+            .zip(&self.lanes)
+            .filter(|&(was, is)| was.is_some() && is.is_none())
             .count() as u64;
         Some(demotions)
     }
@@ -848,14 +877,13 @@ impl BatchSet {
             .collect()
     }
 
-    /// Epilogue of `span` ticks (1 for a per-tick step, any number for a
-    /// replay call — the chunk matrices stayed hot throughout, so there
-    /// is exactly one scatter to pay): scatters chunk temperatures (and
-    /// any inlet field the span's mix wrote) back into each member
-    /// solver, hands it the utilizations its lane priced during the span
-    /// together with the heat they were priced at (so the next gather
-    /// reprices nothing), and books its heat/time accounting, exactly as
-    /// [`Solver::step`]'s epilogue does.
+    /// Epilogue of a call's `span` ticks (the chunk matrices stayed hot
+    /// throughout, so there is exactly one scatter to pay): scatters
+    /// chunk temperatures (and any inlet field the span's mix wrote)
+    /// back into each member solver, hands it the utilizations its lane
+    /// priced during the span together with the heat they were priced at
+    /// (so the next gather reprices nothing), and books its heat/time
+    /// accounting, exactly as [`Solver::step`]'s epilogue does.
     pub(crate) fn finish_span(&mut self, machines: &mut [Solver], span: usize) {
         for group in &mut self.groups {
             let op = &group.op;
@@ -885,22 +913,6 @@ impl BatchSet {
                 chunk.inlet_set = 0;
             }
         }
-    }
-
-    /// Per-machine lane coordinates `(group, chunk, lane)` under the
-    /// current plan, or `None` for machines on the per-machine path.
-    /// Built once per fused span so per-tick chunk reads and writes are
-    /// straight indexing.
-    pub(crate) fn lane_map(&self, n_machines: usize) -> Vec<Option<Lane>> {
-        let mut map = vec![None; n_machines];
-        for (g, group) in self.groups.iter().enumerate() {
-            for (c, chunk) in group.chunks.iter().enumerate() {
-                for (l, &m) in chunk.members.iter().enumerate() {
-                    map[m] = Some((g as u32, c as u32, l as u32));
-                }
-            }
-        }
-        map
     }
 
     /// Records every lane's exhaust sum from the chunk's current state:
@@ -1026,13 +1038,7 @@ impl BatchSet {
     /// the group's representative does not monitor, a lane without
     /// linear coefficients for it) is listed in
     /// [`BatchSet::frame_fallback`], for the caller to set one by one.
-    pub(crate) fn route_frame(
-        &mut self,
-        id: u64,
-        cells: &[(u32, u32)],
-        lanes: &[Option<Lane>],
-        machines: &[Solver],
-    ) {
+    pub(crate) fn route_frame(&mut self, id: u64, cells: &[(u32, u32)], machines: &[Solver]) {
         if self.frame == Some(id) {
             return;
         }
@@ -1047,7 +1053,7 @@ impl BatchSet {
         }
         self.frame_fallback.clear();
         for (k, &(m, node)) in cells.iter().enumerate() {
-            let in_lane = lanes[m as usize].filter(|&(g, c, l)| {
+            let in_lane = self.lanes[m as usize].filter(|&(g, c, l)| {
                 let group = &mut self.groups[g as usize];
                 let row = group.op.monitored_row[node as usize];
                 if row == NO_ROW {

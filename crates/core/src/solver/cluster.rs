@@ -1,7 +1,7 @@
 //! The cluster solver: per-machine solvers coupled by the inter-machine
 //! air-flow graph.
 
-use super::batch::{BatchSet, Lane};
+use super::batch::BatchSet;
 use super::kernel::MixGraph;
 use super::machine::{Solver, SolverConfig};
 use super::metrics::{ClusterMetrics, TICK_LATENCY_SAMPLE};
@@ -73,9 +73,8 @@ impl InputFrame {
 #[derive(Debug)]
 pub struct TickInputs<'a> {
     machines: &'a mut [Solver],
-    /// The chunk matrices and each machine's lane in them.
+    /// The chunk matrices, and each machine's lane in them.
     batch: &'a mut BatchSet,
-    lanes: &'a [Option<Lane>],
     time: Seconds,
     changed: bool,
 }
@@ -111,7 +110,7 @@ impl TickInputs<'_> {
     ) -> Result<(), Error> {
         let u: Utilization = utilization.into();
         self.changed = true;
-        let Some(lane) = self.lanes[machine] else {
+        let Some(lane) = self.batch.lane(machine) else {
             // A solo machine: its solver reprices before it next ticks.
             return self.machines[machine].set_utilization_at(node, u);
         };
@@ -146,7 +145,7 @@ impl TickInputs<'_> {
     pub fn set_frame(&mut self, frame: &InputFrame, value: impl Fn(usize) -> f64) {
         self.changed = true;
         self.batch
-            .route_frame(frame.id, &frame.cells, self.lanes, self.machines);
+            .route_frame(frame.id, &frame.cells, self.machines);
         self.batch
             .price_frame(|k| Utilization::new(value(k)).fraction());
         for i in 0..self.batch.frame_fallback().len() {
@@ -166,13 +165,18 @@ impl TickInputs<'_> {
 ///    exhausts from the previous tick, upstream junctions) through the
 ///    mixing plan precompiled in `solver::kernel` — no per-tick hashing or
 ///    allocation;
-/// 2. pushes each inlet temperature into the corresponding machine solver
+/// 2. pushes each inlet temperature into the corresponding machine
 ///    (unless `fiddle` has forced that inlet); and
-/// 3. steps every machine solver by one tick — serially or fanned out
-///    across threads (see [`ClusterSolver::set_threads`]). Machines within
-///    a tick are independent (they only read the *previous* tick's exhaust
+/// 3. steps every machine by one tick — serially or fanned out across
+///    threads (see [`ClusterSolver::set_threads`]). Machines within a
+///    tick are independent (they only read the *previous* tick's exhaust
 ///    temperatures, all mixed in phases 1–2), so serial and parallel
 ///    stepping produce bit-identical trajectories.
+///
+/// Every way of advancing the room — [`ClusterSolver::step`] and the
+/// `step_for*` family — is one call of the same tick loop, which runs
+/// the batched machines in their chunk lanes and the rest on their own
+/// solvers (see [`ClusterSolver::step_for`]).
 ///
 /// Junctions are resolved in model declaration order, with each junction's
 /// update visible to the junctions and inlets after it — deterministic
@@ -554,14 +558,13 @@ impl ClusterSolver {
         }
     }
 
-    /// Attaches a span [`Tracer`]: every tick records its phase spans
-    /// (`cluster.tick` → `cluster.mix` / `cluster.machines` →
-    /// `batch.plan` / `batch.gather` / `cluster.sweep` /
-    /// `batch.scatter`), a replay call records its opening
-    /// (`cluster.tick` → `batch.plan` / `batch.gather`) and then one
-    /// `cluster.fused_span` boundary for all its ticks, closed by its
-    /// `batch.scatter`, and the tick pool records per-worker
-    /// `pool.worker` busy spans on sampled runs (the same
+    /// Attaches a span [`Tracer`]: every call — a [`ClusterSolver::step`]
+    /// as much as a replay of many ticks — records two sibling root
+    /// spans, its opening (`cluster.tick` → `batch.plan` /
+    /// `batch.gather`) and then one `cluster.fused_span` for all its
+    /// ticks (→ `cluster.sweep` around the tick loop, then
+    /// `batch.scatter`), and the tick pool records per-worker
+    /// `pool.worker` busy spans under the sweep on sampled runs (the same
     /// 1-in-[`TICK_LATENCY_SAMPLE`] cadence as the busy/idle gauges, so
     /// the tracing-on overhead contract holds). A detached tracer (the
     /// default) makes every span site a cheap no-op, and tracing never
@@ -600,80 +603,17 @@ impl ClusterSolver {
         }
     }
 
-    /// Advances the whole room by one tick.
+    /// Advances the whole room by one tick: a replay call of one tick
+    /// (see [`ClusterSolver::step_for`]) whose feed sets nothing. Inputs
+    /// written to the machines before it — utilizations, fiddles, a
+    /// supply change, a forced inlet — take effect on this tick.
     pub fn step(&mut self) {
-        // Whole-room tick latency is cheap enough to time every tick
-        // (two clock reads per room tick, not per machine).
-        let started = if telemetry::enabled() && self.instrumented {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        let tick_span = self.tracer.start("cluster.tick", "solver");
-        let mix_span = self
-            .tracer
-            .start_child("cluster.mix", "solver", tick_span.id());
-        // Phase 0: observe every machine's previous-tick exhaust once.
-        for m in 0..self.machines.len() {
-            self.exhaust_scratch[m] =
-                exhaust_temperature(&self.machines[m], self.mix.exhaust_nodes(m));
-        }
-        self.mix.begin_tick(
-            &self.supply_temps,
-            &self.junction_temps,
-            &self.exhaust_scratch,
-        );
-
-        // Phase 1: junctions, in model order (they may feed inlets through
-        // recirculation edges). A single pass is enough because
-        // junction-to-junction chains are rare; values settle within a
-        // tick or two either way.
-        for j in 0..self.junction_temps.len() {
-            if let Some(t) = self.mix.mix_junction(j) {
-                self.junction_temps[j] = t;
-            }
-        }
-
-        // Phase 2: machine inlets.
-        for i in 0..self.machines.len() {
-            if let Some(forced) = self.forced_inlets[i] {
-                self.machines[i].set_inlet_temperature(forced);
-                continue;
-            }
-            if let Some(t) = self.mix.mix_inlet(i) {
-                self.machines[i].set_inlet_temperature(t);
-            }
-        }
-
-        self.tracer.end(mix_span);
-
-        // Phase 3: step every machine; all cross-machine reads happened
-        // above, so the fan-out is embarrassingly parallel.
-        let machines_span = self
-            .tracer
-            .start_child("cluster.machines", "solver", tick_span.id());
-        self.step_machines(machines_span.id());
-        self.tracer.end(machines_span);
-        self.time.0 += self.dt.0;
-        if self.instrumented {
-            self.metrics.ticks.inc();
-            if let Some(started) = started {
-                let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                self.metrics.tick_nanos.observe(nanos);
-            }
-        }
-        if tick_span.is_live() {
-            let args = vec![
-                (Cow::Borrowed("time_s"), format!("{}", self.time.0)),
-                (Cow::Borrowed("machines"), self.machines.len().to_string()),
-            ];
-            self.tracer.end_with_args(tick_span, args);
-        }
+        self.replay(1, &[], &mut |_, _| {}, &mut |_| Ok(true))
+            .expect("a feed that does nothing cannot fail");
     }
 
     /// Brings the chunk lanes up to date with the room: the batch plan,
-    /// then the gather. Shared by [`ClusterSolver::step`] and the opening
-    /// of a replay call.
+    /// then the gather — the opening of every call.
     fn open_lanes(&mut self, parent: u64) {
         // Partition the cluster: machines of one structure and class
         // step batched; pinned machines and singleton classes step
@@ -711,95 +651,29 @@ impl ClusterSolver {
             .set(self.batch.chunk_count() as f64);
     }
 
-    fn step_machines(&mut self, parent: u64) {
-        self.open_lanes(parent);
-        let threads = self.effective_threads();
-        let sweep_span = self.tracer.start_child("cluster.sweep", "solver", parent);
-        let sweep_id = sweep_span.id();
-        if threads <= 1 {
-            for (i, m) in self.machines.iter_mut().enumerate() {
-                if !self.batch.is_batched(i) {
-                    m.step();
-                }
-            }
-            self.batch.tick_serial();
-        } else {
-            // Parallel fan-out over two kinds of independent work item:
-            // solo machines (their whole `step`) and batch chunks (pure
-            // compute on chunk-owned state), in one unified queue
-            // drained by exactly `threads` persistent workers. Work is
-            // distributed by item, not by thread-dependent matrix
-            // strides, so the thread count never changes any machine's
-            // arithmetic.
-            let batch = &mut self.batch;
-            let mut items: Vec<WorkItem<'_>> = self
-                .machines
-                .iter_mut()
-                .enumerate()
-                .filter(|(i, _)| !batch.is_batched(*i))
-                .map(|(_, m)| WorkItem::Step(m))
-                .collect();
-            items.extend(
-                batch
-                    .par_items()
-                    .into_iter()
-                    .map(|(op, chunk)| WorkItem::Chunk { op, chunk }),
-            );
-            run_on_pool(
-                &mut self.pool,
-                &self.metrics,
-                self.instrumented,
-                &mut self.pool_runs,
-                &mut items,
-                threads,
-                sweep_id,
-            );
-        }
-
-        self.tracer.end(sweep_span);
-
-        // Scatter batched results back and book per-machine accounting
-        // (serial: touches every member solver).
-        let scatter_span = self.tracer.start_child("batch.scatter", "solver", parent);
-        self.batch.finish_span(&mut self.machines, 1);
-        self.tracer.end(scatter_span);
-
-        // Bulk tick accounting for the batched path: a handful of adds
-        // per room tick (the solo path counts itself in Solver::step).
-        if self.instrumented {
-            self.book_plan_gauges();
-            let batched = self.batch.batched_machines();
-            self.metrics.solver.ticks.add(batched as u64);
-            self.metrics
-                .solver
-                .substeps
-                .add(self.batch.planned_substeps());
-        }
-    }
-
     /// Advances the room by `ticks` ticks.
     ///
-    /// This is the fused replay path: the call first opens the chunk
-    /// lanes — the batch plan, flow caches, kernel rebuilds and the
-    /// gather absorb whatever happened since the last call (fiddles, a
-    /// restore, direct writes to a machine) — and then runs all `ticks`
-    /// as one *fused span* inside the kernel/batch layer, closed by one
-    /// scatter. Within the span no code but the span's own feed can run
-    /// (see [`ClusterSolver::step_for_fed`]; this method's feed does
-    /// nothing), and a feed can only change utilizations, so chunk
+    /// This is the room's one tick loop, of which
+    /// [`ClusterSolver::step`] is the one-tick call: the call first opens
+    /// the chunk lanes — the batch plan, flow caches, kernel rebuilds and
+    /// the gather absorb whatever happened since the last call (fiddles,
+    /// a restore, direct writes to a machine) — and then runs all
+    /// `ticks` as one *fused span* inside the kernel/batch layer, closed
+    /// by one scatter. Within the span no code but the span's own feed
+    /// can run (see [`ClusterSolver::step_for_fed`]; this method's feed
+    /// does nothing), and a feed can only change utilizations, so chunk
     /// matrices stay hot across ticks (no per-tick gather/scatter),
     /// solo machines reprice only when fed, and plan checks plus sampled
     /// metrics are paid once per call. The room's air mix runs chunk by
-    /// chunk: the first tick mixes every sink, as [`ClusterSolver::step`]
-    /// does, and later ticks only the sinks a span can change — an
-    /// inlet that reads only supplies keeps the value the first tick
-    /// mixed, and a junction nothing in the room reads is mixed once
-    /// more, at the span's end, from the exhausts its last tick saw.
-    /// The trajectory is bit-identical to calling
-    /// [`ClusterSolver::step`] in a loop — the equivalence proptests
-    /// hold it to that at every thread count. Use
-    /// [`ClusterSolver::step_for_recorded`] to observe per-tick history
-    /// from inside a span.
+    /// chunk: the first tick mixes every sink, and later ticks only the
+    /// sinks a span can change — an inlet that reads only supplies keeps
+    /// the value the first tick mixed, and a junction nothing in the
+    /// room reads is mixed once more, at the span's end, from the
+    /// exhausts its last tick saw. The trajectory is bit-identical to
+    /// calling [`ClusterSolver::step`] in a loop, and to a room stepped
+    /// machine by machine — the equivalence proptests hold it to both at
+    /// every thread count. Use [`ClusterSolver::step_for_recorded`] to
+    /// observe per-tick history from inside a span.
     pub fn step_for(&mut self, ticks: usize) {
         self.step_for_recorded(ticks, &[], |_, _| {});
     }
@@ -987,18 +861,19 @@ impl ClusterSolver {
         self.replay(ticks, probes, &mut sink, &mut feed)
     }
 
-    /// The one replay loop behind `step_for`, `step_for_recorded` and
-    /// `step_for_fed`; returns the ticks stepped.
+    /// The one tick loop behind `step`, `step_for`, `step_for_recorded`
+    /// and `step_for_fed`; returns the ticks stepped.
     ///
     /// The call opens the chunk lanes first — plan and gather under a
-    /// `cluster.tick` span, as a step does — and then runs every tick
-    /// fused: mixing and stepping operate directly on the chunk matrices
-    /// (and the solo solvers), with the deferred junctions, the scatter,
-    /// span accounting and metrics paid once at the end. From the
-    /// opening until this method returns only `feed` can touch the room,
-    /// through [`TickInputs`], which cannot invalidate the plan, a kernel
-    /// or a lane. The first tick is booked as a full step: in `ticks`,
-    /// not in `fed_ticks`, `fused_ticks` or the `fused_span_ticks` runs.
+    /// `cluster.tick` span — and then runs every tick fused, under
+    /// `cluster.fused_span`: mixing and stepping operate directly on the
+    /// chunk matrices (and the solo solvers), with the deferred
+    /// junctions, the scatter, span accounting and metrics paid once at
+    /// the end. From the opening until this method returns only `feed`
+    /// can touch the room, through [`TickInputs`], which cannot
+    /// invalidate the plan, a kernel or a lane. The first tick is booked
+    /// as a full step: in `ticks`, not in `fed_ticks`, `fused_ticks` or
+    /// the `fused_span_ticks` runs.
     fn replay(
         &mut self,
         ticks: usize,
@@ -1022,14 +897,12 @@ impl ClusterSolver {
             self.book_plan_gauges();
         }
 
-        // One boundary span per call — per-tick spans inside the span
-        // would defeat the point of fusing.
+        // One boundary span per call, with one sweep span around the
+        // tick loop — per-tick spans would cost more than a small tick.
         let trace_span = self.tracer.start("cluster.fused_span", "solver");
         let trace_id = trace_span.id();
         let threads = self.effective_threads();
         let n = self.machines.len();
-        let lane = self.batch.lane_map(n);
-        let solos: Vec<usize> = (0..n).filter(|&m| lane[m].is_none()).collect();
         // What the room's air mix costs a fused tick (see `MixGraph`):
         // the first tick mixes every sink, later ones only the live
         // sinks; deferred junctions mix once more, at the end, from the
@@ -1044,11 +917,12 @@ impl ClusterSolver {
         let mut fed_ticks = 0u64;
         let mut stable_run = 0u64;
         let mut result = Ok(());
+        let sweep_span = self.tracer.start_child("cluster.sweep", "solver", trace_id);
+        let sweep_id = sweep_span.id();
         while done < ticks {
             let mut inputs = TickInputs {
                 machines: &mut self.machines,
                 batch: &mut self.batch,
-                lanes: &lane,
                 time: self.time,
                 changed: false,
             };
@@ -1076,7 +950,7 @@ impl ClusterSolver {
             // Phase 0: previous-tick exhausts — off the solver for solos,
             // one row sum per chunk for batched machines.
             if records {
-                for &m in &solos {
+                for &m in self.batch.solos() {
                     self.exhaust_scratch[m] =
                         exhaust_temperature(&self.machines[m], self.mix.exhaust_nodes(m));
                 }
@@ -1086,10 +960,9 @@ impl ClusterSolver {
             // Phases 1–2: junctions in model order, then inlets — written
             // straight into the chunk inlet rows for batched machines
             // (those rows are `fixed`, so the chunk tick carries them
-            // through every sub-step). The first tick mixes every sink,
-            // as `step()` does: it absorbs supply changes, forced inlets
-            // and releases since the last call; later ticks only the
-            // live sinks.
+            // through every sub-step). The first tick mixes every sink:
+            // it absorbs supply changes, forced inlets and releases since
+            // the last call; later ticks only the live sinks.
             if first || live {
                 if records {
                     self.batch.exhaust_means(&mut self.exhaust_scratch);
@@ -1117,7 +990,7 @@ impl ClusterSolver {
                     }
                 };
                 self.batch.write_inlets(inlet);
-                for &m in &solos {
+                for &m in self.batch.solos() {
                     if let Some(t) = inlet(m) {
                         self.machines[m].set_inlet_temperature(t);
                     }
@@ -1127,17 +1000,21 @@ impl ClusterSolver {
             // Phase 3: step. Chunk matrices stay hot — no gather, no
             // scatter, no plan check until the call ends.
             if threads <= 1 {
-                for &m in &solos {
+                for &m in self.batch.solos() {
                     self.machines[m].tick_fused();
                 }
                 self.batch.tick_serial();
             } else {
+                // Solo machines and chunks in one queue, drained by
+                // exactly `threads` workers. Work is split by item, never
+                // by a thread-dependent stride, so the thread count
+                // cannot change any machine's arithmetic.
                 let batch = &mut self.batch;
                 let mut items: Vec<WorkItem<'_>> = self
                     .machines
                     .iter_mut()
                     .enumerate()
-                    .filter(|(i, _)| lane[*i].is_none())
+                    .filter(|(i, _)| batch.lane(*i).is_none())
                     .map(|(_, m)| WorkItem::FusedStep(m))
                     .collect();
                 items.extend(
@@ -1153,7 +1030,7 @@ impl ClusterSolver {
                     &mut self.pool_runs,
                     &mut items,
                     threads,
-                    trace_id,
+                    sweep_id,
                 );
             }
 
@@ -1161,7 +1038,7 @@ impl ClusterSolver {
             done += 1;
             if !probes.is_empty() {
                 for (s, p) in scratch.iter_mut().zip(probes) {
-                    *s = match lane[p.machine] {
+                    *s = match self.batch.lane(p.machine) {
                         Some((g, c, l)) => Celsius(self.batch.lane_value(g, c, l, p.node)),
                         None => self.machines[p.machine].temperature_at(p.node),
                     };
@@ -1169,6 +1046,7 @@ impl ClusterSolver {
                 sink(self.time, &scratch);
             }
         }
+        self.tracer.end(sweep_span);
 
         // Epilogue. Deferred junctions mix once more, from the exhausts
         // the last tick recorded (already scattered if the room is live
@@ -1189,7 +1067,7 @@ impl ClusterSolver {
         // it, and the lanes hand those back here.
         let scatter_span = self.tracer.start_child("batch.scatter", "solver", trace_id);
         self.batch.finish_span(&mut self.machines, done);
-        for &m in &solos {
+        for &m in self.batch.solos() {
             self.machines[m].finish_span(done);
         }
         self.tracer.end(scatter_span);
@@ -1205,7 +1083,9 @@ impl ClusterSolver {
                 self.metrics.fused_spans.observe(stable_run);
             }
             self.metrics.solver.ticks.add(n as u64 * done_u64);
-            let solo_substeps: u64 = solos
+            let solo_substeps: u64 = self
+                .batch
+                .solos()
                 .iter()
                 .map(|&m| self.machines[m].current_substeps() as u64)
                 .sum();
@@ -1487,7 +1367,7 @@ mod tests {
 
     #[test]
     #[cfg(feature = "instrument")]
-    fn metrics_count_ticks_on_both_paths() {
+    fn metrics_count_ticks_per_call() {
         let cluster = presets::validation_cluster(12);
         let mut s = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
         s.step(); // initial plan: all 12 machines batched
@@ -1501,9 +1381,10 @@ mod tests {
             .set_fan_cfm(20.0)
             .unwrap();
         s.step_for(9);
+        s.step();
         let m = s.metrics();
-        assert_eq!(m.ticks.get(), 10, "one cluster tick counted per step");
-        assert_eq!(m.solver.ticks.get(), 120, "12 machine ticks per step");
+        assert_eq!(m.ticks.get(), 11, "one room tick per tick of every call");
+        assert_eq!(m.solver.ticks.get(), 132, "12 machine ticks per room tick");
         assert!(m.solver.substeps.get() >= m.solver.ticks.get());
         assert_eq!(m.solo_demotions.get(), 1);
         assert_eq!(m.batched_machines.get(), 11.0);
@@ -1511,76 +1392,39 @@ mod tests {
         // Construction compiled each machine's flows once; the fiddle
         // recompiled machine3's.
         assert_eq!(m.solver.flow_recomputes.get(), 13);
-        // step_for(9) runs all nine ticks in the lanes, the first booked
-        // as a full step; the step and the call each contribute one
-        // latency observation.
-        assert_eq!(m.tick_nanos.snapshot().count, 2);
+        // Every call is one latency observation, its per-tick mean, and
+        // its first tick is booked as a full step: of the eleven ticks,
+        // only step_for(9)'s last eight are fused.
+        assert_eq!(m.tick_nanos.snapshot().count, 3);
         assert_eq!(m.fused_ticks.get(), 8);
         assert_eq!(m.fused_spans.snapshot().count, 1);
+        // The solo machine ticked inside the room's calls, which leave
+        // the machine-level latency histogram to standalone solvers.
+        assert_eq!(m.solver.tick_nanos.snapshot().count, 0);
 
         // The runtime switch freezes every counter without touching the
         // trajectory.
         s.set_instrumentation(false);
         s.step_for(5);
-        assert_eq!(s.metrics().ticks.get(), 10);
-        assert_eq!(s.metrics().solver.ticks.get(), 120);
+        s.step();
+        assert_eq!(s.metrics().ticks.get(), 11);
+        assert_eq!(s.metrics().solver.ticks.get(), 132);
     }
 
-    #[test]
+    /// Checks the span tree of the one call `spans` recorded — its
+    /// opening and its fused span, siblings at the root, over `ticks`
+    /// ticks — and returns the sweep span's id.
     #[cfg(feature = "instrument")]
-    fn tick_spans_narrate_the_causal_phases() {
-        let cluster = presets::validation_cluster(12);
-        let mut s = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
-        let tracer = Tracer::new(4096);
-        s.set_tracer(tracer.clone());
-        s.set_threads(2);
-        s.step();
-
-        let spans = tracer.recent(100);
+    fn call_tree(spans: &[telemetry::SpanRecord], ticks: usize) -> u64 {
         let find = |name: &str| {
-            spans
-                .iter()
-                .find(|r| r.name == name)
-                .unwrap_or_else(|| panic!("missing span {name}"))
+            let mut named = spans.iter().filter(|r| r.name == name);
+            let span = named
+                .next()
+                .unwrap_or_else(|| panic!("missing span {name}"));
+            assert!(named.next().is_none(), "one {name} per call");
+            span
         };
-        let tick = find("cluster.tick");
-        assert_eq!(find("cluster.mix").parent, tick.id);
-        let machines = find("cluster.machines");
-        assert_eq!(machines.parent, tick.id);
-        for name in [
-            "batch.plan",
-            "batch.gather",
-            "cluster.sweep",
-            "batch.scatter",
-        ] {
-            assert_eq!(find(name).parent, machines.id, "{name}");
-        }
-        // The first pool run is sampled, so each worker recorded a busy
-        // span under the sweep, on its own display lane.
-        let sweep = find("cluster.sweep");
-        let workers: Vec<_> = spans.iter().filter(|r| r.name == "pool.worker").collect();
-        assert_eq!(workers.len(), 2);
-        for w in &workers {
-            assert_eq!(w.parent, sweep.id);
-            assert!(w.tid >= 1, "worker lanes start at 1");
-        }
-
-        // Fused replay opens its lanes under a `cluster.tick` of its own
-        // (plan and gather, no mix or sweep), then records one boundary
-        // span for every tick of the call, closed by its scatter.
-        s.step_for(10);
-        let spans = tracer.recent(1000);
-        let fused = spans
-            .iter()
-            .find(|r| r.name == "cluster.fused_span")
-            .expect("fused boundary span");
-        let ticks = fused.args.iter().find(|(k, _)| k == "ticks").unwrap();
-        assert_eq!(ticks.1, "10", "step_for(10) runs every tick in the lanes");
-        let opening = spans
-            .iter()
-            .rfind(|r| r.name == "cluster.tick")
-            .expect("the call's opening span");
-        assert_ne!(opening.id, tick.id);
+        let (opening, fused) = (find("cluster.tick"), find("cluster.fused_span"));
         assert_eq!(opening.parent, 0, "the opening does not nest");
         assert_eq!(fused.parent, 0, "nor does the fused span");
         let under = |parent: u64| -> Vec<&str> {
@@ -1591,7 +1435,39 @@ mod tests {
                 .collect()
         };
         assert_eq!(under(opening.id), ["batch.plan", "batch.gather"]);
-        assert_eq!(under(fused.id), ["batch.scatter"]);
+        assert_eq!(under(fused.id), ["cluster.sweep", "batch.scatter"]);
+        let arg = fused.args.iter().find(|(k, _)| k == "ticks").unwrap();
+        assert_eq!(arg.1, ticks.to_string(), "every tick runs in the lanes");
+        find("cluster.sweep").id
+    }
+
+    #[test]
+    #[cfg(feature = "instrument")]
+    fn tick_spans_narrate_the_causal_phases() {
+        let cluster = presets::validation_cluster(12);
+        let mut s = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
+        s.set_threads(2);
+
+        // A step is a call of one tick and records a call's tree.
+        let tracer = Tracer::new(4096);
+        s.set_tracer(tracer.clone());
+        s.step();
+        let spans = tracer.recent(100);
+        let sweep = call_tree(&spans, 1);
+        // The first pool run is sampled, so each worker recorded a busy
+        // span under the sweep, on its own display lane.
+        let workers: Vec<_> = spans.iter().filter(|r| r.name == "pool.worker").collect();
+        assert_eq!(workers.len(), 2);
+        for w in &workers {
+            assert_eq!(w.parent, sweep);
+            assert!(w.tid >= 1, "worker lanes start at 1");
+        }
+
+        // A replay call records the same tree once for all its ticks.
+        let tracer = Tracer::new(4096);
+        s.set_tracer(tracer.clone());
+        s.step_for(10);
+        call_tree(&tracer.recent(1000), 10);
 
         // Tracing never touches the numerics.
         let mut untraced = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();

@@ -445,24 +445,6 @@ impl StepKernel {
     /// per sub-step (zero for air regions). Returns the total heat
     /// generated over the tick, in Joules.
     pub(crate) fn tick(&mut self, temp: &mut [Celsius], fixed: &[bool], power_q: &[f64]) -> f64 {
-        self.tick_span(temp, fixed, power_q, 1)
-    }
-
-    /// Advances `temp` by `ticks` ticks with the inputs held constant —
-    /// the fused fast path of `Solver::step_for`. Equivalent to calling
-    /// [`StepKernel::tick`] `ticks` times bit-for-bit: the per-tick copy
-    /// out of and back into `temp` is an exact f64 round trip, so
-    /// hoisting both copies (and the input pricing) out of the loop and
-    /// running `ticks × substeps` consecutive sweeps changes no value.
-    /// Returns the heat generated over the *last* tick (each tick of the
-    /// span generates the same amount).
-    pub(crate) fn tick_span(
-        &mut self,
-        temp: &mut [Celsius],
-        fixed: &[bool],
-        power_q: &[f64],
-        ticks: usize,
-    ) -> f64 {
         debug_assert_eq!(temp.len(), self.n);
         debug_assert_eq!(fixed.len(), self.n);
         debug_assert_eq!(power_q.len(), self.n);
@@ -482,7 +464,7 @@ impl StepKernel {
         for (c, t) in self.cur.iter_mut().zip(temp.iter()) {
             *c = t.0;
         }
-        for _ in 0..self.substeps * ticks {
+        for _ in 0..self.substeps {
             // One fused sweep per sub-step: every node reads the
             // start-of-sub-step snapshot in `cur` and writes `next`, so
             // heat dumped into a region this sub-step is not partially

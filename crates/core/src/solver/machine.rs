@@ -796,13 +796,13 @@ impl Solver {
         }
     }
 
-    /// One kernel tick of a solo machine inside the cluster's fused
-    /// span: [`Solver::step`] without its epilogue. The heat is repriced
-    /// (and a pending rebuild compiled) only when something changed
-    /// since the last pricing — on an in-span tick, only the span's feed
-    /// can have. Heat accounting lands immediately; the time advance and
-    /// tick bookkeeping are booked once per span via
-    /// [`Solver::finish_span`].
+    /// One kernel tick without the epilogue: what a solo machine runs on
+    /// every tick of a cluster call, and the body of [`Solver::step`].
+    /// The heat is repriced (and a pending rebuild compiled) only when
+    /// something changed since the last pricing — on an in-span tick,
+    /// only the call's feed can have. Heat accounting lands immediately;
+    /// the time advance and tick bookkeeping are booked once per call
+    /// via [`Solver::finish_span`].
     pub(crate) fn tick_fused(&mut self) {
         self.fill_tick_inputs();
         let generated = self.kernel.tick(&mut self.temp, &self.fixed, &self.power_q);
@@ -810,8 +810,9 @@ impl Solver {
     }
 
     /// Epilogue for `span` [`Solver::tick_fused`] ticks: the time
-    /// advance, the tick counter, and the changed-state flag that makes
-    /// a batch chunk re-gather this machine's lane.
+    /// advance (by repeated addition, as `span` single steps make it),
+    /// the tick counter, and the changed-state flag that makes a batch
+    /// chunk re-gather this machine's lane.
     pub(crate) fn finish_span(&mut self, span: usize) {
         for _ in 0..span {
             self.time.0 += self.cfg.dt.0;
@@ -1001,7 +1002,10 @@ impl Solver {
     /// The graph arithmetic (Equations 2, 3, and 5 plus advection) runs in
     /// the compiled [`StepKernel`]; this method only refreshes the kernel
     /// when dirty and prices the per-tick inputs — boundary flags and the
-    /// per-sub-step generated heat, both constant within a tick.
+    /// per-sub-step generated heat, both constant within a tick. It is
+    /// the tick a solo machine runs inside a cluster call
+    /// ([`Solver::tick_fused`]), its epilogue ([`Solver::finish_span`]
+    /// of one tick) and the counters.
     pub fn step(&mut self) {
         // Latency is sampled 1-in-TICK_LATENCY_SAMPLE so the common tick
         // carries no clock reads; counters are exact. Neither touches
@@ -1010,15 +1014,8 @@ impl Solver {
             && self.instrumented
             && self.ticks_stepped.is_multiple_of(TICK_LATENCY_SAMPLE);
         let started = if timed { Some(Instant::now()) } else { None };
-        self.fill_tick_inputs();
-        let generated = self.kernel.tick(&mut self.temp, &self.fixed, &self.power_q);
-        self.generated_last_tick = Joules(generated);
-        self.time.0 += self.cfg.dt.0;
-        // A direct step rewrites this solver's temperatures outside any
-        // batch chunk; if the solver is a chunk member, the chunk must
-        // re-gather the lane before reusing it.
-        self.temps_dirty = true;
-        self.ticks_stepped += 1;
+        self.tick_fused();
+        self.finish_span(1);
         if self.instrumented {
             self.metrics.ticks.inc();
             self.metrics.substeps.add(self.kernel.substeps() as u64);
@@ -1029,98 +1026,11 @@ impl Solver {
         }
     }
 
-    /// Advances the emulation by `ticks` ticks.
-    ///
-    /// For `ticks ≥ 2` this is a fused fast path: the inputs are priced
-    /// once and the kernel runs all `ticks × substeps` sweeps back to
-    /// back ([`StepKernel::tick_span`]), hoisting the per-tick
-    /// temperature copies and the (idempotent) repricing out of the
-    /// loop. No setter can run mid-call, so the inputs are provably
-    /// stable for the whole span and the trajectory is bit-identical to
-    /// calling [`Solver::step`] in a loop. Tick latency is sampled once
-    /// per span (as the per-tick mean) instead of 1-in-64 ticks;
-    /// counters stay exact.
+    /// Advances the emulation by `ticks` ticks: [`Solver::step`] in a
+    /// loop.
     pub fn step_for(&mut self, ticks: usize) {
-        if ticks < 2 {
-            if ticks == 1 {
-                self.step();
-            }
-            return;
-        }
-        let timed = telemetry::enabled()
-            && self.instrumented
-            && super::metrics::span_samples(self.ticks_stepped, ticks);
-        let started = if timed { Some(Instant::now()) } else { None };
-        self.fill_tick_inputs();
-        let generated = self
-            .kernel
-            .tick_span(&mut self.temp, &self.fixed, &self.power_q, ticks);
-        self.generated_last_tick = Joules(generated);
         for _ in 0..ticks {
-            self.time.0 += self.cfg.dt.0;
-        }
-        // Same epilogue as `step`: externally visible state changed, so
-        // any batch chunk holding this machine must re-gather its lane.
-        self.temps_dirty = true;
-        self.ticks_stepped += ticks as u64;
-        if self.instrumented {
-            self.metrics.ticks.add(ticks as u64);
-            self.metrics
-                .substeps
-                .add((self.kernel.substeps() * ticks) as u64);
-            if let Some(started) = started {
-                let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                self.metrics.tick_nanos.observe(nanos / ticks as u64);
-            }
-        }
-    }
-
-    /// Advances the emulation by `ticks` ticks, delivering each tick's
-    /// probed temperatures to `sink` — the recorded variant of
-    /// [`Solver::step_for`] for replays that need per-tick history.
-    /// `probes` holds dense node indices from [`Solver::node_index`];
-    /// `sink` receives the post-tick time and the probed temperatures in
-    /// probe order. The trajectory is bit-identical to
-    /// [`Solver::step_for`] (inputs are priced once; each tick is the
-    /// same kernel sweep); only the observation differs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a probe index is out of range.
-    pub fn step_for_recorded<F>(&mut self, ticks: usize, probes: &[usize], mut sink: F)
-    where
-        F: FnMut(Seconds, &[Celsius]),
-    {
-        if ticks == 0 {
-            return;
-        }
-        let timed = telemetry::enabled()
-            && self.instrumented
-            && super::metrics::span_samples(self.ticks_stepped, ticks);
-        let started = if timed { Some(Instant::now()) } else { None };
-        self.fill_tick_inputs();
-        let mut scratch = vec![Celsius(0.0); probes.len()];
-        let mut generated = 0.0;
-        for _ in 0..ticks {
-            generated = self.kernel.tick(&mut self.temp, &self.fixed, &self.power_q);
-            self.time.0 += self.cfg.dt.0;
-            for (s, &p) in scratch.iter_mut().zip(probes) {
-                *s = self.temp[p];
-            }
-            sink(self.time, &scratch);
-        }
-        self.generated_last_tick = Joules(generated);
-        self.temps_dirty = true;
-        self.ticks_stepped += ticks as u64;
-        if self.instrumented {
-            self.metrics.ticks.add(ticks as u64);
-            self.metrics
-                .substeps
-                .add((self.kernel.substeps() * ticks) as u64);
-            if let Some(started) = started {
-                let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                self.metrics.tick_nanos.observe(nanos / ticks as u64);
-            }
+            self.step();
         }
     }
 

@@ -22,20 +22,12 @@
 
 use telemetry::{Counter, Gauge, Histogram, Registry};
 
-/// How often a solo [`super::Solver::step`] samples its own latency: one
-/// tick in 64. Sampling keeps two `Instant::now` calls off the common
-/// tick while still collecting thousands of latency points per emulated
-/// hour; counters are exact (every tick), only the histogram samples.
+/// How often a [`super::Solver::step`] samples its own latency, and a
+/// cluster its pool's busy time: one in 64. Sampling keeps two
+/// `Instant::now` calls off the common tick while still collecting
+/// thousands of latency points per emulated hour; counters are exact
+/// (every tick), only the histogram samples.
 pub(crate) const TICK_LATENCY_SAMPLE: u64 = 64;
-
-/// Whether a span of `ticks` ticks starting after `start` completed
-/// ticks crosses a 1-in-[`TICK_LATENCY_SAMPLE`] sampling point — the
-/// fused replay paths time the whole span (and observe the per-tick
-/// mean) exactly when the per-tick path would have sampled.
-pub(crate) fn span_samples(start: u64, ticks: usize) -> bool {
-    let to_next = (TICK_LATENCY_SAMPLE - start % TICK_LATENCY_SAMPLE) % TICK_LATENCY_SAMPLE;
-    to_next < ticks as u64
-}
 
 /// Metric handles shared by every machine solver of one emulated system.
 ///
@@ -46,9 +38,10 @@ pub struct SolverMetrics {
     /// `mercury_solver_ticks_total` — machine ticks completed, on either
     /// the solo or the batched path.
     pub ticks: Counter,
-    /// `mercury_solver_tick_seconds` — sampled solo-path tick latency,
-    /// recorded in nanoseconds (exposed in seconds). Batched machines
-    /// are timed per cluster tick instead; see
+    /// `mercury_solver_tick_seconds` — sampled latency of
+    /// [`super::Solver::step`], recorded in nanoseconds (exposed in
+    /// seconds). Only a standalone `Solver` observes it: a cluster's
+    /// machines tick inside the room's calls, which are timed whole in
     /// [`ClusterMetrics::tick_nanos`].
     pub tick_nanos: Histogram,
     /// `mercury_solver_substeps_total` — explicit-Euler sub-steps
@@ -83,7 +76,7 @@ impl SolverMetrics {
         );
         registry.register_histogram(
             "mercury_solver_tick_seconds",
-            "Sampled latency of solo per-machine solver ticks",
+            "Sampled latency of standalone machine-solver ticks",
             &[],
             &self.tick_nanos,
             1e-9,
@@ -125,8 +118,10 @@ impl SolverMetrics {
 pub struct ClusterMetrics {
     /// `mercury_cluster_ticks_total` — whole-room ticks completed.
     pub ticks: Counter,
-    /// `mercury_cluster_tick_seconds` — full room-tick latency (mixing
-    /// phases + machine stepping), recorded in nanoseconds every tick.
+    /// `mercury_cluster_tick_seconds` — full room-tick latency (opening
+    /// the lanes, mixing, stepping, the scatter), recorded in
+    /// nanoseconds once per call as the call's per-tick mean: every
+    /// tick of a `step()`, once per replay call.
     pub tick_nanos: Histogram,
     /// `mercury_cluster_batched_machines` — machines on the batched SoA
     /// path in the latest tick, diverged (fan-/heat-k-/air-fraction-

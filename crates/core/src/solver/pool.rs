@@ -51,9 +51,8 @@ use telemetry::Tracer;
 
 /// One unit of independent per-tick work.
 pub(crate) enum WorkItem<'a> {
-    /// A full [`Solver::step`] of one solo machine (per-tick path).
-    Step(&'a mut Solver),
-    /// One in-span kernel tick of one solo machine (fused replay).
+    /// One in-call kernel tick of one solo machine
+    /// ([`Solver::tick_fused`]).
     FusedStep(&'a mut Solver),
     /// One batch chunk's tick against its group's shared operator.
     Chunk {
@@ -65,7 +64,6 @@ pub(crate) enum WorkItem<'a> {
 impl WorkItem<'_> {
     fn run(&mut self) {
         match self {
-            WorkItem::Step(solver) => solver.step(),
             WorkItem::FusedStep(solver) => solver.tick_fused(),
             WorkItem::Chunk { op, chunk } => chunk.tick(op),
         }
@@ -357,34 +355,46 @@ mod tests {
         Solver::new(&presets::validation_machine(), SolverConfig::default()).unwrap()
     }
 
+    /// Bitwise state of a solver after its ticks are booked.
+    fn state(s: &Solver) -> Vec<u64> {
+        let temps = s.temperatures().into_iter().map(|(_, t)| t.0.to_bits());
+        let accounting = [s.time().0.to_bits(), s.generated_last_tick().0.to_bits()];
+        temps.chain(accounting).collect()
+    }
+
     #[test]
     fn pool_steps_items_and_reuses_workers() {
         let mut a = solver();
         let mut b = solver();
         let mut reference = solver();
+        a.set_utilization("cpu", 0.7).unwrap();
+        reference.set_utilization("cpu", 0.7).unwrap();
         let mut pool = TickPool::new();
         for _ in 0..5 {
-            let mut items = [WorkItem::Step(&mut a), WorkItem::Step(&mut b)];
+            let mut items = [WorkItem::FusedStep(&mut a), WorkItem::FusedStep(&mut b)];
             pool.run(&mut items, 2, false, 0);
-            reference.step();
+            reference.tick_fused();
         }
         assert_eq!(pool.worker_count(), 2);
         assert_eq!(pool.resizes(), 1, "five runs, one spawn");
-        for ((_, x), (_, y)) in a.temperatures().iter().zip(reference.temperatures()) {
-            assert_eq!(x.0.to_bits(), y.0.to_bits());
+        for s in [&mut a, &mut b, &mut reference] {
+            s.finish_span(5);
         }
-        for ((_, x), (_, y)) in b.temperatures().iter().zip(reference.temperatures()) {
-            assert_eq!(x.0.to_bits(), y.0.to_bits());
-        }
+        assert_eq!(state(&a), state(&reference));
+        assert_ne!(state(&b), state(&reference), "b idles");
+        let mut idle = solver();
+        (0..5).for_each(|_| idle.tick_fused());
+        idle.finish_span(5);
+        assert_eq!(state(&b), state(&idle));
     }
 
     #[test]
     fn pool_resizes_on_demand() {
         let mut a = solver();
         let mut pool = TickPool::new();
-        pool.run(&mut [WorkItem::Step(&mut a)], 3, false, 0);
+        pool.run(&mut [WorkItem::FusedStep(&mut a)], 3, false, 0);
         assert_eq!(pool.worker_count(), 3);
-        pool.run(&mut [WorkItem::Step(&mut a)], 1, false, 0);
+        pool.run(&mut [WorkItem::FusedStep(&mut a)], 1, false, 0);
         assert_eq!(pool.worker_count(), 1);
         assert_eq!(pool.resizes(), 2);
     }
@@ -396,7 +406,7 @@ mod tests {
         let mut pool = TickPool::new();
         let stats = pool
             .run(
-                &mut [WorkItem::Step(&mut a), WorkItem::Step(&mut b)],
+                &mut [WorkItem::FusedStep(&mut a), WorkItem::FusedStep(&mut b)],
                 2,
                 true,
                 0,
@@ -421,7 +431,7 @@ mod tests {
         let mut pool = TickPool::new();
         pool.set_tracer(tracer.clone());
         pool.run(
-            &mut [WorkItem::Step(&mut a), WorkItem::Step(&mut b)],
+            &mut [WorkItem::FusedStep(&mut a), WorkItem::FusedStep(&mut b)],
             2,
             false,
             42,
@@ -437,7 +447,7 @@ mod tests {
             assert!(s.args.iter().any(|(k, _)| k == "items"));
         }
         // A zero trace parent suppresses busy spans entirely.
-        pool.run(&mut [WorkItem::Step(&mut a)], 2, false, 0);
+        pool.run(&mut [WorkItem::FusedStep(&mut a)], 2, false, 0);
         assert_eq!(tracer.recent(10).len(), 2);
     }
 }

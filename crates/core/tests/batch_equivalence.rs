@@ -16,8 +16,9 @@ mod common;
 
 use common::{
     assert_same_state, frame_calls_strategy, frame_room_strategy, mix_calls_strategy,
-    mix_room_strategy, run, script_strategy, supported_backends, Event, FedInputs, FedPlan, Fiddle,
-    FrameCall, FramePlan, FrameRoom, MixCall, MixPlan, MixRoom, Remodel, Setup,
+    mix_room_strategy, room_changes_strategy, run, script_strategy, supported_backends, Event,
+    FedInputs, FedPlan, Fiddle, FrameCall, FramePlan, FrameRoom, MixCall, MixPlan, MixRoom,
+    OraclePlan, Remodel, Setup,
 };
 use mercury::presets::{self, nodes, FAN_CFM};
 use mercury::solver::{ClusterSolver, SimdBackend, Solver, SolverConfig};
@@ -1128,4 +1129,97 @@ fn batch_frame_rejects_cells_it_cannot_take() {
         &[(2, cpu), (1, cpu), (2, cpu)],
         "`cpu` on `m2` is in the frame twice",
     );
+}
+
+// --- the per-tick oracle --------------------------------------------------
+//
+// Every suite above holds one configuration of `ClusterSolver` to
+// another; `step()` itself is a one-tick call of the same loop they
+// all run. `common::RoomStepper` is the reference from outside: a room
+// stepped one standalone `Solver` at a time with the air mixed by hand,
+// sharing no room-level code with the solver; `common::OraclePlan::check`
+// runs each case. Names start `batch_oracle_` so the CI filter above
+// picks them up.
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random rooms — 1–2 supplies, 0–3 junctions linked in either
+    /// declaration order, recirculation into some inlets, machines with
+    /// zero, one and two exhaust regions, pinned machines — under random
+    /// fan, heat-k, air-fraction, pin, release and utilization scripts,
+    /// forced inlets, releases and supply changes: the per-machine room
+    /// (`set_batching(false)`, one `step()` per tick) equals the room
+    /// stepper after every tick, bit for bit.
+    #[test]
+    fn batch_oracle_per_machine_rooms_match_the_room_stepper(
+        room in mix_room_strategy(),
+        script in script_strategy(30, 40, 0..30),
+        changes in room_changes_strategy(30),
+        utils in proptest::collection::vec(0.0f64..1.0, 1..4),
+    ) {
+        OraclePlan { room: &room, utils: &utils, script: &script, changes: &changes, ticks: 30 }
+            .check(Setup::PER_MACHINE);
+    }
+}
+
+/// The room stepper does not care how the room is configured: a batched
+/// room on two threads, with per-lane groups, solo machines, a
+/// recirculating junction and an unread one, forced inlets and a supply
+/// change, equals it after every tick.
+#[test]
+fn batch_oracle_batched_rooms_on_the_pool_match_the_room_stepper() {
+    let room = MixRoom {
+        junctions: 2,
+        exhaust_to: vec![Some(0), Some(1), Some(0)],
+        recirculate: vec![Some(0), None],
+        pinned: vec![5],
+        ..MixRoom::ideal(24)
+    };
+    let script: Vec<Event> = (0..8)
+        .map(|m| fan(2 + m, 2 * m, 0.8 + m as f64 * 1e-4))
+        .chain([
+            Event {
+                tick: 6,
+                machine: 3,
+                fiddle: Fiddle::HeatK(0.9),
+            },
+            Event {
+                tick: 9,
+                machine: 7,
+                fiddle: Fiddle::AirFraction(0.7),
+            },
+            Event {
+                tick: 14,
+                machine: 5,
+                fiddle: Fiddle::Release,
+            },
+        ])
+        .collect();
+    let changes = [
+        (
+            4,
+            MixCall::Force {
+                machine: 1,
+                t: 31.0,
+            },
+        ),
+        (11, MixCall::Supply { supply: 0, t: 23.5 }),
+        (16, MixCall::Release { machine: 1 }),
+    ];
+    let batched = OraclePlan {
+        room: &room,
+        utils: &[0.2, 0.9, 0.55],
+        script: &script,
+        changes: &changes,
+        ticks: 20,
+    }
+    .check(Setup {
+        threads: 2,
+        ..Setup::BATCHED
+    });
+    // The heat-k- and air-fraction-fiddled boxes are each alone in
+    // their class, so they step solo beside the chunks.
+    assert_eq!(batched.batched_machines(), 22);
+    assert_eq!(batched.pool_workers(), 2);
 }

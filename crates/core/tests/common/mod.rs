@@ -7,13 +7,16 @@
 //! For the room's air mix inside a span ([`MixPlan`]), random rooms of
 //! supplies, junctions, recirculation and pinned machines are held to a
 //! per-machine room that takes the same calls one `step()` at a time.
+//! And [`RoomStepper`] is the per-tick reference those per-machine rooms
+//! answer to ([`OraclePlan`]): a room stepped from public API only,
+//! sharing nothing with `ClusterSolver` but the machine [`Solver`].
 
 #![allow(dead_code)] // each suite uses its own subset
 
-use mercury::model::{ClusterEndpoint, ClusterModel, MachineModel, PowerModel};
+use mercury::model::{ClusterEdge, ClusterEndpoint, ClusterModel, MachineModel, PowerModel};
 use mercury::presets::{self, nodes, FAN_CFM};
-use mercury::solver::{ClusterSolver, SimdBackend, SolverConfig, TickInputs};
-use mercury::units::{Celsius, Utilization, Watts};
+use mercury::solver::{ClusterSolver, SimdBackend, Solver, SolverConfig, TickInputs};
+use mercury::units::{Celsius, Seconds, Utilization, Watts};
 use mercury::Error;
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -120,13 +123,24 @@ impl Setup {
 
 pub fn apply(s: &mut ClusterSolver, event: &Event) {
     let machine = event.machine % s.len();
-    let solver = s.machine_at_mut(machine);
-    match event.fiddle {
+    fiddle(s.machine_at_mut(machine), &event.fiddle);
+}
+
+/// Applies one [`Fiddle`] to one machine. An air-fraction fiddle moves
+/// the Table 1 server's void-air → exhaust split, or the inlet edge of a
+/// CPU-only [`mix_machine`], which has no void air.
+pub fn fiddle(solver: &mut Solver, fiddle: &Fiddle) {
+    match *fiddle {
         Fiddle::Fan(scale) => solver.set_fan_cfm(FAN_CFM * scale).unwrap(),
         Fiddle::HeatK(k) => solver.set_heat_k(nodes::CPU, nodes::CPU_AIR, k).unwrap(),
-        Fiddle::AirFraction(f) => solver
-            .set_air_fraction(nodes::VOID_AIR, nodes::EXHAUST, f)
-            .unwrap(),
+        Fiddle::AirFraction(f) => {
+            let (from, to) = if solver.node_index(nodes::VOID_AIR).is_some() {
+                (nodes::VOID_AIR, nodes::EXHAUST)
+            } else {
+                (nodes::INLET, nodes::CPU_AIR)
+            };
+            solver.set_air_fraction(from, to, f).unwrap()
+        }
         Fiddle::Pin(t) => solver.force_temperature(nodes::CPU, Celsius(t)).unwrap(),
         Fiddle::Release => solver.release_temperature(nodes::CPU).unwrap(),
         Fiddle::Utilization(u) => solver.set_utilization(nodes::CPU, u).unwrap(),
@@ -1250,4 +1264,269 @@ impl FramePlan<'_> {
 
 fn bits(temps: &[Celsius]) -> Vec<u64> {
     temps.iter().map(|t| t.0.to_bits()).collect()
+}
+
+// --- the per-tick oracle --------------------------------------------------
+
+/// A machine room stepped one tick at a time the way §2.2 describes the
+/// tick, from public API only: standalone [`Solver`]s built from
+/// [`ClusterModel::machines`], and each tick the previous tick's
+/// exhausts observed, the junctions mixed in model order (each visible
+/// to the junctions and inlets after it), every inlet forced or mixed,
+/// and every machine stepped. A sink mixes its edges in declaration
+/// order as `weight += f; sum += f·t`, then `sum / weight` — the
+/// arithmetic of `model::cluster::mixed_inlet_temperature`. It shares
+/// nothing with `ClusterSolver` but the machine [`Solver`], so it is the
+/// reference the room's one tick loop answers to.
+#[derive(Debug)]
+pub struct RoomStepper {
+    machines: Vec<Solver>,
+    /// Node indices of each machine's exhaust regions, in node order.
+    exhausts: Vec<Vec<usize>>,
+    supplies: Vec<(String, Celsius)>,
+    junctions: Vec<(String, Celsius)>,
+    edges: Vec<ClusterEdge>,
+    forced: Vec<Option<Celsius>>,
+    time: Seconds,
+    dt: Seconds,
+}
+
+impl RoomStepper {
+    pub fn new(model: &ClusterModel) -> RoomStepper {
+        let cfg = SolverConfig::default();
+        let machines: Vec<Solver> = model
+            .machines()
+            .iter()
+            .map(|m| Solver::new(m, cfg.clone()).unwrap())
+            .collect();
+        let exhausts = machines
+            .iter()
+            .map(|s| {
+                let names: Vec<&str> = s.node_names().collect();
+                (0..names.len())
+                    .filter(|&i| s.is_exhaust(names[i]))
+                    .collect()
+            })
+            .collect();
+        let supplies: Vec<(String, Celsius)> = model
+            .supplies()
+            .iter()
+            .map(|s| (s.name.clone(), s.temperature))
+            .collect();
+        // Junctions start where the room's air does: at the configured
+        // temperature, else at the first supply's.
+        let initial = cfg
+            .initial_temperature
+            .unwrap_or_else(|| supplies.first().map_or(Celsius(21.6), |s| s.1));
+        RoomStepper {
+            forced: vec![None; machines.len()],
+            machines,
+            exhausts,
+            supplies,
+            junctions: model
+                .junctions()
+                .iter()
+                .map(|j| (j.clone(), initial))
+                .collect(),
+            edges: model.edges().to_vec(),
+            time: Seconds(0.0),
+            dt: cfg.dt,
+        }
+    }
+
+    pub fn machine_at_mut(&mut self, m: usize) -> &mut Solver {
+        &mut self.machines[m]
+    }
+
+    /// Pins machine `m`'s inlet, from now on.
+    pub fn force_inlet(&mut self, m: usize, t: Celsius) {
+        self.forced[m] = Some(t);
+        self.machines[m].set_inlet_temperature(t);
+    }
+
+    /// Returns machine `m`'s inlet to the room's air.
+    pub fn release_inlet(&mut self, m: usize) {
+        self.forced[m] = None;
+    }
+
+    pub fn set_supply_temperature(&mut self, name: &str, t: Celsius) {
+        self.supplies.iter_mut().find(|s| s.0 == name).unwrap().1 = t;
+    }
+
+    /// The temperature the room sees at machine `m`'s exhaust: the mean
+    /// of its exhaust regions, summed in node order from 0, or its inlet
+    /// temperature if it has none.
+    fn exhaust(&self, m: usize) -> Celsius {
+        let solver = &self.machines[m];
+        let nodes = &self.exhausts[m];
+        if nodes.is_empty() {
+            return solver.inlet_temperature();
+        }
+        let mut sum = 0.0;
+        for &i in nodes {
+            sum += solver.temperature_at(i).0;
+        }
+        Celsius(sum / nodes.len() as f64)
+    }
+
+    fn mix(&self, sink: &ClusterEndpoint, exhausts: &[Celsius]) -> Option<Celsius> {
+        let source = |from: &ClusterEndpoint| match from {
+            ClusterEndpoint::Supply(name) => self.supplies.iter().find(|s| s.0 == *name).unwrap().1,
+            ClusterEndpoint::Junction(name) => {
+                self.junctions.iter().find(|j| j.0 == *name).unwrap().1
+            }
+            ClusterEndpoint::MachineExhaust(m) => exhausts[*m],
+            ClusterEndpoint::MachineInlet(_) => unreachable!("inlets are sinks"),
+        };
+        let (mut weight, mut sum) = (0.0, 0.0);
+        for edge in self.edges.iter().filter(|e| e.to == *sink) {
+            weight += edge.fraction;
+            sum += edge.fraction * source(&edge.from).0;
+        }
+        (weight > 0.0).then(|| Celsius(sum / weight))
+    }
+
+    /// Advances the room by one tick.
+    pub fn step(&mut self) {
+        let exhausts: Vec<Celsius> = (0..self.machines.len()).map(|m| self.exhaust(m)).collect();
+        for j in 0..self.junctions.len() {
+            let sink = ClusterEndpoint::Junction(self.junctions[j].0.clone());
+            if let Some(t) = self.mix(&sink, &exhausts) {
+                self.junctions[j].1 = t;
+            }
+        }
+        for m in 0..self.machines.len() {
+            let inlet =
+                self.forced[m].or_else(|| self.mix(&ClusterEndpoint::MachineInlet(m), &exhausts));
+            if let Some(t) = inlet {
+                self.machines[m].set_inlet_temperature(t);
+            }
+        }
+        for machine in &mut self.machines {
+            machine.step();
+        }
+        self.time.0 += self.dt.0;
+    }
+
+    /// Holds `room` to this stepper by bit pattern: the room's clock,
+    /// every junction, and on every machine its clock, generated heat,
+    /// inlet field and every node.
+    pub fn assert_matches(&self, room: &ClusterSolver, context: &str) {
+        let same = |what: String, got: f64, want: f64| {
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{context}: {what}: {got} vs {want}"
+            );
+        };
+        same("clock".into(), room.time().0, self.time.0);
+        for (name, t) in &self.junctions {
+            same(
+                format!("junction {name}"),
+                room.junction_temperature(name).unwrap().0,
+                t.0,
+            );
+        }
+        for (m, want) in self.machines.iter().enumerate() {
+            let got = room.machine_at(m);
+            same(format!("machine {m} clock"), got.time().0, want.time().0);
+            same(
+                format!("machine {m} generated heat"),
+                got.generated_last_tick().0,
+                want.generated_last_tick().0,
+            );
+            same(
+                format!("machine {m} inlet field"),
+                got.inlet_temperature().0,
+                want.inlet_temperature().0,
+            );
+            for ((node, x), (_, y)) in got.temperatures().iter().zip(&want.temperatures()) {
+                same(format!("machine {m} node {node}"), x.0, y.0);
+            }
+        }
+    }
+}
+
+/// Room-level changes before given ticks, for an [`OraclePlan`]:
+/// forced inlets, releases and supply changes (the [`MixCall`]s that
+/// are not spans).
+pub fn room_changes_strategy(ticks: usize) -> impl Strategy<Value = Vec<(usize, MixCall)>> {
+    let change = prop_oneof![
+        (0usize..40, 25.0f64..40.0).prop_map(|(machine, t)| MixCall::Force { machine, t }),
+        (0usize..40).prop_map(|machine| MixCall::Release { machine }),
+        (0usize..2, 15.0f64..26.0).prop_map(|(supply, t)| MixCall::Supply { supply, t }),
+    ];
+    proptest::collection::vec((0..ticks, change), 0..8)
+}
+
+/// One oracle case; see [`OraclePlan::check`].
+#[derive(Debug, Clone)]
+pub struct OraclePlan<'a> {
+    pub room: &'a MixRoom,
+    /// CPU utilizations the machines start at (cycled).
+    pub utils: &'a [f64],
+    /// Fiddles before given ticks, machines taken modulo the room size.
+    pub script: &'a [Event],
+    /// Room-level changes before given ticks, after that tick's
+    /// fiddles.
+    pub changes: &'a [(usize, MixCall)],
+    pub ticks: usize,
+}
+
+impl OraclePlan<'_> {
+    /// Steps a room configured by `setup` one `step()` per tick beside a
+    /// [`RoomStepper`], both taking the same fiddles and room changes,
+    /// and holds them together after every tick
+    /// ([`RoomStepper::assert_matches`]). Returns the room.
+    pub fn check(&self, setup: Setup) -> ClusterSolver {
+        let model = self.room.model();
+        let mut room = setup.build(&model);
+        let mut oracle = RoomStepper::new(&model);
+        let n = room.len();
+        for m in 0..n {
+            let u = self.utils[m % self.utils.len()];
+            room.machine_at_mut(m)
+                .set_utilization(nodes::CPU, u)
+                .unwrap();
+            oracle
+                .machine_at_mut(m)
+                .set_utilization(nodes::CPU, u)
+                .unwrap();
+        }
+        for &m in &self.room.pinned {
+            fiddle(room.machine_at_mut(m % n), &Fiddle::Pin(70.0));
+            fiddle(oracle.machine_at_mut(m % n), &Fiddle::Pin(70.0));
+        }
+        for tick in 0..self.ticks {
+            for event in self.script.iter().filter(|e| e.tick == tick) {
+                fiddle(room.machine_at_mut(event.machine % n), &event.fiddle);
+                fiddle(oracle.machine_at_mut(event.machine % n), &event.fiddle);
+            }
+            for (_, change) in self.changes.iter().filter(|(t, _)| *t == tick) {
+                match *change {
+                    MixCall::Force { machine, t } => {
+                        room.force_inlet(&format!("m{}", machine % n), Celsius(t))
+                            .unwrap();
+                        oracle.force_inlet(machine % n, Celsius(t));
+                    }
+                    MixCall::Release { machine } => {
+                        room.release_inlet(&format!("m{}", machine % n)).unwrap();
+                        oracle.release_inlet(machine % n);
+                    }
+                    MixCall::Supply { supply, t } => {
+                        let supply = format!("ac{}", supply % self.room.supplies);
+                        room.set_supply_temperature(&supply, Celsius(t)).unwrap();
+                        oracle.set_supply_temperature(&supply, Celsius(t));
+                    }
+                    MixCall::Fed { .. } | MixCall::Recorded { .. } => {
+                        unreachable!("an oracle case steps one tick at a time")
+                    }
+                }
+            }
+            room.step();
+            oracle.step();
+            oracle.assert_matches(&room, &format!("tick {tick}"));
+        }
+        room
+    }
 }
