@@ -338,6 +338,11 @@ impl SolverService {
         };
 
         // Ticker thread: advances emulated time at the configured pace.
+        // Tick `k` is due at `start + k·pace`, and the thread sleeps only
+        // until the next deadline, so neither the locked step nor sleep
+        // overshoot slows the emulated clock. A ticker more than a tick
+        // behind re-anchors on the present instead of bursting the
+        // missed ticks.
         let ticker = {
             let system = Arc::clone(&system);
             let stop = Arc::clone(&stop);
@@ -345,9 +350,15 @@ impl SolverService {
             std::thread::Builder::new()
                 .name("mercury-ticker".into())
                 .spawn(move || {
+                    let mut deadline = Instant::now() + pace;
                     while !stop.load(Ordering::Relaxed) {
-                        std::thread::sleep(pace);
+                        let now = Instant::now();
+                        if now > deadline + pace {
+                            deadline = now;
+                        }
+                        std::thread::sleep(deadline.saturating_duration_since(now));
                         system.lock().step();
+                        deadline += pace;
                     }
                 })
                 .map_err(Error::Io)?
@@ -675,6 +686,26 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         service.shutdown();
+    }
+
+    /// The ticker keeps to its deadlines: an idle fast service advances
+    /// one emulated second per wall millisecond, less scheduling jitter —
+    /// not a step's length slow on every tick.
+    #[test]
+    fn idle_ticker_keeps_the_wall_clock_pace() {
+        let service =
+            SolverService::spawn_machine(&presets::validation_machine(), ServiceConfig::fast())
+                .unwrap();
+        let time = || service.with_system(|system| system.time());
+        let (start, wall) = (time(), Instant::now());
+        std::thread::sleep(Duration::from_millis(300));
+        let emulated = time() - start;
+        let per_ms = emulated / (wall.elapsed().as_secs_f64() * 1e3);
+        service.shutdown();
+        assert!(
+            per_ms >= 0.97,
+            "{emulated} emulated s in 300 ms: {per_ms} per ms"
+        );
     }
 
     #[test]

@@ -13,19 +13,21 @@
 //! steps each group as one fused sweep over a contiguous
 //! `[nodes × machines]` state matrix:
 //!
-//! - **Shared operator.** One read-only copy of the assembled sub-step
-//!   operator (CSR offsets, sources, weights, `1/(m·c)`) serves every
-//!   machine in the group — the topology memory for a 1024-replica room
-//!   is that of *one* machine plus state rows.
-//! - **SoA layout.** Temperatures and per-node power ΔT are stored
-//!   node-major: row `i` holds node `i`'s value for every machine in the
-//!   chunk (one f64 *lane* per machine). Applying operator entry
-//!   `(src, w)` to node `i` is then a straight sequential walk over two
-//!   contiguous rows — `next[i][·] += w · cur[src][·]` — which the
-//!   compiler auto-vectorizes.
-//! - **Bit-identical trajectories.** Per lane, the accumulation sequence
-//!   is exactly the scalar kernel's: `self_w·T_i + ΔT_power`, then one
-//!   `+= w_j·T_src(j)` per operator entry in the same order. Lanes never
+//! - **Shared operator.** One read-only copy of the composed tick
+//!   (`T' = M·T + B·p`, see `super::kernel`: CSR offsets, sources and
+//!   weights of `M` and `B`, and `1/(m·c)`) serves every machine in the
+//!   group — the topology memory for a 1024-replica room is that of
+//!   *one* machine plus state rows.
+//! - **SoA layout.** Temperatures, per-node power ΔT and the drive
+//!   `B·ΔT` are stored node-major: row `i` holds node `i`'s value for
+//!   every machine in the chunk (one f64 *lane* per machine). Applying
+//!   operator entry `(src, w)` to node `i` is then a straight sequential
+//!   walk over two contiguous rows — `next[i][·] += w · cur[src][·]` —
+//!   which the compiler auto-vectorizes.
+//! - **Bit-identical trajectories.** Per lane, a tick is exactly the
+//!   scalar kernel's sequence: the drive `0 + Σ b·ΔT` in `B`'s entry
+//!   order when the power changed, then `m_self·T_i + drive`, then one
+//!   `+= w_j·T_src(j)` per entry of `M` in the same order. Lanes never
 //!   interact (no horizontal reductions), so batched, per-machine,
 //!   serial, and parallel stepping all produce the same bits.
 //!
@@ -35,18 +37,21 @@
 //!
 //! - **Shared operator** — machines whose kernel constants still match
 //!   their source model. They compile to bit-identical operators, so
-//!   the group keeps one copy of the weights and the sweep splats each
+//!   the group keeps one copy of the representative's composed weights
+//!   (only the representative composes) and the sweep splats each
 //!   weight across the row.
 //! - **Per-lane weights, `N` sub-steps** — machines a fan-speed, heat-k
 //!   or air-fraction fiddle has diverged from the model. A fiddle
 //!   changes an operator's *weights* (and sometimes its sub-step
 //!   count), not its CSR structure, so such machines still share
-//!   offsets, sources and `1/(m·c)`; each chunk carries
-//!   `[entries × lanes]` and `[nodes × lanes]` weight matrices beside
-//!   its state, and the same sweep loads a lane's weights where the
-//!   shared class splats them. Lanes of a chunk advance together, so
-//!   the sub-step count is part of the class: a fan command that moves
-//!   a machine from 14 to 15 sub-steps moves it to another group.
+//!   offsets, sources and `1/(m·c)` — and, with the same sub-step count
+//!   and boundary mask, the composed patterns of `M` and `B`; each
+//!   chunk carries `[entries × lanes]` weight matrices of `M` and `B`
+//!   and a `[nodes × lanes]` matrix of `M`'s diagonal beside its state,
+//!   and the same sweep loads a lane's weights where the shared class
+//!   splats them. The composed patterns follow the sub-step count, so
+//!   it is part of the class: a fan command that moves a machine from
+//!   14 to 15 sub-steps moves it to another group.
 //!
 //! What still steps per-machine: machines with force-pinned nodes
 //! (pinning changes the boundary-flag pattern a group shares; see
@@ -71,6 +76,8 @@
 //! tick, because the room graph rewrites inlets every tick. A lane's
 //! weight column is rewritten when its solver's rebuild epoch moved,
 //! which [`BatchSet::plan`] sees because the epoch is in the signature.
+//! A chunk recomputes its drive rows only on a tick after its power
+//! rows or weights changed.
 //!
 //! ## Inputs that arrive inside a span
 //!
@@ -120,7 +127,7 @@
 //! plan's call (`super::kernel::MixGraph`).
 
 use super::aligned::{AlignedVec, MATRIX_ALIGN};
-use super::kernel::AssembledOp;
+use super::kernel::{AssembledOp, ComposedOp};
 use super::machine::Solver;
 use super::simd::{self, SimdBackend, Sweep, LANE_PAD};
 use crate::units::Celsius;
@@ -172,20 +179,35 @@ fn signature_of(machine: &mut Solver) -> Signature {
     Some((key, epoch))
 }
 
-/// One group's shared, read-only sub-step operator — a deep copy of the
-/// representative machine's assembled [`AssembledOp`], plus the group's
-/// boundary mask (inlet nodes; eligible machines have no force-pinned
-/// nodes, so the mask is structural and identical across the group).
-/// A per-lane group shares everything but the weights.
+/// One group's shared, read-only operator — a deep copy of the
+/// representative machine's assembled sub-step operator
+/// ([`AssembledOp`], what members are matched on) and of its composed
+/// tick ([`ComposedOp`], what the sweep runs), plus the group's boundary
+/// mask (inlet nodes; eligible machines have no force-pinned nodes, so
+/// the mask is structural and identical across the group). A per-lane
+/// group shares everything but the weights.
 #[derive(Debug)]
 pub(crate) struct SharedOp {
     n: usize,
     substeps: usize,
     op_off: Vec<u32>,
     op_src: Vec<u32>,
-    /// Empty when `per_lane`: each chunk carries its lanes' weights.
+    /// Empty when `per_lane`, like every weight below: each chunk
+    /// carries its lanes' composed weights, and the raw ones are only
+    /// matched in a shared group.
     op_w: Vec<f64>,
     self_w: Vec<f64>,
+    /// The composed tick: `M`'s rows and diagonal, `B`'s rows.
+    m_off: Vec<u32>,
+    m_src: Vec<u32>,
+    m_w: Vec<f64>,
+    m_self: Vec<f64>,
+    b_off: Vec<u32>,
+    b_src: Vec<u32>,
+    b_w: Vec<f64>,
+    /// `[nodes × CHUNK_LANES]` zeros: the self weights and power rows
+    /// of the sweep that computes a chunk's drive.
+    zeros: Vec<f64>,
     inv_capacity: Vec<f64>,
     fixed: Vec<bool>,
     per_lane: bool,
@@ -223,7 +245,8 @@ impl SharedOp {
             .copied()
             .filter(|&i| solver.is_monitored_at(i))
             .collect();
-        let op = solver.compiled_kernel().assembled_op();
+        let kernel = solver.composed_kernel();
+        let (op, tick) = (kernel.assembled_op(), kernel.composed_op());
         let weights = |w: &[f64]| if per_lane { Vec::new() } else { w.to_vec() };
         let rows = |nodes: &[usize]| {
             let mut row_of = vec![NO_ROW; op.n];
@@ -239,6 +262,14 @@ impl SharedOp {
             op_src: op.op_src.to_vec(),
             op_w: weights(op.op_w),
             self_w: weights(op.self_w),
+            m_off: tick.m_off.to_vec(),
+            m_src: tick.m_src.to_vec(),
+            m_w: weights(tick.m_w),
+            m_self: weights(tick.m_self),
+            b_off: tick.b_off.to_vec(),
+            b_src: tick.b_src.to_vec(),
+            b_w: weights(tick.b_w),
+            zeros: vec![0.0; op.n * CHUNK_LANES],
             inv_capacity: op.inv_capacity.to_vec(),
             fixed,
             per_lane,
@@ -267,6 +298,16 @@ impl SharedOp {
             && self.op_src == op.op_src
             && bits_eq(&self.inv_capacity, op.inv_capacity)
             && (self.per_lane || (bits_eq(&self.op_w, op.op_w) && bits_eq(&self.self_w, op.self_w)))
+    }
+
+    /// Whether a composed tick has this group's patterns of `M` and `B`
+    /// — which every matching operator composed for the group's boundary
+    /// mask has.
+    fn shares_pattern(&self, tick: &ComposedOp<'_>) -> bool {
+        self.m_off == tick.m_off
+            && self.m_src == tick.m_src
+            && self.b_off == tick.b_off
+            && self.b_src == tick.b_src
     }
 }
 
@@ -343,10 +384,16 @@ pub(crate) struct Chunk {
     /// `[nodes × stride]` per-sub-step power ΔT, 64-byte aligned. Only
     /// component rows are ever written; air rows stay zero.
     power_dt: AlignedVec,
-    /// Per-lane operator weights, `[entries × stride]` and
-    /// `[nodes × stride]`; empty in a shared-operator group.
-    op_w: AlignedVec,
-    self_w: AlignedVec,
+    /// `[nodes × stride]` drive `B·power_dt`, what a tick adds to the
+    /// self term; recomputed by the first tick after `power_dt` or a
+    /// lane's weights changed (`resum`).
+    drive: AlignedVec,
+    /// Per-lane composed weights: `M`'s entries `[entries × stride]`
+    /// and diagonal `[nodes × stride]`, `B`'s entries
+    /// `[entries × stride]`; empty in a shared-operator group.
+    m_w: AlignedVec,
+    m_self: AlignedVec,
+    b_w: AlignedVec,
     /// The rebuild epoch each lane's weight column was copied at (0 =
     /// never); empty in a shared-operator group.
     epochs: Vec<u64>,
@@ -369,8 +416,9 @@ pub(crate) struct Chunk {
     /// Per-lane heat generated over the tick (Joules), for
     /// [`Solver::finish_tick_span`] bookkeeping: `Σ q` in node order
     /// times the sub-step count, re-summed by the next [`Chunk::tick`]
-    /// whenever `power_q` changed (`resum`) — so it always reads the
-    /// heat of the last tick run, never of inputs not yet stepped.
+    /// whenever `power_q` changed (`resum`, which also recomputes the
+    /// drive) — so it always reads the heat of the last tick run, never
+    /// of inputs not yet stepped.
     generated: Vec<f64>,
     resum: bool,
     /// Per-lane sum of the exhaust rows, in node order from `0.0`, as
@@ -400,8 +448,10 @@ impl Chunk {
             cur: AlignedVec::zeroed(op.n * stride),
             next: AlignedVec::zeroed(op.n * stride),
             power_dt: AlignedVec::zeroed(op.n * stride),
-            op_w: weights(op.op_src.len()),
-            self_w: weights(op.n),
+            drive: AlignedVec::zeroed(op.n * stride),
+            m_w: weights(op.m_src.len()),
+            m_self: weights(op.n),
+            b_w: weights(op.b_src.len()),
             epochs: vec![0; if op.per_lane { lanes } else { 0 }],
             power_q: vec![0.0; op.components.len() * stride],
             priced: Vec::new(),
@@ -417,10 +467,11 @@ impl Chunk {
         }
     }
 
-    /// Copies the weights of every lane whose solver was rebuilt since
-    /// its column was written (all of them, for a new chunk). Returns
-    /// `false` if a rebuilt operator no longer has the group's
-    /// structure — the caller then regroups from scratch.
+    /// Copies the composed weights of every lane whose solver was
+    /// rebuilt since its column was written (all of them, for a new
+    /// chunk), composing them first if they are stale. Returns `false`
+    /// if a rebuilt operator no longer has the group's structure — the
+    /// caller then regroups from scratch.
     fn refresh_weights(&mut self, op: &SharedOp, machines: &mut [Solver]) -> bool {
         for l in 0..self.epochs.len() {
             let solver = &mut machines[self.members[l]];
@@ -428,17 +479,23 @@ impl Chunk {
             if self.epochs[l] == epoch {
                 continue;
             }
-            let own = solver.compiled_kernel().assembled_op();
-            if !op.matches(&own) {
+            if !op.matches(&solver.compiled_kernel().assembled_op()) {
                 return false;
             }
-            for (j, &w) in own.op_w.iter().enumerate() {
-                self.op_w[j * self.stride + l] = w;
-            }
-            for (i, &w) in own.self_w.iter().enumerate() {
-                self.self_w[i * self.stride + l] = w;
+            let own = solver.composed_kernel().composed_op();
+            debug_assert!(op.shares_pattern(&own), "matched operators compose alike");
+            let stride = self.stride;
+            for (matrix, column) in [
+                (&mut self.m_w, own.m_w),
+                (&mut self.m_self, own.m_self),
+                (&mut self.b_w, own.b_w),
+            ] {
+                for (j, &w) in column.iter().enumerate() {
+                    matrix[j * stride + l] = w;
+                }
             }
             self.epochs[l] = epoch;
+            self.resum = true;
         }
         true
     }
@@ -487,21 +544,28 @@ impl Chunk {
         self.resum = true;
     }
 
-    /// Advances every lane by one tick (all sub-steps). Pure compute on
-    /// chunk-owned state plus the shared read-only operator — safe to
-    /// run concurrently with other chunks.
+    /// Advances every lane by one tick: one sweep of the composed tick.
+    /// Pure compute on chunk-owned state plus the shared read-only
+    /// operator — safe to run concurrently with other chunks.
     ///
-    /// Per lane each sub-step is the scalar kernel's exact sequence —
-    /// `t = self_w·T_i + ΔT_power`, then `+= w_j·T_src(j)` in operator
-    /// order — run as row sweeps by `super::simd` on the operator's
-    /// stamped backend. Lanes are independent, so the sweep reorders
-    /// nothing within a lane and every backend is bit-identical to the
-    /// scalar kernel. `fixed` rows are already valid in both buffers
-    /// (see [`BatchSet::begin_tick`]) and are skipped outright.
+    /// Per lane this is the scalar kernel's exact sequence — after a
+    /// power change the drive `0 + Σ b·ΔT_power` in `B`'s entry order,
+    /// then `t = m_self·T_i + drive`, then `+= w_j·T_src(j)` in `M`'s
+    /// entry order — run as row sweeps by `super::simd` on the
+    /// operator's stamped backend (the drive as a sweep whose self term
+    /// and power rows are zero). Lanes are independent, so the sweep
+    /// reorders nothing within a lane and every backend is bit-identical
+    /// to the scalar kernel. `fixed` rows are already valid in both
+    /// buffers (see [`BatchSet::begin_tick`]) and are skipped outright.
     pub(crate) fn tick(&mut self, op: &SharedOp) {
         debug_assert_eq!(self.cur.as_ptr() as usize % MATRIX_ALIGN, 0);
         debug_assert_eq!(self.next.as_ptr() as usize % MATRIX_ALIGN, 0);
-        debug_assert_eq!(self.power_dt.as_ptr() as usize % MATRIX_ALIGN, 0);
+        debug_assert_eq!(self.drive.as_ptr() as usize % MATRIX_ALIGN, 0);
+        let (m_w, m_self, b_w): (&[f64], &[f64], &[f64]) = if op.per_lane {
+            (&self.m_w, &self.m_self, &self.b_w)
+        } else {
+            (&op.m_w, &op.m_self, &op.b_w)
+        };
         if std::mem::take(&mut self.resum) {
             // Per lane `0.0 + q₀ + q₁ + …` in node order: the scalar
             // kernel's exact `generated` bookkeeping, less its additions
@@ -515,31 +579,40 @@ impl Chunk {
             for sum in &mut self.generated {
                 *sum *= op.substeps as f64;
             }
-        }
-        let (op_w, self_w): (&[f64], &[f64]) = if op.per_lane {
-            (&self.op_w, &self.self_w)
-        } else {
-            (&op.op_w, &op.self_w)
-        };
-        for _ in 0..op.substeps {
             simd::substep(
                 op.backend,
                 Sweep {
                     n: op.n,
                     lanes: self.stride,
-                    op_off: &op.op_off,
-                    op_src: &op.op_src,
-                    op_w,
-                    self_w,
+                    op_off: &op.b_off,
+                    op_src: &op.b_src,
+                    op_w: b_w,
+                    self_w: &op.zeros,
                     lane_w: op.per_lane,
                     fixed: &op.fixed,
-                    power_dt: &self.power_dt,
-                    cur: &self.cur,
-                    next: &mut self.next,
+                    power_dt: &op.zeros,
+                    cur: &self.power_dt,
+                    next: &mut self.drive,
                 },
             );
-            std::mem::swap(&mut self.cur, &mut self.next);
         }
+        simd::substep(
+            op.backend,
+            Sweep {
+                n: op.n,
+                lanes: self.stride,
+                op_off: &op.m_off,
+                op_src: &op.m_src,
+                op_w: m_w,
+                self_w: m_self,
+                lane_w: op.per_lane,
+                fixed: &op.fixed,
+                power_dt: &self.drive,
+                cur: &self.cur,
+                next: &mut self.next,
+            },
+        );
+        std::mem::swap(&mut self.cur, &mut self.next);
     }
 }
 
@@ -790,8 +863,9 @@ impl BatchSet {
             .flat_map(|g| g.chunks.iter().map(|c| c.members.len()))
     }
 
-    /// Explicit-Euler sub-steps one batched tick performs across all
-    /// member machines (Σ group members × group sub-steps). Lets the
+    /// Explicit-Euler sub-steps one batched tick represents across all
+    /// member machines (Σ group members × group sub-steps; the sweep
+    /// runs once, on their composition). Lets the
     /// cluster book tick/sub-step counters in bulk — a handful of adds
     /// per tick — instead of per lane.
     pub(crate) fn planned_substeps(&self) -> u64 {
@@ -959,7 +1033,7 @@ impl BatchSet {
     /// `inlet(m)` is `Some` — the fused span's equivalent of
     /// `set_inlet_temperature` on the scattered solver. Inlet rows are
     /// `fixed`, which the sweep skips rather than copies, so the value
-    /// goes into both buffers to survive the per-sub-step swaps; the
+    /// goes into both buffers to survive the double-buffer swaps; the
     /// field reaches the solver at [`BatchSet::finish_span`].
     pub(crate) fn write_inlets(&mut self, mut inlet: impl FnMut(usize) -> Option<Celsius>) {
         for group in &mut self.groups {

@@ -960,7 +960,7 @@ impl ClusterSolver {
             // Phases 1–2: junctions in model order, then inlets — written
             // straight into the chunk inlet rows for batched machines
             // (those rows are `fixed`, so the chunk tick carries them
-            // through every sub-step). The first tick mixes every sink:
+            // through its sweep). The first tick mixes every sink:
             // it absorbs supply changes, forced inlets and releases since
             // the last call; later ticks only the live sinks.
             if first || live {

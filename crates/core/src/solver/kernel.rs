@@ -48,22 +48,66 @@
 //! - the whole sub-step is assembled, at rebuild time, into one sparse
 //!   affine row per node — `T'_i = w_self·T_i + Σ w_j·T_j + ΔT_power` —
 //!   combining heat conduction and advection weights, and applied as a
-//!   single double-buffered sweep. The stability bound keeps every
-//!   `w_self` in `[1 − 2·limit, 1]`, so assembling the row reassociates
-//!   well-conditioned sums only.
+//!   single double-buffered sweep — the engine that composes the tick,
+//!   below.
+//!   The stability bound keeps every `w_self` in `[1 − 2·limit, 1]`, so
+//!   assembling the row reassociates well-conditioned sums only.
+//!
+//! ## One sweep per tick
+//!
+//! The sub-step count sets the discretisation; it does not set how many
+//! sweeps a tick runs. Within a tick the sub-step `T' = A·T + p` is
+//! linear and its input `p` (the power ΔT) is held, so the tick's `N`
+//! sub-steps compose into one affine map
+//!
+//! ```text
+//! T_N = M·T_0 + B·p,    M = Aᴺ,    B = Σₖ₌₀ᴺ⁻¹ Aᵏ
+//! ```
+//!
+//! (fixed rows of `A` are the identity and `p` is zero on them).
+//! [`StepKernel::compose`] builds both once per rebuild or boundary-mask
+//! change, in the CSR shape the sweep already takes: `M` over the
+//! non-fixed rows, the diagonal as the self weight and every node the
+//! row reaches within `N` sub-steps as an entry (fixed inlets and pins
+//! are source columns); `B` over the non-fixed rows and the non-fixed
+//! component columns it reaches within `N − 1`. The patterns come from
+//! the operator's structure, the fixed mask and `N` alone, never from
+//! the values, so every kernel with the same structure, mask and `N`
+//! composes to the same pattern — which is what lets a per-lane batch
+//! group share one. The values come from running the stepped form
+//! itself: the raw sub-step operator is swept `N` times over a basis
+//! chunk whose lane `j` starts at the unit temperature vector `e_j` (so
+//! it ends as `M`'s column `j`) and whose lane `n + k` starts at zero
+//! with unit power on component `k` (so it ends as `B`'s column), on
+//! `super::simd`'s lane sweep, allocation-free once its thread-local
+//! buffers have grown.
+//!
+//! A tick is then `drive = B·power_dt` (recomputed only when the power
+//! changed) and one pass `T'_i = m_self_i·T_i + drive_i`, then
+//! `+= w·T_src` in `M`'s entry order — against the stepped form's `N`
+//! passes, it moves each trajectory by rounding only (`tests/`
+//! `kernel_equivalence.rs` bounds it).
 
-use super::flows::{required_substeps_in, FlowCache, FlowScratch};
+use super::flows::{refill, required_substeps_in, FlowCache, FlowScratch};
+use super::simd::{self, SimdBackend, Sweep};
 use crate::model::{ClusterEndpoint, ClusterModel};
 use crate::units::{Celsius, JoulesPerKelvin, KilogramsPerSecond, Seconds, WattsPerKelvin};
 use std::cell::RefCell;
 
-/// The working memory of a kernel rebuild: CSR fill cursors, the flow
-/// walk's buffers and the per-node conductive rates.
+/// The working memory of a kernel rebuild — CSR fill cursors, the flow
+/// walk's buffers and the per-node conductive rates — and of a
+/// composition: the basis chunk's two temperature matrices and its unit
+/// power matrix, and the two reach bitset matrices.
 #[derive(Debug, Default)]
 struct RebuildScratch {
     cursor: Vec<u32>,
     flow: FlowScratch,
     conductive: Vec<f64>,
+    basis: Vec<f64>,
+    basis_next: Vec<f64>,
+    unit_power: Vec<f64>,
+    reach: Vec<u64>,
+    reach_next: Vec<u64>,
 }
 
 thread_local! {
@@ -119,6 +163,9 @@ pub(crate) struct StepKernel {
     inv_streams_mass: Vec<f64>,
     /// Precomputed `1/(m·c)` per node.
     inv_capacity: Vec<f64>,
+    /// Component node indices (the nodes without an air mass), in node
+    /// order: the columns of `B`.
+    components: Vec<u32>,
     /// The assembled sub-step operator: one sparse affine row per node,
     /// `T'_i = self_w[i]·T_i + Σ op_w[j]·T[op_src[j]] + ΔT_power[i]`,
     /// combining the factored heat update and the advection mix. Heat
@@ -127,19 +174,52 @@ pub(crate) struct StepKernel {
     op_src: Vec<u32>,
     op_w: Vec<f64>,
     self_w: Vec<f64>,
-    /// Scratch: per-node power ΔT for the current tick, and the two
-    /// temperature buffers the fused sweep ping-pongs between.
-    power_dt: Vec<f64>,
-    cur: Vec<f64>,
-    next: Vec<f64>,
+    /// The composed tick, allocated at the first composition.
+    composed: Option<Box<Composed>>,
     /// Dirty-tracked air-flow cache: rebuilds triggered by non-flow
     /// changes (e.g. a heat-k fiddle) replay the stored distribution.
     flow_cache: FlowCache,
 }
 
-/// A read-only view of a kernel's assembled sub-step operator, shared
-/// with the batched cluster kernel so both paths run the exact same
-/// per-node affine rows.
+/// A kernel's composed tick (see the module docs) and the scratch of the
+/// per-machine tick that runs it — boxed, and allocated at the kernel's
+/// first composition, so a batch member that never composes carries one
+/// pointer instead.
+#[derive(Debug, Clone, Default)]
+struct Composed {
+    /// Whether `M` and `B` are current; every rebuild clears it.
+    valid: bool,
+    /// The boundary mask they were composed for.
+    fixed: Vec<bool>,
+    /// The raw structure and the range of sub-step counts the patterns
+    /// of `M` and `B` hold for (with the mask `fixed`): a composition
+    /// inside them — after any heat-k fiddle, and after a fan command
+    /// whenever the patterns settled within fewer sub-steps than either
+    /// count — refills the values only.
+    pattern_from: usize,
+    pattern_to: usize,
+    pattern_off: Vec<u32>,
+    pattern_src: Vec<u32>,
+    /// `M` as CSR rows (sources in ascending node order) plus its
+    /// diagonal, and `B` as CSR rows (component sources in node order).
+    /// Fixed rows have no entries.
+    m_off: Vec<u32>,
+    m_src: Vec<u32>,
+    m_w: Vec<f64>,
+    m_self: Vec<f64>,
+    b_off: Vec<u32>,
+    b_src: Vec<u32>,
+    b_w: Vec<f64>,
+    /// Per-tick scratch: the power ΔT per sub-step as last priced, the
+    /// drive `B·power_dt` computed from it (a composition zeroes both,
+    /// which keeps them consistent), and the sweep's output row.
+    power_dt: Vec<f64>,
+    drive: Vec<f64>,
+    next: Vec<f64>,
+}
+
+/// A read-only view of a kernel's assembled sub-step operator: what a
+/// batch group matches its members on, bitwise.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct AssembledOp<'a> {
     pub n: usize,
@@ -152,6 +232,20 @@ pub(crate) struct AssembledOp<'a> {
     pub op_w: &'a [f64],
     pub self_w: &'a [f64],
     pub inv_capacity: &'a [f64],
+}
+
+/// A read-only view of a kernel's composed tick `T' = M·T + B·p` (see
+/// the module docs), shared with the batched cluster kernel so both
+/// paths run the exact same per-node affine rows.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ComposedOp<'a> {
+    pub m_off: &'a [u32],
+    pub m_src: &'a [u32],
+    pub m_w: &'a [f64],
+    pub m_self: &'a [f64],
+    pub b_off: &'a [u32],
+    pub b_src: &'a [u32],
+    pub b_w: &'a [f64],
 }
 
 impl StepKernel {
@@ -176,13 +270,12 @@ impl StepKernel {
             alpha: Vec::new(),
             inv_streams_mass: Vec::new(),
             inv_capacity: Vec::new(),
+            components: Vec::new(),
             op_off: Vec::new(),
             op_src: Vec::new(),
             op_w: Vec::new(),
             self_w: Vec::new(),
-            power_dt: Vec::new(),
-            cur: Vec::new(),
-            next: Vec::new(),
+            composed: None,
             flow_cache: FlowCache::new(),
         }
     }
@@ -214,6 +307,22 @@ impl StepKernel {
             op_w: &self.op_w,
             self_w: &self.self_w,
             inv_capacity: &self.inv_capacity,
+        }
+    }
+
+    /// The composed tick, for the batched cluster kernel: call
+    /// [`StepKernel::compose`] with the current boundary mask first.
+    pub(crate) fn composed_op(&self) -> ComposedOp<'_> {
+        let c = self.composed.as_deref().expect("composed first");
+        debug_assert!(c.valid, "the composed tick is stale");
+        ComposedOp {
+            m_off: &c.m_off,
+            m_src: &c.m_src,
+            m_w: &c.m_w,
+            m_self: &c.m_self,
+            b_off: &c.b_off,
+            b_src: &c.b_src,
+            b_w: &c.b_w,
         }
     }
 
@@ -267,6 +376,12 @@ impl StepKernel {
 
         self.inv_capacity.clear();
         self.inv_capacity.extend(capacity.iter().map(|c| 1.0 / c.0));
+        self.components.clear();
+        self.components
+            .extend((0..n as u32).filter(|&i| air_mass(i as usize).is_none()));
+        if let Some(composed) = &mut self.composed {
+            composed.valid = false;
+        }
 
         // Heat CSR: every edge contributes one incidence to each endpoint.
         // Filling in declaration order keeps each node's adjacency list in
@@ -429,16 +544,166 @@ impl StepKernel {
             debug_assert_eq!(w, self.op_off[i + 1] as usize);
             self.self_w[i] = 1.0 - self.heat_coef[i] * self.heat_ksum[i] - self.alpha[i];
         }
-
-        self.power_dt.clear();
-        self.power_dt.resize(n, 0.0);
-        self.cur.clear();
-        self.cur.resize(n, 0.0);
-        self.next.clear();
-        self.next.resize(n, 0.0);
     }
 
-    /// Advances `temp` by one tick (all sub-steps).
+    /// Composes the tick's `N` sub-steps into `M` and `B` (see the
+    /// module docs) for the boundary mask `fixed`, unless they are
+    /// already composed for it since the last rebuild.
+    pub(crate) fn compose(&mut self, fixed: &[bool]) {
+        if (self.composed.as_deref()).is_some_and(|c| c.valid && c.fixed == fixed) {
+            return;
+        }
+        let mut composed = self.composed.take().unwrap_or_default();
+        REBUILD_SCRATCH.with_borrow_mut(|scratch| self.compose_in(&mut composed, scratch, fixed));
+        self.composed = Some(composed);
+    }
+
+    fn compose_in(&self, c: &mut Composed, s: &mut RebuildScratch, fixed: &[bool]) {
+        let n = self.n;
+        debug_assert_eq!(fixed.len(), n);
+
+        // The basis chunk: lane `j < n` starts at `e_j`, lane `n + k` at
+        // zero with unit power on component `k`, padded to whole wide
+        // blocks. Fixed rows hold in both buffers, as the sweep requires.
+        let stride = (n + self.components.len()).next_multiple_of(simd::WIDE);
+        refill(&mut s.basis, n * stride, 0.0);
+        for j in 0..n {
+            s.basis[j * stride + j] = 1.0;
+        }
+        s.basis_next.clone_from(&s.basis);
+        refill(&mut s.unit_power, n * stride, 0.0);
+        for (k, &comp) in self.components.iter().enumerate() {
+            s.unit_power[comp as usize * stride + n + k] = 1.0;
+        }
+        let backend = SimdBackend::detect();
+        for _ in 0..self.substeps {
+            simd::substep(
+                backend,
+                Sweep {
+                    n,
+                    lanes: stride,
+                    op_off: &self.op_off,
+                    op_src: &self.op_src,
+                    op_w: &self.op_w,
+                    self_w: &self.self_w,
+                    lane_w: false,
+                    fixed,
+                    power_dt: &s.unit_power,
+                    cur: &s.basis,
+                    next: &mut s.basis_next,
+                },
+            );
+            std::mem::swap(&mut s.basis, &mut s.basis_next);
+        }
+
+        let unchanged = (c.pattern_from..=c.pattern_to).contains(&self.substeps)
+            && c.fixed == fixed
+            && c.pattern_off == self.op_off
+            && c.pattern_src == self.op_src;
+        if !unchanged {
+            self.compose_pattern(c, s, fixed);
+        }
+        // The values: row `i` of `M` is row `i` of the basis lanes, row
+        // `i` of `B` that of the component lanes (both in node order).
+        let column = |i: usize, lane: usize| s.basis[i * stride + lane];
+        for i in (0..n).filter(|&i| !fixed[i]) {
+            c.m_self[i] = column(i, i);
+            for e in c.m_off[i] as usize..c.m_off[i + 1] as usize {
+                c.m_w[e] = column(i, c.m_src[e] as usize);
+            }
+            let mut k = 0;
+            for e in c.b_off[i] as usize..c.b_off[i + 1] as usize {
+                while self.components[k] != c.b_src[e] {
+                    k += 1;
+                }
+                c.b_w[e] = column(i, n + k);
+            }
+        }
+        c.fixed.clear();
+        c.fixed.extend_from_slice(fixed);
+        c.valid = true;
+        refill(&mut c.power_dt, n, 0.0);
+        refill(&mut c.drive, n, 0.0);
+        refill(&mut c.next, n, 0.0);
+    }
+
+    /// The patterns of `M` and `B` for the boundary mask `fixed` (see
+    /// the module docs), with zeroed weights: `reach` row `i` is the set
+    /// of nodes row `i` reads within `k` sub-steps, advanced one sub-step
+    /// at a time — `B`'s pattern after `N − 1`, `M`'s after `N`. Once a
+    /// sub-step adds nothing, no later one will, so a pattern that
+    /// settles at `k < N` holds for every sub-step count above `k`.
+    fn compose_pattern(&self, c: &mut Composed, s: &mut RebuildScratch, fixed: &[bool]) {
+        let n = self.n;
+        let words = n.div_ceil(64);
+        refill(&mut s.reach, n * words, 0);
+        for i in 0..n {
+            s.reach[i * words + i / 64] |= 1 << (i % 64);
+        }
+        // `s.reach` ends as `B`'s pattern and `s.reach_next` as `M`'s.
+        let mut k = 0;
+        (c.pattern_from, c.pattern_to) = loop {
+            self.advance_reach(fixed, words, &s.reach, &mut s.reach_next);
+            if s.reach_next == s.reach {
+                break (k + 1, usize::MAX);
+            }
+            if k + 1 == self.substeps {
+                break (self.substeps, self.substeps);
+            }
+            std::mem::swap(&mut s.reach, &mut s.reach_next);
+            k += 1;
+        };
+        let reaches =
+            |reach: &[u64], i: usize, j: usize| (reach[i * words + j / 64] >> (j % 64)) & 1 != 0;
+        c.b_src.clear();
+        c.m_src.clear();
+        refill(&mut c.b_off, n + 1, 0);
+        refill(&mut c.m_off, n + 1, 0);
+        for (i, &fixed_row) in fixed.iter().enumerate() {
+            if !fixed_row {
+                c.b_src.extend(
+                    self.components.iter().filter(|&&comp| {
+                        !fixed[comp as usize] && reaches(&s.reach, i, comp as usize)
+                    }),
+                );
+                c.m_src.extend(
+                    (0..n as u32)
+                        .filter(|&j| j as usize != i && reaches(&s.reach_next, i, j as usize)),
+                );
+            }
+            c.b_off[i + 1] = c.b_src.len() as u32;
+            c.m_off[i + 1] = c.m_src.len() as u32;
+        }
+        refill(&mut c.m_w, c.m_src.len(), 0.0);
+        refill(&mut c.b_w, c.b_src.len(), 0.0);
+        refill(&mut c.m_self, n, 0.0);
+        c.pattern_off.clone_from(&self.op_off);
+        c.pattern_src.clone_from(&self.op_src);
+    }
+
+    /// One sub-step of reach: `to[i] = {i} ∪ ⋃ from[src]` over row `i`'s
+    /// operator entries, and `{i}` alone for a fixed row, which reads
+    /// nothing.
+    fn advance_reach(&self, fixed: &[bool], words: usize, from: &[u64], to: &mut Vec<u64>) {
+        refill(to, self.n * words, 0);
+        for i in 0..self.n {
+            let row = i * words;
+            to[row + i / 64] |= 1 << (i % 64);
+            if fixed[i] {
+                continue;
+            }
+            for &src in &self.op_src[self.op_off[i] as usize..self.op_off[i + 1] as usize] {
+                let src = src as usize * words;
+                for w in 0..words {
+                    to[row + w] |= from[src + w];
+                }
+            }
+        }
+    }
+
+    /// Advances `temp` by one tick: `T' = M·T + B·p` (see the module
+    /// docs), composing first if the kernel was rebuilt or the boundary
+    /// mask changed since the last composition.
     ///
     /// `fixed[i]` marks boundary nodes (inlets and force-pinned nodes)
     /// that never change; `power_q[i]` is the heat each node generates
@@ -446,51 +711,56 @@ impl StepKernel {
     /// generated over the tick, in Joules.
     pub(crate) fn tick(&mut self, temp: &mut [Celsius], fixed: &[bool], power_q: &[f64]) -> f64 {
         debug_assert_eq!(temp.len(), self.n);
-        debug_assert_eq!(fixed.len(), self.n);
         debug_assert_eq!(power_q.len(), self.n);
+        self.compose(fixed);
+        let c = self.composed.as_deref_mut().expect("composed above");
         // Equation 3: `power_q` is constant across the tick's sub-steps,
-        // so the generated total and the per-sub-step ΔT are priced once.
+        // so the generated total and the per-sub-step ΔT are priced once,
+        // and the drive only when the ΔT moved (a composition zeroes the
+        // ΔT it was last priced from, so a new `B` always reprices).
         let mut sum_q = 0.0;
-        for (pt, (&q, inv)) in self
+        let mut repriced = false;
+        for (pt, (&q, inv)) in c
             .power_dt
             .iter_mut()
             .zip(power_q.iter().zip(&self.inv_capacity))
         {
             sum_q += q;
-            *pt = q * inv;
+            let dt = q * inv;
+            repriced |= dt.to_bits() != pt.to_bits();
+            *pt = dt;
         }
         let generated = sum_q * self.substeps as f64;
-
-        for (c, t) in self.cur.iter_mut().zip(temp.iter()) {
-            *c = t.0;
-        }
-        for _ in 0..self.substeps {
-            // One fused sweep per sub-step: every node reads the
-            // start-of-sub-step snapshot in `cur` and writes `next`, so
-            // heat dumped into a region this sub-step is not partially
-            // flushed by the same sub-step's advection. Equations 2 and 5
-            // plus the advection mix are one precomputed affine row each.
-            // (An indexed loop, not iterators: each node reads five
-            // parallel arrays plus gathered neighbors.)
-            #[allow(clippy::needless_range_loop)]
-            for i in 0..self.n {
-                let t_i = self.cur[i];
-                if fixed[i] {
-                    self.next[i] = t_i;
-                    continue;
+        if repriced {
+            for (i, d) in c.drive.iter_mut().enumerate() {
+                let entries = c.b_off[i] as usize..c.b_off[i + 1] as usize;
+                let mut sum = 0.0;
+                for (&comp, &w) in c.b_src[entries.clone()].iter().zip(&c.b_w[entries]) {
+                    sum += w * c.power_dt[comp as usize];
                 }
-                let lo = self.op_off[i] as usize;
-                let hi = self.op_off[i + 1] as usize;
-                let mut t = self.self_w[i] * t_i + self.power_dt[i];
-                for (&src, &w) in self.op_src[lo..hi].iter().zip(&self.op_w[lo..hi]) {
-                    t += w * self.cur[src as usize];
-                }
-                self.next[i] = t;
+                *d = sum;
             }
-            std::mem::swap(&mut self.cur, &mut self.next);
         }
-        for (t, &c) in temp.iter_mut().zip(self.cur.iter()) {
-            t.0 = c;
+
+        // One pass: every non-fixed row reads the start-of-tick `temp`
+        // and writes `next` — the self term plus the drive, then one
+        // multiply-add per entry of `M` in entry order, the sequence a
+        // batch lane runs.
+        for i in 0..self.n {
+            if fixed[i] {
+                continue;
+            }
+            let entries = c.m_off[i] as usize..c.m_off[i + 1] as usize;
+            let mut t = c.m_self[i] * temp[i].0 + c.drive[i];
+            for (&src, &w) in c.m_src[entries.clone()].iter().zip(&c.m_w[entries]) {
+                t += w * temp[src as usize].0;
+            }
+            c.next[i] = t;
+        }
+        for (i, t) in temp.iter_mut().enumerate() {
+            if !fixed[i] {
+                t.0 = c.next[i];
+            }
         }
         generated
     }

@@ -18,7 +18,8 @@ pub struct SolverConfig {
     pub dt: Seconds,
     /// Maximum fraction of a node's distance-to-equilibrium exchanged per
     /// internal sub-step (explicit-Euler stability margin). Smaller is more
-    /// accurate but costs proportionally more sub-steps per tick.
+    /// accurate but takes proportionally more sub-steps per tick — paid
+    /// when a kernel rebuild composes them, not on every tick.
     pub stability_limit: f64,
     /// Starting temperature for every node. `None` starts everything at
     /// the machine's inlet temperature — the paper's "user-defined initial
@@ -880,11 +881,23 @@ impl Solver {
     }
 
     /// Recompiles the kernel if a change is pending, then exposes it
-    /// (the batch group copies the representative's assembled operator).
+    /// (a batch group matches its members on the assembled operator).
     pub(crate) fn compiled_kernel(&mut self) -> &StepKernel {
         if self.dirty {
             self.refresh();
         }
+        &self.kernel
+    }
+
+    /// [`Solver::compiled_kernel`] with its tick composed for the
+    /// current boundary mask — what a batch group copies from its
+    /// representative, and a per-lane chunk from each lane. A pin or a
+    /// release changes the mask, so the next call recomposes.
+    pub(crate) fn composed_kernel(&mut self) -> &StepKernel {
+        if self.dirty {
+            self.refresh();
+        }
+        self.kernel.compose(&self.fixed);
         &self.kernel
     }
 

@@ -45,7 +45,9 @@ pub struct SolverMetrics {
     /// [`ClusterMetrics::tick_nanos`].
     pub tick_nanos: Histogram,
     /// `mercury_solver_substeps_total` — explicit-Euler sub-steps
-    /// executed (ticks × the stability-limited sub-step count).
+    /// represented (ticks × the stability-limited sub-step count). A
+    /// tick runs its sub-steps composed into one sweep, so this counts
+    /// the discretisation stepped, not sweeps run.
     pub substeps: Counter,
     /// `mercury_solver_flow_recomputes_total` — air-flow distribution
     /// recompilations, aggregated across machines. The initial compile
@@ -83,7 +85,7 @@ impl SolverMetrics {
         );
         registry.register_counter(
             "mercury_solver_substeps_total",
-            "Explicit-Euler sub-steps executed across all machines",
+            "Explicit-Euler sub-steps represented across all machines",
             &[],
             &self.substeps,
         );

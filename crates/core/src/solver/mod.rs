@@ -20,7 +20,10 @@
 //! into automatically-chosen sub-steps so that no node can exchange more
 //! than [`SolverConfig::stability_limit`] of its "distance to equilibrium"
 //! per sub-step. The public interface is unaffected: [`Solver::step`]
-//! still advances exactly one tick of [`SolverConfig::dt`] seconds.
+//! still advances exactly one tick of [`SolverConfig::dt`] seconds. The
+//! sub-steps set the discretisation, not the cost of a tick: a tick's
+//! inputs are held, so its sub-steps compose once (per kernel rebuild)
+//! into one affine map, and every tick is one sweep of that map.
 //!
 //! ## Engine layout
 //!

@@ -3,11 +3,17 @@
 //!
 //! The batched cluster kernel (`super::batch`) stores chunk state
 //! node-major: row `i` holds node `i`'s temperature for every machine
-//! (lane) in the chunk. A sub-step computes, per lane,
+//! (lane) in the chunk. A sweep computes, per lane,
 //! `next = self_w·cur + ΔT_power` and then `next += w_j·src_j` per
 //! operator entry, in operator order. Lanes never interact, so a row is
 //! pure elementwise multiply-then-add over contiguous memory, which the
 //! compiler vectorizes from plain array code.
+//!
+//! The one body has three uses, all affine maps of that shape: a chunk
+//! tick (the composed tick `M` with the drive `B·ΔT_power` in the power
+//! slot, `super::kernel`), a chunk's drive itself (`B` over the power
+//! rows, with a zero self term), and composition (the raw sub-step
+//! operator, swept `N` times over a basis chunk to produce `M` and `B`).
 //!
 //! That sweep is written once ([`Sweep::block`], [`sweep`]) over
 //! fixed-width `[f64; W]` views and is compiled once per level:
@@ -33,7 +39,9 @@
 //! all-zero lanes to [`LANE_PAD`], so there are no remainder lanes. The
 //! unit test below holds every level to bitwise equality with a
 //! row-pass reference, and `tests/batch_equivalence.rs` with the
-//! per-machine kernel.
+//! per-machine kernel. Because composition runs here too, every level
+//! composes the same `M` and `B` bits, so which level a host detects
+//! cannot move a trajectory either.
 
 /// Instruction-set level the batched chunk lane sweep is compiled at.
 ///
@@ -116,10 +124,11 @@ pub(crate) const LANE_PAD: usize = 8;
 /// The sweep's wide block: four [`LANE_PAD`] blocks accumulated
 /// together, so each operator entry's source offset (and, for shared
 /// weights, its weight) is worked out once per 32 lanes and the CPU has
-/// several independent accumulate chains to overlap.
-const WIDE: usize = 4 * LANE_PAD;
+/// several independent accumulate chains to overlap. Composition pads
+/// its basis chunk to whole wide blocks.
+pub(crate) const WIDE: usize = 4 * LANE_PAD;
 
-/// Borrowed view of one chunk sub-step: the operator plus the chunk's
+/// Borrowed view of one chunk sweep: the operator plus the chunk's
 /// `[nodes × lanes]` matrices. `cur` is read-only, `next` is written;
 /// `fixed` rows are skipped entirely (both buffers already hold their
 /// boundary values — see `batch::BatchSet::begin_tick`).
@@ -183,7 +192,7 @@ impl<'a> Sweep<'a> {
         }
     }
 
-    /// Lanes `col..col + W` of node row `i` after this sub-step, held
+    /// Lanes `col..col + W` of node row `i` after this sweep, held
     /// in a local array the compiler keeps in registers: the
     /// `self_w`/`ΔT_power` pass, then every operator entry of the row
     /// in operator order. Per lane this is the scalar machine kernel's
@@ -279,7 +288,7 @@ fn sweep_avx512(s: Sweep<'_>) {
     sweep_either(s);
 }
 
-/// Runs one sub-step sweep at the given level. Every level is
+/// Runs one sweep at the given level. Every level is
 /// bit-identical, so a level the host lacks (which the cluster never
 /// selects — see [`SimdBackend::supported`]) runs at the baseline.
 pub(crate) fn substep(backend: SimdBackend, s: Sweep<'_>) {
@@ -415,7 +424,7 @@ mod tests {
             }
         }
 
-        /// One sub-step with the given weights, at `backend` or (for
+        /// One sweep with the given weights, at `backend` or (for
         /// `None`) through the row-pass reference; returns `next` as
         /// bit patterns. Fixed rows are pre-written into both buffers
         /// by the gather; mirrored here.

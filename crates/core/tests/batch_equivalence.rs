@@ -16,9 +16,9 @@ mod common;
 
 use common::{
     assert_same_state, frame_calls_strategy, frame_room_strategy, mix_calls_strategy,
-    mix_room_strategy, room_changes_strategy, run, script_strategy, supported_backends, Event,
-    FedInputs, FedPlan, Fiddle, FrameCall, FramePlan, FrameRoom, MixCall, MixPlan, MixRoom,
-    OraclePlan, Remodel, Setup,
+    mix_room_strategy, pins_and_releases, room_changes_strategy, run, script_strategy,
+    supported_backends, Event, FedInputs, FedPlan, Fiddle, FrameCall, FramePlan, FrameRoom,
+    MixCall, MixPlan, MixRoom, OraclePlan, RecomposePlan, Remodel, Setup,
 };
 use mercury::presets::{self, nodes, FAN_CFM};
 use mercury::solver::{ClusterSolver, SimdBackend, Solver, SolverConfig};
@@ -1222,4 +1222,73 @@ fn batch_oracle_batched_rooms_on_the_pool_match_the_room_stepper() {
     // their class, so they step solo beside the chunks.
     assert_eq!(batched.batched_machines(), 22);
     assert_eq!(batched.pool_workers(), 2);
+}
+
+// --- recomposition ----------------------------------------------------------
+//
+// A tick is one sweep of its sub-steps' composition, recomposed after
+// every kernel rebuild and every pin or release. `common::RecomposePlan`
+// holds batched rooms at every SIMD level to the per-machine room bit for
+// bit and the per-machine room to the stepped-Euler oracle within
+// rounding. Names start `batch_recompose_` so the CI filter above picks
+// them up.
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Random rooms under random fan, heat-k, air-fraction, pin and
+    /// release scripts, plus a pinned CPU air region and a pinned CPU
+    /// released again between two spans.
+    #[test]
+    fn batch_recompose_random_rooms_match_per_machine_and_the_stepped_oracle(
+        room in mix_room_strategy(),
+        script in script_strategy(30, 40, 0..30),
+        utils in proptest::collection::vec(0.0f64..1.0, 1..4),
+        (machine, pinned, released) in (0usize..40, 1usize..12, 12usize..28),
+    ) {
+        let mut script = script;
+        script.extend(pins_and_releases(machine, pinned, released));
+        RecomposePlan { room: &room, utils: &utils, script: &script, ticks: 30, threads: 1 }
+            .check();
+    }
+}
+
+/// Every command that recomposes, one after another on one machine of a
+/// recirculating room — a fan command, the same speed again, a heat-k
+/// and an air-fraction fiddle, a pin of its air and of its CPU, both
+/// released — while its neighbours run on per-lane and shared weights.
+#[test]
+fn batch_recompose_every_command_in_turn() {
+    let room = MixRoom {
+        junctions: 1,
+        exhausts: vec![1],
+        recirculate: vec![Some(0)],
+        ..MixRoom::ideal(12)
+    };
+    let at = |tick, fiddle| Event {
+        tick,
+        machine: 3,
+        fiddle,
+    };
+    let script = [
+        fan(2, 4, 0.9),
+        fan(2, 5, 0.9001),
+        at(4, Fiddle::Fan(0.9002)),
+        at(6, Fiddle::Fan(0.9002)),
+        at(8, Fiddle::HeatK(0.95)),
+        at(10, Fiddle::AirFraction(0.8)),
+        at(12, Fiddle::PinAir(41.0)),
+        at(14, Fiddle::Pin(66.0)),
+        at(17, Fiddle::ReleaseAir),
+        at(20, Fiddle::Release),
+    ];
+    let gap = RecomposePlan {
+        room: &room,
+        utils: &[0.3, 0.8],
+        script: &script,
+        ticks: 26,
+        threads: 1,
+    }
+    .check();
+    assert!(gap > 0.0, "composition reassociates, so some bit moves");
 }

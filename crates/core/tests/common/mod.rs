@@ -10,13 +10,32 @@
 //! And [`RoomStepper`] is the per-tick reference those per-machine rooms
 //! answer to ([`OraclePlan`]): a room stepped from public API only,
 //! sharing nothing with `ClusterSolver` but the machine [`Solver`].
+//!
+//! Two oracles stand outside the kernel altogether: [`ReferenceSolver`],
+//! the scan-based stepped-Euler machine the composed tick is held to
+//! within rounding (a [`RoomStepper`] of them is the room-level one,
+//! [`RecomposePlan`]), and [`ExactPropagator`], the matrix exponential
+//! of a machine's generator, which measures Euler's discretisation
+//! error.
 
-#![allow(dead_code)] // each suite uses its own subset
+#![allow(dead_code)]
+// each suite uses its own subset
+// The stepped oracle deliberately mirrors the original indexed loops.
+#![allow(clippy::needless_range_loop)]
 
-use mercury::model::{ClusterEdge, ClusterEndpoint, ClusterModel, MachineModel, PowerModel};
+use mercury::model::{
+    AirEdge, AirKind, ClusterEdge, ClusterEndpoint, ClusterModel, MachineModel, NodeId, PowerModel,
+};
+use mercury::physics;
 use mercury::presets::{self, nodes, FAN_CFM};
-use mercury::solver::{ClusterSolver, SimdBackend, Solver, SolverConfig, TickInputs};
-use mercury::units::{Celsius, Seconds, Utilization, Watts};
+use mercury::solver::{
+    air_flows, model_air_flows, required_substeps, ClusterSolver, SimdBackend, Solver,
+    SolverConfig, TickInputs,
+};
+use mercury::units::{
+    Celsius, CubicMetersPerSecond, JoulesPerKelvin, KilogramsPerSecond, Seconds, Utilization,
+    Watts, WattsPerKelvin,
+};
 use mercury::Error;
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -35,6 +54,11 @@ pub enum Fiddle {
     Pin(f64),
     /// `release_temperature(cpu)`: it may rejoin.
     Release,
+    /// `force_temperature(cpu_air, t)`: an air region pinned, so the
+    /// composed tick reads it as a source column.
+    PinAir(f64),
+    /// `release_temperature(cpu_air)`.
+    ReleaseAir,
     /// `set_utilization(cpu, u)`.
     Utilization(f64),
 }
@@ -60,6 +84,8 @@ pub fn fiddle_strategy() -> impl Strategy<Value = Fiddle> {
         (0.5f64..0.95).prop_map(Fiddle::AirFraction),
         (30.0f64..70.0).prop_map(Fiddle::Pin),
         Just(Fiddle::Release),
+        (25.0f64..45.0).prop_map(Fiddle::PinAir),
+        Just(Fiddle::ReleaseAir),
         (0.0f64..1.0).prop_map(Fiddle::Utilization),
     ]
 }
@@ -143,6 +169,10 @@ pub fn fiddle(solver: &mut Solver, fiddle: &Fiddle) {
         }
         Fiddle::Pin(t) => solver.force_temperature(nodes::CPU, Celsius(t)).unwrap(),
         Fiddle::Release => solver.release_temperature(nodes::CPU).unwrap(),
+        Fiddle::PinAir(t) => solver
+            .force_temperature(nodes::CPU_AIR, Celsius(t))
+            .unwrap(),
+        Fiddle::ReleaseAir => solver.release_temperature(nodes::CPU_AIR).unwrap(),
         Fiddle::Utilization(u) => solver.set_utilization(nodes::CPU, u).unwrap(),
     }
 }
@@ -1268,6 +1298,43 @@ fn bits(temps: &[Celsius]) -> Vec<u64> {
 
 // --- the per-tick oracle --------------------------------------------------
 
+/// What a [`RoomStepper`] needs of a machine: the [`Solver`] itself, or
+/// the stepped oracle [`ReferenceSolver`].
+pub trait RoomMachine {
+    fn build(model: &MachineModel) -> Self;
+    fn fiddle(&mut self, fiddle: &Fiddle);
+    fn temperature_at(&self, i: usize) -> Celsius;
+    fn inlet_temperature(&self) -> Celsius;
+    fn set_inlet_temperature(&mut self, t: Celsius);
+    fn step(&mut self);
+}
+
+impl RoomMachine for Solver {
+    fn build(model: &MachineModel) -> Self {
+        Solver::new(model, SolverConfig::default()).unwrap()
+    }
+
+    fn fiddle(&mut self, f: &Fiddle) {
+        fiddle(self, f);
+    }
+
+    fn temperature_at(&self, i: usize) -> Celsius {
+        Solver::temperature_at(self, i)
+    }
+
+    fn inlet_temperature(&self) -> Celsius {
+        Solver::inlet_temperature(self)
+    }
+
+    fn set_inlet_temperature(&mut self, t: Celsius) {
+        Solver::set_inlet_temperature(self, t);
+    }
+
+    fn step(&mut self) {
+        Solver::step(self);
+    }
+}
+
 /// A machine room stepped one tick at a time the way §2.2 describes the
 /// tick, from public API only: standalone [`Solver`]s built from
 /// [`ClusterModel::machines`], and each tick the previous tick's
@@ -1279,8 +1346,8 @@ fn bits(temps: &[Celsius]) -> Vec<u64> {
 /// nothing with `ClusterSolver` but the machine [`Solver`], so it is the
 /// reference the room's one tick loop answers to.
 #[derive(Debug)]
-pub struct RoomStepper {
-    machines: Vec<Solver>,
+pub struct RoomStepper<M = Solver> {
+    machines: Vec<M>,
     /// Node indices of each machine's exhaust regions, in node order.
     exhausts: Vec<Vec<usize>>,
     supplies: Vec<(String, Celsius)>,
@@ -1291,20 +1358,18 @@ pub struct RoomStepper {
     dt: Seconds,
 }
 
-impl RoomStepper {
-    pub fn new(model: &ClusterModel) -> RoomStepper {
+impl<M: RoomMachine> RoomStepper<M> {
+    pub fn new(model: &ClusterModel) -> RoomStepper<M> {
         let cfg = SolverConfig::default();
-        let machines: Vec<Solver> = model
+        let machines: Vec<M> = model.machines().iter().map(M::build).collect();
+        let exhausts = model
             .machines()
             .iter()
-            .map(|m| Solver::new(m, cfg.clone()).unwrap())
-            .collect();
-        let exhausts = machines
-            .iter()
-            .map(|s| {
-                let names: Vec<&str> = s.node_names().collect();
-                (0..names.len())
-                    .filter(|&i| s.is_exhaust(names[i]))
+            .map(|m| {
+                let nodes = m.nodes().iter().enumerate();
+                nodes
+                    .filter(|(_, node)| node.is_air_kind(AirKind::Exhaust))
+                    .map(|(i, _)| i)
                     .collect()
             })
             .collect();
@@ -1334,7 +1399,11 @@ impl RoomStepper {
         }
     }
 
-    pub fn machine_at_mut(&mut self, m: usize) -> &mut Solver {
+    pub fn machine_at(&self, m: usize) -> &M {
+        &self.machines[m]
+    }
+
+    pub fn machine_at_mut(&mut self, m: usize) -> &mut M {
         &mut self.machines[m]
     }
 
@@ -1407,7 +1476,9 @@ impl RoomStepper {
         }
         self.time.0 += self.dt.0;
     }
+}
 
+impl RoomStepper<Solver> {
     /// Holds `room` to this stepper by bit pattern: the room's clock,
     /// every junction, and on every machine its clock, generated heat,
     /// inlet field and every node.
@@ -1481,7 +1552,7 @@ impl OraclePlan<'_> {
     pub fn check(&self, setup: Setup) -> ClusterSolver {
         let model = self.room.model();
         let mut room = setup.build(&model);
-        let mut oracle = RoomStepper::new(&model);
+        let mut oracle = RoomStepper::<Solver>::new(&model);
         let n = room.len();
         for m in 0..n {
             let u = self.utils[m % self.utils.len()];
@@ -1528,5 +1599,547 @@ impl OraclePlan<'_> {
             oracle.assert_matches(&room, &format!("tick {tick}"));
         }
         room
+    }
+}
+
+// --- the stepped-Euler oracle and the exact propagator --------------------
+
+/// How far the composed tick may sit from the stepped oracle on any node,
+/// °C: rounding only (the composed map and the `N` sub-steps it replaces
+/// are the same arithmetic, reassociated).
+pub const COMPOSED_VS_STEPPED_C: f64 = 1e-9;
+
+/// The original scan-based stepper — every sub-step rescans the edge
+/// lists and divides by the heat capacity — built on the public API
+/// only: the stepped-Euler oracle the composed kernel is held to within
+/// rounding ([`COMPOSED_VS_STEPPED_C`]). It takes the [`Fiddle`]s a
+/// [`Solver`] takes and, after each one that moves a constant,
+/// recompiles its air flows and sub-step count as a kernel rebuild does.
+#[derive(Debug, Clone)]
+pub struct ReferenceSolver {
+    pub names: Vec<String>,
+    power: Vec<Option<PowerModel>>,
+    air_mass: Vec<Option<f64>>,
+    inlet: Vec<bool>,
+    pinned: Vec<bool>,
+    capacity: Vec<JoulesPerKelvin>,
+    utilization: Vec<Utilization>,
+    pub temp: Vec<f64>,
+    heat_edges: Vec<(usize, usize, WattsPerKelvin)>,
+    air_edges: Vec<AirEdge>,
+    edge_flow: Vec<KilogramsPerSecond>,
+    topo: Vec<NodeId>,
+    inlets: Vec<NodeId>,
+    fan: KilogramsPerSecond,
+    inlet_temperature: Celsius,
+    substeps: usize,
+    cfg: SolverConfig,
+}
+
+impl ReferenceSolver {
+    pub fn new(model: &MachineModel) -> Self {
+        let nodes = model.nodes();
+        let mut reference = ReferenceSolver {
+            names: nodes.iter().map(|x| x.name().to_string()).collect(),
+            power: nodes
+                .iter()
+                .map(|x| x.as_component().map(|c| c.power.clone()))
+                .collect(),
+            air_mass: nodes
+                .iter()
+                .map(|x| x.as_air().map(|a| a.mass_kg))
+                .collect(),
+            inlet: nodes
+                .iter()
+                .map(|x| x.is_air_kind(AirKind::Inlet))
+                .collect(),
+            pinned: vec![false; nodes.len()],
+            capacity: nodes.iter().map(|x| x.capacity()).collect(),
+            utilization: vec![Utilization::IDLE; nodes.len()],
+            temp: vec![model.inlet_temperature().0; nodes.len()],
+            heat_edges: model
+                .heat_edges()
+                .iter()
+                .map(|e| (e.a.index(), e.b.index(), e.k))
+                .collect(),
+            air_edges: model.air_edges().to_vec(),
+            edge_flow: Vec::new(),
+            topo: model.topo_order().to_vec(),
+            inlets: model.inlets(),
+            fan: model.fan().mass_flow(),
+            inlet_temperature: model.inlet_temperature(),
+            substeps: 0,
+            cfg: SolverConfig::default(),
+        };
+        reference.recompile();
+        reference
+    }
+
+    /// The air flows and the sub-step count, from the current constants.
+    fn recompile(&mut self) {
+        let (edge_flow, inflow) = air_flows(
+            self.names.len(),
+            &self.air_edges,
+            &self.topo,
+            &self.inlets,
+            self.fan,
+        );
+        self.edge_flow = edge_flow;
+        self.substeps = required_substeps(
+            self.cfg.dt,
+            self.cfg.stability_limit,
+            &self.heat_edges,
+            &self.capacity,
+            &inflow,
+            &self.air_mass,
+        );
+    }
+
+    fn index(&self, name: &str) -> usize {
+        self.names.iter().position(|x| x == name).unwrap()
+    }
+
+    pub fn set_utilization(&mut self, name: &str, u: f64) {
+        let i = self.index(name);
+        self.utilization[i] = u.into();
+    }
+
+    /// Per-node utilizations as fractions (zero for air regions).
+    pub fn utilizations(&self) -> Vec<f64> {
+        self.utilization.iter().map(|u| u.fraction()).collect()
+    }
+
+    fn pin(&mut self, name: &str, t: f64) {
+        let i = self.index(name);
+        self.pinned[i] = true;
+        self.temp[i] = t;
+    }
+
+    fn release(&mut self, name: &str) {
+        let i = self.index(name);
+        self.pinned[i] = false;
+        if self.inlet[i] {
+            self.temp[i] = self.inlet_temperature.0;
+        }
+    }
+
+    /// One tick: `substeps` explicit-Euler sub-steps, each rescanning
+    /// the edge lists.
+    pub fn step(&mut self) {
+        let n = self.names.len();
+        let dts = Seconds(self.cfg.dt.0 / self.substeps as f64);
+        let fixed: Vec<bool> = (0..n).map(|i| self.inlet[i] || self.pinned[i]).collect();
+        let mut dq = vec![0.0_f64; n];
+        let mut adv = vec![0.0_f64; n];
+        for _ in 0..self.substeps {
+            dq.iter_mut().for_each(|q| *q = 0.0);
+            adv.iter_mut().for_each(|q| *q = 0.0);
+            for i in 0..n {
+                if let Some(power) = &self.power[i] {
+                    dq[i] += physics::heat_generated(power, self.utilization[i], dts).0;
+                }
+            }
+            for &(a, b, k) in &self.heat_edges {
+                let q =
+                    physics::heat_transfer(k, Celsius(self.temp[a]), Celsius(self.temp[b]), dts);
+                dq[a] -= q.0;
+                dq[b] += q.0;
+            }
+            for node in self.topo.iter().map(|id| id.index()) {
+                if fixed[node] {
+                    continue;
+                }
+                let Some(mass_kg) = self.air_mass[node] else {
+                    continue;
+                };
+                let mut streams_mass = 0.0;
+                let mut streams_heat = 0.0;
+                for (e, flow) in self.air_edges.iter().zip(&self.edge_flow) {
+                    if e.to.index() == node {
+                        streams_mass += flow.0;
+                        streams_heat += flow.0 * self.temp[e.from.index()];
+                    }
+                }
+                if streams_mass > 0.0 {
+                    let t_mix = streams_heat / streams_mass;
+                    let alpha = physics::replacement_fraction(
+                        KilogramsPerSecond(streams_mass),
+                        mass_kg,
+                        dts,
+                    );
+                    adv[node] = alpha * (t_mix - self.temp[node]);
+                }
+            }
+            for i in 0..n {
+                if !fixed[i] {
+                    self.temp[i] += dq[i] / self.capacity[i].0 + adv[i];
+                }
+            }
+        }
+    }
+}
+
+impl RoomMachine for ReferenceSolver {
+    fn build(model: &MachineModel) -> Self {
+        ReferenceSolver::new(model)
+    }
+
+    /// The same change [`fiddle`] makes to a [`Solver`].
+    fn fiddle(&mut self, fiddle: &Fiddle) {
+        match *fiddle {
+            Fiddle::Fan(scale) => {
+                self.fan = CubicMetersPerSecond::from_cfm(FAN_CFM * scale).mass_flow();
+                self.recompile();
+            }
+            Fiddle::HeatK(k) => {
+                let (a, b) = (self.index(nodes::CPU), self.index(nodes::CPU_AIR));
+                for edge in &mut self.heat_edges {
+                    if (edge.0, edge.1) == (a, b) || (edge.0, edge.1) == (b, a) {
+                        edge.2 = WattsPerKelvin(k);
+                    }
+                }
+                self.recompile();
+            }
+            Fiddle::AirFraction(f) => {
+                let (from, to) = if self.names.iter().any(|x| x == nodes::VOID_AIR) {
+                    (nodes::VOID_AIR, nodes::EXHAUST)
+                } else {
+                    (nodes::INLET, nodes::CPU_AIR)
+                };
+                let (from, to) = (self.index(from), self.index(to));
+                for edge in &mut self.air_edges {
+                    if (edge.from.index(), edge.to.index()) == (from, to) {
+                        edge.fraction = f;
+                    }
+                }
+                self.recompile();
+            }
+            Fiddle::Pin(t) => self.pin(nodes::CPU, t),
+            Fiddle::Release => self.release(nodes::CPU),
+            Fiddle::PinAir(t) => self.pin(nodes::CPU_AIR, t),
+            Fiddle::ReleaseAir => self.release(nodes::CPU_AIR),
+            Fiddle::Utilization(u) => self.set_utilization(nodes::CPU, u),
+        }
+    }
+
+    fn temperature_at(&self, i: usize) -> Celsius {
+        Celsius(self.temp[i])
+    }
+
+    fn inlet_temperature(&self) -> Celsius {
+        self.inlet_temperature
+    }
+
+    fn set_inlet_temperature(&mut self, t: Celsius) {
+        self.inlet_temperature = t;
+        for i in 0..self.temp.len() {
+            if self.inlet[i] && !self.pinned[i] {
+                self.temp[i] = t.0;
+            }
+        }
+    }
+
+    fn step(&mut self) {
+        ReferenceSolver::step(self);
+    }
+}
+
+/// A machine's exact per-tick propagator. With its inputs held over a
+/// tick the machine is the linear system `dT/dt = G·T + g`: the
+/// generator `G` carries `k/(m·c)` per heat edge and `ṁ/m_air` per
+/// incoming air stream — the limits of the Euler sub-step's weights as
+/// `Δt_sub → 0` — `g` is each component's `P(u)/(m·c)`, and fixed rows
+/// (the inlets) are zero. One tick is then exactly
+/// `T' = e^{G·dt}·T + (∫₀^dt e^{G·s} ds)·g`, and both matrices are
+/// blocks of one exponential of the augmented `[[G, I], [0, 0]]·dt`,
+/// taken by scaling and squaring a Taylor series. Built from the public
+/// model at its own fan speed.
+#[derive(Debug, Clone)]
+pub struct ExactPropagator {
+    n: usize,
+    /// `e^{G·dt}` and `∫₀^dt e^{G·s} ds`, row-major.
+    transition: Vec<f64>,
+    input: Vec<f64>,
+    power: Vec<Option<PowerModel>>,
+    capacity: Vec<f64>,
+    fixed: Vec<bool>,
+}
+
+impl ExactPropagator {
+    pub fn new(model: &MachineModel, dt: Seconds) -> Self {
+        let nodes = model.nodes();
+        let n = nodes.len();
+        let capacity: Vec<f64> = nodes.iter().map(|x| x.capacity().0).collect();
+        let fixed: Vec<bool> = nodes
+            .iter()
+            .map(|x| x.is_air_kind(AirKind::Inlet))
+            .collect();
+        let mut g = vec![0.0; n * n];
+        let mut couple = |i: usize, j: usize, rate: f64| {
+            if !fixed[i] {
+                g[i * n + j] += rate;
+                g[i * n + i] -= rate;
+            }
+        };
+        for e in model.heat_edges() {
+            let (a, b, k) = (e.a.index(), e.b.index(), e.k.0);
+            couple(a, b, k / capacity[a]);
+            couple(b, a, k / capacity[b]);
+        }
+        let (edge_flow, _) = model_air_flows(model);
+        for (e, flow) in model.air_edges().iter().zip(&edge_flow) {
+            if let Some(air) = nodes[e.to.index()].as_air() {
+                couple(e.to.index(), e.from.index(), flow.0 / air.mass_kg);
+            }
+        }
+        let m = 2 * n;
+        let mut augmented = vec![0.0; m * m];
+        for i in 0..n {
+            for j in 0..n {
+                augmented[i * m + j] = g[i * n + j] * dt.0;
+            }
+            augmented[i * m + n + i] = dt.0;
+        }
+        let exp = expm(&augmented, m);
+        let block = |col: usize| -> Vec<f64> {
+            (0..n)
+                .flat_map(|i| exp[i * m + col..i * m + col + n].to_vec())
+                .collect()
+        };
+        ExactPropagator {
+            n,
+            transition: block(0),
+            input: block(n),
+            power: nodes
+                .iter()
+                .map(|x| x.as_component().map(|c| c.power.clone()))
+                .collect(),
+            capacity,
+            fixed,
+        }
+    }
+
+    /// One exact tick from `temp` with node `i` held at utilization
+    /// `utilization[i]` (ignored for air regions).
+    pub fn step(&self, temp: &[f64], utilization: &[f64]) -> Vec<f64> {
+        let n = self.n;
+        let g: Vec<f64> = (0..n)
+            .map(|i| match &self.power[i] {
+                Some(p) if !self.fixed[i] => {
+                    p.power(Utilization::new(utilization[i])).0 / self.capacity[i]
+                }
+                _ => 0.0,
+            })
+            .collect();
+        (0..n)
+            .map(|i| {
+                let row = i * n..(i + 1) * n;
+                let free: f64 = self.transition[row.clone()]
+                    .iter()
+                    .zip(temp)
+                    .map(|(e, t)| e * t)
+                    .sum();
+                let driven: f64 = self.input[row].iter().zip(&g).map(|(p, g)| p * g).sum();
+                free + driven
+            })
+            .collect()
+    }
+}
+
+fn matmul(a: &[f64], b: &[f64], m: usize) -> Vec<f64> {
+    let mut c = vec![0.0; m * m];
+    for i in 0..m {
+        for k in 0..m {
+            let aik = a[i * m + k];
+            if aik != 0.0 {
+                for j in 0..m {
+                    c[i * m + j] += aik * b[k * m + j];
+                }
+            }
+        }
+    }
+    c
+}
+
+/// `e^x` of an `m × m` matrix: halve `x` until its infinity norm is at
+/// most 1/2, sum the Taylor series there (30 terms leave a remainder
+/// below 2⁻³⁰/30!), then square back.
+fn expm(x: &[f64], m: usize) -> Vec<f64> {
+    let norm = (0..m)
+        .map(|i| x[i * m..(i + 1) * m].iter().map(|v| v.abs()).sum::<f64>())
+        .fold(0.0, f64::max);
+    let mut squarings = 0;
+    while norm * 0.5f64.powi(squarings) > 0.5 {
+        squarings += 1;
+    }
+    let scaled: Vec<f64> = x.iter().map(|v| v * 0.5f64.powi(squarings)).collect();
+    let identity: Vec<f64> = (0..m * m)
+        .map(|k| if k / m == k % m { 1.0 } else { 0.0 })
+        .collect();
+    let mut sum = identity.clone();
+    let mut term = identity;
+    for k in 1..=30 {
+        term = matmul(&term, &scaled, m);
+        term.iter_mut().for_each(|v| *v /= k as f64);
+        sum.iter_mut().zip(&term).for_each(|(s, t)| *s += t);
+    }
+    for _ in 0..squarings {
+        sum = matmul(&sum, &sum, m);
+    }
+    sum
+}
+
+/// A pin of machine `machine`'s CPU air and of the next machine's CPU at
+/// tick `pinned`, and both releases at tick `released`.
+pub fn pins_and_releases(machine: usize, pinned: usize, released: usize) -> [Event; 4] {
+    let event = |tick, machine, fiddle| Event {
+        tick,
+        machine,
+        fiddle,
+    };
+    [
+        event(pinned, machine, Fiddle::PinAir(38.0)),
+        event(pinned, machine + 1, Fiddle::Pin(62.0)),
+        event(released, machine, Fiddle::ReleaseAir),
+        event(released, machine + 1, Fiddle::Release),
+    ]
+}
+
+/// One recomposition case; see [`RecomposePlan::check`].
+#[derive(Debug, Clone)]
+pub struct RecomposePlan<'a> {
+    pub room: &'a MixRoom,
+    /// CPU utilizations the machines start at (cycled).
+    pub utils: &'a [f64],
+    /// Fiddles before given ticks — fan, heat-k and air-fraction
+    /// commands, pins of CPUs and of CPU air regions, releases — with
+    /// machines taken modulo the room size.
+    pub script: &'a [Event],
+    pub ticks: usize,
+    /// Threads the batched rooms step on.
+    pub threads: usize,
+}
+
+impl RecomposePlan<'_> {
+    /// Steps the room per machine (`set_batching(false)`, one `step()` a
+    /// tick), batched at every supported SIMD level on `threads` threads
+    /// (one `step_for_recorded` span between events, so every command
+    /// recomposes a kernel between two spans), and as a [`RoomStepper`]
+    /// of stepped-Euler [`ReferenceSolver`]s, all taking the script.
+    /// Holds every batched room to the per-machine one bit for bit after
+    /// every tick (every node of every machine) and at each span's end
+    /// (clock, generated heat, every node), and the per-machine room to
+    /// the oracle within [`COMPOSED_VS_STEPPED_C`] on every node after
+    /// every tick. Returns the largest gap to the oracle, °C.
+    pub fn check(&self) -> f64 {
+        let model = self.room.model();
+        let mut per_machine = Setup::PER_MACHINE.build(&model);
+        let mut batched: Vec<ClusterSolver> = supported_backends()
+            .map(|backend| {
+                Setup {
+                    backend: Some(backend),
+                    threads: self.threads,
+                    ..Setup::BATCHED
+                }
+                .build(&model)
+            })
+            .collect();
+        let mut oracle = RoomStepper::<ReferenceSolver>::new(&model);
+        let n = per_machine.len();
+        let node_counts: Vec<usize> = (0..n)
+            .map(|m| per_machine.machine_at(m).node_names().count())
+            .collect();
+        let probes: Vec<_> = (0..n)
+            .flat_map(|m| {
+                let names: Vec<String> = per_machine
+                    .machine_at(m)
+                    .node_names()
+                    .map(str::to_string)
+                    .collect();
+                names.into_iter().map(move |node| (m, node))
+            })
+            .map(|(m, node)| per_machine.probe(&format!("m{m}"), &node).unwrap())
+            .collect();
+        let apply = |per_machine: &mut ClusterSolver,
+                     batched: &mut [ClusterSolver],
+                     oracle: &mut RoomStepper<ReferenceSolver>,
+                     m: usize,
+                     f: &Fiddle| {
+            fiddle(per_machine.machine_at_mut(m), f);
+            for room in batched.iter_mut() {
+                fiddle(room.machine_at_mut(m), f);
+            }
+            oracle.machine_at_mut(m).fiddle(f);
+        };
+        for m in 0..n {
+            let u = Fiddle::Utilization(self.utils[m % self.utils.len()]);
+            apply(&mut per_machine, &mut batched, &mut oracle, m, &u);
+        }
+        for &m in &self.room.pinned {
+            apply(
+                &mut per_machine,
+                &mut batched,
+                &mut oracle,
+                m % n,
+                &Fiddle::Pin(70.0),
+            );
+        }
+
+        let mut stops: Vec<usize> = self.script.iter().map(|e| e.tick).collect();
+        stops.push(self.ticks);
+        stops.retain(|&t| t <= self.ticks);
+        stops.sort_unstable();
+        stops.dedup();
+        let mut worst = 0.0_f64;
+        let mut at = 0;
+        for stop in stops {
+            let mut history: Vec<Vec<u64>> = Vec::new();
+            for tick in at..stop {
+                per_machine.step();
+                oracle.step();
+                let mut temps = Vec::new();
+                for (m, &count) in node_counts.iter().enumerate() {
+                    for i in 0..count {
+                        let got = per_machine.machine_at(m).temperature_at(i).0;
+                        let want = oracle.machine_at(m).temperature_at(i).0;
+                        let gap = (got - want).abs();
+                        assert!(
+                            gap <= COMPOSED_VS_STEPPED_C,
+                            "tick {tick}: machine {m} node {i}: composed {got} vs stepped {want}"
+                        );
+                        worst = worst.max(gap);
+                        temps.push(got.to_bits());
+                    }
+                }
+                history.push(temps);
+            }
+            for room in &mut batched {
+                let backend = room.simd_backend().name();
+                let mut recorded: Vec<Vec<u64>> = Vec::new();
+                room.step_for_recorded(stop - at, &probes, |_, temps| recorded.push(bits(temps)));
+                assert!(
+                    recorded == history,
+                    "ticks {at}..{stop} on {backend}: batched probes differ"
+                );
+                assert_same_state(
+                    &per_machine,
+                    room,
+                    &format!("after tick {stop} on {backend}"),
+                );
+            }
+            at = stop;
+            // Script order within a tick, as in [`run`].
+            for event in self.script.iter().filter(|e| e.tick == at) {
+                let m = event.machine % n;
+                apply(
+                    &mut per_machine,
+                    &mut batched,
+                    &mut oracle,
+                    m,
+                    &event.fiddle,
+                );
+            }
+        }
+        worst
     }
 }

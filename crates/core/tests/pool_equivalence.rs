@@ -15,8 +15,9 @@ mod common;
 
 use common::{
     assert_same_state, frame_calls_strategy, frame_room_strategy, mix_calls_strategy,
-    mix_room_strategy, run, script_strategy, supported_backends, Event, FedInputs, FedPlan, Fiddle,
-    FrameCall, FramePlan, FrameRoom, MixCall, MixPlan, MixRoom, Remodel, Setup,
+    mix_room_strategy, pins_and_releases, run, script_strategy, supported_backends, Event,
+    FedInputs, FedPlan, Fiddle, FrameCall, FramePlan, FrameRoom, MixCall, MixPlan, MixRoom,
+    RecomposePlan, Remodel, Setup,
 };
 use mercury::presets::{self, nodes};
 use mercury::solver::{ClusterSolver, SimdBackend, SolverConfig};
@@ -630,5 +631,25 @@ fn pool_frame_solo_and_fallback_cells_on_the_pool() {
             assert_eq!(framed.batched_machines(), 34);
             assert_eq!(framed.pool_workers(), threads);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// `batch_recompose_random_rooms_match_per_machine_and_the_stepped_oracle`
+    /// with the batched rooms on the pool: workers compose the kernels
+    /// they tick (solo machines recompose on whichever thread runs them).
+    #[test]
+    fn pool_recompose_random_rooms_match_per_machine_and_the_stepped_oracle(
+        room in mix_room_strategy(),
+        script in script_strategy(24, 40, 0..24),
+        threads in 2usize..=3,
+        (machine, pinned, released) in (0usize..40, 1usize..10, 10usize..22),
+    ) {
+        let mut script = script;
+        script.extend(pins_and_releases(machine, pinned, released));
+        RecomposePlan { room: &room, utils: &[0.25, 0.75], script: &script, ticks: 24, threads }
+            .check();
     }
 }

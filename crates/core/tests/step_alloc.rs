@@ -6,9 +6,11 @@
 //! allocator — which is why it is a test file of its own — and counts
 //! the allocations of 100 warm ticks on the calling thread, in a room
 //! whose machines take a utilization every tick and one of which is
-//! pinned, so both the chunk lanes and the solo path run.
+//! pinned, so both the chunk lanes and the solo path run. Midway the
+//! pinned machine takes a heat-k and a fan fiddle, so its kernel is
+//! rebuilt and its tick recomposed inside the counted window.
 
-use mercury::presets::{self, nodes};
+use mercury::presets::{self, nodes, FAN_CFM};
 use mercury::solver::{ClusterSolver, SolverConfig};
 use mercury::units::Celsius;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -54,7 +56,7 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations the warm ticks below make.
+/// Allocations the warm ticks below make, fiddles included.
 const WARM_STEP_ALLOCATIONS: u64 = 0;
 
 #[test]
@@ -80,8 +82,17 @@ fn warm_steps_do_not_allocate() {
 
     let before = ALLOCATIONS.with(Cell::get);
     for t in 5..105 {
+        let pinned = s.machine_at_mut(9);
+        match t {
+            30 => pinned.set_heat_k(nodes::CPU, nodes::CPU_AIR, 0.9).unwrap(),
+            60 => pinned.set_fan_cfm(FAN_CFM * 0.8).unwrap(),
+            _ => {}
+        }
         tick(&mut s, t);
     }
     let allocations = ALLOCATIONS.with(Cell::get) - before;
-    assert_eq!(allocations, WARM_STEP_ALLOCATIONS, "100 warm step() calls");
+    assert_eq!(
+        allocations, WARM_STEP_ALLOCATIONS,
+        "100 warm step() calls and two fiddles"
+    );
 }

@@ -299,15 +299,7 @@ fn time_replicated_cluster(
 /// constant, so repeated runs on the same steady-state solver are
 /// directly comparable.
 fn time_replay(n: usize, ticks: usize, fused: bool, runs: usize) -> Result<f64> {
-    let model = presets::validation_cluster(n);
-    let mut s = ClusterSolver::new(&model, SolverConfig::default())?;
-    s.set_threads(1);
-    for i in 1..=n {
-        s.set_utilization(&format!("machine{i}"), nodes::CPU, 0.7)?;
-    }
-    for _ in 0..20 {
-        s.step(); // warm-up (also builds the batch plan)
-    }
+    let mut s = warm_cluster(n, |s| s.set_threads(1))?;
     let mut best = f64::INFINITY;
     for _ in 0..runs {
         best = best.min(if fused {
@@ -319,69 +311,44 @@ fn time_replay(n: usize, ticks: usize, fused: bool, runs: usize) -> Result<f64> 
     Ok(best)
 }
 
-/// Best-of-`runs` wall time for `ticks` batched cluster ticks at `n`
-/// machines, with the runtime telemetry switch on or off. Min-of-runs is
-/// the standard noise-robust estimator for an A/B overhead comparison.
-/// Deliberately steps tick-by-tick: the ≤2% contract is defined on the
-/// per-tick path, where instrumentation runs every tick — fused replay
-/// (`step_for`) amortizes it to once per span and would hide a
-/// regression here.
-fn time_instrumentation(n: usize, ticks: usize, instrumented: bool, runs: usize) -> Result<f64> {
+/// A `validation_cluster(n)` solver set up by `configure`, every CPU at
+/// 70% and warmed by 20 ticks (which also build the batch plan).
+fn warm_cluster(n: usize, configure: impl FnOnce(&mut ClusterSolver)) -> Result<ClusterSolver> {
     let model = presets::validation_cluster(n);
     let mut s = ClusterSolver::new(&model, SolverConfig::default())?;
-    s.set_instrumentation(instrumented);
+    configure(&mut s);
     for i in 1..=n {
         s.set_utilization(&format!("machine{i}"), nodes::CPU, 0.7)?;
     }
     for _ in 0..20 {
-        s.step(); // warm-up (also builds the batch plan)
+        s.step();
     }
-    let mut best = f64::INFINITY;
+    Ok(s)
+}
+
+/// Best-of-`runs` wall time for `ticks` per-tick steps of one solver
+/// under each of `modes`, the modes taking turns run by run: every arm
+/// of the A/B steps the same machines in the same memory, and a burst of
+/// host noise lands on every arm alike rather than on one arm's block of
+/// runs. Min-of-runs is the standard noise-robust estimator for an
+/// overhead comparison. Deliberately steps tick-by-tick: the ≤2%
+/// contracts are defined on the per-tick path, where instrumentation and
+/// tick-phase spans run every tick — fused replay (`step_for`) amortizes
+/// them to once per span and would hide a regression here.
+fn time_modes<const ARMS: usize>(
+    s: &mut ClusterSolver,
+    modes: [&dyn Fn(&mut ClusterSolver); ARMS],
+    ticks: usize,
+    runs: usize,
+) -> [f64; ARMS] {
+    let mut best = [f64::INFINITY; ARMS];
     for _ in 0..runs {
-        best = best.min(time(|| (0..ticks).for_each(|_| s.step())));
-    }
-    Ok(best)
-}
-
-/// How the span tracer is wired into a [`time_tracing`] run.
-#[derive(Clone, Copy, PartialEq)]
-enum TraceMode {
-    /// No tracer attached — every span site is a no-op (the default).
-    Detached,
-    /// Tracer attached but switched off: the cost of the attachment
-    /// check alone. This must be free — it is what every untraced
-    /// production run pays once the binary carries `instrument`.
-    AttachedOff,
-    /// Tracer attached and recording: the full span-recording cost.
-    AttachedOn,
-}
-
-/// Best-of-`runs` wall time for `ticks` per-tick batched cluster steps
-/// at `n` machines under one tracer wiring. Per-tick stepping on
-/// purpose: tick-phase spans record every tick, so fused replay would
-/// amortize exactly the cost being measured.
-fn time_tracing(n: usize, ticks: usize, mode: TraceMode, runs: usize) -> Result<f64> {
-    let model = presets::validation_cluster(n);
-    let mut s = ClusterSolver::new(&model, SolverConfig::default())?;
-    match mode {
-        TraceMode::Detached => {}
-        TraceMode::AttachedOff | TraceMode::AttachedOn => {
-            let tracer = telemetry::Tracer::new(telemetry::trace::DEFAULT_SPAN_CAPACITY);
-            tracer.set_enabled(mode == TraceMode::AttachedOn);
-            s.set_tracer(tracer);
+        for (mode, best) in modes.iter().zip(&mut best) {
+            mode(s);
+            *best = best.min(time(|| (0..ticks).for_each(|_| s.step())));
         }
     }
-    for i in 1..=n {
-        s.set_utilization(&format!("machine{i}"), nodes::CPU, 0.7)?;
-    }
-    for _ in 0..20 {
-        s.step(); // warm-up (also builds the batch plan)
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..runs {
-        best = best.min(time(|| (0..ticks).for_each(|_| s.step())));
-    }
-    Ok(best)
+    best
 }
 
 /// The solver-service shape at `n` machines, reused across sampler A/B
@@ -642,11 +609,20 @@ pub fn bench_solver() -> Result {
         fused_speedup_1024,
     );
 
-    // --- telemetry overhead: instrumented vs switched-off, best of 3 -----
-    let telem_ticks = 1200usize;
-    let telem_runs = 3usize;
-    let instrumented_s = time_instrumentation(256, telem_ticks, true, telem_runs)?;
-    let uninstrumented_s = time_instrumentation(256, telem_ticks, false, telem_runs)?;
+    // --- telemetry overhead: instrumented vs switched-off, best of 9 -----
+    // A tick is one composed sweep, so the windows take thousands of
+    // ticks to last ≈50 ms on a 2-core x86-64 host, long enough for the
+    // 2% gates below to read the overhead rather than scheduler noise.
+    let telem_ticks = 4800usize;
+    let telem_runs = 9usize;
+    let [instrumented_s, uninstrumented_s] = time_modes(
+        &mut warm_cluster(256, |_| {})?,
+        [&|s| s.set_instrumentation(true), &|s| {
+            s.set_instrumentation(false)
+        }],
+        telem_ticks,
+        telem_runs,
+    );
     let overhead_pct = (instrumented_s / uninstrumented_s - 1.0) * 100.0;
     let telemetry_json = format!(
         "\"telemetry_overhead\": {{\n    \"model\": \"validation_cluster(256)\",\n    \"ticks\": {telem_ticks},\n    \"runs\": {telem_runs},\n    \"instrumented_seconds\": {instrumented_s:.4},\n    \"uninstrumented_seconds\": {uninstrumented_s:.4},\n    \"overhead_pct\": {overhead_pct:.2}\n  }}"
@@ -657,11 +633,28 @@ pub fn bench_solver() -> Result {
     // span sites but runs untraced must pay nothing (hard gate), and a
     // fully recording run must stay within 2% (soft gate — recording
     // is opt-in and post-incident, not always-on).
-    let trace_ticks = 300usize;
-    let trace_runs = 3usize;
-    let trace_detached_s = time_tracing(1024, trace_ticks, TraceMode::Detached, trace_runs)?;
-    let trace_off_s = time_tracing(1024, trace_ticks, TraceMode::AttachedOff, trace_runs)?;
-    let trace_on_s = time_tracing(1024, trace_ticks, TraceMode::AttachedOn, trace_runs)?;
+    let trace_ticks = 1200usize;
+    let trace_runs = 9usize;
+    // Detached: every span site is a no-op (the default). Attached but
+    // off: the cost of the attachment check alone, which must be free —
+    // it is what every untraced production run pays once the binary
+    // carries `instrument`. Attached and on: the full recording cost.
+    let tracer = |on: bool| {
+        let tracer = telemetry::Tracer::new(telemetry::trace::DEFAULT_SPAN_CAPACITY);
+        tracer.set_enabled(on);
+        tracer
+    };
+    let (off, on) = (tracer(false), tracer(true));
+    let [trace_detached_s, trace_off_s, trace_on_s] = time_modes(
+        &mut warm_cluster(1024, |_| {})?,
+        [
+            &|s| s.set_tracer(telemetry::Tracer::default()),
+            &|s| s.set_tracer(off.clone()),
+            &|s| s.set_tracer(on.clone()),
+        ],
+        trace_ticks,
+        trace_runs,
+    );
     let trace_off_pct = (trace_off_s / trace_detached_s - 1.0) * 100.0;
     let trace_on_pct = (trace_on_s / trace_detached_s - 1.0) * 100.0;
     let trace_json = format!(
