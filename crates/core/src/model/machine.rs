@@ -4,8 +4,9 @@ use super::node::{AirKind, AirSpec, ComponentSpec, NodeId, NodeSpec, DEFAULT_AIR
 use crate::error::Error;
 use crate::physics::PowerModel;
 use crate::units::{Celsius, CubicMetersPerSecond, JoulesPerKgKelvin, Kilograms, WattsPerKelvin};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// An undirected heat-flow edge (Figure 1a): heat moves between `a` and
 /// `b` in proportion to their temperature difference, at `k` W/K.
@@ -38,17 +39,55 @@ pub struct AirEdge {
 /// Build one with [`MachineModel::builder`]; see [`crate::presets`] for the
 /// paper's Table 1 server. The model is immutable — runtime changes
 /// (emergencies, fan-speed changes) are applied to a
-/// [`crate::solver::Solver`], which copies these constants at construction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// [`crate::solver::Solver`], which never writes back to it.
+///
+/// A model is its name plus a shared, immutable body (nodes, edges, fan,
+/// inlet temperature, topological order): cloning it or
+/// [renaming](MachineModel::renamed) it shares the body, so a room of
+/// replicas holds one machine description, not one per replica.
+#[derive(Debug, Clone)]
 pub struct MachineModel {
     name: String,
-    nodes: Vec<NodeSpec>,
-    heat_edges: Vec<HeatEdge>,
-    air_edges: Vec<AirEdge>,
-    fan: CubicMetersPerSecond,
-    inlet_temperature: Celsius,
+    body: Arc<MachineBody>,
+}
+
+/// Everything about a machine but its name — what replicas share.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+pub(crate) struct MachineBody {
+    pub(crate) nodes: Vec<NodeSpec>,
+    pub(crate) heat_edges: Vec<HeatEdge>,
+    pub(crate) air_edges: Vec<AirEdge>,
+    pub(crate) fan: CubicMetersPerSecond,
+    pub(crate) inlet_temperature: Celsius,
     /// Air nodes in a topological order of the air-flow graph.
-    topo_order: Vec<NodeId>,
+    pub(crate) topo_order: Vec<NodeId>,
+}
+
+impl PartialEq for MachineModel {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name && (Arc::ptr_eq(&self.body, &other.body) || self.body == other.body)
+    }
+}
+
+/// The serialized form is flat — `name` then the body's fields — as it
+/// was before replicas shared their body.
+impl Serialize for MachineModel {
+    fn to_value(&self) -> Value {
+        let Value::Obj(mut fields) = self.body.to_value() else {
+            unreachable!("a struct serializes to an object")
+        };
+        fields.insert(0, ("name".to_string(), self.name.to_value()));
+        Value::Obj(fields)
+    }
+}
+
+impl Deserialize for MachineModel {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Ok(MachineModel {
+            name: String::from_value(v.get("name").unwrap_or(&Value::Null))?,
+            body: Arc::new(MachineBody::from_value(v)?),
+        })
+    }
 }
 
 impl MachineModel {
@@ -64,37 +103,38 @@ impl MachineModel {
 
     /// All nodes, indexable by [`NodeId::index`].
     pub fn nodes(&self) -> &[NodeSpec] {
-        &self.nodes
+        &self.body.nodes
     }
 
     /// The undirected heat-flow edges.
     pub fn heat_edges(&self) -> &[HeatEdge] {
-        &self.heat_edges
+        &self.body.heat_edges
     }
 
     /// The directed air-flow edges.
     pub fn air_edges(&self) -> &[AirEdge] {
-        &self.air_edges
+        &self.body.air_edges
     }
 
     /// The fan's volumetric flow.
     pub fn fan(&self) -> CubicMetersPerSecond {
-        self.fan
+        self.body.fan
     }
 
     /// The default inlet-air boundary temperature.
     pub fn inlet_temperature(&self) -> Celsius {
-        self.inlet_temperature
+        self.body.inlet_temperature
     }
 
     /// Air nodes in topological (upstream-to-downstream) order.
     pub fn topo_order(&self) -> &[NodeId] {
-        &self.topo_order
+        &self.body.topo_order
     }
 
     /// Looks a node up by name.
     pub fn node_id(&self, name: &str) -> Option<NodeId> {
-        self.nodes
+        self.body
+            .nodes
             .iter()
             .position(|n| n.name() == name)
             .map(|i| NodeId(i as u32))
@@ -106,13 +146,14 @@ impl MachineModel {
     ///
     /// Panics if `id` did not come from this model.
     pub fn node(&self, id: NodeId) -> &NodeSpec {
-        &self.nodes[id.index()]
+        &self.body.nodes[id.index()]
     }
 
     /// Names of all monitored components (the ones `monitord` reports
     /// utilizations for), in insertion order.
     pub fn monitored_components(&self) -> Vec<&str> {
-        self.nodes
+        self.body
+            .nodes
             .iter()
             .filter_map(|n| n.as_component())
             .filter(|c| c.monitored)
@@ -131,7 +172,8 @@ impl MachineModel {
     }
 
     fn air_ids(&self, kind: AirKind) -> Vec<NodeId> {
-        self.nodes
+        self.body
+            .nodes
             .iter()
             .enumerate()
             .filter(|(_, n)| n.is_air_kind(kind))
@@ -139,14 +181,20 @@ impl MachineModel {
             .collect()
     }
 
-    /// Returns a copy of this model under a different machine name —
-    /// useful for replicating one calibrated server into a cluster (§2:
-    /// "replicating these traces allows Mercury to emulate large cluster
-    /// installations").
+    /// Returns this model under a different machine name, sharing its
+    /// body — useful for replicating one calibrated server into a
+    /// cluster (§2: "replicating these traces allows Mercury to emulate
+    /// large cluster installations").
     pub fn renamed(&self, name: impl Into<String>) -> MachineModel {
-        let mut copy = self.clone();
-        copy.name = name.into();
-        copy
+        MachineModel {
+            name: name.into(),
+            body: Arc::clone(&self.body),
+        }
+    }
+
+    /// The shared body, which a cluster solver interns machine types by.
+    pub(crate) fn body(&self) -> &Arc<MachineBody> {
+        &self.body
     }
 
     /// A hash of everything the step kernel's constants derive from:
@@ -161,6 +209,13 @@ impl MachineModel {
     /// and boundary data), not stepping structure, so trace-replicated
     /// machines batch even when each replica runs a different workload.
     pub fn structural_fingerprint(&self) -> u64 {
+        self.body.fingerprint()
+    }
+}
+
+impl MachineBody {
+    /// [`MachineModel::structural_fingerprint`].
+    pub(crate) fn fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
         self.nodes.len().hash(&mut h);
@@ -510,12 +565,14 @@ impl MachineBuilder {
 
         Ok(MachineModel {
             name: self.name.clone(),
-            nodes: self.nodes.clone(),
-            heat_edges,
-            air_edges,
-            fan: self.fan,
-            inlet_temperature: self.inlet_temperature,
-            topo_order,
+            body: Arc::new(MachineBody {
+                nodes: self.nodes.clone(),
+                heat_edges,
+                air_edges,
+                fan: self.fan,
+                inlet_temperature: self.inlet_temperature,
+                topo_order,
+            }),
         })
     }
 }
@@ -689,6 +746,31 @@ mod tests {
         assert_eq!(copy.name(), "m2");
         assert_eq!(copy.nodes(), model.nodes());
         assert_eq!(copy.heat_edges(), model.heat_edges());
+        assert!(Arc::ptr_eq(copy.body(), model.body()), "the body is shared");
+        assert_ne!(copy, model);
+        assert_eq!(copy.renamed("m"), model);
+    }
+
+    #[test]
+    fn serialized_form_is_flat() {
+        let model = tiny_builder().build().unwrap();
+        let Value::Obj(fields) = model.to_value() else {
+            panic!("a model serializes to an object");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "name",
+                "nodes",
+                "heat_edges",
+                "air_edges",
+                "fan",
+                "inlet_temperature",
+                "topo_order"
+            ]
+        );
+        assert_eq!(MachineModel::from_value(&model.to_value()).unwrap(), model);
     }
 
     #[test]

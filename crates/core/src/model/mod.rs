@@ -22,6 +22,7 @@ mod machine;
 mod node;
 
 pub use cluster::{ClusterBuilder, ClusterEdge, ClusterEndpoint, ClusterModel, SupplySpec};
+pub(crate) use machine::MachineBody;
 pub use machine::{AirEdge, HeatEdge, MachineBuilder, MachineModel};
 pub use node::{AirKind, AirSpec, ComponentSpec, NodeId, NodeSpec, DEFAULT_AIR_REGION_MASS_KG};
 

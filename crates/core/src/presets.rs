@@ -195,8 +195,9 @@ pub fn recirculating_cluster(n: usize, recirculation: f64) -> ClusterModel {
     let mut b = ClusterModel::builder();
     b.supply("ac", INLET_TEMPERATURE_C);
     b.junction("hot_aisle");
+    let prototype = validation_machine_named("machine1");
     for i in 0..n {
-        let idx = b.machine(validation_machine_named(&format!("machine{}", i + 1)));
+        let idx = b.machine(prototype.renamed(format!("machine{}", i + 1)));
         b.edge(
             ClusterEndpoint::Supply("ac".into()),
             ClusterEndpoint::MachineInlet(idx),
@@ -251,11 +252,9 @@ pub fn mixed_cluster(replicated: usize, unique: usize) -> ClusterModel {
             1.0,
         );
     };
+    let prototype = validation_machine_named("machine1");
     for i in 0..replicated {
-        wire(
-            &mut b,
-            validation_machine_named(&format!("machine{}", i + 1)),
-        );
+        wire(&mut b, prototype.renamed(format!("machine{}", i + 1)));
     }
     for i in 0..unique {
         // A per-variant CPU k gives every variant a distinct fingerprint.
@@ -271,8 +270,10 @@ fn build_cluster(n: usize, machine: fn(&str) -> MachineModel) -> ClusterModel {
     b.supply("ac", INLET_TEMPERATURE_C);
     b.junction("cluster_exhaust");
     let fraction = 1.0 / n as f64;
+    // One prototype, renamed: every replica shares its body.
+    let prototype = machine("machine1");
     for i in 0..n {
-        let idx = b.machine(machine(&format!("machine{}", i + 1)));
+        let idx = b.machine(prototype.renamed(format!("machine{}", i + 1)));
         b.edge(
             ClusterEndpoint::Supply("ac".into()),
             ClusterEndpoint::MachineInlet(idx),
@@ -393,6 +394,15 @@ mod tests {
         assert_eq!(c.edges().len(), 8);
         assert_eq!(c.machines()[0].name(), "machine1");
         assert_eq!(c.machines()[3].name(), "machine4");
+        let shared = |c: &ClusterModel| {
+            let first = c.machines()[0].body();
+            c.machines()
+                .iter()
+                .all(|m| std::sync::Arc::ptr_eq(m.body(), first))
+        };
+        assert!(shared(&c), "replicas share one body");
+        assert!(shared(&recirculating_cluster(3, 0.2)));
+        assert!(shared(&freon_cluster(3)));
     }
 
     #[test]

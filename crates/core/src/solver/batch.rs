@@ -16,8 +16,12 @@
 //! - **Shared operator.** One read-only copy of the composed tick
 //!   (`T' = M·T + B·p`, see `super::kernel`: CSR offsets, sources and
 //!   weights of `M` and `B`, and `1/(m·c)`) serves every machine in the
-//!   group — the topology memory for a 1024-replica room is that of
-//!   *one* machine plus state rows.
+//!   group, and the member solvers share one copy of their machine
+//!   type's structure and compiled kernel (`super::machine`) — so the
+//!   topology memory for a 1024-replica room is that of *one* machine
+//!   plus state rows (`tests/step_alloc.rs`,
+//!   `replicas_share_their_machine_type`, pins the model and solvers at
+//!   ≈1.3 KB a machine).
 //! - **SoA layout.** Temperatures, per-node power ΔT and the drive
 //!   `B·ΔT` are stored node-major: row `i` holds node `i`'s value for
 //!   every machine in the chunk (one f64 *lane* per machine). Applying

@@ -3,16 +3,17 @@
 
 use super::batch::BatchSet;
 use super::kernel::MixGraph;
-use super::machine::{Solver, SolverConfig};
-use super::metrics::{ClusterMetrics, TICK_LATENCY_SAMPLE};
+use super::machine::{MachineType, Solver, SolverConfig};
+use super::metrics::{ClusterMetrics, SolverMetrics, TICK_LATENCY_SAMPLE};
 use super::pool::{TickPool, WorkItem};
 use super::simd::SimdBackend;
 use crate::error::Error;
-use crate::model::ClusterModel;
+use crate::model::{ClusterModel, MachineBody};
 use crate::units::{Celsius, Seconds, Utilization};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 use telemetry::Tracer;
 
@@ -239,14 +240,34 @@ pub struct ClusterSolver {
 impl ClusterSolver {
     /// Creates a solver for the given cluster model.
     ///
+    /// Machines of one model body — the replicas
+    /// [`MachineModel::renamed`](crate::model::MachineModel::renamed)
+    /// makes, or equal bodies built apart — share one compiled machine
+    /// type: its structure and its kernel are derived once, and each
+    /// machine holds only its own state until a fiddle copies what it
+    /// changes (see [`Solver`]).
+    ///
     /// # Errors
     ///
-    /// Propagates [`Solver::new`] errors for any machine.
+    /// Returns [`Error::InvalidInput`] for a configuration
+    /// [`Solver::new`] rejects.
     pub fn new(model: &ClusterModel, cfg: SolverConfig) -> Result<Self, Error> {
+        cfg.validate()?;
+        // One machine-level metric bundle for the whole room, which every
+        // machine reports to — the initial flow compile of each machine
+        // type included.
+        let metrics = ClusterMetrics::new();
+        let mut types = TypeTable::default();
         let mut machines = Vec::with_capacity(model.machines().len());
         let mut by_name = HashMap::new();
         for (i, m) in model.machines().iter().enumerate() {
-            machines.push(Solver::new(m, cfg.clone())?);
+            let machine_type = types.intern(m.body(), &cfg, &metrics.solver);
+            machines.push(Solver::of_type(
+                m.name(),
+                machine_type,
+                cfg.clone(),
+                metrics.solver.clone(),
+            ));
             by_name.insert(m.name().to_string(), i);
         }
         let supply_names: Vec<String> = model.supplies().iter().map(|s| s.name.clone()).collect();
@@ -261,13 +282,6 @@ impl ClusterSolver {
         let junction_names = model.junctions().to_vec();
         let junction_temps = vec![initial; junction_names.len()];
         let n = machines.len();
-        // One machine-level metric bundle for the whole room: each
-        // solver's construction-time counts (the initial flow compile)
-        // fold into it on adoption.
-        let metrics = ClusterMetrics::new();
-        for machine in &mut machines {
-            machine.share_metrics(&metrics.solver);
-        }
         let batch = BatchSet::new(n);
         metrics
             .solver
@@ -1109,6 +1123,45 @@ impl ClusterSolver {
     }
 }
 
+/// The machine types a room's construction has compiled, interned by
+/// model body: a pointer-equal body first, then an equal one (same
+/// structural fingerprint and `==`).
+#[derive(Default)]
+struct TypeTable {
+    types: Vec<MachineType>,
+    by_body: HashMap<*const MachineBody, usize>,
+    by_fingerprint: HashMap<u64, Vec<usize>>,
+}
+
+impl TypeTable {
+    fn intern(
+        &mut self,
+        body: &Arc<MachineBody>,
+        cfg: &SolverConfig,
+        metrics: &SolverMetrics,
+    ) -> &MachineType {
+        let ptr = Arc::as_ptr(body);
+        if let Some(&t) = self.by_body.get(&ptr) {
+            return &self.types[t];
+        }
+        let fingerprint = body.fingerprint();
+        let equal = self
+            .by_fingerprint
+            .get(&fingerprint)
+            .and_then(|candidates| {
+                (candidates.iter().copied()).find(|&t| **self.types[t].body() == **body)
+            });
+        let t = equal.unwrap_or_else(|| {
+            self.types.push(MachineType::compile(body, cfg, metrics));
+            let t = self.types.len() - 1;
+            self.by_fingerprint.entry(fingerprint).or_default().push(t);
+            t
+        });
+        self.by_body.insert(ptr, t);
+        &self.types[t]
+    }
+}
+
 /// What [`ClusterSolver::step_for_fed`] calls before every tick.
 type Feed<'f> = &'f mut dyn FnMut(&mut TickInputs<'_>) -> Result<bool, Error>;
 
@@ -1389,9 +1442,9 @@ mod tests {
         assert_eq!(m.solo_demotions.get(), 1);
         assert_eq!(m.batched_machines.get(), 11.0);
         assert_eq!(m.solo_machines.get(), 1.0);
-        // Construction compiled each machine's flows once; the fiddle
-        // recompiled machine3's.
-        assert_eq!(m.solver.flow_recomputes.get(), 13);
+        // Construction compiled the one machine type's flows once; the
+        // fiddle recompiled machine3's.
+        assert_eq!(m.solver.flow_recomputes.get(), 2);
         // Every call is one latency observation, its per-tick mean, and
         // its first tick is booked as a full step: of the eleven ticks,
         // only step_for(9)'s last eight are fused.

@@ -122,8 +122,9 @@ thread_local! {
 /// constants, and scratch buffers, all reused across ticks.
 ///
 /// Built empty with [`StepKernel::new`] and populated by
-/// [`StepKernel::rebuild`]; rebuilt whenever the owning solver changes
-/// the fan speed, a heat-transfer coefficient, or an air fraction.
+/// [`StepKernel::rebuild`]. The replicas of one machine type share one
+/// kernel; a solver that changes the fan speed, a heat-transfer
+/// coefficient or an air fraction rebuilds a copy of its own.
 #[derive(Debug, Clone)]
 pub(crate) struct StepKernel {
     /// Number of nodes.
@@ -550,15 +551,33 @@ impl StepKernel {
     /// module docs) for the boundary mask `fixed`, unless they are
     /// already composed for it since the last rebuild.
     pub(crate) fn compose(&mut self, fixed: &[bool]) {
-        if (self.composed.as_deref()).is_some_and(|c| c.valid && c.fixed == fixed) {
-            return;
+        if !self.is_composed_for(fixed) {
+            self.compose_at(fixed, SimdBackend::detect());
         }
+    }
+
+    /// Whether `M` and `B` are composed for the boundary mask `fixed`
+    /// since the last rebuild.
+    pub(crate) fn is_composed_for(&self, fixed: &[bool]) -> bool {
+        (self.composed.as_deref()).is_some_and(|c| c.valid && c.fixed == fixed)
+    }
+
+    /// Composes for `fixed` unconditionally, sweeping the basis chunk at
+    /// `backend` — every level composes the same bits.
+    fn compose_at(&mut self, fixed: &[bool], backend: SimdBackend) {
         let mut composed = self.composed.take().unwrap_or_default();
-        REBUILD_SCRATCH.with_borrow_mut(|scratch| self.compose_in(&mut composed, scratch, fixed));
+        REBUILD_SCRATCH
+            .with_borrow_mut(|scratch| self.compose_in(&mut composed, scratch, fixed, backend));
         self.composed = Some(composed);
     }
 
-    fn compose_in(&self, c: &mut Composed, s: &mut RebuildScratch, fixed: &[bool]) {
+    fn compose_in(
+        &self,
+        c: &mut Composed,
+        s: &mut RebuildScratch,
+        fixed: &[bool],
+        backend: SimdBackend,
+    ) {
         let n = self.n;
         debug_assert_eq!(fixed.len(), n);
 
@@ -575,7 +594,6 @@ impl StepKernel {
         for (k, &comp) in self.components.iter().enumerate() {
             s.unit_power[comp as usize * stride + n + k] = 1.0;
         }
-        let backend = SimdBackend::detect();
         for _ in 0..self.substeps {
             simd::substep(
                 backend,
@@ -1238,9 +1256,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn kernel_reuses_scratch_and_counts_substeps() {
-        let model = machine("m");
+    /// `model`'s kernel, compiled at its own fan speed, and its
+    /// inlet-only boundary mask.
+    fn compiled(model: &MachineModel) -> (StepKernel, Vec<bool>) {
         let mut kernel = StepKernel::new(Seconds(1.0), 0.25);
         let capacity: Vec<JoulesPerKelvin> = model.nodes().iter().map(|n| n.capacity()).collect();
         let air_mass: Vec<Option<f64>> = model
@@ -1269,20 +1287,19 @@ mod tests {
             &capacity,
             |i| air_mass[i],
         );
+        let fixed = (0..capacity.len()).map(|i| inlets.contains(&i)).collect();
+        (kernel, fixed)
+    }
+
+    #[test]
+    fn kernel_reuses_scratch_and_counts_substeps() {
+        let model = machine("m");
+        let (mut kernel, fixed) = compiled(&model);
         assert!(kernel.substeps() >= 1);
         assert!((kernel.dt_sub().0 * kernel.substeps() as f64 - 1.0).abs() < 1e-12);
 
         let n = model.nodes().len();
         let mut temp = vec![Celsius(21.6); n];
-        let fixed: Vec<bool> = model
-            .nodes()
-            .iter()
-            .map(|node| {
-                node.as_air()
-                    .map(|a| a.kind == crate::model::AirKind::Inlet)
-                    .unwrap_or(false)
-            })
-            .collect();
         let mut power_q = vec![0.0; n];
         power_q[0] = 31.0 * kernel.dt_sub().0; // cpu at full utilization
         let generated = kernel.tick(&mut temp, &fixed, &power_q);
@@ -1290,5 +1307,43 @@ mod tests {
         // The CPU warmed; the inlet boundary did not move.
         assert!(temp[0].0 > 21.6);
         assert_eq!(temp[1], Celsius(21.6));
+    }
+
+    #[test]
+    fn every_simd_level_composes_the_same_bits() {
+        let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for model in [
+            crate::presets::validation_machine(),
+            crate::presets::freon_machine(),
+        ] {
+            let (mut kernel, mut fixed) = compiled(&model);
+            // The inlet-only mask, and one with a pinned air region.
+            for pin in [None, model.node_id("cpu_air")] {
+                if let Some(id) = pin {
+                    fixed[id.index()] = true;
+                }
+                let mut composed = Vec::new();
+                for backend in SimdBackend::ALL.into_iter().filter(|b| b.supported()) {
+                    kernel.compose_at(&fixed, backend);
+                    let c = kernel.composed_op();
+                    composed.push((
+                        backend,
+                        (
+                            c.m_off.to_vec(),
+                            c.m_src.to_vec(),
+                            c.b_off.to_vec(),
+                            c.b_src.to_vec(),
+                        ),
+                        [bits(c.m_w), bits(c.m_self), bits(c.b_w)],
+                    ));
+                }
+                let (_, pattern, weights) = &composed[0];
+                assert!(!weights[0].is_empty() && !weights[2].is_empty());
+                for (backend, p, w) in &composed[1..] {
+                    assert_eq!(p, pattern, "{} pattern, pin {pin:?}", backend.name());
+                    assert_eq!(w, weights, "{} weights, pin {pin:?}", backend.name());
+                }
+            }
+        }
     }
 }

@@ -3,11 +3,12 @@
 use super::kernel::StepKernel;
 use super::metrics::{SolverMetrics, TICK_LATENCY_SAMPLE};
 use crate::error::Error;
-use crate::model::{AirKind, MachineModel, PowerModel};
+use crate::model::{AirKind, MachineBody, MachineModel, NodeSpec, PowerModel};
 use crate::units::{
     Celsius, CubicMetersPerSecond, Joules, JoulesPerKelvin, Seconds, Utilization, WattsPerKelvin,
 };
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Configuration of a [`Solver`].
@@ -37,25 +38,178 @@ impl Default for SolverConfig {
     }
 }
 
+impl SolverConfig {
+    /// Rejects a non-positive `dt` or a stability limit outside `(0, 1]`.
+    pub(crate) fn validate(&self) -> Result<(), Error> {
+        if !self.dt.is_finite() || self.dt.0 <= 0.0 {
+            return Err(Error::invalid_input(format!(
+                "solver dt {} must be positive",
+                self.dt
+            )));
+        }
+        if !(self.stability_limit > 0.0 && self.stability_limit <= 1.0) {
+            return Err(Error::invalid_input(format!(
+                "stability limit {} outside (0, 1]",
+                self.stability_limit
+            )));
+        }
+        Ok(())
+    }
+}
+
 #[derive(Debug, Clone)]
 enum NodeRt {
     Component { power: PowerModel, monitored: bool },
     Air { kind: AirKind, mass_kg: f64 },
 }
 
+/// The structure a solver derives from its model body: node lookup,
+/// kinds and power models, capacities, both edge lists, the air
+/// topological order, inlets, components and the structural fingerprint.
+/// Derived once per machine type and shared by its replicas; a fiddle
+/// that retunes any of it copies it first.
+#[derive(Debug, Clone)]
+pub(crate) struct Shape {
+    /// The source model's body: node names, and the constants a restore
+    /// holds an undiverged machine to.
+    body: Arc<MachineBody>,
+    by_name: HashMap<String, usize>,
+    kind: Vec<NodeRt>,
+    capacity: Vec<JoulesPerKelvin>,
+    heat_edges: Vec<(usize, usize, WattsPerKelvin)>,
+    air_edges: Vec<(usize, usize, f64)>,
+    topo: Vec<usize>,
+    inlets: Vec<usize>,
+    /// Component node indices in node order — the only nodes that
+    /// generate heat, hence the only ones repricing visits.
+    components: Vec<usize>,
+    /// [`MachineModel::structural_fingerprint`] of the body, for batch
+    /// grouping.
+    fingerprint: u64,
+}
+
+impl Shape {
+    fn of(body: &Arc<MachineBody>) -> Shape {
+        let kind: Vec<NodeRt> = body
+            .nodes
+            .iter()
+            .map(|node| match node {
+                NodeSpec::Component(c) => NodeRt::Component {
+                    power: c.power.clone(),
+                    monitored: c.monitored,
+                },
+                NodeSpec::Air(a) => NodeRt::Air {
+                    kind: a.kind,
+                    mass_kg: a.mass_kg,
+                },
+            })
+            .collect();
+        Shape {
+            body: Arc::clone(body),
+            by_name: (body.nodes.iter().enumerate())
+                .map(|(i, node)| (node.name().to_string(), i))
+                .collect(),
+            capacity: body.nodes.iter().map(NodeSpec::capacity).collect(),
+            heat_edges: (body.heat_edges.iter())
+                .map(|e| (e.a.index(), e.b.index(), e.k))
+                .collect(),
+            air_edges: (body.air_edges.iter())
+                .map(|e| (e.from.index(), e.to.index(), e.fraction))
+                .collect(),
+            topo: body.topo_order.iter().map(|id| id.index()).collect(),
+            inlets: (0..kind.len())
+                .filter(|&i| body.nodes[i].is_air_kind(AirKind::Inlet))
+                .collect(),
+            components: (0..kind.len())
+                .filter(|&i| matches!(kind[i], NodeRt::Component { .. }))
+                .collect(),
+            fingerprint: body.fingerprint(),
+            kind,
+        }
+    }
+
+    fn name(&self, i: usize) -> &str {
+        self.body.nodes[i].name()
+    }
+
+    /// Recompiles `kernel` from the edge lists at fan flow `fan`.
+    fn compile(&self, kernel: &mut StepKernel, fan: CubicMetersPerSecond) {
+        kernel.rebuild(
+            &self.heat_edges,
+            &self.air_edges,
+            &self.topo,
+            &self.inlets,
+            fan.mass_flow(),
+            &self.capacity,
+            |i| match self.kind[i] {
+                NodeRt::Air { mass_kg, .. } => Some(mass_kg),
+                NodeRt::Component { .. } => None,
+            },
+        );
+    }
+
+    /// Whether fan flow `fan` and these edge constants are the source
+    /// model's, bit for bit.
+    fn is_model(&self, fan: CubicMetersPerSecond) -> bool {
+        let body = &self.body;
+        fan.0.to_bits() == body.fan.0.to_bits()
+            && (self.heat_edges.iter().zip(&body.heat_edges))
+                .all(|(&(_, _, k), e)| k.0.to_bits() == e.k.0.to_bits())
+            && (self.air_edges.iter().zip(&body.air_edges))
+                .all(|(&(_, _, f), e)| f.to_bits() == e.fraction.to_bits())
+    }
+}
+
+/// A machine type: the [`Shape`] of one model body and its kernel,
+/// compiled and composed for the inlet-only boundary mask. A standalone
+/// [`Solver`] compiles its own; a cluster compiles one per distinct body
+/// and every replica of that body starts out sharing it.
+#[derive(Debug, Clone)]
+pub(crate) struct MachineType {
+    shape: Arc<Shape>,
+    kernel: Arc<StepKernel>,
+}
+
+impl MachineType {
+    /// Compiles the type of `body`, booking the kernel's initial flow
+    /// compile on `metrics`.
+    pub(crate) fn compile(
+        body: &Arc<MachineBody>,
+        cfg: &SolverConfig,
+        metrics: &SolverMetrics,
+    ) -> MachineType {
+        let shape = Shape::of(body);
+        let mut kernel = StepKernel::new(cfg.dt, cfg.stability_limit);
+        shape.compile(&mut kernel, body.fan);
+        let inlet_mask: Vec<bool> = (0..shape.kind.len())
+            .map(|i| shape.inlets.contains(&i))
+            .collect();
+        kernel.compose(&inlet_mask);
+        metrics.flow_recomputes.add(kernel.flow_recomputes());
+        MachineType {
+            shape: Arc::new(shape),
+            kernel: Arc::new(kernel),
+        }
+    }
+
+    /// The body this type was compiled from.
+    pub(crate) fn body(&self) -> &Arc<MachineBody> {
+        &self.shape.body
+    }
+}
+
 /// Emulates the temperatures of one machine.
 ///
-/// A `Solver` copies all constants out of a [`MachineModel`] at
-/// construction, so runtime changes (fiddle commands, fan-speed changes)
-/// never affect the source model. The stepping arithmetic itself lives in
-/// the shared `solver::kernel` module: at construction (and again after
-/// any topology-affecting change such as [`Solver::set_fan_cfm`]) the
-/// solver compiles its graphs into a CSR-indexed [`StepKernel`] with
-/// precomputed rate constants, and each [`Solver::step`] is a single
-/// kernel tick over reused buffers. Temperatures are queried by node
-/// name, exactly like probing a hardware sensor — or by dense index via
-/// [`Solver::node_index`] / [`Solver::temperature_at`] when polling in a
-/// tight loop:
+/// A `Solver` never writes back to its [`MachineModel`]: runtime changes
+/// (fiddle commands, fan-speed changes) land in the solver. The stepping
+/// arithmetic itself lives in the shared `solver::kernel` module: at
+/// construction (and again after any topology-affecting change such as
+/// [`Solver::set_fan_cfm`]) the solver's graphs are compiled into a
+/// CSR-indexed `StepKernel` with precomputed rate constants, and each
+/// [`Solver::step`] is a single kernel tick over reused buffers.
+/// Temperatures are queried by node name, exactly like probing a hardware
+/// sensor — or by dense index via [`Solver::node_index`] /
+/// [`Solver::temperature_at`] when polling in a tight loop:
 ///
 /// ```
 /// use mercury::presets;
@@ -69,32 +223,35 @@ enum NodeRt {
 /// # Ok(())
 /// # }
 /// ```
+///
+/// A solver is its machine's state plus two shared references to its
+/// machine type — the structure derived from the model (names, kinds,
+/// power models, edge lists) and the compiled kernel — so the replicas
+/// of one model in a [`ClusterSolver`](super::ClusterSolver) hold one
+/// copy of each. Nothing writes through a shared reference: whatever
+/// changes one of them copies it first (copy on write), so a fiddled,
+/// pinned or restored replica never changes another.
 #[derive(Debug, Clone)]
 pub struct Solver {
     machine: String,
-    names: Vec<String>,
-    by_name: HashMap<String, usize>,
-    kind: Vec<NodeRt>,
-    capacity: Vec<JoulesPerKelvin>,
+    /// The machine type's structure. Copied by the fiddles that retune
+    /// it — heat k, air fraction, power model — and by a restore whose
+    /// edge constants differ from it.
+    shape: Arc<Shape>,
+    /// The compiled step kernel; rebuilt from `shape` and `fan` whenever
+    /// `dirty` is set. Copied before anything changes it: a rebuild, a
+    /// composition for another boundary mask (a pin or release), and a
+    /// tick on the solver's own kernel, which writes its scratch.
+    kernel: Arc<StepKernel>,
     utilization: Vec<Utilization>,
     temp: Vec<Celsius>,
     forced: Vec<Option<Celsius>>,
-    heat_edges: Vec<(usize, usize, WattsPerKelvin)>,
-    air_edges: Vec<(usize, usize, f64)>,
-    topo: Vec<usize>,
-    inlets: Vec<usize>,
-    fan: CubicMetersPerSecond,
-    inlet_temperature: Celsius,
-    /// The compiled step kernel; rebuilt from the edge lists above
-    /// whenever `dirty` is set.
-    kernel: StepKernel,
-    /// Scratch refilled each tick: boundary flags (forced nodes and
-    /// inlets) and per-sub-step generated heat per node.
+    /// Per-tick inputs: boundary flags (forced nodes and inlets) and
+    /// per-sub-step generated heat per node.
     fixed: Vec<bool>,
     power_q: Vec<f64>,
-    /// Component node indices in node order — the only nodes that
-    /// generate heat, hence the only ones repricing visits.
-    components: Vec<usize>,
+    fan: CubicMetersPerSecond,
+    inlet_temperature: Celsius,
     /// Force-pinned nodes (`forced[i].is_some()`), kept as a count so
     /// [`Solver::batch_eligible`] is O(1).
     pinned: usize,
@@ -119,10 +276,6 @@ pub struct Solver {
     /// [`Solver::set_power_model`]); cleared by
     /// [`Solver::take_power_models_dirty`].
     power_models_dirty: bool,
-    /// Structural fingerprint of the source model
-    /// ([`MachineModel::structural_fingerprint`]), captured at
-    /// construction for batch grouping.
-    fingerprint: u64,
     /// Set once any kernel constant diverges from the source model
     /// (fan speed, heat k, air fraction). A diverged solver no longer
     /// shares its group's operator weights: it batches with machines of
@@ -133,8 +286,7 @@ pub struct Solver {
     time: Seconds,
     generated_last_tick: Joules,
     /// Always-on metric handles. A standalone solver owns a detached
-    /// bundle; a cluster member shares its cluster's bundle (see
-    /// [`Solver::share_metrics`]).
+    /// bundle; a cluster member holds its room's.
     metrics: SolverMetrics,
     /// Ticks stepped on the per-machine path or as a diverged batch
     /// lane, used to sample solo tick latency 1-in-
@@ -155,96 +307,58 @@ impl Solver {
     /// Returns [`Error::InvalidInput`] if the configuration is unusable
     /// (non-positive `dt` or stability limit outside `(0, 1]`).
     pub fn new(model: &MachineModel, cfg: SolverConfig) -> Result<Self, Error> {
-        if !cfg.dt.is_finite() || cfg.dt.0 <= 0.0 {
-            return Err(Error::invalid_input(format!(
-                "solver dt {} must be positive",
-                cfg.dt
-            )));
+        cfg.validate()?;
+        let metrics = SolverMetrics::new();
+        let machine_type = MachineType::compile(model.body(), &cfg, &metrics);
+        Ok(Solver::of_type(model.name(), &machine_type, cfg, metrics))
+    }
+
+    /// A fresh machine named `name` of type `machine_type`, sharing its
+    /// shape and kernel, reporting to `metrics`. `cfg` must be the one
+    /// the type was compiled with, and valid.
+    pub(crate) fn of_type(
+        name: &str,
+        machine_type: &MachineType,
+        cfg: SolverConfig,
+        metrics: SolverMetrics,
+    ) -> Solver {
+        let shape = &machine_type.shape;
+        let n = shape.kind.len();
+        let body = &shape.body;
+        let initial = cfg.initial_temperature.unwrap_or(body.inlet_temperature);
+        let mut temp = vec![initial; n];
+        let mut fixed = vec![false; n];
+        // Inlets are boundary nodes, and start at the boundary
+        // temperature even when `initial_temperature` differs.
+        for &i in &shape.inlets {
+            fixed[i] = true;
+            temp[i] = body.inlet_temperature;
         }
-        if !(cfg.stability_limit > 0.0 && cfg.stability_limit <= 1.0) {
-            return Err(Error::invalid_input(format!(
-                "stability limit {} outside (0, 1]",
-                cfg.stability_limit
-            )));
-        }
-        let n = model.nodes().len();
-        let mut names = Vec::with_capacity(n);
-        let mut kind = Vec::with_capacity(n);
-        let mut capacity = Vec::with_capacity(n);
-        for node in model.nodes() {
-            names.push(node.name().to_string());
-            capacity.push(node.capacity());
-            kind.push(match node {
-                crate::model::NodeSpec::Component(c) => NodeRt::Component {
-                    power: c.power.clone(),
-                    monitored: c.monitored,
-                },
-                crate::model::NodeSpec::Air(a) => NodeRt::Air {
-                    kind: a.kind,
-                    mass_kg: a.mass_kg,
-                },
-            });
-        }
-        let by_name = names
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.clone(), i))
-            .collect();
-        let initial = cfg.initial_temperature.unwrap_or(model.inlet_temperature());
-        let inlets: Vec<usize> = model.inlets().iter().map(|id| id.index()).collect();
-        let components = (0..n)
-            .filter(|&i| matches!(kind[i], NodeRt::Component { .. }))
-            .collect();
-        let mut solver = Solver {
-            machine: model.name().to_string(),
-            names,
-            by_name,
-            kind,
-            capacity,
+        Solver {
+            machine: name.to_string(),
+            shape: Arc::clone(shape),
+            kernel: Arc::clone(&machine_type.kernel),
             utilization: vec![Utilization::IDLE; n],
-            temp: vec![initial; n],
+            temp,
             forced: vec![None; n],
-            heat_edges: model
-                .heat_edges()
-                .iter()
-                .map(|e| (e.a.index(), e.b.index(), e.k))
-                .collect(),
-            air_edges: model
-                .air_edges()
-                .iter()
-                .map(|e| (e.from.index(), e.to.index(), e.fraction))
-                .collect(),
-            topo: model.topo_order().iter().map(|id| id.index()).collect(),
-            inlets,
-            fan: model.fan(),
-            inlet_temperature: model.inlet_temperature(),
-            kernel: StepKernel::new(cfg.dt, cfg.stability_limit),
-            fixed: vec![false; n],
+            fixed,
             power_q: vec![0.0; n],
-            components,
+            fan: body.fan,
+            inlet_temperature: body.inlet_temperature,
             pinned: 0,
-            dirty: true,
-            rebuild_epoch: 0,
+            dirty: false,
+            rebuild_epoch: 1,
             inputs_dirty: true,
             temps_dirty: true,
             power_models_dirty: true,
-            fingerprint: model.structural_fingerprint(),
             diverged: false,
             cfg,
             time: Seconds(0.0),
             generated_last_tick: Joules(0.0),
-            metrics: SolverMetrics::new(),
+            metrics,
             ticks_stepped: 0,
             instrumented: true,
-        };
-        solver.refresh();
-        // Inlets are boundary nodes, and start at the boundary
-        // temperature even when `initial_temperature` differs.
-        for &i in &solver.inlets.clone() {
-            solver.fixed[i] = true;
-            solver.temp[i] = solver.inlet_temperature;
         }
-        Ok(solver)
     }
 
     /// The machine name this solver emulates.
@@ -264,15 +378,15 @@ impl Solver {
 
     /// All node names, in model order.
     pub fn node_names(&self) -> impl Iterator<Item = &str> {
-        self.names.iter().map(String::as_str)
+        self.shape.body.nodes.iter().map(NodeSpec::name)
     }
 
     /// Names of the monitored components (the ones that accept
     /// [`Solver::set_utilization`]).
     pub fn monitored_components(&self) -> Vec<&str> {
-        (0..self.kind.len())
+        (0..self.shape.kind.len())
             .filter(|&i| self.is_monitored_at(i))
-            .map(|i| self.names[i].as_str())
+            .map(|i| self.shape.name(i))
             .collect()
     }
 
@@ -285,7 +399,7 @@ impl Solver {
     /// Panics if `index` is out of range.
     pub fn is_monitored_at(&self, index: usize) -> bool {
         matches!(
-            self.kind[index],
+            self.shape.kind[index],
             NodeRt::Component {
                 monitored: true,
                 ..
@@ -295,42 +409,22 @@ impl Solver {
 
     /// Whether the named node is an inlet air region.
     pub fn is_inlet(&self, name: &str) -> bool {
-        self.by_name
-            .get(name)
-            .map(|&i| {
-                matches!(
-                    self.kind[i],
-                    NodeRt::Air {
-                        kind: AirKind::Inlet,
-                        ..
-                    }
-                )
-            })
-            .unwrap_or(false)
+        self.is_air_kind(name, AirKind::Inlet)
     }
 
     /// Whether the named node is an exhaust air region.
     pub fn is_exhaust(&self, name: &str) -> bool {
-        self.by_name
-            .get(name)
-            .map(|&i| {
-                matches!(
-                    self.kind[i],
-                    NodeRt::Air {
-                        kind: AirKind::Exhaust,
-                        ..
-                    }
-                )
-            })
-            .unwrap_or(false)
+        self.is_air_kind(name, AirKind::Exhaust)
+    }
+
+    fn is_air_kind(&self, name: &str, air: AirKind) -> bool {
+        self.node_index(name)
+            .is_some_and(|i| matches!(self.shape.kind[i], NodeRt::Air { kind, .. } if kind == air))
     }
 
     /// Sub-steps the solver currently performs per tick (diagnostic).
     pub fn substeps_per_tick(&mut self) -> usize {
-        if self.dirty {
-            self.refresh();
-        }
-        self.kernel.substeps()
+        self.compiled_kernel().substeps()
     }
 
     /// Heat generated by all components during the most recent tick.
@@ -344,16 +438,14 @@ impl Solver {
         Joules(
             self.temp
                 .iter()
-                .zip(&self.capacity)
+                .zip(&self.shape.capacity)
                 .map(|(t, c)| t.0 * c.0)
                 .sum(),
         )
     }
 
     fn index(&self, name: &str) -> Result<usize, Error> {
-        self.by_name
-            .get(name)
-            .copied()
+        self.node_index(name)
             .ok_or_else(|| Error::unknown_node(name))
     }
 
@@ -368,9 +460,8 @@ impl Solver {
 
     /// Snapshot of every node's temperature, in model order.
     pub fn temperatures(&self) -> Vec<(String, Celsius)> {
-        self.names
-            .iter()
-            .cloned()
+        self.node_names()
+            .map(str::to_string)
             .zip(self.temp.iter().copied())
             .collect()
     }
@@ -380,7 +471,7 @@ impl Solver {
     /// solver's lifetime; resolve once, then poll with
     /// [`Solver::temperature_at`] on the hot path.
     pub fn node_index(&self, name: &str) -> Option<usize> {
-        self.by_name.get(name).copied()
+        self.shape.by_name.get(name).copied()
     }
 
     /// The current temperature of the node at `index` (from
@@ -426,7 +517,7 @@ impl Solver {
         index: usize,
         utilization: impl Into<Utilization>,
     ) -> Result<(), Error> {
-        match &self.kind[index] {
+        match &self.shape.kind[index] {
             NodeRt::Component {
                 monitored: true, ..
             } => {
@@ -438,11 +529,11 @@ impl Solver {
                 monitored: false, ..
             } => Err(Error::invalid_input(format!(
                 "component `{}` is not monitored; its power draw is fixed",
-                self.names[index]
+                self.shape.name(index)
             ))),
             NodeRt::Air { .. } => Err(Error::invalid_input(format!(
                 "`{}` is an air region, not a component",
-                self.names[index]
+                self.shape.name(index)
             ))),
         }
     }
@@ -459,7 +550,7 @@ impl Solver {
     /// Sets the inlet boundary temperature (all inlet nodes).
     pub fn set_inlet_temperature(&mut self, t: Celsius) {
         self.inlet_temperature = t;
-        for &i in &self.inlets {
+        for &i in &self.shape.inlets {
             if self.forced[i].is_none() {
                 self.temp[i] = t;
             }
@@ -499,7 +590,7 @@ impl Solver {
         if self.forced[i].take().is_some() {
             self.pinned -= 1;
         }
-        self.fixed[i] = self.inlets.contains(&i);
+        self.fixed[i] = self.shape.inlets.contains(&i);
         if self.fixed[i] {
             self.temp[i] = self.inlet_temperature;
         }
@@ -554,17 +645,17 @@ impl Solver {
         }
         let ia = self.index(a)?;
         let ib = self.index(b)?;
-        for edge in &mut self.heat_edges {
-            if (edge.0 == ia && edge.1 == ib) || (edge.0 == ib && edge.1 == ia) {
-                edge.2 = WattsPerKelvin(k);
-                self.dirty = true;
-                self.diverged = true;
-                return Ok(());
-            }
-        }
-        Err(Error::invalid_input(format!(
-            "no heat edge between `{a}` and `{b}`"
-        )))
+        let Some(edge) = (self.shape.heat_edges.iter())
+            .position(|&(x, y, _)| (x == ia && y == ib) || (x == ib && y == ia))
+        else {
+            return Err(Error::invalid_input(format!(
+                "no heat edge between `{a}` and `{b}`"
+            )));
+        };
+        Arc::make_mut(&mut self.shape).heat_edges[edge].2 = WattsPerKelvin(k);
+        self.dirty = true;
+        self.diverged = true;
+        Ok(())
     }
 
     /// Changes the fraction of an existing air edge. The fractions leaving
@@ -582,33 +673,29 @@ impl Solver {
         }
         let ifrom = self.index(from)?;
         let ito = self.index(to)?;
-        let mut found = false;
+        let mut found = None;
         let mut total = 0.0;
-        for edge in &mut self.air_edges {
-            if edge.0 == ifrom {
-                if edge.1 == ito {
-                    found = true;
+        for (e, &(src, dst, f)) in self.shape.air_edges.iter().enumerate() {
+            if src == ifrom {
+                if dst == ito {
+                    found = Some(e);
                     total += fraction;
                 } else {
-                    total += edge.2;
+                    total += f;
                 }
             }
         }
-        if !found {
+        let Some(edge) = found else {
             return Err(Error::invalid_input(format!(
                 "no air edge `{from}` -> `{to}`"
             )));
-        }
+        };
         if total > 1.0 + 1e-9 {
             return Err(Error::invalid_input(format!(
                 "air fractions leaving `{from}` would sum to {total:.4} > 1"
             )));
         }
-        for edge in &mut self.air_edges {
-            if edge.0 == ifrom && edge.1 == ito {
-                edge.2 = fraction;
-            }
-        }
+        Arc::make_mut(&mut self.shape).air_edges[edge].2 = fraction;
         self.dirty = true;
         self.diverged = true;
         Ok(())
@@ -624,39 +711,29 @@ impl Solver {
     pub fn set_power_model(&mut self, name: &str, model: PowerModel) -> Result<(), Error> {
         model.validate().map_err(Error::invalid_input)?;
         let i = self.index(name)?;
-        match &mut self.kind[i] {
-            NodeRt::Component { power, .. } => {
-                *power = model;
-                self.inputs_dirty = true;
-                self.power_models_dirty = true;
-                Ok(())
-            }
-            NodeRt::Air { .. } => Err(Error::invalid_input(format!(
+        if let NodeRt::Air { .. } = self.shape.kind[i] {
+            return Err(Error::invalid_input(format!(
                 "`{name}` is an air region, not a component"
-            ))),
+            )));
         }
+        if let NodeRt::Component { power, .. } = &mut Arc::make_mut(&mut self.shape).kind[i] {
+            *power = model;
+        }
+        self.inputs_dirty = true;
+        self.power_models_dirty = true;
+        Ok(())
     }
 
-    /// Recompiles the kernel from the current edge lists and fan speed.
+    /// Recompiles the kernel from the current edge lists and fan speed,
+    /// on a copy of its own if the kernel is shared.
     fn refresh(&mut self) {
-        let recomputes_before = self.kernel.flow_recomputes();
-        let kind = &self.kind;
-        self.kernel.rebuild(
-            &self.heat_edges,
-            &self.air_edges,
-            &self.topo,
-            &self.inlets,
-            self.fan.mass_flow(),
-            &self.capacity,
-            |i| match kind[i] {
-                NodeRt::Air { mass_kg, .. } => Some(mass_kg),
-                NodeRt::Component { .. } => None,
-            },
-        );
+        let kernel = Arc::make_mut(&mut self.kernel);
+        let recomputes_before = kernel.flow_recomputes();
+        self.shape.compile(kernel, self.fan);
         if self.instrumented {
             self.metrics
                 .flow_recomputes
-                .add(self.kernel.flow_recomputes() - recomputes_before);
+                .add(kernel.flow_recomputes() - recomputes_before);
         }
         self.dirty = false;
         self.rebuild_epoch += 1;
@@ -674,14 +751,6 @@ impl Solver {
         &self.metrics
     }
 
-    /// Adopts a shared metric bundle (a cluster's), folding whatever
-    /// this solver already counted — notably the initial flow compile —
-    /// into it so no work goes unreported.
-    pub(crate) fn share_metrics(&mut self, shared: &SolverMetrics) {
-        shared.absorb(&self.metrics);
-        self.metrics = shared.clone();
-    }
-
     /// Runtime switch for metric updates (default on). Off makes the
     /// solver skip handle updates and latency sampling entirely — used
     /// by the overhead benchmark to A/B within one binary. The
@@ -689,6 +758,20 @@ impl Solver {
     /// feature.
     pub fn set_instrumentation(&mut self, on: bool) {
         self.instrumented = on;
+    }
+
+    /// Whether this solver and `other` share one copy of their machine
+    /// type's structure (see the type docs).
+    #[doc(hidden)]
+    pub fn shares_shape_with(&self, other: &Solver) -> bool {
+        Arc::ptr_eq(&self.shape, &other.shape)
+    }
+
+    /// Whether this solver and `other` share one compiled kernel (see
+    /// the type docs).
+    #[doc(hidden)]
+    pub fn shares_kernel_with(&self, other: &Solver) -> bool {
+        Arc::ptr_eq(&self.kernel, &other.kernel)
     }
 
     /// Prices this tick's generated heat exactly as [`Solver::step`]
@@ -709,8 +792,8 @@ impl Solver {
         if !self.inputs_dirty {
             return false;
         }
-        for c in 0..self.components.len() {
-            let i = self.components[c];
+        for c in 0..self.shape.components.len() {
+            let i = self.shape.components[c];
             self.power_q[i] = self.price_node(i);
         }
         self.inputs_dirty = false;
@@ -721,7 +804,7 @@ impl Solver {
     /// utilization (Equation 3; zero for an air region). The compiled
     /// kernel must be current — it is inside a tick and inside a span.
     pub(crate) fn price_node(&self, i: usize) -> f64 {
-        match &self.kind[i] {
+        match &self.shape.kind[i] {
             NodeRt::Component { power, .. } => {
                 crate::physics::heat_generated(power, self.utilization[i], self.kernel.dt_sub()).0
             }
@@ -735,7 +818,7 @@ impl Solver {
     /// everything else: those go through [`Solver::set_utilization_at`]
     /// and [`Solver::price_node`].
     pub(crate) fn lane_pricing(&self, i: usize) -> Option<(f64, f64)> {
-        match &self.kind[i] {
+        match &self.shape.kind[i] {
             NodeRt::Component {
                 power,
                 monitored: true,
@@ -803,10 +886,12 @@ impl Solver {
     /// something changed since the last pricing — on an in-span tick,
     /// only the call's feed can have. Heat accounting lands immediately;
     /// the time advance and tick bookkeeping are booked once per call
-    /// via [`Solver::finish_span`].
+    /// via [`Solver::finish_span`]. The tick writes the kernel's
+    /// scratch, so a shared kernel is copied first.
     pub(crate) fn tick_fused(&mut self) {
         self.fill_tick_inputs();
-        let generated = self.kernel.tick(&mut self.temp, &self.fixed, &self.power_q);
+        let kernel = Arc::make_mut(&mut self.kernel);
+        let generated = kernel.tick(&mut self.temp, &self.fixed, &self.power_q);
         self.generated_last_tick = Joules(generated);
     }
 
@@ -832,16 +917,8 @@ impl Solver {
     /// Node indices of the exhaust air regions, in model order (cold:
     /// a batch group reads its representative's once).
     pub(crate) fn exhaust_nodes(&self) -> Vec<usize> {
-        (0..self.kind.len())
-            .filter(|&i| {
-                matches!(
-                    self.kind[i],
-                    NodeRt::Air {
-                        kind: AirKind::Exhaust,
-                        ..
-                    }
-                )
-            })
+        (0..self.shape.kind.len())
+            .filter(|&i| self.shape.body.nodes[i].is_air_kind(AirKind::Exhaust))
             .collect()
     }
 
@@ -854,7 +931,7 @@ impl Solver {
 
     /// Structural fingerprint of the source model, for batch grouping.
     pub(crate) fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        self.shape.fingerprint
     }
 
     /// Whether this machine may step on the batched path this tick: no
@@ -877,7 +954,7 @@ impl Solver {
 
     /// Component node indices, in node order.
     pub(crate) fn component_nodes(&self) -> &[usize] {
-        &self.components
+        &self.shape.components
     }
 
     /// Recompiles the kernel if a change is pending, then exposes it
@@ -892,12 +969,16 @@ impl Solver {
     /// [`Solver::compiled_kernel`] with its tick composed for the
     /// current boundary mask — what a batch group copies from its
     /// representative, and a per-lane chunk from each lane. A pin or a
-    /// release changes the mask, so the next call recomposes.
+    /// release changes the mask, so the next call recomposes, on a copy
+    /// of its own if the kernel is shared; the kernel a machine type
+    /// shares is composed for its inlet-only mask already.
     pub(crate) fn composed_kernel(&mut self) -> &StepKernel {
         if self.dirty {
             self.refresh();
         }
-        self.kernel.compose(&self.fixed);
+        if !self.kernel.is_composed_for(&self.fixed) {
+            Arc::make_mut(&mut self.kernel).compose(&self.fixed);
+        }
         &self.kernel
     }
 
@@ -938,12 +1019,12 @@ impl Solver {
             w.f64(self.utilization[i].fraction());
             w.opt_f64(self.forced[i].map(|t| t.0));
         }
-        w.u32(self.heat_edges.len() as u32);
-        for &(_, _, k) in &self.heat_edges {
+        w.u32(self.shape.heat_edges.len() as u32);
+        for &(_, _, k) in &self.shape.heat_edges {
             w.f64(k.0);
         }
-        w.u32(self.air_edges.len() as u32);
-        for &(_, _, fraction) in &self.air_edges {
+        w.u32(self.shape.air_edges.len() as u32);
+        for &(_, _, fraction) in &self.shape.air_edges {
             w.f64(fraction);
         }
     }
@@ -951,15 +1032,18 @@ impl Solver {
     /// Restores state written by [`Solver::write_ckpt`] into this solver,
     /// which must have been built from the same machine model.
     ///
-    /// Marks the kernel dirty and the tick inputs stale so the next step
-    /// recompiles from the restored edge constants and re-prices power —
-    /// recompilation is deterministic, so a restored solver continues the
-    /// checkpointed trajectory bit-for-bit.
+    /// Marks the tick inputs stale so the next step re-prices power, and
+    /// the kernel dirty when the restored fan or edge constants differ
+    /// from the compiled ones — recompilation is deterministic, so a
+    /// restored solver continues the checkpointed trajectory
+    /// bit-for-bit. Constants equal to the shared ones keep sharing;
+    /// different edge constants are written to a copy of the shape.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidInput`] when the blob is truncated or was
-    /// taken from a differently shaped machine.
+    /// Returns [`Error::InvalidInput`] when the blob is truncated, was
+    /// taken from a differently shaped machine, or clears the diverged
+    /// flag while its fan or edge constants differ from the model's.
     pub(crate) fn read_ckpt(
         &mut self,
         r: &mut crate::trace::checkpoint::CkptReader<'_>,
@@ -974,7 +1058,11 @@ impl Solver {
         self.time = Seconds(r.f64("machine time")?);
         self.ticks_stepped = r.u64("ticks stepped")?;
         self.generated_last_tick = Joules(r.f64("generated heat")?);
-        self.fan = CubicMetersPerSecond(r.f64("fan")?);
+        let fan = CubicMetersPerSecond(r.f64("fan")?);
+        if fan.0.to_bits() != self.fan.0.to_bits() {
+            self.fan = fan;
+            self.dirty = true;
+        }
         self.inlet_temperature = Celsius(r.f64("inlet temperature")?);
         self.diverged = match r.u8("diverged flag")? {
             0 => false,
@@ -990,21 +1078,36 @@ impl Solver {
             self.temp[i] = Celsius(r.f64("node temperature")?);
             self.utilization[i] = Utilization::new(r.f64("node utilization")?);
             self.forced[i] = r.opt_f64("forced temperature")?.map(Celsius);
-            self.fixed[i] = self.forced[i].is_some() || self.inlets.contains(&i);
+            self.fixed[i] = self.forced[i].is_some() || self.shape.inlets.contains(&i);
         }
         self.pinned = self.forced.iter().flatten().count();
-        r.count("heat edge", self.heat_edges.len())?;
-        for edge in &mut self.heat_edges {
-            edge.2 = WattsPerKelvin(r.f64("heat conductance")?);
+        r.count("heat edge", self.shape.heat_edges.len())?;
+        for e in 0..self.shape.heat_edges.len() {
+            let k = r.f64("heat conductance")?;
+            if k.to_bits() != self.shape.heat_edges[e].2 .0.to_bits() {
+                Arc::make_mut(&mut self.shape).heat_edges[e].2 = WattsPerKelvin(k);
+                self.dirty = true;
+            }
         }
-        r.count("air edge", self.air_edges.len())?;
-        for edge in &mut self.air_edges {
-            edge.2 = r.f64("air fraction")?;
+        r.count("air edge", self.shape.air_edges.len())?;
+        for e in 0..self.shape.air_edges.len() {
+            let fraction = r.f64("air fraction")?;
+            if fraction.to_bits() != self.shape.air_edges[e].2.to_bits() {
+                Arc::make_mut(&mut self.shape).air_edges[e].2 = fraction;
+                self.dirty = true;
+            }
         }
-        // Force a kernel rebuild, input re-pricing and a lane re-gather
-        // on the next tick; all are pure functions of the state restored
-        // above.
-        self.dirty = true;
+        // An undiverged machine steps on its group's shared weights, so
+        // its constants must be the model's.
+        if !self.diverged && !self.shape.is_model(self.fan) {
+            return Err(Error::invalid_input(format!(
+                "checkpoint machine `{name}` is marked undiverged, but its fan or edge \
+                 constants differ from the model's"
+            )));
+        }
+        // Input re-pricing and a lane re-gather on the next tick, plus
+        // the kernel rebuild if `dirty`; all are pure functions of the
+        // state restored above.
         self.inputs_dirty = true;
         self.temps_dirty = true;
         Ok(())
@@ -1013,7 +1116,7 @@ impl Solver {
     /// Advances the emulation by one tick of [`SolverConfig::dt`] seconds.
     ///
     /// The graph arithmetic (Equations 2, 3, and 5 plus advection) runs in
-    /// the compiled [`StepKernel`]; this method only refreshes the kernel
+    /// the compiled `StepKernel`; this method only refreshes the kernel
     /// when dirty and prices the per-tick inputs — boundary flags and the
     /// per-sub-step generated heat, both constant within a tick. It is
     /// the tick a solo machine runs inside a cluster call

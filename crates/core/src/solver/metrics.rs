@@ -51,8 +51,9 @@ pub struct SolverMetrics {
     pub substeps: Counter,
     /// `mercury_solver_flow_recomputes_total` — air-flow distribution
     /// recompilations, aggregated across machines. The initial compile
-    /// counts as one; only changes that move the flows (fan speed, air
-    /// fractions) add more.
+    /// counts once per machine type (a cluster's replicas share one);
+    /// only changes that move the flows (fan speed, air fractions) add
+    /// more.
     pub flow_recomputes: Counter,
     /// `mercury_solver_simd_lane_width` — `f64` lanes per vector
     /// register at the batched sweep's active SIMD level. Set at
@@ -101,17 +102,6 @@ impl SolverMetrics {
             &[],
             &self.simd_lane_width,
         );
-    }
-
-    /// Folds another bundle's counts into this one — used when a solver
-    /// constructed with its own detached bundle is adopted into a
-    /// cluster's shared bundle, so work done at construction (the
-    /// initial flow pricing) is not lost. Histograms are not folded:
-    /// nothing samples latency before adoption.
-    pub(crate) fn absorb(&self, other: &SolverMetrics) {
-        self.ticks.add(other.ticks.get());
-        self.substeps.add(other.substeps.get());
-        self.flow_recomputes.add(other.flow_recomputes.get());
     }
 }
 
@@ -331,16 +321,5 @@ mod tests {
         ] {
             assert!(text.contains(family), "missing {family} in:\n{text}");
         }
-    }
-
-    #[test]
-    fn absorb_folds_counters() {
-        let shared = SolverMetrics::new();
-        let own = SolverMetrics::new();
-        own.flow_recomputes.inc();
-        own.ticks.add(3);
-        shared.absorb(&own);
-        assert_eq!(shared.flow_recomputes.get(), 1);
-        assert_eq!(shared.ticks.get(), 3);
     }
 }

@@ -281,6 +281,51 @@ mod tests {
         assert_eq!(save(&a), save(&b));
     }
 
+    /// Where machine `m`'s diverged flag sits in a `validation_cluster`
+    /// blob (see the layout in the module docs).
+    fn diverged_flag_at(c: &ClusterSolver, m: usize) -> usize {
+        let model = presets::validation_machine();
+        let nodes = model.nodes().len();
+        let edges = model.heat_edges().len() + model.air_edges().len();
+        let header = 8 + 4 + 8 + (4 + 8) + (4 + 8) + 4;
+        let before_flag = |i: usize| 9 + 2 + c.machine_at(i).machine_name().len() + 5 * 8;
+        let machine = |i: usize| before_flag(i) + 1 + 4 + nodes * 25 + 2 * 4 + edges * 8;
+        header + (0..m).map(machine).sum::<usize>() + before_flag(m)
+    }
+
+    #[test]
+    fn restore_rejects_an_undiverged_flag_on_retuned_constants() {
+        let fiddles: [fn(&mut crate::solver::Solver); 3] = [
+            |s| s.set_fan_cfm(30.0).unwrap(),
+            |s| s.set_heat_k("cpu", "cpu_air", 0.9).unwrap(),
+            |s| s.set_air_fraction("void_air", "exhaust", 0.9).unwrap(),
+        ];
+        for fiddle in fiddles {
+            let mut a = cluster(3);
+            fiddle(a.machine_at_mut(1));
+            a.step();
+            let mut blob = save(&a);
+            let flag = diverged_flag_at(&a, 1);
+            assert_eq!(blob[flag], 1, "the fiddled machine is diverged");
+            restore(&mut cluster(3), &blob).unwrap();
+            blob[flag] = 0;
+            let err = restore(&mut cluster(3), &blob).unwrap_err();
+            assert!(
+                matches!(&err, Error::InvalidInput { reason } if reason.contains("undiverged")),
+                "{err}"
+            );
+        }
+        // A set flag stays valid with the model's own constants.
+        let c = cluster(3);
+        let mut blob = save(&c);
+        let flag = diverged_flag_at(&c, 2);
+        assert_eq!(blob[flag], 0);
+        blob[flag] = 1;
+        let mut b = cluster(3);
+        restore(&mut b, &blob).unwrap();
+        assert_eq!(save(&b), blob);
+    }
+
     #[test]
     fn restore_rejects_mismatched_targets() {
         let a = cluster(2);

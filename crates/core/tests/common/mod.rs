@@ -61,6 +61,9 @@ pub enum Fiddle {
     ReleaseAir,
     /// `set_utilization(cpu, u)`.
     Utilization(f64),
+    /// `set_power_model(cpu, linear(7 W, max W))`: a power model the
+    /// lanes still price themselves.
+    Power(f64),
 }
 
 /// A [`Fiddle`] applied before tick `tick` to machine `machine` (taken
@@ -174,6 +177,9 @@ pub fn fiddle(solver: &mut Solver, fiddle: &Fiddle) {
             .unwrap(),
         Fiddle::ReleaseAir => solver.release_temperature(nodes::CPU_AIR).unwrap(),
         Fiddle::Utilization(u) => solver.set_utilization(nodes::CPU, u).unwrap(),
+        Fiddle::Power(max_w) => solver
+            .set_power_model(nodes::CPU, PowerModel::linear(7.0, max_w))
+            .unwrap(),
     }
 }
 
@@ -1819,6 +1825,10 @@ impl RoomMachine for ReferenceSolver {
             Fiddle::PinAir(t) => self.pin(nodes::CPU_AIR, t),
             Fiddle::ReleaseAir => self.release(nodes::CPU_AIR),
             Fiddle::Utilization(u) => self.set_utilization(nodes::CPU, u),
+            Fiddle::Power(max_w) => {
+                let i = self.index(nodes::CPU);
+                self.power[i] = Some(PowerModel::linear(7.0, max_w));
+            }
         }
     }
 
