@@ -71,12 +71,9 @@
 // obligation `std::thread::scope` does internally (the driver outlives
 // every borrow it publishes), (b) the two `#[target_feature]` call
 // sites in `solver::simd` (each guarded by runtime detection of its
-// feature; the sweep they call is safe Rust), (c) the aligned chunk
+// feature; the sweep they call is safe Rust), and (c) the aligned chunk
 // buffers in `solver::aligned` (a fixed-length `Vec<f64>` at
-// cache-line alignment), and (d) the read-only `mmap`
-// of `.events` trace files in `trace::stream` (a private mapping of
-// an immutable file, unmapped on drop, with a buffered-read fallback
-// on the same code path). Each site carries a SAFETY comment, is
+// cache-line alignment). Each site carries a SAFETY comment, is
 // `#[allow]`ed individually, and is exercised under ThreadSanitizer
 // in CI; everything else in the crate remains safe Rust.
 #![deny(unsafe_code)]
@@ -84,6 +81,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod build;
+mod codec;
 pub mod error;
 pub mod fan;
 pub mod fiddle;

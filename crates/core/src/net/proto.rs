@@ -1,19 +1,32 @@
 //! Wire format of the Mercury UDP protocol.
 //!
-//! Datagrams are small, length-prefixed binary messages. Strings are
+//! Datagrams are small little-endian binary messages, written and read
+//! through the crate's one strict codec: a decoder rejects truncation,
+//! trailing bytes and anything over [`MAX_DATAGRAM`]. Strings are
 //! `u8`-length-prefixed UTF-8 (node and machine names are short);
 //! utilizations travel as `f32` (plenty for a `[0, 1]` fraction) and
 //! temperatures as `f64`. A typical utilization update — machine name plus
 //! a handful of `(component, utilization)` pairs — fits comfortably inside
 //! the 128-byte updates the paper describes.
+//!
+//! A document too long for one datagram — a scrape, a span dump, a
+//! series-query result — travels as [`Reply::Part`]s cut at line
+//! boundaries by [`parts`], and `net::fetch_multipart` reassembles it.
 
+use crate::codec::{prefix, Reader, Writer};
 use crate::error::Error;
 use crate::fiddle::FiddleCommand;
-use bytes::{Buf, BufMut};
 use telemetry::tsdb::QueryKind;
 
 /// Largest datagram either side will send or accept.
 pub const MAX_DATAGRAM: usize = 1400;
+
+/// Longest error message a [`Reply::Error`] carries, in bytes.
+const MAX_ERROR_MESSAGE: usize = 512;
+
+/// Bytes a [`Reply::Part`] spends before its text: tag, index, total
+/// and the text's length.
+const PART_HEADER: usize = 7;
 
 /// Client → service messages.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,21 +58,18 @@ pub enum Request {
     /// Liveness probe.
     Ping,
     /// Scrape the service's telemetry registry (Prometheus text
-    /// exposition). Answered by one or more [`Reply::Metrics`]
-    /// datagrams, split at line boundaries.
+    /// exposition). Answered by one or more [`Reply::Part`] datagrams.
     Scrape,
     /// Dump the service's recent trace spans (JSONL, one span object
     /// per line — see `telemetry::trace`). Answered by one or more
-    /// [`Reply::Trace`] datagrams, split at line boundaries like a
-    /// scrape. A service without an attached tracer answers with a
-    /// single empty part.
+    /// [`Reply::Part`] datagrams; a service without an attached tracer
+    /// answers with a single empty part.
     TraceDump,
     /// Query the service's sampled time-series history
-    /// (`telemetry::tsdb`). Answered by one or more [`Reply::Series`]
+    /// (`telemetry::tsdb`). Answered by one or more [`Reply::Part`]
     /// datagrams carrying the line-oriented result text
-    /// (`telemetry::tsdb::render_results`), split at line boundaries
-    /// like a scrape. A service without sampling enabled answers with
-    /// [`Reply::Error`].
+    /// (`telemetry::tsdb::render_results`). A service without sampling
+    /// enabled answers with [`Reply::Error`].
     SeriesQuery {
         /// `*`-glob over series names (e.g. `temp/*/cpu`).
         pattern: String,
@@ -94,39 +104,17 @@ pub enum Reply {
     },
     /// Answer to [`Request::Ping`].
     Pong,
-    /// One part of a scraped telemetry exposition. A full scrape rarely
-    /// fits [`MAX_DATAGRAM`], so the service splits the document at
-    /// metric-line boundaries into `parts` datagrams; `part` counts from
-    /// 0 and each carries whole lines, so the client reassembles with
-    /// plain concatenation.
-    Metrics {
+    /// One part of a document too long for one datagram: a scrape's
+    /// exposition, a span dump or a series-query result. [`parts`] cuts
+    /// the document at line boundaries into `total` parts, so each
+    /// carries whole lines and the client reassembles by concatenating
+    /// them in `index` order. The request fixes which document it is.
+    Part {
         /// Zero-based index of this part.
-        part: u16,
-        /// Total parts in the scrape.
-        parts: u16,
-        /// This part's whole exposition lines.
-        text: String,
-    },
-    /// One part of a span dump ([`Request::TraceDump`]): JSONL span
-    /// objects, split at line boundaries exactly like
-    /// [`Reply::Metrics`], reassembled by plain concatenation.
-    Trace {
-        /// Zero-based index of this part.
-        part: u16,
-        /// Total parts in the dump.
-        parts: u16,
-        /// This part's whole JSONL lines.
-        text: String,
-    },
-    /// One part of a series-query result ([`Request::SeriesQuery`]):
-    /// one series per line, split at line boundaries exactly like
-    /// [`Reply::Metrics`], reassembled by plain concatenation.
-    Series {
-        /// Zero-based index of this part.
-        part: u16,
-        /// Total parts in the result.
-        parts: u16,
-        /// This part's whole result lines.
+        index: u16,
+        /// Parts in the document.
+        total: u16,
+        /// This part's whole lines.
         text: String,
     },
     /// The request failed on the service side.
@@ -150,73 +138,43 @@ const TAG_ACK: u8 = 0x82;
 const TAG_NODES: u8 = 0x83;
 const TAG_PONG: u8 = 0x84;
 const TAG_ERR: u8 = 0x85;
-const TAG_METRICS: u8 = 0x86;
-const TAG_TRACE: u8 = 0x87;
-const TAG_SERIES: u8 = 0x88;
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    debug_assert!(
-        bytes.len() <= u8::MAX as usize,
-        "protocol strings are short names"
-    );
-    buf.put_u8(bytes.len().min(255) as u8);
-    buf.put_slice(&bytes[..bytes.len().min(255)]);
-}
-
-fn get_str(buf: &mut &[u8]) -> Result<String, Error> {
-    if buf.remaining() < 1 {
-        return Err(Error::protocol("truncated string length"));
-    }
-    let len = buf.get_u8() as usize;
-    if buf.remaining() < len {
-        return Err(Error::protocol("truncated string body"));
-    }
-    let s = std::str::from_utf8(&buf[..len])
-        .map_err(|_| Error::protocol("string is not valid UTF-8"))?
-        .to_string();
-    buf.advance(len);
-    Ok(s)
-}
+const TAG_PART: u8 = 0x86;
 
 /// Encodes a request into a datagram.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(128);
+    let mut w = Writer::with_capacity(128);
     match req {
         Request::UtilizationUpdate {
             machine,
             utilizations,
         } => {
-            buf.put_u8(TAG_UTIL);
-            put_str(&mut buf, machine);
-            buf.put_u8(utilizations.len().min(255) as u8);
+            w.u8(TAG_UTIL);
+            w.str_u8(machine);
+            w.u8(utilizations.len().min(255) as u8);
             for (component, util) in utilizations.iter().take(255) {
-                put_str(&mut buf, component);
-                buf.put_f32(*util);
+                w.str_u8(component);
+                w.f32(*util);
             }
         }
         Request::ReadTemperature { machine, node } => {
-            buf.put_u8(TAG_READ);
-            put_str(&mut buf, machine);
-            put_str(&mut buf, node);
+            w.u8(TAG_READ);
+            w.str_u8(machine);
+            w.str_u8(node);
         }
         Request::Fiddle { command } => {
-            buf.put_u8(TAG_FIDDLE);
+            w.u8(TAG_FIDDLE);
             // Fiddle commands reuse their script syntax on the wire: the
             // service parses them with the same parser as script files,
             // keeping the two front doors behaviourally identical.
-            let line = command.to_string();
-            let bytes = line.as_bytes();
-            buf.put_u16(bytes.len() as u16);
-            buf.put_slice(bytes);
+            w.str_u16(&command.to_string());
         }
         Request::ListNodes { machine } => {
-            buf.put_u8(TAG_LIST);
-            put_str(&mut buf, machine);
+            w.u8(TAG_LIST);
+            w.str_u8(machine);
         }
-        Request::Ping => buf.put_u8(TAG_PING),
-        Request::Scrape => buf.put_u8(TAG_SCRAPE),
-        Request::TraceDump => buf.put_u8(TAG_TRACE_DUMP),
+        Request::Ping => w.u8(TAG_PING),
+        Request::Scrape => w.u8(TAG_SCRAPE),
+        Request::TraceDump => w.u8(TAG_TRACE_DUMP),
         Request::SeriesQuery {
             pattern,
             start,
@@ -224,15 +182,26 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             step,
             kind,
         } => {
-            buf.put_u8(TAG_SERIES_QUERY);
-            put_str(&mut buf, pattern);
-            buf.put_u64(*start);
-            buf.put_u64(*end);
-            buf.put_u64(*step);
-            buf.put_u8(kind.as_u8());
+            w.u8(TAG_SERIES_QUERY);
+            w.str_u8(pattern);
+            w.u64(*start);
+            w.u64(*end);
+            w.u64(*step);
+            w.u8(kind.as_u8());
         }
     }
-    buf
+    w.into_bytes()
+}
+
+/// A reader over one datagram, which must fit [`MAX_DATAGRAM`].
+fn datagram<'a>(data: &'a [u8], doc: &'static str) -> Result<Reader<&'a [u8]>, Error> {
+    if data.len() > MAX_DATAGRAM {
+        return Err(Error::protocol(format!(
+            "{doc} of {} bytes exceeds MAX_DATAGRAM",
+            data.len()
+        )));
+    }
+    Ok(Reader::protocol(data, doc))
 }
 
 /// Decodes a request datagram.
@@ -240,99 +209,76 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns [`Error::Protocol`] for truncated, oversized, or malformed
-/// payloads.
-pub fn decode_request(mut data: &[u8]) -> Result<Request, Error> {
-    if data.len() > MAX_DATAGRAM {
-        return Err(Error::protocol("datagram exceeds MAX_DATAGRAM"));
-    }
-    if data.is_empty() {
-        return Err(Error::protocol("empty datagram"));
-    }
-    let buf = &mut data;
-    let tag = buf.get_u8();
-    match tag {
+/// payloads, and for bytes after the last field.
+pub fn decode_request(data: &[u8]) -> Result<Request, Error> {
+    let mut r = datagram(data, "request")?;
+    let request = match r.u8("tag")? {
         TAG_UTIL => {
-            let machine = get_str(buf)?;
-            if buf.remaining() < 1 {
-                return Err(Error::protocol("truncated utilization count"));
-            }
-            let n = buf.get_u8() as usize;
-            let mut utilizations = Vec::with_capacity(n);
+            let machine = r.str_u8("machine")?;
+            let n = r.u8("utilization count")?;
+            let mut utilizations = Vec::new();
             for _ in 0..n {
-                let component = get_str(buf)?;
-                if buf.remaining() < 4 {
-                    return Err(Error::protocol("truncated utilization value"));
-                }
-                utilizations.push((component, buf.get_f32()));
+                let component = r.str_u8("component")?;
+                utilizations.push((component, r.f32("utilization")?));
             }
-            Ok(Request::UtilizationUpdate {
+            Request::UtilizationUpdate {
                 machine,
                 utilizations,
-            })
+            }
         }
-        TAG_READ => {
-            let machine = get_str(buf)?;
-            let node = get_str(buf)?;
-            Ok(Request::ReadTemperature { machine, node })
-        }
+        TAG_READ => Request::ReadTemperature {
+            machine: r.str_u8("machine")?,
+            node: r.str_u8("node")?,
+        },
         TAG_FIDDLE => {
-            if buf.remaining() < 2 {
-                return Err(Error::protocol("truncated fiddle length"));
-            }
-            let len = buf.get_u16() as usize;
-            if buf.remaining() < len {
-                return Err(Error::protocol("truncated fiddle body"));
-            }
-            let line = std::str::from_utf8(&buf[..len])
-                .map_err(|_| Error::protocol("fiddle command is not valid UTF-8"))?;
-            let script = crate::fiddle::FiddleScript::parse(line)
+            let line = r.str_u16("fiddle command")?;
+            let script = crate::fiddle::FiddleScript::parse(&line)
                 .map_err(|e| Error::protocol(format!("bad fiddle command on the wire: {e}")))?;
             let command = script
                 .events()
                 .first()
                 .map(|e| e.command.clone())
                 .ok_or_else(|| Error::protocol("fiddle datagram carried no command"))?;
-            Ok(Request::Fiddle { command })
+            Request::Fiddle { command }
         }
-        TAG_LIST => Ok(Request::ListNodes {
-            machine: get_str(buf)?,
-        }),
-        TAG_PING => Ok(Request::Ping),
-        TAG_SCRAPE => Ok(Request::Scrape),
-        TAG_TRACE_DUMP => Ok(Request::TraceDump),
+        TAG_LIST => Request::ListNodes {
+            machine: r.str_u8("machine")?,
+        },
+        TAG_PING => Request::Ping,
+        TAG_SCRAPE => Request::Scrape,
+        TAG_TRACE_DUMP => Request::TraceDump,
         TAG_SERIES_QUERY => {
-            let pattern = get_str(buf)?;
-            if buf.remaining() < 25 {
-                return Err(Error::protocol("truncated series query"));
-            }
-            let start = buf.get_u64();
-            let end = buf.get_u64();
-            let step = buf.get_u64();
-            let kind = QueryKind::from_u8(buf.get_u8())
-                .ok_or_else(|| Error::protocol("unknown series query kind"))?;
+            let pattern = r.str_u8("pattern")?;
+            let start = r.u64("start")?;
+            let end = r.u64("end")?;
+            let step = r.u64("step")?;
+            let kind = QueryKind::from_u8(r.u8("query kind")?)
+                .ok_or_else(|| r.invalid("query kind", "unknown series query kind"))?;
             if start > end {
-                return Err(Error::protocol("series query range is inverted"));
+                return Err(r.invalid("end", "series query range is inverted"));
             }
-            Ok(Request::SeriesQuery {
+            Request::SeriesQuery {
                 pattern,
                 start,
                 end,
                 step,
                 kind,
-            })
+            }
         }
-        other => Err(Error::protocol(format!("unknown request tag {other:#04x}"))),
-    }
+        other => return Err(r.invalid("tag", format_args!("unknown request tag {other:#04x}"))),
+    };
+    r.finish()?;
+    Ok(request)
 }
 
-/// Splits a multi-line text document into chunks that each fit a
-/// part-numbered reply datagram, breaking at line boundaries so every
-/// chunk carries whole lines and the client reassembles by plain
+/// Cuts a multi-line document into [`Reply::Part`]s that each encode
+/// within [`MAX_DATAGRAM`], breaking at line boundaries so every part
+/// carries whole lines and the client reassembles by plain
 /// concatenation. (A single line longer than one datagram is hard-split
-/// as a fallback rather than dropped.)
-fn chunk_lines(text: &str) -> Vec<String> {
-    // Tag + part + parts + length prefix = 7 bytes of header.
-    const BUDGET: usize = MAX_DATAGRAM - 7;
+/// as a fallback rather than dropped.) An empty document is one empty
+/// part.
+pub fn parts(text: &str) -> Vec<Reply> {
+    const BUDGET: usize = MAX_DATAGRAM - PART_HEADER;
     let mut chunks: Vec<String> = vec![String::new()];
     let mut push = |piece: &str| {
         let last = chunks.last_mut().expect("seeded with one chunk");
@@ -345,64 +291,19 @@ fn chunk_lines(text: &str) -> Vec<String> {
     for line in text.split_inclusive('\n') {
         let mut rest = line;
         while rest.len() > BUDGET {
-            let mut cut = BUDGET;
-            while !rest.is_char_boundary(cut) {
-                cut -= 1;
-            }
-            let (head, tail) = rest.split_at(cut);
+            let head = prefix(rest, BUDGET);
             push(head);
-            rest = tail;
+            rest = &rest[head.len()..];
         }
         push(rest);
     }
-    chunks
-}
-
-/// Splits a rendered telemetry exposition into [`Reply::Metrics`] parts
-/// that each encode within [`MAX_DATAGRAM`] (see [`chunk_lines`]).
-pub fn metrics_replies(text: &str) -> Vec<Reply> {
-    let chunks = chunk_lines(text);
-    let parts = chunks.len() as u16;
+    let total = chunks.len() as u16;
     chunks
         .into_iter()
         .enumerate()
-        .map(|(i, text)| Reply::Metrics {
-            part: i as u16,
-            parts,
-            text,
-        })
-        .collect()
-}
-
-/// Splits a JSONL span dump into [`Reply::Trace`] parts that each
-/// encode within [`MAX_DATAGRAM`] (see [`chunk_lines`]). Span objects
-/// are one per line, so every part parses on its own.
-pub fn trace_replies(text: &str) -> Vec<Reply> {
-    let chunks = chunk_lines(text);
-    let parts = chunks.len() as u16;
-    chunks
-        .into_iter()
-        .enumerate()
-        .map(|(i, text)| Reply::Trace {
-            part: i as u16,
-            parts,
-            text,
-        })
-        .collect()
-}
-
-/// Splits rendered series-query results into [`Reply::Series`] parts
-/// that each encode within [`MAX_DATAGRAM`] (see [`chunk_lines`]).
-/// Results are one series per line, so every part parses on its own.
-pub fn series_replies(text: &str) -> Vec<Reply> {
-    let chunks = chunk_lines(text);
-    let parts = chunks.len() as u16;
-    chunks
-        .into_iter()
-        .enumerate()
-        .map(|(i, text)| Reply::Series {
-            part: i as u16,
-            parts,
+        .map(|(i, text)| Reply::Part {
+            index: i as u16,
+            total,
             text,
         })
         .collect()
@@ -410,224 +311,182 @@ pub fn series_replies(text: &str) -> Vec<Reply> {
 
 /// Encodes a reply into a datagram.
 pub fn encode_reply(reply: &Reply) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
+    let mut w = Writer::with_capacity(64);
     match reply {
         Reply::Temperature { celsius, time } => {
-            buf.put_u8(TAG_TEMP);
-            buf.put_f64(*celsius);
-            buf.put_f64(*time);
+            w.u8(TAG_TEMP);
+            w.f64(*celsius);
+            w.f64(*time);
         }
-        Reply::Ack => buf.put_u8(TAG_ACK),
+        Reply::Ack => w.u8(TAG_ACK),
         Reply::Nodes { names } => {
-            buf.put_u8(TAG_NODES);
-            buf.put_u8(names.len().min(255) as u8);
+            w.u8(TAG_NODES);
+            w.u8(names.len().min(255) as u8);
             for name in names.iter().take(255) {
-                put_str(&mut buf, name);
+                w.str_u8(name);
             }
         }
-        Reply::Pong => buf.put_u8(TAG_PONG),
-        Reply::Metrics { part, parts, text } => {
-            buf.put_u8(TAG_METRICS);
-            buf.put_u16(*part);
-            buf.put_u16(*parts);
-            let bytes = text.as_bytes();
-            debug_assert!(
-                bytes.len() <= MAX_DATAGRAM - 7,
-                "metrics part must leave room for its header"
-            );
-            let len = bytes.len().min(MAX_DATAGRAM - 7);
-            buf.put_u16(len as u16);
-            buf.put_slice(&bytes[..len]);
-        }
-        Reply::Trace { part, parts, text } => {
-            buf.put_u8(TAG_TRACE);
-            buf.put_u16(*part);
-            buf.put_u16(*parts);
-            let bytes = text.as_bytes();
-            debug_assert!(
-                bytes.len() <= MAX_DATAGRAM - 7,
-                "trace part must leave room for its header"
-            );
-            let len = bytes.len().min(MAX_DATAGRAM - 7);
-            buf.put_u16(len as u16);
-            buf.put_slice(&bytes[..len]);
-        }
-        Reply::Series { part, parts, text } => {
-            buf.put_u8(TAG_SERIES);
-            buf.put_u16(*part);
-            buf.put_u16(*parts);
-            let bytes = text.as_bytes();
-            debug_assert!(
-                bytes.len() <= MAX_DATAGRAM - 7,
-                "series part must leave room for its header"
-            );
-            let len = bytes.len().min(MAX_DATAGRAM - 7);
-            buf.put_u16(len as u16);
-            buf.put_slice(&bytes[..len]);
+        Reply::Pong => w.u8(TAG_PONG),
+        Reply::Part { index, total, text } => {
+            w.u8(TAG_PART);
+            w.u16(*index);
+            w.u16(*total);
+            w.str_u16(prefix(text, MAX_DATAGRAM - PART_HEADER));
         }
         Reply::Error { message } => {
-            buf.put_u8(TAG_ERR);
-            let bytes = message.as_bytes();
-            let len = bytes.len().min(512);
-            buf.put_u16(len as u16);
-            buf.put_slice(&bytes[..len]);
+            w.u8(TAG_ERR);
+            w.str_u16(prefix(message, MAX_ERROR_MESSAGE));
         }
     }
-    buf
+    w.into_bytes()
 }
 
 /// Decodes a reply datagram.
 ///
 /// # Errors
 ///
-/// Returns [`Error::Protocol`] for truncated or malformed payloads.
-pub fn decode_reply(mut data: &[u8]) -> Result<Reply, Error> {
-    if data.is_empty() {
-        return Err(Error::protocol("empty datagram"));
-    }
-    let buf = &mut data;
-    let tag = buf.get_u8();
-    match tag {
-        TAG_TEMP => {
-            if buf.remaining() < 16 {
-                return Err(Error::protocol("truncated temperature reply"));
-            }
-            Ok(Reply::Temperature {
-                celsius: buf.get_f64(),
-                time: buf.get_f64(),
-            })
-        }
-        TAG_ACK => Ok(Reply::Ack),
+/// Returns [`Error::Protocol`] for truncated, oversized, or malformed
+/// payloads, and for bytes after the last field.
+pub fn decode_reply(data: &[u8]) -> Result<Reply, Error> {
+    let mut r = datagram(data, "reply")?;
+    let reply = match r.u8("tag")? {
+        TAG_TEMP => Reply::Temperature {
+            celsius: r.f64("celsius")?,
+            time: r.f64("time")?,
+        },
+        TAG_ACK => Reply::Ack,
         TAG_NODES => {
-            if buf.remaining() < 1 {
-                return Err(Error::protocol("truncated node count"));
-            }
-            let n = buf.get_u8() as usize;
-            let mut names = Vec::with_capacity(n);
+            let n = r.u8("node count")?;
+            let mut names = Vec::new();
             for _ in 0..n {
-                names.push(get_str(buf)?);
+                names.push(r.str_u8("node")?);
             }
-            Ok(Reply::Nodes { names })
+            Reply::Nodes { names }
         }
-        TAG_PONG => Ok(Reply::Pong),
-        TAG_METRICS => {
-            if buf.remaining() < 6 {
-                return Err(Error::protocol("truncated metrics header"));
+        TAG_PONG => Reply::Pong,
+        TAG_PART => {
+            let index = r.u16("part index")?;
+            let total = r.u16("part total")?;
+            if index >= total {
+                return Err(r.invalid("part index", format_args!("part {index} of {total}")));
             }
-            let part = buf.get_u16();
-            let parts = buf.get_u16();
-            let len = buf.get_u16() as usize;
-            if buf.remaining() < len {
-                return Err(Error::protocol("truncated metrics body"));
+            Reply::Part {
+                index,
+                total,
+                text: r.str_u16("part text")?,
             }
-            if part >= parts {
-                return Err(Error::protocol("metrics part index out of range"));
-            }
-            let text = std::str::from_utf8(&buf[..len])
-                .map_err(|_| Error::protocol("metrics text is not valid UTF-8"))?
-                .to_string();
-            Ok(Reply::Metrics { part, parts, text })
-        }
-        TAG_TRACE => {
-            if buf.remaining() < 6 {
-                return Err(Error::protocol("truncated trace header"));
-            }
-            let part = buf.get_u16();
-            let parts = buf.get_u16();
-            let len = buf.get_u16() as usize;
-            if buf.remaining() < len {
-                return Err(Error::protocol("truncated trace body"));
-            }
-            if part >= parts {
-                return Err(Error::protocol("trace part index out of range"));
-            }
-            let text = std::str::from_utf8(&buf[..len])
-                .map_err(|_| Error::protocol("trace text is not valid UTF-8"))?
-                .to_string();
-            Ok(Reply::Trace { part, parts, text })
-        }
-        TAG_SERIES => {
-            if buf.remaining() < 6 {
-                return Err(Error::protocol("truncated series header"));
-            }
-            let part = buf.get_u16();
-            let parts = buf.get_u16();
-            let len = buf.get_u16() as usize;
-            if buf.remaining() < len {
-                return Err(Error::protocol("truncated series body"));
-            }
-            if part >= parts {
-                return Err(Error::protocol("series part index out of range"));
-            }
-            let text = std::str::from_utf8(&buf[..len])
-                .map_err(|_| Error::protocol("series text is not valid UTF-8"))?
-                .to_string();
-            Ok(Reply::Series { part, parts, text })
         }
         TAG_ERR => {
-            if buf.remaining() < 2 {
-                return Err(Error::protocol("truncated error length"));
+            let message = r.str_u16("error message")?;
+            if message.len() > MAX_ERROR_MESSAGE {
+                return Err(r.invalid(
+                    "error message",
+                    format_args!("longer than {MAX_ERROR_MESSAGE} bytes"),
+                ));
             }
-            let len = buf.get_u16() as usize;
-            if buf.remaining() < len {
-                return Err(Error::protocol("truncated error body"));
-            }
-            let message = std::str::from_utf8(&buf[..len])
-                .map_err(|_| Error::protocol("error message is not valid UTF-8"))?
-                .to_string();
-            Ok(Reply::Error { message })
+            Reply::Error { message }
         }
-        other => Err(Error::protocol(format!("unknown reply tag {other:#04x}"))),
-    }
+        other => return Err(r.invalid("tag", format_args!("unknown reply tag {other:#04x}"))),
+    };
+    r.finish()?;
+    Ok(reply)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn round_trip_request(req: Request) {
-        let encoded = encode_request(&req);
-        let decoded = decode_request(&encoded).unwrap();
-        assert_eq!(decoded, req);
-    }
-
-    fn round_trip_reply(reply: Reply) {
-        let encoded = encode_reply(&reply);
-        let decoded = decode_reply(&encoded).unwrap();
-        assert_eq!(decoded, reply);
-    }
-
-    #[test]
-    fn requests_round_trip() {
-        round_trip_request(Request::Ping);
-        round_trip_request(Request::Scrape);
-        round_trip_request(Request::TraceDump);
-        round_trip_request(Request::ReadTemperature {
-            machine: "machine1".into(),
-            node: "disk_shell".into(),
-        });
-        round_trip_request(Request::ListNodes {
-            machine: String::new(),
-        });
-        round_trip_request(Request::UtilizationUpdate {
-            machine: "machine1".into(),
-            utilizations: vec![("cpu".into(), 0.75), ("disk_platters".into(), 0.1)],
-        });
-        round_trip_request(Request::Fiddle {
-            command: FiddleCommand::Temperature {
+    /// One request of every kind.
+    fn requests() -> Vec<Request> {
+        let mut requests = vec![
+            Request::Ping,
+            Request::Scrape,
+            Request::TraceDump,
+            Request::ReadTemperature {
                 machine: "machine1".into(),
-                node: "inlet".into(),
-                celsius: 38.6,
+                node: "disk_shell".into(),
             },
-        });
+            Request::ListNodes {
+                machine: String::new(),
+            },
+            Request::UtilizationUpdate {
+                machine: "machine1".into(),
+                utilizations: vec![("cpu".into(), 0.75), ("disk_platters".into(), 0.1)],
+            },
+            Request::Fiddle {
+                command: FiddleCommand::Temperature {
+                    machine: "machine1".into(),
+                    node: "inlet".into(),
+                    celsius: 38.6,
+                },
+            },
+        ];
         for kind in [QueryKind::Raw, QueryKind::Downsample, QueryKind::Rate] {
-            round_trip_request(Request::SeriesQuery {
+            requests.push(Request::SeriesQuery {
                 pattern: "temp/*/cpu".into(),
                 start: 1_700_000_000_000,
                 end: u64::MAX,
                 step: 10_000,
                 kind,
             });
+        }
+        requests
+    }
+
+    /// One reply of every kind.
+    fn replies() -> Vec<Reply> {
+        vec![
+            Reply::Ack,
+            Reply::Pong,
+            Reply::Temperature {
+                celsius: 35.25,
+                time: 1234.0,
+            },
+            Reply::Nodes {
+                names: vec!["cpu".into(), "cpu_air".into()],
+            },
+            Reply::Error {
+                message: "unknown node `gpu`".into(),
+            },
+            Reply::Part {
+                index: 1,
+                total: 3,
+                text: "mercury_solver_ticks_total 42\n".into(),
+            },
+        ]
+    }
+
+    #[test]
+    fn requests_round_trip() {
+        for req in requests() {
+            assert_eq!(decode_request(&encode_request(&req)).unwrap(), req);
+        }
+    }
+
+    #[test]
+    fn replies_round_trip() {
+        for reply in replies() {
+            assert_eq!(decode_reply(&encode_reply(&reply)).unwrap(), reply);
+        }
+    }
+
+    #[test]
+    fn every_kind_rejects_a_trailing_byte() {
+        for req in requests() {
+            let mut bytes = encode_request(&req);
+            bytes.push(0);
+            assert!(
+                decode_request(&bytes).is_err(),
+                "{req:?} with a trailing byte"
+            );
+        }
+        for reply in replies() {
+            let mut bytes = encode_reply(&reply);
+            bytes.push(0);
+            assert!(
+                decode_reply(&bytes).is_err(),
+                "{reply:?} with a trailing byte"
+            );
         }
     }
 
@@ -660,148 +519,84 @@ mod tests {
         }
     }
 
+    /// Each multi-part document — a scrape's exposition, a JSONL span
+    /// dump, a series-query result — splits into whole-line parts that
+    /// fit a datagram and reassemble to the document.
     #[test]
-    fn replies_round_trip() {
-        round_trip_reply(Reply::Ack);
-        round_trip_reply(Reply::Pong);
-        round_trip_reply(Reply::Temperature {
-            celsius: 35.25,
-            time: 1234.0,
-        });
-        round_trip_reply(Reply::Nodes {
-            names: vec!["cpu".into(), "cpu_air".into()],
-        });
-        round_trip_reply(Reply::Error {
-            message: "unknown node `gpu`".into(),
-        });
-        round_trip_reply(Reply::Metrics {
-            part: 1,
-            parts: 3,
-            text: "mercury_solver_ticks_total 42\n".into(),
-        });
-        round_trip_reply(Reply::Trace {
-            part: 0,
-            parts: 2,
-            text: "{\"id\":1,\"name\":\"cluster.tick\"}\n".into(),
-        });
-        round_trip_reply(Reply::Series {
-            part: 0,
-            parts: 1,
-            text: "temp/m1/cpu raw 1:40.5 2:41\n".into(),
-        });
-    }
-
-    #[test]
-    fn series_split_reassembles_and_fits_datagrams() {
-        // Many series lines force multiple parts.
-        let mut doc = String::new();
-        for m in 0..40 {
-            doc.push_str(&format!("temp/machine{m}/cpu ds"));
-            for b in 0..12 {
-                doc.push_str(&format!(" {}:40.1:41.25:42.9", b * 10_000));
-            }
-            doc.push('\n');
-        }
-        let replies = series_replies(&doc);
-        assert!(replies.len() > 1, "expected a multi-part result");
-        let mut reassembled = String::new();
-        for (i, reply) in replies.iter().enumerate() {
-            let encoded = encode_reply(reply);
-            assert!(encoded.len() <= MAX_DATAGRAM, "part {i} oversized");
-            match decode_reply(&encoded).unwrap() {
-                Reply::Series { part, parts, text } => {
-                    assert_eq!(part as usize, i);
-                    assert_eq!(parts as usize, replies.len());
-                    assert!(text.ends_with('\n'), "parts carry whole lines");
-                    reassembled.push_str(&text);
+    fn parts_split_reassemble_and_fit_datagrams() {
+        // ~100 metric lines.
+        let metrics: String = (0..100)
+            .map(|i| format!("mercury_test_metric_number_{i}{{label=\"value-{i}\"}} {i}\n"))
+            .collect();
+        // ~200 span lines.
+        let spans: String = (1..=200u64)
+            .map(|i| {
+                format!(
+                    "{{\"id\":{i},\"parent\":0,\"tid\":0,\"start_ns\":{},\"dur_ns\":10,\
+                     \"cat\":\"solver\",\"name\":\"cluster.tick\",\"args\":{{}}}}\n",
+                    i * 1000
+                )
+            })
+            .collect();
+        // 40 series lines of 12 buckets each.
+        let series: String = (0..40)
+            .map(|m| {
+                let buckets: String = (0..12)
+                    .map(|b| format!(" {}:40.1:41.25:42.9", b * 10_000))
+                    .collect();
+                format!("temp/machine{m}/cpu ds{buckets}\n")
+            })
+            .collect();
+        for doc in [&metrics, &spans, &series] {
+            let replies = parts(doc);
+            assert!(replies.len() > 1, "expected a multi-part document");
+            let mut reassembled = String::new();
+            for (i, reply) in replies.iter().enumerate() {
+                let encoded = encode_reply(reply);
+                assert!(encoded.len() <= MAX_DATAGRAM, "part {i} oversized");
+                match decode_reply(&encoded).unwrap() {
+                    Reply::Part { index, total, text } => {
+                        assert_eq!(index as usize, i);
+                        assert_eq!(total as usize, replies.len());
+                        assert!(text.ends_with('\n'), "parts carry whole lines");
+                        reassembled.push_str(&text);
+                    }
+                    other => panic!("expected a part, got {other:?}"),
                 }
-                other => panic!("expected Series, got {other:?}"),
             }
+            assert_eq!(&reassembled, doc);
         }
-        assert_eq!(reassembled, doc);
-        // The reassembled document parses back into structured results.
-        let parsed = telemetry::tsdb::parse_results(&reassembled).unwrap();
+        assert_eq!(
+            telemetry::trace::parse_jsonl(&spans).unwrap().len(),
+            200,
+            "each span line parses"
+        );
+        let parsed = telemetry::tsdb::parse_results(&series).unwrap();
         assert_eq!(parsed.len(), 40);
         assert_eq!(parsed[0].points.len(), 12);
-    }
-
-    #[test]
-    fn trace_split_reassembles_and_fits_datagrams() {
-        // ~200 span lines: forces multiple parts.
-        let mut doc = String::new();
-        for i in 1..=200u64 {
-            doc.push_str(&format!(
-                "{{\"id\":{i},\"parent\":0,\"tid\":0,\"start_ns\":{},\"dur_ns\":10,\
-                 \"cat\":\"solver\",\"name\":\"cluster.tick\",\"args\":{{}}}}\n",
-                i * 1000
-            ));
-        }
-        let replies = trace_replies(&doc);
-        assert!(replies.len() > 1, "expected a multi-part dump");
-        let mut reassembled = String::new();
-        for (i, reply) in replies.iter().enumerate() {
-            let encoded = encode_reply(reply);
-            assert!(encoded.len() <= MAX_DATAGRAM, "part {i} oversized");
-            match decode_reply(&encoded).unwrap() {
-                Reply::Trace { part, parts, text } => {
-                    assert_eq!(part as usize, i);
-                    assert_eq!(parts as usize, replies.len());
-                    assert!(text.ends_with('\n'), "parts carry whole lines");
-                    reassembled.push_str(&text);
-                }
-                other => panic!("expected Trace, got {other:?}"),
-            }
-        }
-        assert_eq!(reassembled, doc);
-        // Each reassembled line parses as a span.
         assert_eq!(
-            telemetry::trace::parse_jsonl(&reassembled).unwrap().len(),
-            200
+            parts(""),
+            vec![Reply::Part {
+                index: 0,
+                total: 1,
+                text: String::new()
+            }]
         );
     }
 
     #[test]
-    fn metrics_split_reassembles_and_fits_datagrams() {
-        // ~100 metric lines: forces multiple parts.
-        let mut doc = String::new();
-        for i in 0..100 {
-            doc.push_str(&format!(
-                "mercury_test_metric_number_{i}{{label=\"value-{i}\"}} {i}\n"
-            ));
-        }
-        let replies = metrics_replies(&doc);
-        assert!(replies.len() > 1, "expected a multi-part scrape");
-        let mut reassembled = String::new();
-        for (i, reply) in replies.iter().enumerate() {
-            let encoded = encode_reply(reply);
-            assert!(encoded.len() <= MAX_DATAGRAM, "part {i} oversized");
-            match decode_reply(&encoded).unwrap() {
-                Reply::Metrics { part, parts, text } => {
-                    assert_eq!(part as usize, i);
-                    assert_eq!(parts as usize, replies.len());
-                    // Every part carries whole lines.
-                    assert!(text.ends_with('\n'));
-                    reassembled.push_str(&text);
-                }
-                other => panic!("expected Metrics, got {other:?}"),
-            }
-        }
-        assert_eq!(reassembled, doc);
-    }
-
-    #[test]
     fn metrics_part_index_validated() {
-        let bad = encode_reply(&Reply::Metrics {
-            part: 2,
-            parts: 3,
+        let good = encode_reply(&Reply::Part {
+            index: 2,
+            total: 3,
             text: "x 1\n".into(),
         });
-        // Corrupt `parts` below `part`.
-        let mut raw = bad.clone();
-        raw[3] = 0;
-        raw[4] = 1;
+        assert!(decode_reply(&good).is_ok());
+        // Corrupt `total` (LE u16 at bytes 3..5) below `index`.
+        let mut raw = good.clone();
+        raw[3] = 1;
+        raw[4] = 0;
         assert!(decode_reply(&raw).is_err());
-        assert!(decode_reply(&bad).is_ok());
     }
 
     #[test]
@@ -822,23 +617,15 @@ mod tests {
 
     #[test]
     fn truncated_datagrams_error_cleanly() {
-        for req in [
-            Request::ReadTemperature {
-                machine: "m".into(),
-                node: "cpu".into(),
-            },
-            Request::UtilizationUpdate {
-                machine: "m".into(),
-                utilizations: vec![("cpu".into(), 0.5)],
-            },
-        ] {
+        for req in requests() {
             let full = encode_request(&req);
-            for cut in 1..full.len() {
-                // Every strict prefix must fail without panicking.
-                let _ = decode_request(&full[..cut]);
+            for cut in 0..full.len() {
+                assert!(
+                    decode_request(&full[..cut]).is_err(),
+                    "{req:?} cut at {cut}"
+                );
             }
         }
-        assert!(decode_request(&[]).is_err());
         assert!(decode_request(&[0xFF]).is_err());
         assert!(decode_reply(&[]).is_err());
         assert!(decode_reply(&[0x00]).is_err());
@@ -847,14 +634,19 @@ mod tests {
     #[test]
     fn fiddle_wire_format_rejects_garbage() {
         let mut buf = vec![0x03u8];
-        buf.extend_from_slice(&(5u16).to_be_bytes());
+        buf.extend_from_slice(&(5u16).to_le_bytes());
         buf.extend_from_slice(b"junk!");
         assert!(decode_request(&buf).is_err());
     }
 
     #[test]
     fn oversized_datagram_rejected() {
-        let data = vec![0x05u8; MAX_DATAGRAM + 1];
-        assert!(decode_request(&data).is_err());
+        assert!(decode_request(&vec![0x05u8; MAX_DATAGRAM + 1]).is_err());
+        let mut reply = encode_reply(&Reply::Error {
+            message: "x".repeat(MAX_ERROR_MESSAGE),
+        });
+        assert!(decode_reply(&reply).is_ok());
+        reply.resize(MAX_DATAGRAM + 1, b'x');
+        assert!(decode_reply(&reply).is_err());
     }
 }

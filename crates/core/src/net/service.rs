@@ -22,13 +22,26 @@ use telemetry::{Registry, Sampler, Severity, Tracer};
 /// full capacity.
 const TRACE_DUMP_SPANS: usize = 2048;
 
-/// A trace dump is a one-shot burst with no flow control, and at a few
-/// hundred datagrams it overruns the receiver's socket buffer (~208 KiB
-/// by default on Linux) long before the client can drain it. Yielding
-/// for a moment every `TRACE_BURST` parts keeps the in-flight window
-/// well under that buffer.
-const TRACE_BURST: usize = 32;
-const TRACE_BURST_PAUSE: Duration = Duration::from_millis(2);
+/// A multi-part answer — a scrape, a span dump, a series-query result —
+/// is a one-shot burst with no flow control, and at a few hundred
+/// datagrams it overruns the receiver's socket buffer (~208 KiB by
+/// default on Linux) long before the client can drain it. Yielding for
+/// a moment every `PART_BURST` parts keeps the in-flight window well
+/// under that buffer.
+const PART_BURST: usize = 32;
+const PART_BURST_PAUSE: Duration = Duration::from_millis(2);
+
+/// Sends the parts of a multi-part answer to `peer`, pausing after every
+/// [`PART_BURST`] datagrams.
+fn send_paced(socket: &UdpSocket, peer: SocketAddr, replies: &[Reply], net: &NetMetrics) {
+    for (i, reply) in replies.iter().enumerate() {
+        if i > 0 && i % PART_BURST == 0 {
+            std::thread::sleep(PART_BURST_PAUSE);
+        }
+        net.replies.inc();
+        let _ = socket.send_to(&proto::encode_reply(reply), peer);
+    }
+}
 
 /// Series matched by one [`Request::SeriesQuery`] pattern, at most. A
 /// registry snapshot plus per-component temperatures is a few hundred
@@ -409,10 +422,7 @@ impl SolverService {
                                 // scrape never blocks on the solver.
                                 net.requests_scrape.inc();
                                 let text = registry.render_prometheus();
-                                for reply in proto::metrics_replies(&text) {
-                                    net.replies.inc();
-                                    let _ = socket.send_to(&proto::encode_reply(&reply), peer);
-                                }
+                                send_paced(&socket, peer, &proto::parts(&text), &net);
                             }
                             Ok(Request::TraceDump) => {
                                 // Answered from the tracer alone. A
@@ -421,13 +431,7 @@ impl SolverService {
                                 net.requests_trace.inc();
                                 let spans = tracer.recent(TRACE_DUMP_SPANS);
                                 let text = telemetry::trace::to_jsonl(&spans);
-                                for (i, reply) in proto::trace_replies(&text).iter().enumerate() {
-                                    if i > 0 && i % TRACE_BURST == 0 {
-                                        std::thread::sleep(TRACE_BURST_PAUSE);
-                                    }
-                                    net.replies.inc();
-                                    let _ = socket.send_to(&proto::encode_reply(reply), peer);
-                                }
+                                send_paced(&socket, peer, &proto::parts(&text), &net);
                             }
                             Ok(Request::SeriesQuery {
                                 pattern,
@@ -449,7 +453,7 @@ impl SolverService {
                                             .iter()
                                             .map(|n| tsdb::run_query(db, n, kind, start, end, step))
                                             .collect();
-                                        proto::series_replies(&tsdb::render_results(&results))
+                                        proto::parts(&tsdb::render_results(&results))
                                     }
                                     None => vec![Reply::Error {
                                         message: "series history is disabled on this service \
@@ -457,13 +461,7 @@ impl SolverService {
                                             .to_string(),
                                     }],
                                 };
-                                for (i, reply) in replies.iter().enumerate() {
-                                    if i > 0 && i % TRACE_BURST == 0 {
-                                        std::thread::sleep(TRACE_BURST_PAUSE);
-                                    }
-                                    net.replies.inc();
-                                    let _ = socket.send_to(&proto::encode_reply(reply), peer);
-                                }
+                                send_paced(&socket, peer, &replies, &net);
                             }
                             Ok(request) => {
                                 net.request_counter(&request).inc();
@@ -775,31 +773,16 @@ mod tests {
         service.shutdown();
     }
 
-    /// Sends one scrape request and reassembles the multi-part reply.
-    fn scrape(addr: SocketAddr) -> String {
-        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
-        socket.connect(addr).unwrap();
-        socket
-            .set_read_timeout(Some(Duration::from_secs(2)))
-            .unwrap();
-        socket
-            .send(&proto::encode_request(&Request::Scrape))
-            .unwrap();
-        let mut buf = [0u8; proto::MAX_DATAGRAM];
-        let mut received = std::collections::BTreeMap::new();
-        loop {
-            let n = socket.recv(&mut buf).unwrap();
-            match proto::decode_reply(&buf[..n]).unwrap() {
-                Reply::Metrics { part, parts, text } => {
-                    received.insert(part, text);
-                    if received.len() == parts as usize {
-                        break;
-                    }
-                }
-                other => panic!("unexpected scrape reply {other:?}"),
-            }
-        }
-        received.into_values().collect()
+    /// Sends one request and reassembles its whole multi-part answer.
+    fn fetch(addr: SocketAddr, req: &Request) -> String {
+        let fetch = crate::net::fetch_multipart(addr, req, Duration::from_secs(2)).unwrap();
+        assert!(
+            fetch.is_complete(),
+            "{}/{} parts",
+            fetch.received,
+            fetch.total
+        );
+        fetch.text
     }
 
     #[test]
@@ -827,7 +810,7 @@ mod tests {
         ));
 
         std::thread::sleep(Duration::from_millis(50));
-        let text = scrape(addr);
+        let text = fetch(addr, &Request::Scrape);
         let samples = telemetry::text::parse_exposition(&text).unwrap();
         let value = |name: &str| {
             samples
@@ -863,29 +846,7 @@ mod tests {
         // Let the ticker record a few cluster ticks.
         std::thread::sleep(Duration::from_millis(50));
 
-        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
-        socket.connect(addr).unwrap();
-        socket
-            .set_read_timeout(Some(Duration::from_secs(2)))
-            .unwrap();
-        socket
-            .send(&proto::encode_request(&Request::TraceDump))
-            .unwrap();
-        let mut buf = [0u8; proto::MAX_DATAGRAM];
-        let mut received = std::collections::BTreeMap::new();
-        loop {
-            let n = socket.recv(&mut buf).unwrap();
-            match proto::decode_reply(&buf[..n]).unwrap() {
-                Reply::Trace { part, parts, text } => {
-                    received.insert(part, text);
-                    if received.len() == parts as usize {
-                        break;
-                    }
-                }
-                other => panic!("unexpected trace reply {other:?}"),
-            }
-        }
-        let text: String = received.into_values().collect();
+        let text = fetch(addr, &Request::TraceDump);
         let spans = telemetry::trace::parse_jsonl(&text).unwrap();
         assert!(!spans.is_empty());
         // The ping's full lifecycle is in the dump, parented to one
@@ -904,31 +865,6 @@ mod tests {
         service.shutdown();
     }
 
-    /// Sends one series query and reassembles the multi-part reply.
-    fn series_query(addr: SocketAddr, req: &Request) -> String {
-        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
-        socket.connect(addr).unwrap();
-        socket
-            .set_read_timeout(Some(Duration::from_secs(2)))
-            .unwrap();
-        socket.send(&proto::encode_request(req)).unwrap();
-        let mut buf = [0u8; proto::MAX_DATAGRAM];
-        let mut received = std::collections::BTreeMap::new();
-        loop {
-            let n = socket.recv(&mut buf).unwrap();
-            match proto::decode_reply(&buf[..n]).unwrap() {
-                Reply::Series { part, parts, text } => {
-                    received.insert(part, text);
-                    if received.len() == parts as usize {
-                        break;
-                    }
-                }
-                other => panic!("unexpected series reply {other:?}"),
-            }
-        }
-        received.into_values().collect()
-    }
-
     #[test]
     fn series_query_returns_sampled_temperature_history() {
         use telemetry::tsdb::QueryKind;
@@ -941,7 +877,7 @@ mod tests {
         // Let the sampler take a couple of dozen snapshots.
         std::thread::sleep(Duration::from_millis(150));
 
-        let text = series_query(
+        let text = fetch(
             addr,
             &Request::SeriesQuery {
                 pattern: "temp/*".into(),

@@ -717,7 +717,7 @@ impl ClusterSolver {
     /// buffers, batch chunk matrices, kernel double buffers — is *not*
     /// serialized: every tick/span boundary scatters it back into the
     /// state written here, and a restored solver re-gathers it.
-    pub(crate) fn write_ckpt(&self, w: &mut crate::trace::checkpoint::CkptWriter) {
+    pub(crate) fn write_ckpt(&self, w: &mut crate::codec::Writer) {
         w.f64(self.time.0);
         w.u32(self.supply_temps.len() as u32);
         for t in &self.supply_temps {
@@ -729,7 +729,7 @@ impl ClusterSolver {
         }
         w.u32(self.machines.len() as u32);
         for (i, m) in self.machines.iter().enumerate() {
-            w.opt_f64(self.forced_inlets[i].map(|t| t.0));
+            crate::trace::checkpoint::write_opt_f64(w, self.forced_inlets[i].map(|t| t.0));
             m.write_ckpt(w);
         }
     }
@@ -740,22 +740,20 @@ impl ClusterSolver {
     ///
     /// Returns [`Error::InvalidInput`] when the blob is truncated or was
     /// taken from a differently shaped cluster.
-    pub(crate) fn read_ckpt(
-        &mut self,
-        r: &mut crate::trace::checkpoint::CkptReader<'_>,
-    ) -> Result<(), Error> {
+    pub(crate) fn read_ckpt(&mut self, r: &mut crate::codec::Reader<&[u8]>) -> Result<(), Error> {
+        use crate::trace::checkpoint::{read_count, read_opt_f64};
         self.time = Seconds(r.f64("cluster time")?);
-        r.count("supply", self.supply_temps.len())?;
+        read_count(r, "supply count", self.supply_temps.len())?;
         for t in &mut self.supply_temps {
             *t = Celsius(r.f64("supply temperature")?);
         }
-        r.count("junction", self.junction_temps.len())?;
+        read_count(r, "junction count", self.junction_temps.len())?;
         for t in &mut self.junction_temps {
             *t = Celsius(r.f64("junction temperature")?);
         }
-        r.count("machine", self.machines.len())?;
+        read_count(r, "machine count", self.machines.len())?;
         for i in 0..self.machines.len() {
-            self.forced_inlets[i] = r.opt_f64("forced inlet")?.map(Celsius);
+            self.forced_inlets[i] = read_opt_f64(r, "forced inlet")?.map(Celsius);
             self.machines[i].read_ckpt(r)?;
         }
         Ok(())

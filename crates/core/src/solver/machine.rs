@@ -1005,8 +1005,8 @@ impl Solver {
     /// edge topology, kernels) is rebuilt deterministically from the
     /// model at restore time. Heat-edge conductances and air fractions
     /// *are* written because fiddle commands retune them at runtime.
-    pub(crate) fn write_ckpt(&self, w: &mut crate::trace::checkpoint::CkptWriter) {
-        w.name(&self.machine);
+    pub(crate) fn write_ckpt(&self, w: &mut crate::codec::Writer) {
+        w.str_u16(&self.machine);
         w.f64(self.time.0);
         w.u64(self.ticks_stepped);
         w.f64(self.generated_last_tick.0);
@@ -1017,7 +1017,7 @@ impl Solver {
         for i in 0..self.temp.len() {
             w.f64(self.temp[i].0);
             w.f64(self.utilization[i].fraction());
-            w.opt_f64(self.forced[i].map(|t| t.0));
+            crate::trace::checkpoint::write_opt_f64(w, self.forced[i].map(|t| t.0));
         }
         w.u32(self.shape.heat_edges.len() as u32);
         for &(_, _, k) in &self.shape.heat_edges {
@@ -1044,11 +1044,9 @@ impl Solver {
     /// Returns [`Error::InvalidInput`] when the blob is truncated, was
     /// taken from a differently shaped machine, or clears the diverged
     /// flag while its fan or edge constants differ from the model's.
-    pub(crate) fn read_ckpt(
-        &mut self,
-        r: &mut crate::trace::checkpoint::CkptReader<'_>,
-    ) -> Result<(), Error> {
-        let name = r.name("machine")?;
+    pub(crate) fn read_ckpt(&mut self, r: &mut crate::codec::Reader<&[u8]>) -> Result<(), Error> {
+        use crate::trace::checkpoint::{read_count, read_flag, read_opt_f64};
+        let name = r.str_u16("machine name")?;
         if name != self.machine {
             return Err(Error::invalid_input(format!(
                 "checkpoint machine `{name}` does not match target machine `{}`",
@@ -1064,24 +1062,16 @@ impl Solver {
             self.dirty = true;
         }
         self.inlet_temperature = Celsius(r.f64("inlet temperature")?);
-        self.diverged = match r.u8("diverged flag")? {
-            0 => false,
-            1 => true,
-            other => {
-                return Err(Error::invalid_input(format!(
-                    "checkpoint diverged flag is {other}, not 0/1"
-                )));
-            }
-        };
-        r.count("node", self.temp.len())?;
+        self.diverged = read_flag(r, "diverged flag")?;
+        read_count(r, "node count", self.temp.len())?;
         for i in 0..self.temp.len() {
             self.temp[i] = Celsius(r.f64("node temperature")?);
             self.utilization[i] = Utilization::new(r.f64("node utilization")?);
-            self.forced[i] = r.opt_f64("forced temperature")?.map(Celsius);
+            self.forced[i] = read_opt_f64(r, "forced temperature")?.map(Celsius);
             self.fixed[i] = self.forced[i].is_some() || self.shape.inlets.contains(&i);
         }
         self.pinned = self.forced.iter().flatten().count();
-        r.count("heat edge", self.shape.heat_edges.len())?;
+        read_count(r, "heat edge count", self.shape.heat_edges.len())?;
         for e in 0..self.shape.heat_edges.len() {
             let k = r.f64("heat conductance")?;
             if k.to_bits() != self.shape.heat_edges[e].2 .0.to_bits() {
@@ -1089,7 +1079,7 @@ impl Solver {
                 self.dirty = true;
             }
         }
-        r.count("air edge", self.shape.air_edges.len())?;
+        read_count(r, "air edge count", self.shape.air_edges.len())?;
         for e in 0..self.shape.air_edges.len() {
             let fraction = r.f64("air fraction")?;
             if fraction.to_bits() != self.shape.air_edges[e].2.to_bits() {

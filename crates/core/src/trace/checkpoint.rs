@@ -43,6 +43,7 @@
 //! solver state at every tick/span boundary, and a restored solver
 //! re-gathers them on its next tick).
 
+use crate::codec::{Reader, Writer};
 use crate::error::Error;
 use crate::solver::ClusterSolver;
 
@@ -55,7 +56,7 @@ pub const VERSION: u32 = 1;
 /// `mercury-ckpt-v1` blob.
 #[must_use]
 pub fn save(cluster: &ClusterSolver) -> Vec<u8> {
-    let mut w = CkptWriter::new();
+    let mut w = Writer::default();
     w.bytes(&MAGIC);
     w.u32(VERSION);
     cluster.write_ckpt(&mut w);
@@ -71,172 +72,55 @@ pub fn save(cluster: &ClusterSolver) -> Vec<u8> {
 /// incompatible, or shaped for a different cluster. The target solver
 /// is left unusable-but-memory-safe on error; callers should discard it.
 pub fn restore(cluster: &mut ClusterSolver, blob: &[u8]) -> Result<(), Error> {
-    let mut r = CkptReader::new(blob);
-    let magic = r.bytes(8, "magic")?;
-    if magic != MAGIC {
-        return Err(Error::invalid_input("not a mercury-ckpt blob (bad magic)"));
+    let mut r = Reader::input(blob, "checkpoint");
+    if r.array::<8>("magic")? != MAGIC {
+        return Err(r.invalid("magic", "not a mercury-ckpt blob"));
     }
     let version = r.u32("version")?;
     if version != VERSION {
-        return Err(Error::invalid_input(format!(
-            "unsupported mercury-ckpt version {version} (expected {VERSION})"
-        )));
+        return Err(r.invalid(
+            "version",
+            format_args!("unsupported mercury-ckpt version {version} (expected {VERSION})"),
+        ));
     }
     cluster.read_ckpt(&mut r)?;
     r.finish()
 }
 
-/// Little-endian checkpoint field writer.
-#[derive(Debug, Default)]
-pub(crate) struct CkptWriter {
-    out: Vec<u8>,
+/// Writes an optional `f64` as a `u8` flag and a value, the value 0.0
+/// when absent, so a blob's layout never depends on its values.
+pub(crate) fn write_opt_f64(w: &mut Writer, v: Option<f64>) {
+    w.u8(u8::from(v.is_some()));
+    w.f64(v.unwrap_or(0.0));
 }
 
-impl CkptWriter {
-    fn new() -> Self {
-        Self::default()
-    }
+/// Reads what [`write_opt_f64`] wrote.
+pub(crate) fn read_opt_f64(r: &mut Reader<&[u8]>, field: &str) -> Result<Option<f64>, Error> {
+    let flag = read_flag(r, field)?;
+    let value = r.f64(field)?;
+    Ok(flag.then_some(value))
+}
 
-    fn into_bytes(self) -> Vec<u8> {
-        self.out
-    }
-
-    pub(crate) fn bytes(&mut self, b: &[u8]) {
-        self.out.extend_from_slice(b);
-    }
-
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.out.push(v);
-    }
-
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes the exact bit pattern — checkpoints must round-trip NaNs
-    /// and signed zeros untouched for the bitwise-continuation contract.
-    pub(crate) fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    pub(crate) fn opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.f64(x);
-            }
-            None => {
-                self.u8(0);
-                self.f64(0.0);
-            }
-        }
-    }
-
-    pub(crate) fn name(&mut self, s: &str) {
-        let b = s.as_bytes();
-        debug_assert!(b.len() <= usize::from(u16::MAX));
-        self.out
-            .extend_from_slice(&(b.len().min(usize::from(u16::MAX)) as u16).to_le_bytes());
-        self.out
-            .extend_from_slice(&b[..b.len().min(usize::from(u16::MAX))]);
+/// Reads a `u8` that must be 0 or 1.
+pub(crate) fn read_flag(r: &mut Reader<&[u8]>, field: &str) -> Result<bool, Error> {
+    match r.u8(field)? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(r.invalid(field, format_args!("flag is {other}, not 0/1"))),
     }
 }
 
-/// Bounds-checked checkpoint field reader.
-#[derive(Debug)]
-pub(crate) struct CkptReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> CkptReader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        CkptReader { bytes, pos: 0 }
+/// Reads a count and checks it against the target's — the guard that
+/// keeps a blob from a different model from silently half-applying.
+pub(crate) fn read_count(r: &mut Reader<&[u8]>, field: &str, expected: usize) -> Result<(), Error> {
+    let got = r.u32(field)?;
+    if got as usize != expected {
+        return Err(r.invalid(
+            field,
+            format_args!("count {got} does not match the target solver's {expected}"),
+        ));
     }
-
-    fn finish(self) -> Result<(), Error> {
-        if self.pos != self.bytes.len() {
-            return Err(Error::invalid_input(format!(
-                "checkpoint has {} trailing bytes",
-                self.bytes.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
-
-    pub(crate) fn bytes(&mut self, n: usize, what: &str) -> Result<&'a [u8], Error> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len());
-        match end {
-            Some(end) => {
-                let s = &self.bytes[self.pos..end];
-                self.pos = end;
-                Ok(s)
-            }
-            None => Err(Error::invalid_input(format!(
-                "truncated checkpoint: {what} at byte {}",
-                self.pos
-            ))),
-        }
-    }
-
-    pub(crate) fn u8(&mut self, what: &str) -> Result<u8, Error> {
-        Ok(self.bytes(1, what)?[0])
-    }
-
-    pub(crate) fn u32(&mut self, what: &str) -> Result<u32, Error> {
-        let b = self.bytes(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub(crate) fn u64(&mut self, what: &str) -> Result<u64, Error> {
-        let b = self.bytes(8, what)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    pub(crate) fn f64(&mut self, what: &str) -> Result<f64, Error> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    pub(crate) fn opt_f64(&mut self, what: &str) -> Result<Option<f64>, Error> {
-        let flag = self.u8(what)?;
-        let value = self.f64(what)?;
-        match flag {
-            0 => Ok(None),
-            1 => Ok(Some(value)),
-            other => Err(Error::invalid_input(format!(
-                "checkpoint flag for {what} is {other}, not 0/1"
-            ))),
-        }
-    }
-
-    pub(crate) fn name(&mut self, what: &str) -> Result<String, Error> {
-        let len = usize::from(u16::from_le_bytes({
-            let b = self.bytes(2, what)?;
-            [b[0], b[1]]
-        }));
-        let raw = self.bytes(len, what)?;
-        String::from_utf8(raw.to_vec())
-            .map_err(|_| Error::invalid_input(format!("checkpoint {what} name is not UTF-8")))
-    }
-
-    /// Reads a count and validates it against the target's expectation —
-    /// the guard that keeps a blob from a different model from silently
-    /// half-applying.
-    pub(crate) fn count(&mut self, what: &str, expected: usize) -> Result<usize, Error> {
-        let got = self.u32(what)? as usize;
-        if got != expected {
-            return Err(Error::invalid_input(format!(
-                "checkpoint {what} count {got} does not match the target solver's {expected}"
-            )));
-        }
-        Ok(got)
-    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -37,19 +37,20 @@
 //! The decoder is strict: bad magic, version, counts, tags, non-canonical
 //! deltas, tick-count mismatches, and trailing bytes are all hard errors.
 
+use crate::codec::{Reader, Writer};
 use crate::error::Error;
 use crate::trace::UtilizationTrace;
 use std::collections::HashSet;
-use std::io::Write;
+use std::io::{BufRead, Write};
 
 /// File magic, "mercury-events-v1".
 pub const MAGIC: [u8; 8] = *b"MCEVENT1";
 /// Current format version.
 pub const VERSION: u32 = 1;
 /// Record tags.
-pub(crate) const TAG_FULL: u8 = 0x01;
-pub(crate) const TAG_DELTA: u8 = 0x02;
-pub(crate) const TAG_HOLD: u8 = 0x03;
+const TAG_FULL: u8 = 0x01;
+const TAG_DELTA: u8 = 0x02;
+const TAG_HOLD: u8 = 0x03;
 
 /// Largest representable quantized value (`u16::MAX`).
 const QUANT_MAX: f64 = 65535.0;
@@ -93,109 +94,84 @@ impl EventsHeader {
     ///
     /// Returns [`Error::InvalidInput`] for truncated or malformed headers.
     pub fn parse(bytes: &[u8]) -> Result<(EventsHeader, usize), Error> {
-        match Self::parse_prefix(bytes)? {
-            Some(parsed) => Ok(parsed),
-            None => Err(Error::invalid_input(
-                "truncated events data: incomplete header",
-            )),
-        }
+        let mut r = Reader::input(bytes, "events data");
+        let header = Self::read(&mut r)?;
+        Ok((header, r.position() as usize))
     }
 
-    /// Parses a header from a file *prefix*: returns `Ok(None)` when the
-    /// prefix is well-formed so far but incomplete (the streaming opener
-    /// should read more bytes), an error as soon as the prefix is
-    /// provably invalid.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidInput`] for malformed headers.
-    pub(crate) fn parse_prefix(bytes: &[u8]) -> Result<Option<(EventsHeader, usize)>, Error> {
-        match Self::parse_inner(bytes) {
-            Ok(parsed) => Ok(Some(parsed)),
-            Err(ReadFail::Eof) => Ok(None),
-            Err(ReadFail::Bad(e)) => Err(e),
+    /// Reads a header from the start of an `.events` stream.
+    pub(crate) fn read<R: BufRead>(r: &mut Reader<R>) -> Result<EventsHeader, Error> {
+        if r.array::<8>("magic")? != MAGIC {
+            return Err(r.invalid("magic", "not a mercury-events file"));
         }
-    }
-
-    fn parse_inner(bytes: &[u8]) -> Result<(EventsHeader, usize), ReadFail> {
-        let mut r = Reader::new(bytes);
-        let magic = r.bytes(8)?;
-        if magic != MAGIC {
-            return Err(ReadFail::bad("not a mercury-events file (bad magic)"));
-        }
-        let version = r.u32()?;
+        let version = r.u32("version")?;
         if version != VERSION {
-            return Err(ReadFail::bad(format!(
-                "unsupported mercury-events version {version} (expected {VERSION})"
-            )));
-        }
-        let interval_s = f64::from_bits(r.u64()?);
-        if !interval_s.is_finite() || interval_s <= 0.0 {
-            return Err(ReadFail::bad(format!(
-                "events interval {interval_s} must be positive"
-            )));
-        }
-        let machines = r.u32()? as usize;
-        let components = r.u32()? as usize;
-        if machines == 0 || components == 0 {
-            return Err(ReadFail::bad(
-                "events file declares zero machines or components",
+            return Err(r.invalid(
+                "version",
+                format_args!("unsupported mercury-events version {version} (expected {VERSION})"),
             ));
         }
-        // Bound the frame size before multiplying so a hostile header
-        // cannot overflow the cell count or provoke huge allocations.
-        if machines > 1 << 24 || components > 1 << 16 || machines * components > 1 << 28 {
-            return Err(ReadFail::bad(format!(
-                "events frame shape {machines}x{components} is implausibly large"
-            )));
+        let interval_s = r.f64("interval")?;
+        if !interval_s.is_finite() || interval_s <= 0.0 {
+            return Err(r.invalid("interval", format_args!("{interval_s} must be positive")));
         }
-        let ticks = r.u64()?;
+        // Bound the frame before multiplying so a hostile header cannot
+        // overflow the cell count or provoke huge allocations.
+        let machines = r.count("machine count", 1 << 24)?;
+        let components = r.count("component count", 1 << 16)?;
+        if machines == 0 || components == 0 {
+            return Err(r.invalid("shape", "zero machines or components"));
+        }
+        if machines * components > 1 << 28 {
+            return Err(r.invalid(
+                "shape",
+                format_args!("frame {machines}x{components} is implausibly large"),
+            ));
+        }
+        let ticks = r.u64("tick count")?;
         // A name twice would bind two frame rows (or columns) to one
-        // machine (or component); the encoder never writes one.
+        // machine (or component); the encoder never writes one. The
+        // tables grow with the names actually read, not with the counts.
         let mut names = |count: usize, table: &str| {
-            let mut seen = HashSet::with_capacity(count);
-            let mut names = Vec::with_capacity(count);
+            let mut seen = HashSet::new();
+            let mut names = Vec::new();
             for _ in 0..count {
-                let name = r.name()?;
+                let name = r.str_u16("name")?;
                 if !seen.insert(name.clone()) {
-                    return Err(ReadFail::bad(format!(
-                        "duplicate {table} name `{name}` in the events header"
-                    )));
+                    return Err(r.invalid(
+                        "name",
+                        format_args!("duplicate {table} name `{name}` in the events header"),
+                    ));
                 }
                 names.push(name);
             }
             Ok(names)
         };
-        let machine_names = names(machines, "machine")?;
-        let component_names = names(components, "component")?;
-        Ok((
-            EventsHeader {
-                interval_s,
-                machines: machine_names,
-                components: component_names,
-                ticks,
-            },
-            r.pos,
-        ))
+        let machines = names(machines, "machine")?;
+        let components = names(components, "component")?;
+        Ok(EventsHeader {
+            interval_s,
+            machines,
+            components,
+            ticks,
+        })
     }
 
-    fn write<W: Write>(&self, w: &mut W) -> Result<(), Error> {
-        w.write_all(&MAGIC)?;
-        w.write_all(&VERSION.to_le_bytes())?;
-        w.write_all(&self.interval_s.to_bits().to_le_bytes())?;
-        w.write_all(&(self.machines.len() as u32).to_le_bytes())?;
-        w.write_all(&(self.components.len() as u32).to_le_bytes())?;
-        w.write_all(&self.ticks.to_le_bytes())?;
+    fn write(&self, w: &mut Writer) -> Result<(), Error> {
+        w.bytes(&MAGIC);
+        w.u32(VERSION);
+        w.f64(self.interval_s);
+        w.u32(self.machines.len() as u32);
+        w.u32(self.components.len() as u32);
+        w.u64(self.ticks);
         for name in self.machines.iter().chain(&self.components) {
-            let bytes = name.as_bytes();
-            if bytes.len() > usize::from(u16::MAX) {
+            if name.len() > usize::from(u16::MAX) {
                 return Err(Error::invalid_input(format!(
                     "name `{}...` is too long for the events name table",
-                    &name[..32.min(name.len())]
+                    crate::codec::prefix(name, 32)
                 )));
             }
-            w.write_all(&(bytes.len() as u16).to_le_bytes())?;
-            w.write_all(bytes)?;
+            w.str_u16(name);
         }
         Ok(())
     }
@@ -283,15 +259,22 @@ pub fn encode<W: Write>(traces: &[UtilizationTrace], w: &mut W) -> Result<Encode
         components,
         ticks: ticks as u64,
     };
-    let mut counted = CountingWriter { inner: w, bytes: 0 };
-    header.write(&mut counted)?;
     let cells = header.cells();
     let width = header.components.len();
+    // Each record is built in `rec` and written whole.
+    let mut rec = Writer::with_capacity(1 + 2 * cells);
+    header.write(&mut rec)?;
     let mut stats = EncodeStats {
         ticks: ticks as u64,
-        bytes: 0,
         ..Default::default()
     };
+    let mut emit = |rec: &mut Writer, stats: &mut EncodeStats| -> Result<(), Error> {
+        w.write_all(rec.as_bytes())?;
+        stats.bytes += rec.as_bytes().len() as u64;
+        rec.clear();
+        Ok(())
+    };
+    emit(&mut rec, &mut stats)?;
     let mut cur = vec![0u16; cells];
     let mut next = vec![0u16; cells];
     let mut hold_run = 0u32;
@@ -304,39 +287,40 @@ pub fn encode<W: Write>(traces: &[UtilizationTrace], w: &mut W) -> Result<Encode
             }
         }
         if tick == 0 {
-            write_full(&mut counted, &next)?;
+            write_full(&mut rec, &next);
             stats.full_frames += 1;
         } else if next == cur {
             hold_run += 1;
             std::mem::swap(&mut cur, &mut next);
             continue;
         } else {
-            flush_hold(&mut counted, &mut hold_run, &mut stats)?;
+            flush_hold(&mut rec, &mut hold_run, &mut stats);
             let changes = next.iter().zip(&cur).filter(|(a, b)| a != b).count();
             // A DELTA costs 5 + 6*changes bytes against 1 + 2*cells for
             // a FULL frame; pick whichever is strictly smaller.
             if 5 + 6 * changes < 1 + 2 * cells {
-                counted.write_all(&[TAG_DELTA])?;
-                counted.write_all(&(changes as u32).to_le_bytes())?;
+                rec.u8(TAG_DELTA);
+                rec.u32(changes as u32);
                 for (i, (a, _)) in next
                     .iter()
                     .zip(&cur)
                     .enumerate()
                     .filter(|(_, (a, b))| a != b)
                 {
-                    counted.write_all(&(i as u32).to_le_bytes())?;
-                    counted.write_all(&a.to_le_bytes())?;
+                    rec.u32(i as u32);
+                    rec.u16(*a);
                 }
                 stats.delta_frames += 1;
             } else {
-                write_full(&mut counted, &next)?;
+                write_full(&mut rec, &next);
                 stats.full_frames += 1;
             }
         }
+        emit(&mut rec, &mut stats)?;
         std::mem::swap(&mut cur, &mut next);
     }
-    flush_hold(&mut counted, &mut hold_run, &mut stats)?;
-    stats.bytes = counted.bytes;
+    flush_hold(&mut rec, &mut hold_run, &mut stats);
+    emit(&mut rec, &mut stats)?;
     Ok(stats)
 }
 
@@ -351,178 +335,172 @@ pub fn encode_to_vec(traces: &[UtilizationTrace]) -> Result<(Vec<u8>, EncodeStat
     Ok((out, stats))
 }
 
-fn write_full<W: Write>(w: &mut W, frame: &[u16]) -> Result<(), Error> {
-    w.write_all(&[TAG_FULL])?;
+fn write_full(w: &mut Writer, frame: &[u16]) {
+    w.u8(TAG_FULL);
     for q in frame {
-        w.write_all(&q.to_le_bytes())?;
+        w.u16(*q);
     }
-    Ok(())
 }
 
-fn flush_hold<W: Write>(w: &mut W, run: &mut u32, stats: &mut EncodeStats) -> Result<(), Error> {
+fn flush_hold(w: &mut Writer, run: &mut u32, stats: &mut EncodeStats) {
     if *run > 0 {
-        w.write_all(&[TAG_HOLD])?;
-        w.write_all(&run.to_le_bytes())?;
+        w.u8(TAG_HOLD);
+        w.u32(*run);
         stats.hold_records += 1;
         stats.held_ticks += u64::from(*run);
         *run = 0;
     }
-    Ok(())
 }
 
-struct CountingWriter<'a, W: Write> {
-    inner: &'a mut W,
-    bytes: u64,
-}
-
-impl<W: Write> Write for CountingWriter<'_, W> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.bytes += n as u64;
-        Ok(n)
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// One decoded record: either new cell values now in effect for one
-/// tick, or a hold extending the previous values.
+/// One input-stable span of a record stream: the ticks it covers, and
+/// whether a FULL or DELTA record opened it (a frame decoded) or a HOLD
+/// did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Record<'a> {
-    /// A complete frame payload (`2 * cells` bytes, LE u16 cells).
-    Full(&'a [u8]),
-    /// A sparse update payload (`6 * n` bytes of `(u32 cell, u16 value)`).
-    Delta(&'a [u8]),
-    /// The previous frame holds for this many additional ticks.
-    Hold(u32),
+pub(crate) struct Span {
+    pub(crate) ticks: u64,
+    pub(crate) frames: u64,
 }
 
-/// Sequential record cursor over an in-memory `.events` record stream
-/// (everything after the header) — the walker shared by the one-shot
-/// [`decode`] path and the memory-mapped replay stream.
-pub(crate) struct RecordCursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// The one `.events` record decoder, shared by [`decode`] and the replay
+/// stream. It reads the stream a span at a time — a FULL or DELTA record
+/// and every HOLD right after it — into a frame, holding the stream to
+/// its rules: the first record is FULL, DELTA cells are in range and
+/// strictly increasing, DELTA and HOLD counts are non-zero, and the
+/// records cover exactly the ticks the header declares.
+#[derive(Debug)]
+pub(crate) struct Records<R> {
+    r: Reader<R>,
+    /// Cells per frame.
     cells: usize,
-    first: bool,
+    /// Ticks the header declares.
+    declared: u64,
+    /// Ticks covered by the spans decoded so far.
+    ticks: u64,
+    /// A record after a span that failed to decode while the span was
+    /// being extended: returned by the next call, so every tick before
+    /// it is delivered first.
+    deferred: Option<Error>,
 }
 
-impl<'a> RecordCursor<'a> {
-    pub(crate) fn new(records: &'a [u8], cells: usize) -> Self {
-        Self::resume(records, cells, 0, true)
-    }
-
-    /// Rebuilds a cursor mid-stream — how the memory-mapped replay
-    /// stream resumes from a saved byte offset without holding a
-    /// self-referential borrow.
-    pub(crate) fn resume(records: &'a [u8], cells: usize, pos: usize, first: bool) -> Self {
-        RecordCursor {
-            bytes: records,
-            pos,
-            cells,
-            first,
+impl<R: BufRead> Records<R> {
+    /// The records after `header`, which `r` has just read.
+    pub(crate) fn new(r: Reader<R>, header: &EventsHeader) -> Self {
+        Records {
+            r,
+            cells: header.cells(),
+            declared: header.ticks,
+            ticks: 0,
+            deferred: None,
         }
     }
 
-    /// Byte offset of the next unread record, relative to the record
-    /// stream start.
-    pub(crate) fn pos(&self) -> usize {
-        self.pos
+    /// Ticks covered by the spans decoded so far.
+    pub(crate) fn ticks(&self) -> u64 {
+        self.ticks
     }
 
-    /// Un-reads back to a previously observed position (peek support).
-    pub(crate) fn rewind_to(&mut self, pos: usize) {
-        debug_assert!(pos <= self.pos);
-        self.pos = pos;
-    }
-
-    /// Decodes the next record, or `None` at a clean end of stream.
-    pub(crate) fn next(&mut self) -> Result<Option<Record<'a>>, Error> {
-        if self.pos == self.bytes.len() {
+    /// Decodes the next span, leaving the values it holds in `frame`
+    /// (`cells` long). Returns `None` at a clean end of the stream.
+    pub(crate) fn next_span(&mut self, frame: &mut [u16]) -> Result<Option<Span>, Error> {
+        if let Some(e) = self.deferred.take() {
+            return Err(e);
+        }
+        let Some(tag) = self.r.peek_u8()? else {
+            if self.ticks != self.declared {
+                return Err(self.r.invalid(
+                    "end",
+                    format_args!(
+                        "records cover {} ticks but the header declares {}",
+                        self.ticks, self.declared
+                    ),
+                ));
+            }
             return Ok(None);
-        }
-        let truncated = |what: &str| Error::invalid_input(format!("truncated events data: {what}"));
-        let mut r = Reader {
-            bytes: self.bytes,
-            pos: self.pos,
         };
-        let tag = r.bytes(1).map_err(|_| truncated("record tag"))?[0];
-        let record = match tag {
-            TAG_FULL => Record::Full(
-                r.bytes(2 * self.cells)
-                    .map_err(|_| truncated("full frame"))?,
-            ),
+        let (mut ticks, frames) = match tag {
+            TAG_FULL => {
+                self.r.u8("record tag")?;
+                self.r.u16s("full frame", frame)?;
+                (1, 1)
+            }
+            TAG_DELTA | TAG_HOLD if self.ticks == 0 => {
+                return Err(self
+                    .r
+                    .invalid("record tag", "events stream must start with a FULL frame"));
+            }
             TAG_DELTA => {
-                if self.first {
-                    return Err(Error::invalid_input(
-                        "events stream must start with a FULL frame",
-                    ));
-                }
-                let n = r.u32().map_err(|_| truncated("delta count"))? as usize;
-                if n == 0 {
-                    return Err(Error::invalid_input("empty DELTA record"));
-                }
-                Record::Delta(r.bytes(6 * n).map_err(|_| truncated("delta payload"))?)
+                self.r.u8("record tag")?;
+                self.delta(frame)?;
+                (1, 1)
             }
-            TAG_HOLD => {
-                if self.first {
-                    return Err(Error::invalid_input(
-                        "events stream must start with a FULL frame",
-                    ));
-                }
-                let n = r.u32().map_err(|_| truncated("hold count"))?;
-                if n == 0 {
-                    return Err(Error::invalid_input("empty HOLD record"));
-                }
-                Record::Hold(n)
-            }
+            // Non-canonical but well-formed: a HOLD not merged with its
+            // predecessor is its own unchanged-values span.
+            TAG_HOLD => (self.hold()?, 0),
             other => {
-                return Err(Error::invalid_input(format!(
-                    "unknown events record tag {other:#04x} at byte {}",
-                    self.pos
-                )))
+                return Err(self.r.invalid(
+                    "record tag",
+                    format_args!("unknown events record tag {other:#04x}"),
+                ));
             }
         };
-        self.first = false;
-        self.pos = r.pos;
-        Ok(Some(record))
-    }
-}
-
-/// Applies a FULL payload to the current frame.
-pub(crate) fn apply_full(payload: &[u8], cur: &mut [u16]) -> Result<(), Error> {
-    if payload.len() != 2 * cur.len() {
-        return Err(Error::invalid_input("full frame payload length mismatch"));
-    }
-    for (cell, chunk) in cur.iter_mut().zip(payload.chunks_exact(2)) {
-        *cell = u16::from_le_bytes([chunk[0], chunk[1]]);
-    }
-    Ok(())
-}
-
-/// Applies a DELTA payload to the current frame, enforcing the canonical
-/// strictly-increasing cell order and cell bounds.
-pub(crate) fn apply_delta(payload: &[u8], cur: &mut [u16]) -> Result<(), Error> {
-    let mut last: Option<usize> = None;
-    for entry in payload.chunks_exact(6) {
-        let cell = u32::from_le_bytes([entry[0], entry[1], entry[2], entry[3]]) as usize;
-        let value = u16::from_le_bytes([entry[4], entry[5]]);
-        if cell >= cur.len() {
-            return Err(Error::invalid_input(format!(
-                "delta cell {cell} out of range (frame has {} cells)",
-                cur.len()
-            )));
+        while self.r.peek_u8()? == Some(TAG_HOLD) {
+            match self.hold() {
+                Ok(n) => ticks += n,
+                Err(e) => {
+                    self.deferred = Some(e);
+                    break;
+                }
+            }
         }
-        if last.is_some_and(|l| cell <= l) {
-            return Err(Error::invalid_input(
-                "delta cells are not strictly increasing",
+        self.ticks += ticks;
+        if self.ticks > self.declared {
+            return Err(self.r.invalid(
+                "record",
+                format_args!(
+                    "records cover {}+ ticks but the header declares {}",
+                    self.ticks, self.declared
+                ),
             ));
         }
-        last = Some(cell);
-        cur[cell] = value;
+        Ok(Some(Span { ticks, frames }))
     }
-    Ok(())
+
+    fn hold(&mut self) -> Result<u64, Error> {
+        self.r.u8("record tag")?;
+        match self.r.u32("hold count")? {
+            0 => Err(self.r.invalid("hold count", "empty HOLD record")),
+            n => Ok(u64::from(n)),
+        }
+    }
+
+    fn delta(&mut self, frame: &mut [u16]) -> Result<(), Error> {
+        // Strictly increasing in-range cells number at most `cells`: a
+        // larger count is rejected before a byte of its payload is read.
+        let n = self.r.count("delta count", self.cells)?;
+        if n == 0 {
+            return Err(self.r.invalid("delta count", "empty DELTA record"));
+        }
+        // The lowest cell the next entry may name.
+        let mut next = 0;
+        for _ in 0..n {
+            let cell = self.r.u32("delta cell")? as usize;
+            let value = self.r.u16("delta value")?;
+            if cell >= self.cells {
+                return Err(self.r.invalid(
+                    "delta cell",
+                    format_args!("cell {cell} out of range (frame has {} cells)", self.cells),
+                ));
+            }
+            if cell < next {
+                return Err(self
+                    .r
+                    .invalid("delta cell", "delta cells are not strictly increasing"));
+            }
+            frame[cell] = value;
+            next = cell + 1;
+        }
+        Ok(())
+    }
 }
 
 /// Decodes a complete in-memory `.events` image back into one
@@ -534,120 +512,28 @@ pub(crate) fn apply_delta(payload: &[u8], cur: &mut [u16]) -> Result<(), Error> 
 /// Returns [`Error::InvalidInput`] for any header or record defect,
 /// including a tick-count mismatch or trailing bytes.
 pub fn decode(bytes: &[u8]) -> Result<Vec<UtilizationTrace>, Error> {
-    let (header, offset) = EventsHeader::parse(bytes)?;
-    let cells = header.cells();
+    let mut r = Reader::input(bytes, "events data");
+    let header = EventsHeader::read(&mut r)?;
     let width = header.components.len();
-    let mut cursor = RecordCursor::new(&bytes[offset..], cells);
-    let mut cur = vec![0u16; cells];
     let mut traces: Vec<UtilizationTrace> = header
         .machines
         .iter()
         .map(|m| UtilizationTrace::new(m.clone(), header.interval_s, header.components.clone()))
         .collect::<Result<_, _>>()?;
-    let mut ticks = 0u64;
+    let mut records = Records::new(r, &header);
+    let mut frame = vec![0u16; header.cells()];
     let mut row = vec![0.0f64; width];
-    let push_current =
-        |traces: &mut Vec<UtilizationTrace>, cur: &[u16], row: &mut [f64]| -> Result<(), Error> {
-            for (m, trace) in traces.iter_mut().enumerate() {
-                for (c, v) in row.iter_mut().enumerate() {
-                    *v = dequantize(cur[m * width + c]);
-                }
-                trace.push_row(row)?;
+    while let Some(span) = records.next_span(&mut frame)? {
+        for (trace, cells) in traces.iter_mut().zip(frame.chunks_exact(width)) {
+            for (v, q) in row.iter_mut().zip(cells) {
+                *v = dequantize(*q);
             }
-            Ok(())
-        };
-    while let Some(record) = cursor.next()? {
-        match record {
-            Record::Full(payload) => {
-                apply_full(payload, &mut cur)?;
-                push_current(&mut traces, &cur, &mut row)?;
-                ticks += 1;
-            }
-            Record::Delta(payload) => {
-                apply_delta(payload, &mut cur)?;
-                push_current(&mut traces, &cur, &mut row)?;
-                ticks += 1;
-            }
-            Record::Hold(n) => {
-                for _ in 0..n {
-                    push_current(&mut traces, &cur, &mut row)?;
-                }
-                ticks += u64::from(n);
+            for _ in 0..span.ticks {
+                trace.push_row(&row)?;
             }
         }
-        if ticks > header.ticks {
-            return Err(Error::invalid_input(format!(
-                "events records cover {ticks}+ ticks but the header declares {}",
-                header.ticks
-            )));
-        }
-    }
-    if ticks != header.ticks {
-        return Err(Error::invalid_input(format!(
-            "events records cover {ticks} ticks but the header declares {}",
-            header.ticks
-        )));
     }
     Ok(traces)
-}
-
-/// How a bounded read can fail: the slice ran out (which a prefix
-/// parser treats as "need more bytes" and a record parser treats as
-/// truncation), or the data is provably invalid.
-enum ReadFail {
-    Eof,
-    Bad(Error),
-}
-
-impl ReadFail {
-    fn bad(reason: impl Into<String>) -> Self {
-        ReadFail::Bad(Error::invalid_input(reason))
-    }
-}
-
-/// Bounds-checked little-endian primitive reader over a byte slice.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], ReadFail> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len());
-        match end {
-            Some(end) => {
-                let s = &self.bytes[self.pos..end];
-                self.pos = end;
-                Ok(s)
-            }
-            None => Err(ReadFail::Eof),
-        }
-    }
-
-    fn u32(&mut self) -> Result<u32, ReadFail> {
-        let b = self.bytes(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, ReadFail> {
-        let b = self.bytes(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn name(&mut self) -> Result<String, ReadFail> {
-        let len = usize::from(u16::from_le_bytes({
-            let b = self.bytes(2)?;
-            [b[0], b[1]]
-        }));
-        let raw = self.bytes(len)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| ReadFail::bad("table name is not UTF-8"))
-    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! For fleet-scale replay the in-RAM CSV path does not cut it: the
 //! [`events`] submodule defines `mercury-events-v1`, a compact binary
 //! trace format, [`stream`] replays `.events` files out of core
-//! (memory-mapped or buffered) with flat memory, and [`checkpoint`]
+//! through one buffered reader with flat memory, and [`checkpoint`]
 //! serializes full solver state to `mercury-ckpt-v1` blobs so long
 //! replays can be cut at tick boundaries and resumed — or run in
 //! parallel across time segments — bit-identically.

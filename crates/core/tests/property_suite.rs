@@ -1,10 +1,16 @@
 //! Property tests for the Mercury core: physics invariants over random
-//! graphs, protocol totality, and fiddle grammar round-trips.
+//! graphs, protocol totality, fiddle grammar round-trips, and one
+//! structure-aware fuzz target per binary format (request, reply,
+//! `.events`, checkpoint).
 
+mod fuzz;
+
+use fuzz::Damage;
 use mercury::fiddle::{FiddleCommand, FiddleScript};
 use mercury::model::MachineModel;
 use mercury::net::proto::{self, Request};
 use mercury::solver::{Solver, SolverConfig};
+use mercury::trace::events;
 use mercury::units::Celsius;
 use proptest::prelude::*;
 
@@ -157,5 +163,107 @@ proptest! {
     #[test]
     fn fiddle_parser_is_total(text in "\\PC{0,300}") {
         let _ = FiddleScript::parse(&text);
+    }
+}
+
+/// A random [`Damage`]: a cut, one to three bit flips, or a splice.
+fn damage() -> impl Strategy<Value = Damage> {
+    prop_oneof![
+        (0usize..4096).prop_map(Damage::Truncate),
+        proptest::collection::vec((0usize..4096, 1u8..=255), 1..4).prop_map(Damage::Flip),
+        (0usize..4096, 0usize..4096).prop_map(|(head, tail)| Damage::Splice(head, tail)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A damaged request never panics the decoder, and one that still
+    /// decodes re-encodes to the same bytes. A fiddle travels as script
+    /// text, which decoding normalises, so for it the re-encoding is a
+    /// fixed point instead.
+    #[test]
+    fn damaged_requests_decode_canonically_or_not_at_all(
+        seed in 0usize..8,
+        donor in 0usize..8,
+        damage in damage(),
+    ) {
+        let requests = fuzz::requests();
+        let bytes = damage.apply(
+            &proto::encode_request(&requests[seed % requests.len()]),
+            &proto::encode_request(&requests[donor % requests.len()]),
+        );
+        if let Ok(request) = proto::decode_request(&bytes) {
+            let again = proto::encode_request(&request);
+            if matches!(request, Request::Fiddle { .. }) {
+                let twice = proto::encode_request(&proto::decode_request(&again).unwrap());
+                prop_assert_eq!(twice, again);
+            } else {
+                prop_assert_eq!(again, bytes);
+            }
+        }
+    }
+
+    /// A damaged reply never panics the decoder, and one that still
+    /// decodes re-encodes to the same bytes.
+    #[test]
+    fn damaged_replies_decode_canonically_or_not_at_all(
+        seed in 0usize..6,
+        donor in 0usize..6,
+        damage in damage(),
+    ) {
+        let replies = fuzz::replies();
+        let bytes = damage.apply(
+            &proto::encode_reply(&replies[seed % replies.len()]),
+            &proto::encode_reply(&replies[donor % replies.len()]),
+        );
+        if let Ok(reply) = proto::decode_reply(&bytes) {
+            prop_assert_eq!(proto::encode_reply(&reply), bytes);
+        }
+    }
+
+    /// A damaged `.events` image never panics the decoder. The encoder
+    /// is canonical, the decoder merely strict: an undamaged seed
+    /// re-encodes byte-identically, and whatever a damaged one decodes
+    /// to re-encodes to a fixed point of decode→encode.
+    #[test]
+    fn damaged_events_decode_strictly(
+        seed in 0usize..3,
+        donor in 0usize..3,
+        damage in damage(),
+    ) {
+        let seeds = fuzz::events_seeds();
+        let original = &seeds[seed];
+        prop_assert_eq!(&events::encode_to_vec(&events::decode(original).unwrap()).unwrap().0, original);
+        let bytes = damage.apply(original, &seeds[donor]);
+        if let Ok(traces) = events::decode(&bytes) {
+            let (again, _) = events::encode_to_vec(&traces).unwrap();
+            let (twice, _) = events::encode_to_vec(&events::decode(&again).unwrap()).unwrap();
+            prop_assert_eq!(twice, again);
+        }
+    }
+
+    /// A damaged checkpoint never panics a restore. An undamaged one
+    /// round-trips save→restore→save byte-identically; a damaged one
+    /// that restores leaves a room whose own checkpoint round-trips.
+    #[test]
+    fn damaged_checkpoints_restore_strictly(
+        seed in 0usize..3,
+        donor in 0usize..3,
+        damage in damage(),
+    ) {
+        let seeds = fuzz::ckpt_seeds();
+        let original = &seeds[seed];
+        let mut room = fuzz::ckpt_room();
+        room.restore_checkpoint(original).unwrap();
+        prop_assert_eq!(&room.checkpoint(), original);
+        let bytes = damage.apply(original, &seeds[donor]);
+        let mut room = fuzz::ckpt_room();
+        if room.restore_checkpoint(&bytes).is_ok() {
+            let saved = room.checkpoint();
+            let mut again = fuzz::ckpt_room();
+            again.restore_checkpoint(&saved).unwrap();
+            prop_assert_eq!(again.checkpoint(), saved);
+        }
     }
 }

@@ -14,11 +14,20 @@
 //! The same allocator keeps the live bytes of each thread, which pins
 //! the memory a replicated room costs per machine: the replicas of one
 //! model share its body, their solvers' structure and one compiled
-//! kernel, and each holds only its own state.
+//! kernel, and each holds only its own state. Its high-water mark
+//! bounds what a decoder may allocate for damaged input: no count read
+//! from a datagram, an `.events` record or a checkpoint sizes an
+//! allocation.
 
+mod fuzz;
+
+use fuzz::Damage;
 use mercury::model::ClusterModel;
+use mercury::net::proto;
 use mercury::presets::{self, nodes, FAN_CFM};
 use mercury::solver::{ClusterSolver, SolverConfig};
+use mercury::trace::events::{self, EventsHeader};
+use mercury::trace::stream::{ClusterBinding, EventsStream};
 use mercury::units::Celsius;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -29,6 +38,7 @@ thread_local! {
     /// destructor, so the allocator can touch them without allocating.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting every allocation and the bytes held
@@ -41,7 +51,11 @@ fn count(grown: i64) {
 }
 
 fn held(bytes: i64) {
-    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + bytes));
+    let _ = LIVE_BYTES.try_with(|n| {
+        let live = n.get() + bytes;
+        n.set(live);
+        let _ = PEAK_BYTES.try_with(|peak| peak.set(peak.get().max(live)));
+    });
 }
 
 // SAFETY: every method forwards to `System` with its own arguments;
@@ -80,6 +94,15 @@ fn measure<T>(f: impl FnOnce() -> T) -> (T, u64, i64) {
         ALLOCATIONS.with(Cell::get) - allocations,
         LIVE_BYTES.with(Cell::get) - bytes,
     )
+}
+
+/// The most bytes held at once on this thread while `f` runs, beyond
+/// what was held before it.
+fn peak<T>(f: impl FnOnce() -> T) -> (T, i64) {
+    let before = LIVE_BYTES.with(Cell::get);
+    PEAK_BYTES.with(|peak| peak.set(before));
+    let out = f();
+    (out, PEAK_BYTES.with(Cell::get) - before)
 }
 
 /// Allocations the warm ticks below make, fiddles included.
@@ -200,4 +223,154 @@ fn first_divergence_copies_once() {
     assert!(!diverged.shares_kernel_with(untouched));
     assert!(untouched.shares_shape_with(room.machine_at(0)));
     assert!(untouched.shares_kernel_with(room.machine_at(0)));
+}
+
+/// A 1024-machine room and an `.events` file over its `cpu` and
+/// `disk_platters`: a FULL frame, then a DELTA record claiming
+/// `u32::MAX` entries in five bytes. Replaying the frame succeeds; the
+/// call that meets the DELTA fails with `InvalidInput` having allocated
+/// less than one frame — the count is checked against the frame before
+/// anything is read or sized by it.
+#[test]
+fn a_delta_count_from_the_file_sizes_no_allocation() {
+    const MACHINES: usize = 1024;
+    let traces: Vec<_> = (0..MACHINES)
+        .map(|m| {
+            mercury::trace::UtilizationTrace::from_fn(
+                format!("machine{}", m + 1),
+                1.0,
+                vec![nodes::CPU.into(), "disk_platters".into()],
+                4,
+                |_, _| 0.5,
+            )
+            .unwrap()
+        })
+        .collect();
+    let (bytes, _) = events::encode_to_vec(&traces).unwrap();
+    let (header, header_len) = EventsHeader::parse(&bytes).unwrap();
+    let frame = 2 * header.cells();
+    let mut crafted = bytes[..header_len + 1 + frame].to_vec();
+    crafted.extend_from_slice(&[0x02, 0xff, 0xff, 0xff, 0xff]);
+    let path = std::env::temp_dir().join(format!(
+        "mercury-step-alloc-{}-delta.events",
+        std::process::id()
+    ));
+    std::fs::write(&path, &crafted).unwrap();
+    let mut stream = EventsStream::open(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+
+    let mut room = ClusterSolver::new(
+        &presets::validation_cluster(MACHINES),
+        SolverConfig::default(),
+    )
+    .unwrap();
+    let binding = ClusterBinding::new(stream.header(), &room).unwrap();
+    room.step();
+    stream.replay_ticks(&binding, &mut room, 1).unwrap();
+    let (result, bytes) = peak(|| stream.replay_ticks(&binding, &mut room, 1));
+    let err = result.unwrap_err();
+    println!("failing replay call: peak {bytes} B, frame {frame} B");
+    assert!(
+        matches!(&err, mercury::Error::InvalidInput { reason } if reason.contains("delta count")),
+        "{err}"
+    );
+    assert!(bytes < frame as i64, "peak {bytes} B, frame {frame} B");
+}
+
+/// Peak bytes a decode of `len` input bytes may hold, beyond a frame it
+/// declares: a constant factor for what it builds from the bytes, plus
+/// room for an error message.
+fn decode_budget(len: usize, frame: usize) -> i64 {
+    (8 * (len + frame) + 1024) as i64
+}
+
+/// What a replay stream holds whatever its input: the `BufReader`'s
+/// 8 KiB block, and the `/proc/self/status` read that refreshes the
+/// peak-RSS gauge when a replay call ends or fails.
+const STREAM_FIXED: usize = 8 * 1024 + 4 * 1024;
+
+/// A deterministic stream of damage, so the bound below is checked on
+/// the same inputs on every run.
+fn damages(n: usize) -> impl Iterator<Item = Damage> {
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state as usize
+    };
+    (0..n).map(move |i| match i % 3 {
+        0 => Damage::Truncate(next()),
+        1 => Damage::Flip(
+            (0..1 + next() % 3)
+                .map(|_| (next(), 1 + (next() % 255) as u8))
+                .collect(),
+        ),
+        _ => Damage::Splice(next(), next()),
+    })
+}
+
+/// Damaged requests, replies, `.events` headers and streams, and
+/// checkpoints: each decode's peak allocation is at most a constant
+/// times its input length plus the frame the input declares (a
+/// datagram and a checkpoint declare none; a checkpoint restores into
+/// a room built beforehand).
+#[test]
+fn damaged_input_allocates_in_proportion_to_its_length() {
+    let requests: Vec<Vec<u8>> = fuzz::requests().iter().map(proto::encode_request).collect();
+    let replies: Vec<Vec<u8>> = fuzz::replies().iter().map(proto::encode_reply).collect();
+    let events = fuzz::events_seeds();
+    let ckpts = fuzz::ckpt_seeds();
+    let path = std::env::temp_dir().join(format!(
+        "mercury-step-alloc-{}-damaged.events",
+        std::process::id()
+    ));
+    let mut worst = 0f64;
+    for (i, damage) in damages(600).enumerate() {
+        let pick = |seeds: &[Vec<u8>]| -> Vec<u8> {
+            damage.apply(&seeds[i % seeds.len()], &seeds[(i / 3) % seeds.len()])
+        };
+        let mut check = |what: &str, input: &[u8], frame: usize, bytes: i64| {
+            let budget = decode_budget(input.len(), frame);
+            worst = worst.max(bytes as f64 / budget as f64);
+            assert!(
+                bytes <= budget,
+                "{what} #{i}: {bytes} B for {} input bytes and a {frame} B frame",
+                input.len()
+            );
+        };
+
+        let input = pick(&requests);
+        let (_, bytes) = peak(|| proto::decode_request(&input));
+        check("request", &input, 0, bytes);
+        let input = pick(&replies);
+        let (_, bytes) = peak(|| proto::decode_reply(&input));
+        check("reply", &input, 0, bytes);
+
+        let input = pick(&events);
+        let declared = |input: &[u8]| EventsHeader::parse(input).map_or(0, |(h, _)| 2 * h.cells());
+        let (_, bytes) = peak(|| EventsHeader::parse(&input));
+        check("events header", &input, declared(&input), bytes);
+        std::fs::write(&path, &input).unwrap();
+        let mut room = fuzz::ckpt_room();
+        room.step();
+        let (_, bytes) = peak(|| {
+            let mut stream = EventsStream::open(&path)?;
+            let binding = ClusterBinding::new(stream.header(), &room)?;
+            stream.replay(&binding, &mut room)
+        });
+        check(
+            "events stream",
+            &input,
+            declared(&input) + STREAM_FIXED,
+            bytes,
+        );
+
+        let input = pick(&ckpts);
+        let mut room = fuzz::ckpt_room();
+        let (_, bytes) = peak(|| room.restore_checkpoint(&input));
+        check("checkpoint", &input, 0, bytes);
+    }
+    let _ = std::fs::remove_file(&path);
+    println!("worst decode: {:.0}% of its budget", 100.0 * worst);
 }

@@ -1,7 +1,7 @@
 //! End-to-end tests of the binary trace pipeline: CSV ↔ `.events`
 //! round-trips under the quantization contract, strict decode rejection,
-//! out-of-core replay equivalence (mapped vs buffered vs hand-rolled
-//! per-tick feeding) with flat decode memory, and checkpointed
+//! out-of-core replay equivalence (stream vs hand-rolled per-tick
+//! feeding) with flat decode memory, and checkpointed
 //! time-segment replay held bitwise-identical to the serial run at
 //! several thread counts.
 
@@ -184,43 +184,33 @@ fn stream_rejects_corrupt_files() {
     let traces = traces_from_rows(2, &rows);
     let (bytes, _) = events::encode_to_vec(&traces).unwrap();
 
-    type Opener = fn(&std::path::Path) -> Result<EventsStream, mercury::Error>;
-    let modes: [Opener; 2] = [
-        |p| EventsStream::open_mapped(p),
-        |p| EventsStream::open_buffered(p),
-    ];
-
     // Truncations must fail at open (header) or during replay (records),
-    // never succeed silently — in both modes.
+    // never succeed silently.
     for cut in [4usize, 20, bytes.len() / 2, bytes.len() - 1] {
         let path = unique_path("corrupt");
         let _guard = Cleanup(path.clone());
         std::fs::write(&path, &bytes[..cut]).unwrap();
-        for open in modes {
-            let outcome = open(&path).and_then(|mut s| {
-                let mut c = cluster(2, 1);
-                let binding = ClusterBinding::new(s.header(), &c)?;
-                s.replay(&binding, &mut c).map(|_| ())
-            });
-            assert!(outcome.is_err(), "truncation at {cut} bytes was accepted");
-        }
+        let outcome = EventsStream::open(&path).and_then(|mut s| {
+            let mut c = cluster(2, 1);
+            let binding = ClusterBinding::new(s.header(), &c)?;
+            s.replay(&binding, &mut c).map(|_| ())
+        });
+        assert!(outcome.is_err(), "truncation at {cut} bytes was accepted");
     }
 
-    // Bad magic and bad version fail at open in both modes.
+    // Bad magic and bad version fail at open.
     for (offset, value) in [(0usize, 0xffu8), (8, 99)] {
         let mut bad = bytes.clone();
         bad[offset] ^= value;
         let path = unique_path("corrupt");
         let _guard = Cleanup(path.clone());
         std::fs::write(&path, &bad).unwrap();
-        assert!(EventsStream::open_mapped(&path).is_err());
-        assert!(EventsStream::open_buffered(&path).is_err());
+        assert!(EventsStream::open(&path).is_err());
     }
 
-    // A header naming one machine (or component) twice fails at open in
-    // both modes: the two rows would bind to one machine. Each case
-    // rewrites the second name of a table (its u16 length and bytes)
-    // into the first.
+    // A header naming one machine (or component) twice fails at open:
+    // the two rows would bind to one machine. Each case rewrites the
+    // second name of a table (its u16 length and bytes) into the first.
     for (name, first) in [
         (&b"machine2"[..], &b"machine1"[..]),
         (b"disk_platters", b"cpu"),
@@ -240,8 +230,7 @@ fn stream_rejects_corrupt_files() {
         let path = unique_path("corrupt");
         let _guard = Cleanup(path.clone());
         std::fs::write(&path, &twice).unwrap();
-        assert!(EventsStream::open_mapped(&path).is_err());
-        assert!(EventsStream::open_buffered(&path).is_err());
+        assert!(EventsStream::open(&path).is_err());
     }
 
     // Trailing garbage after the declared tick count fails during replay.
@@ -250,12 +239,10 @@ fn stream_rejects_corrupt_files() {
     let path = unique_path("corrupt");
     let _guard = Cleanup(path.clone());
     std::fs::write(&path, &padded).unwrap();
-    for open in modes {
-        let mut s = open(&path).unwrap();
-        let mut c = cluster(2, 1);
-        let binding = ClusterBinding::new(s.header(), &c).unwrap();
-        assert!(s.replay(&binding, &mut c).is_err());
-    }
+    let mut s = EventsStream::open(&path).unwrap();
+    let mut c = cluster(2, 1);
+    let binding = ClusterBinding::new(s.header(), &c).unwrap();
+    assert!(s.replay(&binding, &mut c).is_err());
 }
 
 #[test]
@@ -420,42 +407,35 @@ fn replay_decode_errors_leave_the_cluster_at_a_tick_boundary() {
         c
     };
 
-    type Opener = fn(&PathBuf) -> Result<EventsStream, mercury::Error>;
-    let modes: [(&str, Opener); 2] = [
-        ("mapped", |p| EventsStream::open_mapped(p)),
-        ("buffered", |p| EventsStream::open_buffered(p)),
-    ];
     for (what, corrupt, good_ticks) in [("truncated", &truncated, 13), ("bad tag", &bad_tag, 17)] {
         let path = unique_path("midspan");
         let _guard = Cleanup(path.clone());
         std::fs::write(&path, corrupt).unwrap();
         let reference = reference_at(good_ticks);
-        for (mode, open) in modes {
-            let mut stream = open(&path).unwrap();
-            let mut c = cluster(ROOM, 1);
-            let binding = ClusterBinding::new(stream.header(), &c).unwrap();
-            let err = stream.replay(&binding, &mut c).unwrap_err();
-            assert!(
-                matches!(err, mercury::Error::InvalidInput { .. }),
-                "{what}, {mode}: {err}"
-            );
-            assert_eq!(c.batched_machines(), ROOM, "the span ran in the lanes");
-            assert_eq!(c.time().0, good_ticks as f64, "{what}, {mode}: clock");
-            assert_eq!(stream.position(), good_ticks as u64, "{what}, {mode}");
-            assert!(
-                c.checkpoint() == reference.checkpoint(),
-                "{what}, {mode}: state is not that of tick {good_ticks}"
-            );
-        }
+        let mut stream = EventsStream::open(&path).unwrap();
+        let mut c = cluster(ROOM, 1);
+        let binding = ClusterBinding::new(stream.header(), &c).unwrap();
+        let err = stream.replay(&binding, &mut c).unwrap_err();
+        assert!(
+            matches!(err, mercury::Error::InvalidInput { .. }),
+            "{what}: {err}"
+        );
+        assert_eq!(c.batched_machines(), ROOM, "the span ran in the lanes");
+        assert_eq!(c.time().0, good_ticks as f64, "{what}: clock");
+        assert_eq!(stream.position(), good_ticks as u64, "{what}");
+        assert!(
+            c.checkpoint() == reference.checkpoint(),
+            "{what}: state is not that of tick {good_ticks}"
+        );
     }
 }
 
-/// The replay core: mapped replay, buffered replay, and a hand-rolled
-/// per-tick `set_utilization` loop over the decoded trace all produce
+/// The replay core: stream replay and a hand-rolled per-tick
+/// `set_utilization` loop over the decoded trace produce
 /// bitwise-identical trajectories, and the stream's decode memory stays
 /// flat from the first tick to the last.
 #[test]
-fn mapped_and_buffered_replay_match_per_tick_feeding() {
+fn stream_replay_matches_per_tick_feeding() {
     let rows: Vec<Vec<f64>> = (0..240)
         .map(|t| {
             let phase = t / 40; // six 40-tick blocks → real HOLD spans
@@ -490,37 +470,25 @@ fn mapped_and_buffered_replay_match_per_tick_feeding() {
         truth.step_for(1);
     }
 
-    type Opener = fn(&PathBuf) -> Result<EventsStream, mercury::Error>;
-    let modes: [(&str, Opener); 2] = [
-        ("mapped", |p| EventsStream::open_mapped(p)),
-        ("buffered", |p| EventsStream::open_buffered(p)),
-    ];
-    for (mode, open) in modes {
-        let mut stream = open(&path).unwrap();
-        assert_eq!(stream.is_mapped(), mode == "mapped");
-        let mut c = cluster(3, 1);
-        let binding = ClusterBinding::new(stream.header(), &c).unwrap();
-        let flat = stream.memory_bytes();
-        // Replay in uneven chunks so spans split across calls.
-        let mut done = 0u64;
-        for chunk in [7u64, 64, 1, 500] {
-            let stats = stream.replay_ticks(&binding, &mut c, chunk).unwrap();
-            done += stats.ticks;
-            assert_eq!(
-                stream.memory_bytes(),
-                flat,
-                "{mode} decode memory grew mid-replay"
-            );
-        }
-        assert_eq!(done, rows.len() as u64);
-        assert_eq!(stream.position(), rows.len() as u64);
-        assert_eq!(
-            temps_bits(&truth),
-            temps_bits(&c),
-            "{mode} replay diverged from per-tick feeding"
-        );
-        assert_eq!(c.time(), truth.time());
+    let mut stream = EventsStream::open(&path).unwrap();
+    let mut c = cluster(3, 1);
+    let binding = ClusterBinding::new(stream.header(), &c).unwrap();
+    let flat = stream.memory_bytes();
+    // Replay in uneven chunks so spans split across calls.
+    let mut done = 0u64;
+    for chunk in [7u64, 64, 1, 500] {
+        let stats = stream.replay_ticks(&binding, &mut c, chunk).unwrap();
+        done += stats.ticks;
+        assert_eq!(stream.memory_bytes(), flat, "decode memory grew mid-replay");
     }
+    assert_eq!(done, rows.len() as u64);
+    assert_eq!(stream.position(), rows.len() as u64);
+    assert_eq!(
+        temps_bits(&truth),
+        temps_bits(&c),
+        "replay diverged from per-tick feeding"
+    );
+    assert_eq!(c.time(), truth.time());
 }
 
 /// `mercury_replay_peak_rss_bytes` is read from procfs when a replay

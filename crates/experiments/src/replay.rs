@@ -55,7 +55,6 @@ pub struct ReplayBench {
     pub segments: usize,
     pub threads: usize,
     pub events_bytes: u64,
-    pub mapped: bool,
     pub serial_seconds: f64,
     pub segmented_seconds: f64,
     pub bit_identical: bool,
@@ -87,7 +86,7 @@ impl ReplayBench {
     /// The `"replay"` object for `BENCH_solver.json`.
     pub fn to_json(&self) -> String {
         format!(
-            "\"replay\": {{\n    \"model\": \"validation_cluster({})\",\n    \"machines\": {},\n    \"ticks_per_pass\": {},\n    \"passes\": {},\n    \"segments\": {},\n    \"threads\": {},\n    \"events_bytes\": {},\n    \"mapped\": {},\n    \"serial_seconds\": {:.3},\n    \"ticks_per_sec\": {:.1},\n    \"machine_ticks_per_sec\": {:.1},\n    \"segmented_seconds\": {:.3},\n    \"segments_bit_identical\": {},\n    \"stream_memory_bytes\": {},\n    \"peak_rss_warm_bytes\": {},\n    \"peak_rss_end_bytes\": {},\n    \"rss_growth_bytes\": {}\n  }}",
+            "\"replay\": {{\n    \"model\": \"validation_cluster({})\",\n    \"machines\": {},\n    \"ticks_per_pass\": {},\n    \"passes\": {},\n    \"segments\": {},\n    \"threads\": {},\n    \"events_bytes\": {},\n    \"serial_seconds\": {:.3},\n    \"ticks_per_sec\": {:.1},\n    \"machine_ticks_per_sec\": {:.1},\n    \"segmented_seconds\": {:.3},\n    \"segments_bit_identical\": {},\n    \"stream_memory_bytes\": {},\n    \"peak_rss_warm_bytes\": {},\n    \"peak_rss_end_bytes\": {},\n    \"rss_growth_bytes\": {}\n  }}",
             self.machines,
             self.machines,
             self.ticks,
@@ -95,7 +94,6 @@ impl ReplayBench {
             self.segments,
             self.threads,
             self.events_bytes,
-            self.mapped,
             self.serial_seconds,
             self.ticks_per_sec(),
             self.machine_ticks_per_sec(),
@@ -161,7 +159,6 @@ pub fn bench_replay(
     let mut serial = build_cluster(machines, threads)?;
     let mut stream = EventsStream::open(events_path)?;
     stream.set_metrics(metrics.clone());
-    let mapped = stream.is_mapped();
     let ticks = stream.header().ticks;
     if ticks < segments as u64 {
         return Err(format!("{ticks}-tick trace cannot be cut into {segments} segments").into());
@@ -241,7 +238,6 @@ pub fn bench_replay(
         segments,
         threads,
         events_bytes,
-        mapped,
         serial_seconds,
         segmented_seconds,
         bit_identical,
@@ -358,14 +354,13 @@ pub fn replay(args: &[String]) -> Result {
 
     let bench = bench_replay(&events_path, machines, passes, segments, threads)?;
     measured(&format!(
-        "{} machines x {} ticks x {} passes in {:.2} s: {:.0} cluster ticks/s, {:.2}M machine-ticks/s ({})",
+        "{} machines x {} ticks x {} passes in {:.2} s: {:.0} cluster ticks/s, {:.2}M machine-ticks/s",
         bench.machines,
         bench.ticks,
         bench.passes,
         bench.serial_seconds,
         bench.ticks_per_sec(),
         bench.machine_ticks_per_sec() / 1e6,
-        if bench.mapped { "mmap" } else { "buffered" },
     ));
     measured(&format!(
         "{} parallel segments in {:.2} s (serial pass baseline above); stream decode memory {} bytes",

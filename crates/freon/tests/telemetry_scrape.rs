@@ -9,38 +9,9 @@
 #![cfg(feature = "instrument")]
 
 use freon::{FreonConfig, FreonPolicy, ServerSnapshot, ThermalPolicy};
-use mercury::net::proto::{self, Reply, Request};
-use mercury::net::{ServiceConfig, SolverService};
-use std::collections::BTreeMap;
-use std::net::{SocketAddr, UdpSocket};
+use mercury::net::proto::Request;
+use mercury::net::{fetch_multipart, ServiceConfig, SolverService};
 use std::time::Duration;
-
-/// Sends one scrape request and reassembles the multi-part reply.
-fn scrape(addr: SocketAddr) -> String {
-    let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
-    socket.connect(addr).unwrap();
-    socket
-        .set_read_timeout(Some(Duration::from_secs(2)))
-        .unwrap();
-    socket
-        .send(&proto::encode_request(&Request::Scrape))
-        .unwrap();
-    let mut received: BTreeMap<u16, String> = BTreeMap::new();
-    let mut buf = [0u8; proto::MAX_DATAGRAM];
-    loop {
-        let n = socket.recv(&mut buf).unwrap();
-        match proto::decode_reply(&buf[..n]).unwrap() {
-            Reply::Metrics { part, parts, text } => {
-                received.insert(part, text);
-                if received.len() as u16 == parts {
-                    break;
-                }
-            }
-            other => panic!("unexpected reply to a scrape: {other:?}"),
-        }
-    }
-    received.into_values().collect()
-}
 
 fn hot_snapshots(n: usize, hot: usize) -> Vec<ServerSnapshot> {
     (0..n)
@@ -73,7 +44,19 @@ fn scrape_covers_solver_cluster_freon_and_net_families() {
 
     // Let the paced solver take a few ticks, then scrape.
     std::thread::sleep(Duration::from_millis(100));
-    let text = scrape(service.local_addr());
+    let fetch = fetch_multipart(
+        service.local_addr(),
+        &Request::Scrape,
+        Duration::from_secs(2),
+    )
+    .expect("scrape answered");
+    assert!(
+        fetch.is_complete(),
+        "{}/{} parts",
+        fetch.received,
+        fetch.total
+    );
+    let text = fetch.text;
     let samples = telemetry::text::parse_exposition(&text)
         .expect("every scraped line must parse as Prometheus text exposition");
 

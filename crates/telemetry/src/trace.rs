@@ -593,8 +593,8 @@ impl SpanRecord {
 }
 
 /// Renders spans as newline-delimited JSON, one span object per line —
-/// the wire form of `Reply::Trace` and the `spans` payload of incident
-/// bundles (chunked at line boundaries like the metrics scrape).
+/// the text a span dump's `Reply::Part`s carry (cut at line boundaries
+/// like the metrics scrape) and the `spans` payload of incident bundles.
 #[must_use]
 pub fn to_jsonl(spans: &[SpanRecord]) -> String {
     let mut out = String::new();

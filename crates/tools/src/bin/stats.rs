@@ -19,7 +19,8 @@
 //! exits with status 2 rather than presenting a truncated document.
 
 use mercury::net::proto::Request;
-use mercury_tools::{fetch_multipart, resolve, Args, MultipartFetch};
+use mercury::net::{fetch_multipart, MultipartFetch};
+use mercury_tools::{resolve, Args};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -37,7 +38,7 @@ fn main() -> std::process::ExitCode {
 /// Sends one scrape request and reassembles the (possibly multi-part)
 /// metrics reply.
 fn scrape(solver: SocketAddr) -> Result<MultipartFetch, String> {
-    fetch_multipart(solver, &Request::Scrape, Duration::from_secs(2))
+    fetch_multipart(solver, &Request::Scrape, Duration::from_secs(2)).map_err(|e| e.to_string())
 }
 
 fn format_labels(labels: &[(String, String)]) -> String {

@@ -21,8 +21,9 @@
 //! read-only — it never perturbs the emulation beyond the queries
 //! themselves.
 
+use mercury::net::fetch_multipart;
 use mercury::net::proto::Request;
-use mercury_tools::{fetch_multipart, resolve, Args};
+use mercury_tools::{resolve, Args};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::time::{Duration, SystemTime};
@@ -175,7 +176,8 @@ fn query(
         step: step.max(1),
         kind,
     };
-    let fetch = fetch_multipart(solver, &request, Duration::from_secs(2))?;
+    let fetch =
+        fetch_multipart(solver, &request, Duration::from_secs(2)).map_err(|e| e.to_string())?;
     let results = parse_results(&fetch.text)?;
     Ok((results, fetch.is_complete()))
 }

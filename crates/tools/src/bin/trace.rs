@@ -19,8 +19,9 @@
 //!       --out incident.trace.json
 //! ```
 
+use mercury::net::fetch_multipart;
 use mercury::net::proto::Request;
-use mercury_tools::{fetch_multipart, resolve, Args};
+use mercury_tools::{resolve, Args};
 use std::time::Duration;
 use telemetry::trace::{parse_jsonl, to_chrome_trace, to_jsonl, SpanRecord};
 
@@ -66,7 +67,8 @@ fn fetch(args: &Args, rest: &[String]) -> Result<std::process::ExitCode, String>
         .first()
         .ok_or("fetch wants the solver's HOST:PORT".to_string())?;
     let solver = resolve(addr)?;
-    let dump = fetch_multipart(solver, &Request::TraceDump, Duration::from_secs(2))?;
+    let dump = fetch_multipart(solver, &Request::TraceDump, Duration::from_secs(2))
+        .map_err(|e| e.to_string())?;
     let spans =
         parse_jsonl(&dump.text).map_err(|e| format!("solver sent a malformed dump: {e}"))?;
     eprintln!("fetched {} spans from {addr}", spans.len());

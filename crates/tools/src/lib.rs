@@ -30,11 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
-use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
-use std::time::Duration;
-
-use mercury::net::proto::{self, Reply, Request};
+use std::net::{SocketAddr, ToSocketAddrs};
 
 /// A parsed `--key value` style argument list.
 #[derive(Debug, Clone, Default)]
@@ -180,87 +176,6 @@ pub fn load_cluster(
     }
 }
 
-/// A reassembled multi-part reply ([`Reply::Metrics`] /
-/// [`Reply::Trace`] / [`Reply::Series`]), with total-parts accounting
-/// so callers can tell a complete document from one with datagrams
-/// missing.
-#[derive(Debug, Clone)]
-pub struct MultipartFetch {
-    /// The received parts concatenated in part order (gaps skipped).
-    pub text: String,
-    /// How many distinct parts actually arrived.
-    pub received: usize,
-    /// How many parts the service advertised in each header.
-    pub total: usize,
-}
-
-impl MultipartFetch {
-    /// Whether every advertised part arrived.
-    pub fn is_complete(&self) -> bool {
-        self.received == self.total
-    }
-}
-
-/// Sends `request` to `solver` and reassembles the multi-part reply.
-///
-/// This is the one fetch path shared by `mercury-stats`,
-/// `mercury-trace`, and `mercury-top`: it accepts whichever multi-part
-/// reply kind the service answers with, keeps reading until every
-/// advertised part has arrived or `timeout` passes with nothing new
-/// (UDP may drop datagrams), and returns the parts it got in order.
-/// Callers decide what a gap means — the binaries warn on stderr and
-/// exit non-zero rather than silently presenting a truncated document.
-///
-/// # Errors
-///
-/// Returns a message on socket errors, an undecodable or unexpected
-/// reply, a [`Reply::Error`] from the service, or when *no* part
-/// arrives within `timeout`.
-pub fn fetch_multipart(
-    solver: SocketAddr,
-    request: &Request,
-    timeout: Duration,
-) -> Result<MultipartFetch, String> {
-    let socket = UdpSocket::bind("0.0.0.0:0").map_err(|e| format!("cannot bind socket: {e}"))?;
-    socket
-        .set_read_timeout(Some(timeout))
-        .map_err(|e| format!("cannot set socket timeout: {e}"))?;
-    socket
-        .send_to(&proto::encode_request(request), solver)
-        .map_err(|e| format!("cannot send to {solver}: {e}"))?;
-
-    let mut parts: BTreeMap<u16, String> = BTreeMap::new();
-    let mut total: Option<u16> = None;
-    let mut buf = [0u8; 2048];
-    while total.is_none_or(|n| parts.len() < n as usize) {
-        let len = match socket.recv(&mut buf) {
-            Ok(len) => len,
-            // First part never arrived: a real failure. Later silence
-            // just means the remaining datagrams were dropped.
-            Err(e) if parts.is_empty() => {
-                return Err(format!("no reply from {solver}: {e}"));
-            }
-            Err(_) => break,
-        };
-        let (part, part_total, text) =
-            match proto::decode_reply(&buf[..len]).map_err(|e| format!("bad reply: {e}"))? {
-                Reply::Metrics { part, parts, text }
-                | Reply::Trace { part, parts, text }
-                | Reply::Series { part, parts, text } => (part, parts, text),
-                Reply::Error { message } => return Err(format!("solver error: {message}")),
-                other => return Err(format!("unexpected reply: {other:?}")),
-            };
-        total = Some(total.unwrap_or(part_total).max(part_total));
-        parts.insert(part, text);
-    }
-    let total = total.map_or(0, usize::from);
-    Ok(MultipartFetch {
-        received: parts.len(),
-        text: parts.into_values().collect(),
-        total,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,71 +241,6 @@ mod tests {
         assert_eq!(model.name(), "tiny");
         assert!(load_machine(path.to_str().unwrap(), Some("ghost")).is_err());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Spawns a fake solver that answers the first datagram with the
-    /// given replies and returns its address.
-    fn fake_responder(replies: Vec<Reply>) -> SocketAddr {
-        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let addr = socket.local_addr().unwrap();
-        std::thread::spawn(move || {
-            let mut buf = [0u8; 2048];
-            let (_, peer) = socket.recv_from(&mut buf).unwrap();
-            for reply in &replies {
-                socket.send_to(&proto::encode_reply(reply), peer).unwrap();
-            }
-        });
-        addr
-    }
-
-    fn series_part(part: u16, parts: u16, text: &str) -> Reply {
-        Reply::Series {
-            part,
-            parts,
-            text: text.into(),
-        }
-    }
-
-    #[test]
-    fn fetch_multipart_reassembles_in_order() {
-        // Parts delivered out of order still concatenate by index.
-        let addr = fake_responder(vec![
-            series_part(1, 2, "b raw 2:2\n"),
-            series_part(0, 2, "a raw 1:1\n"),
-        ]);
-        let fetch = fetch_multipart(addr, &Request::Ping, Duration::from_secs(2)).unwrap();
-        assert!(fetch.is_complete());
-        assert_eq!((fetch.received, fetch.total), (2, 2));
-        assert_eq!(fetch.text, "a raw 1:1\nb raw 2:2\n");
-    }
-
-    #[test]
-    fn fetch_multipart_accounts_for_dropped_parts() {
-        // Part 1 of 3 goes missing: the fetch reports the gap instead
-        // of presenting a silently truncated document.
-        let addr = fake_responder(vec![
-            series_part(0, 3, "a raw 1:1\n"),
-            series_part(2, 3, "c raw 3:3\n"),
-        ]);
-        let fetch = fetch_multipart(addr, &Request::Ping, Duration::from_millis(300)).unwrap();
-        assert!(!fetch.is_complete());
-        assert_eq!((fetch.received, fetch.total), (2, 3));
-        assert_eq!(fetch.text, "a raw 1:1\nc raw 3:3\n");
-    }
-
-    #[test]
-    fn fetch_multipart_surfaces_service_errors_and_silence() {
-        let addr = fake_responder(vec![Reply::Error {
-            message: "series history is disabled".into(),
-        }]);
-        let err = fetch_multipart(addr, &Request::Ping, Duration::from_secs(2)).unwrap_err();
-        assert!(err.contains("series history is disabled"), "{err}");
-
-        // Nobody listening: the first recv times out into an error.
-        let silent = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let addr = silent.local_addr().unwrap();
-        let err = fetch_multipart(addr, &Request::Ping, Duration::from_millis(100)).unwrap_err();
-        assert!(err.contains("no reply"), "{err}");
     }
 
     #[test]
