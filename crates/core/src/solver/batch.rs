@@ -69,9 +69,26 @@
 //! lanes are zero in every matrix (weights included) and therefore stay
 //! zero, and every row is whole vector blocks on every backend.
 //!
+//! ## Plan maintenance
+//!
+//! [`BatchSet::plan`] replans only when some machine's signature moved
+//! (its class, a pin, or a diverged machine's rebuild epoch), and a
+//! replan recycles rather than rebuilds — a fan command moves its
+//! machine between per-lane classes, and a room under fan control
+//! replans often. A class whose key the previous plan had keeps that
+//! group's operator (the same fingerprint and sub-step count mean the
+//! same structure and composed pattern) and verifies only the members
+//! new to it or rebuilt since. Each of its chunks keeps its buffers
+//! while its stride holds, and its lanes — in cluster order, as always —
+//! wherever they keep their machine ([`Chunk::assign`]); a lane given
+//! another machine starts cold. The bucketing runs in scratch kept on
+//! the set, so a warm replan that moves machines between existing
+//! classes without changing a chunk's stride allocates nothing. Which
+//! lane or chunk a machine lands in never touches its bits.
+//!
 //! ## What a tick re-reads
 //!
-//! A warm chunk holds last tick's state, so the gather rewrites only
+//! A warm lane holds last tick's state, so the gather rewrites only
 //! what changed, told apart by two solver flags: *inputs repriced*
 //! (a utilization or power-model change — the lane's component
 //! `power_dt` rows and its generated heat) and *temperatures rewritten
@@ -435,19 +452,22 @@ pub(crate) struct Chunk {
     inlet: Vec<f64>,
     /// Lanes (bit `l`) whose inlet the mix wrote since the last scatter.
     inlet_set: u32,
-    /// Whether the chunk's matrices already hold every member's state
-    /// from the previous tick (see the module docs for what a warm
-    /// chunk re-reads).
-    warm: bool,
+    /// Lanes (bit `l`) the next gather reads whole: every lane of a new
+    /// chunk, and a lane a replan gave another machine. The
+    /// others already hold their member's state from the previous tick
+    /// (see the module docs for what a warm lane re-reads).
+    cold: u32,
 }
 
 impl Chunk {
-    fn new(members: Vec<usize>, op: &SharedOp) -> Self {
-        let lanes = members.len();
+    /// A chunk shaped for `lanes` machines of the group `op` — for any
+    /// count up to its stride — every matrix zero and no lane assigned
+    /// yet.
+    fn new(op: &SharedOp, lanes: usize) -> Self {
         let stride = lanes.next_multiple_of(LANE_PAD);
         let weights = |rows: usize| AlignedVec::zeroed(if op.per_lane { rows * stride } else { 0 });
         Chunk {
-            members,
+            members: Vec::with_capacity(stride),
             stride,
             cur: AlignedVec::zeroed(op.n * stride),
             next: AlignedVec::zeroed(op.n * stride),
@@ -456,36 +476,96 @@ impl Chunk {
             m_w: weights(op.m_src.len()),
             m_self: weights(op.n),
             b_w: weights(op.b_src.len()),
-            epochs: vec![0; if op.per_lane { lanes } else { 0 }],
+            epochs: Vec::with_capacity(if op.per_lane { stride } else { 0 }),
             power_q: vec![0.0; op.components.len() * stride],
             priced: Vec::new(),
             fed: 0,
             frame_rows: Vec::new(),
             frame_lanes: 0,
-            generated: vec![0.0; lanes],
+            generated: Vec::with_capacity(stride),
             resum: true,
             exhaust_sum: vec![0.0; stride],
-            inlet: vec![0.0; lanes],
+            inlet: Vec::with_capacity(stride),
             inlet_set: 0,
-            warm: false,
+            cold: 0,
         }
     }
 
+    /// Makes the chunk step `members` (cluster order) of the group `op`,
+    /// keeping what it can. While its stride holds, a lane that keeps
+    /// its machine keeps its state and weights, a lane given another
+    /// machine is gathered whole and takes its weights by the next
+    /// [`Chunk::refresh_weights`], and a lane left dead is zeroed; a new
+    /// stride reshapes the chunk from scratch, so its memory follows its
+    /// class's size. A lane's machine does not touch its bits, so this
+    /// only saves work.
+    fn assign(&mut self, members: &[usize], op: &SharedOp) {
+        let lanes = members.len();
+        if lanes.next_multiple_of(LANE_PAD) != self.stride {
+            *self = Chunk::new(op, lanes);
+        }
+        for l in lanes..self.members.len() {
+            self.zero_lane(l);
+        }
+        self.epochs.resize(if op.per_lane { lanes } else { 0 }, 0);
+        for (l, &m) in members.iter().enumerate() {
+            if self.members.get(l) != Some(&m) {
+                self.cold |= 1 << l;
+                if op.per_lane {
+                    self.epochs[l] = 0;
+                }
+            }
+        }
+        self.members.clear();
+        self.members.extend_from_slice(members);
+        self.generated.resize(lanes, 0.0);
+        self.inlet.resize(lanes, 0.0);
+        self.frame_lanes = 0;
+    }
+
+    /// Zeroes lane `l` in every matrix: a lane past the live ones is
+    /// dead, and dead lanes are zero.
+    fn zero_lane(&mut self, l: usize) {
+        let stride = self.stride;
+        for matrix in [
+            &mut self.cur,
+            &mut self.next,
+            &mut self.power_dt,
+            &mut self.drive,
+            &mut self.m_w,
+            &mut self.m_self,
+            &mut self.b_w,
+        ] {
+            matrix
+                .iter_mut()
+                .skip(l)
+                .step_by(stride)
+                .for_each(|x| *x = 0.0);
+        }
+        self.power_q
+            .iter_mut()
+            .skip(l)
+            .step_by(stride)
+            .for_each(|q| *q = 0.0);
+        let priced = self.priced.iter_mut().skip(l).step_by(stride);
+        priced.for_each(|cell| *cell = PricedCell::SOLVER_PRICED);
+    }
+
     /// Copies the composed weights of every lane whose solver was
-    /// rebuilt since its column was written (all of them, for a new
-    /// chunk), composing them first if they are stale. Returns `false`
-    /// if a rebuilt operator no longer has the group's structure — the
-    /// caller then regroups from scratch.
-    fn refresh_weights(&mut self, op: &SharedOp, machines: &mut [Solver]) -> bool {
+    /// rebuilt since its column was written, or that a replan gave
+    /// another machine, composing them first if they are stale. The
+    /// plan verified each such member against the group's operator.
+    fn refresh_weights(&mut self, op: &SharedOp, machines: &mut [Solver]) {
         for l in 0..self.epochs.len() {
             let solver = &mut machines[self.members[l]];
             let epoch = solver.rebuild_epoch();
             if self.epochs[l] == epoch {
                 continue;
             }
-            if !op.matches(&solver.compiled_kernel().assembled_op()) {
-                return false;
-            }
+            debug_assert!(
+                op.matches(&solver.compiled_kernel().assembled_op()),
+                "members are verified when they join or are rebuilt"
+            );
             let own = solver.composed_kernel().composed_op();
             debug_assert!(op.shares_pattern(&own), "matched operators compose alike");
             let stride = self.stride;
@@ -501,7 +581,6 @@ impl Chunk {
             self.epochs[l] = epoch;
             self.resum = true;
         }
-        true
     }
 
     /// Sets the per-sub-step heat of component `node` on lane `l`.
@@ -517,7 +596,8 @@ impl Chunk {
     /// the first time the chunk is fed.
     fn ensure_priced(&mut self, op: &SharedOp, machines: &[Solver]) {
         if self.priced.is_empty() {
-            self.priced = vec![PricedCell::SOLVER_PRICED; op.monitored.len() * self.stride];
+            let cells = op.monitored.len() * self.stride;
+            self.priced.resize(cells, PricedCell::SOLVER_PRICED);
             for (l, &m) in self.members.iter().enumerate() {
                 load_coefficients(&mut self.priced, self.stride, l, op, &machines[m]);
             }
@@ -634,65 +714,37 @@ struct Group {
     chunks: Vec<Chunk>,
 }
 
-impl Group {
-    /// Builds a cold group from the machines of one class. Deep-copies
-    /// the representative's operator, then verifies every member
-    /// compiled to the same bits (a fingerprint collision demotes the
-    /// odd one out to the per-machine path). `None` if fewer than
-    /// [`MIN_GROUP`] members survive.
-    fn build(
-        key: GroupKey,
-        members: &[usize],
-        machines: &mut [Solver],
-        backend: SimdBackend,
-    ) -> Option<Group> {
-        let per_lane = key.per_lane_substeps.is_some();
-        let op = SharedOp::from_representative(&mut machines[members[0]], per_lane, backend);
-        let verified: Vec<usize> = members
-            .iter()
-            .copied()
-            .filter(|&m| {
-                let same = op.matches(&machines[m].compiled_kernel().assembled_op());
-                debug_assert!(same, "fingerprint collision between machines");
-                same
-            })
-            .collect();
-        if verified.len() < MIN_GROUP {
-            return None;
-        }
-        let chunks = verified
-            .chunks(CHUNK_LANES)
-            .map(|c| {
-                let mut chunk = Chunk::new(c.to_vec(), &op);
-                let fresh = chunk.refresh_weights(&op, machines);
-                debug_assert!(fresh, "members were verified above");
-                chunk
-            })
-            .collect();
-        Some(Group {
-            key,
-            members: verified,
-            op,
-            chunks,
-        })
-    }
+/// One class of a replan: its key, its eligible machines in cluster
+/// order, and the previous plan's group of that key, if any.
+#[derive(Debug)]
+struct Bucket {
+    key: GroupKey,
+    members: Vec<usize>,
+    old: Option<usize>,
+}
 
-    /// Refreshes the weights of every lane whose solver was rebuilt, so
-    /// the group's chunks stay warm across a replan that left its
-    /// members alone. `false` if a lane no longer fits (see
-    /// [`Chunk::refresh_weights`]).
-    fn refresh_weights(&mut self, machines: &mut [Solver]) -> bool {
-        self.chunks
-            .iter_mut()
-            .all(|chunk| chunk.refresh_weights(&self.op, machines))
-    }
+/// The working memory of [`BatchSet::plan`], kept between replans so
+/// that a warm one which only moves machines between existing classes
+/// allocates nothing.
+#[derive(Debug, Default)]
+struct PlanScratch {
+    /// The classes, in first-seen machine order: `buckets[..used]` are
+    /// this replan's, found by key through `bucket_of`.
+    buckets: Vec<Bucket>,
+    bucket_of: HashMap<GroupKey, u32>,
+    /// Per machine: whether its signature moved at this replan, then,
+    /// for the demotion count, whether the new plan batches it.
+    mark: Vec<bool>,
+    /// The previous plan's groups, each taken by the class that keeps
+    /// it.
+    old: Vec<Option<Group>>,
 }
 
 /// The cluster's batch plan: which machines step together, and the
-/// matrices they step in. Owned by `ClusterSolver`; rebuilt only when
+/// matrices they step in. Owned by `ClusterSolver`; replanned only when
 /// the signature changes (a machine diverges or is re-fiddled, a pin
-/// appears/disappears, or batching is toggled), and then only for the
-/// groups whose membership changed.
+/// appears/disappears, or batching is toggled), and then by recycling
+/// the groups it keeps (see the module docs).
 #[derive(Debug, Default)]
 pub(crate) struct BatchSet {
     groups: Vec<Group>,
@@ -713,6 +765,7 @@ pub(crate) struct BatchSet {
     /// frame cells the lanes cannot price (see [`BatchSet::route_frame`]).
     frame: Option<u64>,
     frame_fallback: Vec<u32>,
+    scratch: PlanScratch,
 }
 
 impl BatchSet {
@@ -725,6 +778,7 @@ impl BatchSet {
             backend: SimdBackend::detect(),
             frame: None,
             frame_fallback: Vec::new(),
+            scratch: PlanScratch::default(),
         }
     }
 
@@ -769,6 +823,7 @@ impl BatchSet {
     pub(crate) fn clear(&mut self) {
         self.groups.clear();
         self.signature.clear();
+        self.scratch = PlanScratch::default();
         self.index_lanes(self.lanes.len());
     }
 
@@ -796,16 +851,25 @@ impl BatchSet {
     /// `Some(demotions)` after a replan — the number of machines that
     /// were on the batched path before and are not any more (grew a
     /// pin, or their class shrank below [`MIN_GROUP`]). The cluster
-    /// feeds this into its telemetry. A replan keeps every group whose
-    /// key and member list are unchanged, chunks warm, so one fan
-    /// command does not make the rest of the room re-gather.
+    /// feeds this into its telemetry.
+    ///
+    /// A replan recycles rather than rebuilds: a class whose key the
+    /// previous plan had keeps that group's operator and chunks, and
+    /// verifies only the members new to it or rebuilt since; each chunk
+    /// keeps its buffers while its stride holds and its lanes wherever
+    /// they keep their machine ([`Chunk::assign`]).
     pub(crate) fn plan(&mut self, machines: &mut [Solver]) -> Option<u64> {
+        let s = &mut self.scratch;
         let mut changed = self.signature.len() != machines.len();
         self.signature.resize(machines.len(), None);
-        for (seen, machine) in self.signature.iter_mut().zip(machines.iter_mut()) {
+        s.mark.clear();
+        s.mark.resize(machines.len(), false);
+        let signatures = self.signature.iter_mut().zip(machines.iter_mut());
+        for ((seen, machine), moved) in signatures.zip(&mut s.mark) {
             let now = signature_of(machine);
             if *seen != now {
                 *seen = now;
+                *moved = true;
                 changed = true;
             }
         }
@@ -813,44 +877,102 @@ impl BatchSet {
             return None;
         }
 
-        // Group eligible machines by key, preserving first-seen order
-        // so the plan is deterministic in machine order.
-        let mut order: Vec<GroupKey> = Vec::new();
-        let mut by_key: HashMap<GroupKey, Vec<usize>> = HashMap::new();
+        // Bucket eligible machines by key, in first-seen order so the
+        // plan is deterministic in machine order; a run of machines of
+        // one key looks its bucket up once.
+        s.bucket_of.clear();
+        let mut used = 0;
+        let mut last = None;
         for (m, signature) in self.signature.iter().enumerate() {
-            if let Some((key, _)) = signature {
-                let members = by_key.entry(*key).or_default();
-                if members.is_empty() {
-                    order.push(*key);
-                }
-                members.push(m);
-            }
-        }
-
-        let mut old: HashMap<GroupKey, Group> = self.groups.drain(..).map(|g| (g.key, g)).collect();
-        let was_batched = std::mem::take(&mut self.lanes);
-        for key in order {
-            let members = &by_key[&key];
-            if members.len() < MIN_GROUP {
-                continue;
-            }
-            let kept = old
-                .remove(&key)
-                .filter(|group| group.members == *members)
-                .and_then(|mut group| group.refresh_weights(machines).then_some(group));
-            let Some(group) = kept.or_else(|| Group::build(key, members, machines, self.backend))
-            else {
+            let Some((key, _)) = *signature else {
                 continue;
             };
-            self.groups.push(group);
+            let b = match last {
+                Some((seen, b)) if seen == key => b,
+                _ => *s.bucket_of.entry(key).or_insert_with(|| {
+                    if s.buckets.len() == used {
+                        s.buckets.push(Bucket {
+                            key,
+                            members: Vec::new(),
+                            old: None,
+                        });
+                    }
+                    let bucket = &mut s.buckets[used];
+                    (bucket.key, bucket.old) = (key, None);
+                    bucket.members.clear();
+                    used += 1;
+                    (used - 1) as u32
+                }) as usize,
+            };
+            last = Some((key, b));
+            s.buckets[b].members.push(m);
         }
-        self.index_lanes(machines.len());
+        for (g, group) in self.groups.iter().enumerate() {
+            if let Some(&b) = s.bucket_of.get(&group.key) {
+                s.buckets[b as usize].old = Some(g);
+            }
+        }
+        s.old.clear();
+        s.old.extend(self.groups.drain(..).map(Some));
 
-        let demotions = was_batched
-            .iter()
-            .zip(&self.lanes)
-            .filter(|&(was, is)| was.is_some() && is.is_none())
-            .count() as u64;
+        for bucket in &mut s.buckets[..used] {
+            if bucket.members.len() < MIN_GROUP {
+                continue;
+            }
+            // A member the kept group already verified at its current
+            // signature: batched before (so in the one group of its
+            // key, which `lanes` still maps) and not moved since.
+            let known = |m: usize| self.lanes[m].is_some() && !s.mark[m];
+            let old = bucket.old.and_then(|g| s.old[g].take());
+            let (op, mut chunks, mut members) = match old {
+                Some(group) => (group.op, group.chunks, group.members),
+                None => {
+                    let representative = &mut machines[bucket.members[0]];
+                    let per_lane = bucket.key.per_lane_substeps.is_some();
+                    let op = SharedOp::from_representative(representative, per_lane, self.backend);
+                    (op, Vec::new(), Vec::new())
+                }
+            };
+            // Class-equal machines compile to matching operators by
+            // construction; the check makes a 64-bit fingerprint
+            // collision demote the odd one out instead of stepping it
+            // wrong.
+            bucket.members.retain(|&m| {
+                known(m) || {
+                    let same = op.matches(&machines[m].compiled_kernel().assembled_op());
+                    debug_assert!(same, "fingerprint collision between machines");
+                    same
+                }
+            });
+            if bucket.members.len() < MIN_GROUP {
+                continue;
+            }
+            chunks.truncate(bucket.members.len().div_ceil(CHUNK_LANES));
+            for (c, lanes) in bucket.members.chunks(CHUNK_LANES).enumerate() {
+                if c == chunks.len() {
+                    chunks.push(Chunk::new(&op, lanes.len()));
+                }
+                chunks[c].assign(lanes, &op);
+                chunks[c].refresh_weights(&op, machines);
+            }
+            // The group takes the bucket's list; the bucket keeps the
+            // old one's allocation for the next replan.
+            std::mem::swap(&mut members, &mut bucket.members);
+            self.groups.push(Group {
+                key: bucket.key,
+                members,
+                op,
+                chunks,
+            });
+        }
+        s.old.clear();
+        s.mark.fill(false);
+        for group in &self.groups {
+            group.members.iter().for_each(|&m| s.mark[m] = true);
+        }
+        let demoted = |m: usize| self.lanes[m].is_some() && !s.mark[m];
+        let demotions = (0..machines.len()).filter(|&m| demoted(m)).count() as u64;
+        self.index_lanes(machines.len());
         Some(demotions)
     }
 
@@ -890,6 +1012,7 @@ impl BatchSet {
                 let stride = chunk.stride;
                 for (l, &m) in chunk.members.iter().enumerate() {
                     let solver = &mut machines[m];
+                    let cold = chunk.cold & (1 << l) != 0;
                     let repriced = solver.fill_tick_inputs();
                     let rewritten = solver.take_temps_dirty();
                     let remodelled = solver.take_power_models_dirty();
@@ -897,7 +1020,7 @@ impl BatchSet {
                     debug_assert_eq!(op.fixed, fixed, "boundary mask diverged within group");
                     debug_assert_eq!(op.components, solver.component_nodes());
                     let temps = solver.temps();
-                    if !chunk.warm || rewritten {
+                    if cold || rewritten {
                         for (i, t) in temps.iter().enumerate() {
                             chunk.cur[i * stride + l] = t.0;
                         }
@@ -914,7 +1037,7 @@ impl BatchSet {
                     if op.exhausts.is_empty() {
                         chunk.inlet[l] = solver.inlet_temperature().0;
                     }
-                    if !chunk.warm || repriced {
+                    if cold || repriced {
                         for (row, &i) in op.components.iter().enumerate() {
                             chunk.power_q[row * stride + l] = power_q[i];
                             chunk.power_dt[i * stride + l] = power_q[i] * op.inv_capacity[i];
@@ -924,11 +1047,11 @@ impl BatchSet {
                     // Not on every repriced gather: a room that changes
                     // utilizations each tick through its solvers would
                     // pay for rows only a fed span reads.
-                    if remodelled && !chunk.priced.is_empty() {
+                    if (cold || remodelled) && !chunk.priced.is_empty() {
                         load_coefficients(&mut chunk.priced, stride, l, op, solver);
                     }
                 }
-                chunk.warm = true;
+                chunk.cold = 0;
             }
         }
     }

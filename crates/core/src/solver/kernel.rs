@@ -96,8 +96,9 @@ use std::cell::RefCell;
 
 /// The working memory of a kernel rebuild — CSR fill cursors, the flow
 /// walk's buffers and the per-node conductive rates — and of a
-/// composition: the basis chunk's two temperature matrices and its unit
-/// power matrix, and the two reach bitset matrices.
+/// composition: the basis chunk's two temperature matrices, its unit
+/// power matrix and each component's lane in it, and the two reach
+/// bitset matrices.
 #[derive(Debug, Default)]
 struct RebuildScratch {
     cursor: Vec<u32>,
@@ -106,6 +107,9 @@ struct RebuildScratch {
     basis: Vec<f64>,
     basis_next: Vec<f64>,
     unit_power: Vec<f64>,
+    /// Each component's basis lane (`n + k` for component `k`), which
+    /// `B`'s values are read from.
+    power_lane: Vec<u32>,
     reach: Vec<u64>,
     reach_next: Vec<u64>,
 }
@@ -552,7 +556,7 @@ impl StepKernel {
     /// already composed for it since the last rebuild.
     pub(crate) fn compose(&mut self, fixed: &[bool]) {
         if !self.is_composed_for(fixed) {
-            self.compose_at(fixed, SimdBackend::detect());
+            self.compose_at(fixed, SimdBackend::detect(), simd::LANE_PAD);
         }
     }
 
@@ -563,11 +567,14 @@ impl StepKernel {
     }
 
     /// Composes for `fixed` unconditionally, sweeping the basis chunk at
-    /// `backend` — every level composes the same bits.
-    fn compose_at(&mut self, fixed: &[bool], backend: SimdBackend) {
+    /// `backend` with its lanes padded to a multiple of `pad` — every
+    /// level and every padding composes the same bits, because lanes
+    /// never interact.
+    fn compose_at(&mut self, fixed: &[bool], backend: SimdBackend, pad: usize) {
         let mut composed = self.composed.take().unwrap_or_default();
-        REBUILD_SCRATCH
-            .with_borrow_mut(|scratch| self.compose_in(&mut composed, scratch, fixed, backend));
+        REBUILD_SCRATCH.with_borrow_mut(|scratch| {
+            self.compose_in(&mut composed, scratch, fixed, backend, pad);
+        });
         self.composed = Some(composed);
     }
 
@@ -577,22 +584,27 @@ impl StepKernel {
         s: &mut RebuildScratch,
         fixed: &[bool],
         backend: SimdBackend,
+        pad: usize,
     ) {
         let n = self.n;
         debug_assert_eq!(fixed.len(), n);
 
         // The basis chunk: lane `j < n` starts at `e_j`, lane `n + k` at
-        // zero with unit power on component `k`, padded to whole wide
-        // blocks. Fixed rows hold in both buffers, as the sweep requires.
-        let stride = (n + self.components.len()).next_multiple_of(simd::WIDE);
+        // zero with unit power on component `k`, padded to whole
+        // `LANE_PAD` blocks only (the sweep runs a row's tail as one
+        // block), so the Table 1 machine sweeps 24 lanes, not 32. Fixed
+        // rows hold in both buffers, as the sweep requires.
+        let stride = (n + self.components.len()).next_multiple_of(pad);
         refill(&mut s.basis, n * stride, 0.0);
         for j in 0..n {
             s.basis[j * stride + j] = 1.0;
         }
         s.basis_next.clone_from(&s.basis);
         refill(&mut s.unit_power, n * stride, 0.0);
+        refill(&mut s.power_lane, n, 0);
         for (k, &comp) in self.components.iter().enumerate() {
             s.unit_power[comp as usize * stride + n + k] = 1.0;
+            s.power_lane[comp as usize] = (n + k) as u32;
         }
         for _ in 0..self.substeps {
             simd::substep(
@@ -623,18 +635,16 @@ impl StepKernel {
         }
         // The values: row `i` of `M` is row `i` of the basis lanes, row
         // `i` of `B` that of the component lanes (both in node order).
-        let column = |i: usize, lane: usize| s.basis[i * stride + lane];
         for i in (0..n).filter(|&i| !fixed[i]) {
-            c.m_self[i] = column(i, i);
-            for e in c.m_off[i] as usize..c.m_off[i + 1] as usize {
-                c.m_w[e] = column(i, c.m_src[e] as usize);
+            let row = &s.basis[i * stride..(i + 1) * stride];
+            c.m_self[i] = row[i];
+            let m = c.m_off[i] as usize..c.m_off[i + 1] as usize;
+            for (w, &src) in c.m_w[m.clone()].iter_mut().zip(&c.m_src[m]) {
+                *w = row[src as usize];
             }
-            let mut k = 0;
-            for e in c.b_off[i] as usize..c.b_off[i + 1] as usize {
-                while self.components[k] != c.b_src[e] {
-                    k += 1;
-                }
-                c.b_w[e] = column(i, n + k);
+            let b = c.b_off[i] as usize..c.b_off[i + 1] as usize;
+            for (w, &comp) in c.b_w[b.clone()].iter_mut().zip(&c.b_src[b]) {
+                *w = row[s.power_lane[comp as usize] as usize];
             }
         }
         c.fixed.clear();
@@ -1324,7 +1334,7 @@ mod tests {
                 }
                 let mut composed = Vec::new();
                 for backend in SimdBackend::ALL.into_iter().filter(|b| b.supported()) {
-                    kernel.compose_at(&fixed, backend);
+                    kernel.compose_at(&fixed, backend, simd::LANE_PAD);
                     let c = kernel.composed_op();
                     composed.push((
                         backend,
@@ -1342,6 +1352,58 @@ mod tests {
                 for (backend, p, w) in &composed[1..] {
                     assert_eq!(p, pattern, "{} pattern, pin {pin:?}", backend.name());
                     assert_eq!(w, weights, "{} weights, pin {pin:?}", backend.name());
+                }
+            }
+        }
+    }
+
+    /// The basis is padded to `LANE_PAD`, not to a whole wide block: the
+    /// Table 1 and Freon machines, inlet-only and with a pinned air
+    /// region, compose the same `M` and `B` bits on the narrow basis
+    /// (whose rows end in a tail block) as on the old `WIDE` one, at
+    /// every level.
+    #[test]
+    fn the_narrow_basis_composes_the_wide_basis_bits() {
+        let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let snapshot = |kernel: &StepKernel| {
+            let c = kernel.composed_op();
+            (
+                [
+                    c.m_off.to_vec(),
+                    c.m_src.to_vec(),
+                    c.b_off.to_vec(),
+                    c.b_src.to_vec(),
+                ],
+                [bits(c.m_w), bits(c.m_self), bits(c.b_w)],
+            )
+        };
+        for model in [
+            crate::presets::validation_machine(),
+            crate::presets::freon_machine(),
+        ] {
+            let (mut kernel, mut fixed) = compiled(&model);
+            let basis = model.nodes().len() + kernel.components.len();
+            assert_ne!(
+                basis.next_multiple_of(simd::LANE_PAD),
+                basis.next_multiple_of(simd::WIDE),
+                "{}: the two paddings differ",
+                model.name()
+            );
+            for pin in [None, model.node_id("cpu_air")] {
+                if let Some(id) = pin {
+                    fixed[id.index()] = true;
+                }
+                for backend in SimdBackend::ALL.into_iter().filter(|b| b.supported()) {
+                    kernel.compose_at(&fixed, backend, simd::WIDE);
+                    let wide = snapshot(&kernel);
+                    kernel.compose_at(&fixed, backend, simd::LANE_PAD);
+                    assert_eq!(
+                        snapshot(&kernel),
+                        wide,
+                        "{} on {}, pin {pin:?}",
+                        model.name(),
+                        backend.name()
+                    );
                 }
             }
         }

@@ -267,7 +267,7 @@ pub struct Solver {
     inputs_dirty: bool,
     /// Set when temperatures were written outside a batch chunk (a
     /// direct step, `set_temperature`, a pin, a restore) since the last
-    /// [`Solver::take_temps_dirty`]. A warm chunk re-reads a lane's
+    /// [`Solver::take_temps_dirty`]. A warm chunk lane re-reads its
     /// non-boundary rows only when this is set; repricing alone does
     /// not touch them.
     temps_dirty: bool,

@@ -16,7 +16,9 @@
 //! operator, swept `N` times over a basis chunk to produce `M` and `B`).
 //!
 //! That sweep is written once ([`Sweep::block`], [`sweep`]) over
-//! fixed-width `[f64; W]` views and is compiled once per level:
+//! fixed-width `[f64; W]` views — a row's [`WIDE`] blocks, then its
+//! tail of 8, 16 or 24 lanes as one block — and is compiled once per
+//! level:
 //!
 //! | level      | compiled with                           | requires         |
 //! |------------|-----------------------------------------|------------------|
@@ -124,8 +126,11 @@ pub(crate) const LANE_PAD: usize = 8;
 /// The sweep's wide block: four [`LANE_PAD`] blocks accumulated
 /// together, so each operator entry's source offset (and, for shared
 /// weights, its weight) is worked out once per 32 lanes and the CPU has
-/// several independent accumulate chains to overlap. Composition pads
-/// its basis chunk to whole wide blocks.
+/// several independent accumulate chains to overlap. A row's tail after
+/// its wide blocks runs as one block of 8, 16 or 24 lanes, so a stride
+/// that is not whole wide blocks — a chunk of 16 machines, or a
+/// composition basis, padded only to [`LANE_PAD`] — keeps most of that
+/// overlap.
 pub(crate) const WIDE: usize = 4 * LANE_PAD;
 
 /// Borrowed view of one chunk sweep: the operator plus the chunk's
@@ -238,14 +243,22 @@ impl<'a> Sweep<'a> {
         }
         acc
     }
+
+    /// Writes one block's lanes into `next` at element `off`.
+    #[inline(always)]
+    fn store<const W: usize>(&mut self, off: usize, acc: [f64; W]) {
+        self.next[off..off + W].copy_from_slice(&acc);
+    }
 }
 
 /// The blocked sweep: each non-fixed node row in [`WIDE`] blocks while
-/// they last, then [`LANE_PAD`] blocks (the padded stride leaves no
-/// remainder), one store per block.
+/// they last, then its tail — the 8, 16 or 24 lanes left, the padded
+/// stride leaves no other remainder — as one block, so a narrow row
+/// still keeps several accumulate chains in flight. One store per
+/// block.
 #[inline(always)]
 fn sweep<const LANE_W: bool>(s: Sweep<'_>) {
-    let s = s.check();
+    let mut s = s.check();
     for i in 0..s.n {
         if s.fixed[i] {
             continue;
@@ -253,17 +266,22 @@ fn sweep<const LANE_W: bool>(s: Sweep<'_>) {
         let row = i * s.lanes;
         let mut col = 0;
         while col + WIDE <= s.lanes {
-            let acc = s.block::<LANE_W, WIDE>(i, col);
-            s.next[row + col..row + col + WIDE].copy_from_slice(&acc);
+            s.store(row + col, s.block::<LANE_W, WIDE>(i, col));
             col += WIDE;
         }
-        while col + LANE_PAD <= s.lanes {
-            let acc = s.block::<LANE_W, LANE_PAD>(i, col);
-            s.next[row + col..row + col + LANE_PAD].copy_from_slice(&acc);
-            col += LANE_PAD;
+        match s.lanes - col {
+            0 => {}
+            LANE_PAD => s.store(row + col, s.block::<LANE_W, LANE_PAD>(i, col)),
+            TAIL_16 => s.store(row + col, s.block::<LANE_W, TAIL_16>(i, col)),
+            TAIL_24 => s.store(row + col, s.block::<LANE_W, TAIL_24>(i, col)),
+            _ => unreachable!("the stride is whole LANE_PAD blocks"),
         }
     }
 }
+
+/// The two tail widths between [`LANE_PAD`] and [`WIDE`].
+const TAIL_16: usize = 2 * LANE_PAD;
+const TAIL_24: usize = 3 * LANE_PAD;
 
 /// The one sweep body. `#[inline(always)]` so that each entry point
 /// below compiles its own copy under its own target features.
@@ -462,14 +480,16 @@ mod tests {
     }
 
     /// Random small operators: the sweep at every supported level must
-    /// be bitwise equal to the row-pass reference at strides that mix
-    /// wide and narrow blocks, with shared weights and with per-lane
-    /// weights. Per-lane weights that repeat the shared ones in every
-    /// lane must reproduce the shared sweep bit for bit.
+    /// be bitwise equal to the row-pass reference at every tail a row
+    /// can end in — no wide block and a tail of 8, 16 or 24 lanes, one
+    /// whole wide block, one plus a tail of 8 or 24 — with shared
+    /// weights and with per-lane weights. Per-lane weights that repeat
+    /// the shared ones in every lane must reproduce the shared sweep bit
+    /// for bit.
     #[test]
     fn vector_sweeps_match_scalar_bitwise() {
         let mut rnd = xorshift();
-        for lanes in [8usize, 16, 24, 32, 40] {
+        for lanes in [8usize, 16, 24, 32, 40, 56] {
             let case = Case::new(lanes, &mut rnd);
             let repeat = |w: &[f64]| -> Vec<f64> {
                 w.iter()

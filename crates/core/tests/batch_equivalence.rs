@@ -15,10 +15,10 @@
 mod common;
 
 use common::{
-    assert_same_state, frame_calls_strategy, frame_room_strategy, mix_calls_strategy,
+    assert_same_state, fiddle, frame_calls_strategy, frame_room_strategy, mix_calls_strategy,
     mix_room_strategy, pins_and_releases, room_changes_strategy, run, script_strategy,
     supported_backends, Event, FedInputs, FedPlan, Fiddle, FrameCall, FramePlan, FrameRoom,
-    MixCall, MixPlan, MixRoom, OraclePlan, RecomposePlan, Remodel, Setup,
+    MixCall, MixPlan, MixRoom, OraclePlan, RecomposePlan, Remodel, RoomStepper, Setup,
 };
 use mercury::presets::{self, nodes, FAN_CFM};
 use mercury::solver::{ClusterSolver, SimdBackend, Solver, SolverConfig};
@@ -1291,4 +1291,300 @@ fn batch_recompose_every_command_in_turn() {
     }
     .check();
     assert!(gap > 0.0, "composition reassociates, so some bit moves");
+}
+
+// --- replans ------------------------------------------------------------------
+//
+// A fan command moves its machine between per-lane classes, and the replan
+// that follows recycles the groups it touches: their operators, their
+// chunks, and the lanes that keep their machines. `ReplanRooms` holds such
+// a room, after every tick and at every SIMD level, to a twin that plans
+// from scratch before every call and to the room stepper. Names start
+// `batch_replan_` so the CI filter above picks them up.
+
+/// Three sub-step classes of the Table 1 machine, as fan scales: class
+/// `c` commands `CLASS_BASES[c] + j·1e-3` for `j < 10`
+/// (`replan_classes_are_three_substep_counts` holds them apart).
+const CLASS_BASES: [f64; 3] = [0.6, 0.8, 1.1];
+
+/// One change between two calls of a replan script. Machine indices are
+/// taken modulo the room size.
+#[derive(Debug, Clone)]
+enum Replan {
+    /// Two machines trade classes one for one (an undiverged one gives
+    /// nothing back): each takes a new speed in the other's class.
+    Swap(usize, usize),
+    /// `count` machines from `first` on take a speed in `class`.
+    Join {
+        first: usize,
+        count: usize,
+        class: usize,
+    },
+    /// Every machine of `class` but its first leaves for class `to` (the
+    /// next class, if `to` is `class`): the class shrinks below two.
+    Drain {
+        class: usize,
+        to: usize,
+    },
+    /// A new speed inside the machine's class (class 0 if it has none).
+    Recommand(usize),
+    /// The machine's CPU pinned, taking it off the batch, and released.
+    Pin(usize),
+    Release(usize),
+    /// Checkpoint every room here, and restore the last checkpoint.
+    Save,
+    Restore,
+}
+
+fn replan_strategy() -> impl Strategy<Value = Replan> {
+    let machine = || 0usize..80;
+    prop_oneof![
+        (machine(), machine()).prop_map(|(a, b)| Replan::Swap(a, b)),
+        (machine(), machine()).prop_map(|(a, b)| Replan::Swap(a, b)),
+        (machine(), machine()).prop_map(|(a, b)| Replan::Swap(a, b)),
+        (machine(), 1usize..12, 0usize..3).prop_map(|(first, count, class)| Replan::Join {
+            first,
+            count,
+            class
+        }),
+        (0usize..3, 0usize..3).prop_map(|(class, to)| Replan::Drain { class, to }),
+        machine().prop_map(Replan::Recommand),
+        machine().prop_map(Replan::Recommand),
+        machine().prop_map(Replan::Pin),
+        machine().prop_map(Replan::Release),
+        Just(Replan::Save),
+        Just(Replan::Restore),
+    ]
+}
+
+/// What [`Replan::Save`] keeps.
+#[derive(Debug, Clone)]
+struct Saved {
+    room: Vec<u8>,
+    twin: Vec<u8>,
+    oracle: RoomStepper,
+    class: Vec<Option<usize>>,
+}
+
+/// A recirculating room of Table 1 servers stepped one `step()` per call
+/// three ways: `room` replans in place, `twin` drops its plan before
+/// every call (`set_batching(false)` then `(true)`), and `oracle` is the
+/// room stepper. All three take every command.
+struct ReplanRooms {
+    room: ClusterSolver,
+    twin: ClusterSolver,
+    oracle: RoomStepper,
+    /// Each machine's class, `None` while undiverged.
+    class: Vec<Option<usize>>,
+    saved: Option<Saved>,
+    /// Fan commands so far, which picks each command's speed in its
+    /// class.
+    commands: usize,
+    calls: usize,
+}
+
+impl ReplanRooms {
+    /// Class 0 opens with every other machine of the first 60, class 1
+    /// with the odd ones below 20, class 2 with machines 21 and 23.
+    fn new(machines: usize, backend: SimdBackend) -> ReplanRooms {
+        let model = MixRoom {
+            exhausts: vec![1],
+            recirculate: vec![Some(0), None],
+            ..MixRoom::ideal(machines)
+        }
+        .model();
+        let build = || {
+            let mut s = ClusterSolver::new(&model, SolverConfig::default()).unwrap();
+            s.set_simd_backend(backend).unwrap();
+            s
+        };
+        let mut rooms = ReplanRooms {
+            room: build(),
+            twin: build(),
+            oracle: RoomStepper::new(&model),
+            class: vec![None; machines],
+            saved: None,
+            commands: 0,
+            calls: 0,
+        };
+        for m in 0..machines {
+            let u = [0.9, 0.15, 0.6, 0.35][m % 4];
+            rooms.fiddle(m, &Fiddle::Utilization(u));
+        }
+        let opening = (0..60).step_by(2).map(|m| (m, 0));
+        let opening = opening.chain((1..20).step_by(2).map(|m| (m, 1)));
+        for (m, class) in opening.chain([(21, 2), (23, 2)]) {
+            rooms.fan(m % machines, class);
+        }
+        rooms
+    }
+
+    fn fiddle(&mut self, m: usize, f: &Fiddle) {
+        fiddle(self.room.machine_at_mut(m), f);
+        fiddle(self.twin.machine_at_mut(m), f);
+        fiddle(self.oracle.machine_at_mut(m), f);
+    }
+
+    fn fan(&mut self, m: usize, class: usize) {
+        self.commands += 1;
+        let scale = CLASS_BASES[class] + (self.commands % 10) as f64 * 1e-3;
+        self.fiddle(m, &Fiddle::Fan(scale));
+        self.class[m] = Some(class);
+    }
+
+    fn members(&self, class: usize) -> Vec<usize> {
+        (0..self.class.len())
+            .filter(|&m| self.class[m] == Some(class))
+            .collect()
+    }
+
+    fn apply(&mut self, change: &Replan) {
+        let n = self.class.len();
+        match *change {
+            Replan::Swap(a, b) => {
+                let (a, b) = (a % n, b % n);
+                let (class_a, class_b) = (self.class[a], self.class[b]);
+                if let Some(class) = class_b {
+                    self.fan(a, class);
+                }
+                if let Some(class) = class_a {
+                    self.fan(b, class);
+                }
+            }
+            Replan::Join {
+                first,
+                count,
+                class,
+            } => (first..first + count).for_each(|m| self.fan(m % n, class)),
+            Replan::Drain { class, to } => {
+                let to = if to == class { (class + 1) % 3 } else { to };
+                for &m in self.members(class).iter().skip(1) {
+                    self.fan(m, to);
+                }
+            }
+            Replan::Recommand(m) => self.fan(m % n, self.class[m % n].unwrap_or(0)),
+            Replan::Pin(m) => self.fiddle(m % n, &Fiddle::Pin(60.0)),
+            Replan::Release(m) => self.fiddle(m % n, &Fiddle::Release),
+            Replan::Save => {
+                self.saved = Some(Saved {
+                    room: self.room.checkpoint(),
+                    twin: self.twin.checkpoint(),
+                    oracle: self.oracle.clone(),
+                    class: self.class.clone(),
+                });
+            }
+            Replan::Restore => {
+                if let Some(saved) = self.saved.clone() {
+                    self.room.restore_checkpoint(&saved.room).unwrap();
+                    self.twin.restore_checkpoint(&saved.twin).unwrap();
+                    self.oracle = saved.oracle;
+                    self.class = saved.class;
+                }
+            }
+        }
+    }
+
+    /// One call of one tick on every room, then the three held together
+    /// bit for bit: every node, generated heat, inlet field, clock and
+    /// junction, the plans' sizes, and the checkpoint bytes.
+    fn step(&mut self) {
+        self.twin.set_batching(false);
+        self.twin.set_batching(true);
+        self.room.step();
+        self.twin.step();
+        self.oracle.step();
+        self.calls += 1;
+        let context = format!("call {} on {}", self.calls, self.room.simd_backend().name());
+        self.oracle.assert_matches(&self.room, &context);
+        self.oracle.assert_matches(&self.twin, &context);
+        assert_eq!(
+            self.room.batched_machines(),
+            self.twin.batched_machines(),
+            "{context}: plans"
+        );
+        assert!(
+            self.room.checkpoint() == self.twin.checkpoint(),
+            "{context}: checkpoint bytes"
+        );
+    }
+
+    /// Runs `script`, one call after each change.
+    fn run(&mut self, script: &[Replan]) {
+        self.step();
+        for change in script {
+            self.apply(change);
+            self.step();
+        }
+    }
+}
+
+#[test]
+fn batch_replan_classes_are_three_substep_counts() {
+    let counts: Vec<usize> = CLASS_BASES.iter().map(|&base| substeps_at(base)).collect();
+    for (class, &base) in CLASS_BASES.iter().enumerate() {
+        assert_eq!(substeps_at(base + 9e-3), counts[class], "class {class}");
+    }
+    assert!(counts[0] != counts[1] && counts[1] != counts[2] && counts[0] != counts[2]);
+}
+
+/// Every replan a fan command can cause, in turn, on a 64-machine room:
+/// one-for-one trades, a class growing past one chunk of 32 lanes and
+/// back, a class shrinking to one machine (which steps solo) and
+/// growing again, re-commands inside a class, a pin and its release,
+/// and a checkpoint restored across replans.
+#[test]
+fn batch_replan_every_kind_of_replan_in_turn() {
+    use Replan::*;
+    let script = [
+        Swap(0, 1),
+        Swap(2, 21),
+        Save,
+        Join {
+            first: 60,
+            count: 4,
+            class: 0,
+        },
+        Recommand(4),
+        Drain { class: 2, to: 1 },
+        Swap(3, 4),
+        Pin(6),
+        Join {
+            first: 22,
+            count: 3,
+            class: 2,
+        },
+        Release(6),
+        Restore,
+        Drain { class: 0, to: 2 },
+        Recommand(0),
+        Swap(0, 21),
+    ];
+    for backend in supported_backends() {
+        let mut rooms = ReplanRooms::new(64, backend);
+        rooms.run(&script[..3]);
+        assert_eq!(rooms.room.batched_machines(), 64, "three per-lane classes");
+        assert_eq!(rooms.members(0).len(), 30);
+        rooms.run(&script[3..4]);
+        assert_eq!(rooms.members(0).len(), 34, "class 0 spans two chunks");
+        rooms.run(&script[4..6]);
+        assert_eq!(rooms.members(2).len(), 1);
+        assert_eq!(rooms.room.batched_machines(), 63, "class 2 steps solo");
+        rooms.run(&script[6..]);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// Random trades, joins, drains, re-commands, pins, releases and
+    /// restores on rooms of 40–80 machines, at every SIMD level.
+    #[test]
+    fn batch_replan_random_scripts_match_a_fresh_plan_and_the_room_stepper(
+        machines in 40usize..80,
+        script in proptest::collection::vec(replan_strategy(), 4..16),
+    ) {
+        for backend in supported_backends() {
+            ReplanRooms::new(machines, backend).run(&script);
+        }
+    }
 }

@@ -1351,7 +1351,7 @@ impl RoomMachine for Solver {
 /// arithmetic of `model::cluster::mixed_inlet_temperature`. It shares
 /// nothing with `ClusterSolver` but the machine [`Solver`], so it is the
 /// reference the room's one tick loop answers to.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RoomStepper<M = Solver> {
     machines: Vec<M>,
     /// Node indices of each machine's exhaust regions, in node order.

@@ -9,7 +9,9 @@
 //! whose machines take a utilization every tick and one of which is
 //! pinned, so both the chunk lanes and the solo path run. Midway the
 //! pinned machine takes a heat-k and a fan fiddle, so its kernel is
-//! rebuilt and its tick recomposed inside the counted window.
+//! rebuilt and its tick recomposed inside the counted window. A second
+//! window counts the replans of fan commands that move machines between
+//! two per-lane classes: a warm replan recycles the groups it touches.
 //!
 //! The same allocator keeps the live bytes of each thread, which pins
 //! the memory a replicated room costs per machine: the replicas of one
@@ -148,6 +150,70 @@ fn warm_steps_do_not_allocate() {
     assert_eq!(
         allocations, WARM_STEP_ALLOCATIONS,
         "100 warm step() calls and two fiddles"
+    );
+}
+
+/// Allocations of the counted fan-command replans below. The plan
+/// before replans recycled their groups made 3 900 in the same window
+/// (78 a replan, x86-64 Linux): every replan rebuilt both classes cold.
+const WARM_REPLAN_ALLOCATIONS: u64 = 0;
+
+/// Two per-lane classes of a 64-machine room trade machines one for one
+/// through fan commands, every third tick, as a room under continuous
+/// fan control does: once warm, the replans that follow — each moves a
+/// machine between the classes and rebuilds both machines' kernels —
+/// allocate nothing.
+#[test]
+fn warm_fan_command_replans_do_not_allocate() {
+    let cluster = presets::validation_cluster(64);
+    let mut s = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
+    let cpu = s.machine_at(0).node_index(nodes::CPU).unwrap();
+    // 12 and 16 sub-steps; the speed moves inside a class at every
+    // command, so every command rebuilds and recomposes.
+    let speed =
+        |class: usize, command: usize| FAN_CFM * ([0.8, 1.1][class] + (command % 10) as f64 * 1e-3);
+    let mut class: Vec<usize> = (0..64).map(|m| usize::from(m >= 16)).collect();
+    for (m, &c) in class.iter().enumerate().take(32) {
+        s.machine_at_mut(m).set_fan_cfm(speed(c, m)).unwrap();
+    }
+    let mut commands = 0;
+    let mut round = |s: &mut ClusterSolver, r: usize| {
+        // The r-th machine of each class (in cluster order) takes the
+        // other class's speed.
+        let pick = |class: &[usize], c: usize| {
+            let members = (0..32).filter(|&m| class[m] == c);
+            members.cycle().nth(r).unwrap()
+        };
+        let (a, b) = (pick(&class, 0), pick(&class, 1));
+        for (m, to) in [(a, 1), (b, 0)] {
+            commands += 1;
+            s.machine_at_mut(m)
+                .set_fan_cfm(speed(to, commands))
+                .unwrap();
+            class[m] = to;
+        }
+        for t in 0..3 {
+            for m in 0..s.len() {
+                let u = ((r * 31 + t * 7 + m * 17) % 101) as f64 / 100.0;
+                s.machine_at_mut(m).set_utilization_at(cpu, u).unwrap();
+            }
+            s.step();
+        }
+    };
+    for r in 0..20 {
+        round(&mut s, r);
+    }
+    assert_eq!(
+        s.batched_machines(),
+        64,
+        "two per-lane classes and the rest"
+    );
+
+    let ((), allocations, _) = measure(|| (20..70).for_each(|r| round(&mut s, r)));
+    println!("50 fan-command replans: {allocations} allocations");
+    assert_eq!(
+        allocations, WARM_REPLAN_ALLOCATIONS,
+        "150 warm step() calls, 50 of them replans"
     );
 }
 
