@@ -13,13 +13,14 @@
 //! steps each group as one fused sweep over a contiguous
 //! `[nodes × machines]` state matrix:
 //!
-//! - **Shared operator.** One read-only copy of the composed tick
-//!   (`T' = M·T + B·p`, see `super::kernel`: CSR offsets, sources and
-//!   weights of `M` and `B`, and `1/(m·c)`) serves every machine in the
-//!   group, and the member solvers share one copy of their machine
-//!   type's structure and compiled kernel (`super::machine`) — so the
-//!   topology memory for a 1024-replica room is that of *one* machine
-//!   plus state rows (`tests/step_alloc.rs`,
+//! - **Shared operator.** One read-only composed tick (`T' = M·T +
+//!   B·p`, see `super::kernel`: the patterns of `M` and `B`, their
+//!   weights, and `1/(m·c)`) serves every machine in the group — a copy
+//!   of the representative's kernel the group owns ([`SharedOp`]) — and
+//!   the member solvers share one copy of their machine type's structure
+//!   and compiled kernel (`super::machine`) — so the topology memory for
+//!   a 1024-replica room is that of *one* machine plus state rows
+//!   (`tests/step_alloc.rs`,
 //!   `replicas_share_their_machine_type`, pins the model and solvers at
 //!   ≈1.3 KB a machine).
 //! - **SoA layout.** Temperatures, per-node power ΔT and the drive
@@ -41,19 +42,24 @@
 //!
 //! - **Shared operator** — machines whose kernel constants still match
 //!   their source model. They compile to bit-identical operators, so
-//!   the group keeps one copy of the representative's composed weights
-//!   (only the representative composes) and the sweep splats each
-//!   weight across the row.
+//!   the group composes one copy of the representative's kernel (no
+//!   member composes) and the sweep splats each weight across the row.
 //! - **Per-lane weights, `N` sub-steps** — machines a fan-speed, heat-k
 //!   or air-fraction fiddle has diverged from the model. A fiddle
 //!   changes an operator's *weights* (and sometimes its sub-step
-//!   count), not its CSR structure, so such machines still share
-//!   offsets, sources and `1/(m·c)` — and, with the same sub-step count
-//!   and boundary mask, the composed patterns of `M` and `B`; each
-//!   chunk carries `[entries × lanes]` weight matrices of `M` and `B`
-//!   and a `[nodes × lanes]` matrix of `M`'s diagonal beside its state,
-//!   and the same sweep loads a lane's weights where the shared class
-//!   splats them. The composed patterns follow the sub-step count, so
+//!   count), not its CSR structure, so such machines still share their
+//!   type's kernel structure — offsets, sources, `1/(m·c)` and, with the
+//!   same sub-step count and boundary mask, the composed patterns of `M`
+//!   and `B`; each chunk carries `[entries × lanes]` weight matrices of
+//!   `M` and `B` and a `[nodes × lanes]` matrix of `M`'s diagonal beside
+//!   its state, and the same sweep loads a lane's weights where the
+//!   shared class splats them. A member composes its tick straight into
+//!   its lane's column, so the chunk holds the only copy of its weights;
+//!   the member's own kernel keeps its values (flow cache, sub-step
+//!   count, operator weights) and no composed tick — it composes one of
+//!   its own only if it comes to step by itself (solo or pinned), and
+//!   drops it when it rejoins a lane. The composed patterns follow the
+//!   sub-step count, so
 //!   it is part of the class: a fan command that moves a machine from
 //!   14 to 15 sub-steps moves it to another group.
 //!
@@ -78,13 +84,20 @@
 //! replans often. A class whose key the previous plan had keeps that
 //! group's operator (the same fingerprint and sub-step count mean the
 //! same structure and composed pattern) and verifies only the members
-//! new to it or rebuilt since. Each of its chunks keeps its buffers
-//! while its stride holds, and its lanes — in cluster order, as always —
-//! wherever they keep their machine ([`Chunk::assign`]); a lane given
-//! another machine starts cold. The bucketing runs in scratch kept on
-//! the set, so a warm replan that moves machines between existing
-//! classes without changing a chunk's stride allocates nothing. Which
-//! lane or chunk a machine lands in never touches its bits.
+//! new to it or rebuilt since. Lanes keep their machine, not cluster
+//! order ([`place`]): a machine that stays in its class keeps its lane
+//! and its weight column, a machine that leaves leaves a hole, and a
+//! machine new to the class fills one. Chunk counts and sizes still
+//! follow the class size (all chunks full but the last), so a class that
+//! shrinks compacts — the machines past the new layout move their weight
+//! columns lane to lane within the group — and each chunk keeps its
+//! buffers while its stride holds. Only a machine new to its lane's
+//! class or rebuilt since composes; a lane given another machine, moved
+//! or new, is gathered whole (cold). The bucketing and the placement
+//! run in scratch kept on the set, so a warm replan that moves machines
+//! between existing classes without changing a chunk's stride allocates
+//! nothing. Which lane or chunk a machine lands in never touches its
+//! bits.
 //!
 //! ## What a tick re-reads
 //!
@@ -148,11 +161,12 @@
 //! plan's call (`super::kernel::MixGraph`).
 
 use super::aligned::{AlignedVec, MATRIX_ALIGN};
-use super::kernel::{AssembledOp, ComposedOp};
-use super::machine::Solver;
+use super::kernel::{Column, StepKernel, TickPattern};
+use super::machine::{Solver, SpanClock};
 use super::simd::{self, SimdBackend, Sweep, LANE_PAD};
 use crate::units::Celsius;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Maximum machines (f64 lanes) per batch chunk. 32 lanes keep one
 /// chunk's three `[nodes × lanes]` matrices a few KiB — cache-resident —
@@ -200,38 +214,31 @@ fn signature_of(machine: &mut Solver) -> Signature {
     Some((key, epoch))
 }
 
-/// One group's shared, read-only operator — a deep copy of the
-/// representative machine's assembled sub-step operator
-/// ([`AssembledOp`], what members are matched on) and of its composed
-/// tick ([`ComposedOp`], what the sweep runs), plus the group's boundary
-/// mask (inlet nodes; eligible machines have no force-pinned nodes, so
-/// the mask is structural and identical across the group). A per-lane
-/// group shares everything but the weights.
+/// One group's shared, read-only operator: a detached copy of the
+/// representative machine's kernel ([`StepKernel::detached`]) — the
+/// structure every member is matched against, and in a shared-operator
+/// group the composed weights every lane runs — and the patterns of `M`
+/// and `B` for the group's boundary mask (inlet nodes; eligible machines
+/// have no force-pinned nodes, so the mask is structural and identical
+/// across the group) and sub-step count. A per-lane group's weights live
+/// in its chunks' lanes.
+///
+/// The copy is the group's own rather than the machine type's `Arc`s:
+/// the type is compiled when its room is built, and a group that held
+/// it would keep it alive until the plan drops, after the machines —
+/// which, with a caller that keeps a little memory from every room it
+/// builds (as `bench-e2e` keeps each pass's metric handles), fragments
+/// the heap: `replay_steady`'s peak RSS read ≈40 % higher that way.
 #[derive(Debug)]
 pub(crate) struct SharedOp {
     n: usize,
     substeps: usize,
-    op_off: Vec<u32>,
-    op_src: Vec<u32>,
-    /// Empty when `per_lane`, like every weight below: each chunk
-    /// carries its lanes' composed weights, and the raw ones are only
-    /// matched in a shared group.
-    op_w: Vec<f64>,
-    self_w: Vec<f64>,
-    /// The composed tick: `M`'s rows and diagonal, `B`'s rows.
-    m_off: Vec<u32>,
-    m_src: Vec<u32>,
-    m_w: Vec<f64>,
-    m_self: Vec<f64>,
-    b_off: Vec<u32>,
-    b_src: Vec<u32>,
-    b_w: Vec<f64>,
+    kernel: StepKernel,
+    pattern: Arc<TickPattern>,
+    per_lane: bool,
     /// `[nodes × CHUNK_LANES]` zeros: the self weights and power rows
     /// of the sweep that computes a chunk's drive.
     zeros: Vec<f64>,
-    inv_capacity: Vec<f64>,
-    fixed: Vec<bool>,
-    per_lane: bool,
     /// Seconds per sub-step: what generated heat is priced against.
     dt_sub: f64,
     /// Component node indices in node order (structural, so shared)
@@ -266,35 +273,29 @@ impl SharedOp {
             .copied()
             .filter(|&i| solver.is_monitored_at(i))
             .collect();
-        let kernel = solver.composed_kernel();
-        let (op, tick) = (kernel.assembled_op(), kernel.composed_op());
-        let weights = |w: &[f64]| if per_lane { Vec::new() } else { w.to_vec() };
+        let mut kernel = solver.compiled_kernel().detached();
+        let pattern = if per_lane {
+            kernel.pattern_for(&fixed)
+        } else {
+            kernel.compose(&fixed);
+            kernel.composed_pattern()
+        };
+        let n = kernel.structure().n();
         let rows = |nodes: &[usize]| {
-            let mut row_of = vec![NO_ROW; op.n];
+            let mut row_of = vec![NO_ROW; n];
             for (row, &i) in nodes.iter().enumerate() {
                 row_of[i] = row as u32;
             }
             row_of
         };
         SharedOp {
-            n: op.n,
-            substeps: op.substeps,
-            op_off: op.op_off.to_vec(),
-            op_src: op.op_src.to_vec(),
-            op_w: weights(op.op_w),
-            self_w: weights(op.self_w),
-            m_off: tick.m_off.to_vec(),
-            m_src: tick.m_src.to_vec(),
-            m_w: weights(tick.m_w),
-            m_self: weights(tick.m_self),
-            b_off: tick.b_off.to_vec(),
-            b_src: tick.b_src.to_vec(),
-            b_w: weights(tick.b_w),
-            zeros: vec![0.0; op.n * CHUNK_LANES],
-            inv_capacity: op.inv_capacity.to_vec(),
-            fixed,
+            n,
+            substeps: kernel.substeps(),
+            dt_sub: kernel.dt_sub().0,
+            kernel,
+            pattern,
             per_lane,
-            dt_sub: op.dt_sub,
+            zeros: vec![0.0; n * CHUNK_LANES],
             component_row: rows(&components),
             components,
             monitored_row: rows(&monitored),
@@ -305,30 +306,25 @@ impl SharedOp {
         }
     }
 
-    /// Exact (bitwise) equality with another machine's assembled
-    /// operator — of everything the group shares: structure and
-    /// `1/(m·c)` always, the weights unless each lane carries its own.
-    /// Class-equal machines compile to matching operators by
-    /// construction; this check makes a 64-bit fingerprint collision
-    /// harmless instead of silently wrong.
-    fn matches(&self, op: &AssembledOp<'_>) -> bool {
-        self.n == op.n
-            && self.substeps == op.substeps
-            && self.dt_sub.to_bits() == op.dt_sub.to_bits()
-            && self.op_off == op.op_off
-            && self.op_src == op.op_src
-            && bits_eq(&self.inv_capacity, op.inv_capacity)
-            && (self.per_lane || (bits_eq(&self.op_w, op.op_w) && bits_eq(&self.self_w, op.self_w)))
+    /// Whether a machine's compiled kernel steps on this group's
+    /// operator: the same structure and sub-step length bitwise and,
+    /// unless each lane carries its own, the same weights. Class-equal
+    /// machines compile to matching operators by construction; this
+    /// check makes a 64-bit fingerprint collision harmless instead of
+    /// silently wrong.
+    fn matches(&self, kernel: &StepKernel) -> bool {
+        self.kernel.structure().same_as(kernel.structure())
+            && self.substeps == kernel.substeps()
+            && self.dt_sub.to_bits() == kernel.dt_sub().0.to_bits()
+            && (self.per_lane || {
+                let ((w, self_w), (kw, k_self_w)) = (self.kernel.op_weights(), kernel.op_weights());
+                bits_eq(w, kw) && bits_eq(self_w, k_self_w)
+            })
     }
 
-    /// Whether a composed tick has this group's patterns of `M` and `B`
-    /// — which every matching operator composed for the group's boundary
-    /// mask has.
-    fn shares_pattern(&self, tick: &ComposedOp<'_>) -> bool {
-        self.m_off == tick.m_off
-            && self.m_src == tick.m_src
-            && self.b_off == tick.b_off
-            && self.b_src == tick.b_src
+    /// The group's boundary mask.
+    fn fixed(&self) -> &[bool] {
+        &self.pattern.fixed
     }
 }
 
@@ -389,8 +385,9 @@ const _: () = assert!(CHUNK_LANES <= u32::BITS as usize);
 /// together over node-major state matrices.
 #[derive(Debug)]
 pub(crate) struct Chunk {
-    /// Cluster machine indices, in cluster order; lane `l` holds
-    /// machine `members[l]`.
+    /// Cluster machine indices; lane `l` holds machine `members[l]`. A
+    /// lane keeps its machine while the machine keeps its class, so the
+    /// order is the plan's history, not the cluster's.
     members: Vec<usize>,
     /// Row stride of every matrix: `members.len()` rounded up to
     /// [`LANE_PAD`]. Lanes past `members.len()` are dead — never
@@ -411,11 +408,13 @@ pub(crate) struct Chunk {
     drive: AlignedVec,
     /// Per-lane composed weights: `M`'s entries `[entries × stride]`
     /// and diagonal `[nodes × stride]`, `B`'s entries
-    /// `[entries × stride]`; empty in a shared-operator group.
+    /// `[entries × stride]` — the only copy of a lane's weights, which
+    /// its machine composes straight into them; empty in a
+    /// shared-operator group.
     m_w: AlignedVec,
     m_self: AlignedVec,
     b_w: AlignedVec,
-    /// The rebuild epoch each lane's weight column was copied at (0 =
+    /// The rebuild epoch each lane's weight column was composed at (0 =
     /// never); empty in a shared-operator group.
     epochs: Vec<u64>,
     /// `[components × stride]` per-sub-step heat `q` of every lane's
@@ -461,66 +460,80 @@ pub(crate) struct Chunk {
 
 impl Chunk {
     /// A chunk shaped for `lanes` machines of the group `op` — for any
-    /// count up to its stride — every matrix zero and no lane assigned
-    /// yet.
+    /// count up to its stride — every matrix zero and every lane a
+    /// [`HOLE`] for [`place`] to fill.
     fn new(op: &SharedOp, lanes: usize) -> Self {
         let stride = lanes.next_multiple_of(LANE_PAD);
         let weights = |rows: usize| AlignedVec::zeroed(if op.per_lane { rows * stride } else { 0 });
+        let mut members = Vec::with_capacity(stride);
+        members.resize(lanes, HOLE);
         Chunk {
-            members: Vec::with_capacity(stride),
+            members,
             stride,
             cur: AlignedVec::zeroed(op.n * stride),
             next: AlignedVec::zeroed(op.n * stride),
             power_dt: AlignedVec::zeroed(op.n * stride),
             drive: AlignedVec::zeroed(op.n * stride),
-            m_w: weights(op.m_src.len()),
+            m_w: weights(op.pattern.m_src.len()),
             m_self: weights(op.n),
-            b_w: weights(op.b_src.len()),
-            epochs: Vec::with_capacity(if op.per_lane { stride } else { 0 }),
+            b_w: weights(op.pattern.b_src.len()),
+            epochs: vec![0; if op.per_lane { lanes } else { 0 }],
             power_q: vec![0.0; op.components.len() * stride],
             priced: Vec::new(),
             fed: 0,
             frame_rows: Vec::new(),
             frame_lanes: 0,
-            generated: Vec::with_capacity(stride),
+            generated: vec![0.0; lanes],
             resum: true,
             exhaust_sum: vec![0.0; stride],
-            inlet: Vec::with_capacity(stride),
+            inlet: vec![0.0; lanes],
             inlet_set: 0,
             cold: 0,
         }
     }
 
-    /// Makes the chunk step `members` (cluster order) of the group `op`,
-    /// keeping what it can. While its stride holds, a lane that keeps
-    /// its machine keeps its state and weights, a lane given another
-    /// machine is gathered whole and takes its weights by the next
-    /// [`Chunk::refresh_weights`], and a lane left dead is zeroed; a new
-    /// stride reshapes the chunk from scratch, so its memory follows its
-    /// class's size. A lane's machine does not touch its bits, so this
-    /// only saves work.
-    fn assign(&mut self, members: &[usize], op: &SharedOp) {
-        let lanes = members.len();
-        if lanes.next_multiple_of(LANE_PAD) != self.stride {
-            *self = Chunk::new(op, lanes);
-        }
+    /// Resizes the live lanes to `lanes` (same stride): lanes past it
+    /// are zeroed, new ones are holes.
+    fn resize_lanes(&mut self, lanes: usize, op: &SharedOp) {
+        debug_assert_eq!(lanes.next_multiple_of(LANE_PAD), self.stride);
         for l in lanes..self.members.len() {
             self.zero_lane(l);
         }
+        self.members.resize(lanes, HOLE);
         self.epochs.resize(if op.per_lane { lanes } else { 0 }, 0);
-        for (l, &m) in members.iter().enumerate() {
-            if self.members.get(l) != Some(&m) {
-                self.cold |= 1 << l;
-                if op.per_lane {
-                    self.epochs[l] = 0;
-                }
-            }
-        }
-        self.members.clear();
-        self.members.extend_from_slice(members);
         self.generated.resize(lanes, 0.0);
         self.inlet.resize(lanes, 0.0);
         self.frame_lanes = 0;
+    }
+
+    /// Gives hole `l` to machine `m`, whose weight column (in a per-lane
+    /// group) is `column` as of rebuild epoch `epoch` — 0 and empty for a
+    /// machine that brings none, which [`Chunk::refresh_weights`] then
+    /// composes. The lane's state is gathered whole by the next gather.
+    fn fill(&mut self, l: usize, m: usize, epoch: u64, column: &[f64]) {
+        debug_assert_eq!(self.members[l], HOLE);
+        self.members[l] = m;
+        self.cold |= 1 << l;
+        if let Some(lane_epoch) = self.epochs.get_mut(l) {
+            *lane_epoch = epoch;
+            if epoch != 0 {
+                let stride = self.stride;
+                let mut column = column.iter();
+                for matrix in [&mut self.m_w, &mut self.m_self, &mut self.b_w] {
+                    for (w, &x) in matrix.iter_mut().skip(l).step_by(stride).zip(&mut column) {
+                        *w = x;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Appends lane `l`'s weight column — `M`'s entries, its diagonal,
+    /// `B`'s entries — to `out`, for [`Chunk::fill`] to move elsewhere.
+    fn read_column(&self, l: usize, out: &mut Vec<f64>) {
+        for matrix in [&self.m_w, &self.m_self, &self.b_w] {
+            out.extend(matrix.iter().skip(l).step_by(self.stride));
+        }
     }
 
     /// Zeroes lane `l` in every matrix: a lane past the live ones is
@@ -551,34 +564,29 @@ impl Chunk {
         priced.for_each(|cell| *cell = PricedCell::SOLVER_PRICED);
     }
 
-    /// Copies the composed weights of every lane whose solver was
-    /// rebuilt since its column was written, or that a replan gave
-    /// another machine, composing them first if they are stale. The
-    /// plan verified each such member against the group's operator.
+    /// Composes the weights of every lane whose machine was rebuilt
+    /// since its column was composed, or that brought no column, straight
+    /// into the lane. The plan verified each such member against the
+    /// group's operator.
     fn refresh_weights(&mut self, op: &SharedOp, machines: &mut [Solver]) {
         for l in 0..self.epochs.len() {
             let solver = &mut machines[self.members[l]];
-            let epoch = solver.rebuild_epoch();
-            if self.epochs[l] == epoch {
+            if self.epochs[l] == solver.rebuild_epoch() {
                 continue;
             }
             debug_assert!(
-                op.matches(&solver.compiled_kernel().assembled_op()),
+                op.matches(solver.compiled_kernel()),
                 "members are verified when they join or are rebuilt"
             );
-            let own = solver.composed_kernel().composed_op();
-            debug_assert!(op.shares_pattern(&own), "matched operators compose alike");
-            let stride = self.stride;
-            for (matrix, column) in [
-                (&mut self.m_w, own.m_w),
-                (&mut self.m_self, own.m_self),
-                (&mut self.b_w, own.b_w),
-            ] {
-                for (j, &w) in column.iter().enumerate() {
-                    matrix[j * stride + l] = w;
-                }
-            }
-            self.epochs[l] = epoch;
+            let column = Column {
+                m_w: &mut self.m_w,
+                m_self: &mut self.m_self,
+                b_w: &mut self.b_w,
+                stride: self.stride,
+                lane: l,
+            };
+            solver.compose_lane(&op.pattern, column);
+            self.epochs[l] = solver.rebuild_epoch();
             self.resum = true;
         }
     }
@@ -588,7 +596,7 @@ impl Chunk {
         let row = op.component_row[node];
         debug_assert_ne!(row, NO_ROW, "only components generate heat");
         self.power_q[row as usize * self.stride + l] = q;
-        self.power_dt[node * self.stride + l] = q * op.inv_capacity[node];
+        self.power_dt[node * self.stride + l] = q * op.kernel.structure().inv_capacity()[node];
         self.resum = true;
     }
 
@@ -613,7 +621,7 @@ impl Chunk {
             let cells = row * stride..row * stride + lanes;
             let q_row = op.component_row[node] as usize * stride;
             let dt_row = node * stride;
-            let inv_capacity = op.inv_capacity[node];
+            let inv_capacity = op.kernel.structure().inv_capacity()[node];
             let routed = self.frame_rows[cells.clone()].iter();
             for (l, (&k, cell)) in routed.zip(&mut self.priced[cells]).enumerate() {
                 if k == NO_ROW {
@@ -648,7 +656,8 @@ impl Chunk {
         let (m_w, m_self, b_w): (&[f64], &[f64], &[f64]) = if op.per_lane {
             (&self.m_w, &self.m_self, &self.b_w)
         } else {
-            (&op.m_w, &op.m_self, &op.b_w)
+            let tick = op.kernel.composed_op();
+            (tick.m_w, tick.m_self, tick.b_w)
         };
         if std::mem::take(&mut self.resum) {
             // Per lane `0.0 + q₀ + q₁ + …` in node order: the scalar
@@ -668,12 +677,12 @@ impl Chunk {
                 Sweep {
                     n: op.n,
                     lanes: self.stride,
-                    op_off: &op.b_off,
-                    op_src: &op.b_src,
+                    op_off: &op.pattern.b_off,
+                    op_src: &op.pattern.b_src,
                     op_w: b_w,
                     self_w: &op.zeros,
                     lane_w: op.per_lane,
-                    fixed: &op.fixed,
+                    fixed: op.fixed(),
                     power_dt: &op.zeros,
                     cur: &self.power_dt,
                     next: &mut self.drive,
@@ -685,12 +694,12 @@ impl Chunk {
             Sweep {
                 n: op.n,
                 lanes: self.stride,
-                op_off: &op.m_off,
-                op_src: &op.m_src,
+                op_off: &op.pattern.m_off,
+                op_src: &op.pattern.m_src,
                 op_w: m_w,
                 self_w: m_self,
                 lane_w: op.per_lane,
-                fixed: &op.fixed,
+                fixed: op.fixed(),
                 power_dt: &self.drive,
                 cur: &self.cur,
                 next: &mut self.next,
@@ -708,7 +717,7 @@ pub(crate) type Lane = (u32, u32, u32);
 #[derive(Debug)]
 struct Group {
     key: GroupKey,
-    /// Every chunk's members, concatenated (cluster order).
+    /// The machines of every chunk, in cluster order.
     members: Vec<usize>,
     op: SharedOp,
     chunks: Vec<Chunk>,
@@ -738,6 +747,97 @@ struct PlanScratch {
     /// The previous plan's groups, each taken by the class that keeps
     /// it.
     old: Vec<Option<Group>>,
+    place: PlaceScratch,
+}
+
+/// A lane [`place`] has yet to fill.
+const HOLE: usize = usize::MAX;
+
+/// The working memory of [`place`].
+#[derive(Debug, Default)]
+struct PlaceScratch {
+    /// Per machine: in the class being placed, and not yet met in a
+    /// lane of the group's chunks.
+    unplaced: Vec<bool>,
+    /// The class's machines that lose their lane, each with the rebuild
+    /// epoch of its weight column, and (in a per-lane group) the
+    /// columns, concatenated in the same order.
+    movers: Vec<(usize, u64)>,
+    columns: Vec<f64>,
+}
+
+/// Lays the class `members` (cluster order) out over the chunks of its
+/// group — the previous plan's, or none — keeping every lane that can
+/// keep its machine. Chunk counts and sizes follow the class size as
+/// they always have: `⌈members / CHUNK_LANES⌉` chunks, all full but the
+/// last. A chunk keeps its buffers while its stride holds, and its
+/// machines' lanes wherever they still fit; a machine that left the
+/// class leaves a hole. The machines that no longer fit — a chunk
+/// dropped or reshaped, a lane past its chunk's new size — move to the
+/// holes, each taking its weight column with it, and the machines new to
+/// the class take the holes left: only they, and rebuilt members,
+/// compose ([`Chunk::refresh_weights`]). Which lane a machine lands in
+/// never touches its bits, so this only saves work.
+fn place(op: &SharedOp, chunks: &mut Vec<Chunk>, members: &[usize], s: &mut PlaceScratch) {
+    let total = members.len();
+    let count = total.div_ceil(CHUNK_LANES);
+    let size = |c: usize| (total - c * CHUNK_LANES).min(CHUNK_LANES);
+    let stride = |c: usize| size(c).next_multiple_of(LANE_PAD);
+    for &m in members {
+        s.unplaced[m] = true;
+    }
+    s.movers.clear();
+    s.columns.clear();
+    for (c, chunk) in chunks.iter_mut().enumerate() {
+        let kept = c < count && chunk.stride == stride(c);
+        for l in 0..chunk.members.len() {
+            let m = chunk.members[l];
+            debug_assert_ne!(m, HOLE, "a plan fills every lane");
+            if !std::mem::take(&mut s.unplaced[m]) {
+                // Left the class.
+                chunk.members[l] = HOLE;
+            } else if !(kept && l < size(c)) {
+                s.movers
+                    .push((m, chunk.epochs.get(l).copied().unwrap_or(0)));
+                chunk.read_column(l, &mut s.columns);
+                chunk.members[l] = HOLE;
+            }
+        }
+    }
+    chunks.truncate(count);
+    for c in 0..count {
+        if c == chunks.len() {
+            chunks.push(Chunk::new(op, size(c)));
+        } else if chunks[c].stride != stride(c) {
+            chunks[c] = Chunk::new(op, size(c));
+        } else {
+            chunks[c].resize_lanes(size(c), op);
+        }
+    }
+    let width = s.columns.len() / s.movers.len().max(1);
+    let (mut mover, mut newcomer) = (0, 0);
+    for chunk in chunks.iter_mut() {
+        for l in 0..chunk.members.len() {
+            if chunk.members[l] != HOLE {
+                continue;
+            }
+            if let Some(&(m, epoch)) = s.movers.get(mover) {
+                chunk.fill(l, m, epoch, &s.columns[mover * width..(mover + 1) * width]);
+                mover += 1;
+            } else {
+                while !s.unplaced[members[newcomer]] {
+                    newcomer += 1;
+                }
+                let m = members[newcomer];
+                s.unplaced[m] = false;
+                chunk.fill(l, m, 0, &[]);
+            }
+        }
+    }
+    debug_assert!(
+        members.iter().all(|&m| !s.unplaced[m]),
+        "every member placed"
+    );
 }
 
 /// The cluster's batch plan: which machines step together, and the
@@ -855,15 +955,16 @@ impl BatchSet {
     ///
     /// A replan recycles rather than rebuilds: a class whose key the
     /// previous plan had keeps that group's operator and chunks, and
-    /// verifies only the members new to it or rebuilt since; each chunk
-    /// keeps its buffers while its stride holds and its lanes wherever
-    /// they keep their machine ([`Chunk::assign`]).
+    /// verifies only the members new to it or rebuilt since; each
+    /// machine that stays in its class keeps its lane and weight column
+    /// ([`place`]).
     pub(crate) fn plan(&mut self, machines: &mut [Solver]) -> Option<u64> {
         let s = &mut self.scratch;
         let mut changed = self.signature.len() != machines.len();
         self.signature.resize(machines.len(), None);
         s.mark.clear();
         s.mark.resize(machines.len(), false);
+        s.place.unplaced.resize(machines.len(), false);
         let signatures = self.signature.iter_mut().zip(machines.iter_mut());
         for ((seen, machine), moved) in signatures.zip(&mut s.mark) {
             let now = signature_of(machine);
@@ -939,7 +1040,7 @@ impl BatchSet {
             // wrong.
             bucket.members.retain(|&m| {
                 known(m) || {
-                    let same = op.matches(&machines[m].compiled_kernel().assembled_op());
+                    let same = op.matches(machines[m].compiled_kernel());
                     debug_assert!(same, "fingerprint collision between machines");
                     same
                 }
@@ -947,13 +1048,9 @@ impl BatchSet {
             if bucket.members.len() < MIN_GROUP {
                 continue;
             }
-            chunks.truncate(bucket.members.len().div_ceil(CHUNK_LANES));
-            for (c, lanes) in bucket.members.chunks(CHUNK_LANES).enumerate() {
-                if c == chunks.len() {
-                    chunks.push(Chunk::new(&op, lanes.len()));
-                }
-                chunks[c].assign(lanes, &op);
-                chunks[c].refresh_weights(&op, machines);
+            place(&op, &mut chunks, &bucket.members, &mut s.place);
+            for chunk in &mut chunks {
+                chunk.refresh_weights(&op, machines);
             }
             // The group takes the bucket's list; the bucket keeps the
             // old one's allocation for the next replan.
@@ -1017,7 +1114,7 @@ impl BatchSet {
                     let rewritten = solver.take_temps_dirty();
                     let remodelled = solver.take_power_models_dirty();
                     let (fixed, power_q) = solver.tick_inputs();
-                    debug_assert_eq!(op.fixed, fixed, "boundary mask diverged within group");
+                    debug_assert_eq!(op.fixed(), fixed, "boundary mask diverged within group");
                     debug_assert_eq!(op.components, solver.component_nodes());
                     let temps = solver.temps();
                     if cold || rewritten {
@@ -1040,7 +1137,8 @@ impl BatchSet {
                     if cold || repriced {
                         for (row, &i) in op.components.iter().enumerate() {
                             chunk.power_q[row * stride + l] = power_q[i];
-                            chunk.power_dt[i * stride + l] = power_q[i] * op.inv_capacity[i];
+                            chunk.power_dt[i * stride + l] =
+                                power_q[i] * op.kernel.structure().inv_capacity()[i];
                         }
                         chunk.resum = true;
                     }
@@ -1084,8 +1182,14 @@ impl BatchSet {
     /// back into each member solver, hands it the utilizations its lane
     /// priced during the span together with the heat they were priced at
     /// (so the next gather reprices nothing), and books its heat/time
-    /// accounting, exactly as [`Solver::step`]'s epilogue does.
-    pub(crate) fn finish_span(&mut self, machines: &mut [Solver], span: usize) {
+    /// accounting, exactly as [`Solver::step`]'s epilogue does — the
+    /// clock read off `clock`, which adds each distinct start up once.
+    pub(crate) fn finish_span(
+        &mut self,
+        machines: &mut [Solver],
+        span: usize,
+        clock: &mut SpanClock,
+    ) {
         for group in &mut self.groups {
             let op = &group.op;
             for chunk in &mut group.chunks {
@@ -1108,7 +1212,7 @@ impl BatchSet {
                             }
                         }
                     }
-                    solver.finish_tick_span(chunk.generated[l], span);
+                    solver.finish_tick_span(chunk.generated[l], span, clock);
                 }
                 chunk.fed = 0;
                 chunk.inlet_set = 0;

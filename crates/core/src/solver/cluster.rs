@@ -3,7 +3,7 @@
 
 use super::batch::BatchSet;
 use super::kernel::MixGraph;
-use super::machine::{MachineType, Solver, SolverConfig};
+use super::machine::{MachineType, Solver, SolverConfig, SpanClock};
 use super::metrics::{ClusterMetrics, SolverMetrics, TICK_LATENCY_SAMPLE};
 use super::pool::{TickPool, WorkItem};
 use super::simd::SimdBackend;
@@ -1078,9 +1078,10 @@ impl ClusterSolver {
         // of no ticks too: the feed may have set inputs before ending
         // it, and the lanes hand those back here.
         let scatter_span = self.tracer.start_child("batch.scatter", "solver", trace_id);
-        self.batch.finish_span(&mut self.machines, done);
+        let mut clock = SpanClock::default();
+        self.batch.finish_span(&mut self.machines, done, &mut clock);
         for &m in self.batch.solos() {
-            self.machines[m].finish_span(done);
+            self.machines[m].finish_span(done, &mut clock);
         }
         self.tracer.end(scatter_span);
 

@@ -195,10 +195,11 @@ pub(crate) fn required_substeps_in(
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FlowCache {
     valid: bool,
-    /// Cache key: fan mass-flow bits plus every air edge as
-    /// `(from, to, fraction bits)` in declaration order.
+    /// Cache key: fan mass-flow bits plus every air edge's fraction
+    /// bits in declaration order. A cache belongs to one kernel, whose
+    /// edges keep their endpoints, so the fractions are all that moves.
     key_fan: u64,
-    key_edges: Vec<(u32, u32, u64)>,
+    key_edges: Vec<u64>,
     edge_flow: Vec<KilogramsPerSecond>,
     inflow: Vec<KilogramsPerSecond>,
     recomputes: u64,
@@ -223,15 +224,8 @@ impl FlowCache {
         self.valid
             && self.key_fan == fan_mass_flow.0.to_bits()
             && self.key_edges.len() == air_edges.len()
-            && self
-                .key_edges
-                .iter()
-                .zip(air_edges)
-                .all(|(&key, &edge)| key == Self::key(edge))
-    }
-
-    fn key((from, to, fraction): (usize, usize, f64)) -> (u32, u32, u64) {
-        (from as u32, to as u32, fraction.to_bits())
+            && (self.key_edges.iter().zip(air_edges))
+                .all(|(&key, &(_, _, fraction))| key == fraction.to_bits())
     }
 
     /// Returns the flow distribution for the given graph (laid out as
@@ -260,8 +254,7 @@ impl FlowCache {
             );
             self.key_fan = fan_mass_flow.0.to_bits();
             self.key_edges.clear();
-            self.key_edges
-                .extend(air_edges.iter().map(|&edge| Self::key(edge)));
+            (self.key_edges).extend(air_edges.iter().map(|&(_, _, f)| f.to_bits()));
             self.valid = true;
             self.recomputes += 1;
         }

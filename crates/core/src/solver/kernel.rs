@@ -87,23 +87,54 @@
 //! `+= w·T_src` in `M`'s entry order — against the stepped form's `N`
 //! passes, it moves each trajectory by rounding only (`tests/`
 //! `kernel_equivalence.rs` bounds it).
+//!
+//! ## What a machine type shares, and where a composed tick lives
+//!
+//! A compiled kernel is two parts. [`KernelStructure`] is what the
+//! machine type fixes — both adjacencies, the components, `1/(m·c)`, the
+//! operator's offsets and sources — plus the patterns of `M` and `B`
+//! ([`TickPattern`]), kept per boundary mask and settled sub-step range
+//! as they are first asked for. It sits behind one `Arc` per machine
+//! type, shared by the type's replicas *and* by the machines a fan,
+//! heat-k or air-fraction change has diverged: such a change moves
+//! weights, never which node reads which, so a rebuild recomputes the
+//! values and keeps the structure. [`StepKernel`] is a machine's values:
+//! its flow cache, sub-step count and operator weights, and — only where
+//! the machine steps by itself (a solo or pinned cluster member, a
+//! standalone solver) — its composed tick, boxed and composed lazily.
+//! A per-lane batch member composes straight into its chunk's lane
+//! column ([`StepKernel::compose_into`], `super::batch`), which is the
+//! only copy of its `M` and `B` weights; the undiverged replicas of a
+//! type share one kernel, composed once for the inlet-only mask. A batch
+//! group keeps a detached copy of its representative's kernel
+//! ([`StepKernel::detached`]) — structure, patterns and, for a
+//! shared-operator group, the composed weights its lanes run — so the
+//! plan holds nothing of the machine type past its machines.
 
 use super::flows::{refill, required_substeps_in, FlowCache, FlowScratch};
 use super::simd::{self, SimdBackend, Sweep};
 use crate::model::{ClusterEndpoint, ClusterModel};
 use crate::units::{Celsius, JoulesPerKelvin, KilogramsPerSecond, Seconds, WattsPerKelvin};
 use std::cell::RefCell;
+use std::sync::{Arc, Mutex, PoisonError};
 
-/// The working memory of a kernel rebuild — CSR fill cursors, the flow
-/// walk's buffers and the per-node conductive rates — and of a
-/// composition: the basis chunk's two temperature matrices, its unit
-/// power matrix and each component's lane in it, and the two reach
-/// bitset matrices.
+/// The working memory of a kernel rebuild — the per-incidence
+/// conductances and air flows, the per-node constants the operator is
+/// assembled from, the flow walk's buffers — and of a composition: the
+/// basis chunk's two temperature matrices, its unit power matrix and
+/// each component's lane in it, and the two reach bitset matrices.
 #[derive(Debug, Default)]
 struct RebuildScratch {
-    cursor: Vec<u32>,
     flow: FlowScratch,
     conductive: Vec<f64>,
+    heat_k: Vec<f64>,
+    heat_ksum: Vec<f64>,
+    heat_coef: Vec<f64>,
+    air_flow: Vec<f64>,
+    inflow: Vec<KilogramsPerSecond>,
+    alpha: Vec<f64>,
+    inv_streams_mass: Vec<f64>,
+    op_off: Vec<u32>,
     basis: Vec<f64>,
     basis_next: Vec<f64>,
     unit_power: Vec<f64>,
@@ -122,64 +153,311 @@ thread_local! {
     static REBUILD_SCRATCH: RefCell<RebuildScratch> = RefCell::default();
 }
 
-/// Flattened per-machine stepping state: CSR topology, precomputed rate
-/// constants, and scratch buffers, all reused across ticks.
-///
-/// Built empty with [`StepKernel::new`] and populated by
-/// [`StepKernel::rebuild`]. The replicas of one machine type share one
-/// kernel; a solver that changes the fan speed, a heat-transfer
-/// coefficient or an air fraction rebuilds a copy of its own.
-#[derive(Debug, Clone)]
-pub(crate) struct StepKernel {
+/// A CSR over `n` nodes of `(node, far end, edge)` incidences, kept in
+/// the order given: each node's offsets, and the far end and edge of
+/// each incidence.
+fn csr(
+    n: usize,
+    incidences: impl Iterator<Item = (usize, u32, u32)> + Clone,
+) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+    let mut off = vec![0u32; n + 1];
+    for (node, _, _) in incidences.clone() {
+        off[node + 1] += 1;
+    }
+    for i in 0..n {
+        off[i + 1] += off[i];
+    }
+    let count = off[n] as usize;
+    let (mut far_end, mut edge) = (vec![0u32; count], vec![0u32; count]);
+    // `off[i]` is node `i`'s fill cursor, which ends at `off[i + 1]`.
+    for (node, far, e) in incidences {
+        let c = off[node] as usize;
+        (far_end[c], edge[c]) = (far, e);
+        off[node] += 1;
+    }
+    off.copy_within(0..n, 1);
+    off[0] = 0;
+    (off, far_end, edge)
+}
+
+/// Patterns of `M` and `B` a structure keeps at most; the oldest goes
+/// first. A pattern that settles serves every sub-step count above its
+/// settling point, so a machine type under fan control needs one per
+/// boundary mask.
+const MAX_PATTERNS: usize = 32;
+
+/// What every kernel of one machine type shares (see the module docs):
+/// both adjacencies, the components, `1/(m·c)`, the assembled
+/// operator's offsets and sources, and the composed patterns of `M` and
+/// `B` per boundary mask and settled sub-step range. Built once per
+/// machine type and held in an `Arc`; a rebuild recomputes values only,
+/// and builds a new one only if the operator's shape moved.
+#[derive(Debug)]
+pub(crate) struct KernelStructure {
     /// Number of nodes.
     n: usize,
     /// Tick length and explicit-Euler stability margin.
     dt: Seconds,
     stability_limit: f64,
-    /// Sub-steps per tick and the resulting sub-step length.
-    substeps: usize,
-    dt_sub: Seconds,
     /// Heat adjacency: node `i`'s incident heat edges occupy
-    /// `heat_off[i]..heat_off[i+1]` in the two parallel arrays below,
-    /// ordered by edge declaration index.
+    /// `heat_off[i]..heat_off[i+1]` in the arrays below, ordered by edge
+    /// declaration index — the node on the far side and the edge.
     heat_off: Vec<u32>,
-    /// The node on the far side of each incidence.
     heat_nbr: Vec<u32>,
-    /// The edge's conductance, W/K.
-    heat_k: Vec<f64>,
-    /// Per-node sum of incident conductances, Σk, for the factored heat
-    /// update.
-    heat_ksum: Vec<f64>,
-    /// Per-node `Δt_sub / (m·c)`: converts the factored conductance sum
-    /// straight into a temperature delta.
-    heat_coef: Vec<f64>,
+    heat_edge: Vec<u32>,
     /// Incoming-air adjacency, same CSR layout: for node `i`, the
-    /// upstream region and the mass flow (kg/s) of each incoming stream.
+    /// upstream region and the edge of each incoming stream.
     air_off: Vec<u32>,
     air_src: Vec<u32>,
-    air_flow: Vec<f64>,
-    /// Per-node total incoming mass flow (used by the sub-step bound).
-    inflow: Vec<KilogramsPerSecond>,
-    /// Per-node advection replacement fraction per sub-step; zero for
-    /// nodes that don't mix (components, starved regions).
-    alpha: Vec<f64>,
-    /// Per-node reciprocal of the total incoming mass, for the mix
-    /// average (zero where `alpha` is zero).
-    inv_streams_mass: Vec<f64>,
+    air_edge: Vec<u32>,
     /// Precomputed `1/(m·c)` per node.
     inv_capacity: Vec<f64>,
     /// Component node indices (the nodes without an air mass), in node
     /// order: the columns of `B`.
     components: Vec<u32>,
-    /// The assembled sub-step operator: one sparse affine row per node,
-    /// `T'_i = self_w[i]·T_i + Σ op_w[j]·T[op_src[j]] + ΔT_power[i]`,
-    /// combining the factored heat update and the advection mix. Heat
-    /// incidences come first (edge declaration order), then air streams.
+    /// The assembled sub-step operator's shape: one sparse affine row
+    /// per node, `T'_i = self_w[i]·T_i + Σ op_w[j]·T[op_src[j]] +
+    /// ΔT_power[i]`, heat incidences first (edge declaration order),
+    /// then the air streams of a node that mixes.
     op_off: Vec<u32>,
     op_src: Vec<u32>,
+    /// The composed patterns found so far (see [`TickPattern`]).
+    patterns: Mutex<Vec<Arc<TickPattern>>>,
+}
+
+impl Clone for KernelStructure {
+    /// A copy keeps none of the patterns found so far; it finds its own
+    /// as they are asked for.
+    fn clone(&self) -> Self {
+        KernelStructure {
+            n: self.n,
+            dt: self.dt,
+            stability_limit: self.stability_limit,
+            heat_off: self.heat_off.clone(),
+            heat_nbr: self.heat_nbr.clone(),
+            heat_edge: self.heat_edge.clone(),
+            air_off: self.air_off.clone(),
+            air_src: self.air_src.clone(),
+            air_edge: self.air_edge.clone(),
+            inv_capacity: self.inv_capacity.clone(),
+            components: self.components.clone(),
+            op_off: self.op_off.clone(),
+            op_src: self.op_src.clone(),
+            patterns: Mutex::default(),
+        }
+    }
+}
+
+/// The patterns of a composed tick `T' = M·T + B·p` (see the module
+/// docs) for one boundary mask, valid for every sub-step count in
+/// `from..=to`: `M` as CSR rows (sources in ascending node order) and
+/// `B` as CSR rows (component sources in node order). Fixed rows have no
+/// entries, and `M`'s diagonal is its own `[nodes]` vector.
+#[derive(Debug)]
+pub(crate) struct TickPattern {
+    pub fixed: Vec<bool>,
+    from: usize,
+    to: usize,
+    pub m_off: Vec<u32>,
+    pub m_src: Vec<u32>,
+    pub b_off: Vec<u32>,
+    pub b_src: Vec<u32>,
+}
+
+impl TickPattern {
+    fn holds_for(&self, fixed: &[bool], substeps: usize) -> bool {
+        (self.from..=self.to).contains(&substeps) && self.fixed == fixed
+    }
+}
+
+impl KernelStructure {
+    /// The adjacencies, components and `1/(m·c)` of a machine; the
+    /// operator's shape is left empty for the first rebuild to set.
+    fn new(
+        dt: Seconds,
+        stability_limit: f64,
+        heat_edges: &[(usize, usize, WattsPerKelvin)],
+        air_edges: &[(usize, usize, f64)],
+        capacity: &[JoulesPerKelvin],
+        air_mass: impl Fn(usize) -> Option<f64>,
+    ) -> Self {
+        let n = capacity.len();
+        debug_assert!(n < u32::MAX as usize, "node count exceeds CSR index width");
+        // Both CSRs are filled in edge declaration order, which keeps each
+        // node's adjacency list in declaration order and so preserves the
+        // scan-based accumulation order exactly. Every heat edge is one
+        // incidence of each endpoint; every air edge one of its target.
+        let heat = (heat_edges.iter().enumerate())
+            .flat_map(|(e, &(a, b, _))| [(a, b as u32, e as u32), (b, a as u32, e as u32)]);
+        let (heat_off, heat_nbr, heat_edge) = csr(n, heat);
+        let air =
+            (air_edges.iter().enumerate()).map(|(e, &(from, to, _))| (to, from as u32, e as u32));
+        let (air_off, air_src, air_edge) = csr(n, air);
+        KernelStructure {
+            n,
+            dt,
+            stability_limit,
+            heat_off,
+            heat_nbr,
+            heat_edge,
+            air_off,
+            air_src,
+            air_edge,
+            inv_capacity: capacity.iter().map(|c| 1.0 / c.0).collect(),
+            components: (0..n as u32)
+                .filter(|&i| air_mass(i as usize).is_none())
+                .collect(),
+            op_off: Vec::new(),
+            op_src: Vec::new(),
+            patterns: Mutex::default(),
+        }
+    }
+
+    /// Bitwise equality of everything a batch group's lanes share: the
+    /// node count, `1/(m·c)` and the operator's shape (and with it every
+    /// pattern) — what a batch group checks a member against its own
+    /// copy of the representative's structure with.
+    pub(crate) fn same_as(&self, other: &KernelStructure) -> bool {
+        self.n == other.n
+            && self.op_off == other.op_off
+            && self.op_src == other.op_src
+            && (self.inv_capacity.iter().zip(&other.inv_capacity))
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+
+    /// Number of nodes.
+    pub(crate) fn n(&self) -> usize {
+        self.n
+    }
+
+    /// `1/(m·c)` per node.
+    pub(crate) fn inv_capacity(&self) -> &[f64] {
+        &self.inv_capacity
+    }
+
+    /// The patterns of `M` and `B` for the boundary mask `fixed` at
+    /// `substeps` sub-steps: a kept one if it holds for both, else a new
+    /// one, kept from now on. Allocates only when it finds none.
+    fn pattern(&self, fixed: &[bool], substeps: usize, s: &mut RebuildScratch) -> Arc<TickPattern> {
+        // A poisoned cache is still whole: it is only ever pushed to (a
+        // finished pattern) and trimmed.
+        let mut patterns = self.patterns.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(p) = patterns.iter().find(|p| p.holds_for(fixed, substeps)) {
+            return Arc::clone(p);
+        }
+        if patterns.len() == MAX_PATTERNS {
+            patterns.remove(0);
+        }
+        let pattern = Arc::new(self.compose_pattern(fixed, substeps, s));
+        patterns.push(Arc::clone(&pattern));
+        pattern
+    }
+
+    /// The patterns of `M` and `B` for the boundary mask `fixed` at
+    /// `substeps` sub-steps (see the module docs): `reach` row `i` is the
+    /// set of nodes row `i` reads within `k` sub-steps, advanced one
+    /// sub-step at a time — `B`'s pattern after `N − 1`, `M`'s after `N`.
+    /// Once a sub-step adds nothing, no later one will, so a pattern that
+    /// settles at `k < N` holds for every sub-step count above `k`.
+    fn compose_pattern(
+        &self,
+        fixed: &[bool],
+        substeps: usize,
+        s: &mut RebuildScratch,
+    ) -> TickPattern {
+        let n = self.n;
+        let words = n.div_ceil(64);
+        refill(&mut s.reach, n * words, 0);
+        for i in 0..n {
+            s.reach[i * words + i / 64] |= 1 << (i % 64);
+        }
+        // `s.reach` ends as `B`'s pattern and `s.reach_next` as `M`'s.
+        let mut k = 0;
+        let (from, to) = loop {
+            self.advance_reach(fixed, words, &s.reach, &mut s.reach_next);
+            if s.reach_next == s.reach {
+                break (k + 1, usize::MAX);
+            }
+            if k + 1 == substeps {
+                break (substeps, substeps);
+            }
+            std::mem::swap(&mut s.reach, &mut s.reach_next);
+            k += 1;
+        };
+        let reaches =
+            |reach: &[u64], i: usize, j: usize| (reach[i * words + j / 64] >> (j % 64)) & 1 != 0;
+        let mut p = TickPattern {
+            fixed: fixed.to_vec(),
+            from,
+            to,
+            m_off: vec![0; n + 1],
+            m_src: Vec::new(),
+            b_off: vec![0; n + 1],
+            b_src: Vec::new(),
+        };
+        for (i, &fixed_row) in fixed.iter().enumerate() {
+            if !fixed_row {
+                p.b_src.extend(
+                    self.components.iter().filter(|&&comp| {
+                        !fixed[comp as usize] && reaches(&s.reach, i, comp as usize)
+                    }),
+                );
+                p.m_src.extend(
+                    (0..n as u32)
+                        .filter(|&j| j as usize != i && reaches(&s.reach_next, i, j as usize)),
+                );
+            }
+            p.b_off[i + 1] = p.b_src.len() as u32;
+            p.m_off[i + 1] = p.m_src.len() as u32;
+        }
+        p
+    }
+
+    /// One sub-step of reach: `to[i] = {i} ∪ ⋃ from[src]` over row `i`'s
+    /// operator entries, and `{i}` alone for a fixed row, which reads
+    /// nothing.
+    fn advance_reach(&self, fixed: &[bool], words: usize, from: &[u64], to: &mut Vec<u64>) {
+        refill(to, self.n * words, 0);
+        for i in 0..self.n {
+            let row = i * words;
+            to[row + i / 64] |= 1 << (i % 64);
+            if fixed[i] {
+                continue;
+            }
+            for &src in &self.op_src[self.op_off[i] as usize..self.op_off[i + 1] as usize] {
+                let src = src as usize * words;
+                for w in 0..words {
+                    to[row + w] |= from[src + w];
+                }
+            }
+        }
+    }
+}
+
+/// One machine's compiled step kernel: its type's shared
+/// [`KernelStructure`] and the machine's own values — the flow cache,
+/// the sub-step count, the operator weights and, where the machine steps
+/// by itself, its composed tick (see the module docs).
+///
+/// Built with [`StepKernel::new`] and filled by [`StepKernel::rebuild`],
+/// which also recomputes it. The replicas of one machine type share one
+/// kernel; a solver that changes the fan speed, a heat-transfer
+/// coefficient or an air fraction rebuilds a copy of its values only
+/// ([`StepKernel::uncomposed`], the one way a kernel is copied).
+#[derive(Debug)]
+pub(crate) struct StepKernel {
+    structure: Arc<KernelStructure>,
+    /// Sub-steps per tick and the resulting sub-step length.
+    substeps: usize,
+    dt_sub: Seconds,
+    /// The assembled sub-step operator's weights, in the structure's
+    /// `op_off`/`op_src` layout, and the self weight of every row:
+    /// the factored heat update and the advection mix combined.
     op_w: Vec<f64>,
     self_w: Vec<f64>,
-    /// The composed tick, allocated at the first composition.
+    /// The composed tick, allocated at the first composition into the
+    /// kernel itself — never for a per-lane batch member, which composes
+    /// into its lane.
     composed: Option<Box<Composed>>,
     /// Dirty-tracked air-flow cache: rebuilds triggered by non-flow
     /// changes (e.g. a heat-k fiddle) replay the stored distribution.
@@ -188,32 +466,17 @@ pub(crate) struct StepKernel {
 
 /// A kernel's composed tick (see the module docs) and the scratch of the
 /// per-machine tick that runs it — boxed, and allocated at the kernel's
-/// first composition, so a batch member that never composes carries one
+/// first composition, so a kernel that never steps by itself carries one
 /// pointer instead.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 struct Composed {
-    /// Whether `M` and `B` are current; every rebuild clears it.
+    /// Whether the weights are current; every rebuild clears it.
     valid: bool,
-    /// The boundary mask they were composed for.
-    fixed: Vec<bool>,
-    /// The raw structure and the range of sub-step counts the patterns
-    /// of `M` and `B` hold for (with the mask `fixed`): a composition
-    /// inside them — after any heat-k fiddle, and after a fan command
-    /// whenever the patterns settled within fewer sub-steps than either
-    /// count — refills the values only.
-    pattern_from: usize,
-    pattern_to: usize,
-    pattern_off: Vec<u32>,
-    pattern_src: Vec<u32>,
-    /// `M` as CSR rows (sources in ascending node order) plus its
-    /// diagonal, and `B` as CSR rows (component sources in node order).
-    /// Fixed rows have no entries.
-    m_off: Vec<u32>,
-    m_src: Vec<u32>,
+    /// The patterns (and boundary mask) the weights were composed for.
+    pattern: Arc<TickPattern>,
+    /// `M`'s entries and diagonal, `B`'s entries, in `pattern`'s layout.
     m_w: Vec<f64>,
     m_self: Vec<f64>,
-    b_off: Vec<u32>,
-    b_src: Vec<u32>,
     b_w: Vec<f64>,
     /// Per-tick scratch: the power ΔT per sub-step as last priced, the
     /// drive `B·power_dt` computed from it (a composition zeroes both,
@@ -223,66 +486,95 @@ struct Composed {
     next: Vec<f64>,
 }
 
-/// A read-only view of a kernel's assembled sub-step operator: what a
-/// batch group matches its members on, bitwise.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct AssembledOp<'a> {
-    pub n: usize,
-    pub substeps: usize,
-    /// Length of one sub-step in seconds: what generated heat is
-    /// priced against.
-    pub dt_sub: f64,
-    pub op_off: &'a [u32],
-    pub op_src: &'a [u32],
-    pub op_w: &'a [f64],
-    pub self_w: &'a [f64],
-    pub inv_capacity: &'a [f64],
+/// Where a composition writes `M`'s entries and diagonal and `B`'s
+/// entries: value `j` of each goes to `[j * stride + lane]` — the
+/// kernel's own box (`stride` 1) or one lane of a batch chunk's weight
+/// matrices.
+pub(crate) struct Column<'a> {
+    pub m_w: &'a mut [f64],
+    pub m_self: &'a mut [f64],
+    pub b_w: &'a mut [f64],
+    pub stride: usize,
+    pub lane: usize,
 }
 
-/// A read-only view of a kernel's composed tick `T' = M·T + B·p` (see
-/// the module docs), shared with the batched cluster kernel so both
-/// paths run the exact same per-node affine rows.
+/// A read-only view of the weights of a kernel's composed tick
+/// `T' = M·T + B·p` (see the module docs), in its pattern's layout
+/// ([`StepKernel::composed_pattern`]): what a shared-operator batch
+/// group runs, so both paths run the exact same per-node affine rows.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ComposedOp<'a> {
-    pub m_off: &'a [u32],
-    pub m_src: &'a [u32],
     pub m_w: &'a [f64],
     pub m_self: &'a [f64],
-    pub b_off: &'a [u32],
-    pub b_src: &'a [u32],
     pub b_w: &'a [f64],
 }
 
 impl StepKernel {
-    /// Creates an empty kernel; call [`StepKernel::rebuild`] before
-    /// stepping.
-    pub(crate) fn new(dt: Seconds, stability_limit: f64) -> Self {
-        StepKernel {
-            n: 0,
+    /// A kernel on a new structure compiled from the edge lists and
+    /// capacities (see [`StepKernel::rebuild`] for the arguments), its
+    /// values empty: call [`StepKernel::rebuild`] before stepping.
+    pub(crate) fn new(
+        dt: Seconds,
+        stability_limit: f64,
+        heat_edges: &[(usize, usize, WattsPerKelvin)],
+        air_edges: &[(usize, usize, f64)],
+        capacity: &[JoulesPerKelvin],
+        air_mass: impl Fn(usize) -> Option<f64>,
+    ) -> Self {
+        let structure = KernelStructure::new(
             dt,
             stability_limit,
+            heat_edges,
+            air_edges,
+            capacity,
+            air_mass,
+        );
+        StepKernel {
+            structure: Arc::new(structure),
             substeps: 1,
             dt_sub: dt,
-            heat_off: Vec::new(),
-            heat_nbr: Vec::new(),
-            heat_k: Vec::new(),
-            heat_ksum: Vec::new(),
-            heat_coef: Vec::new(),
-            air_off: Vec::new(),
-            air_src: Vec::new(),
-            air_flow: Vec::new(),
-            inflow: Vec::new(),
-            alpha: Vec::new(),
-            inv_streams_mass: Vec::new(),
-            inv_capacity: Vec::new(),
-            components: Vec::new(),
-            op_off: Vec::new(),
-            op_src: Vec::new(),
             op_w: Vec::new(),
             self_w: Vec::new(),
             composed: None,
             flow_cache: FlowCache::new(),
         }
+    }
+
+    /// A copy of this kernel's values, sharing its structure and leaving
+    /// out its composed tick — what a machine copies to change its own:
+    /// to rebuild or recompose it, or to tick on it (a tick writes the
+    /// composed tick's scratch), which composes it first.
+    pub(crate) fn uncomposed(&self) -> Self {
+        StepKernel {
+            structure: Arc::clone(&self.structure),
+            substeps: self.substeps,
+            dt_sub: self.dt_sub,
+            op_w: self.op_w.clone(),
+            self_w: self.self_w.clone(),
+            composed: None,
+            flow_cache: self.flow_cache.clone(),
+        }
+    }
+
+    /// A copy of this kernel's values on a copy of its structure, sharing
+    /// nothing with it — so it keeps nothing of its machine type alive —
+    /// and uncomposed.
+    pub(crate) fn detached(&self) -> Self {
+        StepKernel {
+            structure: Arc::new(KernelStructure::clone(&self.structure)),
+            ..self.uncomposed()
+        }
+    }
+
+    /// Drops the composed tick: the machine composes into a batch lane
+    /// from now on, and its box would be a second copy.
+    pub(crate) fn drop_composed(&mut self) {
+        self.composed = None;
+    }
+
+    /// The machine type's structure this kernel runs on.
+    pub(crate) fn structure(&self) -> &Arc<KernelStructure> {
+        &self.structure
     }
 
     /// Sub-steps one tick is divided into.
@@ -295,24 +587,16 @@ impl StepKernel {
         self.dt_sub
     }
 
+    /// The assembled operator's weights and self weights, in the
+    /// structure's layout.
+    pub(crate) fn op_weights(&self) -> (&[f64], &[f64]) {
+        (&self.op_w, &self.self_w)
+    }
+
     /// Times the air-flow distribution has been recomputed (vs replayed
     /// from the dirty-tracked cache) across all rebuilds.
     pub(crate) fn flow_recomputes(&self) -> u64 {
         self.flow_cache.recomputes()
-    }
-
-    /// The assembled sub-step operator, for the batched cluster kernel.
-    pub(crate) fn assembled_op(&self) -> AssembledOp<'_> {
-        AssembledOp {
-            n: self.n,
-            substeps: self.substeps,
-            dt_sub: self.dt_sub.0,
-            op_off: &self.op_off,
-            op_src: &self.op_src,
-            op_w: &self.op_w,
-            self_w: &self.self_w,
-            inv_capacity: &self.inv_capacity,
-        }
     }
 
     /// The composed tick, for the batched cluster kernel: call
@@ -321,23 +605,36 @@ impl StepKernel {
         let c = self.composed.as_deref().expect("composed first");
         debug_assert!(c.valid, "the composed tick is stale");
         ComposedOp {
-            m_off: &c.m_off,
-            m_src: &c.m_src,
             m_w: &c.m_w,
             m_self: &c.m_self,
-            b_off: &c.b_off,
-            b_src: &c.b_src,
             b_w: &c.b_w,
         }
     }
 
-    /// Recompresses the topology and reprices every derived constant,
-    /// allocation-free once the buffers have grown: the kernel's own are
-    /// reused, and the working memory lives in [`REBUILD_SCRATCH`].
+    /// The patterns of the kernel's own composed tick: call
+    /// [`StepKernel::compose`] first.
+    pub(crate) fn composed_pattern(&self) -> Arc<TickPattern> {
+        let c = self.composed.as_deref().expect("composed first");
+        Arc::clone(&c.pattern)
+    }
+
+    /// The patterns of `M` and `B` this kernel composes to for the
+    /// boundary mask `fixed`, from its structure's.
+    pub(crate) fn pattern_for(&self, fixed: &[bool]) -> Arc<TickPattern> {
+        REBUILD_SCRATCH.with_borrow_mut(|s| self.structure.pattern(fixed, self.substeps, s))
+    }
+
+    /// Recomputes the values — sub-step count, operator weights — from
+    /// the edge constants and the fan, allocation-free once the buffers
+    /// have grown: the kernel's own are reused, and the working memory
+    /// lives in [`REBUILD_SCRATCH`]. A new structure is built only if
+    /// the operator's shape moved (a node that mixed no longer does, or
+    /// the reverse), which no fan, heat-k or air-fraction change does.
     ///
     /// `air_mass(i)` is `Some(kg)` for air regions and `None` for
     /// components. Edge lists use the same `(a, b, k)` / `(from, to,
-    /// fraction)` layout the solver stores.
+    /// fraction)` layout the solver stores, with the endpoints the
+    /// structure was compiled from.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn rebuild(
         &mut self,
@@ -366,7 +663,7 @@ impl StepKernel {
     #[allow(clippy::too_many_arguments)]
     fn rebuild_in(
         &mut self,
-        scratch: &mut RebuildScratch,
+        s: &mut RebuildScratch,
         heat_edges: &[(usize, usize, WattsPerKelvin)],
         air_edges: &[(usize, usize, f64)],
         topo: &[usize],
@@ -375,218 +672,232 @@ impl StepKernel {
         capacity: &[JoulesPerKelvin],
         air_mass: impl Fn(usize) -> Option<f64>,
     ) {
-        let n = capacity.len();
-        debug_assert!(n < u32::MAX as usize, "node count exceeds CSR index width");
-        self.n = n;
-
-        self.inv_capacity.clear();
-        self.inv_capacity.extend(capacity.iter().map(|c| 1.0 / c.0));
-        self.components.clear();
-        self.components
-            .extend((0..n as u32).filter(|&i| air_mass(i as usize).is_none()));
+        let st = &*self.structure;
+        let n = st.n;
+        debug_assert_eq!(capacity.len(), n, "a kernel keeps its structure's nodes");
         if let Some(composed) = &mut self.composed {
             composed.valid = false;
         }
 
-        // Heat CSR: every edge contributes one incidence to each endpoint.
-        // Filling in declaration order keeps each node's adjacency list in
-        // declaration order, which preserves the scan-based accumulation
-        // order exactly.
-        self.heat_off.clear();
-        self.heat_off.resize(n + 1, 0);
-        for &(a, b, _) in heat_edges {
-            self.heat_off[a + 1] += 1;
-            self.heat_off[b + 1] += 1;
-        }
-        for i in 0..n {
-            self.heat_off[i + 1] += self.heat_off[i];
-        }
-        self.heat_nbr.clear();
-        self.heat_nbr.resize(2 * heat_edges.len(), 0);
-        self.heat_k.clear();
-        self.heat_k.resize(2 * heat_edges.len(), 0.0);
-        let cursor = &mut scratch.cursor;
-        cursor.clear();
-        cursor.extend_from_slice(&self.heat_off[..n]);
-        for &(a, b, k) in heat_edges {
-            let ca = cursor[a] as usize;
-            self.heat_nbr[ca] = b as u32;
-            self.heat_k[ca] = k.0;
-            cursor[a] += 1;
-            let cb = cursor[b] as usize;
-            self.heat_nbr[cb] = a as u32;
-            self.heat_k[cb] = k.0;
-            cursor[b] += 1;
-        }
+        // Each heat incidence's conductance, in the structure's order.
+        s.heat_k.clear();
+        (s.heat_k).extend(st.heat_edge.iter().map(|&e| heat_edges[e as usize].2 .0));
 
         // Air flows: delegate to the shared propagation routine in
         // `flows` — the single home of flow-graph walking, which reads
         // the solver's edge tuples as they are — then index the per-edge
-        // result into the incoming CSR below. The dirty-tracked cache
-        // replays the stored distribution when neither the fan mass flow
-        // nor an air-edge fraction changed (e.g. a heat-k rebuild).
+        // result by incoming stream. The dirty-tracked cache replays the
+        // stored distribution when neither the fan mass flow nor an
+        // air-edge fraction changed (e.g. a heat-k rebuild).
         let (edge_flow, inflow) =
             self.flow_cache
-                .flows(n, air_edges, topo, inlets, fan_mass_flow, &mut scratch.flow);
-        self.inflow.clear();
-        self.inflow.extend_from_slice(inflow);
-
-        // Incoming-air CSR, again in edge declaration order per node.
-        self.air_off.clear();
-        self.air_off.resize(n + 1, 0);
-        for &(_, to, _) in air_edges {
-            self.air_off[to + 1] += 1;
-        }
-        for i in 0..n {
-            self.air_off[i + 1] += self.air_off[i];
-        }
-        self.air_src.clear();
-        self.air_src.resize(air_edges.len(), 0);
-        self.air_flow.clear();
-        self.air_flow.resize(air_edges.len(), 0.0);
-        let cursor = &mut scratch.cursor;
-        cursor.clear();
-        cursor.extend_from_slice(&self.air_off[..n]);
-        for (ei, &(from, to, _)) in air_edges.iter().enumerate() {
-            let c = cursor[to] as usize;
-            self.air_src[c] = from as u32;
-            self.air_flow[c] = edge_flow[ei].0;
-            cursor[to] += 1;
-        }
+                .flows(n, air_edges, topo, inlets, fan_mass_flow, &mut s.flow);
+        s.air_flow.clear();
+        (s.air_flow).extend(st.air_edge.iter().map(|&e| edge_flow[e as usize].0));
+        s.inflow.clear();
+        s.inflow.extend_from_slice(inflow);
 
         // Sub-step count first: the advection coefficients depend on the
         // sub-step length.
         self.substeps = required_substeps_in(
-            self.dt,
-            self.stability_limit,
+            st.dt,
+            st.stability_limit,
             heat_edges,
             capacity,
-            &self.inflow,
+            &s.inflow,
             &air_mass,
-            &mut scratch.conductive,
+            &mut s.conductive,
         );
-        self.dt_sub = Seconds(self.dt.0 / self.substeps as f64);
+        self.dt_sub = Seconds(st.dt.0 / self.substeps as f64);
 
         // Factored heat constants: Σk per node (in adjacency order) and
         // the Δt/(m·c) coefficient that turns the conductance sum into a
         // temperature delta.
-        self.heat_ksum.clear();
-        self.heat_ksum.resize(n, 0.0);
+        refill(&mut s.heat_ksum, n, 0.0);
         for i in 0..n {
             let mut ksum = 0.0;
-            for j in self.heat_off[i] as usize..self.heat_off[i + 1] as usize {
-                ksum += self.heat_k[j];
+            for j in st.heat_off[i] as usize..st.heat_off[i + 1] as usize {
+                ksum += s.heat_k[j];
             }
-            self.heat_ksum[i] = ksum;
+            s.heat_ksum[i] = ksum;
         }
-        self.heat_coef.clear();
-        self.heat_coef
-            .extend(self.inv_capacity.iter().map(|inv| self.dt_sub.0 * inv));
+        s.heat_coef.clear();
+        (s.heat_coef).extend(st.inv_capacity.iter().map(|inv| self.dt_sub.0 * inv));
 
         // Advection plan: the per-sub-step replacement fraction and the
         // reciprocal mass for the mix average. The scan-based step
         // recomputed both every sub-step from these same inputs; `alpha`
         // stays zero for nodes that don't mix.
-        self.alpha.clear();
-        self.alpha.resize(n, 0.0);
-        self.inv_streams_mass.clear();
-        self.inv_streams_mass.resize(n, 0.0);
+        refill(&mut s.alpha, n, 0.0);
+        refill(&mut s.inv_streams_mass, n, 0.0);
         for &node in topo {
             let Some(mass_kg) = air_mass(node) else {
                 continue;
             };
             let mut streams_mass = 0.0;
-            for j in self.air_off[node] as usize..self.air_off[node + 1] as usize {
-                streams_mass += self.air_flow[j];
+            for j in st.air_off[node] as usize..st.air_off[node + 1] as usize {
+                streams_mass += s.air_flow[j];
             }
             if streams_mass > 0.0 {
-                self.alpha[node] = crate::physics::replacement_fraction(
+                s.alpha[node] = crate::physics::replacement_fraction(
                     KilogramsPerSecond(streams_mass),
                     mass_kg,
                     self.dt_sub,
                 );
-                self.inv_streams_mass[node] = 1.0 / streams_mass;
+                s.inv_streams_mass[node] = 1.0 / streams_mass;
             }
         }
 
-        // Assemble the sub-step operator: per node, one weight per heat
-        // incidence (Δt/(m·c) · k), one per incoming air stream
-        // (α · ṁ/Σṁ), and the self weight 1 − Δt/(m·c)·Σk − α. The
-        // stability bound keeps the self weight in [1 − 2·limit, 1], so
-        // the assembled row is well-conditioned.
-        self.op_off.clear();
-        self.op_off.resize(n + 1, 0);
+        // The operator's shape: per node, one entry per heat incidence,
+        // and one per incoming air stream if the node mixes. A new shape
+        // is a new structure (the patterns follow it).
+        refill(&mut s.op_off, n + 1, 0);
         for i in 0..n {
-            let heat = self.heat_off[i + 1] - self.heat_off[i];
-            let air = if self.alpha[i] != 0.0 {
-                self.air_off[i + 1] - self.air_off[i]
+            let heat = st.heat_off[i + 1] - st.heat_off[i];
+            let air = if s.alpha[i] != 0.0 {
+                st.air_off[i + 1] - st.air_off[i]
             } else {
                 0
             };
-            self.op_off[i + 1] = self.op_off[i] + heat + air;
+            s.op_off[i + 1] = s.op_off[i] + heat + air;
         }
-        let entries = self.op_off[n] as usize;
-        self.op_src.clear();
-        self.op_src.resize(entries, 0);
-        self.op_w.clear();
-        self.op_w.resize(entries, 0.0);
-        self.self_w.clear();
-        self.self_w.resize(n, 0.0);
+        if s.op_off != st.op_off {
+            // Set in place at the first compile; a shared structure
+            // stays with the kernels that still run on it.
+            let (dt, limit) = (st.dt, st.stability_limit);
+            if Arc::get_mut(&mut self.structure).is_none() {
+                let fresh =
+                    KernelStructure::new(dt, limit, heat_edges, air_edges, capacity, &air_mass);
+                self.structure = Arc::new(fresh);
+            }
+            let st = Arc::get_mut(&mut self.structure).expect("unshared above");
+            *st.patterns
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner) = Vec::new();
+            st.op_off.clone_from(&s.op_off);
+            st.op_src.clear();
+            for i in 0..n {
+                st.op_src.extend_from_slice(
+                    &st.heat_nbr[st.heat_off[i] as usize..st.heat_off[i + 1] as usize],
+                );
+                if s.alpha[i] != 0.0 {
+                    st.op_src.extend_from_slice(
+                        &st.air_src[st.air_off[i] as usize..st.air_off[i + 1] as usize],
+                    );
+                }
+            }
+        }
+        let st = &*self.structure;
+
+        // Assemble the sub-step operator's weights: per node, one per
+        // heat incidence (Δt/(m·c) · k), one per incoming air stream
+        // (α · ṁ/Σṁ), and the self weight 1 − Δt/(m·c)·Σk − α. The
+        // stability bound keeps the self weight in [1 − 2·limit, 1], so
+        // the assembled row is well-conditioned.
+        refill(&mut self.op_w, st.op_src.len(), 0.0);
+        refill(&mut self.self_w, n, 0.0);
         for i in 0..n {
-            let mut w = self.op_off[i] as usize;
-            for j in self.heat_off[i] as usize..self.heat_off[i + 1] as usize {
-                self.op_src[w] = self.heat_nbr[j];
-                self.op_w[w] = self.heat_coef[i] * self.heat_k[j];
+            let mut w = st.op_off[i] as usize;
+            for j in st.heat_off[i] as usize..st.heat_off[i + 1] as usize {
+                self.op_w[w] = s.heat_coef[i] * s.heat_k[j];
                 w += 1;
             }
-            if self.alpha[i] != 0.0 {
-                for j in self.air_off[i] as usize..self.air_off[i + 1] as usize {
-                    self.op_src[w] = self.air_src[j];
-                    self.op_w[w] = self.alpha[i] * self.inv_streams_mass[i] * self.air_flow[j];
+            if s.alpha[i] != 0.0 {
+                for j in st.air_off[i] as usize..st.air_off[i + 1] as usize {
+                    self.op_w[w] = s.alpha[i] * s.inv_streams_mass[i] * s.air_flow[j];
                     w += 1;
                 }
             }
-            debug_assert_eq!(w, self.op_off[i + 1] as usize);
-            self.self_w[i] = 1.0 - self.heat_coef[i] * self.heat_ksum[i] - self.alpha[i];
+            debug_assert_eq!(w, st.op_off[i + 1] as usize);
+            self.self_w[i] = 1.0 - s.heat_coef[i] * s.heat_ksum[i] - s.alpha[i];
         }
     }
 
     /// Composes the tick's `N` sub-steps into `M` and `B` (see the
-    /// module docs) for the boundary mask `fixed`, unless they are
-    /// already composed for it since the last rebuild.
+    /// module docs) for the boundary mask `fixed`, into the kernel's own
+    /// box, unless they are already composed for it since the last
+    /// rebuild.
     pub(crate) fn compose(&mut self, fixed: &[bool]) {
         if !self.is_composed_for(fixed) {
             self.compose_at(fixed, SimdBackend::detect(), simd::LANE_PAD);
         }
     }
 
-    /// Whether `M` and `B` are composed for the boundary mask `fixed`
-    /// since the last rebuild.
+    /// Whether `M` and `B` are composed into the kernel's own box for the
+    /// boundary mask `fixed` since the last rebuild.
     pub(crate) fn is_composed_for(&self, fixed: &[bool]) -> bool {
-        (self.composed.as_deref()).is_some_and(|c| c.valid && c.fixed == fixed)
+        (self.composed.as_deref()).is_some_and(|c| c.valid && c.pattern.fixed == fixed)
     }
 
-    /// Composes for `fixed` unconditionally, sweeping the basis chunk at
-    /// `backend` with its lanes padded to a multiple of `pad` — every
-    /// level and every padding composes the same bits, because lanes
-    /// never interact.
+    /// Composes for `fixed` into the kernel's own box unconditionally,
+    /// sweeping the basis chunk at `backend` with its lanes padded to a
+    /// multiple of `pad` — every level and every padding composes the
+    /// same bits, because lanes never interact.
     fn compose_at(&mut self, fixed: &[bool], backend: SimdBackend, pad: usize) {
-        let mut composed = self.composed.take().unwrap_or_default();
-        REBUILD_SCRATCH.with_borrow_mut(|scratch| {
-            self.compose_in(&mut composed, scratch, fixed, backend, pad);
+        let n = self.structure.n;
+        let composed = self.composed.take();
+        let composed = REBUILD_SCRATCH.with_borrow_mut(|s| {
+            let pattern = self.structure.pattern(fixed, self.substeps, s);
+            let mut c = composed.unwrap_or_else(|| {
+                Box::new(Composed {
+                    valid: false,
+                    pattern: Arc::clone(&pattern),
+                    m_w: Vec::new(),
+                    m_self: Vec::new(),
+                    b_w: Vec::new(),
+                    power_dt: Vec::new(),
+                    drive: Vec::new(),
+                    next: Vec::new(),
+                })
+            });
+            refill(&mut c.m_w, pattern.m_src.len(), 0.0);
+            refill(&mut c.m_self, n, 0.0);
+            refill(&mut c.b_w, pattern.b_src.len(), 0.0);
+            c.pattern = pattern;
+            self.sweep_basis(s, fixed, backend, pad);
+            let column = Column {
+                m_w: &mut c.m_w,
+                m_self: &mut c.m_self,
+                b_w: &mut c.b_w,
+                stride: 1,
+                lane: 0,
+            };
+            self.read_basis(s, &c.pattern, column);
+            c.valid = true;
+            refill(&mut c.power_dt, n, 0.0);
+            refill(&mut c.drive, n, 0.0);
+            refill(&mut c.next, n, 0.0);
+            c
         });
         self.composed = Some(composed);
     }
 
-    fn compose_in(
+    /// Composes the tick for `pattern`'s boundary mask straight into
+    /// `out` — a batch lane's weight column — leaving the kernel's own
+    /// box alone. `pattern` must hold for this kernel (one of its
+    /// structure's, or a bitwise-equal structure's, at its sub-step
+    /// count): the same routine, on the same values, writes the bits
+    /// [`StepKernel::compose`] would.
+    pub(crate) fn compose_into(&self, pattern: &TickPattern, out: Column<'_>) {
+        debug_assert!(pattern.holds_for(&pattern.fixed, self.substeps));
+        REBUILD_SCRATCH.with_borrow_mut(|s| {
+            self.sweep_basis(s, &pattern.fixed, SimdBackend::detect(), simd::LANE_PAD);
+            self.read_basis(s, pattern, out);
+        });
+    }
+
+    /// Sweeps the raw sub-step operator `N` times over the basis chunk
+    /// (see the module docs), leaving row `i` of `M` and of `B` as row
+    /// `i` of `s.basis`.
+    fn sweep_basis(
         &self,
-        c: &mut Composed,
         s: &mut RebuildScratch,
         fixed: &[bool],
         backend: SimdBackend,
         pad: usize,
     ) {
-        let n = self.n;
+        let st = &*self.structure;
+        let n = st.n;
         debug_assert_eq!(fixed.len(), n);
 
         // The basis chunk: lane `j < n` starts at `e_j`, lane `n + k` at
@@ -594,7 +905,7 @@ impl StepKernel {
         // `LANE_PAD` blocks only (the sweep runs a row's tail as one
         // block), so the Table 1 machine sweeps 24 lanes, not 32. Fixed
         // rows hold in both buffers, as the sweep requires.
-        let stride = (n + self.components.len()).next_multiple_of(pad);
+        let stride = (n + st.components.len()).next_multiple_of(pad);
         refill(&mut s.basis, n * stride, 0.0);
         for j in 0..n {
             s.basis[j * stride + j] = 1.0;
@@ -602,7 +913,7 @@ impl StepKernel {
         s.basis_next.clone_from(&s.basis);
         refill(&mut s.unit_power, n * stride, 0.0);
         refill(&mut s.power_lane, n, 0);
-        for (k, &comp) in self.components.iter().enumerate() {
+        for (k, &comp) in st.components.iter().enumerate() {
             s.unit_power[comp as usize * stride + n + k] = 1.0;
             s.power_lane[comp as usize] = (n + k) as u32;
         }
@@ -612,8 +923,8 @@ impl StepKernel {
                 Sweep {
                     n,
                     lanes: stride,
-                    op_off: &self.op_off,
-                    op_src: &self.op_src,
+                    op_off: &st.op_off,
+                    op_src: &st.op_src,
                     op_w: &self.op_w,
                     self_w: &self.self_w,
                     lane_w: false,
@@ -625,106 +936,28 @@ impl StepKernel {
             );
             std::mem::swap(&mut s.basis, &mut s.basis_next);
         }
-
-        let unchanged = (c.pattern_from..=c.pattern_to).contains(&self.substeps)
-            && c.fixed == fixed
-            && c.pattern_off == self.op_off
-            && c.pattern_src == self.op_src;
-        if !unchanged {
-            self.compose_pattern(c, s, fixed);
-        }
-        // The values: row `i` of `M` is row `i` of the basis lanes, row
-        // `i` of `B` that of the component lanes (both in node order).
-        for i in (0..n).filter(|&i| !fixed[i]) {
-            let row = &s.basis[i * stride..(i + 1) * stride];
-            c.m_self[i] = row[i];
-            let m = c.m_off[i] as usize..c.m_off[i + 1] as usize;
-            for (w, &src) in c.m_w[m.clone()].iter_mut().zip(&c.m_src[m]) {
-                *w = row[src as usize];
-            }
-            let b = c.b_off[i] as usize..c.b_off[i + 1] as usize;
-            for (w, &comp) in c.b_w[b.clone()].iter_mut().zip(&c.b_src[b]) {
-                *w = row[s.power_lane[comp as usize] as usize];
-            }
-        }
-        c.fixed.clear();
-        c.fixed.extend_from_slice(fixed);
-        c.valid = true;
-        refill(&mut c.power_dt, n, 0.0);
-        refill(&mut c.drive, n, 0.0);
-        refill(&mut c.next, n, 0.0);
     }
 
-    /// The patterns of `M` and `B` for the boundary mask `fixed` (see
-    /// the module docs), with zeroed weights: `reach` row `i` is the set
-    /// of nodes row `i` reads within `k` sub-steps, advanced one sub-step
-    /// at a time — `B`'s pattern after `N − 1`, `M`'s after `N`. Once a
-    /// sub-step adds nothing, no later one will, so a pattern that
-    /// settles at `k < N` holds for every sub-step count above `k`.
-    fn compose_pattern(&self, c: &mut Composed, s: &mut RebuildScratch, fixed: &[bool]) {
-        let n = self.n;
-        let words = n.div_ceil(64);
-        refill(&mut s.reach, n * words, 0);
+    /// Reads `M` and `B` off the swept basis into `out`, in `pattern`'s
+    /// layout: row `i` of `M` is row `i` of the basis lanes, row `i` of
+    /// `B` that of the component lanes (both in node order). A fixed
+    /// row's diagonal is zero.
+    fn read_basis(&self, s: &RebuildScratch, pattern: &TickPattern, out: Column<'_>) {
+        let n = self.structure.n;
+        let stride = s.basis.len() / n.max(1);
+        let at = |j: usize| j * out.stride + out.lane;
         for i in 0..n {
-            s.reach[i * words + i / 64] |= 1 << (i % 64);
-        }
-        // `s.reach` ends as `B`'s pattern and `s.reach_next` as `M`'s.
-        let mut k = 0;
-        (c.pattern_from, c.pattern_to) = loop {
-            self.advance_reach(fixed, words, &s.reach, &mut s.reach_next);
-            if s.reach_next == s.reach {
-                break (k + 1, usize::MAX);
-            }
-            if k + 1 == self.substeps {
-                break (self.substeps, self.substeps);
-            }
-            std::mem::swap(&mut s.reach, &mut s.reach_next);
-            k += 1;
-        };
-        let reaches =
-            |reach: &[u64], i: usize, j: usize| (reach[i * words + j / 64] >> (j % 64)) & 1 != 0;
-        c.b_src.clear();
-        c.m_src.clear();
-        refill(&mut c.b_off, n + 1, 0);
-        refill(&mut c.m_off, n + 1, 0);
-        for (i, &fixed_row) in fixed.iter().enumerate() {
-            if !fixed_row {
-                c.b_src.extend(
-                    self.components.iter().filter(|&&comp| {
-                        !fixed[comp as usize] && reaches(&s.reach, i, comp as usize)
-                    }),
-                );
-                c.m_src.extend(
-                    (0..n as u32)
-                        .filter(|&j| j as usize != i && reaches(&s.reach_next, i, j as usize)),
-                );
-            }
-            c.b_off[i + 1] = c.b_src.len() as u32;
-            c.m_off[i + 1] = c.m_src.len() as u32;
-        }
-        refill(&mut c.m_w, c.m_src.len(), 0.0);
-        refill(&mut c.b_w, c.b_src.len(), 0.0);
-        refill(&mut c.m_self, n, 0.0);
-        c.pattern_off.clone_from(&self.op_off);
-        c.pattern_src.clone_from(&self.op_src);
-    }
-
-    /// One sub-step of reach: `to[i] = {i} ∪ ⋃ from[src]` over row `i`'s
-    /// operator entries, and `{i}` alone for a fixed row, which reads
-    /// nothing.
-    fn advance_reach(&self, fixed: &[bool], words: usize, from: &[u64], to: &mut Vec<u64>) {
-        refill(to, self.n * words, 0);
-        for i in 0..self.n {
-            let row = i * words;
-            to[row + i / 64] |= 1 << (i % 64);
-            if fixed[i] {
+            if pattern.fixed[i] {
+                out.m_self[at(i)] = 0.0;
                 continue;
             }
-            for &src in &self.op_src[self.op_off[i] as usize..self.op_off[i + 1] as usize] {
-                let src = src as usize * words;
-                for w in 0..words {
-                    to[row + w] |= from[src + w];
-                }
+            let row = &s.basis[i * stride..(i + 1) * stride];
+            out.m_self[at(i)] = row[i];
+            for j in pattern.m_off[i] as usize..pattern.m_off[i + 1] as usize {
+                out.m_w[at(j)] = row[pattern.m_src[j] as usize];
+            }
+            for j in pattern.b_off[i] as usize..pattern.b_off[i + 1] as usize {
+                out.b_w[at(j)] = row[s.power_lane[pattern.b_src[j] as usize] as usize];
             }
         }
     }
@@ -738,10 +971,12 @@ impl StepKernel {
     /// per sub-step (zero for air regions). Returns the total heat
     /// generated over the tick, in Joules.
     pub(crate) fn tick(&mut self, temp: &mut [Celsius], fixed: &[bool], power_q: &[f64]) -> f64 {
-        debug_assert_eq!(temp.len(), self.n);
-        debug_assert_eq!(power_q.len(), self.n);
+        let n = self.structure.n;
+        debug_assert_eq!(temp.len(), n);
+        debug_assert_eq!(power_q.len(), n);
         self.compose(fixed);
         let c = self.composed.as_deref_mut().expect("composed above");
+        let p = &*c.pattern;
         // Equation 3: `power_q` is constant across the tick's sub-steps,
         // so the generated total and the per-sub-step ΔT are priced once,
         // and the drive only when the ΔT moved (a composition zeroes the
@@ -751,7 +986,7 @@ impl StepKernel {
         for (pt, (&q, inv)) in c
             .power_dt
             .iter_mut()
-            .zip(power_q.iter().zip(&self.inv_capacity))
+            .zip(power_q.iter().zip(&self.structure.inv_capacity))
         {
             sum_q += q;
             let dt = q * inv;
@@ -761,9 +996,9 @@ impl StepKernel {
         let generated = sum_q * self.substeps as f64;
         if repriced {
             for (i, d) in c.drive.iter_mut().enumerate() {
-                let entries = c.b_off[i] as usize..c.b_off[i + 1] as usize;
+                let entries = p.b_off[i] as usize..p.b_off[i + 1] as usize;
                 let mut sum = 0.0;
-                for (&comp, &w) in c.b_src[entries.clone()].iter().zip(&c.b_w[entries]) {
+                for (&comp, &w) in p.b_src[entries.clone()].iter().zip(&c.b_w[entries]) {
                     sum += w * c.power_dt[comp as usize];
                 }
                 *d = sum;
@@ -774,13 +1009,13 @@ impl StepKernel {
         // and writes `next` — the self term plus the drive, then one
         // multiply-add per entry of `M` in entry order, the sequence a
         // batch lane runs.
-        for i in 0..self.n {
+        for i in 0..n {
             if fixed[i] {
                 continue;
             }
-            let entries = c.m_off[i] as usize..c.m_off[i + 1] as usize;
+            let entries = p.m_off[i] as usize..p.m_off[i + 1] as usize;
             let mut t = c.m_self[i] * temp[i].0 + c.drive[i];
-            for (&src, &w) in c.m_src[entries.clone()].iter().zip(&c.m_w[entries]) {
+            for (&src, &w) in p.m_src[entries.clone()].iter().zip(&c.m_w[entries]) {
                 t += w * temp[src as usize].0;
             }
             c.next[i] = t;
@@ -1269,7 +1504,39 @@ mod tests {
     /// `model`'s kernel, compiled at its own fan speed, and its
     /// inlet-only boundary mask.
     fn compiled(model: &MachineModel) -> (StepKernel, Vec<bool>) {
-        let mut kernel = StepKernel::new(Seconds(1.0), 0.25);
+        let mut kernel = None;
+        let fixed = with_inputs(
+            model,
+            |heat_edges, air_edges, topo, inlets, capacity, air_mass| {
+                let mut k = StepKernel::new(
+                    Seconds(1.0),
+                    0.25,
+                    heat_edges,
+                    air_edges,
+                    capacity,
+                    air_mass,
+                );
+                let fan = model.fan().mass_flow();
+                k.rebuild(heat_edges, air_edges, topo, inlets, fan, capacity, air_mass);
+                kernel = Some(k);
+            },
+        );
+        (kernel.unwrap(), fixed)
+    }
+
+    /// Hands `model`'s kernel inputs, laid out as a solver stores them,
+    /// to `f`; returns the inlet-only boundary mask.
+    fn with_inputs(
+        model: &MachineModel,
+        f: impl FnOnce(
+            &[(usize, usize, WattsPerKelvin)],
+            &[(usize, usize, f64)],
+            &[usize],
+            &[usize],
+            &[JoulesPerKelvin],
+            &dyn Fn(usize) -> Option<f64>,
+        ),
+    ) -> Vec<bool> {
         let capacity: Vec<JoulesPerKelvin> = model.nodes().iter().map(|n| n.capacity()).collect();
         let air_mass: Vec<Option<f64>> = model
             .nodes()
@@ -1288,17 +1555,42 @@ mod tests {
             .collect();
         let topo: Vec<usize> = model.topo_order().iter().map(|id| id.index()).collect();
         let inlets: Vec<usize> = model.inlets().iter().map(|id| id.index()).collect();
-        kernel.rebuild(
-            &heat_edges,
-            &air_edges,
-            &topo,
-            &inlets,
-            model.fan().mass_flow(),
-            &capacity,
-            |i| air_mass[i],
-        );
-        let fixed = (0..capacity.len()).map(|i| inlets.contains(&i)).collect();
-        (kernel, fixed)
+        let mass = |i: usize| air_mass[i];
+        f(&heat_edges, &air_edges, &topo, &inlets, &capacity, &mass);
+        (0..capacity.len()).map(|i| inlets.contains(&i)).collect()
+    }
+
+    /// A rebuild keeps the structure it shares; one that moves the
+    /// operator's shape — a stopped fan, which no fiddle allows but a
+    /// restored checkpoint could carry — runs on a new structure and
+    /// leaves the shared one to the kernels still on it.
+    #[test]
+    fn only_a_new_operator_shape_builds_a_new_structure() {
+        let model = machine("m");
+        let (kernel, _) = compiled(&model);
+        let shared = kernel.uncomposed();
+        for (fan, kept) in [(model.fan().mass_flow().0 * 0.5, true), (0.0, false)] {
+            let mut rebuilt = kernel.uncomposed();
+            with_inputs(
+                &model,
+                |heat_edges, air_edges, topo, inlets, capacity, air_mass| {
+                    rebuilt.rebuild(
+                        heat_edges,
+                        air_edges,
+                        topo,
+                        inlets,
+                        KilogramsPerSecond(fan),
+                        capacity,
+                        air_mass,
+                    );
+                },
+            );
+            let same = Arc::ptr_eq(rebuilt.structure(), shared.structure());
+            assert_eq!(same, kept, "fan {fan} kg/s");
+            // Without flow no air region mixes: only heat entries remain.
+            let entries = rebuilt.structure().op_src.len();
+            assert_eq!(entries == 2 * model.heat_edges().len(), !kept);
+        }
     }
 
     #[test]
@@ -1335,14 +1627,14 @@ mod tests {
                 let mut composed = Vec::new();
                 for backend in SimdBackend::ALL.into_iter().filter(|b| b.supported()) {
                     kernel.compose_at(&fixed, backend, simd::LANE_PAD);
-                    let c = kernel.composed_op();
+                    let (c, p) = (kernel.composed_op(), kernel.composed_pattern());
                     composed.push((
                         backend,
                         (
-                            c.m_off.to_vec(),
-                            c.m_src.to_vec(),
-                            c.b_off.to_vec(),
-                            c.b_src.to_vec(),
+                            p.m_off.to_vec(),
+                            p.m_src.to_vec(),
+                            p.b_off.to_vec(),
+                            p.b_src.to_vec(),
                         ),
                         [bits(c.m_w), bits(c.m_self), bits(c.b_w)],
                     ));
@@ -1357,6 +1649,44 @@ mod tests {
         }
     }
 
+    /// A composition straight into a batch lane's column writes the bits
+    /// the kernel's own box holds, inlet-only and with a pinned air
+    /// region.
+    #[test]
+    fn a_lane_column_holds_the_box_bits() {
+        for model in [
+            crate::presets::validation_machine(),
+            crate::presets::freon_machine(),
+        ] {
+            let (mut kernel, mut fixed) = compiled(&model);
+            for pin in [None, model.node_id("cpu_air")] {
+                if let Some(id) = pin {
+                    fixed[id.index()] = true;
+                }
+                kernel.compose(&fixed);
+                let (own, pattern) = (kernel.composed_op(), kernel.composed_pattern());
+                let (stride, lane, n) = (16, 11, fixed.len());
+                let mut m_w = vec![f64::NAN; pattern.m_src.len() * stride];
+                let mut m_self = vec![f64::NAN; n * stride];
+                let mut b_w = vec![f64::NAN; pattern.b_src.len() * stride];
+                let column = Column {
+                    m_w: &mut m_w,
+                    m_self: &mut m_self,
+                    b_w: &mut b_w,
+                    stride,
+                    lane,
+                };
+                kernel.compose_into(&pattern, column);
+                for (lanes, box_w) in [(&m_w, own.m_w), (&m_self, own.m_self), (&b_w, own.b_w)] {
+                    let column = lanes.iter().skip(lane).step_by(stride);
+                    let column: Vec<u64> = column.map(|w| w.to_bits()).collect();
+                    let own: Vec<u64> = box_w.iter().map(|w| w.to_bits()).collect();
+                    assert_eq!(column, own, "{}, pin {pin:?}", model.name());
+                }
+            }
+        }
+    }
+
     /// The basis is padded to `LANE_PAD`, not to a whole wide block: the
     /// Table 1 and Freon machines, inlet-only and with a pinned air
     /// region, compose the same `M` and `B` bits on the narrow basis
@@ -1366,13 +1696,13 @@ mod tests {
     fn the_narrow_basis_composes_the_wide_basis_bits() {
         let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let snapshot = |kernel: &StepKernel| {
-            let c = kernel.composed_op();
+            let (c, p) = (kernel.composed_op(), kernel.composed_pattern());
             (
                 [
-                    c.m_off.to_vec(),
-                    c.m_src.to_vec(),
-                    c.b_off.to_vec(),
-                    c.b_src.to_vec(),
+                    p.m_off.to_vec(),
+                    p.m_src.to_vec(),
+                    p.b_off.to_vec(),
+                    p.b_src.to_vec(),
                 ],
                 [bits(c.m_w), bits(c.m_self), bits(c.b_w)],
             )
@@ -1382,7 +1712,7 @@ mod tests {
             crate::presets::freon_machine(),
         ] {
             let (mut kernel, mut fixed) = compiled(&model);
-            let basis = model.nodes().len() + kernel.components.len();
+            let basis = model.nodes().len() + kernel.structure.components.len();
             assert_ne!(
                 basis.next_multiple_of(simd::LANE_PAD),
                 basis.next_multiple_of(simd::WIDE),

@@ -1,6 +1,6 @@
 //! The per-machine solver.
 
-use super::kernel::StepKernel;
+use super::kernel::{Column, StepKernel, TickPattern};
 use super::metrics::{SolverMetrics, TICK_LATENCY_SAMPLE};
 use crate::error::Error;
 use crate::model::{AirKind, MachineBody, MachineModel, NodeSpec, PowerModel};
@@ -132,8 +132,24 @@ impl Shape {
         self.body.nodes[i].name()
     }
 
-    /// Recompiles `kernel` from the edge lists at fan flow `fan`.
-    fn compile(&self, kernel: &mut StepKernel, fan: CubicMetersPerSecond) {
+    /// Compiles a kernel — structure and values — from the edge lists
+    /// at fan flow `fan`.
+    fn compile(&self, cfg: &SolverConfig, fan: CubicMetersPerSecond) -> StepKernel {
+        let mut kernel = StepKernel::new(
+            cfg.dt,
+            cfg.stability_limit,
+            &self.heat_edges,
+            &self.air_edges,
+            &self.capacity,
+            |i| self.air_mass(i),
+        );
+        self.rebuild(&mut kernel, fan);
+        kernel
+    }
+
+    /// Recomputes `kernel`'s values from the edge lists at fan flow
+    /// `fan`.
+    fn rebuild(&self, kernel: &mut StepKernel, fan: CubicMetersPerSecond) {
         kernel.rebuild(
             &self.heat_edges,
             &self.air_edges,
@@ -141,11 +157,15 @@ impl Shape {
             &self.inlets,
             fan.mass_flow(),
             &self.capacity,
-            |i| match self.kind[i] {
-                NodeRt::Air { mass_kg, .. } => Some(mass_kg),
-                NodeRt::Component { .. } => None,
-            },
+            |i| self.air_mass(i),
         );
+    }
+
+    fn air_mass(&self, i: usize) -> Option<f64> {
+        match self.kind[i] {
+            NodeRt::Air { mass_kg, .. } => Some(mass_kg),
+            NodeRt::Component { .. } => None,
+        }
     }
 
     /// Whether fan flow `fan` and these edge constants are the source
@@ -179,8 +199,7 @@ impl MachineType {
         metrics: &SolverMetrics,
     ) -> MachineType {
         let shape = Shape::of(body);
-        let mut kernel = StepKernel::new(cfg.dt, cfg.stability_limit);
-        shape.compile(&mut kernel, body.fan);
+        let mut kernel = shape.compile(cfg, body.fan);
         let inlet_mask: Vec<bool> = (0..shape.kind.len())
             .map(|i| shape.inlets.contains(&i))
             .collect();
@@ -196,6 +215,51 @@ impl MachineType {
     pub(crate) fn body(&self) -> &Arc<MachineBody> {
         &self.shape.body
     }
+}
+
+/// The clock a span of ticks ends at, by start time, tick length and
+/// span: `start + dt + dt + …` over `span` additions, the bits `span`
+/// single steps produce. A room's machines mostly share one clock, so a
+/// call computes each distinct end once and hands it to every machine
+/// starting there; the few ends a call has seen are kept, and a call
+/// with more distinct clocks than that adds up the rest machine by
+/// machine.
+#[derive(Debug, Default)]
+pub(crate) struct SpanClock {
+    /// Span keys and the ends they add up to.
+    ends: [Option<(SpanKey, Seconds)>; 4],
+}
+
+/// `(start bits, dt bits, span)`.
+type SpanKey = (u64, u64, usize);
+
+impl SpanClock {
+    /// The clock `span` ticks of `dt` after `start`.
+    pub(crate) fn end(&mut self, start: Seconds, dt: Seconds, span: usize) -> Seconds {
+        let key = (start.0.to_bits(), dt.0.to_bits(), span);
+        if let Some((_, end)) = self.ends.iter().flatten().find(|(k, _)| *k == key) {
+            return *end;
+        }
+        let mut end = start;
+        for _ in 0..span {
+            end.0 += dt.0;
+        }
+        if let Some(free) = self.ends.iter_mut().find(|e| e.is_none()) {
+            *free = Some((key, end));
+        }
+        end
+    }
+}
+
+/// `kernel`, to be changed: a shared one is first replaced by a copy of
+/// its values ([`StepKernel::uncomposed`]). A rebuild or a new mask
+/// recomposes anyway; a solo tick on a copy of the type's kernel
+/// composes once, for the bits the copy would have held.
+fn own_kernel(kernel: &mut Arc<StepKernel>) -> &mut StepKernel {
+    if Arc::get_mut(kernel).is_none() {
+        *kernel = Arc::new(kernel.uncomposed());
+    }
+    Arc::get_mut(kernel).expect("unshared above")
 }
 
 /// Emulates the temperatures of one machine.
@@ -238,10 +302,12 @@ pub struct Solver {
     /// it — heat k, air fraction, power model — and by a restore whose
     /// edge constants differ from it.
     shape: Arc<Shape>,
-    /// The compiled step kernel; rebuilt from `shape` and `fan` whenever
-    /// `dirty` is set. Copied before anything changes it: a rebuild, a
-    /// composition for another boundary mask (a pin or release), and a
-    /// tick on the solver's own kernel, which writes its scratch.
+    /// The compiled step kernel: the machine type's shared structure and
+    /// this machine's values, rebuilt from `shape` and `fan` whenever
+    /// `dirty` is set. The values are copied before anything changes
+    /// them — a rebuild, a composition for another boundary mask (a pin
+    /// or release), a tick on the solver's own kernel, which writes its
+    /// scratch — and the structure never is.
     kernel: Arc<StepKernel>,
     utilization: Vec<Utilization>,
     temp: Vec<Celsius>,
@@ -256,9 +322,9 @@ pub struct Solver {
     /// [`Solver::batch_eligible`] is O(1).
     pinned: usize,
     dirty: bool,
-    /// Kernel rebuilds so far. A per-lane batch chunk copies this
-    /// machine's operator weights; a changed epoch tells it the copy is
-    /// stale.
+    /// Kernel rebuilds so far. A per-lane batch chunk composes this
+    /// machine's tick into its lane; a changed epoch tells it the lane's
+    /// weights are stale.
     rebuild_epoch: u64,
     /// Set when the generated heat may have changed since the last
     /// [`Solver::fill_tick_inputs`] (utilization, power model, or the
@@ -724,12 +790,12 @@ impl Solver {
         Ok(())
     }
 
-    /// Recompiles the kernel from the current edge lists and fan speed,
-    /// on a copy of its own if the kernel is shared.
+    /// Recompiles the kernel's values from the current edge lists and
+    /// fan speed, on a copy of its own if the kernel is shared.
     fn refresh(&mut self) {
-        let kernel = Arc::make_mut(&mut self.kernel);
+        let kernel = own_kernel(&mut self.kernel);
         let recomputes_before = kernel.flow_recomputes();
-        self.shape.compile(kernel, self.fan);
+        self.shape.rebuild(kernel, self.fan);
         if self.instrumented {
             self.metrics
                 .flow_recomputes
@@ -767,11 +833,19 @@ impl Solver {
         Arc::ptr_eq(&self.shape, &other.shape)
     }
 
-    /// Whether this solver and `other` share one compiled kernel (see
-    /// the type docs).
+    /// Whether this solver and `other` share one compiled kernel,
+    /// values included (see the type docs).
     #[doc(hidden)]
     pub fn shares_kernel_with(&self, other: &Solver) -> bool {
         Arc::ptr_eq(&self.kernel, &other.kernel)
+    }
+
+    /// Whether this solver and `other` share one kernel structure — the
+    /// part of a compiled kernel a fan, heat-k or air-fraction change
+    /// leaves alone (see the type docs).
+    #[doc(hidden)]
+    pub fn shares_kernel_structure_with(&self, other: &Solver) -> bool {
+        Arc::ptr_eq(self.kernel.structure(), other.kernel.structure())
     }
 
     /// Prices this tick's generated heat exactly as [`Solver::step`]
@@ -858,23 +932,21 @@ impl Solver {
     /// Books `span` ticks stepped outside this solver (by the batched
     /// cluster kernel): heat accounting and the time advance, the
     /// epilogue of [`Solver::step`]. Time advances by repeated addition
-    /// — the bit-exact trajectory `span` single steps would produce —
-    /// and `generated` is the per-tick heat (constant across the span,
-    /// so the last tick's value equals every tick's). A span of no ticks
-    /// books nothing: the chunk may not have run a tick since it was
-    /// gathered.
+    /// — the bit-exact trajectory `span` single steps would produce,
+    /// read off `clock` — and `generated` is the per-tick heat (constant
+    /// across the span, so the last tick's value equals every tick's). A
+    /// span of no ticks books nothing: the chunk may not have run a tick
+    /// since it was gathered.
     ///
     /// A diverged machine also books `ticks_stepped`, as it did when it
     /// stepped per-machine: the counter is in the checkpoint format, and
     /// a blob must not record which path stepped a machine.
-    pub(crate) fn finish_tick_span(&mut self, generated: f64, span: usize) {
+    pub(crate) fn finish_tick_span(&mut self, generated: f64, span: usize, clock: &mut SpanClock) {
         if span == 0 {
             return;
         }
         self.generated_last_tick = Joules(generated);
-        for _ in 0..span {
-            self.time.0 += self.cfg.dt.0;
-        }
+        self.time = clock.end(self.time, self.cfg.dt, span);
         if self.diverged {
             self.ticks_stepped += span as u64;
         }
@@ -887,22 +959,20 @@ impl Solver {
     /// only the call's feed can have. Heat accounting lands immediately;
     /// the time advance and tick bookkeeping are booked once per call
     /// via [`Solver::finish_span`]. The tick writes the kernel's
-    /// scratch, so a shared kernel is copied first.
+    /// scratch, so a shared kernel is copied first (and composed anew).
     pub(crate) fn tick_fused(&mut self) {
         self.fill_tick_inputs();
-        let kernel = Arc::make_mut(&mut self.kernel);
+        let kernel = own_kernel(&mut self.kernel);
         let generated = kernel.tick(&mut self.temp, &self.fixed, &self.power_q);
         self.generated_last_tick = Joules(generated);
     }
 
     /// Epilogue for `span` [`Solver::tick_fused`] ticks: the time
-    /// advance (by repeated addition, as `span` single steps make it),
-    /// the tick counter, and the changed-state flag that makes a batch
-    /// chunk re-gather this machine's lane.
-    pub(crate) fn finish_span(&mut self, span: usize) {
-        for _ in 0..span {
-            self.time.0 += self.cfg.dt.0;
-        }
+    /// advance (by repeated addition, as `span` single steps make it,
+    /// read off `clock`), the tick counter, and the changed-state flag
+    /// that makes a batch chunk re-gather this machine's lane.
+    pub(crate) fn finish_span(&mut self, span: usize, clock: &mut SpanClock) {
+        self.time = clock.end(self.time, self.cfg.dt, span);
         self.ticks_stepped += span as u64;
         self.temps_dirty = true;
     }
@@ -966,20 +1036,23 @@ impl Solver {
         &self.kernel
     }
 
-    /// [`Solver::compiled_kernel`] with its tick composed for the
-    /// current boundary mask — what a batch group copies from its
-    /// representative, and a per-lane chunk from each lane. A pin or a
-    /// release changes the mask, so the next call recomposes, on a copy
-    /// of its own if the kernel is shared; the kernel a machine type
-    /// shares is composed for its inlet-only mask already.
-    pub(crate) fn composed_kernel(&mut self) -> &StepKernel {
+    /// Composes this machine's tick for `pattern` (its boundary mask,
+    /// which must be the machine's) straight into `out`, a per-lane
+    /// batch chunk's weight column, compiling a pending rebuild first.
+    /// The lane is then the only copy of the weights: a composed tick
+    /// the machine's own kernel kept from stepping by itself is dropped.
+    pub(crate) fn compose_lane(&mut self, pattern: &TickPattern, out: Column<'_>) {
         if self.dirty {
             self.refresh();
         }
-        if !self.kernel.is_composed_for(&self.fixed) {
-            Arc::make_mut(&mut self.kernel).compose(&self.fixed);
+        debug_assert_eq!(
+            pattern.fixed, self.fixed,
+            "a lane composes for its own mask"
+        );
+        self.kernel.compose_into(pattern, out);
+        if let Some(kernel) = Arc::get_mut(&mut self.kernel) {
+            kernel.drop_composed();
         }
-        &self.kernel
     }
 
     /// The per-tick inputs: the boundary flags (always current) and the
@@ -1121,7 +1194,7 @@ impl Solver {
             && self.ticks_stepped.is_multiple_of(TICK_LATENCY_SAMPLE);
         let started = if timed { Some(Instant::now()) } else { None };
         self.tick_fused();
-        self.finish_span(1);
+        self.finish_span(1, &mut SpanClock::default());
         if self.instrumented {
             self.metrics.ticks.inc();
             self.metrics.substeps.add(self.kernel.substeps() as u64);

@@ -349,6 +349,7 @@ fn worker_loop(shared: &Shared, index: usize) {
 mod tests {
     use super::*;
     use crate::presets;
+    use crate::solver::machine::SpanClock;
     use crate::solver::SolverConfig;
 
     fn solver() -> Solver {
@@ -378,13 +379,13 @@ mod tests {
         assert_eq!(pool.worker_count(), 2);
         assert_eq!(pool.resizes(), 1, "five runs, one spawn");
         for s in [&mut a, &mut b, &mut reference] {
-            s.finish_span(5);
+            s.finish_span(5, &mut SpanClock::default());
         }
         assert_eq!(state(&a), state(&reference));
         assert_ne!(state(&b), state(&reference), "b idles");
         let mut idle = solver();
         (0..5).for_each(|_| idle.tick_fused());
-        idle.finish_span(5);
+        idle.finish_span(5, &mut SpanClock::default());
         assert_eq!(state(&b), state(&idle));
     }
 

@@ -1224,6 +1224,55 @@ fn batch_oracle_batched_rooms_on_the_pool_match_the_room_stepper() {
     assert_eq!(batched.pool_workers(), 2);
 }
 
+/// A call hands each machine the clock its span ends at, added up once
+/// per distinct start: members stepped alone beforehand (one lane of a
+/// shared group, one of a per-lane group, a solo machine twice) start
+/// the call on clocks of their own. After `step_for`, every machine's
+/// clock and state equal the room stepper's, and the room writes the
+/// checkpoint bytes of a twin that took the same ticks one `step()` at
+/// a time.
+#[test]
+fn batch_oracle_members_on_their_own_clocks_end_spans_on_them() {
+    let model = presets::validation_cluster(24);
+    let mut room = ClusterSolver::new(&model, SolverConfig::default()).unwrap();
+    let mut twin = ClusterSolver::new(&model, SolverConfig::default()).unwrap();
+    let mut oracle = RoomStepper::<Solver>::new(&model);
+    let commands = (0..24)
+        .map(|m| (m, Fiddle::Utilization([0.2, 0.9, 0.55][m % 3])))
+        .chain((8..16).map(|m| (m, Fiddle::Fan(0.8))))
+        .chain([(20, Fiddle::Pin(50.0))]);
+    for (m, command) in commands {
+        fiddle(room.machine_at_mut(m), &command);
+        fiddle(twin.machine_at_mut(m), &command);
+        fiddle(oracle.machine_at_mut(m), &command);
+    }
+    for ticks in [3, 1, 5] {
+        room.step();
+        twin.step();
+        oracle.step();
+        for m in [2, 9, 20, 20] {
+            room.machine_at_mut(m).step();
+            twin.machine_at_mut(m).step();
+            oracle.machine_at_mut(m).step();
+        }
+        room.step_for(ticks);
+        for _ in 0..ticks {
+            twin.step();
+            oracle.step();
+        }
+        let context = format!("a call of {ticks} ticks");
+        oracle.assert_matches(&room, &context);
+        assert!(
+            room.machine_at(20).time().0 > room.machine_at(9).time().0,
+            "clocks differ"
+        );
+        assert!(
+            room.checkpoint() == twin.checkpoint(),
+            "{context}: checkpoint bytes"
+        );
+    }
+}
+
 // --- recomposition ----------------------------------------------------------
 //
 // A tick is one sweep of its sub-steps' composition, recomposed after

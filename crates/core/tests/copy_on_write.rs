@@ -2,15 +2,18 @@
 //!
 //! The replicas of one model body in a `ClusterSolver` share the solver
 //! structure derived from it and one compiled kernel, and copy either
-//! only when a fiddle, a pin or a restore changes it. This suite drives
+//! only when a fiddle, a pin or a restore changes it — and then a
+//! kernel's values only: every machine of a room keeps sharing its
+//! type's kernel structure (adjacency, operator shape, the patterns of
+//! the composed tick), whatever it was commanded. This suite drives
 //! fan, heat-k, air-fraction, power-model and pin/release scripts, with
 //! a checkpoint-restore cut, through two rooms — one whose machines are
 //! renamed copies of a single prototype, one whose machines were built
 //! apart (equal bodies, interned by value) — beside a `RoomStepper`
 //! whose standalone solvers share nothing. After every tick the two
 //! rooms write the same checkpoint bytes, the stepper holds the first
-//! room bit for bit, and the machines no command touched still share
-//! one shape and one kernel.
+//! room bit for bit, the machines no command touched still share one
+//! shape and one kernel, and every machine shares one kernel structure.
 
 mod common;
 
@@ -61,8 +64,16 @@ fn command_strategy() -> impl Strategy<Value = Fiddle> {
 }
 
 /// Asserts that the machines outside `touched` share one shape and one
-/// kernel.
+/// kernel — everything — and that every machine, touched or not,
+/// shares one kernel structure.
 fn assert_untouched_share(room: &ClusterSolver, touched: &HashSet<usize>, context: &str) {
+    for m in 1..room.len() {
+        assert!(
+            room.machine_at(m)
+                .shares_kernel_structure_with(room.machine_at(0)),
+            "{context}: machine {m} has a kernel structure of its own"
+        );
+    }
     let untouched: Vec<&Solver> = (0..room.len())
         .filter(|m| !touched.contains(m))
         .map(|m| room.machine_at(m))
@@ -142,26 +153,44 @@ proptest! {
     }
 }
 
+/// Which part of its machine type a replica copies for each command,
+/// as `(shape, kernel, kernel structure)` shared with an untouched
+/// replica: a kernel copy is its values only, never the structure.
 #[test]
 fn cow_a_fiddled_replica_copies_only_what_it_changes() {
-    let mut room = room(&presets::validation_cluster(4));
+    let mut room = room(&presets::validation_cluster(6));
     room.step();
     let shares = |room: &ClusterSolver, m: usize| {
         let (a, b) = (room.machine_at(0), room.machine_at(m));
-        (a.shares_shape_with(b), a.shares_kernel_with(b))
+        (
+            a.shares_shape_with(b),
+            a.shares_kernel_with(b),
+            a.shares_kernel_structure_with(b),
+        )
     };
     // A power model is structure, not kernel.
-    room.machine_at_mut(1)
-        .set_power_model(nodes::CPU, mercury::model::PowerModel::linear(7.0, 40.0))
-        .unwrap();
-    // A fan command is state, but the kernel recompiles for it.
-    room.machine_at_mut(2).set_fan_cfm(30.0).unwrap();
+    fiddle(room.machine_at_mut(1), &Fiddle::Power(40.0));
+    // A fan command is state, but the kernel's values recompile for it.
+    fiddle(room.machine_at_mut(2), &Fiddle::Fan(0.8));
     // A pin recomposes the kernel for its boundary mask.
-    room.machine_at_mut(3)
-        .force_temperature(nodes::CPU_AIR, mercury::units::Celsius(40.0))
-        .unwrap();
+    fiddle(room.machine_at_mut(3), &Fiddle::PinAir(40.0));
+    // A heat k or an air fraction retunes the structure's edge list and
+    // recompiles the kernel's values.
+    fiddle(room.machine_at_mut(4), &Fiddle::HeatK(0.9));
+    fiddle(room.machine_at_mut(5), &Fiddle::AirFraction(0.7));
     room.step();
-    assert_eq!(shares(&room, 1), (false, true));
-    assert_eq!(shares(&room, 2), (true, false));
-    assert_eq!(shares(&room, 3), (true, false));
+    assert_eq!(shares(&room, 1), (false, true, true), "power model");
+    assert_eq!(shares(&room, 2), (true, false, true), "fan");
+    assert_eq!(shares(&room, 3), (true, false, true), "pin");
+    assert_eq!(shares(&room, 4), (false, false, true), "heat k");
+    assert_eq!(shares(&room, 5), (false, false, true), "air fraction");
+    // Two replicas on one fan speed step in one per-lane class, each
+    // lane composed from the machine's own values on the one structure.
+    fiddle(room.machine_at_mut(1), &Fiddle::Fan(0.8));
+    room.step();
+    assert!(room.batched_machines() >= 2, "machines 1 and 2 batch");
+    assert!(room
+        .machine_at(1)
+        .shares_kernel_structure_with(room.machine_at(2)));
+    assert!(!room.machine_at(1).shares_kernel_with(room.machine_at(2)));
 }

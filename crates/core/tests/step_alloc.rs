@@ -16,7 +16,9 @@
 //! The same allocator keeps the live bytes of each thread, which pins
 //! the memory a replicated room costs per machine: the replicas of one
 //! model share its body, their solvers' structure and one compiled
-//! kernel, and each holds only its own state. Its high-water mark
+//! kernel, and each holds only its own state — and what a fan command
+//! adds to a batched machine: its kernel's values and its lane's
+//! weights, never a second copy of the structure or of `M` and `B`. Its high-water mark
 //! bounds what a decoder may allocate for damaged input: no count read
 //! from a datagram, an `.events` record or a checkpoint sizes an
 //! allocation.
@@ -255,11 +257,13 @@ fn replicas_share_their_machine_type() {
 
 /// Bytes a replica's first divergence copies: its structure on the
 /// first retune (name index, kinds, power models, edge lists), and its
-/// compiled kernel — operator, composed tick and tick scratch — when
-/// that retune is compiled. Measured at 2 030 and 5 162 on x86-64
-/// Linux.
+/// kernel's values — flow cache and operator weights, not the kernel
+/// structure it keeps sharing, nor a composed tick — when that retune
+/// is compiled. Measured at 2 030 and 800 on x86-64 Linux; a copy of
+/// the whole kernel, composed tick and tick scratch included, was
+/// 5 162.
 const FIRST_SHAPE_COPY_BYTES: i64 = 2_300;
-const FIRST_KERNEL_COPY_BYTES: i64 = 5_600;
+const FIRST_KERNEL_COPY_BYTES: i64 = 900;
 
 #[test]
 fn first_divergence_copies_once() {
@@ -284,11 +288,46 @@ fn first_divergence_copies_once() {
     );
     assert_eq!(retune(&mut room, 1.1), (0, 0), "a re-fiddle copies nothing");
 
+    // The diverged machine copied its structure and its kernel's
+    // values; it still shares its type's kernel structure.
     let (diverged, untouched) = (room.machine_at(5), room.machine_at(6));
     assert!(!diverged.shares_shape_with(untouched));
     assert!(!diverged.shares_kernel_with(untouched));
+    assert!(diverged.shares_kernel_structure_with(untouched));
     assert!(untouched.shares_shape_with(room.machine_at(0)));
     assert!(untouched.shares_kernel_with(room.machine_at(0)));
+}
+
+/// Live bytes per machine that one fan command on every machine of a
+/// stepped `validation_cluster(1024)` adds once the room steps again:
+/// the machine's own kernel values (flow cache, sub-step count,
+/// operator weights) and its lane's weight column, net of the shared
+/// group it leaves. Measured at 2 003 on x86-64 Linux; when a diverged
+/// machine copied its whole kernel — structure and composed tick
+/// included — and its lane held a second copy of `M` and `B`, the same
+/// test read 6 352.
+const FAN_DIVERGED_BYTES_PER_MACHINE: i64 = 2_100;
+
+#[test]
+fn a_fan_command_copies_only_what_it_changes() {
+    const MACHINES: usize = 1024;
+    let model = presets::validation_cluster(MACHINES);
+    let mut room = ClusterSolver::new(&model, SolverConfig::default()).unwrap();
+    room.step();
+    let ((), _, bytes) = measure(|| {
+        for m in 0..MACHINES {
+            let cfm = FAN_CFM * (0.7 + 0.6 * (m % 8) as f64 / 8.0);
+            room.machine_at_mut(m).set_fan_cfm(cfm).unwrap();
+        }
+        room.step();
+    });
+    assert_eq!(room.batched_machines(), MACHINES, "every class batches");
+    let per_machine = bytes / MACHINES as i64;
+    println!("fan-diverged batched machine: {per_machine} B");
+    assert!(
+        per_machine <= FAN_DIVERGED_BYTES_PER_MACHINE,
+        "{per_machine} B per machine, budget {FAN_DIVERGED_BYTES_PER_MACHINE}"
+    );
 }
 
 /// A 1024-machine room and an `.events` file over its `cpu` and
