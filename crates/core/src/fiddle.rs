@@ -19,7 +19,9 @@
 //!
 //! [`FiddleScript::parse`] turns that text into timestamped commands and
 //! [`ScriptRunner`] replays them against a solver as emulated time
-//! advances.
+//! advances. A script holds its events once: every runner is a cursor
+//! over that one schedule, and [`ScriptRunner::due`] lends the commands
+//! that fire rather than copying them.
 
 use crate::error::Error;
 use crate::model::PowerModel;
@@ -27,6 +29,7 @@ use crate::solver::{ClusterSolver, Solver};
 use crate::units::{Celsius, Seconds};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A single fiddle command, addressed to one machine.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -177,10 +180,7 @@ impl FiddleCommand {
                 }
                 cluster.machine_mut(machine)?.release_temperature(node)
             }
-            other => {
-                let machine = other.machine().to_string();
-                other.apply(cluster.machine_mut(&machine)?)
-            }
+            other => other.apply(cluster.machine_mut(other.machine())?),
         }
     }
 }
@@ -234,9 +234,12 @@ pub struct FiddleEvent {
 }
 
 /// A parsed fiddle script: a time-ordered list of commands.
+///
+/// The events live once, shared with every [`ScriptRunner`] handed out;
+/// [`FiddleScript::at`] copies them first if a runner still holds them.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct FiddleScript {
-    events: Vec<FiddleEvent>,
+    events: Arc<Vec<FiddleEvent>>,
 }
 
 impl FiddleScript {
@@ -248,11 +251,12 @@ impl FiddleScript {
     /// Adds a command firing `at` seconds into the run. Events may be
     /// added out of order; they are kept sorted by time.
     pub fn at(&mut self, seconds: f64, command: FiddleCommand) -> &mut Self {
-        self.events.push(FiddleEvent {
+        let events = Arc::make_mut(&mut self.events);
+        events.push(FiddleEvent {
             at: Seconds(seconds),
             command,
         });
-        self.events.sort_by(|a, b| {
+        events.sort_by(|a, b| {
             a.at.0
                 .partial_cmp(&b.at.0)
                 .unwrap_or(std::cmp::Ordering::Equal)
@@ -282,9 +286,11 @@ impl FiddleScript {
     /// # Errors
     ///
     /// Returns [`Error::FiddleParse`] with the 1-based line number of the
-    /// first malformed statement.
+    /// first malformed statement. A number that is not finite (`nan`,
+    /// `inf`) is malformed, and so is a `sleep` that carries the script
+    /// clock past the largest finite time.
     pub fn parse(text: &str) -> Result<Self, Error> {
-        let mut script = FiddleScript::new();
+        let mut events = Vec::new();
         let mut clock = 0.0_f64;
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.trim();
@@ -307,6 +313,9 @@ impl FiddleScript {
                         return Err(err(format!("cannot sleep a negative duration ({secs})")));
                     }
                     clock += secs;
+                    if !clock.is_finite() {
+                        return Err(err("the script clock overflows".to_string()));
+                    }
                 }
                 "fiddle" => {
                     if tokens.len() < 3 {
@@ -371,7 +380,7 @@ impl FiddleScript {
                         }
                         verb => return Err(err(format!("unknown fiddle verb `{verb}`"))),
                     };
-                    script.events.push(FiddleEvent {
+                    events.push(FiddleEvent {
                         at: Seconds(clock),
                         command,
                     });
@@ -379,21 +388,28 @@ impl FiddleScript {
                 word => return Err(err(format!("unknown statement `{word}`"))),
             }
         }
-        Ok(script)
+        events.shrink_to_fit();
+        Ok(FiddleScript {
+            events: Arc::new(events),
+        })
     }
 
-    /// Creates a runner that replays this script against a solver.
+    /// Creates a runner that replays this script against a solver. The
+    /// runner shares the script's events; it copies nothing.
     pub fn runner(&self) -> ScriptRunner {
         ScriptRunner {
-            events: self.events.clone(),
+            events: Arc::clone(&self.events),
             next: 0,
         }
     }
 }
 
 fn parse_f64(s: &str) -> Result<f64, String> {
-    s.parse::<f64>()
-        .map_err(|_| format!("`{s}` is not a number"))
+    match s.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(v),
+        Ok(_) => Err(format!("`{s}` is not a finite number")),
+        Err(_) => Err(format!("`{s}` is not a number")),
+    }
 }
 
 fn expect_args<'a, const N: usize>(
@@ -414,24 +430,29 @@ fn expect_args<'a, const N: usize>(
 
 /// Replays a [`FiddleScript`] against a solver as emulated time advances.
 ///
-/// Call [`ScriptRunner::due`] once per tick with the current emulated
-/// time; it yields every command whose firing time has been reached.
+/// A cursor over the script's shared events. Call [`ScriptRunner::due`]
+/// once per tick with the current emulated time; it yields every command
+/// whose firing time has been reached.
 #[derive(Debug, Clone)]
 pub struct ScriptRunner {
-    events: Vec<FiddleEvent>,
+    events: Arc<Vec<FiddleEvent>>,
     next: usize,
 }
 
 impl ScriptRunner {
-    /// Commands that fire at or before `now`, in order. Each command is
-    /// yielded exactly once across calls.
-    pub fn due(&mut self, now: Seconds) -> Vec<FiddleCommand> {
-        let mut out = Vec::new();
-        while self.next < self.events.len() && self.events[self.next].at.0 <= now.0 {
-            out.push(self.events[self.next].command.clone());
-            self.next += 1;
-        }
-        out
+    /// Commands that fire at or before `now`, in order, lent from the
+    /// script. Each command is yielded exactly once across calls.
+    ///
+    /// The cursor moves past them before this returns, so a result that
+    /// is dropped unread still skips them: `let _ = runner.due(cut)`
+    /// passes over the commands a restored checkpoint already holds.
+    pub fn due(&mut self, now: Seconds) -> impl ExactSizeIterator<Item = &FiddleCommand> + '_ {
+        let start = self.next;
+        self.next += self.events[start..]
+            .iter()
+            .take_while(|e| e.at.0 <= now.0)
+            .count();
+        self.events[start..self.next].iter().map(|e| &e.command)
     }
 
     /// When the next command that has not fired yet falls due, or `None`
@@ -587,17 +608,106 @@ mod tests {
     fn runner_fires_events_once_and_in_order() {
         let script = FiddleScript::parse(FIGURE_4).unwrap();
         let mut runner = script.runner();
-        assert!(runner.due(Seconds(50.0)).is_empty());
-        let at_100 = runner.due(Seconds(100.0));
-        assert_eq!(at_100.len(), 1);
+        assert!(runner.due(Seconds(50.0)).len() == 0);
+        assert_eq!(runner.due(Seconds(100.0)).len(), 1);
         assert!(
-            runner.due(Seconds(100.0)).is_empty(),
+            runner.due(Seconds(100.0)).len() == 0,
             "events must fire once"
         );
         assert!(!runner.is_finished());
-        let late = runner.due(Seconds(1000.0));
-        assert_eq!(late.len(), 1);
+        assert_eq!(runner.due(Seconds(1000.0)).len(), 1);
         assert!(runner.is_finished());
+    }
+
+    fn fan(machine: &str, cfm: f64) -> FiddleCommand {
+        FiddleCommand::FanSpeed {
+            machine: machine.into(),
+            cfm,
+        }
+    }
+
+    /// Five commands over three times, drained in calls that fall
+    /// between, on and past them.
+    const STAGGERED: &str = "fiddle a fanspeed 1\n\
+                             fiddle b fanspeed 2\n\
+                             sleep 10\n\
+                             fiddle a fanspeed 3\n\
+                             sleep 5\n\
+                             fiddle b fanspeed 4\n\
+                             fiddle c fanspeed 5\n";
+
+    #[test]
+    fn due_yields_each_command_once_in_order() {
+        let script = FiddleScript::parse(STAGGERED).unwrap();
+        let mut runner = script.runner();
+        let mut fired = Vec::new();
+        for now in [0.0, 0.0, 9.9, 10.0, 12.0, 15.0, 15.0, 99.0] {
+            let (due, before) = (runner.due(Seconds(now)), fired.len());
+            let len = due.len();
+            fired.extend(due.cloned());
+            assert_eq!(fired.len() - before, len, "exact size at {now}");
+        }
+        let expected: Vec<FiddleCommand> =
+            script.events().iter().map(|e| e.command.clone()).collect();
+        assert_eq!(fired, expected);
+        assert!(runner.is_finished());
+        assert_eq!(runner.next_due(), None);
+    }
+
+    #[test]
+    fn a_discarded_due_still_advances_the_cursor() {
+        let script = FiddleScript::parse(STAGGERED).unwrap();
+        let mut runner = script.runner();
+        let _ = runner.due(Seconds(10.0));
+        assert_eq!(runner.next_due(), Some(Seconds(15.0)));
+        let rest: Vec<&FiddleCommand> = runner.due(Seconds(15.0)).collect();
+        assert_eq!(rest, [&fan("b", 4.0), &fan("c", 5.0)]);
+    }
+
+    #[test]
+    fn runners_of_one_script_advance_independently() {
+        let script = FiddleScript::parse(STAGGERED).unwrap();
+        let (mut first, mut second) = (script.runner(), script.runner());
+        assert_eq!(first.due(Seconds(15.0)).len(), 5);
+        assert!(first.is_finished());
+        assert_eq!(second.next_due(), Some(Seconds(0.0)));
+        assert_eq!(second.due(Seconds(0.0)).len(), 2);
+        assert_eq!(script.runner().due(Seconds(15.0)).len(), 5);
+    }
+
+    #[test]
+    fn a_runner_taken_before_at_keeps_its_schedule() {
+        let mut script = FiddleScript::parse(STAGGERED).unwrap();
+        let mut before = script.runner();
+        script.at(12.0, fan("d", 6.0));
+        assert_eq!(script.events().len(), 6);
+        let old: Vec<&FiddleCommand> = before.due(Seconds(12.0)).collect();
+        assert_eq!(old, [&fan("a", 1.0), &fan("b", 2.0), &fan("a", 3.0)]);
+        assert_eq!(before.due(Seconds(99.0)).len(), 2);
+        let mut after = script.runner();
+        let new: Vec<&FiddleCommand> = after.due(Seconds(12.0)).collect();
+        assert_eq!(new.last(), Some(&&fan("d", 6.0)));
+    }
+
+    #[test]
+    fn parse_rejects_non_finite_numbers() {
+        for (text, line) in [
+            ("sleep nan", 1),
+            ("sleep inf", 1),
+            ("fiddle m1 fanspeed 1\nsleep infinity", 2),
+            ("sleep 1e308\nsleep 1e308", 2),
+            ("fiddle m1 temperature inlet nan", 1),
+            ("fiddle m1 temperature inlet -inf", 1),
+            ("fiddle m1 fanspeed NaN", 1),
+            ("fiddle m1 power cpu 7 inf", 1),
+            ("fiddle m1 k cpu cpu_air nan", 1),
+            ("fiddle m1 fraction inlet disk_air NaN", 1),
+        ] {
+            match FiddleScript::parse(text) {
+                Err(Error::FiddleParse { line: at, .. }) => assert_eq!(at, line, "`{text}`"),
+                other => panic!("`{text}` gave {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -743,6 +743,54 @@ mod tests {
         service.shutdown();
     }
 
+    /// A fiddle that carries a non-finite number never reaches the
+    /// solver: the datagram fails to decode, is answered with an error
+    /// and counted as malformed, and every temperature stays finite.
+    #[test]
+    #[cfg(feature = "instrument")]
+    fn a_non_finite_fiddle_is_malformed() {
+        let service =
+            SolverService::spawn_cluster(&presets::validation_cluster(4), ServiceConfig::fast())
+                .unwrap();
+        let addr = service.local_addr();
+        let malformed = || {
+            service
+                .registry()
+                .snapshot()
+                .counter_family("mercury_net_malformed_total")
+        };
+        let before = malformed();
+        for node in ["inlet", "cpu"] {
+            let err = super::super::send_fiddle(
+                addr,
+                &FiddleCommand::Temperature {
+                    machine: "machine2".into(),
+                    node: node.into(),
+                    celsius: f64::NAN,
+                },
+            )
+            .unwrap_err();
+            match err {
+                Error::Remote { reason } => assert!(reason.contains("finite"), "{reason}"),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(malformed() - before, 2);
+        // Let the ticker run a few hundred ticks past the refused pins.
+        std::thread::sleep(Duration::from_millis(200));
+        service.with_system(|system| {
+            let EmulatedSystem::Cluster(room) = system else {
+                panic!("a cluster service");
+            };
+            for m in 0..room.len() {
+                for (node, t) in room.machine_at(m).temperatures() {
+                    assert!(t.0.is_finite(), "machine {m} {node} at {t}");
+                }
+            }
+        });
+        service.shutdown();
+    }
+
     #[test]
     fn cluster_service_routes_by_machine_name() {
         let cluster = presets::validation_cluster(2);

@@ -3,7 +3,7 @@
 
 use super::batch::BatchSet;
 use super::kernel::MixGraph;
-use super::machine::{MachineType, Solver, SolverConfig, SpanClock};
+use super::machine::{finite_temperature, MachineType, Solver, SolverConfig, SpanClock};
 use super::metrics::{ClusterMetrics, SolverMetrics, TICK_LATENCY_SAMPLE};
 use super::pool::{TickPool, WorkItem};
 use super::simd::SimdBackend;
@@ -413,10 +413,12 @@ impl ClusterSolver {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::UnknownNode`] for unknown supply names.
+    /// Returns [`Error::UnknownNode`] for unknown supply names and
+    /// [`Error::InvalidInput`] for a temperature that is not finite.
     pub fn set_supply_temperature(&mut self, supply: &str, t: Celsius) -> Result<(), Error> {
         match self.supply_names.iter().position(|n| n == supply) {
             Some(i) => {
+                finite_temperature(t, supply)?;
                 self.supply_temps[i] = t;
                 Ok(())
             }
@@ -429,9 +431,11 @@ impl ClusterSolver {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::UnknownMachine`] for unknown names.
+    /// Returns [`Error::UnknownMachine`] for unknown names and
+    /// [`Error::InvalidInput`] for a temperature that is not finite.
     pub fn force_inlet(&mut self, machine: &str, t: Celsius) -> Result<(), Error> {
         let i = self.machine_index(machine)?;
+        finite_temperature(t, machine)?;
         self.forced_inlets[i] = Some(t);
         self.machines[i].set_inlet_temperature(t);
         Ok(())
@@ -1262,6 +1266,34 @@ mod tests {
         s.step_for(5);
         let t1 = s.machine("machine1").unwrap().inlet_temperature();
         assert!((t1.0 - 21.6).abs() < 0.5, "inlet did not recover: {t1}");
+    }
+
+    #[test]
+    fn non_finite_temperatures_are_refused() {
+        let cluster = presets::validation_cluster(4);
+        let mut s = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
+        for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY].map(Celsius) {
+            assert!(matches!(
+                s.force_inlet("machine1", t),
+                Err(Error::InvalidInput { .. })
+            ));
+            assert!(matches!(
+                s.set_supply_temperature("ac", t),
+                Err(Error::InvalidInput { .. })
+            ));
+            assert!(matches!(
+                s.machine_mut("machine2")
+                    .unwrap()
+                    .force_temperature("cpu", t),
+                Err(Error::InvalidInput { .. })
+            ));
+        }
+        s.step_for(5);
+        for m in 0..s.len() {
+            for (node, t) in s.machine_at(m).temperatures() {
+                assert!(t.0.is_finite(), "machine {m} {node} at {t}");
+            }
+        }
     }
 
     #[test]

@@ -262,6 +262,19 @@ fn own_kernel(kernel: &mut Arc<StepKernel>) -> &mut StepKernel {
     Arc::get_mut(kernel).expect("unshared above")
 }
 
+/// Refuses a temperature that is not finite before it is imposed on
+/// `what`: one NaN pin spreads to every node it exchanges heat with.
+pub(super) fn finite_temperature(t: Celsius, what: &str) -> Result<(), Error> {
+    if t.0.is_finite() {
+        Ok(())
+    } else {
+        Err(Error::invalid_input(format!(
+            "temperature {} °C imposed on `{what}` is not finite",
+            t.0
+        )))
+    }
+}
+
 /// Emulates the temperatures of one machine.
 ///
 /// A `Solver` never writes back to its [`MachineModel`]: runtime changes
@@ -634,9 +647,11 @@ impl Solver {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::UnknownNode`] for unknown names.
+    /// Returns [`Error::UnknownNode`] for unknown names and
+    /// [`Error::InvalidInput`] for a temperature that is not finite.
     pub fn force_temperature(&mut self, name: &str, t: Celsius) -> Result<(), Error> {
         let i = self.index(name)?;
+        finite_temperature(t, name)?;
         if self.forced[i].replace(t).is_none() {
             self.pinned += 1;
         }
