@@ -36,23 +36,6 @@ fn bench_solver(c: &mut Criterion) {
     c.bench_function("solver_tick_cluster64_serial", |b| {
         let cluster = presets::validation_cluster(64);
         let mut solver = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
-        solver.set_threads(1);
-        for i in 1..=64 {
-            solver
-                .set_utilization(&format!("machine{i}"), nodes::CPU, 0.7)
-                .unwrap();
-        }
-        b.iter(|| {
-            solver.step();
-            black_box(solver.time());
-        });
-    });
-
-    c.bench_function("solver_tick_cluster64_parallel", |b| {
-        let cluster = presets::validation_cluster(64);
-        let mut solver = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
-        // Explicit: the automatic policy keeps a room this small serial.
-        solver.set_threads(2);
         for i in 1..=64 {
             solver
                 .set_utilization(&format!("machine{i}"), nodes::CPU, 0.7)
@@ -65,14 +48,13 @@ fn bench_solver(c: &mut Criterion) {
     });
 
     // Replicated-room scaling: the batched SoA path vs per-machine
-    // stepping, single-threaded so the comparison is pure kernel effect.
+    // stepping: the comparison is pure kernel effect.
     for &n in &[256usize, 1024] {
         for &(label, batching) in &[("batched", true), ("per_machine", false)] {
             c.bench_function(&format!("solver_tick_cluster{n}_{label}"), |b| {
                 let cluster = presets::validation_cluster(n);
                 let mut solver = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
                 solver.set_batching(batching);
-                solver.set_threads(1);
                 for i in 1..=n {
                     solver
                         .set_utilization(&format!("machine{i}"), nodes::CPU, 0.7)
@@ -94,7 +76,6 @@ fn bench_solver(c: &mut Criterion) {
     c.bench_function("cluster1024_fan_churn", |b| {
         let cluster = presets::validation_cluster(1024);
         let mut solver = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
-        solver.set_threads(1);
         let cpu = solver.machine_at(0).node_index(nodes::CPU).unwrap();
         let mut tick = 0usize;
         b.iter(|| {
@@ -126,7 +107,6 @@ fn bench_solver(c: &mut Criterion) {
         c.bench_function(&name, |b| {
             let cluster = presets::validation_cluster(1024);
             let mut solver = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
-            solver.set_threads(1);
             let cells = [nodes::CPU, nodes::DISK_PLATTERS]
                 .map(|c| solver.machine_at(0).node_index(c).unwrap());
             let u = |tick: usize, m: usize, c: usize| {
@@ -187,7 +167,6 @@ fn bench_solver(c: &mut Criterion) {
     ] {
         c.bench_function(name, |b| {
             let mut solver = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
-            solver.set_threads(1);
             for m in 0..1024 {
                 solver
                     .machine_at_mut(m)
@@ -209,7 +188,6 @@ fn bench_solver(c: &mut Criterion) {
         c.bench_function(&name, |b| {
             let cluster = presets::validation_cluster(1024);
             let mut solver = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
-            solver.set_threads(1);
             solver.set_simd_backend(backend).unwrap();
             for i in 1..=1024 {
                 solver

@@ -66,16 +66,14 @@
 //! | [`presets`] | ready-made models with the paper's Table 1 constants |
 //! | [`net`] | UDP solver service, `monitord`, and the sensor client library |
 
-// `deny`, not `forbid`: the sanctioned exceptions are (a) the scoped
-// pointer hand-off inside `solver::pool`, which discharges the same
-// obligation `std::thread::scope` does internally (the driver outlives
-// every borrow it publishes), (b) the two `#[target_feature]` call
-// sites in `solver::simd` (each guarded by runtime detection of its
-// feature; the sweep they call is safe Rust), and (c) the aligned chunk
-// buffers in `solver::aligned` (a fixed-length `Vec<f64>` at
-// cache-line alignment). Each site carries a SAFETY comment, is
-// `#[allow]`ed individually, and is exercised under ThreadSanitizer
-// in CI; everything else in the crate remains safe Rust.
+// `deny`, not `forbid`: the sanctioned exceptions are (a) the two
+// `#[target_feature]` call sites in `solver::simd` (each guarded by
+// runtime detection of its feature; the sweep they call is safe Rust)
+// and (b) the aligned chunk buffers in `solver::aligned` (a
+// fixed-length `Vec<f64>` at cache-line alignment). Neither spawns
+// or synchronises threads. Each site carries a SAFETY comment and is
+// `#[allow]`ed individually; everything else in the crate remains safe
+// Rust.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -67,13 +67,11 @@
 //! (pinning changes the boundary-flag pattern a group shares; see
 //! [`super::machine::Solver::batch_eligible`]) and classes with fewer
 //! than [`MIN_GROUP`] members. Groups are split into fixed-width chunks
-//! of at most [`CHUNK_LANES`] machines so that (a) the working set of
-//! one chunk stays cache-resident and (b) parallel cluster ticks can
-//! hand whole chunks to worker threads — chunk width never depends on
-//! the thread count, so parallelism cannot change results. A chunk's
-//! row stride is its lane count rounded up to [`LANE_PAD`]: the dead
-//! lanes are zero in every matrix (weights included) and therefore stay
-//! zero, and every row is whole vector blocks on every backend.
+//! of at most [`CHUNK_LANES`] machines so that the working set of one
+//! chunk stays cache-resident. A chunk's row stride is its lane count
+//! rounded up to [`LANE_PAD`]: the dead lanes are zero in every matrix
+//! (weights included) and therefore stay zero, and every row is whole
+//! vector blocks on every backend.
 //!
 //! ## Plan maintenance
 //!
@@ -172,8 +170,7 @@ use std::sync::Arc;
 /// chunk's three `[nodes × lanes]` matrices a few KiB — cache-resident —
 /// while amortizing the per-node operator walk over a long vectorizable
 /// inner loop. Chunk width is a constant of the layout, not a tuning
-/// knob the thread count may touch: trajectories must not depend on how
-/// chunks are distributed.
+/// knob: trajectories must not depend on how machines are chunked.
 pub(crate) const CHUNK_LANES: usize = 32;
 
 /// Below this many same-class machines, batching is not worth the
@@ -230,7 +227,7 @@ fn signature_of(machine: &mut Solver) -> Signature {
 /// builds (as `bench-e2e` keeps each pass's metric handles), fragments
 /// the heap: `replay_steady`'s peak RSS read ≈40 % higher that way.
 #[derive(Debug)]
-pub(crate) struct SharedOp {
+struct SharedOp {
     n: usize,
     substeps: usize,
     kernel: StepKernel,
@@ -256,8 +253,8 @@ pub(crate) struct SharedOp {
     /// and exhaust rows, in node order — structural, so shared.
     inlets: Vec<usize>,
     exhausts: Vec<usize>,
-    /// Lane-sweep backend, stamped from the owning [`BatchSet`] so a
-    /// pool work item `(op, chunk)` carries everything a tick needs.
+    /// Lane-sweep backend, stamped from the owning [`BatchSet`] so
+    /// `(op, chunk)` carries everything a chunk's tick needs.
     backend: SimdBackend,
 }
 
@@ -384,7 +381,7 @@ const _: () = assert!(CHUNK_LANES <= u32::BITS as usize);
 /// One chunk of a batch group: up to [`CHUNK_LANES`] machines stepped
 /// together over node-major state matrices.
 #[derive(Debug)]
-pub(crate) struct Chunk {
+struct Chunk {
     /// Cluster machine indices; lane `l` holds machine `members[l]`. A
     /// lane keeps its machine while the machine keeps its class, so the
     /// order is the plan's history, not the cluster's.
@@ -649,7 +646,7 @@ impl Chunk {
     /// reorders nothing within a lane and every backend is bit-identical
     /// to the scalar kernel. `fixed` rows are already valid in both
     /// buffers (see [`BatchSet::begin_tick`]) and are skipped outright.
-    pub(crate) fn tick(&mut self, op: &SharedOp) {
+    fn tick(&mut self, op: &SharedOp) {
         debug_assert_eq!(self.cur.as_ptr() as usize % MATRIX_ALIGN, 0);
         debug_assert_eq!(self.next.as_ptr() as usize % MATRIX_ALIGN, 0);
         debug_assert_eq!(self.drive.as_ptr() as usize % MATRIX_ALIGN, 0);
@@ -1161,19 +1158,6 @@ impl BatchSet {
                 chunk.tick(&group.op);
             }
         }
-    }
-
-    /// The independent `(operator, chunk)` work items, for distributing
-    /// across worker threads. Chunks never alias; the operator is shared
-    /// read-only within its group.
-    pub(crate) fn par_items(&mut self) -> Vec<(&SharedOp, &mut Chunk)> {
-        self.groups
-            .iter_mut()
-            .flat_map(|g| {
-                let op = &g.op;
-                g.chunks.iter_mut().map(move |c| (&*op, c))
-            })
-            .collect()
     }
 
     /// Epilogue of a call's `span` ticks (the chunk matrices stayed hot

@@ -12,8 +12,8 @@
 //!
 //! Instrumentation must never perturb the physics: handles are updated
 //! strictly *outside* the kernel arithmetic (tick prologues/epilogues
-//! and plan rebuilds), so serial, parallel, and batched trajectories
-//! stay bit-identical with telemetry on, off, or compiled out.
+//! and plan rebuilds), so per-machine and batched trajectories stay
+//! bit-identical with telemetry on, off, or compiled out.
 //!
 //! A cluster shares **one** [`SolverMetrics`] across all of its machine
 //! solvers (handles are `Arc`-backed, so sharing is cloning): the
@@ -22,11 +22,10 @@
 
 use telemetry::{Counter, Gauge, Histogram, Registry};
 
-/// How often a [`super::Solver::step`] samples its own latency, and a
-/// cluster its pool's busy time: one in 64. Sampling keeps two
-/// `Instant::now` calls off the common tick while still collecting
-/// thousands of latency points per emulated hour; counters are exact
-/// (every tick), only the histogram samples.
+/// How often a [`super::Solver::step`] samples its own latency: one in
+/// 64. Sampling keeps two `Instant::now` calls off the common tick while
+/// still collecting thousands of latency points per emulated hour;
+/// counters are exact (every tick), only the histogram samples.
 pub(crate) const TICK_LATENCY_SAMPLE: u64 = 64;
 
 /// Metric handles shared by every machine solver of one emulated system.
@@ -137,24 +136,6 @@ pub struct ClusterMetrics {
     /// command by itself does not demote: the machine moves to a
     /// per-lane-weight group.
     pub solo_demotions: Counter,
-    /// `mercury_cluster_pool_workers` — persistent tick-pool workers
-    /// currently alive (0 until the first parallel tick).
-    pub pool_workers: Gauge,
-    /// `mercury_cluster_pool_resizes_total` — tick-pool (re)spawns,
-    /// including the initial spawn. A healthy run shows exactly one;
-    /// churn here means someone is calling `set_threads` per tick.
-    pub pool_resizes: Counter,
-    /// `mercury_cluster_pool_queue_depth` — work items (solo machines +
-    /// batch chunks) handed to the pool per parallel tick.
-    pub pool_queue_depth: Histogram,
-    /// `mercury_cluster_pool_busy_nanos_total` — summed worker wall time
-    /// spent executing items, sampled 1-in-[`TICK_LATENCY_SAMPLE`] pool
-    /// runs (the common run carries no worker clock reads).
-    pub pool_busy_nanos: Counter,
-    /// `mercury_cluster_pool_idle_nanos_total` — summed worker wall time
-    /// spent waiting within sampled runs (`workers × run − busy`).
-    /// `idle / (idle + busy)` is the pool's wasted-parallelism fraction.
-    pub pool_idle_nanos: Counter,
     /// `mercury_cluster_fused_ticks_total` — *input-stable* ticks
     /// executed inside fused replay spans (see
     /// `ClusterSolver::step_for`) after each call's first: in the chunk
@@ -232,37 +213,6 @@ impl ClusterMetrics {
             &[],
             &self.solo_demotions,
         );
-        registry.register_gauge(
-            "mercury_cluster_pool_workers",
-            "Persistent tick-pool workers currently alive",
-            &[],
-            &self.pool_workers,
-        );
-        registry.register_counter(
-            "mercury_cluster_pool_resizes_total",
-            "Tick-pool (re)spawns, including the initial spawn",
-            &[],
-            &self.pool_resizes,
-        );
-        registry.register_histogram(
-            "mercury_cluster_pool_queue_depth",
-            "Work items handed to the tick pool per parallel tick",
-            &[],
-            &self.pool_queue_depth,
-            1.0,
-        );
-        registry.register_counter(
-            "mercury_cluster_pool_busy_nanos_total",
-            "Sampled worker wall time spent executing tick-pool items",
-            &[],
-            &self.pool_busy_nanos,
-        );
-        registry.register_counter(
-            "mercury_cluster_pool_idle_nanos_total",
-            "Sampled worker wall time spent idle within pool runs",
-            &[],
-            &self.pool_idle_nanos,
-        );
         registry.register_counter(
             "mercury_cluster_fused_ticks_total",
             "Input-stable ticks executed inside fused replay spans",
@@ -310,11 +260,6 @@ mod tests {
             "mercury_cluster_batch_chunks",
             "mercury_cluster_chunk_occupancy",
             "mercury_cluster_solo_demotions_total",
-            "mercury_cluster_pool_workers",
-            "mercury_cluster_pool_resizes_total",
-            "mercury_cluster_pool_queue_depth",
-            "mercury_cluster_pool_busy_nanos_total",
-            "mercury_cluster_pool_idle_nanos_total",
             "mercury_cluster_fused_ticks_total",
             "mercury_cluster_fed_ticks_total",
             "mercury_cluster_fused_span_ticks",

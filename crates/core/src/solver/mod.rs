@@ -31,10 +31,10 @@
 //! private `kernel` module — as a CSR-indexed step kernel with
 //! precomputed rate constants and reusable scratch buffers; `Solver` and
 //! `ClusterSolver` are state holders compiled onto it. The cluster
-//! solver's traversal 3 uses the same module's precompiled mixing plan,
-//! and its per-tick machine stepping can fan out across threads (see
-//! [`ClusterSolver::set_threads`]) because machines within a tick only
-//! read the *previous* tick's exhaust temperatures.
+//! solver's traversal 3 uses the same module's precompiled mixing plan.
+//! A room steps on its caller's thread; parallelism runs across rooms
+//! and across time segments cut at checkpoints, each bit-identical to
+//! one serial run.
 //!
 //! Structurally identical machines — the common case under the paper's
 //! trace replication (§2.3) — are additionally stepped *batched*: the
@@ -48,9 +48,7 @@
 //! on x86-64, for AVX2 and AVX-512; the widest level the host has is
 //! detected at run time ([`SimdBackend`]) and all are bit-identical.
 //!
-//! Parallel cluster ticks run on a persistent worker pool (the private
-//! `pool` module) — workers spawn once and park between ticks — and
-//! multi-tick replays ([`ClusterSolver::step_for`]) run as fused spans
+//! Multi-tick replays ([`ClusterSolver::step_for`]) run as fused spans
 //! so the per-tick orchestration (plan checks, gather/scatter, sampled
 //! metrics) is paid once per call — every tick of a call runs in the
 //! lanes, its first included. Inputs land at tick boundaries, so a span
@@ -75,7 +73,6 @@ mod flows;
 mod kernel;
 mod machine;
 mod metrics;
-mod pool;
 mod simd;
 
 pub use cluster::{ClusterProbe, ClusterSolver, InputFrame, TickInputs};

@@ -2,11 +2,13 @@
 //!
 //! The cluster solver's batched path (structure-sharing SoA sweeps over
 //! fingerprint-identical machines) must be *bit-identical* to the
-//! per-machine path, at every thread count, on clusters that mix
-//! replicated machines, structurally unique machines, and machines
-//! fiddled away from their source model mid-run — which stay batched,
-//! in per-lane-weight groups. These tests drive both paths over the
-//! same inputs and compare every node temperature bitwise.
+//! per-machine path, on clusters that mix replicated machines,
+//! structurally unique machines, and machines fiddled away from their
+//! source model mid-run — which stay batched, in per-lane-weight
+//! groups — and fused multi-tick replay (`step_for`) must be
+//! bit-identical to one `step()` per tick. These tests drive every
+//! path over the same inputs and compare every node temperature
+//! bitwise.
 //!
 //! Test names contain `batch` so CI can run exactly this suite in
 //! release mode (`cargo test -p mercury --release -- batch`), where the
@@ -26,9 +28,15 @@ use mercury::units::Celsius;
 use mercury::Error;
 use proptest::prelude::*;
 
-/// Bitwise comparison of every node temperature on every machine.
+/// Bitwise comparison of the clock and of every node temperature on
+/// every machine.
 fn assert_bit_identical(a: &ClusterSolver, b: &ClusterSolver, context: &str) {
     assert_eq!(a.len(), b.len());
+    assert_eq!(
+        a.time().0.to_bits(),
+        b.time().0.to_bits(),
+        "{context}: clock drift"
+    );
     for m in 0..a.len() {
         let ta = a.machine_at(m).temperatures();
         let tb = b.machine_at(m).temperatures();
@@ -44,8 +52,8 @@ fn assert_bit_identical(a: &ClusterSolver, b: &ClusterSolver, context: &str) {
     }
 }
 
-/// One scripted run: identical inputs pushed into a solver configured
-/// with (batching, threads). Exercises replica fan-fiddles mid-run (a
+/// One scripted run: identical inputs pushed into a solver with
+/// batching on or off. Exercises replica fan-fiddles mid-run (a
 /// machine left alone in its class steps per-machine), per-variant
 /// utilizations, and a forced inlet. `backend` forces the batched lane sweeps onto one
 /// SIMD backend (`None` keeps the host default).
@@ -53,7 +61,6 @@ fn assert_bit_identical(a: &ClusterSolver, b: &ClusterSolver, context: &str) {
 fn scripted_run(
     cluster: &mercury::model::ClusterModel,
     batching: bool,
-    threads: usize,
     backend: Option<SimdBackend>,
     utils: &[f64],
     fiddle_machine: usize,
@@ -62,7 +69,6 @@ fn scripted_run(
 ) -> ClusterSolver {
     let mut s = ClusterSolver::new(cluster, SolverConfig::default()).unwrap();
     s.set_batching(batching);
-    s.set_threads(threads);
     if let Some(backend) = backend {
         s.set_simd_backend(backend).unwrap();
     }
@@ -92,7 +98,7 @@ proptest! {
 
     /// Batched and per-machine stepping are bit-identical on a mixed
     /// cluster (replicas + structural variants + a mid-run fan fiddle +
-    /// a forced inlet), at thread counts 1, 2 and 3, on every SIMD
+    /// a forced inlet), on every SIMD
     /// backend the host supports (unsupported draws fall back to the
     /// baseline, so every backend index is a valid case everywhere).
     #[test]
@@ -102,18 +108,17 @@ proptest! {
         utils in proptest::collection::vec(0.0f64..1.0, 3..6),
         fiddle_machine in 0usize..8,
         fiddle_tick in 1usize..25,
-        threads in 1usize..4,
         backend_idx in 0usize..SimdBackend::ALL.len(),
     ) {
         let backend = SimdBackend::ALL[backend_idx];
         let backend = if backend.supported() { backend } else { SimdBackend::Baseline };
         let cluster = presets::mixed_cluster(replicated, unique);
         let baseline = scripted_run(
-            &cluster, false, 1, None, &utils, fiddle_machine, fiddle_tick, 30,
+            &cluster, false, None, &utils, fiddle_machine, fiddle_tick, 30,
         );
         prop_assert_eq!(baseline.batched_machines(), 0);
         let batched = scripted_run(
-            &cluster, true, threads, Some(backend), &utils, fiddle_machine,
+            &cluster, true, Some(backend), &utils, fiddle_machine,
             fiddle_tick, 30,
         );
         // The batched run really used the batched path (the replicas
@@ -142,9 +147,9 @@ fn batched_backends_match_at_odd_lane_counts() {
     let utils = [0.85, 0.15, 0.6, 0.4, 0.95];
     for machines in [2usize, 3, 31, 32, 33] {
         let cluster = presets::validation_cluster(machines);
-        let baseline = scripted_run(&cluster, false, 1, None, &utils, 1, 9, 25);
+        let baseline = scripted_run(&cluster, false, None, &utils, 1, 9, 25);
         for backend in SimdBackend::ALL.into_iter().filter(|b| b.supported()) {
-            let batched = scripted_run(&cluster, true, 1, Some(backend), &utils, 1, 9, 25);
+            let batched = scripted_run(&cluster, true, Some(backend), &utils, 1, 9, 25);
             assert_eq!(batched.simd_backend(), backend);
             // After the mid-run fiddle demotes one machine, the rest
             // still batch — unless that leaves fewer than the 2-machine
@@ -187,18 +192,16 @@ fn batch_backend_selection_is_validated() {
 }
 
 /// The replicated fast path engages on a homogeneous cluster and stays
-/// bit-identical to the per-machine path across thread counts.
+/// bit-identical to the per-machine path.
 #[test]
-fn batched_replicated_cluster_is_bit_identical_at_all_thread_counts() {
+fn batched_replicated_cluster_matches_per_machine() {
     let cluster = presets::validation_cluster(40);
     let utils = [0.9, 0.2, 0.55, 0.7];
-    let baseline = scripted_run(&cluster, false, 1, None, &utils, 5, 10, 40);
-    for threads in [1, 2, 3, 4] {
-        let batched = scripted_run(&cluster, true, threads, None, &utils, 5, 10, 40);
-        // 40 replicas, one fiddled away mid-run.
-        assert_eq!(batched.batched_machines(), 39);
-        assert_bit_identical(&baseline, &batched, &format!("{threads} threads"));
-    }
+    let baseline = scripted_run(&cluster, false, None, &utils, 5, 10, 40);
+    let batched = scripted_run(&cluster, true, None, &utils, 5, 10, 40);
+    // 40 replicas, one fiddled away mid-run.
+    assert_eq!(batched.batched_machines(), 39);
+    assert_bit_identical(&baseline, &batched, "replicated room");
 }
 
 /// A machine whose fan is fiddled leaves the shared-operator group; alone
@@ -404,6 +407,267 @@ proptest! {
     }
 }
 
+// --- fused replay -----------------------------------------------------------
+//
+// One `step_for` call per script segment against one `step()` per tick,
+// batched or per machine, through fiddles, forced inlets and restores.
+
+/// How a run advances time between script events.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Drive {
+    /// One `step()` call per tick.
+    PerTick,
+    /// One `step_for(segment)` call per script segment (fused spans).
+    Fused,
+}
+
+/// One scripted run in two segments. Between them — the only place
+/// external mutation is allowed, and therefore a natural fused span
+/// break — the script fiddles one machine's fan (moving it out of its
+/// batch group).
+fn segmented_run(
+    cluster: &mercury::model::ClusterModel,
+    drive: Drive,
+    batching: bool,
+    utils: &[f64],
+    fiddle_machine: usize,
+    segments: [usize; 2],
+) -> ClusterSolver {
+    let mut s = ClusterSolver::new(cluster, SolverConfig::default()).unwrap();
+    s.set_batching(batching);
+    let names: Vec<String> = s.machine_names().iter().map(|n| n.to_string()).collect();
+    for (i, name) in names.iter().enumerate() {
+        let u = utils[i % utils.len()];
+        s.set_utilization(name, nodes::CPU, u).unwrap();
+        s.set_utilization(name, nodes::DISK_PLATTERS, 1.0 - u)
+            .unwrap();
+    }
+    s.force_inlet(&names[0], Celsius(24.0)).unwrap();
+    let advance = |s: &mut ClusterSolver, ticks: usize| match drive {
+        Drive::PerTick => (0..ticks).for_each(|_| s.step()),
+        Drive::Fused => s.step_for(ticks),
+    };
+    advance(&mut s, segments[0]);
+    // Mid-run divergence: a fan-speed fiddle kicks one machine off the
+    // batched path and invalidates its flow cache.
+    let name = &names[fiddle_machine % names.len()];
+    s.machine_mut(name).unwrap().set_fan_cfm(30.0).unwrap();
+    advance(&mut s, segments[1]);
+    s
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Per-machine, batched per-tick and batched fused-replay stepping
+    /// are bit-identical on mixed clusters with a mid-run fan fiddle
+    /// and a forced inlet.
+    #[test]
+    fn batch_and_fused_match_serial_on_mixed_clusters(
+        replicated in 3usize..8,
+        unique in 0usize..3,
+        utils in proptest::collection::vec(0.0f64..1.0, 3..6),
+        fiddle_machine in 0usize..8,
+        seg0 in 1usize..12,
+        seg1 in 1usize..24,
+    ) {
+        let segments = [seg0, seg1];
+        let cluster = presets::mixed_cluster(replicated, unique);
+        let serial = segmented_run(
+            &cluster, Drive::PerTick, false, &utils, fiddle_machine, segments,
+        );
+        prop_assert_eq!(serial.batched_machines(), 0);
+        let batched = segmented_run(
+            &cluster, Drive::PerTick, true, &utils, fiddle_machine, segments,
+        );
+        let fused = segmented_run(
+            &cluster, Drive::Fused, true, &utils, fiddle_machine, segments,
+        );
+        // The fused run really engaged the batched path (replicas minus
+        // at most the fiddled one still group).
+        prop_assert!(fused.batched_machines() >= replicated - 1);
+        assert_bit_identical(&serial, &batched, "batched vs serial");
+        assert_bit_identical(&serial, &fused, "fused vs serial");
+    }
+}
+
+/// Fused replay with a recording sink observes exactly the per-tick
+/// trajectory: the recorded history is bit-identical to stepping one
+/// tick at a time and reading the probed nodes after each tick.
+#[test]
+fn batch_fused_recorded_history_matches_per_tick_reads() {
+    let cluster = presets::validation_cluster(24);
+    let mut reference = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
+    let mut fused = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
+    for s in [&mut reference, &mut fused] {
+        s.set_utilization("machine3", nodes::CPU, 0.8).unwrap();
+        s.set_utilization("machine7", nodes::DISK_PLATTERS, 0.5)
+            .unwrap();
+        // One batched probe, one solo probe (machine11 leaves the batch).
+        s.machine_mut("machine11")
+            .unwrap()
+            .set_fan_cfm(32.0)
+            .unwrap();
+    }
+    let probes = [
+        fused.probe("machine3", nodes::CPU).unwrap(),
+        fused.probe("machine11", nodes::CPU_AIR).unwrap(),
+    ];
+
+    let mut expected = Vec::new();
+    for _ in 0..50 {
+        reference.step();
+        expected.push((
+            reference.time().0,
+            reference.temperature("machine3", nodes::CPU).unwrap().0,
+            reference
+                .temperature("machine11", nodes::CPU_AIR)
+                .unwrap()
+                .0,
+        ));
+    }
+
+    let mut recorded = Vec::new();
+    fused.step_for_recorded(50, &probes, |time, temps| {
+        recorded.push((time.0, temps[0].0, temps[1].0));
+    });
+
+    assert_eq!(recorded.len(), expected.len());
+    for (tick, (r, e)) in recorded.iter().zip(&expected).enumerate() {
+        assert_eq!(r.0.to_bits(), e.0.to_bits(), "tick {tick}: time");
+        assert_eq!(r.1.to_bits(), e.1.to_bits(), "tick {tick}: batched probe");
+        assert_eq!(r.2.to_bits(), e.2.to_bits(), "tick {tick}: solo probe");
+    }
+    assert_bit_identical(&reference, &fused, "after recorded replay");
+}
+
+/// Every supported SIMD backend stays bit-identical to per-machine
+/// stepping under per-tick and fused replay, with a solo machine
+/// stepping beside the chunks.
+#[test]
+fn batch_per_tick_and_fused_match_on_every_simd_backend() {
+    let cluster = presets::validation_cluster(40);
+    let utils = [0.9, 0.25, 0.6];
+    let run = |backend: Option<SimdBackend>, fused: bool| {
+        let mut s = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
+        if let Some(b) = backend {
+            s.set_simd_backend(b).unwrap();
+        } else {
+            s.set_batching(false);
+        }
+        let names: Vec<String> = s.machine_names().iter().map(|n| n.to_string()).collect();
+        for (i, name) in names.iter().enumerate() {
+            s.set_utilization(name, nodes::CPU, utils[i % utils.len()])
+                .unwrap();
+        }
+        // Demote one machine so chunks and a solo machine share ticks.
+        s.machine_mut("machine17")
+            .unwrap()
+            .set_fan_cfm(30.0)
+            .unwrap();
+        if fused {
+            s.step_for(35);
+        } else {
+            for _ in 0..35 {
+                s.step();
+            }
+        }
+        s
+    };
+    let serial = run(None, false);
+    for backend in supported_backends() {
+        let per_tick = run(Some(backend), false);
+        assert!(per_tick.batched_machines() >= 39);
+        assert_bit_identical(&serial, &per_tick, &format!("per-tick {}", backend.name()));
+        let fused = run(Some(backend), true);
+        assert_bit_identical(&serial, &fused, &format!("fused {}", backend.name()));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Rooms of 1..=70 machines under a random fiddle script (fan,
+    /// heat-k, air-fraction, pins, releases — see `common`): batched
+    /// per-tick or fused stepping, with a checkpoint → restore →
+    /// continue in the middle, ends bit-identical to per-machine
+    /// stepping that never left its solver.
+    #[test]
+    fn batch_fiddled_rooms_match_serial_through_fusion_and_restore(
+        machines in 1usize..=70,
+        subset in 1usize..=24,
+        script in script_strategy(36, 24, 0..40),
+        utils in proptest::collection::vec(0.0f64..1.0, 3..6),
+        fused in any::<bool>(),
+        restore_at in 1usize..36,
+    ) {
+        let cluster = presets::recirculating_cluster(machines, 0.25);
+        let script: Vec<Event> = script
+            .into_iter()
+            .map(|e| Event { machine: e.machine % subset, ..e })
+            .collect();
+        let serial = run(&cluster, &utils, &script, 36, Setup::PER_MACHINE);
+        let drive = Setup {
+            fused,
+            restore_at: Some(restore_at),
+            ..Setup::BATCHED
+        };
+        let batched = run(&cluster, &utils, &script, 36, drive);
+        assert_same_state(
+            &serial,
+            &batched,
+            &format!("{machines} machines, fused={fused}, restored at {restore_at}"),
+        );
+    }
+}
+
+/// A checkpoint does not record which path stepped a machine: after 200
+/// churned ticks with fan commands every 10, the blob of a batched room
+/// equals the blob of the same room stepped per-machine, byte for byte.
+///
+/// Every machine is fan-commanded before the first tick. `mercury-ckpt-v1`
+/// carries a tick counter that undiverged batched machines have never
+/// booked, so only a diverged room has path-independent bytes; dropping
+/// the field is a format change.
+#[test]
+fn batch_checkpoint_bytes_ignore_the_batching_path() {
+    let machines = 40;
+    let cluster = presets::recirculating_cluster(machines, 0.2);
+    // Five speeds: several per-lane groups, re-dealt every 10 ticks so
+    // machines keep changing groups and weights; every cell changes
+    // every tick.
+    let scale = |m: usize, round: usize| 0.7 + ((m * 7 + round * 3) % 5) as f64 * 0.15;
+    let mut script = Vec::new();
+    for tick in 0..200 {
+        for m in 0..machines {
+            if tick % 10 == 0 && (tick == 0 || m % 3 == 0) {
+                script.push(Event {
+                    tick,
+                    machine: m,
+                    fiddle: Fiddle::Fan(scale(m, tick / 10)),
+                });
+            }
+            script.push(Event {
+                tick,
+                machine: m,
+                fiddle: Fiddle::Utilization(((tick * 31 + m * 17) % 100) as f64 / 100.0),
+            });
+        }
+    }
+    let utils = [0.5];
+    let per_machine = run(&cluster, &utils, &script, 200, Setup::PER_MACHINE);
+    let batched = run(&cluster, &utils, &script, 200, Setup::BATCHED);
+    assert!(
+        batched.batched_machines() >= machines - 5,
+        "only {} of {machines} diverged machines batched",
+        batched.batched_machines()
+    );
+    assert!(
+        batched.checkpoint() == per_machine.checkpoint(),
+        "checkpoint bytes differ between batched and per-machine"
+    );
+}
+
 // --- the fed span ---------------------------------------------------------
 //
 // `step_for_fed` against "the same inputs through
@@ -551,6 +815,41 @@ fn batch_fed_solo_machines_reprice_in_span() {
     assert_eq!(fed.batched_machines(), 6);
 }
 
+/// The same solo machines — one pinned, one alone in its fan class — in
+/// a room of 40 on every backend, every cell changing every tick.
+#[test]
+fn batch_fed_solo_machines_reprice_on_every_backend() {
+    let cluster = presets::validation_cluster(40);
+    let script = [
+        Event {
+            tick: 0,
+            machine: 3,
+            fiddle: Fiddle::Pin(52.0),
+        },
+        Event {
+            tick: 0,
+            machine: 17,
+            fiddle: Fiddle::Fan(0.7),
+        },
+    ];
+    for backend in supported_backends() {
+        let fed = FedPlan {
+            utils: &[0.2, 0.9, 0.5],
+            script: &script,
+            inputs: FedInputs {
+                seed: 5,
+                density: 100,
+            },
+            ..dense_plan(&cluster, 18)
+        }
+        .check(Setup {
+            backend: Some(backend),
+            ..Setup::BATCHED
+        });
+        assert_eq!(fed.batched_machines(), 38, "{}", backend.name());
+    }
+}
+
 /// A feed that fails mid-span leaves the room at the tick boundary it
 /// had reached — the ticks stepped so far scattered back and booked —
 /// and the next span picks up from there.
@@ -682,8 +981,7 @@ fn batch_fed_ticks_count_apart_from_fused_ticks() {
 // anything but supplies and junctions something reads (or that read a
 // later junction) every tick, the other junctions once at its end.
 // `common::MixPlan::check` holds a room to one stepped one `step()` at a
-// time on one thread, down to every junction temperature and the
-// checkpoint bytes. Names start `batch_mix_` so the CI filter above
+// time, down to every junction temperature and the checkpoint bytes. Names start `batch_mix_` so the CI filter above
 // picks them up.
 
 proptest! {
@@ -862,6 +1160,49 @@ fn batch_mix_solo_exhausts_reach_deferred_junctions() {
     assert_eq!(fused.batched_machines(), 8);
 }
 
+/// Live and deferred sinks with solo machines beside the chunks, on
+/// every backend: a hot aisle recirculating into some inlets, a
+/// junction reading a later one, an unread junction, two pinned
+/// machines and a forced inlet.
+#[test]
+fn batch_mix_live_and_deferred_sinks_on_every_backend() {
+    let room = MixRoom {
+        exhausts: vec![1, 2, 0],
+        junctions: 3,
+        exhaust_to: vec![Some(0), Some(2)],
+        recirculate: vec![Some(0), None, None],
+        links: vec![(2, 1)],
+        pinned: vec![4, 11],
+        ..MixRoom::ideal(36)
+    };
+    let calls = [
+        MixCall::fed(12),
+        MixCall::Force {
+            machine: 3,
+            t: 31.0,
+        },
+        MixCall::Recorded { ticks: 9 },
+        MixCall::Fed {
+            ticks: 10,
+            end: Some(5),
+            fail: true,
+        },
+        MixCall::Supply { supply: 0, t: 20.5 },
+        MixCall::fed(8),
+    ];
+    for backend in supported_backends() {
+        let fused = MixPlan {
+            room: &room,
+            calls: &calls,
+        }
+        .check(Setup {
+            backend: Some(backend),
+            ..Setup::BATCHED
+        });
+        assert_eq!(fused.batched_machines(), 34, "{}", backend.name());
+    }
+}
+
 // --- whole-frame feeds ----------------------------------------------------
 //
 // `TickInputs::set_frame` against per-cell `set_utilization_at` feeds and
@@ -949,6 +1290,52 @@ fn batch_frame_solo_machines_take_their_cells_in_their_solvers() {
     ];
     let framed = frame_plan(&room, &calls).check(Setup::BATCHED);
     assert_eq!(framed.batched_machines(), 8);
+}
+
+/// Solo machines and cells the lanes cannot price, on every backend: a
+/// pinned machine and one alone in its fan class step beside the chunks
+/// while the frame lands on both.
+#[test]
+fn batch_frame_solo_and_fallback_cells_on_every_backend() {
+    let room = FrameRoom {
+        recirculate: vec![true, false],
+        pinned: vec![7],
+        ..FrameRoom::ideal(36)
+    };
+    let calls = [
+        FrameCall::Fan {
+            machine: 20,
+            scale: 0.7,
+        },
+        FrameCall::Remodel {
+            machine: 11,
+            kind: 1,
+        },
+        FrameCall::fed(9),
+        FrameCall::Supply(20.5),
+        FrameCall::Fed {
+            ticks: 8,
+            end: Some(3),
+            fail: true,
+            write: true,
+        },
+        FrameCall::fed(6),
+    ];
+    for backend in supported_backends() {
+        let framed = FramePlan {
+            room: &room,
+            calls: &calls,
+            inputs: FedInputs {
+                seed: 13,
+                density: 100,
+            },
+        }
+        .check(Setup {
+            backend: Some(backend),
+            ..Setup::BATCHED
+        });
+        assert_eq!(framed.batched_machines(), 34, "{}", backend.name());
+    }
 }
 
 /// The heat a lane priced goes back to the solver with the utilization:
@@ -1164,11 +1551,11 @@ proptest! {
 }
 
 /// The room stepper does not care how the room is configured: a batched
-/// room on two threads, with per-lane groups, solo machines, a
+/// room with per-lane groups, solo machines, a
 /// recirculating junction and an unread one, forced inlets and a supply
 /// change, equals it after every tick.
 #[test]
-fn batch_oracle_batched_rooms_on_the_pool_match_the_room_stepper() {
+fn batch_oracle_batched_rooms_match_the_room_stepper() {
     let room = MixRoom {
         junctions: 2,
         exhaust_to: vec![Some(0), Some(1), Some(0)],
@@ -1214,14 +1601,10 @@ fn batch_oracle_batched_rooms_on_the_pool_match_the_room_stepper() {
         changes: &changes,
         ticks: 20,
     }
-    .check(Setup {
-        threads: 2,
-        ..Setup::BATCHED
-    });
+    .check(Setup::BATCHED);
     // The heat-k- and air-fraction-fiddled boxes are each alone in
     // their class, so they step solo beside the chunks.
     assert_eq!(batched.batched_machines(), 22);
-    assert_eq!(batched.pool_workers(), 2);
 }
 
 /// A call hands each machine the clock its span ends at, added up once
@@ -1297,7 +1680,7 @@ proptest! {
     ) {
         let mut script = script;
         script.extend(pins_and_releases(machine, pinned, released));
-        RecomposePlan { room: &room, utils: &utils, script: &script, ticks: 30, threads: 1 }
+        RecomposePlan { room: &room, utils: &utils, script: &script, ticks: 30 }
             .check();
     }
 }
@@ -1336,7 +1719,6 @@ fn batch_recompose_every_command_in_turn() {
         utils: &[0.3, 0.8],
         script: &script,
         ticks: 26,
-        threads: 1,
     }
     .check();
     assert!(gap > 0.0, "composition reassociates, so some bit moves");

@@ -1,5 +1,5 @@
 //! Script machinery shared by the diverged-room equivalence suites
-//! (`batch_equivalence.rs`, `pool_equivalence.rs`): a room whose
+//! (`batch_equivalence.rs`, `copy_on_write.rs`): a room whose
 //! machines are fan-, heat-k- and air-fraction-fiddled, pinned and
 //! released mid-run, driven the same way through differently configured
 //! solvers — and, for the fed span ([`FedPlan`]), a second room that
@@ -114,7 +114,6 @@ pub fn script_strategy(
 #[derive(Debug, Clone, Copy)]
 pub struct Setup {
     pub batching: bool,
-    pub threads: usize,
     pub backend: Option<SimdBackend>,
     /// `step_for` between events instead of one `step` per tick.
     pub fused: bool,
@@ -124,10 +123,9 @@ pub struct Setup {
 }
 
 impl Setup {
-    /// The reference: every machine on its own kernel, one thread.
+    /// The reference: every machine on its own kernel.
     pub const PER_MACHINE: Setup = Setup {
         batching: false,
-        threads: 1,
         backend: None,
         fused: false,
         restore_at: None,
@@ -142,7 +140,6 @@ impl Setup {
     fn build(&self, cluster: &ClusterModel) -> ClusterSolver {
         let mut s = ClusterSolver::new(cluster, SolverConfig::default()).unwrap();
         s.set_batching(self.batching);
-        s.set_threads(self.threads);
         if let Some(backend) = self.backend {
             s.set_simd_backend(backend).unwrap();
         }
@@ -353,11 +350,7 @@ impl FedPlan<'_> {
     /// `time()` wherever a span ends. Returns the fed room.
     pub fn check(&self, setup: Setup) -> ClusterSolver {
         let mut fed = setup.build(self.cluster);
-        let mut stepped = Setup {
-            threads: 1,
-            ..setup
-        }
-        .build(self.cluster);
+        let mut stepped = setup.build(self.cluster);
         let n = fed.len();
         let node_of: Vec<usize> = FED_COMPONENTS
             .iter()
@@ -701,7 +694,7 @@ pub struct MixPlan<'a> {
 
 impl MixPlan<'_> {
     /// Makes `calls` on a room configured by `setup` and on a room
-    /// stepped one `step()` at a time on one thread with the same
+    /// stepped one `step()` at a time with the same
     /// inputs, and holds them together by bit pattern: every probe
     /// value after every tick (every node of every machine, from inside
     /// the span), and after every call the clock, every node
@@ -712,11 +705,7 @@ impl MixPlan<'_> {
     pub fn check(&self, setup: Setup) -> ClusterSolver {
         let model = self.room.model();
         let mut fast = setup.build(&model);
-        let mut slow = Setup {
-            threads: 1,
-            ..setup
-        }
-        .build(&model);
+        let mut slow = setup.build(&model);
         let n = fast.len();
         let name = |m: usize| format!("m{}", m % n);
         let cpu: Vec<usize> = (0..n)
@@ -1075,7 +1064,7 @@ impl FramePlan<'_> {
     /// (`TickInputs::set_frame`, configured by `setup`), one fed the
     /// changed cells one by one (`TickInputs::set_utilization_at`, same
     /// setup), and one that takes the same cells through its solvers and
-    /// `step()`s on one thread. Holds them together by bit pattern:
+    /// `step()`s. Holds them together by bit pattern:
     /// every probe after every tick (every node of every machine), and
     /// after every call the clock, every node temperature, inlet field
     /// and junction temperature and the `checkpoint()` bytes — and the
@@ -1087,11 +1076,7 @@ impl FramePlan<'_> {
         let model = self.room.model();
         let mut framed = setup.build(&model);
         let mut celled = setup.build(&model);
-        let mut stepped = Setup {
-            threads: 1,
-            ..setup
-        }
-        .build(&model);
+        let mut stepped = setup.build(&model);
         let n = framed.len();
         let cells = self.room.cells(&framed);
         let frame = framed.input_frame(&cells).unwrap();
@@ -2026,14 +2011,11 @@ pub struct RecomposePlan<'a> {
     /// machines taken modulo the room size.
     pub script: &'a [Event],
     pub ticks: usize,
-    /// Threads the batched rooms step on.
-    pub threads: usize,
 }
 
 impl RecomposePlan<'_> {
     /// Steps the room per machine (`set_batching(false)`, one `step()` a
-    /// tick), batched at every supported SIMD level on `threads` threads
-    /// (one `step_for_recorded` span between events, so every command
+    /// tick), batched at every supported SIMD level (one `step_for_recorded` span between events, so every command
     /// recomposes a kernel between two spans), and as a [`RoomStepper`]
     /// of stepped-Euler [`ReferenceSolver`]s, all taking the script.
     /// Holds every batched room to the per-machine one bit for bit after
@@ -2048,7 +2030,6 @@ impl RecomposePlan<'_> {
             .map(|backend| {
                 Setup {
                     backend: Some(backend),
-                    threads: self.threads,
                     ..Setup::BATCHED
                 }
                 .build(&model)

@@ -53,9 +53,7 @@ fn built_apart() -> ClusterModel {
 }
 
 fn room(model: &ClusterModel) -> ClusterSolver {
-    let mut room = ClusterSolver::new(model, SolverConfig::default()).unwrap();
-    room.set_threads(1);
-    room
+    ClusterSolver::new(model, SolverConfig::default()).unwrap()
 }
 
 /// Every fiddle the shared drivers know, power models included.

@@ -88,11 +88,9 @@ fn blocky_rows() -> impl Strategy<Value = (usize, Vec<Vec<f64>>)> {
     })
 }
 
-fn cluster(n: usize, threads: usize) -> ClusterSolver {
-    let mut c = ClusterSolver::new(&presets::validation_cluster(n), SolverConfig::default())
-        .expect("preset cluster builds");
-    c.set_threads(threads);
-    c
+fn cluster(n: usize) -> ClusterSolver {
+    ClusterSolver::new(&presets::validation_cluster(n), SolverConfig::default())
+        .expect("preset cluster builds")
 }
 
 fn temps_bits(c: &ClusterSolver) -> Vec<u64> {
@@ -191,7 +189,7 @@ fn stream_rejects_corrupt_files() {
         let _guard = Cleanup(path.clone());
         std::fs::write(&path, &bytes[..cut]).unwrap();
         let outcome = EventsStream::open(&path).and_then(|mut s| {
-            let mut c = cluster(2, 1);
+            let mut c = cluster(2);
             let binding = ClusterBinding::new(s.header(), &c)?;
             s.replay(&binding, &mut c).map(|_| ())
         });
@@ -240,7 +238,7 @@ fn stream_rejects_corrupt_files() {
     let _guard = Cleanup(path.clone());
     std::fs::write(&path, &padded).unwrap();
     let mut s = EventsStream::open(&path).unwrap();
-    let mut c = cluster(2, 1);
+    let mut c = cluster(2);
     let binding = ClusterBinding::new(s.header(), &c).unwrap();
     assert!(s.replay(&binding, &mut c).is_err());
 }
@@ -253,7 +251,7 @@ fn binding_validates_shape_and_interval() {
     let header = events::EventsHeader::parse(&bytes).unwrap().0;
 
     // Unknown machine name.
-    let two = cluster(2, 1);
+    let two = cluster(2);
     assert!(ClusterBinding::new(&header, &two).is_ok());
     let mut renamed = header.clone();
     renamed.machines[0] = "no-such-machine".into();
@@ -298,7 +296,7 @@ fn binding_resolves_shuffled_headers_by_name() {
         .collect();
     let (path, _guard) = write_events(&traces, "shuffled");
     let mut stream = EventsStream::open(&path).unwrap();
-    let mut c = cluster(ROOM, 1);
+    let mut c = cluster(ROOM);
     let binding = ClusterBinding::new(stream.header(), &c).unwrap();
     stream.replay(&binding, &mut c).unwrap();
     for m in 0..ROOM {
@@ -393,7 +391,7 @@ fn replay_decode_errors_leave_the_cluster_at_a_tick_boundary() {
 
     let decoded = events::decode(&bytes).unwrap();
     let reference_at = |ticks: usize| {
-        let mut c = cluster(ROOM, 1);
+        let mut c = cluster(ROOM);
         for t in 0..ticks {
             for trace in &decoded {
                 let row = trace.at(mercury::units::Seconds(t as f64)).unwrap();
@@ -413,7 +411,7 @@ fn replay_decode_errors_leave_the_cluster_at_a_tick_boundary() {
         std::fs::write(&path, corrupt).unwrap();
         let reference = reference_at(good_ticks);
         let mut stream = EventsStream::open(&path).unwrap();
-        let mut c = cluster(ROOM, 1);
+        let mut c = cluster(ROOM);
         let binding = ClusterBinding::new(stream.header(), &c).unwrap();
         let err = stream.replay(&binding, &mut c).unwrap_err();
         assert!(
@@ -453,7 +451,7 @@ fn stream_replay_matches_per_tick_feeding() {
     let (path, _guard) = write_events(&traces, "equiv");
 
     // Ground truth: decode in RAM and feed tick by tick.
-    let mut truth = cluster(3, 1);
+    let mut truth = cluster(3);
     let decoded = events::decode(&std::fs::read(&path).unwrap()).unwrap();
     for t in 0..rows.len() {
         for trace in &decoded {
@@ -471,7 +469,7 @@ fn stream_replay_matches_per_tick_feeding() {
     }
 
     let mut stream = EventsStream::open(&path).unwrap();
-    let mut c = cluster(3, 1);
+    let mut c = cluster(3);
     let binding = ClusterBinding::new(stream.header(), &c).unwrap();
     let flat = stream.memory_bytes();
     // Replay in uneven chunks so spans split across calls.
@@ -504,7 +502,7 @@ fn replay_reads_peak_rss_at_the_end_of_the_trace_only() {
     let mut stream = EventsStream::open(&path).unwrap();
     let metrics = ReplayMetrics::new();
     stream.set_metrics(metrics.clone());
-    let mut c = cluster(2, 1);
+    let mut c = cluster(2);
     let binding = ClusterBinding::new(stream.header(), &c).unwrap();
 
     metrics.peak_rss.set(1.0);
@@ -527,7 +525,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Checkpointed time-segment replay is bitwise-identical to the
-    /// uninterrupted serial run, at 1, 2, and 8 threads: cut the trace at
+    /// uninterrupted serial run: cut the trace at
     /// random boundaries, checkpoint the serial run at each cut, then
     /// replay every segment from its checkpoint in parallel workers and
     /// compare final (and per-boundary) state bit for bit.
@@ -550,53 +548,50 @@ proptest! {
         bounds.append(&mut cuts);
         bounds.push(ticks);
 
-        for threads in [1usize, 2, 8] {
-            // Serial reference run, checkpointing at every boundary.
-            let mut serial = cluster(machines, threads);
-            let mut stream = EventsStream::open(&path).unwrap();
-            let binding = ClusterBinding::new(stream.header(), &serial).unwrap();
-            let mut blobs = vec![serial.checkpoint()];
-            for pair in bounds.windows(2) {
-                stream
-                    .replay_ticks(&binding, &mut serial, pair[1] - pair[0])
-                    .unwrap();
-                blobs.push(serial.checkpoint());
-            }
+        // Serial reference run, checkpointing at every boundary.
+        let mut serial = cluster(machines);
+        let mut stream = EventsStream::open(&path).unwrap();
+        let binding = ClusterBinding::new(stream.header(), &serial).unwrap();
+        let mut blobs = vec![serial.checkpoint()];
+        for pair in bounds.windows(2) {
+            stream
+                .replay_ticks(&binding, &mut serial, pair[1] - pair[0])
+                .unwrap();
+            blobs.push(serial.checkpoint());
+        }
 
-            // Parallel segment workers: restore blob i, seek, replay the
-            // segment, and return the end-of-segment checkpoint.
-            let ends: Vec<Vec<u8>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = bounds
-                    .windows(2)
-                    .enumerate()
-                    .map(|(i, pair)| {
-                        let (start, end) = (pair[0], pair[1]);
-                        let blob = &blobs[i];
-                        let path = &path;
-                        scope.spawn(move || {
-                            let mut c = cluster(machines, threads);
-                            c.restore_checkpoint(blob).unwrap();
-                            let mut s = EventsStream::open(path).unwrap();
-                            let b = ClusterBinding::new(s.header(), &c).unwrap();
-                            s.seek(start).unwrap();
-                            let stats = s.replay_ticks(&b, &mut c, end - start).unwrap();
-                            assert_eq!(stats.ticks, end - start);
-                            c.checkpoint()
-                        })
+        // Parallel segment workers: restore blob i, seek, replay the
+        // segment, and return the end-of-segment checkpoint.
+        let ends: Vec<Vec<u8>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = bounds
+                .windows(2)
+                .enumerate()
+                .map(|(i, pair)| {
+                    let (start, end) = (pair[0], pair[1]);
+                    let blob = &blobs[i];
+                    let path = &path;
+                    scope.spawn(move || {
+                        let mut c = cluster(machines);
+                        c.restore_checkpoint(blob).unwrap();
+                        let mut s = EventsStream::open(path).unwrap();
+                        let b = ClusterBinding::new(s.header(), &c).unwrap();
+                        s.seek(start).unwrap();
+                        let stats = s.replay_ticks(&b, &mut c, end - start).unwrap();
+                        assert_eq!(stats.ticks, end - start);
+                        c.checkpoint()
                     })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
 
-            for (i, end_blob) in ends.iter().enumerate() {
-                prop_assert!(
-                    end_blob == &blobs[i + 1],
-                    "segment {} of {} diverged at {} threads",
-                    i,
-                    bounds.len() - 1,
-                    threads
-                );
-            }
+        for (i, end_blob) in ends.iter().enumerate() {
+            prop_assert!(
+                end_blob == &blobs[i + 1],
+                "segment {} of {} diverged",
+                i,
+                bounds.len() - 1
+            );
         }
     }
 }

@@ -273,18 +273,12 @@ fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// Times one replicated-cluster configuration at the given thread count,
-/// with the batched path on or off. Returns (seconds, batched machines).
-fn time_replicated_cluster(
-    n: usize,
-    ticks: usize,
-    batching: bool,
-    threads: usize,
-) -> Result<(f64, usize)> {
+/// Times one replicated-cluster configuration, with the batched path on
+/// or off. Returns (seconds, batched machines).
+fn time_replicated_cluster(n: usize, ticks: usize, batching: bool) -> Result<(f64, usize)> {
     let model = presets::validation_cluster(n);
     let mut s = ClusterSolver::new(&model, SolverConfig::default())?;
     s.set_batching(batching);
-    s.set_threads(threads);
     for i in 1..=n {
         s.set_utilization(&format!("machine{i}"), nodes::CPU, 0.7)?;
     }
@@ -293,13 +287,13 @@ fn time_replicated_cluster(
     Ok((secs, s.batched_machines()))
 }
 
-/// Best-of-`runs` single-threaded wall time for `ticks` cluster ticks
+/// Best-of-`runs` wall time for `ticks` cluster ticks
 /// at `n` machines: `fused` chooses one `step_for` span versus a
 /// per-tick `step()` loop (the pre-fusion replay shape). Utilization is
 /// constant, so repeated runs on the same steady-state solver are
 /// directly comparable.
 fn time_replay(n: usize, ticks: usize, fused: bool, runs: usize) -> Result<f64> {
-    let mut s = warm_cluster(n, |s| s.set_threads(1))?;
+    let mut s = warm_cluster(n, |_| {})?;
     let mut best = f64::INFINITY;
     for _ in 0..runs {
         best = best.min(if fused {
@@ -445,8 +439,7 @@ fn time_sampling_interleaved(
 /// `bench_solver`: single-machine and cluster throughput — the CSR
 /// kernel vs the seed algorithm, and the batched SoA cluster path vs
 /// per-machine stepping at 64/256/1024 replicated machines — written to
-/// `BENCH_solver.json` together with the core count, actual thread
-/// counts, peak RSS, and the telemetry overhead A/B (instrumented vs
+/// `BENCH_solver.json` together with the core count, peak RSS, and the telemetry overhead A/B (instrumented vs
 /// not, which must stay within the 2% contract).
 pub fn bench_solver() -> Result {
     let cores = std::thread::available_parallelism()
@@ -493,45 +486,20 @@ pub fn bench_solver() -> Result {
         }
     });
 
-    // Per-machine path (the PR-1 kernel): batching off, one thread.
-    let (cluster_serial_s, _) = time_replicated_cluster(64, cluster_ticks, false, 1)?;
-    // Batched path, one thread.
-    let (cluster_batched_s, _) = time_replicated_cluster(64, cluster_ticks, true, 1)?;
-
-    // The parallel measurement is only meaningful with >1 core: on a
-    // single-core box the scoped threads just time-slice and the result
-    // would (misleadingly) read slower than serial. Skip it there, and
-    // record the thread count actually used otherwise.
-    let parallel = if cores > 1 {
-        let mut s = ClusterSolver::new(&cluster_model, SolverConfig::default())?;
-        // Explicit: the automatic policy keeps a 64-machine room serial.
-        s.set_threads(cores);
-        for i in 1..=64 {
-            s.set_utilization(&format!("machine{i}"), nodes::CPU, 0.7)?;
-        }
-        let threads = s.effective_threads();
-        s.step_for(20);
-        Some((time(|| s.step_for(cluster_ticks)), threads))
-    } else {
-        None
-    };
+    // Per-machine path (the PR-1 kernel): batching off.
+    let (cluster_serial_s, _) = time_replicated_cluster(64, cluster_ticks, false)?;
+    // Batched path.
+    let (cluster_batched_s, _) = time_replicated_cluster(64, cluster_ticks, true)?;
 
     let cluster_ref_tps = cluster_ticks as f64 / cluster_ref_s;
     let cluster_serial_tps = cluster_ticks as f64 / cluster_serial_s;
     let cluster_batched_tps = cluster_ticks as f64 / cluster_batched_s;
     let cluster_speedup = cluster_batched_tps / cluster_ref_tps;
-    let parallel_json = match parallel {
-        Some((secs, threads)) => format!(
-            "\"kernel_parallel_seconds\": {secs:.3},\n    \"kernel_parallel_ticks_per_sec\": {:.1},\n    \"parallel_threads\": {threads}",
-            cluster_ticks as f64 / secs
-        ),
-        None => "\"kernel_parallel_seconds\": \"skipped_single_core\",\n    \"parallel_threads\": 1".to_string(),
-    };
 
     // --- replicated-cluster scaling: batched vs per-machine kernel -------
     let scale = |n: usize, ticks: usize| -> Result<(usize, f64, f64, usize)> {
-        let (per_machine_s, _) = time_replicated_cluster(n, ticks, false, 1)?;
-        let (batched_s, batched) = time_replicated_cluster(n, ticks, true, 1)?;
+        let (per_machine_s, _) = time_replicated_cluster(n, ticks, false)?;
+        let (batched_s, batched) = time_replicated_cluster(n, ticks, true)?;
         Ok((ticks, per_machine_s, batched_s, batched))
     };
     let (ticks_256, per_machine_256_s, batched_256_s, batched_256) = scale(256, 1200)?;
@@ -698,14 +666,14 @@ pub fn bench_solver() -> Result {
             std::process::id()
         ));
         crate::replay::synthesize_events(&path, 1024, 2000)?;
-        let bench = crate::replay::bench_replay(&path, 1024, 3, 4, 1);
+        let bench = crate::replay::bench_replay(&path, 1024, 3, 4);
         let _ = std::fs::remove_file(&path);
         bench?
     };
     let replay_json = replay_bench.to_json();
 
     let json = format!(
-        "{{\n  \"hardware\": {{ \"cores\": {cores}, \"peak_rss_bytes\": {rss} }},\n  \"single_machine\": {{\n    \"model\": \"validation_machine\",\n    \"ticks\": {ticks},\n    \"reference_ticks_per_sec\": {machine_ref_tps:.1},\n    \"kernel_ticks_per_sec\": {machine_kern_tps:.1},\n    \"speedup\": {machine_speedup:.2}\n  }},\n  \"cluster_64\": {{\n    \"model\": \"validation_cluster(64)\",\n    \"ticks\": {cluster_ticks},\n    \"reference_seconds\": {cluster_ref_s:.3},\n    \"kernel_serial_seconds\": {cluster_serial_s:.3},\n    \"kernel_batched_seconds\": {cluster_batched_s:.3},\n    {parallel_json},\n    \"reference_ticks_per_sec\": {cluster_ref_tps:.1},\n    \"kernel_serial_ticks_per_sec\": {cluster_serial_tps:.1},\n    \"kernel_batched_ticks_per_sec\": {cluster_batched_tps:.1},\n    \"speedup_vs_reference\": {cluster_speedup:.2}\n  }},\n  {s256},\n  {s1024},\n  {fused_256_json},\n  {fused_1024_json},\n  {telemetry_json},\n  {trace_json},\n  {sampler_json},\n  {replay_json}\n}}\n"
+        "{{\n  \"hardware\": {{ \"cores\": {cores}, \"peak_rss_bytes\": {rss} }},\n  \"single_machine\": {{\n    \"model\": \"validation_machine\",\n    \"ticks\": {ticks},\n    \"reference_ticks_per_sec\": {machine_ref_tps:.1},\n    \"kernel_ticks_per_sec\": {machine_kern_tps:.1},\n    \"speedup\": {machine_speedup:.2}\n  }},\n  \"cluster_64\": {{\n    \"model\": \"validation_cluster(64)\",\n    \"ticks\": {cluster_ticks},\n    \"reference_seconds\": {cluster_ref_s:.3},\n    \"kernel_serial_seconds\": {cluster_serial_s:.3},\n    \"kernel_batched_seconds\": {cluster_batched_s:.3},\n    \"reference_ticks_per_sec\": {cluster_ref_tps:.1},\n    \"kernel_serial_ticks_per_sec\": {cluster_serial_tps:.1},\n    \"kernel_batched_ticks_per_sec\": {cluster_batched_tps:.1},\n    \"speedup_vs_reference\": {cluster_speedup:.2}\n  }},\n  {s256},\n  {s1024},\n  {fused_256_json},\n  {fused_1024_json},\n  {telemetry_json},\n  {trace_json},\n  {sampler_json},\n  {replay_json}\n}}\n"
     );
     std::fs::write("BENCH_solver.json", &json)?;
     println!("wrote BENCH_solver.json");
@@ -717,12 +685,6 @@ pub fn bench_solver() -> Result {
     measured(&format!(
         "64-machine cluster, 3600 ticks: reference {cluster_ref_s:.2} s, per-machine {cluster_serial_s:.2} s, batched {cluster_batched_s:.2} s ({cluster_speedup:.2}× vs reference)"
     ));
-    match parallel {
-        Some((secs, threads)) => measured(&format!(
-            "64-machine cluster parallel: {secs:.2} s on {threads} threads"
-        )),
-        None => measured("parallel measurement skipped: single-core machine"),
-    }
     measured(&format!(
         "256-machine cluster: per-machine {per_machine_256_s:.2} s, batched {batched_256_s:.2} s ({batch_speedup_256:.2}×, {batched_256} machines batched)"
     ));

@@ -41,7 +41,7 @@ usage: experiments <subcommand>
   bench_solver      step-kernel vs seed-algorithm throughput -> BENCH_solver.json
   replay            out-of-core .events fleet replay: throughput, flat-RSS,
                     and checkpointed parallel time segments vs serial
-                    (--machines/--ticks/--passes/--segments/--threads/--events;
+                    (--machines/--ticks/--passes/--segments/--events;
                      updates the replay section of BENCH_solver.json)
   ablation_controller   PD vs P-only vs bang-bang admission control
   ablation_projection   Freon-EC projection horizon 0/1/2/4 intervals

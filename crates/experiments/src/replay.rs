@@ -17,17 +17,18 @@
 //!
 //! ```text
 //! usage: experiments replay [--machines N] [--ticks N] [--passes N]
-//!                           [--segments N] [--threads N] [--events FILE]
+//!                           [--segments N] [--events FILE]
 //!
 //!   --machines   fleet size for the synthesized trace (default 1024)
 //!   --ticks      ticks per synthesized trace (default 2000)
 //!   --passes     replay passes for the throughput measurement (default 3)
 //!   --segments   parallel time segments for the equivalence run (default 4)
-//!   --threads    solver threads per cluster (default 1)
 //!   --events     replay an existing .events file (e.g. from
 //!                mercury-traceconv) instead of synthesizing one; machine
 //!                names must match validation_cluster(N) (machine1..N)
 //! ```
+//!
+//! An unknown flag, or a flag without its value, is an error.
 
 use crate::common::{measured, verdict};
 use mercury::presets;
@@ -53,7 +54,6 @@ pub struct ReplayBench {
     pub ticks: u64,
     pub passes: usize,
     pub segments: usize,
-    pub threads: usize,
     pub events_bytes: u64,
     pub serial_seconds: f64,
     pub segmented_seconds: f64,
@@ -86,13 +86,12 @@ impl ReplayBench {
     /// The `"replay"` object for `BENCH_solver.json`.
     pub fn to_json(&self) -> String {
         format!(
-            "\"replay\": {{\n    \"model\": \"validation_cluster({})\",\n    \"machines\": {},\n    \"ticks_per_pass\": {},\n    \"passes\": {},\n    \"segments\": {},\n    \"threads\": {},\n    \"events_bytes\": {},\n    \"serial_seconds\": {:.3},\n    \"ticks_per_sec\": {:.1},\n    \"machine_ticks_per_sec\": {:.1},\n    \"segmented_seconds\": {:.3},\n    \"segments_bit_identical\": {},\n    \"stream_memory_bytes\": {},\n    \"peak_rss_warm_bytes\": {},\n    \"peak_rss_end_bytes\": {},\n    \"rss_growth_bytes\": {}\n  }}",
+            "\"replay\": {{\n    \"model\": \"validation_cluster({})\",\n    \"machines\": {},\n    \"ticks_per_pass\": {},\n    \"passes\": {},\n    \"segments\": {},\n    \"events_bytes\": {},\n    \"serial_seconds\": {:.3},\n    \"ticks_per_sec\": {:.1},\n    \"machine_ticks_per_sec\": {:.1},\n    \"segmented_seconds\": {:.3},\n    \"segments_bit_identical\": {},\n    \"stream_memory_bytes\": {},\n    \"peak_rss_warm_bytes\": {},\n    \"peak_rss_end_bytes\": {},\n    \"rss_growth_bytes\": {}\n  }}",
             self.machines,
             self.machines,
             self.ticks,
             self.passes,
             self.segments,
-            self.threads,
             self.events_bytes,
             self.serial_seconds,
             self.ticks_per_sec(),
@@ -134,13 +133,11 @@ pub fn synthesize_events(path: &Path, machines: usize, ticks: usize) -> Result<(
     Ok(())
 }
 
-fn build_cluster(machines: usize, threads: usize) -> Result<ClusterSolver> {
-    let mut cluster = ClusterSolver::new(
+fn build_cluster(machines: usize) -> Result<ClusterSolver> {
+    Ok(ClusterSolver::new(
         &presets::validation_cluster(machines),
         SolverConfig::default(),
-    )?;
-    cluster.set_threads(threads);
-    Ok(cluster)
+    )?)
 }
 
 /// Runs the full harness: segmented-equivalence pass first, then the
@@ -150,13 +147,12 @@ pub fn bench_replay(
     machines: usize,
     passes: usize,
     segments: usize,
-    threads: usize,
 ) -> Result<ReplayBench> {
     let metrics = ReplayMetrics::new();
     let events_bytes = std::fs::metadata(events_path)?.len();
 
     // --- pass 0: serial replay, checkpointing at segment boundaries ---
-    let mut serial = build_cluster(machines, threads)?;
+    let mut serial = build_cluster(machines)?;
     let mut stream = EventsStream::open(events_path)?;
     stream.set_metrics(metrics.clone());
     let ticks = stream.header().ticks;
@@ -189,7 +185,7 @@ pub fn bench_replay(
                 let metrics = &metrics;
                 scope.spawn(move || -> std::result::Result<Vec<u8>, String> {
                     let run = || -> Result<Vec<u8>> {
-                        let mut cluster = build_cluster(machines, threads)?;
+                        let mut cluster = build_cluster(machines)?;
                         cluster.restore_checkpoint(blob)?;
                         let mut stream = EventsStream::open(events_path)?;
                         stream.set_metrics(metrics.clone());
@@ -236,7 +232,6 @@ pub fn bench_replay(
         ticks,
         passes,
         segments,
-        threads,
         events_bytes,
         serial_seconds,
         segmented_seconds,
@@ -310,34 +305,73 @@ fn splice_bench_json(section: &str) -> std::io::Result<()> {
     std::fs::write(path, json)
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+/// What `experiments replay` was asked to do.
+#[derive(Debug, PartialEq)]
+struct ReplayArgs {
+    machines: usize,
+    ticks: usize,
+    passes: usize,
+    segments: usize,
+    events: Option<PathBuf>,
 }
 
-fn numeric_flag(args: &[String], name: &str, default: usize) -> Result<usize> {
-    match flag(args, name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("{name} `{v}` is not a number").into()),
+impl ReplayArgs {
+    /// Parses `--flag value` pairs. A flag the subcommand does not take,
+    /// a flag without its value and a count that is not a number are
+    /// errors that name the flag.
+    fn parse(args: &[String]) -> Result<Self> {
+        let mut parsed = ReplayArgs {
+            machines: 1024,
+            ticks: 2000,
+            passes: 3,
+            segments: 4,
+            events: None,
+        };
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            let flag = flag.as_str();
+            if !matches!(
+                flag,
+                "--machines" | "--ticks" | "--passes" | "--segments" | "--events"
+            ) {
+                return Err(format!("unknown replay flag `{flag}`").into());
+            }
+            let value = it
+                .next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("replay flag `{flag}` needs a value"))?;
+            let count = || -> Result<usize> {
+                value
+                    .parse()
+                    .map_err(|_| format!("{flag} `{value}` is not a number").into())
+            };
+            match flag {
+                "--machines" => parsed.machines = count()?,
+                "--ticks" => parsed.ticks = count()?,
+                "--passes" => parsed.passes = count()?.max(1),
+                "--segments" => parsed.segments = count()?.max(1),
+                _ => parsed.events = Some(PathBuf::from(value)),
+            }
+        }
+        if parsed.machines == 0 || parsed.ticks == 0 {
+            return Err("--machines and --ticks must be positive".into());
+        }
+        Ok(parsed)
     }
 }
 
 /// The `experiments replay` subcommand.
 pub fn replay(args: &[String]) -> Result {
-    let machines = numeric_flag(args, "--machines", 1024)?;
-    let ticks = numeric_flag(args, "--ticks", 2000)?;
-    let passes = numeric_flag(args, "--passes", 3)?.max(1);
-    let segments = numeric_flag(args, "--segments", 4)?.max(1);
-    let threads = numeric_flag(args, "--threads", 1)?.max(1);
-    if machines == 0 || ticks == 0 {
-        return Err("--machines and --ticks must be positive".into());
-    }
+    let ReplayArgs {
+        machines,
+        ticks,
+        passes,
+        segments,
+        events,
+    } = ReplayArgs::parse(args)?;
 
-    let (events_path, _cleanup): (PathBuf, Option<TempFile>) = match flag(args, "--events") {
-        Some(path) => (PathBuf::from(path), None),
+    let (events_path, _cleanup): (PathBuf, Option<TempFile>) = match events {
+        Some(path) => (path, None),
         None => {
             let path = std::env::temp_dir().join(format!(
                 "mercury-replay-{}-{machines}x{ticks}.events",
@@ -352,7 +386,7 @@ pub fn replay(args: &[String]) -> Result {
         }
     };
 
-    let bench = bench_replay(&events_path, machines, passes, segments, threads)?;
+    let bench = bench_replay(&events_path, machines, passes, segments)?;
     measured(&format!(
         "{} machines x {} ticks x {} passes in {:.2} s: {:.0} cluster ticks/s, {:.2}M machine-ticks/s",
         bench.machines,
@@ -384,5 +418,57 @@ struct TempFile(PathBuf);
 impl Drop for TempFile {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn words(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    fn error(args: &[&str]) -> String {
+        ReplayArgs::parse(&words(args)).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn flags_parse_with_their_defaults() {
+        let parsed = ReplayArgs::parse(&words(&["--machines", "64", "--segments", "0"])).unwrap();
+        assert_eq!(
+            parsed,
+            ReplayArgs {
+                machines: 64,
+                ticks: 2000,
+                passes: 3,
+                segments: 1,
+                events: None,
+            }
+        );
+        let parsed = ReplayArgs::parse(&words(&["--events", "fleet.events"])).unwrap();
+        assert_eq!(parsed.events, Some(PathBuf::from("fleet.events")));
+    }
+
+    #[test]
+    fn an_unknown_flag_is_rejected_by_name() {
+        assert_eq!(
+            error(&["--machines", "64", "--threads", "2"]),
+            "unknown replay flag `--threads`"
+        );
+        assert_eq!(error(&["64"]), "unknown replay flag `64`");
+    }
+
+    #[test]
+    fn a_flag_without_its_value_is_rejected_by_name() {
+        assert_eq!(
+            error(&["--machines", "64", "--segments"]),
+            "replay flag `--segments` needs a value"
+        );
+        assert_eq!(
+            error(&["--events", "--ticks", "10"]),
+            "replay flag `--events` needs a value"
+        );
+        assert_eq!(error(&["--ticks", "ten"]), "--ticks `ten` is not a number");
     }
 }

@@ -53,8 +53,9 @@ pub type SpanArgs = Vec<(Cow<'static, str>, String)>;
 
 /// One finished span: a timed interval with a process-unique `id` and a
 /// `parent` link (`0` = no parent). `dur_ns == 0` marks an instant
-/// event. `tid` is a logical lane for display: `0` for the recording
-/// thread, `1 + worker index` for pool workers.
+/// event. `tid` is a logical lane for display: `0` for spans a
+/// [`Tracer`] records directly, the lane a [`LocalSpans`] buffer was
+/// opened on for the spans it flushes.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SpanRecord {
     /// Process-unique span id (never 0).
@@ -379,7 +380,7 @@ impl Tracer {
     }
 
     /// A lock-free per-thread buffer feeding this tracer. `tid` is the
-    /// logical lane recorded on its spans (workers use `1 + index`).
+    /// logical lane recorded on its spans (`0` is the tracer's own).
     #[must_use]
     pub fn local(&self, tid: u32) -> LocalSpans {
         LocalSpans {
@@ -456,8 +457,8 @@ fn finish(span: Span, end_ns: u64, tid: u32, args: SpanArgs) -> SpanRecord {
 
 /// A per-thread span buffer: `end` pushes into a plain `Vec` (no lock,
 /// no contention with other threads), [`flush`](LocalSpans::flush)
-/// hands the batch to the shared store under one lock. Pool workers use
-/// one of these per worker so the per-tick hot path never contends.
+/// hands the batch to the shared store under one lock. A thread that
+/// records many spans uses one of these so its hot path never contends.
 #[derive(Debug)]
 pub struct LocalSpans {
     tracer: Tracer,
