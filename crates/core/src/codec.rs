@@ -221,10 +221,47 @@ impl<R: BufRead> Reader<R> {
     }
 }
 
-/// Little-endian writer, the mirror of [`Reader`].
+/// Where a [`Writer`]'s bytes go: kept in a `Vec`, or only counted
+/// ([`Count`]).
+pub(crate) trait Sink {
+    fn put(&mut self, b: &[u8]);
+    /// Bytes put so far.
+    fn len(&self) -> usize;
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, b: &[u8]) {
+        self.extend_from_slice(b);
+    }
+
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+}
+
+/// A length-only sink: it keeps no bytes and counts what it is given.
 #[derive(Debug, Default)]
-pub(crate) struct Writer {
-    out: Vec<u8>,
+pub(crate) struct Count(usize);
+
+impl Sink for Count {
+    fn put(&mut self, b: &[u8]) {
+        self.0 += b.len();
+    }
+
+    fn len(&self) -> usize {
+        self.0
+    }
+}
+
+/// Little-endian writer, the mirror of [`Reader`].
+///
+/// A length-only writer ([`Writer::counter`]) writes into a [`Count`],
+/// so a format's one layout routine, generic over the sink and run on a
+/// counter and then on a writer, sizes its output exactly: see
+/// [`exact`]. The count pass compiles to length arithmetic.
+#[derive(Debug, Default)]
+pub(crate) struct Writer<S = Vec<u8>> {
+    out: S,
 }
 
 impl Writer {
@@ -234,12 +271,41 @@ impl Writer {
         }
     }
 
+    /// The bytes written so far.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.out
+    }
+
+    /// Forgets the bytes written, keeping the buffer.
+    pub(crate) fn clear(&mut self) {
+        self.out.clear();
+    }
+
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
+        self.out
+    }
+}
+
+impl Writer<Count> {
+    /// A length-only writer: it allocates nothing and [`Writer::len`]
+    /// is what a writer would have written.
+    pub(crate) fn counter() -> Self {
+        Writer { out: Count(0) }
+    }
+}
+
+impl<S: Sink> Writer<S> {
+    /// Bytes written (or counted) so far.
+    pub(crate) fn len(&self) -> usize {
+        self.out.len()
+    }
+
     pub(crate) fn bytes(&mut self, b: &[u8]) {
-        self.out.extend_from_slice(b);
+        self.out.put(b);
     }
 
     pub(crate) fn u8(&mut self, v: u8) {
-        self.out.push(v);
+        self.bytes(&[v]);
     }
 
     pub(crate) fn u16(&mut self, v: u16) {
@@ -280,20 +346,26 @@ impl Writer {
         self.u16(s.len() as u16);
         self.bytes(s.as_bytes());
     }
+}
 
-    /// The bytes written so far.
-    pub(crate) fn as_bytes(&self) -> &[u8] {
-        &self.out
-    }
+/// A binary format's one layout routine, generic over where its bytes
+/// go so that [`exact`] can run it to count and to write.
+pub(crate) trait Layout {
+    fn write<S: Sink>(&self, w: &mut Writer<S>);
+}
 
-    /// Forgets the bytes written, keeping the buffer.
-    pub(crate) fn clear(&mut self) {
-        self.out.clear();
-    }
-
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
-        self.out
-    }
+/// Runs a format's `layout` twice — on a [`Writer::counter`] to learn
+/// the output's length, then on a writer allocated at exactly that
+/// length — so an encoder makes one allocation with no slack. Shrinking
+/// a roomier buffer afterwards would not do: each in-place shrink
+/// leaves a hole in the heap between the buffers kept.
+pub(crate) fn exact(layout: &impl Layout) -> Vec<u8> {
+    let mut count = Writer::counter();
+    layout.write(&mut count);
+    let mut w = Writer::with_capacity(count.len());
+    layout.write(&mut w);
+    debug_assert_eq!(w.len(), count.len(), "a layout wrote what it counted");
+    w.into_bytes()
 }
 
 /// The longest prefix of `s` of at most `max` bytes that ends on a
@@ -385,6 +457,31 @@ mod tests {
         r.finish().unwrap();
         let mut r = Reader::input(&bytes[..bytes.len() - 1], "frame");
         assert!(r.u16s("cells", &mut out).is_err());
+    }
+
+    #[test]
+    fn a_counter_counts_what_a_writer_writes() {
+        struct Every;
+        impl Layout for Every {
+            fn write<S: Sink>(&self, w: &mut Writer<S>) {
+                w.u8(7);
+                w.u16(1);
+                w.u32(2);
+                w.u64(3);
+                w.f32(1.5);
+                w.f64(-2.5);
+                w.str_u8("cpu");
+                w.str_u16("héllo");
+            }
+        }
+        let mut count = Writer::counter();
+        Every.write(&mut count);
+        let bytes = exact(&Every);
+        assert_eq!(bytes.len(), count.len());
+        assert_eq!(bytes.capacity(), bytes.len());
+        let mut w = Writer::default();
+        Every.write(&mut w);
+        assert_eq!(w.into_bytes(), bytes);
     }
 
     #[test]

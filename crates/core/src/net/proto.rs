@@ -13,7 +13,7 @@
 //! series-query result — travels as [`Reply::Part`]s cut at line
 //! boundaries by [`parts`], and `net::fetch_multipart` reassembles it.
 
-use crate::codec::{prefix, Reader, Writer};
+use crate::codec::{prefix, Layout, Reader, Sink, Writer};
 use crate::error::Error;
 use crate::fiddle::FiddleCommand;
 use telemetry::tsdb::QueryKind;
@@ -140,57 +140,63 @@ const TAG_PONG: u8 = 0x84;
 const TAG_ERR: u8 = 0x85;
 const TAG_PART: u8 = 0x86;
 
-/// Encodes a request into a datagram.
+/// Encodes a request into a datagram, allocated once at its exact
+/// length.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut w = Writer::with_capacity(128);
-    match req {
-        Request::UtilizationUpdate {
-            machine,
-            utilizations,
-        } => {
-            w.u8(TAG_UTIL);
-            w.str_u8(machine);
-            w.u8(utilizations.len().min(255) as u8);
-            for (component, util) in utilizations.iter().take(255) {
-                w.str_u8(component);
-                w.f32(*util);
+    crate::codec::exact(req)
+}
+
+/// The request layout, run by [`encode_request`] to count and to write.
+impl Layout for Request {
+    fn write<S: Sink>(&self, w: &mut Writer<S>) {
+        match self {
+            Request::UtilizationUpdate {
+                machine,
+                utilizations,
+            } => {
+                w.u8(TAG_UTIL);
+                w.str_u8(machine);
+                w.u8(utilizations.len().min(255) as u8);
+                for (component, util) in utilizations.iter().take(255) {
+                    w.str_u8(component);
+                    w.f32(*util);
+                }
+            }
+            Request::ReadTemperature { machine, node } => {
+                w.u8(TAG_READ);
+                w.str_u8(machine);
+                w.str_u8(node);
+            }
+            Request::Fiddle { command } => {
+                w.u8(TAG_FIDDLE);
+                // Fiddle commands reuse their script syntax on the wire: the
+                // service parses them with the same parser as script files,
+                // keeping the two front doors behaviourally identical.
+                w.str_u16(&command.to_string());
+            }
+            Request::ListNodes { machine } => {
+                w.u8(TAG_LIST);
+                w.str_u8(machine);
+            }
+            Request::Ping => w.u8(TAG_PING),
+            Request::Scrape => w.u8(TAG_SCRAPE),
+            Request::TraceDump => w.u8(TAG_TRACE_DUMP),
+            Request::SeriesQuery {
+                pattern,
+                start,
+                end,
+                step,
+                kind,
+            } => {
+                w.u8(TAG_SERIES_QUERY);
+                w.str_u8(pattern);
+                w.u64(*start);
+                w.u64(*end);
+                w.u64(*step);
+                w.u8(kind.as_u8());
             }
         }
-        Request::ReadTemperature { machine, node } => {
-            w.u8(TAG_READ);
-            w.str_u8(machine);
-            w.str_u8(node);
-        }
-        Request::Fiddle { command } => {
-            w.u8(TAG_FIDDLE);
-            // Fiddle commands reuse their script syntax on the wire: the
-            // service parses them with the same parser as script files,
-            // keeping the two front doors behaviourally identical.
-            w.str_u16(&command.to_string());
-        }
-        Request::ListNodes { machine } => {
-            w.u8(TAG_LIST);
-            w.str_u8(machine);
-        }
-        Request::Ping => w.u8(TAG_PING),
-        Request::Scrape => w.u8(TAG_SCRAPE),
-        Request::TraceDump => w.u8(TAG_TRACE_DUMP),
-        Request::SeriesQuery {
-            pattern,
-            start,
-            end,
-            step,
-            kind,
-        } => {
-            w.u8(TAG_SERIES_QUERY);
-            w.str_u8(pattern);
-            w.u64(*start);
-            w.u64(*end);
-            w.u64(*step);
-            w.u8(kind.as_u8());
-        }
     }
-    w.into_bytes()
 }
 
 /// A reader over one datagram, which must fit [`MAX_DATAGRAM`].
@@ -309,36 +315,41 @@ pub fn parts(text: &str) -> Vec<Reply> {
         .collect()
 }
 
-/// Encodes a reply into a datagram.
+/// Encodes a reply into a datagram, allocated once at its exact length.
 pub fn encode_reply(reply: &Reply) -> Vec<u8> {
-    let mut w = Writer::with_capacity(64);
-    match reply {
-        Reply::Temperature { celsius, time } => {
-            w.u8(TAG_TEMP);
-            w.f64(*celsius);
-            w.f64(*time);
-        }
-        Reply::Ack => w.u8(TAG_ACK),
-        Reply::Nodes { names } => {
-            w.u8(TAG_NODES);
-            w.u8(names.len().min(255) as u8);
-            for name in names.iter().take(255) {
-                w.str_u8(name);
+    crate::codec::exact(reply)
+}
+
+/// The reply layout, run by [`encode_reply`] to count and to write.
+impl Layout for Reply {
+    fn write<S: Sink>(&self, w: &mut Writer<S>) {
+        match self {
+            Reply::Temperature { celsius, time } => {
+                w.u8(TAG_TEMP);
+                w.f64(*celsius);
+                w.f64(*time);
+            }
+            Reply::Ack => w.u8(TAG_ACK),
+            Reply::Nodes { names } => {
+                w.u8(TAG_NODES);
+                w.u8(names.len().min(255) as u8);
+                for name in names.iter().take(255) {
+                    w.str_u8(name);
+                }
+            }
+            Reply::Pong => w.u8(TAG_PONG),
+            Reply::Part { index, total, text } => {
+                w.u8(TAG_PART);
+                w.u16(*index);
+                w.u16(*total);
+                w.str_u16(prefix(text, MAX_DATAGRAM - PART_HEADER));
+            }
+            Reply::Error { message } => {
+                w.u8(TAG_ERR);
+                w.str_u16(prefix(message, MAX_ERROR_MESSAGE));
             }
         }
-        Reply::Pong => w.u8(TAG_PONG),
-        Reply::Part { index, total, text } => {
-            w.u8(TAG_PART);
-            w.u16(*index);
-            w.u16(*total);
-            w.str_u16(prefix(text, MAX_DATAGRAM - PART_HEADER));
-        }
-        Reply::Error { message } => {
-            w.u8(TAG_ERR);
-            w.str_u16(prefix(message, MAX_ERROR_MESSAGE));
-        }
     }
-    w.into_bytes()
 }
 
 /// Decodes a reply datagram.

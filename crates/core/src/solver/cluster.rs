@@ -651,7 +651,7 @@ impl ClusterSolver {
     /// buffers, batch chunk matrices, kernel double buffers — is *not*
     /// serialized: every tick/span boundary scatters it back into the
     /// state written here, and a restored solver re-gathers it.
-    pub(crate) fn write_ckpt(&self, w: &mut crate::codec::Writer) {
+    pub(crate) fn write_ckpt<S: crate::codec::Sink>(&self, w: &mut crate::codec::Writer<S>) {
         w.f64(self.time.0);
         w.u32(self.supply_temps.len() as u32);
         for t in &self.supply_temps {

@@ -1093,7 +1093,7 @@ impl Solver {
     /// edge topology, kernels) is rebuilt deterministically from the
     /// model at restore time. Heat-edge conductances and air fractions
     /// *are* written because fiddle commands retune them at runtime.
-    pub(crate) fn write_ckpt(&self, w: &mut crate::codec::Writer) {
+    pub(crate) fn write_ckpt<S: crate::codec::Sink>(&self, w: &mut crate::codec::Writer<S>) {
         w.str_u16(&self.machine);
         w.f64(self.time.0);
         w.u64(self.ticks_stepped);

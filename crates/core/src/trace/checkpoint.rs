@@ -43,7 +43,7 @@
 //! solver state at every tick/span boundary, and a restored solver
 //! re-gathers them on its next tick).
 
-use crate::codec::{Reader, Writer};
+use crate::codec::{Layout, Reader, Sink, Writer};
 use crate::error::Error;
 use crate::solver::ClusterSolver;
 
@@ -53,14 +53,21 @@ pub const MAGIC: [u8; 8] = *b"MCCKPT1\0";
 pub const VERSION: u32 = 1;
 
 /// Serializes the full mutable state of `cluster` to a
-/// `mercury-ckpt-v1` blob.
+/// `mercury-ckpt-v1` blob, allocated once at its exact length.
 #[must_use]
 pub fn save(cluster: &ClusterSolver) -> Vec<u8> {
-    let mut w = Writer::default();
-    w.bytes(&MAGIC);
-    w.u32(VERSION);
-    cluster.write_ckpt(&mut w);
-    w.into_bytes()
+    crate::codec::exact(&Blob(cluster))
+}
+
+/// The blob layout, run by [`save`] to count and to write.
+struct Blob<'a>(&'a ClusterSolver);
+
+impl Layout for Blob<'_> {
+    fn write<S: Sink>(&self, w: &mut Writer<S>) {
+        w.bytes(&MAGIC);
+        w.u32(VERSION);
+        self.0.write_ckpt(w);
+    }
 }
 
 /// Restores a blob produced by [`save`] into `cluster`, which must have
@@ -89,7 +96,7 @@ pub fn restore(cluster: &mut ClusterSolver, blob: &[u8]) -> Result<(), Error> {
 
 /// Writes an optional `f64` as a `u8` flag and a value, the value 0.0
 /// when absent, so a blob's layout never depends on its values.
-pub(crate) fn write_opt_f64(w: &mut Writer, v: Option<f64>) {
+pub(crate) fn write_opt_f64<S: Sink>(w: &mut Writer<S>, v: Option<f64>) {
     w.u8(u8::from(v.is_some()));
     w.f64(v.unwrap_or(0.0));
 }

@@ -40,8 +40,10 @@
 use crate::codec::{Reader, Writer};
 use crate::error::Error;
 use crate::trace::UtilizationTrace;
+use crate::units::{Seconds, Utilization};
 use std::collections::HashSet;
 use std::io::{BufRead, Write};
+use std::sync::Arc;
 
 /// File magic, "mercury-events-v1".
 pub const MAGIC: [u8; 8] = *b"MCEVENT1";
@@ -279,7 +281,7 @@ pub fn encode<W: Write>(traces: &[UtilizationTrace], w: &mut W) -> Result<Encode
     let mut next = vec![0u16; cells];
     let mut hold_run = 0u32;
     for tick in 0..ticks {
-        let t = crate::units::Seconds(tick as f64 * header.interval_s);
+        let t = Seconds(tick as f64 * header.interval_s);
         for (m, trace) in traces.iter().enumerate() {
             let row = trace.at(t).expect("tick < len implies a row");
             for (c, u) in row.iter().enumerate() {
@@ -507,29 +509,80 @@ impl<R: BufRead> Records<R> {
 /// [`UtilizationTrace`] per machine — the `mercury-traceconv decode`
 /// direction. Strictly validating: every malformation is an error.
 ///
+/// By design this materializes every tick of every cell (`ticks ×
+/// machines × components` values, each trace one buffer reserved up
+/// front at the size the header declares), so its memory is what the
+/// header says, not what the file holds: a few bytes of HOLD records
+/// can declare years of ticks. A header whose total overflows the
+/// address space is refused, and so is a reservation the allocator
+/// refuses; but under overcommit the allocator grants far more than
+/// the host can back, and such a file is then filled until the process
+/// is killed. For input that is not trusted use
+/// [`crate::trace::stream::EventsStream`], which replays in a frame's
+/// memory whatever the trace's length.
+///
 /// # Errors
 ///
 /// Returns [`Error::InvalidInput`] for any header or record defect,
-/// including a tick-count mismatch or trailing bytes.
+/// including a tick-count mismatch or trailing bytes, when the values
+/// the header declares exceed `isize::MAX` bytes in all, and when the
+/// allocator refuses a trace's buffer.
 pub fn decode(bytes: &[u8]) -> Result<Vec<UtilizationTrace>, Error> {
     let mut r = Reader::input(bytes, "events data");
     let header = EventsHeader::read(&mut r)?;
-    let width = header.components.len();
-    let mut traces: Vec<UtilizationTrace> = header
-        .machines
-        .iter()
-        .map(|m| UtilizationTrace::new(m.clone(), header.interval_s, header.components.clone()))
-        .collect::<Result<_, _>>()?;
+    let cells = header.cells();
     let mut records = Records::new(r, &header);
-    let mut frame = vec![0u16; header.cells()];
-    let mut row = vec![0.0f64; width];
+    let EventsHeader {
+        interval_s,
+        machines,
+        components,
+        ticks,
+    } = header;
+    let width = components.len();
+    let count = machines.len();
+    let shape = || format!("{ticks} ticks of {count} machines x {width} components");
+    // Values per trace, provided all the traces' bytes fit the address
+    // space.
+    let values = usize::try_from(ticks)
+        .ok()
+        .and_then(|ticks| ticks.checked_mul(width))
+        .filter(|&n| {
+            n.checked_mul(count)
+                .and_then(|n| n.checked_mul(std::mem::size_of::<Utilization>()))
+                .is_some_and(|bytes| isize::try_from(bytes).is_ok())
+        })
+        .ok_or_else(|| {
+            Error::invalid_input(format!("events data: {} exceed the address space", shape()))
+        })?;
+    let components: Arc<[String]> = components.into();
+    let mut traces = Vec::with_capacity(count);
+    for machine in machines {
+        let mut trace = UtilizationTrace::with_components(
+            machine,
+            Seconds(interval_s),
+            Arc::clone(&components),
+        );
+        if Arc::make_mut(&mut trace.samples)
+            .try_reserve_exact(values)
+            .is_err()
+        {
+            return Err(Error::invalid_input(format!(
+                "events data: {} cannot be allocated",
+                shape()
+            )));
+        }
+        traces.push(trace);
+    }
+    let mut frame = vec![0u16; cells];
     while let Some(span) = records.next_span(&mut frame)? {
         for (trace, cells) in traces.iter_mut().zip(frame.chunks_exact(width)) {
-            for (v, q) in row.iter_mut().zip(cells) {
-                *v = dequantize(*q);
-            }
-            for _ in 0..span.ticks {
-                trace.push_row(&row)?;
+            // Within the reservation: the records cover no more ticks
+            // than the header declares.
+            let samples = Arc::make_mut(&mut trace.samples);
+            let start = samples.len();
+            samples.extend(cells.iter().map(|&q| Utilization::new(dequantize(q))));
+            for _ in 1..span.ticks {
+                samples.extend_from_within(start..start + width);
             }
         }
     }
@@ -628,10 +681,55 @@ mod tests {
         let mut bad = bytes.clone();
         bad.push(0);
         assert!(decode(&bad).is_err());
+        // Component-count mismatch: 2 -> 3 reads a name that is not
+        // there.
+        let mut bad = bytes.clone();
+        bad[COMPONENTS_AT] ^= 0x01; // low byte of the u32 component count
+        assert!(decode(&bad).is_err());
         // Tick-count mismatch.
         let mut bad = bytes.clone();
-        bad[24] ^= 0x01; // low byte of the u64 tick count
+        bad[TICKS_AT] ^= 0x01; // low byte of the u64 tick count
         assert!(decode(&bad).is_err());
+    }
+
+    /// Offset of the header's `u32` component count: magic, version,
+    /// interval and machine count come first.
+    const COMPONENTS_AT: usize = 8 + 4 + 8 + 4;
+    /// Offset of the header's `u64` tick count, after the component
+    /// count.
+    const TICKS_AT: usize = COMPONENTS_AT + 4;
+
+    #[test]
+    fn decode_refuses_a_tick_count_it_cannot_hold() {
+        // A 2^62-tick header over one FULL frame and HOLDs of u32::MAX
+        // ticks: the buffers it declares are refused before a record is
+        // read, not filled until the process runs out of memory.
+        let (mut bytes, _) = encode_to_vec(&[trace("m1", 1)]).unwrap();
+        bytes[TICKS_AT..TICKS_AT + 8].copy_from_slice(&(1u64 << 62).to_le_bytes());
+        for _ in 0..4 {
+            bytes.push(TAG_HOLD);
+            bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        }
+        let err = decode(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, Error::InvalidInput { reason } if reason.contains("address space")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn decode_counts_every_machine_against_the_address_space() {
+        // 2^53 ticks x 2 components is 2^57 bytes a trace, which fits
+        // `isize`; 1024 such traces do not. The total is refused before
+        // any trace's buffer is asked of the allocator.
+        let traces: Vec<_> = (0..1024).map(|m| trace(&format!("m{m}"), 1)).collect();
+        let (mut bytes, _) = encode_to_vec(&traces).unwrap();
+        bytes[TICKS_AT..TICKS_AT + 8].copy_from_slice(&(1u64 << 53).to_le_bytes());
+        let err = decode(&bytes).unwrap_err();
+        assert!(
+            matches!(&err, Error::InvalidInput { reason } if reason.contains("address space")),
+            "{err}"
+        );
     }
 
     #[test]

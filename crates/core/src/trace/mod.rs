@@ -27,23 +27,24 @@ use crate::fiddle::{FiddleScript, ScriptRunner};
 use crate::model::{ClusterModel, MachineModel};
 use crate::solver::{ClusterSolver, Solver, SolverConfig};
 use crate::units::{Celsius, Seconds, Utilization};
-use serde::{Deserialize, Serialize};
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 
 /// A fixed-interval recording of component utilizations for one machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Replicas made with [`UtilizationTrace::replicate_for`] (and plain
+/// clones) share the component names and the samples: a 1024-replica
+/// offline run does not carry 1024 copies of one recording. A replica
+/// that takes a row copies the samples first.
+#[derive(Debug, Clone, PartialEq)]
 pub struct UtilizationTrace {
     machine: String,
     interval: Seconds,
-    /// Shared, immutable column metadata: replicas made with
-    /// [`UtilizationTrace::replicate_for`] (and plain clones) all point
-    /// at one allocation, so a 1024-replica offline run does not carry
-    /// 1024 copies of identical component names.
     components: Arc<[String]>,
-    /// `samples[row][col]` is the utilization of `components[col]` during
-    /// the `row`-th interval.
-    samples: Vec<Vec<Utilization>>,
+    /// Row-major, `components.len()` values a row: `samples[row * width
+    /// + col]` is the utilization of `components[col]` during the
+    /// `row`-th interval.
+    samples: Arc<Vec<Utilization>>,
 }
 
 impl UtilizationTrace {
@@ -67,12 +68,21 @@ impl UtilizationTrace {
         if components.is_empty() {
             return Err(Error::invalid_input("trace has no components"));
         }
-        Ok(UtilizationTrace {
-            machine: machine.into(),
-            interval: Seconds(interval_s),
-            components: components.into(),
-            samples: Vec::new(),
-        })
+        Ok(UtilizationTrace::with_components(
+            machine.into(),
+            Seconds(interval_s),
+            components.into(),
+        ))
+    }
+
+    /// An empty trace over `components`, which are checked non-empty.
+    fn with_components(machine: String, interval: Seconds, components: Arc<[String]>) -> Self {
+        UtilizationTrace {
+            machine,
+            interval,
+            components,
+            samples: Arc::default(),
+        }
     }
 
     /// The machine this trace was recorded on.
@@ -92,7 +102,7 @@ impl UtilizationTrace {
 
     /// Number of sample rows.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.samples.len() / self.components.len()
     }
 
     /// Whether the trace holds no samples.
@@ -102,7 +112,7 @@ impl UtilizationTrace {
 
     /// Total covered duration.
     pub fn duration(&self) -> Seconds {
-        Seconds(self.samples.len() as f64 * self.interval.0)
+        Seconds(self.len() as f64 * self.interval.0)
     }
 
     /// Appends one row of utilizations (one value per component, in
@@ -120,8 +130,7 @@ impl UtilizationTrace {
                 self.components.len()
             )));
         }
-        self.samples
-            .push(row.iter().map(|&v| Utilization::new(v)).collect());
+        Arc::make_mut(&mut self.samples).extend(row.iter().map(|&v| Utilization::new(v)));
         Ok(())
     }
 
@@ -140,10 +149,11 @@ impl UtilizationTrace {
     ) -> Result<Self, Error> {
         let mut trace = UtilizationTrace::new(machine, interval_s, components)?;
         let width = trace.components.len();
+        let samples = Arc::make_mut(&mut trace.samples);
+        samples.reserve_exact(rows.saturating_mul(width));
         for row in 0..rows {
             let t = row as f64 * interval_s;
-            let values: Vec<f64> = (0..width).map(|c| f(t, c)).collect();
-            trace.push_row(&values)?;
+            samples.extend((0..width).map(|c| Utilization::new(f(t, c))));
         }
         Ok(trace)
     }
@@ -151,13 +161,24 @@ impl UtilizationTrace {
     /// The utilizations in effect at emulated time `t` (step function:
     /// the most recent row at or before `t`, clamped to the last row).
     pub fn at(&self, t: Seconds) -> Option<&[Utilization]> {
-        self.row_at(t).map(|row| self.samples[row].as_slice())
+        self.row_at(t).map(|row| self.row(row))
     }
 
     /// Index of the row [`UtilizationTrace::at`] returns for `t`.
     fn row_at(&self, t: Seconds) -> Option<usize> {
-        let last = self.samples.len().checked_sub(1)?;
+        let last = self.len().checked_sub(1)?;
         Some(((t.0 / self.interval.0).floor().max(0.0) as usize).min(last))
+    }
+
+    /// Row `row`'s utilizations, in column order.
+    fn row(&self, row: usize) -> &[Utilization] {
+        let width = self.components.len();
+        &self.samples[row * width..(row + 1) * width]
+    }
+
+    /// The rows in order.
+    fn rows(&self) -> std::slice::ChunksExact<'_, Utilization> {
+        self.samples.chunks_exact(self.components.len())
     }
 
     /// The full series for one component.
@@ -171,13 +192,13 @@ impl UtilizationTrace {
             .iter()
             .position(|c| c == component)
             .ok_or_else(|| Error::unknown_node(component))?;
-        Ok(self.samples.iter().map(|row| row[col]).collect())
+        Ok(self.rows().map(|row| row[col]).collect())
     }
 
     /// Clones this trace under a different machine name — the paper's
     /// trace-replication trick for emulating large clusters from a single
-    /// measured machine. The component-name metadata is shared with the
-    /// original (`Arc`), not deep-cloned per replica.
+    /// measured machine. The component names and the samples are shared
+    /// with the original (`Arc`), not deep-cloned per replica.
     pub fn replicate_for(&self, machine: impl Into<String>) -> UtilizationTrace {
         let mut copy = self.clone();
         copy.machine = machine.into();
@@ -188,6 +209,13 @@ impl UtilizationTrace {
     /// for replicas and clones; diagnostic for memory tests).
     pub fn shares_components_with(&self, other: &UtilizationTrace) -> bool {
         Arc::ptr_eq(&self.components, &other.components)
+    }
+
+    /// Whether `other` shares this trace's sample storage (true for
+    /// replicas and clones until one of them takes a row; diagnostic for
+    /// memory tests).
+    pub fn shares_samples_with(&self, other: &UtilizationTrace) -> bool {
+        Arc::ptr_eq(&self.samples, &other.samples)
     }
 
     /// Writes the trace as CSV: a `time` column followed by one column
@@ -209,7 +237,7 @@ impl UtilizationTrace {
             write!(w, ",{c}")?;
         }
         writeln!(w)?;
-        for (row_index, row) in self.samples.iter().enumerate() {
+        for (row_index, row) in self.rows().enumerate() {
             write!(w, "{}", row_index as f64 * self.interval.0)?;
             for u in row {
                 write!(w, ",{}", u.fraction())?;
@@ -283,11 +311,13 @@ impl UtilizationTrace {
 
 /// A recorded time series of node temperatures, one column per
 /// `machine:node` pair.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TemperatureLog {
     columns: Vec<String>,
     times: Vec<f64>,
-    rows: Vec<Vec<f64>>,
+    /// Row-major, `columns.len()` values a row, one row per entry of
+    /// `times`.
+    rows: Vec<f64>,
 }
 
 impl TemperatureLog {
@@ -312,12 +342,18 @@ impl TemperatureLog {
 
     /// Number of recorded rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.times.len()
     }
 
     /// Whether the log is empty.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.times.is_empty()
+    }
+
+    /// Row `row`'s temperatures, in column order.
+    fn row(&self, row: usize) -> &[f64] {
+        let width = self.columns.len();
+        &self.rows[row * width..(row + 1) * width]
     }
 
     /// Appends a row of temperatures at time `t`.
@@ -335,7 +371,7 @@ impl TemperatureLog {
             )));
         }
         self.times.push(t.0);
-        self.rows.push(temps.iter().map(|t| t.0).collect());
+        self.rows.extend(temps.iter().map(|t| t.0));
         Ok(())
     }
 
@@ -350,7 +386,8 @@ impl TemperatureLog {
             .iter()
             .position(|c| c == column)
             .ok_or_else(|| Error::unknown_node(column))?;
-        Ok(self.rows.iter().map(|row| row[col]).collect())
+        let width = self.columns.len();
+        Ok(self.rows.chunks_exact(width).map(|row| row[col]).collect())
     }
 
     /// Largest value in a column.
@@ -396,9 +433,9 @@ impl TemperatureLog {
             write!(w, ",{c}")?;
         }
         writeln!(w)?;
-        for (t, row) in self.times.iter().zip(&self.rows) {
+        for (i, t) in self.times.iter().enumerate() {
             write!(w, "{t}")?;
-            for v in row {
+            for v in self.row(i) {
                 write!(w, ",{v}")?;
             }
             writeln!(w)?;
@@ -433,8 +470,7 @@ pub fn run_offline(
             r.apply_due_to_solver(now, &mut solver)?;
         }
         if let Some(row) = trace.at(now) {
-            let row = row.to_vec();
-            for (component, u) in trace.components().iter().zip(row) {
+            for (component, &u) in trace.components().iter().zip(row) {
                 solver.set_utilization(component, u)?;
             }
         }
@@ -527,7 +563,7 @@ pub fn run_offline_cluster(
                     }
                     pushed[i] = row;
                     let Some(row) = row else { continue };
-                    for (&node, &u) in nodes[i].iter().zip(&trace.samples[row]) {
+                    for (&node, &u) in nodes[i].iter().zip(trace.row(row)) {
                         inputs.set_utilization_at(i, node, u)?;
                     }
                 }
@@ -608,17 +644,28 @@ mod tests {
     #[test]
     fn replication_shares_component_storage() {
         let trace = staircase_trace("server");
-        let copy = trace.replicate_for("machine2");
+        let mut copy = trace.replicate_for("machine2");
         assert!(trace.shares_components_with(&copy));
+        assert!(trace.shares_samples_with(&copy));
         // An independently built trace holds its own storage...
         let other = staircase_trace("server");
         assert!(!trace.shares_components_with(&other));
+        assert!(!trace.shares_samples_with(&other));
         // ...and so does a CSV round-trip, with equal content.
         let mut buf = Vec::new();
         trace.write_csv(&mut buf).unwrap();
         let back = UtilizationTrace::read_csv_from(&buf[..]).unwrap();
         assert!(!trace.shares_components_with(&back));
+        assert!(!trace.shares_samples_with(&back));
         assert_eq!(back.components(), trace.components());
+        // A replica that takes a row copies the samples first and leaves
+        // the original as it was; the names stay shared.
+        copy.push_row(&[0.5, 0.5]).unwrap();
+        assert!(!trace.shares_samples_with(&copy));
+        assert!(trace.shares_components_with(&copy));
+        assert_eq!((trace.len(), copy.len()), (600, 601));
+        assert_eq!(copy.at(Seconds(600.0)).unwrap()[0].fraction(), 0.5);
+        assert_eq!(trace.at(Seconds(600.0)).unwrap()[0].fraction(), 0.0);
     }
 
     #[test]
@@ -756,11 +803,8 @@ mod tests {
             let reference = offline_cluster_per_tick(&cluster, &traces, script);
             assert_eq!(fed.len(), 90);
             assert_eq!(fed.columns(), reference.columns());
-            let bits = |log: &TemperatureLog| -> Vec<Vec<u64>> {
-                log.rows
-                    .iter()
-                    .map(|row| row.iter().map(|v| v.to_bits()).collect())
-                    .collect()
+            let bits = |log: &TemperatureLog| -> Vec<u64> {
+                log.rows.iter().map(|v| v.to_bits()).collect()
             };
             assert_eq!(fed.times(), reference.times());
             assert_eq!(
