@@ -69,7 +69,8 @@ impl<R: BufRead> Reader<R> {
         self.invalid_at(self.pos, field, reason)
     }
 
-    fn invalid_at(&self, at: u64, field: &str, reason: impl Display) -> Error {
+    /// An error of this reader's kind about `field`, at offset `at`.
+    pub(crate) fn invalid_at(&self, at: u64, field: &str, reason: impl Display) -> Error {
         (self.kind)(format!("{}: {field} at byte {at}: {reason}", self.doc))
     }
 

@@ -241,19 +241,21 @@ impl ClusterBuilder {
             }
         }
 
-        // Every machine inlet should be fed by something if any edges exist.
+        // Every machine inlet should be fed by something if any edges
+        // exist: one pass marks the fed inlets (endpoints are checked
+        // above, so every index is in range).
         if !self.edges.is_empty() {
-            for (i, m) in self.machines.iter().enumerate() {
-                let fed = self
-                    .edges
-                    .iter()
-                    .any(|e| e.to == ClusterEndpoint::MachineInlet(i));
-                if !fed {
-                    return Err(Error::invalid_model(format!(
-                        "machine `{}` has no incoming cluster air edge",
-                        m.name()
-                    )));
+            let mut fed = vec![false; self.machines.len()];
+            for e in &self.edges {
+                if let ClusterEndpoint::MachineInlet(i) = e.to {
+                    fed[i] = true;
                 }
+            }
+            if let Some(i) = fed.iter().position(|&fed| !fed) {
+                return Err(Error::invalid_model(format!(
+                    "machine `{}` has no incoming cluster air edge",
+                    self.machines[i].name()
+                )));
             }
         }
 
@@ -368,6 +370,18 @@ mod tests {
         assert_eq!(cluster.edges().len(), 8);
         assert_eq!(cluster.machine_index("m3"), Some(2));
         assert_eq!(cluster.machine_index("nope"), None);
+    }
+
+    #[test]
+    fn rejects_an_unfed_machine_by_name() {
+        let mut b = four_machine_builder();
+        b.edges.retain(|e| e.to != ClusterEndpoint::MachineInlet(2));
+        let err = b.build().unwrap_err();
+        assert!(
+            matches!(&err, Error::InvalidModel { reason }
+                if reason.contains("`m3` has no incoming cluster air edge")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -43,6 +43,13 @@ fn send_paced(socket: &UdpSocket, peer: SocketAddr, replies: &[Reply], net: &Net
     }
 }
 
+/// Missed ticks the ticker steps back to back before it gives up on
+/// them and re-anchors on the present: enough to ride out a late
+/// wake-up or a thread descheduled for a few milliseconds at a 1 ms
+/// pace, few enough that a long stall does not burst its whole backlog
+/// into the emulated clock.
+const CATCH_UP_TICKS: u32 = 32;
+
 /// Series matched by one [`Request::SeriesQuery`] pattern, at most. A
 /// registry snapshot plus per-component temperatures is a few hundred
 /// series even for a large room, so the cap only bites on `*` against
@@ -353,20 +360,23 @@ impl SolverService {
         // Ticker thread: advances emulated time at the configured pace.
         // Tick `k` is due at `start + k·pace`, and the thread sleeps only
         // until the next deadline, so neither the locked step nor sleep
-        // overshoot slows the emulated clock. A ticker more than a tick
-        // behind re-anchors on the present instead of bursting the
-        // missed ticks.
+        // overshoot slows the emulated clock. A ticker that fell behind
+        // (a late wake-up, a descheduled thread) steps the ticks it
+        // missed back to back, up to `CATCH_UP_TICKS` of them; one
+        // further behind re-anchors on the present instead of bursting
+        // the whole backlog.
         let ticker = {
             let system = Arc::clone(&system);
             let stop = Arc::clone(&stop);
             let pace = cfg.tick_wall;
+            let max_lag = pace * CATCH_UP_TICKS;
             std::thread::Builder::new()
                 .name("mercury-ticker".into())
                 .spawn(move || {
                     let mut deadline = Instant::now() + pace;
                     while !stop.load(Ordering::Relaxed) {
                         let now = Instant::now();
-                        if now > deadline + pace {
+                        if now > deadline + max_lag {
                             deadline = now;
                         }
                         std::thread::sleep(deadline.saturating_duration_since(now));

@@ -1133,9 +1133,9 @@ impl BatchSet {
                     }
                     if cold || repriced {
                         for (row, &i) in op.components.iter().enumerate() {
-                            chunk.power_q[row * stride + l] = power_q[i];
+                            chunk.power_q[row * stride + l] = power_q[row];
                             chunk.power_dt[i * stride + l] =
-                                power_q[i] * op.kernel.structure().inv_capacity()[i];
+                                power_q[row] * op.kernel.structure().inv_capacity()[i];
                         }
                         chunk.resum = true;
                     }

@@ -239,6 +239,7 @@ impl ClusterSolver {
         // machine reports to — the initial flow compile of each machine
         // type included.
         let metrics = ClusterMetrics::new();
+        let machine_metrics = Arc::new(metrics.solver.clone());
         let mut types = TypeTable::default();
         let mut machines = Vec::with_capacity(model.machines().len());
         let mut by_name = HashMap::new();
@@ -247,8 +248,8 @@ impl ClusterSolver {
             machines.push(Solver::of_type(
                 m.name(),
                 machine_type,
-                cfg.clone(),
-                metrics.solver.clone(),
+                &cfg,
+                Arc::clone(&machine_metrics),
             ));
             by_name.insert(m.name().to_string(), i);
         }

@@ -587,6 +587,12 @@ impl StepKernel {
         self.dt_sub
     }
 
+    /// Length of one tick: the `dt` the kernel's machine type was
+    /// compiled with.
+    pub(crate) fn dt(&self) -> Seconds {
+        self.structure.dt
+    }
+
     /// The assembled operator's weights and self weights, in the
     /// structure's layout.
     pub(crate) fn op_weights(&self) -> (&[f64], &[f64]) {
@@ -967,29 +973,28 @@ impl StepKernel {
     /// mask changed since the last composition.
     ///
     /// `fixed[i]` marks boundary nodes (inlets and force-pinned nodes)
-    /// that never change; `power_q[i]` is the heat each node generates
-    /// per sub-step (zero for air regions). Returns the total heat
-    /// generated over the tick, in Joules.
+    /// that never change; `power_q[k]` is the heat the structure's
+    /// `k`-th component generates per sub-step (air regions generate
+    /// none). Returns the total heat generated over the tick, in Joules.
     pub(crate) fn tick(&mut self, temp: &mut [Celsius], fixed: &[bool], power_q: &[f64]) -> f64 {
         let n = self.structure.n;
         debug_assert_eq!(temp.len(), n);
-        debug_assert_eq!(power_q.len(), n);
+        debug_assert_eq!(power_q.len(), self.structure.components.len());
         self.compose(fixed);
+        let st = &*self.structure;
         let c = self.composed.as_deref_mut().expect("composed above");
         let p = &*c.pattern;
         // Equation 3: `power_q` is constant across the tick's sub-steps,
         // so the generated total and the per-sub-step ΔT are priced once,
         // and the drive only when the ΔT moved (a composition zeroes the
-        // ΔT it was last priced from, so a new `B` always reprices).
+        // ΔT it was last priced from, so a new `B` always reprices). Air
+        // rows keep the zero ΔT a composition leaves.
         let mut sum_q = 0.0;
         let mut repriced = false;
-        for (pt, (&q, inv)) in c
-            .power_dt
-            .iter_mut()
-            .zip(power_q.iter().zip(&self.structure.inv_capacity))
-        {
+        for (&comp, &q) in st.components.iter().zip(power_q) {
+            let pt = &mut c.power_dt[comp as usize];
             sum_q += q;
-            let dt = q * inv;
+            let dt = q * st.inv_capacity[comp as usize];
             repriced |= dt.to_bits() != pt.to_bits();
             *pt = dt;
         }
@@ -1602,7 +1607,8 @@ mod tests {
 
         let n = model.nodes().len();
         let mut temp = vec![Celsius(21.6); n];
-        let mut power_q = vec![0.0; n];
+        let mut power_q = vec![0.0; kernel.structure().components.len()];
+        assert_eq!(kernel.structure().components[0], 0, "node 0 is the cpu");
         power_q[0] = 31.0 * kernel.dt_sub().0; // cpu at full utilization
         let generated = kernel.tick(&mut temp, &fixed, &power_q);
         assert!((generated - 31.0).abs() < 1e-9, "generated {generated}");

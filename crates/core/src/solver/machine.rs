@@ -59,13 +59,25 @@ impl SolverConfig {
 
 #[derive(Debug, Clone)]
 enum NodeRt {
-    Component { power: PowerModel, monitored: bool },
-    Air { kind: AirKind, mass_kg: f64 },
+    /// A component: its power model, its row in the machine's
+    /// per-component heat (`Shape::components` order), and, when it is
+    /// monitored, its slot in the machine's utilizations (monitored
+    /// components in node order).
+    Component {
+        power: PowerModel,
+        row: u32,
+        input: Option<u32>,
+    },
+    Air {
+        kind: AirKind,
+        mass_kg: f64,
+    },
 }
 
 /// The structure a solver derives from its model body: node lookup,
-/// kinds and power models, capacities, both edge lists, the air
-/// topological order, inlets, components and the structural fingerprint.
+/// kinds, power models and each component's heat row and input slot,
+/// capacities, both edge lists, the air topological order, inlets and
+/// their boundary mask, components and the structural fingerprint.
 /// Derived once per machine type and shared by its replicas; a fiddle
 /// that retunes any of it copies it first.
 #[derive(Debug, Clone)]
@@ -80,6 +92,9 @@ pub(crate) struct Shape {
     air_edges: Vec<(usize, usize, f64)>,
     topo: Vec<usize>,
     inlets: Vec<usize>,
+    /// `inlet_mask[i]` is whether node `i` is an inlet: the boundary
+    /// mask of every machine with no pinned node, which shares it.
+    inlet_mask: Arc<[bool]>,
     /// Component node indices in node order — the only nodes that
     /// generate heat, hence the only ones repricing visits.
     components: Vec<usize>,
@@ -90,19 +105,29 @@ pub(crate) struct Shape {
 
 impl Shape {
     fn of(body: &Arc<MachineBody>) -> Shape {
+        let (mut rows, mut inputs) = (0, 0);
         let kind: Vec<NodeRt> = body
             .nodes
             .iter()
             .map(|node| match node {
-                NodeSpec::Component(c) => NodeRt::Component {
-                    power: c.power.clone(),
-                    monitored: c.monitored,
-                },
+                NodeSpec::Component(c) => {
+                    let (row, input) = (rows, c.monitored.then_some(inputs));
+                    rows += 1;
+                    inputs += u32::from(c.monitored);
+                    NodeRt::Component {
+                        power: c.power.clone(),
+                        row,
+                        input,
+                    }
+                }
                 NodeSpec::Air(a) => NodeRt::Air {
                     kind: a.kind,
                     mass_kg: a.mass_kg,
                 },
             })
+            .collect();
+        let inlet_mask: Arc<[bool]> = (body.nodes.iter())
+            .map(|node| node.is_air_kind(AirKind::Inlet))
             .collect();
         Shape {
             body: Arc::clone(body),
@@ -117,9 +142,8 @@ impl Shape {
                 .map(|e| (e.from.index(), e.to.index(), e.fraction))
                 .collect(),
             topo: body.topo_order.iter().map(|id| id.index()).collect(),
-            inlets: (0..kind.len())
-                .filter(|&i| body.nodes[i].is_air_kind(AirKind::Inlet))
-                .collect(),
+            inlets: (0..kind.len()).filter(|&i| inlet_mask[i]).collect(),
+            inlet_mask,
             components: (0..kind.len())
                 .filter(|&i| matches!(kind[i], NodeRt::Component { .. }))
                 .collect(),
@@ -130,6 +154,13 @@ impl Shape {
 
     fn name(&self, i: usize) -> &str {
         self.body.nodes[i].name()
+    }
+
+    /// Monitored components: the length of a machine's utilizations.
+    fn inputs(&self) -> usize {
+        (self.kind.iter())
+            .filter(|k| matches!(k, NodeRt::Component { input: Some(_), .. }))
+            .count()
     }
 
     /// Compiles a kernel — structure and values — from the edge lists
@@ -200,10 +231,7 @@ impl MachineType {
     ) -> MachineType {
         let shape = Shape::of(body);
         let mut kernel = shape.compile(cfg, body.fan);
-        let inlet_mask: Vec<bool> = (0..shape.kind.len())
-            .map(|i| shape.inlets.contains(&i))
-            .collect();
-        kernel.compose(&inlet_mask);
+        kernel.compose(&shape.inlet_mask);
         metrics.flow_recomputes.add(kernel.flow_recomputes());
         MachineType {
             shape: Arc::new(shape),
@@ -262,6 +290,15 @@ fn own_kernel(kernel: &mut Arc<StepKernel>) -> &mut StepKernel {
     Arc::get_mut(kernel).expect("unshared above")
 }
 
+/// `mask`, to be changed: a shared one (the machine type's inlet mask)
+/// is first replaced by a copy.
+fn own_mask(mask: &mut Arc<[bool]>) -> &mut [bool] {
+    if Arc::get_mut(mask).is_none() {
+        *mask = Arc::from(&mask[..]);
+    }
+    Arc::get_mut(mask).expect("unshared above")
+}
+
 /// Refuses a temperature that is not finite before it is imposed on
 /// `what`: one NaN pin spreads to every node it exchanges heat with.
 pub(super) fn finite_temperature(t: Celsius, what: &str) -> Result<(), Error> {
@@ -307,7 +344,10 @@ pub(super) fn finite_temperature(t: Celsius, what: &str) -> Result<(), Error> {
 /// of one model in a [`ClusterSolver`](super::ClusterSolver) hold one
 /// copy of each. Nothing writes through a shared reference: whatever
 /// changes one of them copies it first (copy on write), so a fiddled,
-/// pinned or restored replica never changes another.
+/// pinned or restored replica never changes another. The state itself
+/// is sized by what the type uses: one utilization per monitored
+/// component, one heat per component, the type's boundary mask until a
+/// node is pinned, and no pin storage until then.
 #[derive(Debug, Clone)]
 pub struct Solver {
     machine: String,
@@ -322,18 +362,21 @@ pub struct Solver {
     /// or release), a tick on the solver's own kernel, which writes its
     /// scratch — and the structure never is.
     kernel: Arc<StepKernel>,
-    utilization: Vec<Utilization>,
-    temp: Vec<Celsius>,
-    forced: Vec<Option<Celsius>>,
-    /// Per-tick inputs: boundary flags (forced nodes and inlets) and
-    /// per-sub-step generated heat per node.
-    fixed: Vec<bool>,
-    power_q: Vec<f64>,
+    /// Utilization of each monitored component, at the input slot its
+    /// node's kind names; every other node is idle.
+    utilization: Box<[Utilization]>,
+    temp: Box<[Celsius]>,
+    /// Force-pinned nodes and their temperatures, in pin order; empty,
+    /// and holding no storage, while nothing is pinned.
+    forced: Vec<(usize, Celsius)>,
+    /// Per-tick inputs: boundary flags (forced nodes and inlets) — the
+    /// type's inlet mask, copied by the first pin that changes it — and
+    /// the per-sub-step generated heat of each component, in
+    /// `Shape::components` order.
+    fixed: Arc<[bool]>,
+    power_q: Box<[f64]>,
     fan: CubicMetersPerSecond,
     inlet_temperature: Celsius,
-    /// Force-pinned nodes (`forced[i].is_some()`), kept as a count so
-    /// [`Solver::batch_eligible`] is O(1).
-    pinned: usize,
     dirty: bool,
     /// Kernel rebuilds so far. A per-lane batch chunk composes this
     /// machine's tick into its lane; a changed epoch tells it the lane's
@@ -361,12 +404,11 @@ pub struct Solver {
     /// the same structure and sub-step count, each lane carrying its own
     /// weights (see `super::batch`).
     diverged: bool,
-    cfg: SolverConfig,
     time: Seconds,
     generated_last_tick: Joules,
     /// Always-on metric handles. A standalone solver owns a detached
-    /// bundle; a cluster member holds its room's.
-    metrics: SolverMetrics,
+    /// bundle; a cluster's machines share one.
+    metrics: Arc<SolverMetrics>,
     /// Ticks stepped on the per-machine path or as a diverged batch
     /// lane, used to sample solo tick latency 1-in-
     /// [`TICK_LATENCY_SAMPLE`]. Serialized by `mercury-ckpt-v1`, so
@@ -387,51 +429,48 @@ impl Solver {
     /// (non-positive `dt` or stability limit outside `(0, 1]`).
     pub fn new(model: &MachineModel, cfg: SolverConfig) -> Result<Self, Error> {
         cfg.validate()?;
-        let metrics = SolverMetrics::new();
+        let metrics = Arc::new(SolverMetrics::new());
         let machine_type = MachineType::compile(model.body(), &cfg, &metrics);
-        Ok(Solver::of_type(model.name(), &machine_type, cfg, metrics))
+        Ok(Solver::of_type(model.name(), &machine_type, &cfg, metrics))
     }
 
     /// A fresh machine named `name` of type `machine_type`, sharing its
     /// shape and kernel, reporting to `metrics`. `cfg` must be the one
-    /// the type was compiled with, and valid.
+    /// the type was compiled with, and valid; the tick length and
+    /// stability limit live on in the kernel, and only the initial
+    /// temperature is read here.
     pub(crate) fn of_type(
         name: &str,
         machine_type: &MachineType,
-        cfg: SolverConfig,
-        metrics: SolverMetrics,
+        cfg: &SolverConfig,
+        metrics: Arc<SolverMetrics>,
     ) -> Solver {
         let shape = &machine_type.shape;
-        let n = shape.kind.len();
         let body = &shape.body;
         let initial = cfg.initial_temperature.unwrap_or(body.inlet_temperature);
-        let mut temp = vec![initial; n];
-        let mut fixed = vec![false; n];
+        let mut temp = vec![initial; shape.kind.len()].into_boxed_slice();
         // Inlets are boundary nodes, and start at the boundary
         // temperature even when `initial_temperature` differs.
         for &i in &shape.inlets {
-            fixed[i] = true;
             temp[i] = body.inlet_temperature;
         }
         Solver {
             machine: name.to_string(),
             shape: Arc::clone(shape),
             kernel: Arc::clone(&machine_type.kernel),
-            utilization: vec![Utilization::IDLE; n],
+            utilization: vec![Utilization::IDLE; shape.inputs()].into_boxed_slice(),
             temp,
-            forced: vec![None; n],
-            fixed,
-            power_q: vec![0.0; n],
+            forced: Vec::new(),
+            fixed: Arc::clone(&shape.inlet_mask),
+            power_q: vec![0.0; shape.components.len()].into_boxed_slice(),
             fan: body.fan,
             inlet_temperature: body.inlet_temperature,
-            pinned: 0,
             dirty: false,
             rebuild_epoch: 1,
             inputs_dirty: true,
             temps_dirty: true,
             power_models_dirty: true,
             diverged: false,
-            cfg,
             time: Seconds(0.0),
             generated_last_tick: Joules(0.0),
             metrics,
@@ -452,7 +491,7 @@ impl Solver {
 
     /// Length of one tick.
     pub fn dt(&self) -> Seconds {
-        self.cfg.dt
+        self.kernel.dt()
     }
 
     /// All node names, in model order.
@@ -477,13 +516,28 @@ impl Solver {
     ///
     /// Panics if `index` is out of range.
     pub fn is_monitored_at(&self, index: usize) -> bool {
-        matches!(
-            self.shape.kind[index],
-            NodeRt::Component {
-                monitored: true,
-                ..
-            }
-        )
+        self.input_slot(index).is_some()
+    }
+
+    /// Node `i`'s slot in `utilization`, if it is a monitored component.
+    fn input_slot(&self, i: usize) -> Option<usize> {
+        match self.shape.kind[i] {
+            NodeRt::Component { input, .. } => input.map(|s| s as usize),
+            NodeRt::Air { .. } => None,
+        }
+    }
+
+    /// Node `i`'s utilization: idle unless it is a monitored component.
+    fn utilization_at(&self, i: usize) -> Utilization {
+        self.input_slot(i)
+            .map_or(Utilization::IDLE, |s| self.utilization[s])
+    }
+
+    /// The temperature node `i` is pinned at, if it is.
+    fn pin(&self, i: usize) -> Option<Celsius> {
+        (self.forced.iter())
+            .find(|&&(node, _)| node == i)
+            .map(|&(_, t)| t)
     }
 
     /// Whether the named node is an inlet air region.
@@ -596,17 +650,13 @@ impl Solver {
         index: usize,
         utilization: impl Into<Utilization>,
     ) -> Result<(), Error> {
-        match &self.shape.kind[index] {
-            NodeRt::Component {
-                monitored: true, ..
-            } => {
-                self.utilization[index] = utilization.into();
+        match self.shape.kind[index] {
+            NodeRt::Component { input: Some(s), .. } => {
+                self.utilization[s as usize] = utilization.into();
                 self.inputs_dirty = true;
                 Ok(())
             }
-            NodeRt::Component {
-                monitored: false, ..
-            } => Err(Error::invalid_input(format!(
+            NodeRt::Component { input: None, .. } => Err(Error::invalid_input(format!(
                 "component `{}` is not monitored; its power draw is fixed",
                 self.shape.name(index)
             ))),
@@ -623,14 +673,14 @@ impl Solver {
     ///
     /// Returns [`Error::UnknownNode`] for unknown names.
     pub fn utilization(&self, name: &str) -> Result<Utilization, Error> {
-        Ok(self.utilization[self.index(name)?])
+        Ok(self.utilization_at(self.index(name)?))
     }
 
     /// Sets the inlet boundary temperature (all inlet nodes).
     pub fn set_inlet_temperature(&mut self, t: Celsius) {
         self.inlet_temperature = t;
         for &i in &self.shape.inlets {
-            if self.forced[i].is_none() {
+            if self.pin(i).is_none() {
                 self.temp[i] = t;
             }
         }
@@ -652,10 +702,13 @@ impl Solver {
     pub fn force_temperature(&mut self, name: &str, t: Celsius) -> Result<(), Error> {
         let i = self.index(name)?;
         finite_temperature(t, name)?;
-        if self.forced[i].replace(t).is_none() {
-            self.pinned += 1;
+        match self.forced.iter_mut().find(|(node, _)| *node == i) {
+            Some(pin) => pin.1 = t,
+            None => self.forced.push((i, t)),
         }
-        self.fixed[i] = true;
+        if !self.fixed[i] {
+            own_mask(&mut self.fixed)[i] = true;
+        }
         self.temp[i] = t;
         self.temps_dirty = true;
         Ok(())
@@ -668,11 +721,19 @@ impl Solver {
     /// Returns [`Error::UnknownNode`] for unknown names.
     pub fn release_temperature(&mut self, name: &str) -> Result<(), Error> {
         let i = self.index(name)?;
-        if self.forced[i].take().is_some() {
-            self.pinned -= 1;
+        if let Some(k) = self.forced.iter().position(|&(node, _)| node == i) {
+            self.forced.swap_remove(k);
         }
-        self.fixed[i] = self.shape.inlets.contains(&i);
-        if self.fixed[i] {
+        let inlet = self.shape.inlet_mask[i];
+        if self.forced.is_empty() {
+            // Nothing pinned: back to holding no pin storage and the
+            // type's mask.
+            self.forced = Vec::new();
+            self.fixed = Arc::clone(&self.shape.inlet_mask);
+        } else if self.fixed[i] != inlet {
+            own_mask(&mut self.fixed)[i] = inlet;
+        }
+        if inlet {
             self.temp[i] = self.inlet_temperature;
         }
         self.temps_dirty = true;
@@ -848,6 +909,14 @@ impl Solver {
         Arc::ptr_eq(&self.shape, &other.shape)
     }
 
+    /// Whether this solver holds pin storage of its own: a pin list or
+    /// a boundary mask it does not share with its machine type. Neither
+    /// exists until a node is pinned, nor once every pin is released.
+    #[doc(hidden)]
+    pub fn holds_pin_storage(&self) -> bool {
+        self.forced.capacity() > 0 || !Arc::ptr_eq(&self.fixed, &self.shape.inlet_mask)
+    }
+
     /// Whether this solver and `other` share one compiled kernel,
     /// values included (see the type docs).
     #[doc(hidden)]
@@ -881,21 +950,22 @@ impl Solver {
         if !self.inputs_dirty {
             return false;
         }
-        for c in 0..self.shape.components.len() {
-            let i = self.shape.components[c];
-            self.power_q[i] = self.price_node(i);
+        for row in 0..self.shape.components.len() {
+            self.power_q[row] = self.price_node(self.shape.components[row]);
         }
         self.inputs_dirty = false;
         true
     }
 
     /// The heat node `i` generates per sub-step at its current
-    /// utilization (Equation 3; zero for an air region). The compiled
-    /// kernel must be current — it is inside a tick and inside a span.
+    /// utilization (Equation 3; zero for an air region, and an
+    /// unmonitored component draws its idle power). The compiled kernel
+    /// must be current — it is inside a tick and inside a span.
     pub(crate) fn price_node(&self, i: usize) -> f64 {
         match &self.shape.kind[i] {
             NodeRt::Component { power, .. } => {
-                crate::physics::heat_generated(power, self.utilization[i], self.kernel.dt_sub()).0
+                let u = self.utilization_at(i);
+                crate::physics::heat_generated(power, u, self.kernel.dt_sub()).0
             }
             NodeRt::Air { .. } => 0.0,
         }
@@ -910,7 +980,8 @@ impl Solver {
         match &self.shape.kind[i] {
             NodeRt::Component {
                 power,
-                monitored: true,
+                input: Some(_),
+                ..
             } => power.linear_coefficients(),
             _ => None,
         }
@@ -922,12 +993,16 @@ impl Solver {
     /// exactly what [`Solver::fill_tick_inputs`] would price, so the
     /// inputs are not marked stale and the next gather reprices nothing.
     pub(crate) fn hand_back_priced(&mut self, i: usize, u: f64, q: f64) {
-        debug_assert!(
-            self.is_monitored_at(i),
-            "only monitored cells are priced in the lanes"
-        );
-        self.utilization[i] = Utilization::new(u);
-        self.power_q[i] = q;
+        let NodeRt::Component {
+            row,
+            input: Some(s),
+            ..
+        } = self.shape.kind[i]
+        else {
+            unreachable!("only monitored cells are priced in the lanes");
+        };
+        self.utilization[s as usize] = Utilization::new(u);
+        self.power_q[row as usize] = q;
     }
 
     /// Whether a power model changed since the last call; clears the
@@ -961,7 +1036,7 @@ impl Solver {
             return;
         }
         self.generated_last_tick = Joules(generated);
-        self.time = clock.end(self.time, self.cfg.dt, span);
+        self.time = clock.end(self.time, self.kernel.dt(), span);
         if self.diverged {
             self.ticks_stepped += span as u64;
         }
@@ -987,7 +1062,7 @@ impl Solver {
     /// read off `clock`), the tick counter, and the changed-state flag
     /// that makes a batch chunk re-gather this machine's lane.
     pub(crate) fn finish_span(&mut self, span: usize, clock: &mut SpanClock) {
-        self.time = clock.end(self.time, self.cfg.dt, span);
+        self.time = clock.end(self.time, self.kernel.dt(), span);
         self.ticks_stepped += span as u64;
         self.temps_dirty = true;
     }
@@ -1023,7 +1098,7 @@ impl Solver {
     /// node is force-pinned (pinning changes the boundary-flag pattern,
     /// which a batch group shares structurally).
     pub(crate) fn batch_eligible(&self) -> bool {
-        self.pinned == 0
+        self.forced.is_empty()
     }
 
     /// Whether a kernel constant has diverged from the source model, so
@@ -1061,7 +1136,8 @@ impl Solver {
             self.refresh();
         }
         debug_assert_eq!(
-            pattern.fixed, self.fixed,
+            pattern.fixed[..],
+            self.fixed[..],
             "a lane composes for its own mask"
         );
         self.kernel.compose_into(pattern, out);
@@ -1071,7 +1147,8 @@ impl Solver {
     }
 
     /// The per-tick inputs: the boundary flags (always current) and the
-    /// heat priced by [`Solver::fill_tick_inputs`].
+    /// heat priced by [`Solver::fill_tick_inputs`], one value per
+    /// component in [`Solver::component_nodes`] order.
     pub(crate) fn tick_inputs(&self) -> (&[bool], &[f64]) {
         (&self.fixed, &self.power_q)
     }
@@ -1104,8 +1181,8 @@ impl Solver {
         w.u32(self.temp.len() as u32);
         for i in 0..self.temp.len() {
             w.f64(self.temp[i].0);
-            w.f64(self.utilization[i].fraction());
-            crate::trace::checkpoint::write_opt_f64(w, self.forced[i].map(|t| t.0));
+            w.f64(self.utilization_at(i).fraction());
+            crate::trace::checkpoint::write_opt_f64(w, self.pin(i).map(|t| t.0));
         }
         w.u32(self.shape.heat_edges.len() as u32);
         for &(_, _, k) in &self.shape.heat_edges {
@@ -1130,8 +1207,10 @@ impl Solver {
     /// # Errors
     ///
     /// Returns [`Error::InvalidInput`] when the blob is truncated, was
-    /// taken from a differently shaped machine, or clears the diverged
-    /// flag while its fan or edge constants differ from the model's.
+    /// taken from a differently shaped machine, gives a utilization
+    /// other than `0.0` to a node that takes none (an air region or an
+    /// unmonitored component), or clears the diverged flag while its
+    /// fan or edge constants differ from the model's.
     pub(crate) fn read_ckpt(&mut self, r: &mut crate::codec::Reader<&[u8]>) -> Result<(), Error> {
         use crate::trace::checkpoint::{read_count, read_flag, read_opt_f64};
         let name = r.str_u16("machine name")?;
@@ -1152,13 +1231,36 @@ impl Solver {
         self.inlet_temperature = Celsius(r.f64("inlet temperature")?);
         self.diverged = read_flag(r, "diverged flag")?;
         read_count(r, "node count", self.temp.len())?;
+        self.forced.clear();
         for i in 0..self.temp.len() {
             self.temp[i] = Celsius(r.f64("node temperature")?);
-            self.utilization[i] = Utilization::new(r.f64("node utilization")?);
-            self.forced[i] = read_opt_f64(r, "forced temperature")?.map(Celsius);
-            self.fixed[i] = self.forced[i].is_some() || self.shape.inlets.contains(&i);
+            let u = r.f64("node utilization")?;
+            match self.input_slot(i) {
+                Some(s) => self.utilization[s] = Utilization::new(u),
+                None if u.to_bits() != 0.0f64.to_bits() => {
+                    return Err(r.invalid(
+                        "node utilization",
+                        format_args!(
+                            "`{}` takes no utilization, but the checkpoint gives it {u}",
+                            self.shape.name(i)
+                        ),
+                    ));
+                }
+                None => {}
+            }
+            if let Some(t) = read_opt_f64(r, "forced temperature")? {
+                self.forced.push((i, Celsius(t)));
+            }
         }
-        self.pinned = self.forced.iter().flatten().count();
+        self.fixed = Arc::clone(&self.shape.inlet_mask);
+        if self.forced.is_empty() {
+            self.forced = Vec::new();
+        } else {
+            let fixed = own_mask(&mut self.fixed);
+            for &(i, _) in &self.forced {
+                fixed[i] = true;
+            }
+        }
         read_count(r, "heat edge count", self.shape.heat_edges.len())?;
         for e in 0..self.shape.heat_edges.len() {
             let k = r.f64("heat conductance")?;

@@ -217,6 +217,49 @@ mod tests {
         assert_eq!(save(&b), blob);
     }
 
+    /// Where machine `m`'s utilization of `node` sits in a
+    /// `validation_cluster` blob: after the diverged flag, the node
+    /// count, the earlier nodes' records and the node's temperature.
+    fn utilization_at(c: &ClusterSolver, m: usize, node: &str) -> usize {
+        let i = c.machine_at(m).node_index(node).unwrap();
+        diverged_flag_at(c, m) + 1 + 4 + i * 25 + 8
+    }
+
+    #[test]
+    fn restore_refuses_a_utilization_on_a_node_that_takes_none() {
+        use crate::presets::nodes;
+        let c = cluster(3);
+        let blob = save(&c);
+        let with = |node: &str, u: f64| {
+            let mut blob = blob.clone();
+            let at = utilization_at(&c, 1, node);
+            assert_eq!(blob[at..at + 8], 0.0f64.to_le_bytes(), "`{node}` is idle");
+            blob[at..at + 8].copy_from_slice(&u.to_le_bytes());
+            blob
+        };
+        // An unmonitored component and an air region take none, so a
+        // blob may give them nothing but 0.0.
+        for node in [nodes::POWER_SUPPLY, nodes::CPU_AIR] {
+            for u in [0.5, -0.0, f64::NAN] {
+                let err = restore(&mut cluster(3), &with(node, u)).unwrap_err();
+                assert!(
+                    matches!(&err, Error::InvalidInput { reason }
+                        if reason.contains(&format!("`{node}` takes no utilization"))),
+                    "{node} at {u}: {err}"
+                );
+            }
+        }
+        // A monitored component takes one, and keeps it through a save.
+        let blob = with(nodes::CPU, 0.5);
+        let mut b = cluster(3);
+        restore(&mut b, &blob).unwrap();
+        assert_eq!(
+            b.machine_at(1).utilization(nodes::CPU).unwrap().fraction(),
+            0.5
+        );
+        assert_eq!(save(&b), blob);
+    }
+
     #[test]
     fn restore_rejects_mismatched_targets() {
         let a = cluster(2);

@@ -133,20 +133,27 @@ impl EventsHeader {
         let ticks = r.u64("tick count")?;
         // A name twice would bind two frame rows (or columns) to one
         // machine (or component); the encoder never writes one. The
-        // tables grow with the names actually read, not with the counts.
+        // tables grow with the names actually read, not with the counts,
+        // and the duplicate check borrows the names the table owns. It
+        // reports the first name seen before, at the offset just past it.
         let mut names = |count: usize, table: &str| {
-            let mut seen = HashSet::new();
+            let mut end = r.position();
             let mut names = Vec::new();
             for _ in 0..count {
-                let name = r.str_u16("name")?;
-                if !seen.insert(name.clone()) {
-                    return Err(r.invalid(
+                names.push(r.str_u16("name")?);
+            }
+            let mut seen = HashSet::with_capacity(names.len());
+            for name in &names {
+                end += 2 + name.len() as u64;
+                if !seen.insert(name.as_str()) {
+                    return Err(r.invalid_at(
+                        end,
                         "name",
                         format_args!("duplicate {table} name `{name}` in the events header"),
                     ));
                 }
-                names.push(name);
             }
+            drop(seen);
             Ok(names)
         };
         let machines = names(machines, "machine")?;
@@ -661,6 +668,24 @@ mod tests {
             UtilizationTrace::from_fn("m2", 2.0, vec!["cpu".into(), "disk".into()], 10, |_, _| 0.5)
                 .unwrap();
         assert!(encode_to_vec(&[a, other_interval]).is_err());
+    }
+
+    #[test]
+    fn decoder_names_a_duplicate_name_where_it_ends() {
+        let traces = [trace("m1", 5), trace("m1", 5).replicate_for("m2")];
+        let (mut bytes, _) = encode_to_vec(&traces).unwrap();
+        // The names follow the tick count, each a u16 length and its
+        // bytes: `m1` then `m2`, whose last byte becomes `1`.
+        let second_end = TICKS_AT + 8 + 2 * (2 + 2);
+        assert_eq!(&bytes[second_end - 2..second_end], b"m2");
+        bytes[second_end - 1] = b'1';
+        let err = decode(&bytes).unwrap_err().to_string();
+        assert!(
+            err.contains(&format!(
+                "name at byte {second_end}: duplicate machine name `m1`"
+            )),
+            "{err}"
+        );
     }
 
     #[test]

@@ -463,6 +463,13 @@ pub fn run_offline(
     let columns: Vec<String> = solver.node_names().map(str::to_string).collect();
     let mut log = TemperatureLog::new(columns);
     let mut runner = script.map(FiddleScript::runner);
+    let nodes = (trace.components().iter())
+        .map(|component| {
+            solver
+                .node_index(component)
+                .ok_or_else(|| Error::unknown_node(component))
+        })
+        .collect::<Result<Vec<usize>, Error>>()?;
     let ticks = (trace.duration().0 / solver.dt().0).round() as usize;
     for _ in 0..ticks {
         let now = solver.time();
@@ -470,13 +477,12 @@ pub fn run_offline(
             r.apply_due_to_solver(now, &mut solver)?;
         }
         if let Some(row) = trace.at(now) {
-            for (component, &u) in trace.components().iter().zip(row) {
-                solver.set_utilization(component, u)?;
+            for (&node, &u) in nodes.iter().zip(row) {
+                solver.set_utilization_at(node, u)?;
             }
         }
         solver.step();
-        let temps: Vec<Celsius> = solver.temperatures().into_iter().map(|(_, t)| t).collect();
-        log.push(solver.time(), &temps)?;
+        log.push(solver.time(), solver.temps())?;
     }
     Ok(log)
 }

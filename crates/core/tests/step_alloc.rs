@@ -227,10 +227,12 @@ fn warm_fan_command_replans_do_not_allocate() {
 }
 
 /// Bytes per machine that `validation_cluster(1024)` and its
-/// `ClusterSolver` hold once built. Measured at 1 275 on x86-64 Linux;
-/// a room that gave each replica its own model body, structure and
-/// kernel held 7 841.
-const ROOM_BYTES_PER_MACHINE: i64 = 1_400;
+/// `ClusterSolver` hold once built. Measured at 761 on x86-64 Linux; a
+/// solver that held a utilization, a heat, a pin slot and a boundary
+/// flag for every node, and its own configuration and metric handles,
+/// made it 1 275, and a room that gave each replica its own model body,
+/// structure and kernel held 7 841.
+const ROOM_BYTES_PER_MACHINE: i64 = 830;
 
 #[test]
 fn replicas_share_their_machine_type() {
@@ -263,12 +265,13 @@ fn replicas_share_their_machine_type() {
 }
 
 /// Bytes a replica's first divergence copies: its structure on the
-/// first retune (name index, kinds, power models, edge lists), and its
-/// kernel's values — flow cache and operator weights, not the kernel
-/// structure it keeps sharing, nor a composed tick — when that retune
-/// is compiled. Measured at 2 030 and 800 on x86-64 Linux; a copy of
-/// the whole kernel, composed tick and tick scratch included, was
-/// 5 162.
+/// first retune (name index, kinds with their heat rows and input
+/// slots, power models, edge lists; not the inlet mask, which it keeps
+/// sharing), and its kernel's values — flow cache and operator weights,
+/// not the kernel structure it keeps sharing, nor a composed tick —
+/// when that retune is compiled. Measured at 2 158 and 800 on x86-64
+/// Linux (2 030 before kinds carried rows and slots); a copy of the
+/// whole kernel, composed tick and tick scratch included, was 5 162.
 const FIRST_SHAPE_COPY_BYTES: i64 = 2_300;
 const FIRST_KERNEL_COPY_BYTES: i64 = 900;
 
@@ -303,6 +306,43 @@ fn first_divergence_copies_once() {
     assert!(diverged.shares_kernel_structure_with(untouched));
     assert!(untouched.shares_shape_with(room.machine_at(0)));
     assert!(untouched.shares_kernel_with(room.machine_at(0)));
+}
+
+/// A room with no pins holds no pin storage: no machine has a pin list
+/// or a boundary mask of its own. The first pin on a machine allocates
+/// its pin list and its own copy of the type's mask, once each; a
+/// further pin on it allocates nothing, and releasing every pin frees
+/// both again.
+#[test]
+fn pins_are_held_on_demand() {
+    let mut room =
+        ClusterSolver::new(&presets::validation_cluster(8), SolverConfig::default()).unwrap();
+    room.step();
+    assert!((0..room.len()).all(|m| !room.machine_at(m).holds_pin_storage()));
+    let machine = room.machine_at_mut(3);
+    let ((), first, bytes) = measure(|| {
+        machine
+            .force_temperature(nodes::CPU_AIR, Celsius(40.0))
+            .unwrap();
+    });
+    println!("first pin: {first} allocations, {bytes} B");
+    assert_eq!(first, 2, "the pin list and the machine's own mask");
+    let ((), second, _) = measure(|| {
+        machine
+            .force_temperature(nodes::CPU, Celsius(50.0))
+            .unwrap();
+    });
+    assert_eq!(second, 0, "a second pin on the same machine");
+    assert!(machine.holds_pin_storage());
+    let ((), _, freed) = measure(|| {
+        machine.release_temperature(nodes::CPU_AIR).unwrap();
+        machine.release_temperature(nodes::CPU).unwrap();
+    });
+    assert_eq!(
+        freed, -bytes,
+        "releasing every pin frees what the first held"
+    );
+    assert!((0..room.len()).all(|m| !room.machine_at(m).holds_pin_storage()));
 }
 
 /// Live bytes per machine that one fan command on every machine of a
@@ -618,12 +658,13 @@ fn a_checkpoint_is_one_exact_allocation() {
 }
 
 /// Allocations a whole-file decode of the trace below may make per
-/// machine: its name (read, then owned by its trace) and the copy the
-/// header's duplicate check keeps, its trace's samples and their shared
-/// handle, and its share of the header tables' growth. Measured at 4.3
-/// (276 in all) on x86-64 Linux; decoding each row into its own vector
-/// made 33 752 (527 a machine).
-const DECODE_ALLOCATIONS_PER_MACHINE: u64 = 5;
+/// machine: its name (read, then owned by its trace), its trace's
+/// samples and their shared handle, and its share of the header tables'
+/// growth. Measured at 3.2 (205 in all) on x86-64 Linux; when the
+/// header's duplicate check kept its own copy of every name the same
+/// decode made 276, and decoding each row into its own vector made
+/// 33 752 (527 a machine).
+const DECODE_ALLOCATIONS_PER_MACHINE: u64 = 4;
 
 /// `events::decode` of a 64-machine x 512-tick trace reserves each
 /// machine's samples once: its allocations grow with the machines, not
@@ -651,5 +692,43 @@ fn a_decoded_trace_is_one_buffer_per_machine() {
     assert!(
         allocations <= DECODE_ALLOCATIONS_PER_MACHINE * MACHINES as u64,
         "{allocations} allocations, budget {DECODE_ALLOCATIONS_PER_MACHINE} a machine"
+    );
+}
+
+/// Allocations `run_offline` may make beyond a 500-tick run when the
+/// same trace runs 4 000 ticks: the growth of the log's two vectors
+/// (times and the row-major temperatures), each doubling about three
+/// more times. When each tick copied every node name out of the solver
+/// and set utilizations by name, the longer run made ≈15 allocations a
+/// tick more.
+const OFFLINE_EXTRA_ALLOCATIONS: u64 = 8;
+
+/// `run_offline` steps one solver and logs its temperatures every tick:
+/// its allocations grow with the ticks only as the log grows.
+#[test]
+fn an_offline_run_allocates_only_its_log_growth() {
+    let model = presets::validation_machine();
+    let run = |ticks: usize| {
+        let trace = UtilizationTrace::from_fn(
+            "machine1",
+            1.0,
+            vec![nodes::CPU.into(), "disk_platters".into()],
+            ticks,
+            |t, c| ((t as usize * 7 + c) % 11) as f64 / 10.0,
+        )
+        .unwrap();
+        let (log, allocations, _) = measure(|| {
+            mercury::trace::run_offline(&model, &trace, SolverConfig::default(), None).unwrap()
+        });
+        assert_eq!(log.len(), ticks);
+        allocations
+    };
+    // The first run also pays the one-time thread-local scratch.
+    run(10);
+    let (short, long) = (run(500), run(4_000));
+    println!("run_offline: {short} allocations for 500 ticks, {long} for 4 000");
+    assert!(
+        long <= short + OFFLINE_EXTRA_ALLOCATIONS,
+        "{long} allocations for 4 000 ticks, {short} for 500"
     );
 }

@@ -115,10 +115,15 @@ impl Gauge {
     }
 }
 
+/// A histogram's cells, buckets inline: one allocation per histogram.
+/// A process that builds many short-lived rooms and keeps each room's
+/// handles (as `bench-e2e` keeps every pass's) holds one block per
+/// histogram; a separate bucket vector made it two, and its 528-byte
+/// chunk split whatever mid-sized hole the allocator had free.
 #[cfg(feature = "instrument")]
 #[derive(Debug)]
 struct HistogramCells {
-    buckets: Vec<AtomicU64>, // NUM_BUCKETS entries
+    buckets: [AtomicU64; NUM_BUCKETS],
     sum: AtomicU64,
     count: AtomicU64,
 }
@@ -163,7 +168,7 @@ impl Histogram {
         Histogram {
             #[cfg(feature = "instrument")]
             cells: Arc::new(HistogramCells {
-                buckets: (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+                buckets: std::array::from_fn(|_| AtomicU64::new(0)),
                 sum: AtomicU64::new(0),
                 count: AtomicU64::new(0),
             }),
