@@ -438,7 +438,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "instrument")]
     fn stats_count_updates_and_acks() {
         let service =
             SolverService::spawn_machine(&presets::validation_machine(), ServiceConfig::fast())
@@ -477,12 +476,9 @@ mod tests {
         let stats = MonitordStats::new();
         let err = report_update(&socket, "m", vec![("cpu".into(), 0.5)], &stats).unwrap_err();
         assert!(matches!(err, Error::Timeout));
-        #[cfg(feature = "instrument")]
-        {
-            assert_eq!(stats.updates.get(), 1);
-            assert_eq!(stats.send_errors.get(), 1);
-            assert_eq!(stats.acks.get(), 0);
-        }
+        assert_eq!(stats.updates.get(), 1);
+        assert_eq!(stats.send_errors.get(), 1);
+        assert_eq!(stats.acks.get(), 0);
     }
 
     #[test]

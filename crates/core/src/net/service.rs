@@ -56,6 +56,39 @@ const CATCH_UP_TICKS: u32 = 32;
 /// pathological label cardinality.
 const SERIES_QUERY_MAX_SERIES: usize = 512;
 
+/// The peers whose malformed datagrams the event ring has heard of:
+/// malformed traffic is counted per packet but logged once per distinct
+/// peer, so one chattering client cannot wash everything else out of the
+/// ring. Held to the ring's capacity, because a client that binds a
+/// fresh port per send is a new peer every time: when full, the set is
+/// cleared, and a peer heard from again is logged again, as the ring
+/// itself would have forgotten it by then.
+#[derive(Debug)]
+struct MalformedPeers {
+    seen: HashSet<SocketAddr>,
+    capacity: usize,
+}
+
+impl MalformedPeers {
+    fn new(capacity: usize) -> Self {
+        MalformedPeers {
+            seen: HashSet::new(),
+            capacity: capacity.max(1),
+        }
+    }
+
+    /// Whether `peer` is new since the set was last cleared; remembers it.
+    fn first_from(&mut self, peer: SocketAddr) -> bool {
+        if self.seen.contains(&peer) {
+            return false;
+        }
+        if self.seen.len() == self.capacity {
+            self.seen.clear();
+        }
+        self.seen.insert(peer)
+    }
+}
+
 /// The emulated system behind a service: one machine or a whole room.
 ///
 /// The variants differ a lot in size, but exactly one instance exists
@@ -395,15 +428,12 @@ impl SolverService {
             let net = net.clone();
             let tracer = cfg.tracer.clone();
             let history = history.clone();
+            let mut malformed_peers = MalformedPeers::new(registry.events().capacity());
             std::thread::Builder::new()
                 .name("mercury-udp".into())
                 .spawn(move || {
                     let mut buf = [0u8; proto::MAX_DATAGRAM];
                     let mut last_arrival: Option<Instant> = None;
-                    // Malformed traffic is counted per packet but logged
-                    // once per distinct peer, so one chattering client
-                    // cannot wash everything else out of the event ring.
-                    let mut malformed_peers: HashSet<SocketAddr> = HashSet::new();
                     while !stop.load(Ordering::Relaxed) {
                         let (n, peer) = match socket.recv_from(&mut buf) {
                             Ok(ok) => ok,
@@ -495,7 +525,7 @@ impl SolverService {
                                         vec![(Cow::Borrowed("error"), e.to_string())],
                                     );
                                 }
-                                if malformed_peers.insert(peer) {
+                                if malformed_peers.first_from(peer) {
                                     let peer_s = peer.to_string();
                                     let error_s = e.to_string();
                                     registry.event(
@@ -611,6 +641,23 @@ mod tests {
         let mut buf = [0u8; proto::MAX_DATAGRAM];
         let n = socket.recv(&mut buf).unwrap();
         proto::decode_reply(&buf[..n]).unwrap()
+    }
+
+    /// A client binding a fresh port per malformed send is a new peer
+    /// every time; the set remembering them stays within the event
+    /// ring's capacity.
+    #[test]
+    fn malformed_peer_log_is_held_to_the_ring_capacity() {
+        let capacity = Registry::new().events().capacity();
+        let mut peers = MalformedPeers::new(capacity);
+        let peer = |port: u16| SocketAddr::from(([127, 0, 0, 1], port));
+        for port in 0..(4 * capacity as u16 + 3) {
+            assert!(peers.first_from(peer(port)), "port {port} is new");
+            assert!(!peers.first_from(peer(port)), "port {port} was just logged");
+            assert!(peers.seen.len() <= capacity);
+        }
+        // Clearing forgets: the first peer is logged again.
+        assert!(peers.first_from(peer(0)));
     }
 
     #[test]
@@ -757,7 +804,6 @@ mod tests {
     /// solver: the datagram fails to decode, is answered with an error
     /// and counted as malformed, and every temperature stays finite.
     #[test]
-    #[cfg(feature = "instrument")]
     fn a_non_finite_fiddle_is_malformed() {
         let service =
             SolverService::spawn_cluster(&presets::validation_cluster(4), ServiceConfig::fast())
@@ -844,7 +890,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "instrument")]
     fn scrape_exposes_solver_and_net_families() {
         let service =
             SolverService::spawn_machine(&presets::validation_machine(), ServiceConfig::fast())
@@ -891,7 +936,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "instrument")]
     fn trace_dump_returns_request_and_tick_spans() {
         let cluster = presets::validation_cluster(2);
         let cfg = ServiceConfig {

@@ -13,7 +13,6 @@ use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 use telemetry::Tracer;
 
 /// A resolved `(machine, node)` temperature probe for
@@ -525,9 +524,8 @@ impl ClusterSolver {
     }
 
     /// Runtime switch for metric updates (default on), cascaded to
-    /// every machine solver. Off skips handle updates and clock reads —
-    /// the overhead benchmark's within-one-binary A/B; the compile-time
-    /// equivalent is building without the `instrument` feature.
+    /// every machine solver. Off skips handle updates — the overhead
+    /// benchmark's within-one-binary A/B.
     pub fn set_instrumentation(&mut self, on: bool) {
         self.instrumented = on;
         for machine in &mut self.machines {
@@ -831,11 +829,6 @@ impl ClusterSolver {
         if ticks == 0 {
             return Ok(0);
         }
-        let started = if telemetry::enabled() && self.instrumented {
-            Some(Instant::now())
-        } else {
-            None
-        };
         let open_span = self.tracer.start("cluster.tick", "solver");
         self.open_lanes(open_span.id());
         self.tracer.end(open_span);
@@ -1009,10 +1002,6 @@ impl ClusterSolver {
                 .solver
                 .substeps
                 .add((self.batch.planned_substeps() + solo_substeps) * done_u64);
-            if let Some(started) = started {
-                let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                self.metrics.tick_nanos.observe(nanos / done_u64);
-            }
         }
         if trace_span.is_live() {
             let args = vec![
@@ -1257,7 +1246,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "instrument")]
     fn metrics_count_ticks_per_call() {
         let cluster = presets::validation_cluster(12);
         let mut s = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
@@ -1283,15 +1271,10 @@ mod tests {
         // Construction compiled the one machine type's flows once; the
         // fiddle recompiled machine3's.
         assert_eq!(m.solver.flow_recomputes.get(), 2);
-        // Every call is one latency observation, its per-tick mean, and
-        // its first tick is booked as a full step: of the eleven ticks,
-        // only step_for(9)'s last eight are fused.
-        assert_eq!(m.tick_nanos.snapshot().count, 3);
+        // A call's first tick is booked as a full step: of the eleven
+        // ticks, only step_for(9)'s last eight are fused.
         assert_eq!(m.fused_ticks.get(), 8);
         assert_eq!(m.fused_spans.snapshot().count, 1);
-        // The solo machine ticked inside the room's calls, which leave
-        // the machine-level latency histogram to standalone solvers.
-        assert_eq!(m.solver.tick_nanos.snapshot().count, 0);
 
         // The runtime switch freezes every counter without touching the
         // trajectory.
@@ -1305,7 +1288,6 @@ mod tests {
     /// Checks the span tree of the one call `spans` recorded — its
     /// opening and its fused span, siblings at the root, over `ticks`
     /// ticks.
-    #[cfg(feature = "instrument")]
     fn call_tree(spans: &[telemetry::SpanRecord], ticks: usize) {
         let find = |name: &str| {
             let mut named = spans.iter().filter(|r| r.name == name);
@@ -1332,7 +1314,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "instrument")]
     fn tick_spans_narrate_the_causal_phases() {
         let cluster = presets::validation_cluster(12);
         let mut s = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();

@@ -1,7 +1,7 @@
 //! The per-machine solver.
 
 use super::kernel::{Column, StepKernel, TickPattern};
-use super::metrics::{SolverMetrics, TICK_LATENCY_SAMPLE};
+use super::metrics::SolverMetrics;
 use crate::error::Error;
 use crate::model::{AirKind, MachineBody, MachineModel, NodeSpec, PowerModel};
 use crate::units::{
@@ -9,7 +9,6 @@ use crate::units::{
 };
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Configuration of a [`Solver`].
 #[derive(Debug, Clone, PartialEq)]
@@ -410,13 +409,11 @@ pub struct Solver {
     /// bundle; a cluster's machines share one.
     metrics: Arc<SolverMetrics>,
     /// Ticks stepped on the per-machine path or as a diverged batch
-    /// lane, used to sample solo tick latency 1-in-
-    /// [`TICK_LATENCY_SAMPLE`]. Serialized by `mercury-ckpt-v1`, so
-    /// which machines book it cannot follow which path stepped them.
+    /// lane. Serialized by `mercury-ckpt-v1`, so which machines book it
+    /// cannot follow which path stepped them.
     ticks_stepped: u64,
     /// Runtime instrumentation switch (default on). Exists for overhead
-    /// A/B measurements within one binary; the compile-time switch is
-    /// the `instrument` cargo feature.
+    /// A/B measurements within one binary.
     instrumented: bool,
 }
 
@@ -894,10 +891,8 @@ impl Solver {
     }
 
     /// Runtime switch for metric updates (default on). Off makes the
-    /// solver skip handle updates and latency sampling entirely — used
-    /// by the overhead benchmark to A/B within one binary. The
-    /// compile-time equivalent is building without the `instrument`
-    /// feature.
+    /// solver skip handle updates entirely — used by the overhead
+    /// benchmark to A/B within one binary.
     pub fn set_instrumentation(&mut self, on: bool) {
         self.instrumented = on;
     }
@@ -1303,22 +1298,13 @@ impl Solver {
     /// ([`Solver::tick_fused`]), its epilogue ([`Solver::finish_span`]
     /// of one tick) and the counters.
     pub fn step(&mut self) {
-        // Latency is sampled 1-in-TICK_LATENCY_SAMPLE so the common tick
-        // carries no clock reads; counters are exact. Neither touches
-        // the arithmetic, so trajectories are identical either way.
-        let timed = telemetry::enabled()
-            && self.instrumented
-            && self.ticks_stepped.is_multiple_of(TICK_LATENCY_SAMPLE);
-        let started = if timed { Some(Instant::now()) } else { None };
+        // The counters never touch the arithmetic, so trajectories are
+        // identical with instrumentation on or off.
         self.tick_fused();
         self.finish_span(1, &mut SpanClock::default());
         if self.instrumented {
             self.metrics.ticks.inc();
             self.metrics.substeps.add(self.kernel.substeps() as u64);
-            if let Some(started) = started {
-                let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                self.metrics.tick_nanos.observe(nanos);
-            }
         }
     }
 

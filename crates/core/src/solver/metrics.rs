@@ -13,7 +13,7 @@
 //! Instrumentation must never perturb the physics: handles are updated
 //! strictly *outside* the kernel arithmetic (tick prologues/epilogues
 //! and plan rebuilds), so per-machine and batched trajectories stay
-//! bit-identical with telemetry on, off, or compiled out.
+//! bit-identical with telemetry on or off.
 //!
 //! A cluster shares **one** [`SolverMetrics`] across all of its machine
 //! solvers (handles are `Arc`-backed, so sharing is cloning): the
@@ -21,12 +21,6 @@
 //! room", not 1024 separate counters.
 
 use telemetry::{Counter, Gauge, Histogram, Registry};
-
-/// How often a [`super::Solver::step`] samples its own latency: one in
-/// 64. Sampling keeps two `Instant::now` calls off the common tick while
-/// still collecting thousands of latency points per emulated hour;
-/// counters are exact (every tick), only the histogram samples.
-pub(crate) const TICK_LATENCY_SAMPLE: u64 = 64;
 
 /// Metric handles shared by every machine solver of one emulated system.
 ///
@@ -37,12 +31,6 @@ pub struct SolverMetrics {
     /// `mercury_solver_ticks_total` — machine ticks completed, on either
     /// the solo or the batched path.
     pub ticks: Counter,
-    /// `mercury_solver_tick_seconds` — sampled latency of
-    /// [`super::Solver::step`], recorded in nanoseconds (exposed in
-    /// seconds). Only a standalone `Solver` observes it: a cluster's
-    /// machines tick inside the room's calls, which are timed whole in
-    /// [`ClusterMetrics::tick_nanos`].
-    pub tick_nanos: Histogram,
     /// `mercury_solver_substeps_total` — explicit-Euler sub-steps
     /// represented (ticks × the stability-limited sub-step count). A
     /// tick runs its sub-steps composed into one sweep, so this counts
@@ -76,13 +64,6 @@ impl SolverMetrics {
             &[],
             &self.ticks,
         );
-        registry.register_histogram(
-            "mercury_solver_tick_seconds",
-            "Sampled latency of standalone machine-solver ticks",
-            &[],
-            &self.tick_nanos,
-            1e-9,
-        );
         registry.register_counter(
             "mercury_solver_substeps_total",
             "Explicit-Euler sub-steps represented across all machines",
@@ -109,11 +90,6 @@ impl SolverMetrics {
 pub struct ClusterMetrics {
     /// `mercury_cluster_ticks_total` — whole-room ticks completed.
     pub ticks: Counter,
-    /// `mercury_cluster_tick_seconds` — full room-tick latency (opening
-    /// the lanes, mixing, stepping, the scatter), recorded in
-    /// nanoseconds once per call as the call's per-tick mean: every
-    /// tick of a `step()`, once per replay call.
-    pub tick_nanos: Histogram,
     /// `mercury_cluster_batched_machines` — machines on the batched SoA
     /// path in the latest tick, diverged (fan-/heat-k-/air-fraction-
     /// fiddled) machines in per-lane-weight groups included.
@@ -174,13 +150,6 @@ impl ClusterMetrics {
             "Whole-room cluster ticks completed",
             &[],
             &self.ticks,
-        );
-        registry.register_histogram(
-            "mercury_cluster_tick_seconds",
-            "Full cluster tick latency (mixing + machine stepping)",
-            &[],
-            &self.tick_nanos,
-            1e-9,
         );
         registry.register_gauge(
             "mercury_cluster_batched_machines",
@@ -249,12 +218,10 @@ mod tests {
         let text = registry.render_prometheus();
         for family in [
             "mercury_solver_ticks_total",
-            "mercury_solver_tick_seconds",
             "mercury_solver_substeps_total",
             "mercury_solver_flow_recomputes_total",
             "mercury_solver_simd_lane_width",
             "mercury_cluster_ticks_total",
-            "mercury_cluster_tick_seconds",
             "mercury_cluster_batched_machines",
             "mercury_cluster_solo_machines",
             "mercury_cluster_batch_chunks",

@@ -926,7 +926,6 @@ fn batch_fed_feed_errors_close_the_span() {
 /// input-stable in-lane ticks and runs; in-lane ticks that took an
 /// input are `fed_ticks`.
 #[test]
-#[cfg(feature = "instrument")]
 fn batch_fed_ticks_count_apart_from_fused_ticks() {
     let cluster = presets::validation_cluster(6);
     let mut s = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
@@ -1439,7 +1438,6 @@ fn batch_frame_routes_afresh_after_a_replan() {
 /// `fed_ticks`, `fused_ticks` or the `fused_span_ticks` runs — whether
 /// its feed sets a frame or not.
 #[test]
-#[cfg(feature = "instrument")]
 fn batch_frame_first_tick_is_booked_as_a_full_step() {
     let room = FrameRoom::ideal(9);
     let mut s = ClusterSolver::new(&room.model(), SolverConfig::default()).unwrap();

@@ -493,7 +493,6 @@ fn stream_replay_matches_per_tick_feeding() {
 /// call reaches the end of the trace, not on every call: a 10-tick call
 /// mid-trace leaves the gauge as it was.
 #[test]
-#[cfg(feature = "instrument")]
 fn replay_reads_peak_rss_at_the_end_of_the_trace_only() {
     let rows: Vec<Vec<f64>> = (0..60)
         .map(|t| vec![(t % 7) as f64 / 7.0, 0.5, 0.25, (t % 3) as f64 / 3.0])

@@ -605,8 +605,8 @@ pub fn bench_solver() -> Result {
     let trace_runs = 9usize;
     // Detached: every span site is a no-op (the default). Attached but
     // off: the cost of the attachment check alone, which must be free —
-    // it is what every untraced production run pays once the binary
-    // carries `instrument`. Attached and on: the full recording cost.
+    // it is what every untraced production run pays. Attached and on:
+    // the full recording cost.
     let tracer = |on: bool| {
         let tracer = telemetry::Tracer::new(telemetry::trace::DEFAULT_SPAN_CAPACITY);
         tracer.set_enabled(on);

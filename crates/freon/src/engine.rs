@@ -607,7 +607,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "instrument")]
     fn history_trends_flag_a_ramp_before_red_line() {
         use telemetry::RecorderConfig;
 

@@ -745,7 +745,6 @@ reason = \"below_low\"
         assert_eq!(policy.metrics().fan_commands.get(), 2);
     }
 
-    #[cfg(feature = "instrument")]
     #[test]
     fn decision_spans_link_back_to_the_observation() {
         let mut policy = SpecPolicy::new(shed_spec(), 2).unwrap();

@@ -4,13 +4,13 @@
 //!
 //! This is the observability acceptance path: solver, cluster, freon,
 //! and net metric families must all be present and the whole exposition
-//! must round-trip through the strict parser.
-
-#![cfg(feature = "instrument")]
+//! must round-trip through the strict parser. The same registries check
+//! DESIGN.md §8's family catalogue both ways.
 
 use freon::{FreonConfig, FreonPolicy, ServerSnapshot, ThermalPolicy};
 use mercury::net::proto::Request;
 use mercury::net::{fetch_multipart, ServiceConfig, SolverService};
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 fn hot_snapshots(n: usize, hot: usize) -> Vec<ServerSnapshot> {
@@ -112,4 +112,81 @@ fn scrape_covers_solver_cluster_freon_and_net_families() {
     );
 
     service.shutdown();
+}
+
+/// Every family a registry of the suite exposes, with its type, read off
+/// the `# TYPE` lines of the rendered exposition.
+fn registered_families(registries: &[&telemetry::Registry]) -> BTreeMap<String, String> {
+    let mut families = BTreeMap::new();
+    for registry in registries {
+        for line in registry.render_prometheus().lines() {
+            if let Some(decl) = line.strip_prefix("# TYPE ") {
+                let (name, kind) = decl.split_once(' ').expect("`# TYPE name kind`");
+                families.insert(name.to_string(), kind.to_string());
+            }
+        }
+    }
+    families
+}
+
+/// DESIGN.md §8's family catalogue: the `| `name` | type | readers |`
+/// rows between the section's heading and §8b.
+fn documented_families() -> BTreeMap<String, String> {
+    let design = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md"))
+        .expect("DESIGN.md at the repository root");
+    let start = design.find("## 8. Telemetry").expect("DESIGN §8");
+    let end = start + design[start..].find("### 8b.").expect("DESIGN §8b");
+    let mut families = BTreeMap::new();
+    for row in design[start..end].lines() {
+        let Some(row) = row.strip_prefix("| `mercury_") else {
+            continue;
+        };
+        let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+        let name = format!("mercury_{}", cells[0].trim_end_matches('`'));
+        assert!(
+            families
+                .insert(name.clone(), cells[1].to_string())
+                .is_none(),
+            "{name} is documented twice"
+        );
+    }
+    families
+}
+
+/// The catalogue is exact: a family registered anywhere in the suite is
+/// documented with its type, and a documented family is registered.
+#[test]
+fn catalogue_matches_the_registries() {
+    // The live service: solver, cluster, net, build and event-ring
+    // families, with a policy's decision families registered on it.
+    let model = mercury::presets::validation_cluster(2);
+    let service = SolverService::spawn_cluster(&model, ServiceConfig::fast()).unwrap();
+    FreonPolicy::new(FreonConfig::paper(), 2).register_metrics(service.registry());
+    // The bundles registered elsewhere: a monitord's client counters, a
+    // trace replay's and an experiment engine's.
+    let elsewhere = telemetry::Registry::new();
+    mercury::net::MonitordStats::new().register(&elsewhere, "machine1");
+    mercury::trace::stream::ReplayMetrics::new().register(&elsewhere);
+    freon::ExperimentMetrics::new().register(&elsewhere);
+
+    let registered = registered_families(&[service.registry(), &elsewhere]);
+    service.shutdown();
+    let documented = documented_families();
+    let undocumented: Vec<_> = registered
+        .iter()
+        .filter(|(name, _)| !documented.contains_key(*name))
+        .collect();
+    let vanished: Vec<_> = documented
+        .keys()
+        .filter(|name| !registered.contains_key(*name))
+        .collect();
+    let retyped: Vec<_> = registered
+        .iter()
+        .filter(|(name, kind)| documented.get(*name).is_some_and(|doc| doc != *kind))
+        .collect();
+    assert!(
+        undocumented.is_empty() && vanished.is_empty() && retyped.is_empty(),
+        "DESIGN §8's catalogue is out of date:\n  registered, not documented: {undocumented:?}\n  \
+         documented, not registered: {vanished:?}\n  registered with another type: {retyped:?}"
+    );
 }

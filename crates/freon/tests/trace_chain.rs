@@ -5,8 +5,6 @@
 //! span ids alone. This is the observability acceptance path for the
 //! tracing subsystem.
 
-#![cfg(feature = "instrument")]
-
 use cluster_sim::{ClusterSim, ServerConfig};
 use freon::policy::SpecPolicy;
 use freon::{Experiment, ExperimentConfig, PolicySpec};

@@ -8,10 +8,8 @@
 //! full the oldest event is overwritten; `overwritten()` says how many
 //! were lost, so a reader can tell a quiet system from a noisy one.
 
-#[cfg(feature = "instrument")]
 use std::collections::VecDeque;
 use std::fmt;
-#[cfg(feature = "instrument")]
 use std::sync::{Arc, Mutex};
 
 /// Event severity, ordered from least to most severe.
@@ -52,7 +50,6 @@ pub struct Event {
     pub fields: Vec<(String, String)>,
 }
 
-#[cfg(feature = "instrument")]
 #[derive(Debug, Default)]
 struct RingInner {
     events: VecDeque<Event>,
@@ -78,7 +75,6 @@ struct RingInner {
 #[derive(Clone, Debug)]
 pub struct EventRing {
     capacity: usize,
-    #[cfg(feature = "instrument")]
     inner: Arc<Mutex<RingInner>>,
 }
 
@@ -96,7 +92,6 @@ impl EventRing {
         let capacity = capacity.max(1);
         EventRing {
             capacity,
-            #[cfg(feature = "instrument")]
             inner: Arc::new(Mutex::new(RingInner::default())),
         }
     }
@@ -109,87 +104,56 @@ impl EventRing {
 
     /// Records an event, evicting the oldest if the ring is full.
     pub fn push(&self, severity: Severity, message: impl Into<String>, fields: &[(&str, &str)]) {
-        #[cfg(feature = "instrument")]
-        {
-            let event_fields = fields
-                .iter()
-                .map(|(k, v)| ((*k).to_string(), (*v).to_string()))
-                .collect();
-            let mut inner = lock(&self.inner);
-            let seq = inner.next_seq;
-            inner.next_seq += 1;
-            if inner.events.len() == self.capacity {
-                inner.events.pop_front();
-                inner.overwritten += 1;
-            }
-            inner.events.push_back(Event {
-                seq,
-                severity,
-                message: message.into(),
-                fields: event_fields,
-            });
+        let event_fields = fields
+            .iter()
+            .map(|(k, v)| ((*k).to_string(), (*v).to_string()))
+            .collect();
+        let mut inner = lock(&self.inner);
+        let seq = inner.next_seq;
+        inner.next_seq += 1;
+        if inner.events.len() == self.capacity {
+            inner.events.pop_front();
+            inner.overwritten += 1;
         }
-        #[cfg(not(feature = "instrument"))]
-        {
-            let _ = (severity, fields);
-            let _ = message;
-        }
+        inner.events.push_back(Event {
+            seq,
+            severity,
+            message: message.into(),
+            fields: event_fields,
+        });
     }
 
     /// The most recent `limit` events, oldest first.
     #[must_use]
     pub fn recent(&self, limit: usize) -> Vec<Event> {
-        #[cfg(feature = "instrument")]
-        {
-            let inner = lock(&self.inner);
-            let skip = inner.events.len().saturating_sub(limit);
-            inner.events.iter().skip(skip).cloned().collect()
-        }
-        #[cfg(not(feature = "instrument"))]
-        {
-            let _ = limit;
-            Vec::new()
-        }
+        let inner = lock(&self.inner);
+        let skip = inner.events.len().saturating_sub(limit);
+        inner.events.iter().skip(skip).cloned().collect()
     }
 
     /// Total events ever pushed (including overwritten ones).
     #[must_use]
     pub fn total(&self) -> u64 {
-        #[cfg(feature = "instrument")]
-        {
-            lock(&self.inner).next_seq
-        }
-        #[cfg(not(feature = "instrument"))]
-        {
-            0
-        }
+        lock(&self.inner).next_seq
     }
 
     /// Events lost to wraparound.
     #[must_use]
     pub fn overwritten(&self) -> u64 {
-        #[cfg(feature = "instrument")]
-        {
-            lock(&self.inner).overwritten
-        }
-        #[cfg(not(feature = "instrument"))]
-        {
-            0
-        }
+        lock(&self.inner).overwritten
     }
 }
 
 /// Locks the ring, recovering from poisoning: an event push can never
 /// panic, so a poisoned mutex only means some other thread panicked
 /// mid-push — the ring contents are still sound to read.
-#[cfg(feature = "instrument")]
 fn lock(inner: &Arc<Mutex<RingInner>>) -> std::sync::MutexGuard<'_, RingInner> {
     inner
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-#[cfg(all(test, feature = "instrument"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -9,12 +9,9 @@
 //! All updates use `Ordering::Relaxed`: metrics are monotonic summaries,
 //! not synchronization primitives, and relaxed ops compile to plain
 //! `lock xadd`/`mov` on x86 — cheap enough to leave on in production
-//! builds. With the `instrument` feature off the handles carry no
-//! storage at all and every method is a no-op the optimizer removes.
+//! builds.
 
-#[cfg(feature = "instrument")]
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "instrument")]
 use std::sync::Arc;
 
 /// Number of log-2 histogram buckets: bucket `i` counts values whose
@@ -32,7 +29,6 @@ pub const NUM_BUCKETS: usize = 65;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Counter {
-    #[cfg(feature = "instrument")]
     cell: Arc<AtomicU64>,
 }
 
@@ -52,23 +48,13 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(feature = "instrument")]
         self.cell.fetch_add(n, Ordering::Relaxed);
-        #[cfg(not(feature = "instrument"))]
-        let _ = n;
     }
 
-    /// Current value (0 in `cfg`-off builds).
+    /// Current value.
     #[must_use]
     pub fn get(&self) -> u64 {
-        #[cfg(feature = "instrument")]
-        {
-            self.cell.load(Ordering::Relaxed)
-        }
-        #[cfg(not(feature = "instrument"))]
-        {
-            0
-        }
+        self.cell.load(Ordering::Relaxed)
     }
 }
 
@@ -81,7 +67,6 @@ impl Counter {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Gauge {
-    #[cfg(feature = "instrument")]
     cell: Arc<AtomicU64>,
 }
 
@@ -95,23 +80,13 @@ impl Gauge {
     /// Sets the gauge.
     #[inline]
     pub fn set(&self, v: f64) {
-        #[cfg(feature = "instrument")]
         self.cell.store(v.to_bits(), Ordering::Relaxed);
-        #[cfg(not(feature = "instrument"))]
-        let _ = v;
     }
 
-    /// Current value (0.0 in `cfg`-off builds).
+    /// Current value.
     #[must_use]
     pub fn get(&self) -> f64 {
-        #[cfg(feature = "instrument")]
-        {
-            f64::from_bits(self.cell.load(Ordering::Relaxed))
-        }
-        #[cfg(not(feature = "instrument"))]
-        {
-            0.0
-        }
+        f64::from_bits(self.cell.load(Ordering::Relaxed))
     }
 }
 
@@ -120,7 +95,6 @@ impl Gauge {
 /// handles (as `bench-e2e` keeps every pass's) holds one block per
 /// histogram; a separate bucket vector made it two, and its 528-byte
 /// chunk split whatever mid-sized hole the allocator had free.
-#[cfg(feature = "instrument")]
 #[derive(Debug)]
 struct HistogramCells {
     buckets: [AtomicU64; NUM_BUCKETS],
@@ -151,7 +125,6 @@ struct HistogramCells {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Histogram {
-    #[cfg(feature = "instrument")]
     cells: Arc<HistogramCells>,
 }
 
@@ -166,7 +139,6 @@ impl Histogram {
     #[must_use]
     pub fn new() -> Self {
         Histogram {
-            #[cfg(feature = "instrument")]
             cells: Arc::new(HistogramCells {
                 buckets: std::array::from_fn(|_| AtomicU64::new(0)),
                 sum: AtomicU64::new(0),
@@ -178,15 +150,10 @@ impl Histogram {
     /// Records one value: two relaxed adds and one relaxed increment.
     #[inline]
     pub fn observe(&self, value: u64) {
-        #[cfg(feature = "instrument")]
-        {
-            let idx = bucket_index(value);
-            self.cells.buckets[idx].fetch_add(1, Ordering::Relaxed);
-            self.cells.sum.fetch_add(value, Ordering::Relaxed);
-            self.cells.count.fetch_add(1, Ordering::Relaxed);
-        }
-        #[cfg(not(feature = "instrument"))]
-        let _ = value;
+        let idx = bucket_index(value);
+        self.cells.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.cells.sum.fetch_add(value, Ordering::Relaxed);
+        self.cells.count.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Copies the current bucket contents out.
@@ -196,39 +163,26 @@ impl Histogram {
     /// harmless) property of scrape-style metrics.
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {
-        #[cfg(feature = "instrument")]
-        {
-            HistogramSnapshot {
-                buckets: self
-                    .cells
-                    .buckets
-                    .iter()
-                    .map(|b| b.load(Ordering::Relaxed))
-                    .collect(),
-                sum: self.cells.sum.load(Ordering::Relaxed),
-                count: self.cells.count.load(Ordering::Relaxed),
-            }
-        }
-        #[cfg(not(feature = "instrument"))]
-        {
-            HistogramSnapshot {
-                buckets: vec![0; NUM_BUCKETS],
-                sum: 0,
-                count: 0,
-            }
+        HistogramSnapshot {
+            buckets: self
+                .cells
+                .buckets
+                .iter()
+                .map(|b| b.load(Ordering::Relaxed))
+                .collect(),
+            sum: self.cells.sum.load(Ordering::Relaxed),
+            count: self.cells.count.load(Ordering::Relaxed),
         }
     }
 }
 
 /// Which bucket a value falls into: its bit length.
-#[cfg(feature = "instrument")]
 #[inline]
 fn bucket_index(value: u64) -> usize {
     (u64::BITS - value.leading_zeros()) as usize
 }
 
-/// A point-in-time copy of a [`Histogram`], suitable for merging and
-/// quantile estimation.
+/// A point-in-time copy of a [`Histogram`], suitable for merging.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket observation counts (`NUM_BUCKETS` entries; bucket `i`
@@ -241,16 +195,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// An empty snapshot (useful as a merge accumulator).
-    #[must_use]
-    pub fn empty() -> Self {
-        HistogramSnapshot {
-            buckets: vec![0; NUM_BUCKETS],
-            sum: 0,
-            count: 0,
-        }
-    }
-
     /// Inclusive upper bound of bucket `i` in raw units.
     ///
     /// Bucket 0 holds only 0; bucket `i ≥ 1` holds `[2^(i-1), 2^i)`, so
@@ -275,39 +219,9 @@ impl HistogramSnapshot {
         self.sum += other.sum;
         self.count += other.count;
     }
-
-    /// Mean of the recorded raw values (0.0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Upper bound of the bucket containing the `q`-quantile
-    /// observation (`q` in `[0, 1]`), in raw units. Returns 0 for an
-    /// empty histogram. Accuracy is the bucket width, i.e. a factor of
-    /// two — plenty for "is p99 tick latency milliseconds or seconds".
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Self::bucket_upper_bound(i);
-            }
-        }
-        Self::bucket_upper_bound(NUM_BUCKETS - 1)
-    }
 }
 
-#[cfg(all(test, feature = "instrument"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -410,20 +324,5 @@ mod tests {
             }
         });
         assert_eq!(h.snapshot().count, 4000);
-    }
-
-    #[test]
-    fn quantiles_and_mean() {
-        let h = Histogram::new();
-        for _ in 0..99 {
-            h.observe(100); // bucket 7, upper bound 127
-        }
-        h.observe(1 << 20); // one outlier
-        let s = h.snapshot();
-        assert_eq!(s.quantile(0.5), 127);
-        assert_eq!(s.quantile(0.99), 127);
-        assert_eq!(s.quantile(1.0), (1 << 21) - 1);
-        assert!((s.mean() - (99.0 * 100.0 + 1048576.0) / 100.0).abs() < 1e-6);
-        assert_eq!(HistogramSnapshot::empty().quantile(0.5), 0);
     }
 }

@@ -18,9 +18,7 @@
 //!    op — no locks, no allocation, no formatting. The hot solver paths
 //!    update handles unconditionally; the measured contract (see
 //!    `DESIGN.md` §"Telemetry") is ≤ 2 % overhead on the 256-machine
-//!    batched cluster tick. For environments where even that is too
-//!    much, building with `default-features = false` (the `instrument`
-//!    feature off) turns every handle into a zero-sized no-op.
+//!    batched cluster tick.
 //! 3. **Mergeable.** [`Histogram`] uses log-2 buckets over `u64` values
 //!    so snapshots from different threads (or machines) merge by simple
 //!    element-wise addition — no bucket-boundary negotiation.
@@ -35,12 +33,12 @@
 //!   parses it back for pretty-printing and tests.
 //!
 //! Metric names follow `mercury_<subsystem>_<metric>` (e.g.
-//! `mercury_cluster_tick_seconds`); counters end in `_total`, histogram
+//! `mercury_net_interarrival_seconds`); counters end in `_total`, histogram
 //! families use base units (seconds) via the registration-time scale.
 //!
 //! Sibling subsystems share these rules: [`trace`] records
 //! causally-linked spans (packet → solver tick → policy decision →
-//! actuation) behind the same `instrument` feature and exports them as
+//! actuation) and exports them as
 //! Chrome trace-event JSON, and [`recorder`] is a thermal flight
 //! recorder — bounded per-machine rings of recent tick state dumped as
 //! JSON incident bundles when a red-line or anomaly trigger fires.
@@ -90,21 +88,16 @@ pub use detect::{TrendAnomaly, TrendConfig, TrendDetector, TrendKind};
 pub use events::{Event, EventRing, Severity};
 pub use handles::{Counter, Gauge, Histogram, HistogramSnapshot, NUM_BUCKETS};
 pub use recorder::{FlightRecorder, IncidentTrigger, RecorderConfig, TickState};
-pub use registry::{
-    CounterSample, GaugeSample, HistogramSample, MetricKind, Registry, TelemetrySnapshot,
-};
+pub use registry::{CounterSample, GaugeSample, HistogramSample, Registry, TelemetrySnapshot};
 pub use sampler::Sampler;
-pub use trace::{LocalSpans, Span, SpanArgs, SpanRecord, Tracer};
+pub use trace::{Span, SpanArgs, SpanRecord, Tracer};
 pub use tsdb::{Tsdb, TsdbConfig};
 
-/// `true` when the `instrument` feature is compiled in.
-///
-/// Call sites that would otherwise pay for side work feeding a handle
-/// (e.g. `Instant::now()` around a tick) can guard on this: it is a
-/// compile-time constant, so the dead branch is deleted in `cfg`-off
-/// builds.
+/// Always `true`: there is one build, and its handles are live. Kept
+/// only for an outside caller that still asks.
+#[doc(hidden)]
 #[inline(always)]
 #[must_use]
 pub const fn enabled() -> bool {
-    cfg!(feature = "instrument")
+    true
 }

@@ -19,10 +19,8 @@
 //! Chrome trace-event JSON ([`extract_bundle_spans`]).
 
 use crate::trace::{SpanRecord, TraceParseError};
-#[cfg(feature = "instrument")]
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-#[cfg(feature = "instrument")]
 use std::sync::{Arc, Mutex};
 
 /// Version tag written into every bundle.
@@ -98,7 +96,6 @@ pub struct IncidentTrigger {
     pub detail: String,
 }
 
-#[cfg(feature = "instrument")]
 #[derive(Debug)]
 struct RecInner {
     config: RecorderConfig,
@@ -108,11 +105,10 @@ struct RecInner {
 }
 
 /// A shareable per-machine ring of recent [`TickState`]s with anomaly
-/// triggers. Clones share the rings. With the `instrument` feature off
-/// (or for [`FlightRecorder::disabled`]) every method is a no-op.
+/// triggers. Clones share the rings. For [`FlightRecorder::disabled`]
+/// every method is a no-op.
 #[derive(Clone, Debug, Default)]
 pub struct FlightRecorder {
-    #[cfg(feature = "instrument")]
     inner: Option<Arc<Mutex<RecInner>>>,
 }
 
@@ -126,41 +122,25 @@ impl FlightRecorder {
     /// Creates a recorder with the given configuration.
     #[must_use]
     pub fn new(config: RecorderConfig) -> Self {
-        #[cfg(feature = "instrument")]
-        {
-            let config = RecorderConfig {
-                capacity: config.capacity.max(2),
-                ..config
-            };
-            FlightRecorder {
-                inner: Some(Arc::new(Mutex::new(RecInner {
-                    config,
-                    rings: Vec::new(),
-                    last_trigger: Vec::new(),
-                }))),
-            }
-        }
-        #[cfg(not(feature = "instrument"))]
-        {
-            let _ = config;
-            FlightRecorder::default()
+        let config = RecorderConfig {
+            capacity: config.capacity.max(2),
+            ..config
+        };
+        FlightRecorder {
+            inner: Some(Arc::new(Mutex::new(RecInner {
+                config,
+                rings: Vec::new(),
+                last_trigger: Vec::new(),
+            }))),
         }
     }
 
     /// Whether this handle has backing storage.
     #[must_use]
     pub fn is_attached(&self) -> bool {
-        #[cfg(feature = "instrument")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "instrument"))]
-        {
-            false
-        }
+        self.inner.is_some()
     }
 
-    #[cfg(feature = "instrument")]
     fn lock(&self) -> Option<std::sync::MutexGuard<'_, RecInner>> {
         self.inner
             .as_deref()
@@ -171,29 +151,21 @@ impl FlightRecorder {
     /// it. Returns a trigger when one tripped and the cooldown allows
     /// reporting it; recording happens regardless.
     pub fn record(&self, machine: usize, state: TickState) -> Option<IncidentTrigger> {
-        #[cfg(feature = "instrument")]
-        {
-            let mut inner = self.lock()?;
-            if inner.rings.len() <= machine {
-                inner.rings.resize_with(machine + 1, VecDeque::new);
-            }
-            let trigger = detect(&inner.config, &inner.rings[machine], machine, &state);
-            let cap = inner.config.capacity;
-            let ring = &mut inner.rings[machine];
-            if ring.len() == cap {
-                ring.pop_front();
-            }
-            let time_s = state.time_s;
-            ring.push_back(state);
-            match trigger {
-                Some(t) if inner.allow_trigger(&t.kind, time_s) => Some(t),
-                _ => None,
-            }
+        let mut inner = self.lock()?;
+        if inner.rings.len() <= machine {
+            inner.rings.resize_with(machine + 1, VecDeque::new);
         }
-        #[cfg(not(feature = "instrument"))]
-        {
-            let _ = (machine, state);
-            None
+        let trigger = detect(&inner.config, &inner.rings[machine], machine, &state);
+        let cap = inner.config.capacity;
+        let ring = &mut inner.rings[machine];
+        if ring.len() == cap {
+            ring.pop_front();
+        }
+        let time_s = state.time_s;
+        ring.push_back(state);
+        match trigger {
+            Some(t) if inner.allow_trigger(&t.kind, time_s) => Some(t),
+            _ => None,
         }
     }
 
@@ -201,15 +173,7 @@ impl FlightRecorder {
     /// (an emergency shutdown), honoring the trigger cooldown. Returns
     /// `None` when detached or still cooling down.
     pub fn red_line(&self, time_s: u64, machine: usize, detail: String) -> Option<IncidentTrigger> {
-        #[cfg(feature = "instrument")]
-        {
-            self.anomaly(time_s, machine, "red_line", detail)
-        }
-        #[cfg(not(feature = "instrument"))]
-        {
-            let _ = (time_s, machine, detail);
-            None
-        }
+        self.anomaly(time_s, machine, "red_line", detail)
     }
 
     /// Builds a trigger of an arbitrary `kind` — the entry point for
@@ -223,24 +187,16 @@ impl FlightRecorder {
         kind: &str,
         detail: String,
     ) -> Option<IncidentTrigger> {
-        #[cfg(feature = "instrument")]
-        {
-            let mut inner = self.lock()?;
-            if !inner.allow_trigger(kind, time_s) {
-                return None;
-            }
-            Some(IncidentTrigger {
-                time_s,
-                machine,
-                kind: kind.to_string(),
-                detail,
-            })
+        let mut inner = self.lock()?;
+        if !inner.allow_trigger(kind, time_s) {
+            return None;
         }
-        #[cfg(not(feature = "instrument"))]
-        {
-            let _ = (time_s, machine, kind, detail);
-            None
-        }
+        Some(IncidentTrigger {
+            time_s,
+            machine,
+            kind: kind.to_string(),
+            detail,
+        })
     }
 
     /// Renders a self-contained JSON incident bundle: the trigger,
@@ -273,7 +229,6 @@ impl FlightRecorder {
             let _ = write!(out, "\"{}\": \"{}\"", escape(k), escape(v));
         }
         out.push_str("},\n");
-        #[cfg(feature = "instrument")]
         let (probes, rings): (Vec<String>, Vec<Vec<TickState>>) = match self.lock() {
             Some(inner) => (
                 inner.config.probes.clone(),
@@ -285,8 +240,6 @@ impl FlightRecorder {
             ),
             None => (Vec::new(), Vec::new()),
         };
-        #[cfg(not(feature = "instrument"))]
-        let (probes, rings): (Vec<String>, Vec<Vec<TickState>>) = (Vec::new(), Vec::new());
         out.push_str("  \"probes\": [");
         for (i, p) in probes.iter().enumerate() {
             if i > 0 {
@@ -319,7 +272,6 @@ impl FlightRecorder {
     }
 }
 
-#[cfg(feature = "instrument")]
 impl RecInner {
     /// Whether a `kind` trigger at `time_s` is outside that kind's
     /// cooldown window, latching it if so. Kinds are independent: a
@@ -343,7 +295,6 @@ impl RecInner {
 }
 
 /// Runs the anomaly triggers for one new tick against the ring's tail.
-#[cfg(feature = "instrument")]
 fn detect(
     config: &RecorderConfig,
     ring: &VecDeque<TickState>,
@@ -486,7 +437,6 @@ pub fn extract_bundle_spans(bundle: &str) -> Result<Vec<SpanRecord>, TraceParseE
 mod tests {
     use super::*;
 
-    #[cfg(feature = "instrument")]
     fn tick(time_s: u64, temps: &[f64]) -> TickState {
         TickState {
             time_s,
@@ -532,7 +482,6 @@ mod tests {
         assert!(extract_bundle_spans("{}").is_err());
     }
 
-    #[cfg(feature = "instrument")]
     mod live {
         use super::*;
 

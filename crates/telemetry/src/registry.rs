@@ -16,17 +16,6 @@ use crate::handles::{Counter, Gauge, Histogram, HistogramSnapshot};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// What kind of metric a registered entry is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MetricKind {
-    /// Monotonic counter (`_total` names).
-    Counter,
-    /// Last-write-wins gauge.
-    Gauge,
-    /// Log-2 histogram.
-    Histogram,
-}
-
 #[derive(Clone, Debug)]
 enum Handle {
     Counter(Counter),
@@ -454,7 +443,7 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-#[cfg(all(test, feature = "instrument"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -185,7 +185,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "instrument")]
     #[test]
     fn sample_registry_records_counters_and_histograms() {
         let registry = Registry::new();

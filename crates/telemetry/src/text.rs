@@ -10,8 +10,7 @@
 //!
 //! Both `mercury-stats` (pretty-printing a live snapshot) and the
 //! telemetry integration test (asserting the scrape output is valid)
-//! parse through here. This module is compiled regardless of the
-//! `instrument` feature — parsing has no hot-path cost.
+//! parse through here.
 
 use std::fmt;
 

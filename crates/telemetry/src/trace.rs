@@ -15,14 +15,12 @@
 //!    whoever wants a trace (a `SolverService`, an experiment). Cloning
 //!    shares the store. The default [`Tracer::disabled`] handle carries
 //!    no storage, so components can hold one unconditionally.
-//! 2. **Cheap when off, bounded when on.** With the `instrument`
-//!    feature off every method is a no-op the optimizer deletes. At
-//!    runtime a detached or disabled tracer costs one branch per call
-//!    site. When recording, ids come from one relaxed atomic, clocks
-//!    from `Instant`, and finished spans go into a bounded ring under a
-//!    mutex — two lock acquisitions per span (hot threads batch through
-//!    [`LocalSpans`] instead, paying one lock per flush). The ring
-//!    overwrites oldest-first and counts what it dropped.
+//! 2. **Cheap when off, bounded when on.** A detached or disabled
+//!    tracer costs one branch per call site. When recording, ids come
+//!    from one relaxed atomic, clocks from `Instant`, and finished spans
+//!    go into a bounded ring under a mutex, one lock acquisition per
+//!    span; any thread may record through a clone of the same tracer.
+//!    The ring overwrites oldest-first and counts what it dropped.
 //! 3. **Mergeable.** Span ids are unique per tracer, timestamps are
 //!    nanoseconds since the tracer's epoch, and the JSONL wire form
 //!    round-trips losslessly, so dumps from several sources can be
@@ -34,14 +32,10 @@
 //! Perfetto (complete `"X"` events; instants are zero-duration spans).
 
 use std::borrow::Cow;
-#[cfg(feature = "instrument")]
 use std::collections::VecDeque;
 use std::fmt;
-#[cfg(feature = "instrument")]
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-#[cfg(feature = "instrument")]
 use std::sync::{Arc, Mutex};
-#[cfg(feature = "instrument")]
 use std::time::Instant;
 
 /// Default bound on retained spans (~6 MiB at ~100 B/span).
@@ -53,9 +47,8 @@ pub type SpanArgs = Vec<(Cow<'static, str>, String)>;
 
 /// One finished span: a timed interval with a process-unique `id` and a
 /// `parent` link (`0` = no parent). `dur_ns == 0` marks an instant
-/// event. `tid` is a logical lane for display: `0` for spans a
-/// [`Tracer`] records directly, the lane a [`LocalSpans`] buffer was
-/// opened on for the spans it flushes.
+/// event. `tid` is a logical lane for display: `0` for every span a
+/// [`Tracer`] records; merged dumps from other sources may set it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SpanRecord {
     /// Process-unique span id (never 0).
@@ -80,37 +73,25 @@ pub struct SpanRecord {
 /// when the tracer was detached or disabled at start time. Dropping an
 /// unfinished span simply discards it.
 #[derive(Debug)]
-#[must_use = "finish the span with Tracer::end (or LocalSpans::end)"]
+#[must_use = "finish the span with Tracer::end"]
 pub struct Span {
-    #[cfg(feature = "instrument")]
     id: u64,
-    #[cfg(feature = "instrument")]
     parent: u64,
-    #[cfg(feature = "instrument")]
     start_ns: u64,
-    #[cfg(feature = "instrument")]
     name: &'static str,
-    #[cfg(feature = "instrument")]
     cat: &'static str,
-    #[cfg(feature = "instrument")]
     live: bool,
 }
 
 impl Span {
     /// A span that records nothing when ended.
-    pub fn inert() -> Span {
+    fn inert() -> Span {
         Span {
-            #[cfg(feature = "instrument")]
             id: 0,
-            #[cfg(feature = "instrument")]
             parent: 0,
-            #[cfg(feature = "instrument")]
             start_ns: 0,
-            #[cfg(feature = "instrument")]
             name: "",
-            #[cfg(feature = "instrument")]
             cat: "",
-            #[cfg(feature = "instrument")]
             live: false,
         }
     }
@@ -119,16 +100,9 @@ impl Span {
     /// stash it to link later work back to this span.
     #[must_use]
     pub fn id(&self) -> u64 {
-        #[cfg(feature = "instrument")]
-        {
-            if self.live {
-                self.id
-            } else {
-                0
-            }
-        }
-        #[cfg(not(feature = "instrument"))]
-        {
+        if self.live {
+            self.id
+        } else {
             0
         }
     }
@@ -136,18 +110,10 @@ impl Span {
     /// Whether ending this span will record anything.
     #[must_use]
     pub fn is_live(&self) -> bool {
-        #[cfg(feature = "instrument")]
-        {
-            self.live
-        }
-        #[cfg(not(feature = "instrument"))]
-        {
-            false
-        }
+        self.live
     }
 }
 
-#[cfg(feature = "instrument")]
 #[derive(Debug)]
 struct Store {
     ring: VecDeque<SpanRecord>,
@@ -155,7 +121,6 @@ struct Store {
     dropped: u64,
 }
 
-#[cfg(feature = "instrument")]
 impl Store {
     fn push(&mut self, rec: SpanRecord) {
         if self.ring.len() == self.capacity {
@@ -166,7 +131,6 @@ impl Store {
     }
 }
 
-#[cfg(feature = "instrument")]
 #[derive(Debug)]
 struct TracerInner {
     epoch: Instant,
@@ -175,7 +139,6 @@ struct TracerInner {
     store: Mutex<Store>,
 }
 
-#[cfg(feature = "instrument")]
 fn lock(inner: &TracerInner) -> std::sync::MutexGuard<'_, Store> {
     // A span push never panics while holding the lock; recover from a
     // poisoning panic elsewhere rather than cascading into tracing.
@@ -194,12 +157,10 @@ fn lock(inner: &TracerInner) -> std::sync::MutexGuard<'_, Store> {
 /// let phase = tracer.start_child("batch.sweep", "solver", tick.id());
 /// tracer.end(phase);
 /// tracer.end(tick);
-/// # #[cfg(feature = "instrument")]
 /// assert_eq!(tracer.recent(10).len(), 2);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Tracer {
-    #[cfg(feature = "instrument")]
     inner: Option<Arc<TracerInner>>,
 }
 
@@ -215,78 +176,38 @@ impl Tracer {
     /// enabled immediately.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        #[cfg(feature = "instrument")]
-        {
-            Tracer {
-                inner: Some(Arc::new(TracerInner {
-                    epoch: Instant::now(),
-                    next_id: AtomicU64::new(1),
-                    enabled: AtomicBool::new(true),
-                    store: Mutex::new(Store {
-                        ring: VecDeque::new(),
-                        capacity: capacity.max(16),
-                        dropped: 0,
-                    }),
-                })),
-            }
-        }
-        #[cfg(not(feature = "instrument"))]
-        {
-            let _ = capacity;
-            Tracer::default()
+        Tracer {
+            inner: Some(Arc::new(TracerInner {
+                epoch: Instant::now(),
+                next_id: AtomicU64::new(1),
+                enabled: AtomicBool::new(true),
+                store: Mutex::new(Store {
+                    ring: VecDeque::new(),
+                    capacity: capacity.max(16),
+                    dropped: 0,
+                }),
+            })),
         }
     }
 
     /// Whether this handle has a backing store at all.
     #[must_use]
     pub fn is_attached(&self) -> bool {
-        #[cfg(feature = "instrument")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "instrument"))]
-        {
-            false
-        }
+        self.inner.is_some()
     }
 
     /// Whether spans started now will record (attached *and* enabled).
     #[must_use]
     pub fn is_active(&self) -> bool {
-        #[cfg(feature = "instrument")]
-        {
-            self.inner
-                .as_deref()
-                .is_some_and(|i| i.enabled.load(Ordering::Relaxed))
-        }
-        #[cfg(not(feature = "instrument"))]
-        {
-            false
-        }
+        self.inner
+            .as_deref()
+            .is_some_and(|i| i.enabled.load(Ordering::Relaxed))
     }
 
     /// Runtime switch: pauses / resumes recording without detaching.
     pub fn set_enabled(&self, on: bool) {
-        #[cfg(feature = "instrument")]
         if let Some(inner) = self.inner.as_deref() {
             inner.enabled.store(on, Ordering::Relaxed);
-        }
-        #[cfg(not(feature = "instrument"))]
-        let _ = on;
-    }
-
-    /// Nanoseconds since this tracer's epoch (0 when detached).
-    #[must_use]
-    pub fn now_ns(&self) -> u64 {
-        #[cfg(feature = "instrument")]
-        {
-            self.inner
-                .as_deref()
-                .map_or(0, |i| i.epoch.elapsed().as_nanos() as u64)
-        }
-        #[cfg(not(feature = "instrument"))]
-        {
-            0
         }
     }
 
@@ -298,27 +219,19 @@ impl Tracer {
     /// Starts a span whose parent is the span with id `parent` (0 for
     /// none). Inert if the tracer is detached or disabled.
     pub fn start_child(&self, name: &'static str, cat: &'static str, parent: u64) -> Span {
-        #[cfg(feature = "instrument")]
-        {
-            let Some(inner) = self.inner.as_deref() else {
-                return Span::inert();
-            };
-            if !inner.enabled.load(Ordering::Relaxed) {
-                return Span::inert();
-            }
-            Span {
-                id: inner.next_id.fetch_add(1, Ordering::Relaxed),
-                parent,
-                start_ns: inner.epoch.elapsed().as_nanos() as u64,
-                name,
-                cat,
-                live: true,
-            }
+        let Some(inner) = self.inner.as_deref() else {
+            return Span::inert();
+        };
+        if !inner.enabled.load(Ordering::Relaxed) {
+            return Span::inert();
         }
-        #[cfg(not(feature = "instrument"))]
-        {
-            let _ = (name, cat, parent);
-            Span::inert()
+        Span {
+            id: inner.next_id.fetch_add(1, Ordering::Relaxed),
+            parent,
+            start_ns: inner.epoch.elapsed().as_nanos() as u64,
+            name,
+            cat,
+            live: true,
         }
     }
 
@@ -329,19 +242,23 @@ impl Tracer {
 
     /// Finishes a span, attaching arguments.
     pub fn end_with_args(&self, span: Span, args: SpanArgs) {
-        #[cfg(feature = "instrument")]
-        {
-            if !span.live {
-                return;
-            }
-            let Some(inner) = self.inner.as_deref() else {
-                return;
-            };
-            let end_ns = inner.epoch.elapsed().as_nanos() as u64;
-            lock(inner).push(finish(span, end_ns, 0, args));
+        if !span.live {
+            return;
         }
-        #[cfg(not(feature = "instrument"))]
-        let _ = (span, args);
+        let Some(inner) = self.inner.as_deref() else {
+            return;
+        };
+        let end_ns = inner.epoch.elapsed().as_nanos() as u64;
+        lock(inner).push(SpanRecord {
+            id: span.id,
+            parent: span.parent,
+            tid: 0,
+            start_ns: span.start_ns,
+            dur_ns: end_ns.saturating_sub(span.start_ns),
+            cat: Cow::Borrowed(span.cat),
+            name: Cow::Borrowed(span.name),
+            args,
+        });
     }
 
     /// Records a zero-duration instant event; returns its span id (0
@@ -353,182 +270,42 @@ impl Tracer {
         parent: u64,
         args: SpanArgs,
     ) -> u64 {
-        #[cfg(feature = "instrument")]
-        {
-            let span = self.start_child(name, cat, parent);
-            let id = span.id();
-            self.end_with_args(span, args);
-            id
-        }
-        #[cfg(not(feature = "instrument"))]
-        {
-            let _ = (name, cat, parent, args);
-            0
-        }
-    }
-
-    /// Pushes an externally-built record (used by [`LocalSpans`]).
-    pub fn push(&self, rec: SpanRecord) {
-        #[cfg(feature = "instrument")]
-        {
-            if let Some(inner) = self.inner.as_deref() {
-                lock(inner).push(rec);
-            }
-        }
-        #[cfg(not(feature = "instrument"))]
-        let _ = rec;
-    }
-
-    /// A lock-free per-thread buffer feeding this tracer. `tid` is the
-    /// logical lane recorded on its spans (`0` is the tracer's own).
-    #[must_use]
-    pub fn local(&self, tid: u32) -> LocalSpans {
-        LocalSpans {
-            tracer: self.clone(),
-            tid,
-            #[cfg(feature = "instrument")]
-            buf: Vec::new(),
-        }
+        let span = self.start_child(name, cat, parent);
+        let id = span.id();
+        self.end_with_args(span, args);
+        id
     }
 
     /// The most recent `limit` finished spans, oldest first, without
     /// clearing the store.
     #[must_use]
     pub fn recent(&self, limit: usize) -> Vec<SpanRecord> {
-        #[cfg(feature = "instrument")]
-        {
-            let Some(inner) = self.inner.as_deref() else {
-                return Vec::new();
-            };
-            let store = lock(inner);
-            let skip = store.ring.len().saturating_sub(limit);
-            store.ring.iter().skip(skip).cloned().collect()
-        }
-        #[cfg(not(feature = "instrument"))]
-        {
-            let _ = limit;
-            Vec::new()
-        }
+        let Some(inner) = self.inner.as_deref() else {
+            return Vec::new();
+        };
+        let store = lock(inner);
+        let skip = store.ring.len().saturating_sub(limit);
+        store.ring.iter().skip(skip).cloned().collect()
     }
 
     /// Removes and returns every finished span, oldest first.
     #[must_use]
     pub fn drain(&self) -> Vec<SpanRecord> {
-        #[cfg(feature = "instrument")]
-        {
-            let Some(inner) = self.inner.as_deref() else {
-                return Vec::new();
-            };
-            lock(inner).ring.drain(..).collect()
-        }
-        #[cfg(not(feature = "instrument"))]
-        {
-            Vec::new()
-        }
+        let Some(inner) = self.inner.as_deref() else {
+            return Vec::new();
+        };
+        lock(inner).ring.drain(..).collect()
     }
 
     /// Spans lost to ring wraparound since creation.
     #[must_use]
     pub fn dropped(&self) -> u64 {
-        #[cfg(feature = "instrument")]
-        {
-            self.inner.as_deref().map_or(0, |i| lock(i).dropped)
-        }
-        #[cfg(not(feature = "instrument"))]
-        {
-            0
-        }
-    }
-}
-
-#[cfg(feature = "instrument")]
-fn finish(span: Span, end_ns: u64, tid: u32, args: SpanArgs) -> SpanRecord {
-    SpanRecord {
-        id: span.id,
-        parent: span.parent,
-        tid,
-        start_ns: span.start_ns,
-        dur_ns: end_ns.saturating_sub(span.start_ns),
-        cat: Cow::Borrowed(span.cat),
-        name: Cow::Borrowed(span.name),
-        args,
-    }
-}
-
-/// A per-thread span buffer: `end` pushes into a plain `Vec` (no lock,
-/// no contention with other threads), [`flush`](LocalSpans::flush)
-/// hands the batch to the shared store under one lock. A thread that
-/// records many spans uses one of these so its hot path never contends.
-#[derive(Debug)]
-pub struct LocalSpans {
-    tracer: Tracer,
-    tid: u32,
-    #[cfg(feature = "instrument")]
-    buf: Vec<SpanRecord>,
-}
-
-impl LocalSpans {
-    /// The logical lane this buffer records on.
-    #[must_use]
-    pub fn tid(&self) -> u32 {
-        self.tid
-    }
-
-    /// Starts a span (ids and clock come from the shared tracer).
-    pub fn start(&self, name: &'static str, cat: &'static str, parent: u64) -> Span {
-        self.tracer.start_child(name, cat, parent)
-    }
-
-    /// Finishes a span into the local buffer — no locking.
-    pub fn end(&mut self, span: Span) {
-        self.end_with_args(span, Vec::new());
-    }
-
-    /// Finishes a span with arguments into the local buffer.
-    pub fn end_with_args(&mut self, span: Span, args: SpanArgs) {
-        #[cfg(feature = "instrument")]
-        {
-            if !span.live {
-                return;
-            }
-            let end_ns = self.tracer.now_ns();
-            let tid = self.tid;
-            self.buf.push(finish(span, end_ns, tid, args));
-        }
-        #[cfg(not(feature = "instrument"))]
-        let _ = (span, args);
-    }
-
-    /// Moves every buffered span into the shared store (one lock).
-    pub fn flush(&mut self) {
-        #[cfg(feature = "instrument")]
-        {
-            if self.buf.is_empty() {
-                return;
-            }
-            if let Some(inner) = self.tracer.inner.as_deref() {
-                let mut store = lock(inner);
-                for rec in self.buf.drain(..) {
-                    store.push(rec);
-                }
-            } else {
-                self.buf.clear();
-            }
-        }
-    }
-}
-
-impl Drop for LocalSpans {
-    fn drop(&mut self) {
-        self.flush();
+        self.inner.as_deref().map_or(0, |i| lock(i).dropped)
     }
 }
 
 // ---------------------------------------------------------------------------
 // Serialization: JSONL wire/bundle form and Chrome trace-event export.
-// Compiled regardless of the `instrument` feature — parsing and
-// formatting have no hot-path cost and `mercury-trace` needs them even
-// in cfg-off builds.
 // ---------------------------------------------------------------------------
 
 /// Escapes a string into a JSON string literal (without quotes).
@@ -928,7 +705,6 @@ mod tests {
         assert!(out.contains("\"ts\":1.000"));
     }
 
-    #[cfg(feature = "instrument")]
     mod live {
         use super::*;
 
@@ -981,27 +757,6 @@ mod tests {
         }
 
         #[test]
-        fn local_spans_flush_with_their_tid() {
-            let tracer = Tracer::new(64);
-            let mut local = tracer.local(3);
-            let s = local.start("work", "pool", 9);
-            local.end(s);
-            assert!(tracer.recent(10).is_empty(), "buffered, not yet flushed");
-            local.flush();
-            let spans = tracer.recent(10);
-            assert_eq!(spans.len(), 1);
-            assert_eq!(spans[0].tid, 3);
-            assert_eq!(spans[0].parent, 9);
-
-            // Drop flushes too.
-            let mut local = tracer.local(4);
-            let s = local.start("more", "pool", 0);
-            local.end(s);
-            drop(local);
-            assert_eq!(tracer.recent(10).len(), 2);
-        }
-
-        #[test]
         fn instants_are_zero_duration_and_linked() {
             let tracer = Tracer::new(64);
             let root = tracer.start("a", "t");
@@ -1018,12 +773,12 @@ mod tests {
         fn ids_are_unique_across_threads() {
             let tracer = Tracer::new(4096);
             std::thread::scope(|scope| {
-                for tid in 0..4u32 {
-                    let mut local = tracer.local(tid);
+                for _ in 0..4 {
+                    let tracer = tracer.clone();
                     scope.spawn(move || {
                         for _ in 0..200 {
-                            let s = local.start("w", "t", 0);
-                            local.end(s);
+                            let s = tracer.start("w", "t");
+                            tracer.end(s);
                         }
                     });
                 }

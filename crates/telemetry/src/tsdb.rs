@@ -10,9 +10,7 @@
 //!
 //! Memory is bounded per series: when the ring exceeds
 //! [`TsdbConfig::max_blocks_per_series`] the oldest sealed block is
-//! evicted, optionally spilled to an append-only segment file under
-//! [`TsdbConfig::spill_dir`] (`results/series/` in the experiment
-//! harness) where [`read_segment`] can recover it later.
+//! dropped and counted in [`TsdbStats::evicted_blocks`].
 //!
 //! The store itself is clock-free and unit-agnostic: callers pick the
 //! timestamp unit (the service samples wall-clock milliseconds, the
@@ -23,12 +21,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
-use std::io::{Read as _, Write as _};
-use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-
-/// Magic prefix of an on-disk segment file (see [`read_segment`]).
-pub const SEGMENT_MAGIC: &[u8; 4] = b"MTS1";
 
 // ---------------------------------------------------------------------------
 // Bit-level plumbing
@@ -331,10 +324,8 @@ pub struct TsdbConfig {
     /// Samples per compressed block before it is sealed.
     pub samples_per_block: u32,
     /// Sealed blocks retained per series; the oldest is evicted beyond
-    /// this (spilled to disk when `spill_dir` is set, dropped otherwise).
+    /// this and counted.
     pub max_blocks_per_series: usize,
-    /// Directory for append-only `.seg` spill files, one per series.
-    pub spill_dir: Option<PathBuf>,
 }
 
 impl Default for TsdbConfig {
@@ -342,7 +333,6 @@ impl Default for TsdbConfig {
         Self {
             samples_per_block: 240,
             max_blocks_per_series: 16,
-            spill_dir: None,
         }
     }
 }
@@ -448,14 +438,14 @@ impl Tsdb {
     pub fn append(&self, series: &str, t: u64, value: f64) -> bool {
         let mut inner = self.lock();
         let idx = entry_index(&mut inner, series);
-        append_at(&self.config, &mut inner.series[idx], t, value)
+        append_at(&self.config, &mut inner.series[idx].store, t, value)
     }
 
     /// [`append`](Self::append) through a pre-resolved handle.
     pub fn append_handle(&self, handle: SeriesHandle, t: u64, value: f64) -> bool {
         let mut inner = self.lock();
         match inner.series.get_mut(handle.0) {
-            Some(entry) => append_at(&self.config, entry, t, value),
+            Some(entry) => append_at(&self.config, &mut entry.store, t, value),
             None => false,
         }
     }
@@ -650,8 +640,7 @@ fn entry_index(inner: &mut TsdbInner, series: &str) -> usize {
     idx
 }
 
-fn append_at(config: &TsdbConfig, entry: &mut SeriesEntry, t: u64, value: f64) -> bool {
-    let store = &mut entry.store;
+fn append_at(config: &TsdbConfig, store: &mut SeriesStore, t: u64, value: f64) -> bool {
     let newest = if store.open.count > 0 {
         Some(store.open.t_last)
     } else {
@@ -666,99 +655,41 @@ fn append_at(config: &TsdbConfig, entry: &mut SeriesEntry, t: u64, value: f64) -
         let block = store.open.seal();
         store.blocks.push_back(block);
         while store.blocks.len() > config.max_blocks_per_series {
-            let oldest = store.blocks.pop_front().expect("ring just overflowed");
+            store.blocks.pop_front();
             store.evicted_blocks += 1;
-            if let Some(dir) = &config.spill_dir {
-                // Spill failures (disk full, permissions) silently drop
-                // the block — history is best-effort, the ring is not.
-                let _ = spill_block(dir, &entry.name, &oldest);
-            }
         }
     }
     true
 }
 
 /// Matches `*`-globs (any run of characters); everything else literal.
-fn glob_match(pattern: &[u8], name: &[u8]) -> bool {
-    match pattern.first() {
-        None => name.is_empty(),
-        Some(b'*') => {
-            glob_match(&pattern[1..], name) || (!name.is_empty() && glob_match(pattern, &name[1..]))
-        }
-        Some(c) => name.first() == Some(c) && glob_match(&pattern[1..], &name[1..]),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Segment spill
-// ---------------------------------------------------------------------------
-
-/// Filesystem-safe segment file name for a series.
-#[must_use]
-pub fn segment_file_name(series: &str) -> String {
-    let mut name: String = series
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == '-' || c == '.' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    name.push_str(".seg");
-    name
-}
-
-/// Appends one evicted block to `<dir>/<sanitized name>.seg`.
 ///
-/// Record layout after the one-time [`SEGMENT_MAGIC`] header:
-/// `t_first: u64le, t_last: u64le, count: u32le, len: u32le, bytes`.
-fn spill_block(dir: &Path, series: &str, block: &Block) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(segment_file_name(series));
-    let fresh = !path.exists();
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    let mut buf = Vec::with_capacity(28 + block.bytes.len());
-    if fresh {
-        buf.extend_from_slice(SEGMENT_MAGIC);
-    }
-    buf.extend_from_slice(&block.t_first.to_le_bytes());
-    buf.extend_from_slice(&block.t_last.to_le_bytes());
-    buf.extend_from_slice(&block.count.to_le_bytes());
-    buf.extend_from_slice(&(block.bytes.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&block.bytes);
-    file.write_all(&buf)
-}
-
-/// Reads every sample back out of a spill segment written by a
-/// [`Tsdb`] with [`TsdbConfig::spill_dir`] set.
-pub fn read_segment(path: &Path) -> std::io::Result<Vec<(u64, f64)>> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-    let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-    if bytes.len() < 4 || &bytes[..4] != SEGMENT_MAGIC {
-        return Err(bad("not a mercury series segment"));
-    }
-    let mut out = Vec::new();
-    let mut at = 4usize;
-    while at < bytes.len() {
-        if at + 24 > bytes.len() {
-            return Err(bad("truncated segment record header"));
+/// Two cursors and the last `*` seen: on a mismatch the star takes one
+/// more byte of the name and matching resumes after it. Only the last
+/// star ever needs retrying (whatever an earlier star would absorb, the
+/// later one can), so the match is O(pattern × name) at worst, however
+/// many stars a query sends.
+fn glob_match(pattern: &[u8], name: &[u8]) -> bool {
+    let (mut p, mut n) = (0, 0);
+    // Pattern index just after the last `*`, and the name index it is
+    // currently matched up to.
+    let mut star: Option<(usize, usize)> = None;
+    while n < name.len() {
+        if p < pattern.len() && pattern[p] == b'*' {
+            p += 1;
+            star = Some((p, n));
+        } else if p < pattern.len() && pattern[p] == name[n] {
+            p += 1;
+            n += 1;
+        } else if let Some((after, taken)) = star {
+            p = after;
+            n = taken + 1;
+            star = Some((after, n));
+        } else {
+            return false;
         }
-        let count = u32::from_le_bytes(bytes[at + 16..at + 20].try_into().unwrap());
-        let len = u32::from_le_bytes(bytes[at + 20..at + 24].try_into().unwrap()) as usize;
-        at += 24;
-        if at + len > bytes.len() {
-            return Err(bad("truncated segment record payload"));
-        }
-        out.extend(decode_stream(&bytes[at..at + len], count));
-        at += len;
     }
-    Ok(out)
+    pattern[p..].iter().all(|&c| c == b'*')
 }
 
 // ---------------------------------------------------------------------------
@@ -1051,7 +982,6 @@ mod tests {
         let db = Tsdb::new(TsdbConfig {
             samples_per_block: 10,
             max_blocks_per_series: 3,
-            spill_dir: None,
         });
         for t in 0..100u64 {
             db.append("s", t, t as f64);
@@ -1107,24 +1037,53 @@ mod tests {
         assert_eq!(db.match_names("missing*thing").len(), 0);
     }
 
-    #[test]
-    fn spill_segments_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("tsdb_spill_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let db = Tsdb::new(TsdbConfig {
-            samples_per_block: 10,
-            max_blocks_per_series: 2,
-            spill_dir: Some(dir.clone()),
-        });
-        for t in 0..70u64 {
-            db.append("temp/m1/cpu", t, t as f64 + 0.5);
+    /// The backtracking matcher `glob_match` replaced: exponential in
+    /// the star count, kept as the oracle.
+    fn glob_match_recursive(pattern: &[u8], name: &[u8]) -> bool {
+        match pattern.first() {
+            None => name.is_empty(),
+            Some(b'*') => {
+                glob_match_recursive(&pattern[1..], name)
+                    || (!name.is_empty() && glob_match_recursive(pattern, &name[1..]))
+            }
+            Some(c) => name.first() == Some(c) && glob_match_recursive(&pattern[1..], &name[1..]),
         }
-        // 7 sealed blocks, ring keeps 2, so 5 spilled: t = 0..50.
-        let spilled = read_segment(&dir.join(segment_file_name("temp/m1/cpu"))).unwrap();
-        assert_eq!(spilled.len(), 50);
-        assert_eq!(spilled[0], (0, 0.5));
-        assert_eq!(spilled[49], (49, 49.5));
-        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn glob_match_agrees_with_the_backtracking_oracle(
+            pattern in "[ab/*]{0,8}",
+            name in "[ab/*]{0,10}",
+        ) {
+            let fast = glob_match(pattern.as_bytes(), name.as_bytes());
+            let oracle = glob_match_recursive(pattern.as_bytes(), name.as_bytes());
+            proptest::prop_assert!(fast == oracle, "pattern {:?} name {:?}", pattern, name);
+        }
+    }
+
+    #[test]
+    fn many_stars_match_in_linear_passes() {
+        let db = Tsdb::new(TsdbConfig::default());
+        for i in 0..1_000 {
+            db.append(&format!("temp/machine-{i:04}/cpu_utilization_0"), 0, 1.0);
+        }
+        let pattern = format!("{}x", "*".repeat(64));
+        let started = std::time::Instant::now();
+        assert!(db.match_names(&pattern).is_empty());
+        // The backtracking matcher took over a second at 8 stars on one
+        // name; the two-cursor match is microseconds a name.
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(2),
+            "{:?}",
+            started.elapsed()
+        );
+        assert_eq!(
+            db.match_names(&format!("{}cpu*", "*".repeat(64))).len(),
+            1_000
+        );
     }
 
     #[test]

@@ -4,10 +4,17 @@
 //! independently on purpose — this suite is the contract between them,
 //! exercised on the edge cases a live scrape rarely hits: escaped label
 //! values, special floats, histogram bucket series, and re-registered
-//! families.
+//! families. The second half holds every text decoder to totality:
+//! arbitrary text, and valid documents cut short or with bytes flipped,
+//! come back `Ok` or `Err`, never a panic.
 
+use proptest::prelude::*;
+use std::borrow::Cow;
+use telemetry::recorder::extract_bundle_spans;
 use telemetry::text::parse_exposition;
-use telemetry::Registry;
+use telemetry::trace::{parse_jsonl, to_jsonl};
+use telemetry::tsdb::{parse_results, render_results, QueryKind, SeriesPoint, SeriesResult};
+use telemetry::{FlightRecorder, IncidentTrigger, RecorderConfig, Registry, SpanRecord, TickState};
 
 #[test]
 fn escaped_label_values_survive_the_round_trip() {
@@ -159,4 +166,157 @@ fn mixed_document_round_trips_every_sample() {
         6.0,
         "shard values 1+2+3"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Totality: every text decoder answers `Ok` or `Err` on any input, and the
+// two line formats with a writer round-trip what it writes.
+// ---------------------------------------------------------------------------
+
+/// Feeds `text` to all four decoders; none may panic.
+fn decode_everywhere(text: &str) {
+    let _ = parse_exposition(text);
+    let _ = parse_jsonl(text);
+    let _ = extract_bundle_spans(text);
+    let _ = parse_results(text);
+}
+
+/// Text of up to 12 characters drawn mostly from ASCII, controls,
+/// quotes and backslashes included, with some of the BMP beyond.
+fn text(max: usize) -> impl Strategy<Value = String> {
+    proptest::collection::vec((0u8..4, 0u32..0x80, 0x80u32..0x3000), 0..=max).prop_map(|cs| {
+        cs.into_iter()
+            .filter_map(|(pick, low, high)| char::from_u32(if pick == 0 { high } else { low }))
+            .collect()
+    })
+}
+
+fn non_nan() -> impl Strategy<Value = f64> {
+    any::<u64>()
+        .prop_map(f64::from_bits)
+        .prop_filter("NaN collapses on the wire", |v| !v.is_nan())
+}
+
+fn span() -> impl Strategy<Value = SpanRecord> {
+    (
+        (1u64..=u64::MAX, any::<u64>(), any::<u32>()),
+        (any::<u64>(), any::<u64>()),
+        (
+            text(8),
+            text(12).prop_filter("a span has a name", |n| !n.is_empty()),
+        ),
+        proptest::collection::vec((text(6), text(10)), 0..3),
+    )
+        .prop_map(
+            |((id, parent, tid), (start_ns, dur_ns), (cat, name), args)| SpanRecord {
+                id,
+                parent,
+                tid,
+                start_ns,
+                dur_ns,
+                cat: Cow::Owned(cat),
+                name: Cow::Owned(name),
+                args: args.into_iter().map(|(k, v)| (Cow::Owned(k), v)).collect(),
+            },
+        )
+}
+
+fn series_result() -> impl Strategy<Value = SeriesResult> {
+    (
+        "[a-zA-Z0-9_/.:*-]{1,16}",
+        0u8..3,
+        proptest::collection::vec((any::<u64>(), non_nan(), non_nan(), non_nan()), 0..6),
+    )
+        .prop_map(|(name, kind, points)| {
+            let kind = QueryKind::from_u8(kind).expect("0..3 are the kinds");
+            let points = points
+                .into_iter()
+                .map(|(t, min, mean, max)| match kind {
+                    QueryKind::Downsample => SeriesPoint { t, min, mean, max },
+                    QueryKind::Raw | QueryKind::Rate => SeriesPoint::flat(t, mean),
+                })
+                .collect();
+            SeriesResult { name, kind, points }
+        })
+}
+
+/// One valid document of each decoder's format, built from generated
+/// parts.
+fn valid_documents(spans: &[SpanRecord], results: &[SeriesResult], value: f64) -> Vec<String> {
+    let registry = Registry::new();
+    registry
+        .gauge_with_labels("mercury_fuzz", "fuzz", &[("case", "a\"b\\c\nd")])
+        .set(value);
+    registry
+        .histogram_scaled("mercury_fuzz_seconds", "fuzz", 1e-9)
+        .observe(value.abs().min(1e18) as u64);
+    let recorder = FlightRecorder::new(RecorderConfig {
+        probes: vec!["cpu".into()],
+        ..RecorderConfig::default()
+    });
+    recorder.record(
+        0,
+        TickState {
+            temps: vec![value],
+            ..TickState::default()
+        },
+    );
+    let trigger = IncidentTrigger {
+        time_s: 1,
+        machine: 0,
+        kind: "red_line".into(),
+        detail: "fuzz".into(),
+    };
+    vec![
+        registry.render_prometheus(),
+        to_jsonl(spans),
+        recorder.bundle(&trigger, &[("git".into(), "x".into())], spans),
+        render_results(results),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn decoders_are_total_on_arbitrary_text(garbage in text(64), printable in "\\PC{0,80}") {
+        decode_everywhere(&garbage);
+        decode_everywhere(&printable);
+    }
+
+    #[test]
+    fn decoders_are_total_on_cut_and_flipped_documents(
+        spans in proptest::collection::vec(span(), 0..4),
+        results in proptest::collection::vec(series_result(), 0..3),
+        value in non_nan(),
+        cut in any::<usize>(),
+        flips in proptest::collection::vec((any::<usize>(), 1u8..=255), 1..4),
+    ) {
+        for doc in valid_documents(&spans, &results, value) {
+            decode_everywhere(&doc);
+            let bytes = doc.as_bytes();
+            let cut_at = if bytes.is_empty() { 0 } else { cut % bytes.len() };
+            decode_everywhere(&String::from_utf8_lossy(&bytes[..cut_at]));
+            let mut flipped = bytes.to_vec();
+            if !flipped.is_empty() {
+                for &(at, mask) in &flips {
+                    let at = at % flipped.len();
+                    flipped[at] ^= mask;
+                }
+            }
+            decode_everywhere(&String::from_utf8_lossy(&flipped));
+        }
+    }
+
+    #[test]
+    fn span_jsonl_round_trips(spans in proptest::collection::vec(span(), 0..6)) {
+        let parsed = parse_jsonl(&to_jsonl(&spans));
+        prop_assert!(parsed.as_ref() == Ok(&spans), "{:?} -> {:?}", spans, parsed);
+    }
+
+    #[test]
+    fn series_results_round_trip(results in proptest::collection::vec(series_result(), 0..4)) {
+        let parsed = parse_results(&render_results(&results));
+        prop_assert!(parsed.as_ref() == Ok(&results), "{:?} -> {:?}", results, parsed);
+    }
 }

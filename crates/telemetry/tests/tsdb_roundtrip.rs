@@ -71,7 +71,6 @@ proptest! {
         let db = Tsdb::new(TsdbConfig {
             samples_per_block,
             max_blocks_per_series: usize::MAX,
-            spill_dir: None,
         });
         let mut expected = Vec::with_capacity(steps.len());
         let mut t = t0;
@@ -95,7 +94,6 @@ proptest! {
         let db = Tsdb::new(TsdbConfig {
             samples_per_block: 16,
             max_blocks_per_series: usize::MAX,
-            spill_dir: None,
         });
         let mut expected = Vec::new();
         let mut t = 0u64;
@@ -125,7 +123,6 @@ proptest! {
         let db = Tsdb::new(TsdbConfig {
             samples_per_block,
             max_blocks_per_series: max_blocks,
-            spill_dir: None,
         });
         for t in 0..count {
             db.append("s", t, (t % 97) as f64 * 0.5);
@@ -145,7 +142,6 @@ fn replay_1024_machines_10k_ticks_stays_bounded() {
     let config = TsdbConfig {
         samples_per_block: 240,
         max_blocks_per_series: 4,
-        spill_dir: None,
     };
     let db = Tsdb::new(config.clone());
     let handles: Vec<_> = (0..1024)
