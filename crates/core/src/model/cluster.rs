@@ -167,9 +167,11 @@ impl ClusterBuilder {
     /// incoming edges while edges exist elsewhere, or machine names
     /// collide.
     pub fn build(&self) -> Result<ClusterModel, Error> {
-        let mut machine_names = HashSet::new();
+        // Every check below looks names up by reference: validating a
+        // room copies none of them.
+        let mut machine_names = HashSet::with_capacity(self.machines.len());
         for m in &self.machines {
-            if !machine_names.insert(m.name().to_string()) {
+            if !machine_names.insert(m.name()) {
                 return Err(Error::invalid_model(format!(
                     "duplicate machine name `{}`",
                     m.name()
@@ -187,7 +189,7 @@ impl ClusterBuilder {
                     s.name
                 )));
             }
-            if !names.insert(("s", s.name.clone())) {
+            if !names.insert(("s", s.name.as_str())) {
                 return Err(Error::invalid_model(format!(
                     "duplicate supply name `{}`",
                     s.name
@@ -198,14 +200,14 @@ impl ClusterBuilder {
             if j.is_empty() {
                 return Err(Error::invalid_model("junction name is empty"));
             }
-            if !names.insert(("j", j.clone())) {
+            if !names.insert(("j", j.as_str())) {
                 return Err(Error::invalid_model(format!(
                     "duplicate junction name `{j}`"
                 )));
             }
         }
 
-        let mut seen_edges = HashSet::new();
+        let mut seen_edges = HashSet::with_capacity(self.edges.len());
         for e in &self.edges {
             if !(e.fraction > 0.0 && e.fraction <= 1.0) {
                 return Err(Error::invalid_model(format!(
@@ -233,7 +235,7 @@ impl ClusterBuilder {
                     e.from
                 )));
             }
-            if !seen_edges.insert((e.from.clone(), e.to.clone())) {
+            if !seen_edges.insert((&e.from, &e.to)) {
                 return Err(Error::invalid_model(format!(
                     "duplicate cluster edge {} -> {}",
                     e.from, e.to

@@ -170,8 +170,9 @@ impl Layout for Request {
             Request::Fiddle { command } => {
                 w.u8(TAG_FIDDLE);
                 // Fiddle commands reuse their script syntax on the wire: the
-                // service parses them with the same parser as script files,
-                // keeping the two front doors behaviourally identical.
+                // service parses the line with the grammar of script files'
+                // `fiddle` statements, keeping the two front doors
+                // behaviourally identical.
                 w.str_u16(&command.to_string());
             }
             Request::ListNodes { machine } => {
@@ -237,14 +238,10 @@ pub fn decode_request(data: &[u8]) -> Result<Request, Error> {
             node: r.str_u8("node")?,
         },
         TAG_FIDDLE => {
-            let line = r.str_u16("fiddle command")?;
-            let script = crate::fiddle::FiddleScript::parse(&line)
+            let command = r
+                .str_u16("fiddle command")?
+                .parse()
                 .map_err(|e| Error::protocol(format!("bad fiddle command on the wire: {e}")))?;
-            let command = script
-                .events()
-                .first()
-                .map(|e| e.command.clone())
-                .ok_or_else(|| Error::protocol("fiddle datagram carried no command"))?;
             Request::Fiddle { command }
         }
         TAG_LIST => Request::ListNodes {
@@ -648,6 +645,39 @@ mod tests {
         buf.extend_from_slice(&(5u16).to_le_bytes());
         buf.extend_from_slice(b"junk!");
         assert!(decode_request(&buf).is_err());
+    }
+
+    /// A fiddle datagram carries one command line: an empty payload, a
+    /// bare `sleep` or a second command is refused, and a refusal reads
+    /// as the script parser's would.
+    #[test]
+    fn a_fiddle_datagram_is_one_command() {
+        let fiddle = |line: &str| {
+            let mut buf = vec![TAG_FIDDLE];
+            buf.extend_from_slice(&(line.len() as u16).to_le_bytes());
+            buf.extend_from_slice(line.as_bytes());
+            decode_request(&buf)
+        };
+        assert_eq!(
+            fiddle("fiddle m1 fanspeed 19.3").unwrap(),
+            Request::Fiddle {
+                command: FiddleCommand::FanSpeed {
+                    machine: "m1".into(),
+                    cfm: 19.3
+                }
+            }
+        );
+        for line in ["", "sleep 10", "fiddle m1 fanspeed 1\nfiddle m2 fanspeed 2"] {
+            assert!(fiddle(line).is_err(), "`{line}`");
+        }
+        match fiddle("fiddle m1 fanspeed nan") {
+            Err(Error::Protocol { reason }) => assert_eq!(
+                reason,
+                "bad fiddle command on the wire: fiddle script error at line 1: \
+                 `nan` is not a finite number"
+            ),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

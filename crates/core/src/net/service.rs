@@ -487,8 +487,8 @@ impl SolverService {
                                 net.requests_series.inc();
                                 let replies = match &history {
                                     Some(db) => {
-                                        let mut names = db.match_names(&pattern);
-                                        names.truncate(SERIES_QUERY_MAX_SERIES);
+                                        let names =
+                                            db.match_names_first(&pattern, SERIES_QUERY_MAX_SERIES);
                                         let results: Vec<_> = names
                                             .iter()
                                             .map(|n| tsdb::run_query(db, n, kind, start, end, step))

@@ -199,8 +199,12 @@ pub struct ClusterSolver {
     mix: MixGraph,
     /// Per-machine exhaust temperatures observed at the start of the tick.
     exhaust_scratch: Vec<Celsius>,
-    /// Machine inlets whose temperature fiddle has taken over.
-    forced_inlets: Vec<Option<Celsius>>,
+    /// Machine inlets whose temperature fiddle has taken over, as
+    /// `(machine, °C)` sorted by machine (found through `forced_slot`).
+    /// It holds no storage until an inlet is first forced, and keeps its
+    /// capacity when they are released, so a room whose inlets are
+    /// forced and released over and over allocates once.
+    forced_inlets: Vec<(usize, Celsius)>,
     /// Batch plan over structurally identical machines (see
     /// [`ClusterSolver::set_batching`]).
     batch: BatchSet,
@@ -278,7 +282,7 @@ impl ClusterSolver {
             junction_temps,
             mix: MixGraph::build(model),
             exhaust_scratch: vec![Celsius(0.0); n],
-            forced_inlets: vec![None; n],
+            forced_inlets: Vec::new(),
             batch,
             batching: true,
             time: Seconds(0.0),
@@ -415,7 +419,10 @@ impl ClusterSolver {
     pub fn force_inlet(&mut self, machine: &str, t: Celsius) -> Result<(), Error> {
         let i = self.machine_index(machine)?;
         finite_temperature(t, machine)?;
-        self.forced_inlets[i] = Some(t);
+        match forced_slot(&self.forced_inlets, i) {
+            Ok(k) => self.forced_inlets[k].1 = t,
+            Err(k) => self.forced_inlets.insert(k, (i, t)),
+        }
         self.machines[i].set_inlet_temperature(t);
         Ok(())
     }
@@ -427,7 +434,9 @@ impl ClusterSolver {
     /// Returns [`Error::UnknownMachine`] for unknown names.
     pub fn release_inlet(&mut self, machine: &str) -> Result<(), Error> {
         let i = self.machine_index(machine)?;
-        self.forced_inlets[i] = None;
+        if let Ok(k) = forced_slot(&self.forced_inlets, i) {
+            self.forced_inlets.remove(k);
+        }
         Ok(())
     }
 
@@ -661,8 +670,10 @@ impl ClusterSolver {
             w.f64(t.0);
         }
         w.u32(self.machines.len() as u32);
+        let mut forced = self.forced_inlets.iter().peekable();
         for (i, m) in self.machines.iter().enumerate() {
-            crate::trace::checkpoint::write_opt_f64(w, self.forced_inlets[i].map(|t| t.0));
+            let t = forced.next_if(|&&(f, _)| f == i).map(|&(_, t)| t.0);
+            crate::trace::checkpoint::write_opt_f64(w, t);
             m.write_ckpt(w);
         }
     }
@@ -685,8 +696,11 @@ impl ClusterSolver {
             *t = Celsius(r.f64("junction temperature")?);
         }
         read_count(r, "machine count", self.machines.len())?;
+        self.forced_inlets.clear();
         for i in 0..self.machines.len() {
-            self.forced_inlets[i] = read_opt_f64(r, "forced inlet")?.map(Celsius);
+            if let Some(t) = read_opt_f64(r, "forced inlet")? {
+                self.forced_inlets.push((i, Celsius(t)));
+            }
             self.machines[i].read_ckpt(r)?;
         }
         Ok(())
@@ -922,7 +936,8 @@ impl ClusterSolver {
                 let (mix, forced) = (&self.mix, &self.forced_inlets);
                 let inlet = |m: usize| {
                     if first || mix.inlet_live(m) {
-                        forced[m].or_else(|| mix.mix_inlet(m))
+                        (forced_slot(forced, m).ok().map(|k| forced[k].1))
+                            .or_else(|| mix.mix_inlet(m))
                     } else {
                         None
                     }
@@ -1056,6 +1071,12 @@ impl TypeTable {
 /// What [`ClusterSolver::step_for_fed`] calls before every tick.
 type Feed<'f> = &'f mut dyn FnMut(&mut TickInputs<'_>) -> Result<bool, Error>;
 
+/// Where machine `m` sits in a forced-inlet list sorted by machine:
+/// `Ok` at its entry, `Err` where one would go.
+fn forced_slot(forced: &[(usize, Celsius)], m: usize) -> Result<usize, usize> {
+    forced.binary_search_by_key(&m, |&(f, _)| f)
+}
+
 /// The temperature the inter-machine graph observes at a machine's
 /// exhaust: the mean over its exhaust air regions (in model node order),
 /// or its inlet temperature if it has none.
@@ -1142,6 +1163,38 @@ mod tests {
                 assert!(t.0.is_finite(), "machine {m} {node} at {t}");
             }
         }
+    }
+
+    /// Forced inlets are a sparse list sorted by machine: it holds
+    /// nothing until an inlet is forced, forcing out of order and
+    /// re-forcing keep one entry per forced machine, a checkpoint
+    /// restores into the same list and the same bytes, and forcing
+    /// again after a release allocates nothing.
+    #[test]
+    fn forced_inlets_are_held_sparsely() {
+        let cluster = presets::validation_cluster(4);
+        let mut s = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
+        assert_eq!(s.forced_inlets.capacity(), 0);
+        s.force_inlet("machine3", Celsius(30.0)).unwrap();
+        s.force_inlet("machine1", Celsius(28.0)).unwrap();
+        s.force_inlet("machine3", Celsius(31.0)).unwrap();
+        assert_eq!(s.forced_inlets, [(0, Celsius(28.0)), (2, Celsius(31.0))]);
+        s.step_for(3);
+        let inlet = |s: &ClusterSolver, m| s.machine(m).unwrap().inlet_temperature();
+        assert_eq!(inlet(&s, "machine1"), Celsius(28.0));
+        assert_eq!(inlet(&s, "machine3"), Celsius(31.0));
+        let blob = s.checkpoint();
+        let mut restored = ClusterSolver::new(&cluster, SolverConfig::default()).unwrap();
+        restored.restore_checkpoint(&blob).unwrap();
+        assert_eq!(restored.forced_inlets, s.forced_inlets);
+        assert_eq!(restored.checkpoint(), blob);
+        for m in ["machine1", "machine3", "machine3", "machine2"] {
+            s.release_inlet(m).unwrap();
+        }
+        assert!(s.forced_inlets.is_empty());
+        let held = s.forced_inlets.as_ptr();
+        s.force_inlet("machine4", Celsius(29.0)).unwrap();
+        assert_eq!(s.forced_inlets.as_ptr(), held, "a re-force reuses the list");
     }
 
     #[test]

@@ -156,7 +156,8 @@ proptest! {
             },
         };
         let script = FiddleScript::parse(&command.to_string()).unwrap();
-        prop_assert_eq!(&script.events()[0].command, &command);
+        prop_assert_eq!(script.commands().next().map(|(_, c)| c), Some(command.as_ref()));
+        prop_assert_eq!(command.to_string().parse::<FiddleCommand>().unwrap(), command);
     }
 
     /// The fiddle script parser is total on arbitrary text.

@@ -227,12 +227,13 @@ fn warm_fan_command_replans_do_not_allocate() {
 }
 
 /// Bytes per machine that `validation_cluster(1024)` and its
-/// `ClusterSolver` hold once built. Measured at 761 on x86-64 Linux; a
+/// `ClusterSolver` hold once built. Measured at 744 on x86-64 Linux; a
+/// room that kept a forced-inlet slot for every machine read 761, a
 /// solver that held a utilization, a heat, a pin slot and a boundary
 /// flag for every node, and its own configuration and metric handles,
 /// made it 1 275, and a room that gave each replica its own model body,
 /// structure and kernel held 7 841.
-const ROOM_BYTES_PER_MACHINE: i64 = 830;
+const ROOM_BYTES_PER_MACHINE: i64 = 810;
 
 #[test]
 fn replicas_share_their_machine_type() {
@@ -378,16 +379,25 @@ fn a_fan_command_copies_only_what_it_changes() {
 }
 
 /// Live bytes per event that a parsed churn-shaped fiddle script holds:
-/// the event itself and its command's machine name. Measured at 105 on
-/// x86-64 Linux; when the event list kept its growth slack the same test
-/// read 132, each of the three runners copied every event again (38 403
-/// allocations) and draining cloned each command (13 400).
-const SCRIPT_BYTES_PER_EVENT: i64 = 110;
+/// one fixed-size record, its names being indices into the script's one
+/// table of distinct names. Measured at 40 on x86-64 Linux. While each
+/// event owned its command's machine name the same test read 105; when
+/// the event list kept its growth slack, 132, each of the three runners
+/// copied every event again (38 403 allocations) and draining cloned
+/// each command (13 400).
+const SCRIPT_BYTES_PER_EVENT: i64 = 44;
+
+/// Allocations a parse makes beyond one per distinct name: the name
+/// table, the interning map's growth, the event list (reserved once)
+/// and the shared schedule. Measured at 15 (143 allocations for 128
+/// names); the parse of owning events made one per event and per line.
+const PARSE_ALLOCATIONS_BEYOND_NAMES: u64 = 20;
 
 /// `replay_churn`'s fan schedule in miniature: 100 rounds of 128
-/// `fanspeed` commands, one round every 10 s. Runners share the parsed
-/// events and `due` lends them, so handing out runners and draining
-/// the whole schedule allocate nothing.
+/// `fanspeed` commands, one round every 10 s. A parse allocates once
+/// per distinct name plus a constant, not once per event. Runners share
+/// the parsed schedule and `due` lends views of it, so handing out
+/// runners and draining the whole schedule allocate nothing.
 #[test]
 fn a_fiddle_script_is_held_once() {
     const ROUNDS: usize = 100;
@@ -400,7 +410,7 @@ fn a_fiddle_script_is_held_once() {
         }
         text.push_str("sleep 10\n");
     }
-    let (script, _, bytes) = measure(|| FiddleScript::parse(&text).unwrap());
+    let (script, parse_allocations, bytes) = measure(|| FiddleScript::parse(&text).unwrap());
     let events = script.events().len();
     assert_eq!(events, ROUNDS * FANS);
 
@@ -414,8 +424,13 @@ fn a_fiddle_script_is_held_once() {
     });
     let per_event = bytes / events as i64;
     println!(
-        "fiddle script: {per_event} B per event; three runners {runner_allocations} \
-         allocations, draining {drain_allocations}"
+        "fiddle script: {per_event} B per event; parse {parse_allocations} allocations \
+         for {FANS} names; three runners {runner_allocations} allocations, draining \
+         {drain_allocations}"
+    );
+    assert!(
+        parse_allocations <= FANS as u64 + PARSE_ALLOCATIONS_BEYOND_NAMES,
+        "{parse_allocations} allocations to parse {FANS} distinct names"
     );
     assert_eq!(runner_allocations, 0, "three runner() calls");
     assert_eq!((fired, runner.is_finished()), (events, true));
@@ -423,6 +438,46 @@ fn a_fiddle_script_is_held_once() {
     assert!(
         per_event <= SCRIPT_BYTES_PER_EVENT,
         "{per_event} B per event, budget {SCRIPT_BYTES_PER_EVENT}"
+    );
+}
+
+/// Allocations `ClusterBuilder::build` makes beyond the copy of the model
+/// it returns: its duplicate checks hold borrowed names and endpoints, so
+/// only the three sets remain. Measured at 4 on x86-64
+/// Linux; while the checks copied every machine name and both endpoints
+/// of every edge, `presets::validation_cluster(1024)` made 9 374
+/// allocations (6 281 now).
+const BUILD_ALLOCATIONS_BEYOND_THE_MODEL: u64 = 8;
+
+/// Validating `replay_churn`'s 1024-machine room (2048 edges) costs
+/// about what copying the finished model costs: no name is copied to be
+/// checked.
+#[test]
+fn a_room_model_validates_without_copying_names() {
+    let model = presets::validation_cluster(1024);
+    let mut builder = ClusterModel::builder();
+    for s in model.supplies() {
+        builder.supply(s.name.clone(), s.temperature.0);
+    }
+    for j in model.junctions() {
+        builder.junction(j.clone());
+    }
+    for m in model.machines() {
+        builder.machine(m.clone());
+    }
+    for e in model.edges() {
+        builder.edge(e.from.clone(), e.to.clone(), e.fraction);
+    }
+    let (copy, copy_allocations, _) = measure(|| model.clone());
+    let (built, build_allocations, _) = measure(|| builder.build().unwrap());
+    assert_eq!(built, copy);
+    println!(
+        "validation_cluster(1024): build {build_allocations} allocations, \
+         a copy of the model {copy_allocations}"
+    );
+    assert!(
+        build_allocations <= copy_allocations + BUILD_ALLOCATIONS_BEYOND_THE_MODEL,
+        "build made {build_allocations} allocations, a copy {copy_allocations}"
     );
 }
 

@@ -462,15 +462,27 @@ impl Tsdb {
     /// Series names matching a `*`-glob pattern, sorted.
     #[must_use]
     pub fn match_names(&self, pattern: &str) -> Vec<String> {
+        self.match_names_first(pattern, usize::MAX)
+    }
+
+    /// The first `limit` series names matching a `*`-glob pattern, sorted:
+    /// the prefix [`match_names`](Self::match_names) would return. The
+    /// matches are selected and sorted by reference under the lock, and
+    /// only the kept names are copied.
+    #[must_use]
+    pub fn match_names_first(&self, pattern: &str, limit: usize) -> Vec<String> {
         let inner = self.lock();
-        let mut names: Vec<String> = inner
-            .series
-            .iter()
-            .filter(|e| glob_match(pattern.as_bytes(), e.name.as_bytes()))
-            .map(|e| e.name.clone())
+        let mut names: Vec<&str> = (inner.series.iter())
+            .map(|e| e.name.as_str())
+            .filter(|name| glob_match(pattern.as_bytes(), name.as_bytes()))
             .collect();
-        names.sort();
-        names
+        if names.len() > limit {
+            names.select_nth_unstable(limit);
+            names.truncate(limit);
+        }
+        // Series names are unique, so an unstable sort is the sort.
+        names.sort_unstable();
+        names.into_iter().map(str::to_string).collect()
     }
 
     /// Raw samples of `series` with timestamps in `[start, end]`.
@@ -1035,6 +1047,29 @@ mod tests {
         assert_eq!(db.match_names("*").len(), 4);
         assert_eq!(db.match_names("other").len(), 1);
         assert_eq!(db.match_names("missing*thing").len(), 0);
+    }
+
+    /// A bounded match keeps exactly the prefix of the full sorted match,
+    /// whatever order the series were created in.
+    #[test]
+    fn a_bounded_match_is_the_prefix_of_the_full_one() {
+        let db = Tsdb::new(TsdbConfig::default());
+        // 700 matching series created in a scrambled order, plus some
+        // that do not match.
+        for i in 0..700u64 {
+            let m = (i * 337) % 700;
+            db.append(&format!("temp/machine{m}/cpu"), 0, 1.0);
+            if i % 7 == 0 {
+                db.append(&format!("other/{m}"), 0, 1.0);
+            }
+        }
+        let all = db.match_names("temp/*");
+        assert_eq!(all.len(), 700);
+        for limit in [0, 1, 512, 699, 700, 701] {
+            let first = db.match_names_first("temp/*", limit);
+            assert_eq!(first, all[..limit.min(all.len())], "limit {limit}");
+        }
+        assert!(db.match_names_first("missing*", 512).is_empty());
     }
 
     /// The backtracking matcher `glob_match` replaced: exponential in

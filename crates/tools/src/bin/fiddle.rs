@@ -17,7 +17,7 @@
 //! With `--speedup N`, script sleeps are divided by N (pair it with a
 //! fast-forwarding solver).
 
-use mercury::fiddle::FiddleScript;
+use mercury::fiddle::{FiddleCommand, FiddleScript};
 use mercury::net::send_fiddle;
 use mercury_tools::{resolve, Args};
 use std::time::Duration;
@@ -47,26 +47,22 @@ fn run() -> Result<(), String> {
         let script = FiddleScript::parse(&text).map_err(|e| e.to_string())?;
         eprintln!("replaying {} events from `{path}`", script.events().len());
         let mut clock = 0.0_f64;
-        for event in script.events() {
-            let wait = (event.at.0 - clock).max(0.0) / speedup.max(1e-9);
+        for (at, command) in script.commands() {
+            let wait = (at.0 - clock).max(0.0) / speedup.max(1e-9);
             if wait > 0.0 {
                 std::thread::sleep(Duration::from_secs_f64(wait));
             }
-            clock = event.at.0;
-            eprintln!("t={:>6.0}s  {}", event.at.0, event.command);
-            send_fiddle(solver, &event.command).map_err(|e| e.to_string())?;
+            clock = at.0;
+            eprintln!("t={:>6.0}s  {command}", at.0);
+            send_fiddle(solver, &command.into()).map_err(|e| e.to_string())?;
         }
         return Ok(());
     }
 
-    // One-shot: reuse the script grammar for a single command line.
-    let line = format!("fiddle {}", args.positional().join(" "));
-    let script = FiddleScript::parse(&line).map_err(|e| e.to_string())?;
-    let command = script
-        .events()
-        .first()
-        .map(|e| e.command.clone())
-        .ok_or_else(|| "no command given; try: <machine> temperature <node> <°C>".to_string())?;
+    // One-shot: the script grammar's `fiddle` line.
+    let command: FiddleCommand = format!("fiddle {}", args.positional().join(" "))
+        .parse()
+        .map_err(|e: mercury::Error| e.to_string())?;
     send_fiddle(solver, &command).map_err(|e| e.to_string())?;
     eprintln!("applied: {command}");
     Ok(())

@@ -27,8 +27,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let script = FiddleScript::parse(SCRIPT)?;
     println!("script events:");
-    for event in script.events() {
-        println!("  t={:>5}  {}", event.at, event.command);
+    for (at, command) in script.commands() {
+        println!("  t={at:>5}  {command}");
     }
 
     let mut runner = script.runner();
