@@ -9,12 +9,11 @@
 
 use crate::request::Request;
 use crate::server::Server;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Why a request was (not) routed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteOutcome {
     /// Routed to the server with this index.
     Routed(usize),
@@ -24,7 +23,7 @@ pub enum RouteOutcome {
 }
 
 /// Per-server balancer state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Backend {
     /// LVS weight; 0 removes the server from the rotation.
     weight: f64,

@@ -1,12 +1,10 @@
 //! Web requests and their service demands.
 
-use serde::{Deserialize, Serialize};
-
 /// Kind of content a request asks for, mirroring the paper's synthetic
 /// trace: "30% of requests to dynamic content in the form of a simple CGI
 /// script that computes for 25 ms and produces a small reply" (§5), the
 /// rest static files.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RequestKind {
     /// A static file: little CPU, some disk.
     Static,
@@ -25,7 +23,7 @@ pub const DYNAMIC_CPU_MS: f64 = 25.0;
 pub const DYNAMIC_DISK_MS: f64 = 1.0;
 
 /// One client request with its service demands.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Request {
     kind: RequestKind,
     cpu_ms: f64,

@@ -1,10 +1,9 @@
 //! The Apache-like server model.
 
 use crate::request::Request;
-use serde::{Deserialize, Serialize};
 
 /// Static configuration of one server.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
     /// CPU service capacity, milliseconds of CPU work per second
     /// (1000 = one core at full speed).
@@ -34,7 +33,7 @@ impl Default for ServerConfig {
 }
 
 /// Power/lifecycle state of a server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PowerState {
     /// Serving (or ready to serve) requests.
     On,

@@ -3,10 +3,9 @@
 use crate::lvs::{LoadBalancer, RouteHeap, RouteOutcome};
 use crate::request::Request;
 use crate::server::{Server, ServerConfig};
-use serde::{Deserialize, Serialize};
 
 /// What happened during one simulated second.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TickStats {
     /// Requests offered this tick.
     pub offered: usize,

@@ -18,11 +18,9 @@
 //! assert!((curve.cfm_for(57.5) - 31.65).abs() < 1e-9);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// A monotone temperature → fan-speed curve, interpolated piecewise
 /// linearly between control points and clamped at the ends.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FanCurve {
     /// `(°C, cfm)` control points, sorted by temperature.
     points: Vec<(f64, f64)>,
@@ -110,7 +108,7 @@ impl FanCurve {
 /// *applied* fan change diverges the machine from its replicated group
 /// (DESIGN.md §3b), so suppressing sub-`min_step_cfm` jitter keeps
 /// identical machines stepping together on the batched path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FanController {
     /// The firmware curve.
     pub curve: FanCurve,

@@ -12,13 +12,12 @@
 use super::machine::MachineModel;
 use crate::error::Error;
 use crate::units::Celsius;
-use serde::{Deserialize, Serialize};
 #[cfg(test)]
 use std::collections::HashMap;
 use std::collections::HashSet;
 
 /// A cold-air source in the room: an air conditioner.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SupplySpec {
     /// Unique endpoint name (e.g. `"ac"`).
     pub name: String,
@@ -27,7 +26,7 @@ pub struct SupplySpec {
 }
 
 /// One endpoint of the inter-machine air graph.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ClusterEndpoint {
     /// An air-conditioner supply, by name.
     Supply(String),
@@ -52,7 +51,7 @@ impl std::fmt::Display for ClusterEndpoint {
 
 /// A directed inter-machine air edge carrying `fraction` of the source's
 /// outflow to the destination.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterEdge {
     /// Upstream endpoint.
     pub from: ClusterEndpoint,
@@ -68,7 +67,7 @@ pub struct ClusterEdge {
 /// paper — an AC feeding N machines equally, all exhausting into a shared
 /// "cluster exhaust", no recirculation — is available as
 /// [`crate::presets::validation_cluster`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterModel {
     machines: Vec<MachineModel>,
     supplies: Vec<SupplySpec>,

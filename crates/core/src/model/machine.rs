@@ -4,13 +4,12 @@ use super::node::{AirKind, AirSpec, ComponentSpec, NodeId, NodeSpec, DEFAULT_AIR
 use crate::error::Error;
 use crate::physics::PowerModel;
 use crate::units::{Celsius, CubicMetersPerSecond, JoulesPerKgKelvin, Kilograms, WattsPerKelvin};
-use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// An undirected heat-flow edge (Figure 1a): heat moves between `a` and
 /// `b` in proportion to their temperature difference, at `k` W/K.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeatEdge {
     /// One endpoint.
     pub a: NodeId,
@@ -22,7 +21,7 @@ pub struct HeatEdge {
 
 /// A directed air-flow edge (Figure 1b): `fraction` of the air leaving
 /// `from` enters `to`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AirEdge {
     /// Upstream air region.
     pub from: NodeId,
@@ -36,10 +35,11 @@ pub struct AirEdge {
 
 /// A complete, validated single-machine thermal model.
 ///
-/// Build one with [`MachineModel::builder`]; see [`crate::presets`] for the
-/// paper's Table 1 server. The model is immutable — runtime changes
-/// (emergencies, fan-speed changes) are applied to a
-/// [`crate::solver::Solver`], which never writes back to it.
+/// Build one with [`MachineModel::builder`], the only way to make one, so
+/// every model has passed the builder's validation; see
+/// [`crate::presets`] for the paper's Table 1 server. The model is
+/// immutable — runtime changes (emergencies, fan-speed changes) are
+/// applied to a [`crate::solver::Solver`], which never writes back to it.
 ///
 /// A model is its name plus a shared, immutable body (nodes, edges, fan,
 /// inlet temperature, topological order): cloning it or
@@ -52,7 +52,7 @@ pub struct MachineModel {
 }
 
 /// Everything about a machine but its name — what replicas share.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct MachineBody {
     pub(crate) nodes: Vec<NodeSpec>,
     pub(crate) heat_edges: Vec<HeatEdge>,
@@ -66,27 +66,6 @@ pub(crate) struct MachineBody {
 impl PartialEq for MachineModel {
     fn eq(&self, other: &Self) -> bool {
         self.name == other.name && (Arc::ptr_eq(&self.body, &other.body) || self.body == other.body)
-    }
-}
-
-/// The serialized form is flat — `name` then the body's fields — as it
-/// was before replicas shared their body.
-impl Serialize for MachineModel {
-    fn to_value(&self) -> Value {
-        let Value::Obj(mut fields) = self.body.to_value() else {
-            unreachable!("a struct serializes to an object")
-        };
-        fields.insert(0, ("name".to_string(), self.name.to_value()));
-        Value::Obj(fields)
-    }
-}
-
-impl Deserialize for MachineModel {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(MachineModel {
-            name: String::from_value(v.get("name").unwrap_or(&Value::Null))?,
-            body: Arc::new(MachineBody::from_value(v)?),
-        })
     }
 }
 
@@ -749,28 +728,6 @@ mod tests {
         assert!(Arc::ptr_eq(copy.body(), model.body()), "the body is shared");
         assert_ne!(copy, model);
         assert_eq!(copy.renamed("m"), model);
-    }
-
-    #[test]
-    fn serialized_form_is_flat() {
-        let model = tiny_builder().build().unwrap();
-        let Value::Obj(fields) = model.to_value() else {
-            panic!("a model serializes to an object");
-        };
-        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(
-            keys,
-            [
-                "name",
-                "nodes",
-                "heat_edges",
-                "air_edges",
-                "fan",
-                "inlet_temperature",
-                "topo_order"
-            ]
-        );
-        assert_eq!(MachineModel::from_value(&model.to_value()).unwrap(), model);
     }
 
     #[test]

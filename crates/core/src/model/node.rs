@@ -3,7 +3,6 @@
 
 use crate::physics::PowerModel;
 use crate::units::{JoulesPerKelvin, JoulesPerKgKelvin, Kilograms, AIR_SPECIFIC_HEAT};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Default effective mass of air held by one air region, in kilograms.
@@ -20,7 +19,7 @@ pub const DEFAULT_AIR_REGION_MASS_KG: f64 = 0.006;
 ///
 /// Ids are dense indices assigned in insertion order by the builder; they
 /// are only meaningful for the model that produced them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {
@@ -37,7 +36,7 @@ impl fmt::Display for NodeId {
 }
 
 /// The role an air region plays in the air-flow graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AirKind {
     /// A boundary region whose temperature is imposed from outside: the
     /// machine inlet. In a cluster, the inter-machine graph drives it; in a
@@ -64,7 +63,7 @@ impl fmt::Display for AirKind {
 
 /// A hardware component: a vertex of the heat-flow graph that produces
 /// heat (Equation 3) and stores it in its thermal mass (Equation 5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComponentSpec {
     /// Unique (per machine) component name, e.g. `"cpu"`.
     pub name: String,
@@ -114,7 +113,7 @@ impl ComponentSpec {
 
 /// An air region: a vertex of the air-flow graph (and possibly of the
 /// heat-flow graph, when components dump heat into it).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AirSpec {
     /// Unique (per machine) region name, e.g. `"cpu_air"`.
     pub name: String,
@@ -147,7 +146,7 @@ impl AirSpec {
 }
 
 /// Any vertex of a machine model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NodeSpec {
     /// A hardware component.
     Component(ComponentSpec),

@@ -487,12 +487,14 @@ impl SolverService {
                                 net.requests_series.inc();
                                 let replies = match &history {
                                     Some(db) => {
-                                        let names =
-                                            db.match_names_first(&pattern, SERIES_QUERY_MAX_SERIES);
-                                        let results: Vec<_> = names
-                                            .iter()
-                                            .map(|n| tsdb::run_query(db, n, kind, start, end, step))
-                                            .collect();
+                                        let results = db.query_matching(
+                                            &pattern,
+                                            SERIES_QUERY_MAX_SERIES,
+                                            kind,
+                                            start,
+                                            end,
+                                            step,
+                                        );
                                         proto::parts(&tsdb::render_results(&results))
                                     }
                                     None => vec![Reply::Error {

@@ -28,11 +28,10 @@
 //! ```
 
 use crate::units::{Joules, Seconds, Utilization, Watts};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A per-interval reading of hardware performance counters.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CounterSample {
     interval: Seconds,
     counts: HashMap<String, u64>,
@@ -71,7 +70,7 @@ impl CounterSample {
 
 /// Maps performance-event counts to energy, power, and the "low-level
 /// utilization" Mercury's solver consumes.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EventEnergyModel {
     /// Energy attributed to one occurrence of each event, nanojoules.
     event_nanojoules: HashMap<String, f64>,

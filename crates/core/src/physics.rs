@@ -21,7 +21,6 @@ use crate::units::{
     Celsius, Joules, JoulesPerKelvin, Kelvin, KilogramsPerSecond, Seconds, Utilization, Watts,
     WattsPerKelvin,
 };
-use serde::{Deserialize, Serialize};
 
 /// How a component converts utilization into dissipated power.
 ///
@@ -30,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// do not exhibit a linear relationship", which [`PowerModel::Table`]
 /// provides. [`PowerModel::Constant`] models always-on components such as
 /// the power supply (40 W) and the motherboard (4 W) in Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PowerModel {
     /// `P(u) = base + u · (max − base)` — Equation 4 of the paper.
     Linear {

@@ -16,7 +16,6 @@
 //! assert!((delta.0 - 17.0).abs() < 1e-9);
 //! ```
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
@@ -24,8 +23,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 macro_rules! unit {
     ($(#[$meta:meta])* $name:ident, $suffix:expr) => {
         $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-        #[serde(transparent)]
+        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
         pub struct $name(pub f64);
 
         impl $name {
@@ -300,8 +298,7 @@ impl Mul<JoulesPerKgKelvin> for Kilograms {
 /// Construction clamps NaN to 0 and saturates out-of-range values, because
 /// utilizations arrive from noisy sources (`/proc`, UDP messages, traces)
 /// and the solver must never be poisoned by a bad sample.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Utilization(f64);
 
 impl Utilization {
@@ -417,20 +414,5 @@ mod tests {
         assert_eq!(q, Joules(2.5));
         let total: Joules = vec![Joules(1.0), Joules(2.0)].into_iter().sum();
         assert_eq!(total, Joules(3.0));
-    }
-
-    #[test]
-    fn units_are_serde_transparent() {
-        let t = Celsius(21.6);
-        let json = serde_json_like(&t);
-        assert_eq!(json, "21.6");
-    }
-
-    /// Minimal serde check without pulling serde_json into the core crate:
-    /// uses the `Serialize` impl through a tiny float writer.
-    fn serde_json_like(t: &Celsius) -> String {
-        // Celsius is #[serde(transparent)], so serializing it must behave
-        // exactly like serializing the inner f64.
-        format!("{}", t.0)
     }
 }

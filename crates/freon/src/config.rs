@@ -1,9 +1,7 @@
 //! Freon configuration: thresholds, periods, and Freon-EC settings.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-component temperature thresholds (°C).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComponentThresholds {
     /// Component name as reported by Mercury (e.g. `"cpu"`).
     pub component: String,
@@ -48,7 +46,7 @@ impl ComponentThresholds {
 }
 
 /// Configuration of the base Freon policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FreonConfig {
     /// Thresholds per monitored component.
     pub thresholds: Vec<ComponentThresholds>,
@@ -115,7 +113,7 @@ impl Default for FreonConfig {
 }
 
 /// Additional configuration for Freon-EC.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EcConfig {
     /// Region id per server (index-aligned with the cluster). The paper
     /// groups servers so "common thermal emergencies will likely affect

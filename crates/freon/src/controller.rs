@@ -1,7 +1,5 @@
 //! The PD feedback controller (§4.1, "Details").
 
-use serde::{Deserialize, Serialize};
-
 /// The paper's proportional gain.
 pub const DEFAULT_KP: f64 = 0.1;
 /// The paper's derivative gain.
@@ -25,7 +23,7 @@ pub const DEFAULT_KD: f64 = 0.2;
 /// let second = pd.output(70.0, 67.0);
 /// assert!(second > first);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PdController {
     kp: f64,
     kd: f64,

@@ -1,10 +1,9 @@
 //! Experiment time-series logs.
 
-use serde::{Deserialize, Serialize};
 use std::io::Write;
 
 /// One recorded second of an experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogRow {
     /// Simulated time, seconds.
     pub time_s: u64,
@@ -32,7 +31,7 @@ pub struct LogRow {
 }
 
 /// The full record of one experiment run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ExperimentLog {
     /// Policy name the run used.
     pub policy: String,

@@ -24,7 +24,6 @@ use crate::policy::PolicySpec;
 use crate::tempd::Tempd;
 use cluster_sim::ClusterSim;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -33,7 +32,7 @@ use std::time::Duration;
 
 /// What a tempd tells admd (the paper sends "the output of a PD feedback
 /// controller"; release and red-line notifications travel the same way).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TempdMessage {
     /// A component is above `T_h`; apply the controller output.
     Throttle {
@@ -54,20 +53,81 @@ pub enum TempdMessage {
     },
 }
 
+/// Why a datagram is not a [`TempdMessage`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DecodeError {
+    /// The datagram is empty or its first byte names no message.
+    UnknownTag,
+    /// The datagram is not the length its tag fixes.
+    Length,
+    /// A throttle's output is NaN or infinite.
+    NonFiniteOutput,
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            DecodeError::UnknownTag => "tempd datagram names no message",
+            DecodeError::Length => "tempd datagram is not its message's length",
+            DecodeError::NonFiniteOutput => "tempd throttle output is not finite",
+        })
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+const THROTTLE: u8 = 1;
+const RELEASE: u8 = 2;
+const RED_LINE: u8 = 3;
+
 impl TempdMessage {
-    /// Encodes the message for the wire (JSON — these are a few dozen
-    /// bytes once a minute, so readability beats compactness).
+    /// Encodes the message for the wire: a tag byte (1 throttle, 2
+    /// release, 3 red line), the server as a little-endian `u32`, then
+    /// for a throttle the output as a little-endian `f64` — 13 or 5
+    /// bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the server index does not fit in a `u32`.
     pub fn encode(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("tempd messages are plain data")
+        let (tag, server, output) = match *self {
+            TempdMessage::Throttle { server, output } => (THROTTLE, server, Some(output)),
+            TempdMessage::Release { server } => (RELEASE, server, None),
+            TempdMessage::RedLine { server } => (RED_LINE, server, None),
+        };
+        let server = u32::try_from(server).expect("server indices fit in a u32");
+        let mut out = Vec::with_capacity(13);
+        out.push(tag);
+        out.extend_from_slice(&server.to_le_bytes());
+        out.extend(output.iter().flat_map(|o| o.to_le_bytes()));
+        out
     }
 
-    /// Decodes a wire message.
+    /// Decodes a wire message (see [`TempdMessage::encode`]).
     ///
     /// # Errors
     ///
-    /// Returns the serde error for malformed datagrams.
-    pub fn decode(bytes: &[u8]) -> Result<Self, serde_json::Error> {
-        serde_json::from_slice(bytes)
+    /// Returns a [`DecodeError`] for an unknown tag, a length other than
+    /// the tag's, or a throttle output that is not finite.
+    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
+        let (&tag, body) = bytes.split_first().ok_or(DecodeError::UnknownTag)?;
+        let server = || u32::from_le_bytes([body[0], body[1], body[2], body[3]]) as usize;
+        match (tag, body.len()) {
+            (THROTTLE, 12) => {
+                let output = f64::from_le_bytes(body[4..].try_into().expect("eight bytes"));
+                if !output.is_finite() {
+                    return Err(DecodeError::NonFiniteOutput);
+                }
+                Ok(TempdMessage::Throttle {
+                    server: server(),
+                    output,
+                })
+            }
+            (RELEASE, 4) => Ok(TempdMessage::Release { server: server() }),
+            (RED_LINE, 4) => Ok(TempdMessage::RedLine { server: server() }),
+            (THROTTLE | RELEASE | RED_LINE, _) => Err(DecodeError::Length),
+            _ => Err(DecodeError::UnknownTag),
+        }
     }
 }
 
@@ -326,6 +386,7 @@ impl Drop for TempdDaemon {
 mod tests {
     use super::*;
     use cluster_sim::ServerConfig;
+    use proptest::prelude::*;
 
     #[test]
     fn messages_round_trip() {
@@ -340,6 +401,59 @@ mod tests {
             assert_eq!(TempdMessage::decode(&message.encode()).unwrap(), message);
         }
         assert!(TempdMessage::decode(b"junk").is_err());
+    }
+
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let throttle = TempdMessage::Throttle {
+            server: 0x0102_0304,
+            output: 0.35,
+        };
+        let golden = [
+            1, 4, 3, 2, 1, 0x66, 0x66, 0x66, 0x66, 0x66, 0x66, 0xd6, 0x3f,
+        ];
+        assert_eq!(throttle.encode(), golden);
+        assert_eq!(
+            TempdMessage::Release { server: 7 }.encode(),
+            [2, 7, 0, 0, 0]
+        );
+        assert_eq!(
+            TempdMessage::RedLine { server: 65_536 }.encode(),
+            [3, 0, 0, 1, 0]
+        );
+        let mut nan = golden;
+        nan[5..].copy_from_slice(&f64::NAN.to_le_bytes());
+        for (bytes, error) in [
+            (&[][..], DecodeError::UnknownTag),
+            (&[0, 1, 0, 0, 0], DecodeError::UnknownTag),
+            (&golden[..12], DecodeError::Length),
+            (&[2, 1, 0, 0, 0, 0], DecodeError::Length),
+            (&nan, DecodeError::NonFiniteOutput),
+        ] {
+            assert_eq!(TempdMessage::decode(bytes), Err(error), "{bytes:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Any short datagram is refused or is a message that encodes
+        /// back to exactly its bytes. Half the cases start with a real
+        /// tag so the length and output checks are reached.
+        #[test]
+        fn decode_is_total_and_exact(
+            tag in 0u8..5,
+            mut bytes in proptest::collection::vec(any::<u8>(), 0..=64),
+            tagged in any::<bool>(),
+        ) {
+            if tagged && !bytes.is_empty() {
+                bytes[0] = tag;
+                bytes.truncate(if tag == 1 { 13 } else { 5 });
+            }
+            if let Ok(message) = TempdMessage::decode(&bytes) {
+                prop_assert_eq!(message.encode(), bytes);
+            }
+        }
     }
 
     #[test]
@@ -458,20 +572,28 @@ mod tests {
         )));
         let admd = AdmdService::spawn(Arc::clone(&sim), FreonConfig::paper(), 0.001).unwrap();
         let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
-        socket.send_to(b"{not json", admd.local_addr()).unwrap();
-        socket
-            .send_to(
-                &TempdMessage::Throttle {
-                    server: 99,
-                    output: 1.0,
-                }
-                .encode(),
-                admd.local_addr(),
-            )
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(100));
-        // Neither datagram crashed or actuated anything.
+        let throttle = |server, output| TempdMessage::Throttle { server, output }.encode();
+        let mut nan = throttle(0, 1.0);
+        nan[5..].copy_from_slice(&f64::NAN.to_le_bytes());
+        for datagram in [
+            b"{not json".to_vec(),
+            throttle(99, 1.0),
+            throttle(0, 1.0)[..12].to_vec(),
+            nan,
+        ] {
+            socket.send_to(&datagram, admd.local_addr()).unwrap();
+        }
+        // A valid message sent after them lands once they are all read.
+        let release = TempdMessage::Release { server: 0 }.encode();
+        socket.send_to(&release, admd.local_addr()).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while admd.messages_handled() == 0 {
+            assert!(std::time::Instant::now() < deadline, "no release arrived");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // No garbage datagram crashed or actuated anything.
         assert_eq!(sim.lock().lvs().weight(0), 1.0);
+        assert_eq!(admd.messages_handled(), 1);
         admd.shutdown();
     }
 }

@@ -15,7 +15,6 @@
 use crate::admd::Admd;
 use crate::policy::spec::{ActionSpec, ReasonCode};
 use cluster_sim::ClusterSim;
-use serde::{Deserialize, Serialize};
 
 /// The default DVFS ladder: full speed plus four progressively slower
 /// steps, mirroring the frequency/voltage pairs of mobile processors of
@@ -78,7 +77,7 @@ pub enum EngineCommand {
 
 /// A structured record of an emergency shutdown, kept by the power
 /// actuator for operators and the scenario harness.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IncidentRecord {
     /// Simulation time of the shutdown, seconds.
     pub time_s: u64,

@@ -38,7 +38,7 @@
 
 use crate::config::{ComponentThresholds, EcConfig, FreonConfig};
 use crate::policy::toml::{self, TomlError};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{object, opt_field, req_field, DeError, Deserialize, Serialize, Value};
 
 /// Which servers a policy observes at a check boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -612,59 +612,42 @@ impl PolicySpec {
 
 // --- serde -----------------------------------------------------------------
 //
-// Hand-written: the derive stand-in has no `#[serde(default)]`, and the
-// TOML surface wants optional fields with paper defaults plus strict
-// unknown-key rejection.
+// Hand-written: the TOML surface wants optional fields with paper
+// defaults, and every table refuses a key it does not know.
 
-fn expect_obj<'a>(v: &'a Value, what: &str) -> Result<&'a [(String, Value)], DeError> {
-    match v {
-        Value::Obj(entries) => Ok(entries),
-        other => Err(DeError::msg(format!(
-            "expected {what} table, found {other:?}"
-        ))),
+impl Serialize for ComponentThresholds {
+    fn to_value(&self) -> Value {
+        Value::object([
+            ("component", Value::Str(self.component.clone())),
+            ("high", Value::Num(self.high)),
+            ("low", Value::Num(self.low)),
+            ("red_line", Value::Num(self.red_line)),
+        ])
     }
 }
 
-fn reject_unknown(entries: &[(String, Value)], known: &[&str], what: &str) -> Result<(), DeError> {
-    for (key, _) in entries {
-        if !known.contains(&key.as_str()) {
-            return Err(DeError::msg(format!("unknown key `{key}` in {what}")));
-        }
+impl Deserialize for ComponentThresholds {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        const WHAT: &str = "[[thresholds]]";
+        let entries = object(v, WHAT, &["component", "high", "low", "red_line"])?;
+        Ok(ComponentThresholds {
+            component: req_field(entries, "component", WHAT)?,
+            high: req_field(entries, "high", WHAT)?,
+            low: req_field(entries, "low", WHAT)?,
+            red_line: req_field(entries, "red_line", WHAT)?,
+        })
     }
-    Ok(())
-}
-
-fn opt_field<T: Deserialize>(entries: &[(String, Value)], key: &str) -> Result<Option<T>, DeError> {
-    match entries.iter().find(|(k, _)| k == key) {
-        Some((_, v)) => T::from_value(v)
-            .map(Some)
-            .map_err(|e| DeError::msg(format!("field `{key}`: {}", e.0))),
-        None => Ok(None),
-    }
-}
-
-fn req_field<T: Deserialize>(
-    entries: &[(String, Value)],
-    key: &str,
-    what: &str,
-) -> Result<T, DeError> {
-    opt_field(entries, key)?
-        .ok_or_else(|| DeError::msg(format!("{what} is missing required key `{key}`")))
 }
 
 impl Serialize for GainSpec {
     fn to_value(&self) -> Value {
-        Value::Obj(vec![
-            ("kp".to_string(), Value::Num(self.kp)),
-            ("kd".to_string(), Value::Num(self.kd)),
-        ])
+        Value::object([("kp", Value::Num(self.kp)), ("kd", Value::Num(self.kd))])
     }
 }
 
 impl Deserialize for GainSpec {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        let entries = expect_obj(v, "[gains]")?;
-        reject_unknown(entries, &["kp", "kd"], "[gains]")?;
+        let entries = object(v, "[gains]", &["kp", "kd"])?;
         let default = GainSpec::default();
         Ok(GainSpec {
             kp: opt_field(entries, "kp")?.unwrap_or(default.kp),
@@ -675,25 +658,21 @@ impl Deserialize for GainSpec {
 
 impl Serialize for EcSpec {
     fn to_value(&self) -> Value {
-        Value::Obj(vec![
-            ("regions".to_string(), self.regions.to_value()),
-            ("u_high".to_string(), Value::Num(self.u_high)),
-            ("u_low".to_string(), Value::Num(self.u_low)),
-            (
-                "projection_intervals".to_string(),
-                Value::Num(self.projection_intervals as f64),
-            ),
+        Value::object([
+            ("regions", self.regions.to_value()),
+            ("u_high", Value::Num(self.u_high)),
+            ("u_low", Value::Num(self.u_low)),
+            ("projection_intervals", self.projection_intervals.to_value()),
         ])
     }
 }
 
 impl Deserialize for EcSpec {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        let entries = expect_obj(v, "[ec]")?;
-        reject_unknown(
-            entries,
-            &["regions", "u_high", "u_low", "projection_intervals"],
+        let entries = object(
+            v,
             "[ec]",
+            &["regions", "u_high", "u_low", "projection_intervals"],
         )?;
         Ok(EcSpec {
             regions: req_field(entries, "regions", "[ec]")?,
@@ -706,42 +685,27 @@ impl Deserialize for EcSpec {
 
 impl Serialize for RuleSpec {
     fn to_value(&self) -> Value {
-        let mut entries = vec![
-            (
-                "trigger".to_string(),
-                Value::Str(self.trigger.as_str().to_string()),
-            ),
-            (
-                "action".to_string(),
-                Value::Str(self.action.name().to_string()),
-            ),
+        let parameter = match self.action {
+            ActionSpec::Shed { factor } => Some(("factor", Value::Num(factor))),
+            ActionSpec::SetFan { cfm } => Some(("cfm", Value::Num(cfm))),
+            _ => None,
+        };
+        let reason = (self.reason != ReasonCode::for_trigger(self.trigger))
+            .then(|| ("reason", Value::Str(self.reason.as_str().to_string())));
+        let fields = [
+            ("trigger", Value::Str(self.trigger.as_str().to_string())),
+            ("action", Value::Str(self.action.name().to_string())),
         ];
-        match &self.action {
-            ActionSpec::Shed { factor } => {
-                entries.push(("factor".to_string(), Value::Num(*factor)));
-            }
-            ActionSpec::SetFan { cfm } => {
-                entries.push(("cfm".to_string(), Value::Num(*cfm)));
-            }
-            _ => {}
-        }
-        if self.reason != ReasonCode::for_trigger(self.trigger) {
-            entries.push((
-                "reason".to_string(),
-                Value::Str(self.reason.as_str().to_string()),
-            ));
-        }
-        Value::Obj(entries)
+        Value::object(fields.into_iter().chain(parameter).chain(reason))
     }
 }
 
 impl Deserialize for RuleSpec {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        let entries = expect_obj(v, "[[rules]]")?;
-        reject_unknown(
-            entries,
-            &["trigger", "action", "reason", "factor", "cfm"],
+        let entries = object(
+            v,
             "[[rules]]",
+            &["trigger", "action", "reason", "factor", "cfm"],
         )?;
         let trigger = Trigger::parse(&req_field::<String>(entries, "trigger", "[[rules]]")?)?;
         let action_name = req_field::<String>(entries, "action", "[[rules]]")?;
@@ -793,44 +757,27 @@ impl Deserialize for RuleSpec {
 
 impl Serialize for PolicySpec {
     fn to_value(&self) -> Value {
-        let mut entries = vec![
-            ("name".to_string(), Value::Str(self.name.clone())),
-            (
-                "gate".to_string(),
-                Value::Str(self.gate.as_str().to_string()),
-            ),
-            (
-                "check_period_s".to_string(),
-                Value::Num(self.check_period_s as f64),
-            ),
-            (
-                "sample_period_s".to_string(),
-                Value::Num(self.sample_period_s as f64),
-            ),
-            (
-                "connection_caps".to_string(),
-                Value::Bool(self.connection_caps),
-            ),
-            (
-                "frequency_levels".to_string(),
-                self.frequency_levels.to_value(),
-            ),
-            ("gains".to_string(), self.gains.to_value()),
-            ("thresholds".to_string(), self.thresholds.to_value()),
-            ("rules".to_string(), self.rules.to_value()),
+        let fields = [
+            ("name", Value::Str(self.name.clone())),
+            ("gate", Value::Str(self.gate.as_str().to_string())),
+            ("check_period_s", self.check_period_s.to_value()),
+            ("sample_period_s", self.sample_period_s.to_value()),
+            ("connection_caps", Value::Bool(self.connection_caps)),
+            ("frequency_levels", self.frequency_levels.to_value()),
+            ("gains", self.gains.to_value()),
+            ("thresholds", self.thresholds.to_value()),
+            ("rules", self.rules.to_value()),
         ];
-        if let Some(ec) = &self.ec {
-            entries.push(("ec".to_string(), ec.to_value()));
-        }
-        Value::Obj(entries)
+        let ec = self.ec.as_ref().map(|ec| ("ec", ec.to_value()));
+        Value::object(fields.into_iter().chain(ec))
     }
 }
 
 impl Deserialize for PolicySpec {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        let entries = expect_obj(v, "policy spec")?;
-        reject_unknown(
-            entries,
+        let entries = object(
+            v,
+            "policy spec",
             &[
                 "name",
                 "gate",
@@ -843,7 +790,6 @@ impl Deserialize for PolicySpec {
                 "rules",
                 "ec",
             ],
-            "policy spec",
         )?;
         let gate = match opt_field::<String>(entries, "gate")? {
             Some(s) => Gate::parse(&s)?,

@@ -67,18 +67,8 @@ impl From<serde::DeError> for TomlError {
 /// Returns a [`TomlError`] naming the offending line for syntax
 /// problems, or the shape mismatch for deserialization problems.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T, TomlError> {
-    let value = parse_value_tree(text)?;
+    let value = Parser::new(text).parse()?;
     T::from_value(&value).map_err(TomlError::from)
-}
-
-/// Parses TOML text into a [`Value`] tree (tables become
-/// [`Value::Obj`], arrays of tables become [`Value::Arr`]).
-///
-/// # Errors
-///
-/// Returns a [`TomlError`] naming the offending line.
-pub fn parse_value_tree(text: &str) -> Result<Value, TomlError> {
-    Parser::new(text).parse()
 }
 
 /// Serializes a value to TOML text.
@@ -624,7 +614,7 @@ mod tests {
             trigger = "below_low"
             action = "release"
         "#;
-        let v = parse_value_tree(text).unwrap();
+        let v = from_str::<Value>(text).unwrap();
         assert_eq!(v.get("name"), Some(&Value::Str("freon".into())));
         assert_eq!(v.get("check_period_s"), Some(&Value::Num(60.0)));
         assert_eq!(v.get("caps"), Some(&Value::Bool(true)));
@@ -640,7 +630,7 @@ mod tests {
     fn parses_multiline_arrays_and_inline_tables() {
         let text =
             "regions = [0, 1,\n  0, 1]\npoint = { x = 1, y = -2.5 }\nwords = [\"a\", \"b,c\"]\n";
-        let v = parse_value_tree(text).unwrap();
+        let v = from_str::<Value>(text).unwrap();
         assert_eq!(
             v.get("regions"),
             Some(&Value::Arr(vec![
@@ -659,11 +649,11 @@ mod tests {
 
     #[test]
     fn errors_carry_line_numbers() {
-        let err = parse_value_tree("ok = 1\nnot a kv line\n").unwrap_err();
+        let err = from_str::<Value>("ok = 1\nnot a kv line\n").unwrap_err();
         assert!(err.to_string().contains("line 2"), "{err}");
-        let err = parse_value_tree("x = \"unterminated\n").unwrap_err();
+        let err = from_str::<Value>("x = \"unterminated\n").unwrap_err();
         assert!(err.to_string().contains("line 1"), "{err}");
-        assert!(parse_value_tree("dup = 1\ndup = 2\n").is_err());
+        assert!(from_str::<Value>("dup = 1\ndup = 2\n").is_err());
     }
 
     #[test]
@@ -690,7 +680,7 @@ mod tests {
             ),
         ]);
         let text = to_string(&tree).unwrap();
-        let back = parse_value_tree(&text).unwrap();
+        let back = from_str::<Value>(&text).unwrap();
         assert_eq!(back, tree, "round-trip failed for:\n{text}");
     }
 
@@ -701,6 +691,6 @@ mod tests {
             Value::Str("a \"quoted\" piece, with\nnewline # not a comment".into()),
         )]);
         let text = to_string(&tree).unwrap();
-        assert_eq!(parse_value_tree(&text).unwrap(), tree);
+        assert_eq!(from_str::<Value>(&text).unwrap(), tree);
     }
 }

@@ -11,7 +11,7 @@ use cluster_sim::{ClusterSim, ServerConfig};
 use freon::policy::{SpecPolicy, Trigger};
 use freon::{
     EcConfig, Experiment, ExperimentConfig, FreonConfig, FreonEcPolicy, FreonPolicy, PolicySpec,
-    ThermalPolicy, TraditionalPolicy,
+    ThermalPolicy, TraditionalPolicy, BUILTIN_NAMES,
 };
 use proptest::prelude::*;
 use workload_gen::{DiurnalProfile, RequestMix, WorkloadGenerator, WorkloadTrace};
@@ -201,5 +201,102 @@ fn builtin_specs_reproduce_the_legacy_policies() {
             spec_log, legacy_log,
             "`{name}` spec diverged from the legacy policy"
         );
+    }
+}
+
+/// Every spec file shipped with the crate parses and validates.
+#[test]
+fn every_policy_file_parses_and_validates() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("policies");
+    let mut files = 0;
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "toml") {
+            let spec = PolicySpec::from_toml_file(&path).unwrap();
+            spec.validate()
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            files += 1;
+        }
+    }
+    assert!(files >= 7, "found only {files} policy files");
+}
+
+/// An integer key takes only a number that is one: integral, finite and
+/// in its type's range. Each of these once read as some other integer
+/// (`-1` as 0, `2.9` as 2, `1e30` as `u64::MAX`).
+#[test]
+fn integer_keys_refuse_numbers_they_cannot_hold() {
+    for tail in [
+        "check_period_s = 1e30",
+        "check_period_s = -5",
+        "check_period_s = nan",
+        "sample_period_s = 2.5",
+        "sample_period_s = inf",
+        "[ec]\nregions = [0]\nprojection_intervals = 2.9",
+        "[ec]\nregions = [0]\nprojection_intervals = -1",
+        "[ec]\nregions = [0]\nprojection_intervals = 4294967296",
+        "[ec]\nregions = [-1]",
+        "[ec]\nregions = [0, 1.5]",
+    ] {
+        let key = tail.lines().last().unwrap().split(' ').next().unwrap();
+        let err = PolicySpec::from_toml_str(&format!("name = \"x\"\n{tail}\n")).expect_err(tail);
+        assert!(err.to_string().contains(&format!("field `{key}`")), "{err}");
+    }
+    // An integral float is an integer, whatever its spelling.
+    let good = "name = \"x\"\ncheck_period_s = 1e3\nsample_period_s = 5.0\n\
+                [ec]\nregions = [0]\nprojection_intervals = 4294967295\n";
+    let good = PolicySpec::from_toml_str(good).unwrap();
+    assert_eq!((good.check_period_s, good.sample_period_s), (1000, 5));
+    assert_eq!(good.ec.unwrap().projection_intervals, u32::MAX);
+}
+
+/// `[[thresholds]]` refuses unknown keys and needs all four, like every
+/// other spec table, and its errors name the key.
+#[test]
+fn threshold_tables_are_strict() {
+    let table = "name = \"x\"\n[[thresholds]]\ncomponent = \"cpu\"\nhigh = 67.0\nlow = 64.0\n";
+    let with_red_line = format!("{table}red_line = 69.0\n");
+    let spec = PolicySpec::from_toml_str(&with_red_line).unwrap();
+    assert_eq!(
+        spec.thresholds,
+        [freon::ComponentThresholds::new("cpu", 67.0, 64.0)]
+    );
+
+    let err = PolicySpec::from_toml_str(&format!("{with_red_line}hysteresis = 2\n")).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("unknown key `hysteresis` in [[thresholds]]"),
+        "{err}"
+    );
+    let err = PolicySpec::from_toml_str(table).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("[[thresholds]] is missing required key `red_line`"),
+        "{err}"
+    );
+    let err = PolicySpec::from_toml_str(&with_red_line.replace("high = 67.0", "high = \"hot\""))
+        .unwrap_err();
+    assert!(err.to_string().contains("field `high`"), "{err}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary text is an error or a spec, never a panic; so is one of
+    /// the built-in specs' texts with a byte replaced and the rest cut
+    /// somewhere, which reaches deeper than noise.
+    #[test]
+    fn spec_parsing_is_total(
+        noise in "\\PC{0,120}",
+        tokens in "[a-z_\\[\\]{}=\"., 0-9\n#-]{0,160}",
+        (which, at, byte, cut) in (0..BUILTIN_NAMES.len(), any::<usize>(), any::<u8>(), any::<usize>()),
+    ) {
+        let mut mangled = PolicySpec::builtin(BUILTIN_NAMES[which]).unwrap().to_toml_string().into_bytes();
+        let at = at % mangled.len();
+        mangled[at] = byte;
+        mangled.truncate(cut % (mangled.len() + 1));
+        for text in [noise, tokens, String::from_utf8_lossy(&mangled).into_owned()] {
+            let _ = PolicySpec::from_toml_str(&text);
+        }
     }
 }

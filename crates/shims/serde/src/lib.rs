@@ -2,22 +2,17 @@
 //!
 //! The build environment for this repository has no access to crates.io,
 //! so this workspace ships a minimal self-describing serialization
-//! framework under the same crate name. The API surface intentionally
-//! mirrors the subset of serde the workspace uses: `Serialize` /
-//! `Deserialize` traits plus `#[derive(Serialize, Deserialize)]`.
+//! framework under the same crate name: the `Serialize` / `Deserialize`
+//! traits, written by hand for the few types something reads back (a
+//! policy spec's TOML tables and a workload trace's JSON), plus the
+//! field helpers those impls share.
 //!
 //! Instead of serde's visitor architecture, both traits go through a
 //! simple tree [`Value`]: serializers lower data into a `Value`, and
-//! format crates (the sibling `serde_json` stand-in) render or parse that
-//! tree. Enum representation follows serde's externally-tagged default
-//! (`"Variant"` for unit variants, `{"Variant": ...}` otherwise), so data
-//! written by the real serde_json for these types reads back fine and
-//! vice versa for the common shapes used here.
+//! format crates (the sibling `serde_json` stand-in, freon's TOML
+//! module) render or parse that tree.
 
-use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-
-pub use serde_derive::{Deserialize, Serialize};
 
 /// A self-describing data tree — the meeting point between `Serialize`
 /// and data formats.
@@ -39,6 +34,16 @@ pub enum Value {
 }
 
 impl Value {
+    /// An object of `fields`, in order.
+    pub fn object<'a>(fields: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+        Value::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
     /// Looks a key up in an object value.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
@@ -106,7 +111,25 @@ impl Deserialize for bool {
     }
 }
 
-macro_rules! impl_num {
+impl Serialize for f64 {
+    fn to_value(&self) -> Value {
+        Value::Num(*self)
+    }
+}
+
+impl Deserialize for f64 {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        match v {
+            Value::Num(n) => Ok(*n),
+            other => Err(DeError::msg(format!("expected f64, found {other:?}"))),
+        }
+    }
+}
+
+// An integer reads only from a number that is one: integral, finite and
+// in range. `MAX as f64 + 1.0` is the power of two just past the range,
+// even where `MAX as f64` has itself rounded up to it.
+macro_rules! impl_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value {
@@ -116,7 +139,13 @@ macro_rules! impl_num {
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, DeError> {
                 match v {
-                    Value::Num(n) => Ok(*n as $t),
+                    Value::Num(n)
+                        if n.fract() == 0.0
+                            && *n >= <$t>::MIN as f64
+                            && *n < <$t>::MAX as f64 + 1.0 =>
+                    {
+                        Ok(*n as $t)
+                    }
                     other => Err(DeError::msg(format!(
                         concat!("expected ", stringify!($t), ", found {:?}"),
                         other
@@ -127,7 +156,7 @@ macro_rules! impl_num {
     )*};
 }
 
-impl_num!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
+impl_int!(u32, u64, usize);
 
 impl Serialize for String {
     fn to_value(&self) -> Value {
@@ -140,66 +169,6 @@ impl Deserialize for String {
         match v {
             Value::Str(s) => Ok(s.clone()),
             other => Err(DeError::msg(format!("expected string, found {other:?}"))),
-        }
-    }
-}
-
-impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Serialize> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        T::from_value(v).map(Box::new)
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        T::from_value(v).map(std::sync::Arc::new)
-    }
-}
-
-impl<T: Deserialize> Deserialize for std::sync::Arc<[T]> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Vec::<T>::from_value(v).map(std::sync::Arc::from)
-    }
-}
-
-impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            None => Value::Null,
-            Some(t) => t.to_value(),
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
         }
     }
 }
@@ -219,90 +188,48 @@ impl<T: Deserialize> Deserialize for Vec<T> {
     }
 }
 
-impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Arr(self.iter().map(Serialize::to_value).collect())
+/// The entries of object `v` (`what` in errors), which may hold no key
+/// outside `known`.
+pub fn object<'a>(
+    v: &'a Value,
+    what: &str,
+    known: &[&str],
+) -> Result<&'a [(String, Value)], DeError> {
+    let Value::Obj(entries) = v else {
+        return Err(DeError::msg(format!(
+            "expected {what} to be an object, found {v:?}"
+        )));
+    };
+    match entries
+        .iter()
+        .find(|(key, _)| !known.contains(&key.as_str()))
+    {
+        Some((key, _)) => Err(DeError::msg(format!("unknown key `{key}` in {what}"))),
+        None => Ok(entries),
     }
 }
 
-impl<V: Serialize> Serialize for HashMap<String, V> {
-    fn to_value(&self) -> Value {
-        // Sort keys so output is deterministic.
-        let mut entries: Vec<_> = self.iter().collect();
-        entries.sort_by(|a, b| a.0.cmp(b.0));
-        Value::Obj(
-            entries
-                .into_iter()
-                .map(|(k, v)| (k.clone(), v.to_value()))
-                .collect(),
-        )
+/// Field `key` of an object's entries, if it is there.
+pub fn opt_field<T: Deserialize>(
+    entries: &[(String, Value)],
+    key: &str,
+) -> Result<Option<T>, DeError> {
+    match entries.iter().find(|(k, _)| k == key) {
+        Some((_, v)) => T::from_value(v)
+            .map(Some)
+            .map_err(|e| DeError::msg(format!("field `{key}`: {}", e.0))),
+        None => Ok(None),
     }
 }
 
-impl<V: Deserialize> Deserialize for HashMap<String, V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Obj(entries) => entries
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
-                .collect(),
-            other => Err(DeError::msg(format!("expected object, found {other:?}"))),
-        }
-    }
-}
-
-impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn to_value(&self) -> Value {
-        Value::Obj(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.to_value()))
-                .collect(),
-        )
-    }
-}
-
-impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Obj(entries) => entries
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
-                .collect(),
-            other => Err(DeError::msg(format!("expected object, found {other:?}"))),
-        }
-    }
-}
-
-macro_rules! impl_tuple {
-    ($(($($name:ident : $idx:tt),+))*) => {$(
-        impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Arr(vec![$(self.$idx.to_value()),+])
-            }
-        }
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                const N: usize = 0 $(+ { let _ = $idx; 1 })+;
-                match v {
-                    Value::Arr(items) if items.len() == N => {
-                        Ok(($($name::from_value(&items[$idx])?,)+))
-                    }
-                    other => Err(DeError::msg(format!(
-                        "expected {N}-tuple, found {other:?}"
-                    ))),
-                }
-            }
-        }
-    )*};
-}
-
-impl_tuple! {
-    (A: 0)
-    (A: 0, B: 1)
-    (A: 0, B: 1, C: 2)
-    (A: 0, B: 1, C: 2, D: 3)
-    (A: 0, B: 1, C: 2, D: 3, E: 4)
-    (A: 0, B: 1, C: 2, D: 3, E: 4, F: 5)
+/// Field `key` of object `what`'s entries, which must be there.
+pub fn req_field<T: Deserialize>(
+    entries: &[(String, Value)],
+    key: &str,
+    what: &str,
+) -> Result<T, DeError> {
+    opt_field(entries, key)?
+        .ok_or_else(|| DeError::msg(format!("{what} is missing required key `{key}`")))
 }
 
 #[cfg(test)]
@@ -317,14 +244,29 @@ mod tests {
             String::from_value(&"hi".to_string().to_value()).unwrap(),
             "hi"
         );
-        assert_eq!(Option::<u8>::from_value(&Value::Null).unwrap(), None);
-        let v = vec![(1u8, 2.0f64), (3, 4.0)];
-        assert_eq!(Vec::<(u8, f64)>::from_value(&v.to_value()).unwrap(), v);
+        let v = vec![1u64, 0, 3];
+        assert_eq!(Vec::<u64>::from_value(&v.to_value()).unwrap(), v);
     }
 
     #[test]
     fn shape_mismatches_error() {
         assert!(bool::from_value(&Value::Num(1.0)).is_err());
-        assert!(Vec::<u8>::from_value(&Value::Str("no".into())).is_err());
+        assert!(Vec::<u32>::from_value(&Value::Str("no".into())).is_err());
+    }
+
+    #[test]
+    fn integers_refuse_what_they_cannot_hold() {
+        for bad in [-1.0, 2.9, 2f64.powi(32), 1e30, f64::NAN, f64::INFINITY] {
+            assert!(u32::from_value(&Value::Num(bad)).is_err(), "u32 from {bad}");
+        }
+        assert!(u64::from_value(&Value::Num(2f64.powi(64))).is_err());
+        assert!(usize::from_value(&Value::Num(-0.5)).is_err());
+        assert_eq!(
+            u32::from_value(&Value::Num(4_294_967_295.0)).unwrap(),
+            u32::MAX
+        );
+        assert_eq!(u64::from_value(&Value::Num(-0.0)).unwrap(), 0);
+        // A float keeps reading whatever number is there.
+        assert!(f64::from_value(&Value::Num(f64::NAN)).unwrap().is_nan());
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! Renders the sibling `serde` stand-in's [`Value`] tree to JSON text and
 //! parses JSON text back into one. The entry points mirror the real
-//! crate: [`to_string`], [`to_vec`], [`from_str`], [`from_slice`], and an
-//! [`Error`] type. Output is compact (no whitespace); numbers that are
-//! exact integers print without a fractional part, everything else uses
-//! Rust's shortest round-trip formatting.
+//! crate: [`to_string`], [`from_str`] and an [`Error`] type. Output is
+//! compact (no whitespace); numbers that are exact integers print
+//! without a fractional part, everything else uses Rust's shortest
+//! round-trip formatting.
 
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
@@ -41,11 +41,6 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     Ok(out)
 }
 
-/// Serializes a value to JSON bytes.
-pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error> {
-    to_string(value).map(String::into_bytes)
-}
-
 /// Deserializes a value from a JSON string.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
@@ -59,12 +54,6 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
         return Err(Error::msg(format!("trailing characters at byte {}", p.pos)));
     }
     T::from_value(&v).map_err(Error::from)
-}
-
-/// Deserializes a value from JSON bytes.
-pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T, Error> {
-    let s = std::str::from_utf8(bytes).map_err(|e| Error::msg(format!("invalid utf-8: {e}")))?;
-    from_str(s)
 }
 
 // ---------------------------------------------------------------------------

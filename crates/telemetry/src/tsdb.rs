@@ -345,6 +345,112 @@ struct SeriesStore {
     dropped_out_of_order: u64,
 }
 
+impl SeriesStore {
+    /// Samples with timestamps in `[start, end]`, in time order.
+    fn raw(&self, start: u64, end: u64) -> Vec<(u64, f64)> {
+        let mut out = Vec::new();
+        for block in &self.blocks {
+            if block.t_last < start || block.t_first > end {
+                continue;
+            }
+            out.extend(
+                block
+                    .samples()
+                    .into_iter()
+                    .filter(|&(t, _)| t >= start && t <= end),
+            );
+        }
+        if self.open.count > 0 && self.open.t_last >= start && self.open.t_first <= end {
+            out.extend(
+                self.open
+                    .samples()
+                    .into_iter()
+                    .filter(|&(t, _)| t >= start && t <= end),
+            );
+        }
+        out
+    }
+
+    /// See [`Tsdb::query_downsampled`].
+    fn downsampled(&self, start: u64, end: u64, step: u64) -> Vec<Bucket> {
+        let step = step.max(1);
+        let mut out: Vec<Bucket> = Vec::new();
+        for (t, v) in self.raw(start, end) {
+            if v.is_nan() {
+                continue;
+            }
+            let bucket_t = start + (t - start) / step * step;
+            match out.last_mut() {
+                Some(b) if b.t == bucket_t => {
+                    b.min = b.min.min(v);
+                    b.max = b.max.max(v);
+                    // `mean` accumulates the sum until the final pass.
+                    b.mean += v;
+                    b.count += 1;
+                }
+                _ => out.push(Bucket {
+                    t: bucket_t,
+                    min: v,
+                    mean: v,
+                    max: v,
+                    count: 1,
+                }),
+            }
+        }
+        for b in &mut out {
+            b.mean /= b.count as f64;
+        }
+        out
+    }
+
+    /// See [`Tsdb::query_rate`].
+    fn rate(&self, start: u64, end: u64, step: u64) -> Vec<(u64, f64)> {
+        let step = step.max(1);
+        let mut out: Vec<(u64, f64)> = Vec::new();
+        let mut prev: Option<f64> = None;
+        for (t, v) in self.raw(start, end) {
+            if v.is_nan() {
+                continue;
+            }
+            let increase = match prev {
+                None => 0.0,
+                Some(p) if v >= p => v - p,
+                Some(_) => v, // counter reset
+            };
+            prev = Some(v);
+            let bucket_t = start + (t - start) / step * step;
+            match out.last_mut() {
+                Some(b) if b.0 == bucket_t => b.1 += increase,
+                _ => out.push((bucket_t, increase)),
+            }
+        }
+        for (_, v) in &mut out {
+            *v /= step as f64;
+        }
+        out
+    }
+
+    /// One query's points, shaped for the wire.
+    fn points(&self, kind: QueryKind, start: u64, end: u64, step: u64) -> Vec<SeriesPoint> {
+        match kind {
+            QueryKind::Raw => (self.raw(start, end).into_iter())
+                .map(|(t, v)| SeriesPoint::flat(t, v))
+                .collect(),
+            QueryKind::Downsample => (self.downsampled(start, end, step).into_iter())
+                .map(|b| SeriesPoint {
+                    t: b.t,
+                    min: b.min,
+                    mean: b.mean,
+                    max: b.max,
+                })
+                .collect(),
+            QueryKind::Rate => (self.rate(start, end, step).into_iter())
+                .map(|(t, v)| SeriesPoint::flat(t, v))
+                .collect(),
+        }
+    }
+}
+
 #[derive(Debug)]
 struct SeriesEntry {
     name: String,
@@ -462,59 +568,63 @@ impl Tsdb {
     /// Series names matching a `*`-glob pattern, sorted.
     #[must_use]
     pub fn match_names(&self, pattern: &str) -> Vec<String> {
-        self.match_names_first(pattern, usize::MAX)
+        let inner = self.lock();
+        let mut names: Vec<String> = (inner.series.iter())
+            .filter(|e| glob_match(pattern.as_bytes(), e.name.as_bytes()))
+            .map(|e| e.name.clone())
+            .collect();
+        names.sort_unstable();
+        names
     }
 
-    /// The first `limit` series names matching a `*`-glob pattern, sorted:
-    /// the prefix [`match_names`](Self::match_names) would return. The
-    /// matches are selected and sorted by reference under the lock, and
-    /// only the kept names are copied.
+    /// Runs one query over the first `limit` series matching a `*`-glob
+    /// pattern, in name order — the prefix of
+    /// [`match_names`](Self::match_names) — in one pass under one lock:
+    /// the matches are selected and sorted by reference, and only the
+    /// kept series are read.
     #[must_use]
-    pub fn match_names_first(&self, pattern: &str, limit: usize) -> Vec<String> {
+    pub fn query_matching(
+        &self,
+        pattern: &str,
+        limit: usize,
+        kind: QueryKind,
+        start: u64,
+        end: u64,
+        step: u64,
+    ) -> Vec<SeriesResult> {
         let inner = self.lock();
-        let mut names: Vec<&str> = (inner.series.iter())
-            .map(|e| e.name.as_str())
-            .filter(|name| glob_match(pattern.as_bytes(), name.as_bytes()))
+        let mut kept: Vec<&SeriesEntry> = (inner.series.iter())
+            .filter(|e| glob_match(pattern.as_bytes(), e.name.as_bytes()))
             .collect();
-        if names.len() > limit {
-            names.select_nth_unstable(limit);
-            names.truncate(limit);
+        let by_name = |a: &&SeriesEntry, b: &&SeriesEntry| a.name.cmp(&b.name);
+        if kept.len() > limit {
+            kept.select_nth_unstable_by(limit, by_name);
+            kept.truncate(limit);
         }
         // Series names are unique, so an unstable sort is the sort.
-        names.sort_unstable();
-        names.into_iter().map(str::to_string).collect()
+        kept.sort_unstable_by(by_name);
+        kept.into_iter()
+            .map(|e| SeriesResult {
+                name: e.name.clone(),
+                kind,
+                points: e.store.points(kind, start, end, step),
+            })
+            .collect()
+    }
+
+    /// The store of `series` under the lock, if it exists.
+    fn with_store<T: Default>(&self, series: &str, f: impl FnOnce(&SeriesStore) -> T) -> T {
+        let inner = self.lock();
+        match inner.index.get(series) {
+            Some(&idx) => f(&inner.series[idx].store),
+            None => T::default(),
+        }
     }
 
     /// Raw samples of `series` with timestamps in `[start, end]`.
     #[must_use]
     pub fn query_raw(&self, series: &str, start: u64, end: u64) -> Vec<(u64, f64)> {
-        let inner = self.lock();
-        let Some(&idx) = inner.index.get(series) else {
-            return Vec::new();
-        };
-        let store = &inner.series[idx].store;
-        let mut out = Vec::new();
-        for block in &store.blocks {
-            if block.t_last < start || block.t_first > end {
-                continue;
-            }
-            out.extend(
-                block
-                    .samples()
-                    .into_iter()
-                    .filter(|&(t, _)| t >= start && t <= end),
-            );
-        }
-        if store.open.count > 0 && store.open.t_last >= start && store.open.t_first <= end {
-            out.extend(
-                store
-                    .open
-                    .samples()
-                    .into_iter()
-                    .filter(|&(t, _)| t >= start && t <= end),
-            );
-        }
-        out
+        self.with_store(series, |store| store.raw(start, end))
     }
 
     /// Min/mean/max buckets of width `step` over `[start, end]`.
@@ -523,34 +633,7 @@ impl Tsdb {
     /// aggregation (they would poison every bound they touch).
     #[must_use]
     pub fn query_downsampled(&self, series: &str, start: u64, end: u64, step: u64) -> Vec<Bucket> {
-        let step = step.max(1);
-        let mut out: Vec<Bucket> = Vec::new();
-        for (t, v) in self.query_raw(series, start, end) {
-            if v.is_nan() {
-                continue;
-            }
-            let bucket_t = start + (t - start) / step * step;
-            match out.last_mut() {
-                Some(b) if b.t == bucket_t => {
-                    b.min = b.min.min(v);
-                    b.max = b.max.max(v);
-                    // `mean` accumulates the sum until the final pass.
-                    b.mean += v;
-                    b.count += 1;
-                }
-                _ => out.push(Bucket {
-                    t: bucket_t,
-                    min: v,
-                    mean: v,
-                    max: v,
-                    count: 1,
-                }),
-            }
-        }
-        for b in &mut out {
-            b.mean /= b.count as f64;
-        }
-        out
+        self.with_store(series, |store| store.downsampled(start, end, step))
     }
 
     /// Per-bucket counter rate (increase per timestamp unit) over
@@ -558,30 +641,7 @@ impl Tsdb {
     /// restart and contributes the post-reset value.
     #[must_use]
     pub fn query_rate(&self, series: &str, start: u64, end: u64, step: u64) -> Vec<(u64, f64)> {
-        let step = step.max(1);
-        let samples = self.query_raw(series, start, end);
-        let mut out: Vec<(u64, f64)> = Vec::new();
-        let mut prev: Option<f64> = None;
-        for (t, v) in samples {
-            if v.is_nan() {
-                continue;
-            }
-            let increase = match prev {
-                None => 0.0,
-                Some(p) if v >= p => v - p,
-                Some(_) => v, // counter reset
-            };
-            prev = Some(v);
-            let bucket_t = start + (t - start) / step * step;
-            match out.last_mut() {
-                Some(b) if b.0 == bucket_t => b.1 += increase,
-                _ => out.push((bucket_t, increase)),
-            }
-        }
-        for (_, v) in &mut out {
-            *v /= step as f64;
-        }
-        out
+        self.with_store(series, |store| store.rate(start, end, step))
     }
 
     /// Newest sample of `series`, if any.
@@ -795,45 +855,6 @@ pub struct SeriesResult {
     pub kind: QueryKind,
     /// The points, in time order.
     pub points: Vec<SeriesPoint>,
-}
-
-/// Runs one query against the store and shapes the result for the wire.
-#[must_use]
-pub fn run_query(
-    tsdb: &Tsdb,
-    series: &str,
-    kind: QueryKind,
-    start: u64,
-    end: u64,
-    step: u64,
-) -> SeriesResult {
-    let points = match kind {
-        QueryKind::Raw => tsdb
-            .query_raw(series, start, end)
-            .into_iter()
-            .map(|(t, v)| SeriesPoint::flat(t, v))
-            .collect(),
-        QueryKind::Downsample => tsdb
-            .query_downsampled(series, start, end, step)
-            .into_iter()
-            .map(|b| SeriesPoint {
-                t: b.t,
-                min: b.min,
-                mean: b.mean,
-                max: b.max,
-            })
-            .collect(),
-        QueryKind::Rate => tsdb
-            .query_rate(series, start, end, step)
-            .into_iter()
-            .map(|(t, v)| SeriesPoint::flat(t, v))
-            .collect(),
-    };
-    SeriesResult {
-        name: series.to_string(),
-        kind,
-        points,
-    }
 }
 
 /// Renders query results as the line-oriented wire text: one series per
@@ -1065,11 +1086,78 @@ mod tests {
         }
         let all = db.match_names("temp/*");
         assert_eq!(all.len(), 700);
+        let first = |pattern: &str, limit| -> Vec<String> {
+            (db.query_matching(pattern, limit, QueryKind::Raw, 0, 0, 1)
+                .into_iter())
+            .map(|r| r.name)
+            .collect()
+        };
         for limit in [0, 1, 512, 699, 700, 701] {
-            let first = db.match_names_first("temp/*", limit);
-            assert_eq!(first, all[..limit.min(all.len())], "limit {limit}");
+            assert_eq!(
+                first("temp/*", limit),
+                all[..limit.min(all.len())],
+                "limit {limit}"
+            );
         }
-        assert!(db.match_names_first("missing*", 512).is_empty());
+        assert!(first("missing*", 512).is_empty());
+    }
+
+    /// A matching query answers what one query per matched name did,
+    /// to the byte of the wire text, for every kind.
+    #[test]
+    fn a_matching_query_is_the_per_name_queries_in_one_pass() {
+        let db = Tsdb::new(TsdbConfig {
+            samples_per_block: 8,
+            max_blocks_per_series: 4,
+        });
+        for t in 0..50u64 {
+            for m in [3, 1, 2] {
+                let v = if t == 9 {
+                    f64::NAN
+                } else {
+                    (t * m) as f64 / 7.0
+                };
+                db.append(&format!("temp/m{m}/cpu"), t, v);
+            }
+            db.append("requests_total", t, (t % 20) as f64);
+        }
+        // What the service ran per matched name before.
+        let per_name = |name: &String, kind| {
+            let points = match kind {
+                QueryKind::Raw => (db.query_raw(name, 5, 40).into_iter())
+                    .map(|(t, v)| SeriesPoint::flat(t, v))
+                    .collect(),
+                QueryKind::Rate => (db.query_rate(name, 5, 40, 6).into_iter())
+                    .map(|(t, v)| SeriesPoint::flat(t, v))
+                    .collect(),
+                QueryKind::Downsample => (db.query_downsampled(name, 5, 40, 6).into_iter())
+                    .map(|b| SeriesPoint {
+                        t: b.t,
+                        min: b.min,
+                        mean: b.mean,
+                        max: b.max,
+                    })
+                    .collect(),
+            };
+            SeriesResult {
+                name: name.clone(),
+                kind,
+                points,
+            }
+        };
+        for kind in [QueryKind::Raw, QueryKind::Downsample, QueryKind::Rate] {
+            for (pattern, limit) in [("temp/*", 512), ("*", 512), ("*", 2), ("none", 512)] {
+                let want: Vec<SeriesResult> = (db.match_names(pattern).iter().take(limit))
+                    .map(|name| per_name(name, kind))
+                    .collect();
+                let got = db.query_matching(pattern, limit, kind, 5, 40, 6);
+                assert_eq!(
+                    render_results(&got),
+                    render_results(&want),
+                    "{kind:?} {pattern}"
+                );
+            }
+        }
     }
 
     /// The backtracking matcher `glob_match` replaced: exponential in
@@ -1136,11 +1224,15 @@ mod tests {
         for t in 0..20u64 {
             db.append("temp/m1/cpu", t, 40.0 + t as f64 / 3.0);
         }
-        let results = vec![
-            run_query(&db, "temp/m1/cpu", QueryKind::Raw, 0, 19, 1),
-            run_query(&db, "temp/m1/cpu", QueryKind::Downsample, 0, 19, 5),
-            run_query(&db, "temp/m1/cpu", QueryKind::Rate, 0, 19, 5),
-        ];
+        let results: Vec<SeriesResult> = [
+            (QueryKind::Raw, 1),
+            (QueryKind::Downsample, 5),
+            (QueryKind::Rate, 5),
+        ]
+        .into_iter()
+        .flat_map(|(kind, step)| db.query_matching("temp/m1/cpu", 1, kind, 0, 19, step))
+        .collect();
+        assert_eq!(results.len(), 3);
         let text = render_results(&results);
         let parsed = parse_results(&text).unwrap();
         assert_eq!(parsed, results);

@@ -1,11 +1,10 @@
 //! The static/dynamic request blend.
 
 use cluster_sim::{Request, RequestKind};
-use serde::{Deserialize, Serialize};
 
 /// How requests divide between static files and CGI scripts, and what
 /// each kind demands from the CPU and disk.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestMix {
     /// Fraction of requests that are dynamic, in `[0, 1]`.
     pub dynamic_fraction: f64,

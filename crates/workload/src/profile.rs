@@ -1,7 +1,5 @@
 //! Offered-load profiles over time.
 
-use serde::{Deserialize, Serialize};
-
 /// A valley→peak→valley load curve over one period — the "well-known
 /// traffic pattern of most Internet services" the paper's trace mimics.
 ///
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// by default) and an asymmetric rise/fall so afternoon peaks can arrive
 /// late in the day, as in the paper's Figure 11 where load subsides around
 /// t = 1500 s of a 2000 s run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiurnalProfile {
     period_s: f64,
     valley_rps: f64,
