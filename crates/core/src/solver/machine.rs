@@ -1295,7 +1295,7 @@ impl Solver {
     /// when dirty and prices the per-tick inputs — boundary flags and the
     /// per-sub-step generated heat, both constant within a tick. It is
     /// the tick a solo machine runs inside a cluster call
-    /// ([`Solver::tick_fused`]), its epilogue ([`Solver::finish_span`]
+    /// (`Solver::tick_fused`), its epilogue (`Solver::finish_span`
     /// of one tick) and the counters.
     pub fn step(&mut self) {
         // The counters never touch the arithmetic, so trajectories are

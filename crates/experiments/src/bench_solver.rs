@@ -1,308 +1,19 @@
-//! Solver throughput benchmark: the CSR step kernel vs the original
-//! scan-based stepper.
-//!
-//! `ReferenceSolver` / `ReferenceCluster` below reimplement the
-//! pre-kernel algorithm exactly as the seed shipped it: per-sub-step
-//! edge-list scans, an O(nodes × edges) advection rescan, per-tick
-//! allocation of the accumulators, division by the heat capacity, and
-//! name/HashMap-keyed inter-machine mixing. Timing both against the
-//! production [`Solver`] / [`ClusterSolver`] gives the before/after
-//! numbers recorded in `BENCH_solver.json`.
+//! Overhead A/Bs of the observability stack, written to
+//! `BENCH_solver.json`: always-on telemetry, span tracing and the history
+//! sampler, each against its switched-off arm with a hard 2% gate, plus
+//! the out-of-core `.events` replay with its three gates.
 
-// The reference port deliberately mirrors the seed's indexed loops.
-#![allow(clippy::needless_range_loop)]
-
-use crate::common::{measured, paper, verdict};
-use mercury::model::{AirKind, ClusterEndpoint, ClusterModel, MachineModel};
-use mercury::physics;
+use crate::common::{measured, verdict};
 use mercury::presets::{self, nodes};
-use mercury::solver::{air_flows, required_substeps, ClusterSolver, Solver, SolverConfig};
-use mercury::units::{Celsius, KilogramsPerSecond, Seconds, Utilization};
-use std::collections::HashMap;
+use mercury::solver::{ClusterSolver, SolverConfig};
 use std::time::Instant;
 
 type Result<T = ()> = std::result::Result<T, Box<dyn std::error::Error>>;
-
-/// The seed's single-machine stepper, preserved for benchmarking.
-struct ReferenceSolver {
-    names: Vec<String>,
-    power: Vec<Option<mercury::model::PowerModel>>,
-    air_mass: Vec<Option<f64>>,
-    fixed: Vec<bool>,
-    capacity: Vec<f64>,
-    utilization: Vec<Utilization>,
-    temp: Vec<f64>,
-    heat_edges: Vec<(usize, usize, mercury::units::WattsPerKelvin)>,
-    air_edges: Vec<(usize, usize, f64)>,
-    edge_flow: Vec<KilogramsPerSecond>,
-    topo: Vec<usize>,
-    inlet_nodes: Vec<usize>,
-    exhaust_nodes: Vec<usize>,
-    substeps: usize,
-    dt: Seconds,
-}
-
-impl ReferenceSolver {
-    fn new(model: &MachineModel) -> Self {
-        let cfg = SolverConfig::default();
-        let n = model.nodes().len();
-        let heat_edges: Vec<_> = model
-            .heat_edges()
-            .iter()
-            .map(|e| (e.a.index(), e.b.index(), e.k))
-            .collect();
-        let air_mass: Vec<Option<f64>> = model
-            .nodes()
-            .iter()
-            .map(|x| x.as_air().map(|a| a.mass_kg))
-            .collect();
-        let inlets = model.inlets();
-        let (edge_flow, inflow) = air_flows(
-            n,
-            model.air_edges(),
-            model.topo_order(),
-            &inlets,
-            model.fan().mass_flow(),
-        );
-        let caps: Vec<_> = model.nodes().iter().map(|x| x.capacity()).collect();
-        let substeps = required_substeps(
-            cfg.dt,
-            cfg.stability_limit,
-            &heat_edges,
-            &caps,
-            &inflow,
-            &air_mass,
-        );
-        ReferenceSolver {
-            names: model.nodes().iter().map(|x| x.name().to_string()).collect(),
-            power: model
-                .nodes()
-                .iter()
-                .map(|x| x.as_component().map(|c| c.power.clone()))
-                .collect(),
-            air_mass,
-            fixed: model
-                .nodes()
-                .iter()
-                .map(|x| x.is_air_kind(AirKind::Inlet))
-                .collect(),
-            capacity: caps.iter().map(|c| c.0).collect(),
-            utilization: vec![Utilization::IDLE; n],
-            temp: vec![model.inlet_temperature().0; n],
-            heat_edges,
-            air_edges: model
-                .air_edges()
-                .iter()
-                .map(|e| (e.from.index(), e.to.index(), e.fraction))
-                .collect(),
-            edge_flow,
-            topo: model.topo_order().iter().map(|id| id.index()).collect(),
-            inlet_nodes: inlets.iter().map(|id| id.index()).collect(),
-            exhaust_nodes: model
-                .nodes()
-                .iter()
-                .enumerate()
-                .filter(|(_, x)| x.is_air_kind(AirKind::Exhaust))
-                .map(|(i, _)| i)
-                .collect(),
-            substeps,
-            dt: cfg.dt,
-        }
-    }
-
-    fn set_utilization(&mut self, name: &str, u: f64) {
-        let i = self.names.iter().position(|x| x == name).unwrap();
-        self.utilization[i] = u.into();
-    }
-
-    fn set_inlet(&mut self, t: Celsius) {
-        for &i in &self.inlet_nodes {
-            self.temp[i] = t.0;
-        }
-    }
-
-    fn exhaust_temperature(&self) -> Celsius {
-        let sum: f64 = self.exhaust_nodes.iter().map(|&i| self.temp[i]).sum();
-        Celsius(sum / self.exhaust_nodes.len() as f64)
-    }
-
-    fn step(&mut self) {
-        let n = self.names.len();
-        let dts = Seconds(self.dt.0 / self.substeps as f64);
-        // The seed allocated fresh accumulators every tick.
-        let mut dq = vec![0.0_f64; n];
-        let mut adv = vec![0.0_f64; n];
-        for _ in 0..self.substeps {
-            dq.iter_mut().for_each(|q| *q = 0.0);
-            adv.iter_mut().for_each(|q| *q = 0.0);
-            for i in 0..n {
-                if let Some(power) = &self.power[i] {
-                    dq[i] += physics::heat_generated(power, self.utilization[i], dts).0;
-                }
-            }
-            for &(a, b, k) in &self.heat_edges {
-                let q =
-                    physics::heat_transfer(k, Celsius(self.temp[a]), Celsius(self.temp[b]), dts);
-                dq[a] -= q.0;
-                dq[b] += q.0;
-            }
-            // O(nodes × edges): every air node rescans the full edge list.
-            for &node in &self.topo {
-                if self.fixed[node] {
-                    continue;
-                }
-                let Some(mass_kg) = self.air_mass[node] else {
-                    continue;
-                };
-                let mut streams_mass = 0.0;
-                let mut streams_heat = 0.0;
-                for (ei, &(from, to, _)) in self.air_edges.iter().enumerate() {
-                    if to == node {
-                        streams_mass += self.edge_flow[ei].0;
-                        streams_heat += self.edge_flow[ei].0 * self.temp[from];
-                    }
-                }
-                if streams_mass > 0.0 {
-                    let t_mix = streams_heat / streams_mass;
-                    let alpha = physics::replacement_fraction(
-                        KilogramsPerSecond(streams_mass),
-                        mass_kg,
-                        dts,
-                    );
-                    adv[node] = alpha * (t_mix - self.temp[node]);
-                }
-            }
-            for i in 0..n {
-                if !self.fixed[i] {
-                    self.temp[i] += dq[i] / self.capacity[i] + adv[i];
-                }
-            }
-        }
-    }
-}
-
-/// The seed's cluster stepper: serial machines plus HashMap-keyed
-/// endpoint mixing.
-struct ReferenceCluster {
-    machines: Vec<ReferenceSolver>,
-    supplies: HashMap<String, Celsius>,
-    junctions: HashMap<String, Celsius>,
-    edges: Vec<mercury::model::ClusterEdge>,
-    junction_names: Vec<String>,
-}
-
-impl ReferenceCluster {
-    fn new(model: &ClusterModel) -> Self {
-        let supplies: HashMap<String, Celsius> = model
-            .supplies()
-            .iter()
-            .map(|s| (s.name.clone(), s.temperature))
-            .collect();
-        let initial = model
-            .supplies()
-            .first()
-            .map(|s| s.temperature)
-            .unwrap_or(Celsius(21.6));
-        ReferenceCluster {
-            machines: model.machines().iter().map(ReferenceSolver::new).collect(),
-            junctions: model
-                .junctions()
-                .iter()
-                .map(|j| (j.clone(), initial))
-                .collect(),
-            supplies,
-            edges: model.edges().to_vec(),
-            junction_names: model.junctions().to_vec(),
-        }
-    }
-
-    fn endpoint_temperature(&self, e: &ClusterEndpoint, exhausts: &[Celsius]) -> Option<Celsius> {
-        match e {
-            ClusterEndpoint::Supply(name) => self.supplies.get(name).copied(),
-            ClusterEndpoint::MachineExhaust(i) => Some(exhausts[*i]),
-            ClusterEndpoint::Junction(name) => self.junctions.get(name).copied(),
-            ClusterEndpoint::MachineInlet(_) => None,
-        }
-    }
-
-    fn mix_into(&self, to: &ClusterEndpoint, exhausts: &[Celsius]) -> Option<Celsius> {
-        let mut weight = 0.0;
-        let mut heat = 0.0;
-        for e in self.edges.iter().filter(|e| e.to == *to) {
-            if let Some(t) = self.endpoint_temperature(&e.from, exhausts) {
-                weight += e.fraction;
-                heat += e.fraction * t.0;
-            }
-        }
-        (weight > 0.0).then(|| Celsius(heat / weight))
-    }
-
-    fn step(&mut self) {
-        let exhausts: Vec<Celsius> = self
-            .machines
-            .iter()
-            .map(|m| m.exhaust_temperature())
-            .collect();
-        for name in &self.junction_names {
-            if let Some(t) = self.mix_into(&ClusterEndpoint::Junction(name.clone()), &exhausts) {
-                self.junctions.insert(name.clone(), t);
-            }
-        }
-        for m in 0..self.machines.len() {
-            if let Some(t) = self.mix_into(&ClusterEndpoint::MachineInlet(m), &exhausts) {
-                self.machines[m].set_inlet(t);
-            }
-        }
-        for m in &mut self.machines {
-            m.step();
-        }
-    }
-}
 
 fn time<F: FnMut()>(mut f: F) -> f64 {
     let start = Instant::now();
     f();
     start.elapsed().as_secs_f64()
-}
-
-/// Peak resident set size of this process (Linux `VmHWM`), in bytes.
-fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb * 1024)
-}
-
-/// Times one replicated-cluster configuration, with the batched path on
-/// or off. Returns (seconds, batched machines).
-fn time_replicated_cluster(n: usize, ticks: usize, batching: bool) -> Result<(f64, usize)> {
-    let model = presets::validation_cluster(n);
-    let mut s = ClusterSolver::new(&model, SolverConfig::default())?;
-    s.set_batching(batching);
-    for i in 1..=n {
-        s.set_utilization(&format!("machine{i}"), nodes::CPU, 0.7)?;
-    }
-    s.step_for(20); // warm-up (also builds the batch plan)
-    let secs = time(|| s.step_for(ticks));
-    Ok((secs, s.batched_machines()))
-}
-
-/// Best-of-`runs` wall time for `ticks` cluster ticks
-/// at `n` machines: `fused` chooses one `step_for` span versus a
-/// per-tick `step()` loop (the pre-fusion replay shape). Utilization is
-/// constant, so repeated runs on the same steady-state solver are
-/// directly comparable.
-fn time_replay(n: usize, ticks: usize, fused: bool, runs: usize) -> Result<f64> {
-    let mut s = warm_cluster(n, |_| {})?;
-    let mut best = f64::INFINITY;
-    for _ in 0..runs {
-        best = best.min(if fused {
-            time(|| s.step_for(ticks))
-        } else {
-            time(|| (0..ticks).for_each(|_| s.step()))
-        });
-    }
-    Ok(best)
 }
 
 /// A `validation_cluster(n)` solver set up by `configure`, every CPU at
@@ -361,16 +72,8 @@ struct SamplerBench {
 
 impl SamplerBench {
     fn new(n: usize) -> Result<Self> {
-        let model = presets::validation_cluster(n);
-        let mut s = ClusterSolver::new(&model, SolverConfig::default())?;
         let registry = telemetry::Registry::shared();
-        s.metrics().register(&registry);
-        for i in 1..=n {
-            s.set_utilization(&format!("machine{i}"), nodes::CPU, 0.7)?;
-        }
-        for _ in 0..20 {
-            s.step(); // warm-up (also builds the batch plan)
-        }
+        let s = warm_cluster(n, |s| s.metrics().register(&registry))?;
         let cpu_idx: Vec<usize> = (0..n)
             .map(|i| s.machine_at(i).node_index(nodes::CPU).expect("cpu node"))
             .collect();
@@ -436,146 +139,13 @@ fn time_sampling_interleaved(
     Ok(best)
 }
 
-/// `bench_solver`: single-machine and cluster throughput — the CSR
-/// kernel vs the seed algorithm, and the batched SoA cluster path vs
-/// per-machine stepping at 64/256/1024 replicated machines — written to
-/// `BENCH_solver.json` together with the core count, peak RSS, and the telemetry overhead A/B (instrumented vs
-/// not, which must stay within the 2% contract).
+/// `bench_solver`: the telemetry, tracing and sampler overhead A/Bs and
+/// the out-of-core replay, written to `BENCH_solver.json` with the core
+/// count. Each 2% contract and each replay gate fails the run.
 pub fn bench_solver() -> Result {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-
-    // --- single machine: Table 1 graphs, 20k ticks -----------------------
-    let model = presets::validation_machine();
-    let ticks = 20_000usize;
-
-    let mut reference = ReferenceSolver::new(&model);
-    reference.set_utilization(nodes::CPU, 0.7);
-    reference.set_utilization(nodes::DISK_PLATTERS, 0.4);
-    for _ in 0..200 {
-        reference.step(); // warm-up
-    }
-    let ref_s = time(|| {
-        for _ in 0..ticks {
-            reference.step();
-        }
-    });
-
-    let mut kernel = Solver::new(&model, SolverConfig::default())?;
-    kernel.set_utilization(nodes::CPU, 0.7)?;
-    kernel.set_utilization(nodes::DISK_PLATTERS, 0.4)?;
-    kernel.step_for(200); // warm-up
-    let kern_s = time(|| kernel.step_for(ticks));
-
-    let machine_ref_tps = ticks as f64 / ref_s;
-    let machine_kern_tps = ticks as f64 / kern_s;
-    let machine_speedup = machine_kern_tps / machine_ref_tps;
-
-    // --- 64-machine cluster: step_for(3600), one emulated hour -----------
-    let cluster_model = presets::validation_cluster(64);
-    let cluster_ticks = 3_600usize;
-
-    let mut ref_cluster = ReferenceCluster::new(&cluster_model);
-    for m in &mut ref_cluster.machines {
-        m.set_utilization(nodes::CPU, 0.7);
-    }
-    let cluster_ref_s = time(|| {
-        for _ in 0..cluster_ticks {
-            ref_cluster.step();
-        }
-    });
-
-    // Per-machine path (the PR-1 kernel): batching off.
-    let (cluster_serial_s, _) = time_replicated_cluster(64, cluster_ticks, false)?;
-    // Batched path.
-    let (cluster_batched_s, _) = time_replicated_cluster(64, cluster_ticks, true)?;
-
-    let cluster_ref_tps = cluster_ticks as f64 / cluster_ref_s;
-    let cluster_serial_tps = cluster_ticks as f64 / cluster_serial_s;
-    let cluster_batched_tps = cluster_ticks as f64 / cluster_batched_s;
-    let cluster_speedup = cluster_batched_tps / cluster_ref_tps;
-
-    // --- replicated-cluster scaling: batched vs per-machine kernel -------
-    let scale = |n: usize, ticks: usize| -> Result<(usize, f64, f64, usize)> {
-        let (per_machine_s, _) = time_replicated_cluster(n, ticks, false)?;
-        let (batched_s, batched) = time_replicated_cluster(n, ticks, true)?;
-        Ok((ticks, per_machine_s, batched_s, batched))
-    };
-    let (ticks_256, per_machine_256_s, batched_256_s, batched_256) = scale(256, 1200)?;
-    let (ticks_1024, per_machine_1024_s, batched_1024_s, batched_1024) = scale(1024, 300)?;
-    let batch_speedup_256 = per_machine_256_s / batched_256_s;
-    let batch_speedup_1024 = per_machine_1024_s / batched_1024_s;
-
-    let rss = peak_rss_bytes().unwrap_or(0);
-    let scaling_json = |name: &str,
-                        n: usize,
-                        ticks: usize,
-                        pm_s: f64,
-                        b_s: f64,
-                        batched: usize,
-                        speedup: f64| {
-        format!(
-            "\"{name}\": {{\n    \"model\": \"validation_cluster({n})\",\n    \"ticks\": {ticks},\n    \"threads\": 1,\n    \"per_machine_seconds\": {pm_s:.3},\n    \"batched_seconds\": {b_s:.3},\n    \"per_machine_ticks_per_sec\": {:.1},\n    \"batched_ticks_per_sec\": {:.1},\n    \"batched_machines\": {batched},\n    \"batch_speedup\": {speedup:.2}\n  }}",
-            ticks as f64 / pm_s,
-            ticks as f64 / b_s,
-        )
-    };
-    let s256 = scaling_json(
-        "cluster_256",
-        256,
-        ticks_256,
-        per_machine_256_s,
-        batched_256_s,
-        batched_256,
-        batch_speedup_256,
-    );
-    let s1024 = scaling_json(
-        "cluster_1024",
-        1024,
-        ticks_1024,
-        per_machine_1024_s,
-        batched_1024_s,
-        batched_1024,
-        batch_speedup_1024,
-    );
-
-    // --- fused replay vs per-tick loop: steady-state 10k-tick trace ------
-    // Constant utilization for the whole span — the paper's trace-replay
-    // shape — so the fused path keeps the chunk matrices hot and pays
-    // plan/gather/scatter once. The 1024-machine number is the PR gate:
-    // ≥1.3× over per-tick stepping (the PR 2 replay shape).
-    let replay_ticks = 10_000usize;
-    let fused_replay = |n: usize| -> Result<(f64, f64)> {
-        let loop_s = time_replay(n, replay_ticks, false, 3)?;
-        let fused_s = time_replay(n, replay_ticks, true, 3)?;
-        Ok((loop_s, fused_s))
-    };
-    let (loop_256_s, fused_256_s) = fused_replay(256)?;
-    let (loop_1024_s, fused_1024_s) = fused_replay(1024)?;
-    let fused_speedup_256 = loop_256_s / fused_256_s;
-    let fused_speedup_1024 = loop_1024_s / fused_1024_s;
-    let fused_json = |name: &str, n: usize, loop_s: f64, fused_s: f64, sp: f64| {
-        format!(
-            "\"{name}\": {{\n    \"model\": \"validation_cluster({n})\",\n    \"ticks\": {replay_ticks},\n    \"threads\": 1,\n    \"per_tick_seconds\": {loop_s:.3},\n    \"fused_seconds\": {fused_s:.3},\n    \"per_tick_ticks_per_sec\": {:.1},\n    \"fused_ticks_per_sec\": {:.1},\n    \"fused_speedup\": {sp:.2}\n  }}",
-            replay_ticks as f64 / loop_s,
-            replay_ticks as f64 / fused_s,
-        )
-    };
-    let fused_256_json = fused_json(
-        "replay_fused_256",
-        256,
-        loop_256_s,
-        fused_256_s,
-        fused_speedup_256,
-    );
-    let fused_1024_json = fused_json(
-        "replay_fused_1024",
-        1024,
-        loop_1024_s,
-        fused_1024_s,
-        fused_speedup_1024,
-    );
 
     // --- telemetry overhead: instrumented vs switched-off, best of 9 -----
     // A tick is one composed sweep, so the windows take thousands of
@@ -673,40 +243,11 @@ pub fn bench_solver() -> Result {
     let replay_json = replay_bench.to_json();
 
     let json = format!(
-        "{{\n  \"hardware\": {{ \"cores\": {cores}, \"peak_rss_bytes\": {rss} }},\n  \"single_machine\": {{\n    \"model\": \"validation_machine\",\n    \"ticks\": {ticks},\n    \"reference_ticks_per_sec\": {machine_ref_tps:.1},\n    \"kernel_ticks_per_sec\": {machine_kern_tps:.1},\n    \"speedup\": {machine_speedup:.2}\n  }},\n  \"cluster_64\": {{\n    \"model\": \"validation_cluster(64)\",\n    \"ticks\": {cluster_ticks},\n    \"reference_seconds\": {cluster_ref_s:.3},\n    \"kernel_serial_seconds\": {cluster_serial_s:.3},\n    \"kernel_batched_seconds\": {cluster_batched_s:.3},\n    \"reference_ticks_per_sec\": {cluster_ref_tps:.1},\n    \"kernel_serial_ticks_per_sec\": {cluster_serial_tps:.1},\n    \"kernel_batched_ticks_per_sec\": {cluster_batched_tps:.1},\n    \"speedup_vs_reference\": {cluster_speedup:.2}\n  }},\n  {s256},\n  {s1024},\n  {fused_256_json},\n  {fused_1024_json},\n  {telemetry_json},\n  {trace_json},\n  {sampler_json},\n  {replay_json}\n}}\n"
+        "{{\n  \"hardware\": {{ \"cores\": {cores} }},\n  {telemetry_json},\n  {trace_json},\n  {sampler_json},\n  {replay_json}\n}}\n"
     );
     std::fs::write("BENCH_solver.json", &json)?;
     println!("wrote BENCH_solver.json");
 
-    paper("solver ≈ 100 µs per iteration on 2006 hardware (§2.3)");
-    measured(&format!(
-        "single machine: reference {machine_ref_tps:.0} ticks/s, kernel {machine_kern_tps:.0} ticks/s ({machine_speedup:.2}×)"
-    ));
-    measured(&format!(
-        "64-machine cluster, 3600 ticks: reference {cluster_ref_s:.2} s, per-machine {cluster_serial_s:.2} s, batched {cluster_batched_s:.2} s ({cluster_speedup:.2}× vs reference)"
-    ));
-    measured(&format!(
-        "256-machine cluster: per-machine {per_machine_256_s:.2} s, batched {batched_256_s:.2} s ({batch_speedup_256:.2}×, {batched_256} machines batched)"
-    ));
-    measured(&format!(
-        "1024-machine cluster: per-machine {per_machine_1024_s:.2} s, batched {batched_1024_s:.2} s ({batch_speedup_1024:.2}×, peak RSS {:.0} MiB)",
-        rss as f64 / (1024.0 * 1024.0)
-    ));
-    verdict(
-        cluster_speedup >= 2.0,
-        "64-machine cluster steps ≥2× faster than the seed algorithm",
-    );
-    verdict(
-        batch_speedup_256 >= 3.0,
-        "256-machine replicated cluster: batched kernel ≥3× the per-machine kernel",
-    );
-    measured(&format!(
-        "fused 10k-tick replay: 256 machines {loop_256_s:.2} s → {fused_256_s:.2} s ({fused_speedup_256:.2}×), 1024 machines {loop_1024_s:.2} s → {fused_1024_s:.2} s ({fused_speedup_1024:.2}×)"
-    ));
-    verdict(
-        fused_speedup_1024 >= 1.3,
-        "1024-machine steady-state 10k-tick replay ≥1.3× over per-tick stepping",
-    );
     measured(&format!(
         "telemetry overhead, 256-machine batched tick: instrumented {instrumented_s:.3} s vs off {uninstrumented_s:.3} s ({overhead_pct:+.2}%)"
     ));

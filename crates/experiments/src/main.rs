@@ -37,8 +37,10 @@ usage: experiments <subcommand>
   fig11             Freon base policy under two inlet emergencies
   fig12             Freon-EC under the same trace and emergencies
   table_drops       Freon vs the traditional red-line baseline
-  micro             solver-iteration and sensor-read latency micro numbers
-  bench_solver      step-kernel vs seed-algorithm throughput -> BENCH_solver.json
+  micro             the §2.3 micro numbers: solver iteration, sensor read,
+                    and one CFD solve vs a 600 s Mercury transient
+  bench_solver      telemetry/tracer/sampler overhead A/Bs (2% gates) and
+                    the out-of-core replay gates -> BENCH_solver.json
   replay            out-of-core .events fleet replay: throughput, flat-RSS,
                     and checkpointed parallel time segments vs serial
                     (--machines/--ticks/--passes/--segments/--events;

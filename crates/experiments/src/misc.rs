@@ -6,6 +6,7 @@ use mercury::net::{Sensor, ServiceConfig, SolverService};
 use mercury::presets::{self, nodes};
 use mercury::solver::{Solver, SolverConfig};
 use mercury::units::Seconds;
+use reference_models::fluent2d::{CaseConfig, Component, Fluent2d};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -118,9 +119,10 @@ pub fn fig4() -> Result {
     Ok(())
 }
 
-/// The §2.3 micro numbers: solver iteration cost (paper ≈ 100 µs) and
-/// `readsensor` latency (paper ≈ 300 µs, vs 500 µs for the real SCSI
-/// in-disk sensor).
+/// The §2.3 micro numbers: solver iteration cost (M1, paper ≈ 100 µs),
+/// `readsensor` latency (M2, paper ≈ 300 µs, vs 500 µs for the real SCSI
+/// in-disk sensor), and the motivation (M3): one steady-state solve of
+/// the CFD stand-in against a whole ten-minute Mercury transient.
 pub fn micro() -> Result {
     // Solver iteration cost over the Table 1 graphs.
     let model = presets::validation_machine();
@@ -145,11 +147,32 @@ pub fn micro() -> Result {
     sensor.close();
     service.shutdown();
 
+    // One operating point from the CFD stand-in vs a 600 s transient.
+    let mut case = Fluent2d::server_case(CaseConfig::coarse());
+    case.set_power(Component::Cpu, 19.0);
+    case.set_power(Component::Disk, 11.5);
+    case.set_power(Component::Psu, 40.0);
+    let start = Instant::now();
+    case.solve(1e-5, 400_000)?;
+    let cfd_s = start.elapsed().as_secs_f64();
+    let start = Instant::now();
+    let mut transient = Solver::new(&model, SolverConfig::default())?;
+    transient.set_utilization(nodes::CPU, 0.6)?;
+    transient.step_for(600);
+    let mercury_s = start.elapsed().as_secs_f64();
+
     paper("solver ≈ 100 µs per iteration; readsensor ≈ 300 µs (real SCSI sensor: 500 µs)");
     measured(&format!(
         "solver {:.1} µs/iteration; readsensor {:.1} µs over UDP loopback",
         per_iter * 1e6,
         per_read * 1e6
+    ));
+    paper("Fluent takes hours per case; Mercury emulates a whole transient");
+    measured(&format!(
+        "CFD stand-in steady solve {:.1} ms; Mercury 600 s transient {:.2} ms ({:.0}x)",
+        cfd_s * 1e3,
+        mercury_s * 1e3,
+        cfd_s / mercury_s
     ));
     verdict(
         per_iter * 1e6 < 500.0,
@@ -158,6 +181,10 @@ pub fn micro() -> Result {
     verdict(
         per_read * 1e6 < 1_000.0,
         "sensor reads beat the real in-disk sensor's 500 µs class",
+    );
+    verdict(
+        mercury_s < cfd_s,
+        "a 600 s Mercury transient costs less than one CFD operating point",
     );
     Ok(())
 }

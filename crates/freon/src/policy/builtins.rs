@@ -1,6 +1,6 @@
 //! The paper's policies as thin wrappers over the spec interpreter.
 //!
-//! Each wrapper builds its [`PolicySpec`](crate::policy::PolicySpec)
+//! Each wrapper builds its [`PolicySpec`]
 //! from the legacy config structs and delegates everything to
 //! [`SpecPolicy`], so the historical constructor signatures and
 //! accessors keep working while the actual decision logic lives in one

@@ -4,7 +4,7 @@
 //! walks the spec's ordered rules per gated server at every check
 //! boundary (first firing rule wins, mirroring the paper daemons'
 //! `if/else if` chains), routes every action through the
-//! [`Mediator`](crate::policy::Mediator), and — when the spec carries an
+//! [`Mediator`], and — when the spec carries an
 //! `[ec]` section — runs the Figure 10 energy-conservation loop around
 //! the rule chain. The legacy policy types
 //! ([`FreonPolicy`](crate::FreonPolicy) etc.) are thin wrappers over

@@ -4,7 +4,7 @@
 //! admission first (cheapest, most reversible), then frequency, then
 //! fan, then power (most drastic) — plus any extension actuators pushed
 //! by the embedder. `dispatch` routes an
-//! [`ActionRequest`](crate::policy::ActionRequest) to the first actuator
+//! [`ActionRequest`] to the first actuator
 //! that handles it and, when the actuator reports a real change, books
 //! the decision under `mercury_freon_decisions_total{action,reason}`.
 

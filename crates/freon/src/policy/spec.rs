@@ -509,6 +509,14 @@ impl PolicySpec {
                 self.name, self.check_period_s, self.sample_period_s
             ));
         }
+        for (key, gain) in [("kp", self.gains.kp), ("kd", self.gains.kd)] {
+            if !(gain.is_finite() && gain >= 0.0) {
+                return Err(format!(
+                    "policy `{}`: gains.{key} must be finite and non-negative, got {gain}",
+                    self.name
+                ));
+            }
+        }
         for t in &self.thresholds {
             t.validate()?;
         }
@@ -544,9 +552,9 @@ impl PolicySpec {
                         self.name
                     ));
                 }
-                ActionSpec::SetFan { cfm } if cfm.is_nan() || cfm <= 0.0 => {
+                ActionSpec::SetFan { cfm } if !(cfm.is_finite() && cfm > 0.0) => {
                     return Err(format!(
-                        "policy `{}`: fan cfm must be positive, got {cfm}",
+                        "policy `{}`: set_fan `cfm` must be finite and positive, got {cfm}",
                         self.name
                     ));
                 }

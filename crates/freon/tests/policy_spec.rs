@@ -221,6 +221,44 @@ fn every_policy_file_parses_and_validates() {
     assert!(files >= 7, "found only {files} policy files");
 }
 
+/// PD gains must be finite and non-negative and a `set_fan` size finite
+/// and positive: each bad value parses, then fails validation with an
+/// error naming its key. The same templates with good values and every
+/// built-in still validate (the shipped files are checked by
+/// `every_policy_file_parses_and_validates`).
+#[test]
+fn gains_and_fan_sizes_are_validated() {
+    let gains = |kp: &str, kd: &str| format!("name = \"x\"\n[gains]\nkp = {kp}\nkd = {kd}\n");
+    let fan = |cfm: &str| {
+        format!(
+            "name = \"x\"\n[[thresholds]]\ncomponent = \"cpu\"\nhigh = 67.0\nlow = 64.0\n\
+             red_line = 69.0\n[[rules]]\ntrigger = \"above_high\"\naction = \"set_fan\"\n\
+             cfm = {cfm}\n"
+        )
+    };
+    let validate = |text: &str| PolicySpec::from_toml_str(text).unwrap().validate();
+    let mut bad = Vec::new();
+    for v in ["nan", "inf", "-inf", "-3", "-0.1"] {
+        bad.push((gains(v, "0.2"), "gains.kp"));
+        bad.push((gains("0.1", v), "gains.kd"));
+    }
+    for v in ["nan", "inf", "-inf", "0", "-5"] {
+        bad.push((fan(v), "`cfm`"));
+    }
+    for (text, key) in &bad {
+        let err = validate(text).expect_err(text);
+        assert!(err.contains(key), "{text}: {err}");
+    }
+    for text in [gains("0.1", "0.2"), gains("0", "0"), fan("90.0")] {
+        validate(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+    }
+    for name in BUILTIN_NAMES {
+        let spec = PolicySpec::builtin(name).unwrap();
+        spec.validate()
+            .unwrap_or_else(|e| panic!("built-in `{name}`: {e}"));
+    }
+}
+
 /// An integer key takes only a number that is one: integral, finite and
 /// in its type's range. Each of these once read as some other integer
 /// (`-1` as 0, `2.9` as 2, `1e30` as `u64::MAX`).

@@ -108,8 +108,8 @@ struct HistogramCells {
 /// nanoseconds for latencies, lane counts for occupancy); the unit is
 /// converted to base units only at exposition time via the scale passed
 /// to [`Registry::register_histogram`](crate::Registry::register_histogram).
-/// Because buckets are at fixed powers of two, snapshots from any two
-/// histograms merge exactly with [`HistogramSnapshot::merge`].
+/// Buckets are at fixed powers of two, so any two histograms share
+/// their bucket boundaries.
 ///
 /// ```
 /// let h = telemetry::Histogram::new();
@@ -207,18 +207,6 @@ impl HistogramSnapshot {
             _ => u64::MAX,
         }
     }
-
-    /// Element-wise merge of another snapshot into this one. Because
-    /// bucket boundaries are fixed powers of two this is exact — the
-    /// merged histogram is identical to having recorded both value
-    /// streams into one histogram.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-        self.sum += other.sum;
-        self.count += other.count;
-    }
 }
 
 #[cfg(test)]
@@ -288,24 +276,6 @@ mod tests {
         assert_eq!(s.buckets[9], 1); // 500 ∈ [256, 512)
         assert_eq!(s.buckets[10], 1); // 512 ∈ [512, 1024)
         assert_eq!(s.buckets[64], 1); // u64::MAX
-    }
-
-    #[test]
-    fn histogram_merge_is_exact() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let both = Histogram::new();
-        for v in [1u64, 7, 100, 4096] {
-            a.observe(v);
-            both.observe(v);
-        }
-        for v in [0u64, 7, 65_000] {
-            b.observe(v);
-            both.observe(v);
-        }
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged, both.snapshot());
     }
 
     #[test]
