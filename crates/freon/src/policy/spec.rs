@@ -481,6 +481,11 @@ impl PolicySpec {
         toml::to_string(self).expect("specs always serialize")
     }
 
+    /// Thresholds for a monitored component, if the spec has any.
+    pub fn thresholds_for(&self, component: &str) -> Option<&ComponentThresholds> {
+        self.thresholds.iter().find(|t| t.component == component)
+    }
+
     /// Whether any rule (or the EC extension) needs the admission
     /// actuator — and therefore LVS connection sampling.
     pub fn uses_admission(&self) -> bool {
@@ -823,25 +828,85 @@ impl Deserialize for PolicySpec {
 mod tests {
     use super::*;
 
+    /// The §5 rule chain: red-line shutdown, `hot` above `T_h`, `cool`
+    /// below `T_l`, each with its trigger's own reason.
+    fn rules(hot: ActionSpec, cool: ActionSpec) -> Vec<RuleSpec> {
+        [
+            (Trigger::RedLine, ActionSpec::Shutdown),
+            (Trigger::AboveHigh, hot),
+            (Trigger::BelowLow, cool),
+        ]
+        .into_iter()
+        .map(|(trigger, action)| RuleSpec {
+            trigger,
+            action,
+            reason: ReasonCode::for_trigger(trigger),
+        })
+        .collect()
+    }
+
+    /// The built-ins carry the paper's §5 values, written out here rather
+    /// than derived from any other description of them.
     #[test]
     fn builtin_specs_match_the_programmatic_constructors() {
-        let cfg = FreonConfig::paper();
-        assert_eq!(PolicySpec::builtin("none").unwrap(), PolicySpec::none());
-        assert_eq!(
-            PolicySpec::builtin("traditional").unwrap(),
-            PolicySpec::traditional(&cfg)
-        );
-        assert_eq!(
-            PolicySpec::builtin("freon").unwrap(),
-            PolicySpec::freon(&cfg)
-        );
+        let cpu = ComponentThresholds::new("cpu", 67.0, 64.0);
+        let disk = ComponentThresholds::new("disk_platters", 65.0, 62.0);
+        assert_eq!((cpu.high, cpu.low, cpu.red_line), (67.0, 64.0, 69.0));
+        assert_eq!((disk.high, disk.low, disk.red_line), (65.0, 62.0, 67.0));
+        let freon = PolicySpec {
+            name: "freon".to_string(),
+            gate: Gate::Powered,
+            check_period_s: 60,
+            sample_period_s: 5,
+            connection_caps: true,
+            gains: GainSpec { kp: 0.1, kd: 0.2 },
+            thresholds: vec![cpu.clone(), disk],
+            rules: rules(ActionSpec::Throttle, ActionSpec::Release),
+            ec: None,
+            frequency_levels: crate::policy::DEFAULT_LEVELS.to_vec(),
+        };
+        assert_eq!(PolicySpec::builtin("freon").unwrap(), freon);
         assert_eq!(
             PolicySpec::builtin("freon-ec").unwrap(),
-            PolicySpec::freon_ec(&cfg, &EcConfig::paper_four_servers())
+            PolicySpec {
+                name: "freon-ec".to_string(),
+                ec: Some(EcSpec {
+                    regions: vec![0, 1, 0, 1],
+                    u_high: 0.70,
+                    u_low: 0.60,
+                    projection_intervals: 2,
+                }),
+                ..freon.clone()
+            }
+        );
+        assert_eq!(
+            PolicySpec::builtin("traditional").unwrap(),
+            PolicySpec {
+                name: "traditional".to_string(),
+                gate: Gate::Accepting,
+                rules: rules(ActionSpec::Throttle, ActionSpec::Release)[..1].to_vec(),
+                ..freon.clone()
+            }
         );
         assert_eq!(
             PolicySpec::builtin("local-dvfs").unwrap(),
-            PolicySpec::local_dvfs(&cfg, crate::policy::DEFAULT_LEVELS.to_vec())
+            PolicySpec {
+                name: "local-dvfs".to_string(),
+                thresholds: vec![cpu],
+                rules: rules(ActionSpec::StepDownFrequency, ActionSpec::StepUpFrequency),
+                frequency_levels: vec![1.0, 0.85, 0.7, 0.55, 0.4],
+                ..freon.clone()
+            }
+        );
+        assert_eq!(crate::policy::DEFAULT_LEVELS, [1.0, 0.85, 0.7, 0.55, 0.4]);
+        assert_eq!(
+            PolicySpec::builtin("none").unwrap(),
+            PolicySpec {
+                name: "none".to_string(),
+                thresholds: Vec::new(),
+                rules: Vec::new(),
+                ..freon
+            }
         );
         assert!(PolicySpec::builtin("made-up").is_none());
         for name in BUILTIN_NAMES {
@@ -849,6 +914,18 @@ mod tests {
             assert_eq!(&spec.name, name);
             spec.validate().unwrap();
         }
+
+        // Threshold lookup by component, as tempd does it.
+        let freon = PolicySpec::builtin("freon").unwrap();
+        assert_eq!(freon.thresholds_for("cpu").unwrap().red_line, 69.0);
+        assert_eq!(freon.thresholds_for("disk_platters").unwrap().low, 62.0);
+        assert!(freon.thresholds_for("gpu").is_none());
+
+        // Freon-EC's four servers form two regions: {m1, m3} and {m2, m4}.
+        let ec = PolicySpec::builtin("freon-ec").unwrap().ec.unwrap();
+        assert_eq!(ec.regions[0], ec.regions[2]);
+        assert_eq!(ec.regions[1], ec.regions[3]);
+        assert_ne!(ec.regions[0], ec.regions[1]);
     }
 
     #[test]
@@ -889,29 +966,43 @@ mod tests {
 
     #[test]
     fn validation_names_the_offender() {
-        let mut spec = PolicySpec::freon(&FreonConfig::paper());
+        let freon = || PolicySpec::builtin("freon").unwrap();
+        let mut spec = freon();
         spec.thresholds[0].low = 70.0; // inverted: low > high
         let err = spec.validate().unwrap_err();
         assert!(err.contains("cpu"), "{err}");
         assert!(err.contains("70"), "{err}");
 
-        let mut spec = PolicySpec::freon(&FreonConfig::paper());
-        spec.check_period_s = 0;
-        assert!(spec.validate().unwrap_err().contains("periods"));
+        for zero_check in [true, false] {
+            let mut spec = freon();
+            if zero_check {
+                spec.check_period_s = 0;
+            } else {
+                spec.sample_period_s = 0;
+            }
+            assert!(spec.validate().unwrap_err().contains("periods"));
+        }
 
-        let mut spec = PolicySpec::freon(&FreonConfig::paper());
+        let mut spec = freon();
         spec.thresholds.clear();
         assert!(spec
             .validate()
             .unwrap_err()
             .contains("no monitored components"));
 
-        let mut spec = PolicySpec::freon_ec(&FreonConfig::paper(), &EcConfig::paper_four_servers());
+        let freon_ec = || PolicySpec::builtin("freon-ec").unwrap();
+        let mut spec = freon_ec();
         spec.ec.as_mut().unwrap().u_low = 0.9;
         assert!(spec.validate().unwrap_err().contains("0.9"));
-        let spec = PolicySpec::freon_ec(&FreonConfig::paper(), &EcConfig::paper_four_servers());
+        let mut spec = freon_ec();
+        spec.ec.as_mut().unwrap().u_low = 0.8;
+        assert!(spec.validate().unwrap_err().contains("0.8"));
+        let spec = freon_ec();
         assert!(spec.validate_for_cluster(4).is_ok());
-        assert!(spec.validate_for_cluster(3).is_err());
+        assert!(spec
+            .validate_for_cluster(3)
+            .unwrap_err()
+            .contains("region map covers 4 servers but the cluster has 3"));
     }
 
     #[test]
@@ -922,14 +1013,14 @@ mod tests {
                 action: ActionSpec::Shed { factor },
                 reason: ReasonCode::AboveHigh,
             }],
-            ..PolicySpec::freon(&FreonConfig::paper())
+            ..PolicySpec::builtin("freon").unwrap()
         };
         assert!(shed(0.5).validate().is_ok());
         assert!(shed(0.0).validate().is_err());
         assert!(shed(1.5).validate().is_err());
 
         // Duplicate triggers are dead rules under first-match-wins.
-        let mut spec = PolicySpec::freon(&FreonConfig::paper());
+        let mut spec = PolicySpec::builtin("freon").unwrap();
         spec.rules.push(spec.rules[1].clone());
         assert!(spec.validate().unwrap_err().contains("duplicate rule"));
 

@@ -172,16 +172,39 @@ fn run(policy: &mut dyn ThermalPolicy, duration: u64) -> freon::ExperimentLog {
         .unwrap()
 }
 
-/// The built-in TOML specs drive the loop to the exact same logs as the
-/// legacy policy structs (which now wrap the same interpreter — this
-/// pins the *TOML files* to the paper behaviors).
+/// What a run under one policy comes to: requests offered, dropped and
+/// completed, active server-seconds, and the policy's adjustments,
+/// red-line shutdowns, power-ons and power-offs.
+fn outcome(policy: &SpecPolicy, log: &freon::ExperimentLog) -> [u64; 8] {
+    let rows = log.rows().iter();
+    [
+        log.total_offered(),
+        log.total_dropped(),
+        rows.clone().map(|r| r.completed as u64).sum(),
+        rows.map(|r| r.active_servers as u64).sum(),
+        policy.adjustments(),
+        policy.red_line_shutdowns(),
+        policy.power_ons(),
+        policy.power_offs(),
+    ]
+}
+
+/// The built-in TOML specs drive the loop to the outcomes the hand-written
+/// Freon, Freon-EC and traditional policy types produced before the specs
+/// replaced them (recorded from those types on this run). This pins the
+/// *TOML files* to the paper behaviors.
 #[test]
 fn builtin_specs_reproduce_the_legacy_policies() {
     let duration = 700;
-    for name in ["traditional", "freon", "freon-ec"] {
+    for (name, expected) in [
+        ("traditional", [126_531, 0, 126_531, 2800, 0, 0, 0, 0]),
+        ("freon", [126_531, 0, 126_531, 2800, 0, 0, 0, 0]),
+        ("freon-ec", [126_531, 0, 126_531, 2050, 0, 0, 3, 6]),
+    ] {
         let spec = PolicySpec::builtin(name).unwrap();
         let mut from_spec = SpecPolicy::new(spec, 4).unwrap();
         let spec_log = run(&mut from_spec, duration);
+        assert_eq!(outcome(&from_spec, &spec_log), expected, "`{name}`");
         let legacy_log = match name {
             "traditional" => {
                 let mut p = TraditionalPolicy::new(FreonConfig::paper(), 4);
