@@ -1,9 +1,9 @@
 //! Ablations of design choices called out in DESIGN.md.
 
 use crate::common::{measured, paper, verdict, write_results};
-use crate::freon_exp::run_policy;
+use crate::freon_exp::{builtin_spec, run_policy};
 use cluster_sim::ClusterSim;
-use freon::{Admd, EcConfig, FreonConfig, FreonEcPolicy, ServerSnapshot, Tempd, ThermalPolicy};
+use freon::{Admd, PolicySpec, ServerSnapshot, SpecPolicy, Tempd, ThermalPolicy};
 use mercury::presets::{self, nodes};
 use mercury::solver::{Solver, SolverConfig};
 
@@ -16,17 +16,17 @@ type Result<T = ()> = std::result::Result<T, Box<dyn std::error::Error>>;
 /// controller buys.
 #[derive(Debug)]
 struct BangBangPolicy {
-    config: FreonConfig,
+    spec: PolicySpec,
     tempds: Vec<Tempd>,
     admd: Admd,
     restricted: Vec<bool>,
 }
 
 impl BangBangPolicy {
-    fn new(config: FreonConfig, n: usize) -> Self {
-        let tempds = (0..n).map(|_| Tempd::new(&config)).collect();
+    fn new(spec: PolicySpec, n: usize) -> Self {
+        let tempds = (0..n).map(|_| Tempd::new(&spec)).collect();
         BangBangPolicy {
-            config,
+            spec,
             tempds,
             admd: Admd::new(n),
             restricted: vec![false; n],
@@ -40,21 +40,21 @@ impl ThermalPolicy for BangBangPolicy {
     }
 
     fn control(&mut self, now_s: u64, snapshots: &[ServerSnapshot], sim: &mut ClusterSim) {
-        if now_s > 0 && now_s.is_multiple_of(self.config.sample_period_s) {
+        if now_s > 0 && now_s.is_multiple_of(self.spec.sample_period_s) {
             self.admd.sample_connections(sim);
         }
-        if now_s == 0 || !now_s.is_multiple_of(self.config.monitor_period_s) {
+        if now_s == 0 || !now_s.is_multiple_of(self.spec.check_period_s) {
             return;
         }
         for (i, snapshot) in snapshots.iter().enumerate() {
             if !snapshot.powered {
                 continue;
             }
-            let report = self.tempds[i].observe(&snapshot.temps, &self.config);
+            let report = self.tempds[i].observe(&snapshot.temps, &self.spec);
             if report.output.is_some() {
                 // Fixed halving regardless of how hot the server runs.
                 self.admd.rescale_weight(sim, i, 1.0);
-                if self.config.connection_caps {
+                if self.spec.connection_caps {
                     self.admd.apply_connection_cap(sim, i);
                 }
                 self.restricted[i] = true;
@@ -67,47 +67,27 @@ impl ThermalPolicy for BangBangPolicy {
     }
 }
 
-/// A Freon variant with custom gains, for the P-only comparison.
-#[derive(Debug)]
-struct GainPolicy {
-    inner: freon::FreonPolicy,
-}
-
-impl ThermalPolicy for GainPolicy {
-    fn name(&self) -> &'static str {
-        "p-only"
-    }
-    fn control(&mut self, now_s: u64, snapshots: &[ServerSnapshot], sim: &mut ClusterSim) {
-        self.inner.control(now_s, snapshots, sim);
-    }
-}
-
 /// PD vs P-only vs bang-bang admission control under the §5 scenario.
 pub fn controller() -> Result {
     // Connection caps are disabled for all three variants so the
     // controllers' weight decisions are the only lever under test.
-    let pd_cfg = FreonConfig {
-        connection_caps: false,
-        ..FreonConfig::paper()
-    };
-    let p_only_cfg = FreonConfig {
-        kd: 0.0,
-        ..pd_cfg.clone()
-    };
-
-    let mut pd = freon::FreonPolicy::new(pd_cfg.clone(), 4);
-    let pd_log = run_policy(&mut pd)?;
-    let mut p_only = GainPolicy {
-        inner: freon::FreonPolicy::new(p_only_cfg, 4),
-    };
-    let p_log = run_policy(&mut p_only)?;
-    let mut bang = BangBangPolicy::new(pd_cfg.clone(), 4);
-    let bang_log = run_policy(&mut bang)?;
-
-    let th = pd_cfg
+    let mut pd_spec = builtin_spec("freon")?;
+    pd_spec.connection_caps = false;
+    let mut p_only_spec = pd_spec.clone();
+    p_only_spec.name = "p-only".to_string();
+    p_only_spec.gains.kd = 0.0;
+    let th = pd_spec
         .thresholds_for("cpu")
         .expect("cpu thresholds exist")
         .high;
+
+    let mut pd = SpecPolicy::new(pd_spec.clone(), 4)?;
+    let pd_log = run_policy(&mut pd)?;
+    let mut p_only = SpecPolicy::new(p_only_spec, 4)?;
+    let p_log = run_policy(&mut p_only)?;
+    let mut bang = BangBangPolicy::new(pd_spec, 4);
+    let bang_log = run_policy(&mut bang)?;
+
     let mut csv =
         String::from("controller,drop_rate_pct,overshoot_c,seconds_above_th,mean_hot_weight\n");
     for (name, log) in [
@@ -152,13 +132,14 @@ pub fn projection() -> Result {
         String::from("projection_intervals,drop_rate_pct,mean_active_servers,power_ons\n");
     let mut drop_rates = Vec::new();
     for horizon in [0u32, 1, 2, 4] {
-        let ec = EcConfig {
-            projection_intervals: horizon,
-            ..EcConfig::paper_four_servers()
-        };
-        let mut policy = FreonEcPolicy::new(FreonConfig::paper(), ec);
-        // Slow-booting servers (2.5 min) make the projection earn its
-        // keep: without look-ahead, rising load outruns the boots.
+        let mut spec = builtin_spec("freon-ec")?;
+        spec.ec
+            .as_mut()
+            .expect("freon-ec has an [ec] section")
+            .projection_intervals = horizon;
+        let mut policy = SpecPolicy::new(spec, 4)?;
+        // Slow-booting servers (2.5 min) are where look-ahead should
+        // matter: a boot must start before rising load arrives.
         let server_config = cluster_sim::ServerConfig {
             boot_seconds: 150,
             ..Default::default()

@@ -2,8 +2,8 @@
 //! remote vs local throttling, and §7's variable-speed fans.
 
 use crate::common::{measured, paper, verdict, write_results};
-use crate::freon_exp::run_policy;
-use freon::{CombinedPolicy, FreonConfig, FreonPolicy, LocalDvfsPolicy, NoPolicy};
+use crate::freon_exp::{builtin_policy, run_policy};
+use freon::{CombinedPolicy, NoPolicy};
 use mercury::fan::{FanController, FanCurve};
 use std::fmt::Write as _;
 
@@ -12,17 +12,16 @@ type Result<T = ()> = std::result::Result<T, Box<dyn std::error::Error>>;
 /// §4.3: Freon's remote throttling vs CPU-local DVFS vs the combination,
 /// under the §5 scenario.
 pub fn sec43_throttling() -> Result {
-    let cfg = FreonConfig::paper();
-    let th = cfg
+    let mut freon = builtin_policy("freon")?;
+    let th = freon
+        .spec()
         .thresholds_for("cpu")
         .expect("cpu thresholds exist")
         .high;
-
-    let mut freon = FreonPolicy::new(cfg.clone(), 4);
     let freon_log = run_policy(&mut freon)?;
-    let mut local = LocalDvfsPolicy::new(cfg.clone(), 4);
+    let mut local = builtin_policy("local-dvfs")?;
     let local_log = run_policy(&mut local)?;
-    let mut combined = CombinedPolicy::new(cfg.clone(), 4);
+    let mut combined = CombinedPolicy::new(builtin_policy("freon")?);
     let combined_log = run_policy(&mut combined)?;
 
     let mut csv = String::from("policy,drop_rate_pct,seconds_above_th,peak_c,servers_lost\n");
@@ -58,7 +57,7 @@ pub fn sec43_throttling() -> Result {
     }
     measured(&format!(
         "local DVFS took {} frequency steps; the combination took {} (software absorbed the rest)",
-        local.steps_down(),
+        local.frequency_steps_down(),
         combined.dvfs_steps_down()
     ));
     let freon_row = &rows[0];

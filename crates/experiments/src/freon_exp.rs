@@ -3,10 +3,7 @@
 
 use crate::common::{measured, paper, verdict, write_results};
 use cluster_sim::{ClusterSim, ServerConfig};
-use freon::{
-    EcConfig, Experiment, ExperimentConfig, ExperimentLog, FreonConfig, FreonEcPolicy, FreonPolicy,
-    ThermalPolicy, TraditionalPolicy,
-};
+use freon::{Experiment, ExperimentConfig, ExperimentLog, PolicySpec, SpecPolicy, ThermalPolicy};
 use mercury::fiddle::FiddleScript;
 use mercury::model::ClusterModel;
 use workload_gen::{DiurnalProfile, RequestMix, WorkloadGenerator, WorkloadTrace};
@@ -50,6 +47,16 @@ pub fn setup() -> (ClusterModel, ClusterSim) {
     (model, sim)
 }
 
+/// The built-in spec `name`, to edit before building a policy from it.
+pub fn builtin_spec(name: &str) -> Result<PolicySpec> {
+    PolicySpec::builtin(name).ok_or_else(|| format!("no built-in policy `{name}`").into())
+}
+
+/// The built-in policy `name` for the 4-server §5 cluster.
+pub fn builtin_policy(name: &str) -> Result<SpecPolicy> {
+    Ok(SpecPolicy::new(builtin_spec(name)?, 4)?)
+}
+
 /// Runs the §5 scenario under any policy.
 pub fn run_policy(policy: &mut dyn ThermalPolicy) -> Result<ExperimentLog> {
     run_policy_with(policy, ServerConfig::default())
@@ -81,19 +88,15 @@ fn log_to_csv(log: &ExperimentLog) -> Result<String> {
 
 /// Figure 11: the base Freon policy.
 pub fn fig11() -> Result {
-    let cfg = FreonConfig::paper();
-    let mut policy = FreonPolicy::new(cfg.clone(), 4);
+    let mut policy = builtin_policy("freon")?;
     let log = run_policy(&mut policy)?;
     write_results("fig11_freon.csv", &log_to_csv(&log)?)?;
 
-    let th = cfg
+    let cpu = policy
+        .spec()
         .thresholds_for("cpu")
-        .expect("cpu thresholds exist")
-        .high;
-    let tr = cfg
-        .thresholds_for("cpu")
-        .expect("cpu thresholds exist")
-        .red_line;
+        .expect("cpu thresholds exist");
+    let (th, tr) = (cpu.high, cpu.red_line);
     let crossings: Vec<Option<u64>> = (0..4).map(|i| log.first_crossing(i, th)).collect();
     let peaks: Vec<f64> = (0..4).map(|i| log.max_cpu_temp(i)).collect();
 
@@ -140,9 +143,7 @@ pub fn fig11() -> Result {
 
 /// Figure 12: Freon-EC — energy conservation plus thermal management.
 pub fn fig12() -> Result {
-    let cfg = FreonConfig::paper();
-    let ec = EcConfig::paper_four_servers();
-    let mut policy = FreonEcPolicy::new(cfg, ec);
+    let mut policy = builtin_policy("freon-ec")?;
     let log = run_policy(&mut policy)?;
     write_results("fig12_freon_ec.csv", &log_to_csv(&log)?)?;
 
@@ -214,10 +215,10 @@ pub fn fig12() -> Result {
 
 /// §5.1's comparison: Freon vs the traditional red-line approach.
 pub fn table_drops() -> Result {
-    let mut freon = FreonPolicy::new(FreonConfig::paper(), 4);
+    let mut freon = builtin_policy("freon")?;
     let freon_log = run_policy(&mut freon)?;
 
-    let mut traditional = TraditionalPolicy::new(FreonConfig::paper(), 4);
+    let mut traditional = builtin_policy("traditional")?;
     let traditional_log = run_policy(&mut traditional)?;
     write_results(
         "table_drops_traditional.csv",

@@ -13,7 +13,7 @@
 //! Optional arguments: `live_telemetry [machines] [bind-addr]`
 //! (defaults: 64 machines, `127.0.0.1:0`).
 
-use freon::{FreonConfig, FreonPolicy, ServerSnapshot, ThermalPolicy};
+use freon::{PolicySpec, ServerSnapshot, SpecPolicy, ThermalPolicy};
 use mercury::net::{ServiceConfig, SolverService};
 use std::time::Duration;
 
@@ -52,7 +52,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = mercury::presets::validation_cluster(n);
     let service = SolverService::spawn_cluster(&model, cfg)?;
 
-    let mut policy = FreonPolicy::new(FreonConfig::paper(), n);
+    let spec = PolicySpec::builtin("freon").ok_or("`freon` is a built-in spec")?;
+    let mut policy = SpecPolicy::new(spec, n)?;
     policy.register_metrics(service.registry());
     let mut sim = cluster_sim::ClusterSim::homogeneous(n, cluster_sim::ServerConfig::default());
 

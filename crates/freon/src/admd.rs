@@ -30,7 +30,7 @@ impl Admd {
     }
 
     /// Records one LVS statistics sample (called every
-    /// [`crate::FreonConfig::sample_period_s`] seconds).
+    /// [`crate::PolicySpec::sample_period_s`] seconds).
     pub fn sample_connections(&mut self, sim: &ClusterSim) {
         for (i, samples) in self.samples.iter_mut().enumerate() {
             samples.push(sim.server(i).connections());

@@ -522,8 +522,7 @@ impl<'a> Experiment<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FreonConfig;
-    use crate::policy::{FreonPolicy, NoPolicy};
+    use crate::policy::{NoPolicy, PolicySpec, SpecPolicy};
     use cluster_sim::ServerConfig;
     use workload_gen::{DiurnalProfile, RequestMix, WorkloadGenerator};
 
@@ -688,7 +687,7 @@ mod tests {
             duration_s: 400,
             ..Default::default()
         };
-        let mut policy = FreonPolicy::new(FreonConfig::paper(), 4);
+        let mut policy = SpecPolicy::new(PolicySpec::builtin("freon").unwrap(), 4).unwrap();
         let log = Experiment::new(&model, sim, &trace, None, cfg)
             .unwrap()
             .run(&mut policy)

@@ -15,17 +15,17 @@
 //!   it rescales the hot server's LVS weight so the server receives only
 //!   `1/(output+1)` of its current load share, and caps its concurrent
 //!   connections at the last minute's average ("remote throttling");
-//! * [`FreonPolicy`] — the base policy wiring tempd + admd together, plus
-//!   red-line shutdown as the last resort;
-//! * [`FreonEcPolicy`] — Freon-EC (§4.2, Figure 10): energy conservation
-//!   by shrinking/growing the active server set, with room *regions* so
-//!   replacements come from parts of the room unaffected by the
-//!   emergency;
-//! * [`TraditionalPolicy`] — the baseline the paper compares against:
-//!   do nothing until a component red-lines, then turn the server off;
-//! * [`LocalDvfsPolicy`] / [`CombinedPolicy`] — the §4.3 comparison:
-//!   CPU-local voltage/frequency scaling, and Freon combined with it as
-//!   the paper's suggested software+hardware split;
+//! * the policies, each a built-in [`PolicySpec`] run by [`SpecPolicy`]:
+//!   `freon`, the base policy wiring tempd + admd together, plus
+//!   red-line shutdown as the last resort; `freon-ec`, Freon-EC (§4.2,
+//!   Figure 10): energy conservation by shrinking/growing the active
+//!   server set, with room *regions* so replacements come from parts of
+//!   the room unaffected by the emergency; `traditional`, the baseline
+//!   the paper compares against: do nothing until a component
+//!   red-lines, then turn the server off; and `local-dvfs`, §4.3's
+//!   CPU-local voltage/frequency scaling;
+//! * [`CombinedPolicy`] — Freon combined with local DVFS, the paper's
+//!   suggested software+hardware split (§4.3);
 //! * [`Experiment`] — the closed loop: workload trace → cluster sim →
 //!   utilizations → Mercury → temperatures → policy → LVS, with fiddle
 //!   scripts injecting thermal emergencies (this regenerates Figures 11
@@ -33,8 +33,8 @@
 //!
 //! ## The policy framework
 //!
-//! All of the above are thin wrappers over a three-layer framework in
-//! [`policy`]:
+//! Every policy but [`NoPolicy`] and [`CombinedPolicy`] is a spec run by
+//! the three-layer framework in [`policy`]:
 //!
 //! * [`PolicySpec`] — a declarative description of a policy (monitored
 //!   components and thresholds, check/sample periods, PD gains, ordered
@@ -50,8 +50,8 @@
 //!   a fixed dependency order and counts every *applied* actuation under
 //!   `mercury_freon_decisions_total{action, reason}`.
 //!
-//! Specs are validated eagerly — [`SpecPolicy::new`] and the wrapper
-//! constructors reject inverted thresholds, zero periods, and unknown
+//! Specs are validated eagerly — [`SpecPolicy::new`] and the networked
+//! daemons' `spawn` reject inverted thresholds, zero periods, and unknown
 //! actuator names with an error naming the offender — so a bad config
 //! fails at construction, not mid-experiment.
 //!
@@ -80,16 +80,18 @@ pub mod policy;
 mod tempd;
 
 pub use admd::Admd;
-pub use config::{ComponentThresholds, EcConfig, FreonConfig};
+pub use config::ComponentThresholds;
 pub use controller::PdController;
 pub use engine::{Experiment, ExperimentConfig, HistoryConfig, ServerSnapshot};
-pub use local::{CombinedPolicy, LocalDvfsPolicy};
+pub use local::CombinedPolicy;
 pub use log::ExperimentLog;
 pub use metrics::{ExperimentMetrics, FreonMetrics};
 pub use net::{AdmdService, TempdDaemon, TempdMessage};
+#[doc(hidden)]
+pub use policy::builtins::{FreonConfig, FreonPolicy};
 pub use policy::{
-    ActionRequest, ActionSpec, Actuator, EngineCommand, FreonEcPolicy, FreonPolicy, Gate,
-    IncidentRecord, Mediator, NoPolicy, PolicySpec, ReasonCode, RuleSpec, SpecPolicy,
-    ThermalPolicy, TraditionalPolicy, Trigger, BUILTIN_NAMES, DEFAULT_LEVELS,
+    ActionRequest, ActionSpec, Actuator, EngineCommand, Gate, IncidentRecord, Mediator, NoPolicy,
+    PolicySpec, ReasonCode, RuleSpec, SpecPolicy, ThermalPolicy, Trigger, BUILTIN_NAMES,
+    DEFAULT_LEVELS,
 };
 pub use tempd::{Tempd, TempdReport};

@@ -7,116 +7,46 @@
 //! combination \[...\]; the software being responsible for the
 //! higher-level, coarser-grained tasks and the hardware being
 //! responsible for fine-grained, immediate-reaction, low-level tasks."
-//! This module supplies both sides of that comparison:
+//! Both sides of that comparison:
 //!
-//! * [`LocalDvfsPolicy`] — each server manages only itself: when its CPU
-//!   crosses `T_h` it steps down through a ladder of frequency scales
-//!   (the engine applies the cubic DVFS power law to the thermal model),
-//!   stepping back up when the CPU cools below `T_l`. No load balancer
-//!   involvement: in a least-connections cluster the slowed server
-//!   naturally sheds load, which is the effect the paper observes — at
-//!   the cost of slower service for the requests it does take. The
-//!   policy is the built-in `local-dvfs` spec run through the
-//!   interpreter; the ladder itself is the
-//!   [`FrequencyActuator`](crate::policy::FrequencyActuator).
+//! * the built-in `local-dvfs` spec — each server manages only itself:
+//!   when its CPU crosses `T_h` it steps down through a ladder of
+//!   frequency scales (the engine applies the cubic DVFS power law to the
+//!   thermal model), stepping back up when the CPU cools below `T_l`. No
+//!   load balancer involvement: in a least-connections cluster the slowed
+//!   server naturally sheds load, which is the effect the paper observes
+//!   — at the cost of slower service for the requests it does take. The
+//!   ladder is the [`FrequencyActuator`](crate::policy::FrequencyActuator).
 //! * [`CombinedPolicy`] — Freon's remote throttling as the first,
 //!   coarse-grained line of defense, with local DVFS engaging only for
 //!   servers that stay above `T_h` despite the load-distribution
 //!   adjustments.
 
-use crate::config::FreonConfig;
 use crate::engine::ServerSnapshot;
-use crate::policy::{
-    EngineCommand, FreonPolicy, FrequencyActuator, PolicySpec, SpecPolicy, ThermalPolicy,
-    DEFAULT_LEVELS,
-};
+use crate::policy::{EngineCommand, FrequencyActuator, SpecPolicy, ThermalPolicy, DEFAULT_LEVELS};
 use cluster_sim::ClusterSim;
-
-/// Purely local thermal management: per-CPU DVFS, no balancer changes.
-#[derive(Debug)]
-pub struct LocalDvfsPolicy {
-    inner: SpecPolicy,
-}
-
-impl LocalDvfsPolicy {
-    /// Creates the policy with the default frequency ladder.
-    pub fn new(config: FreonConfig, n: usize) -> Self {
-        Self::with_levels(config, n, DEFAULT_LEVELS.to_vec())
-    }
-
-    /// Creates the policy with a custom (descending) frequency ladder.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the config has no `cpu` thresholds or the ladder is
-    /// not strictly descending within `(0, 1]`.
-    pub fn with_levels(config: FreonConfig, n: usize, levels: Vec<f64>) -> Self {
-        let spec = PolicySpec::local_dvfs(&config, levels);
-        LocalDvfsPolicy {
-            inner: SpecPolicy::new(spec, n)
-                .unwrap_or_else(|e| panic!("invalid `local-dvfs` policy configuration: {e}")),
-        }
-    }
-
-    /// Total downward frequency steps taken.
-    pub fn steps_down(&self) -> u64 {
-        self.inner.frequency_steps_down()
-    }
-
-    /// A server's current frequency scale.
-    pub fn scale(&self, server: usize) -> f64 {
-        self.inner.frequency_scale(server)
-    }
-
-    /// Servers lost to red-line shutdowns (the CPU's own last resort).
-    pub fn red_line_shutdowns(&self) -> u64 {
-        self.inner.red_line_shutdowns()
-    }
-}
-
-impl ThermalPolicy for LocalDvfsPolicy {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn control(&mut self, now_s: u64, snapshots: &[ServerSnapshot], sim: &mut ClusterSim) {
-        self.inner.control(now_s, snapshots, sim);
-    }
-
-    fn register_metrics(&self, registry: &telemetry::Registry) {
-        self.inner.register_metrics(registry);
-    }
-
-    fn drain_engine_commands(&mut self) -> Vec<EngineCommand> {
-        self.inner.drain_engine_commands()
-    }
-}
 
 /// Freon plus local DVFS as the second line of defense.
 #[derive(Debug)]
 pub struct CombinedPolicy {
-    freon: FreonPolicy,
-    config: FreonConfig,
+    freon: SpecPolicy,
     ladder: FrequencyActuator,
 }
 
 impl CombinedPolicy {
-    /// Creates the combined policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `config` is invalid, naming the offending component
-    /// and values.
-    pub fn new(config: FreonConfig, n: usize) -> Self {
+    /// Adds a DVFS ladder to `freon` (typically the built-in `freon`
+    /// spec). The ladder reads the spec's `cpu` thresholds and check
+    /// period.
+    pub fn new(freon: SpecPolicy) -> Self {
+        let n = freon.restricted().len();
         CombinedPolicy {
-            freon: FreonPolicy::new(config.clone(), n),
-            config,
+            freon,
             ladder: FrequencyActuator::new(DEFAULT_LEVELS.to_vec(), n),
         }
     }
 
     /// The wrapped Freon policy (for its counters).
-    pub fn freon(&self) -> &FreonPolicy {
+    pub fn freon(&self) -> &SpecPolicy {
         &self.freon
     }
 
@@ -139,14 +69,15 @@ impl ThermalPolicy for CombinedPolicy {
     fn control(&mut self, now_s: u64, snapshots: &[ServerSnapshot], sim: &mut ClusterSim) {
         // Software first: the coarse-grained, cluster-wide decisions.
         self.freon.control(now_s, snapshots, sim);
-        if now_s == 0 || !now_s.is_multiple_of(self.config.monitor_period_s) {
+        let spec = self.freon.spec();
+        if now_s == 0 || !now_s.is_multiple_of(spec.check_period_s) {
             return;
         }
         // Hardware second: servers that are *still* above T_h even though
         // Freon has already restricted them get a frequency step; cool
         // servers recover their frequency before their restrictions lift.
-        let thresholds = match self.config.thresholds_for("cpu") {
-            Some(t) => t.clone(),
+        let (high, low) = match spec.thresholds_for("cpu") {
+            Some(t) => (t.high, t.low),
             None => return,
         };
         for (i, snapshot) in snapshots.iter().enumerate() {
@@ -157,9 +88,9 @@ impl ThermalPolicy for CombinedPolicy {
                 Some((_, t)) => *t,
                 None => continue,
             };
-            if temp > thresholds.high && self.freon.restricted()[i] {
+            if temp > high && self.freon.restricted()[i] {
                 self.ladder.step_down(sim, i);
-            } else if temp < thresholds.low {
+            } else if temp < low {
                 self.ladder.step_up(sim, i);
             }
         }
@@ -179,7 +110,12 @@ impl ThermalPolicy for CombinedPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::PolicySpec;
     use cluster_sim::ServerConfig;
+
+    fn builtin(name: &str, n: usize) -> SpecPolicy {
+        SpecPolicy::new(PolicySpec::builtin(name).unwrap(), n).unwrap()
+    }
 
     fn snapshot(temp: f64, powered: bool) -> ServerSnapshot {
         ServerSnapshot {
@@ -197,40 +133,42 @@ mod tests {
 
     #[test]
     fn dvfs_steps_down_when_hot_and_recovers_when_cool() {
-        let mut policy = LocalDvfsPolicy::new(FreonConfig::paper(), 2);
+        let mut policy = builtin("local-dvfs", 2);
         let mut sim = ClusterSim::homogeneous(2, ServerConfig::default());
         let hot = vec![snapshot(68.0, true), snapshot(60.0, true)];
         policy.control(60, &hot, &mut sim);
-        assert_eq!(policy.scale(0), 0.85);
-        assert_eq!(policy.scale(1), 1.0);
+        assert_eq!(policy.frequency_scale(0), 0.85);
+        assert_eq!(policy.frequency_scale(1), 1.0);
         assert_eq!(sim.server(0).speed_scale(), 0.85);
         policy.control(120, &hot, &mut sim);
-        assert_eq!(policy.scale(0), 0.7);
-        assert_eq!(policy.steps_down(), 2);
+        assert_eq!(policy.frequency_scale(0), 0.7);
+        assert_eq!(policy.frequency_steps_down(), 2);
 
         let cool = vec![snapshot(63.0, true), snapshot(60.0, true)];
         policy.control(180, &cool, &mut sim);
-        assert_eq!(policy.scale(0), 0.85);
+        assert_eq!(policy.frequency_scale(0), 0.85);
         policy.control(240, &cool, &mut sim);
-        assert_eq!(policy.scale(0), 1.0);
+        assert_eq!(policy.frequency_scale(0), 1.0);
         assert_eq!(sim.server(0).speed_scale(), 1.0);
     }
 
     #[test]
     fn dvfs_saturates_at_the_ladder_bottom() {
-        let mut policy = LocalDvfsPolicy::with_levels(FreonConfig::paper(), 1, vec![1.0, 0.5]);
+        let mut spec = PolicySpec::builtin("local-dvfs").unwrap();
+        spec.frequency_levels = vec![1.0, 0.5];
+        let mut policy = SpecPolicy::new(spec, 1).unwrap();
         let mut sim = ClusterSim::homogeneous(1, ServerConfig::default());
         let hot = vec![snapshot(68.0, true)];
         policy.control(60, &hot, &mut sim);
         policy.control(120, &hot, &mut sim);
         policy.control(180, &hot, &mut sim);
-        assert_eq!(policy.scale(0), 0.5);
-        assert_eq!(policy.steps_down(), 1);
+        assert_eq!(policy.frequency_scale(0), 0.5);
+        assert_eq!(policy.frequency_steps_down(), 1);
     }
 
     #[test]
     fn dvfs_red_lines_like_real_hardware() {
-        let mut policy = LocalDvfsPolicy::new(FreonConfig::paper(), 1);
+        let mut policy = builtin("local-dvfs", 1);
         let mut sim = ClusterSim::homogeneous(1, ServerConfig::default());
         policy.control(60, &[snapshot(69.5, true)], &mut sim);
         assert_eq!(policy.red_line_shutdowns(), 1);
@@ -239,17 +177,17 @@ mod tests {
 
     #[test]
     fn dvfs_acts_only_on_monitor_boundaries_and_powered_servers() {
-        let mut policy = LocalDvfsPolicy::new(FreonConfig::paper(), 1);
+        let mut policy = builtin("local-dvfs", 1);
         let mut sim = ClusterSim::homogeneous(1, ServerConfig::default());
         policy.control(59, &[snapshot(68.0, true)], &mut sim);
-        assert_eq!(policy.scale(0), 1.0);
+        assert_eq!(policy.frequency_scale(0), 1.0);
         policy.control(60, &[snapshot(68.0, false)], &mut sim);
-        assert_eq!(policy.scale(0), 1.0);
+        assert_eq!(policy.frequency_scale(0), 1.0);
     }
 
     #[test]
     fn combined_engages_dvfs_only_after_freon_restrictions() {
-        let mut policy = CombinedPolicy::new(FreonConfig::paper(), 2);
+        let mut policy = CombinedPolicy::new(builtin("freon", 2));
         let mut sim = ClusterSim::homogeneous(2, ServerConfig::default());
         let hot = vec![snapshot(68.0, true), snapshot(60.0, true)];
         // First period: Freon restricts, and since the server is both

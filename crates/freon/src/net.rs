@@ -14,12 +14,14 @@
 //!   the base-policy actions (throttle / release / red-line shutdown) to
 //!   the cluster behind a lock.
 //!
-//! The in-process [`crate::FreonPolicy`] and this networked pair share
-//! all decision logic ([`crate::Tempd`], [`crate::Admd`]), so the two
-//! deployments cannot drift apart behaviourally.
+//! Both daemons are configured by a [`PolicySpec`] (typically the
+//! built-in `freon` spec): its thresholds, gains, periods and
+//! connection-cap setting. The in-process [`crate::SpecPolicy`] and this
+//! networked pair share all decision logic ([`crate::Tempd`],
+//! [`crate::Admd`]), so the two deployments cannot drift apart
+//! behaviourally.
 
 use crate::admd::Admd;
-use crate::config::FreonConfig;
 use crate::policy::PolicySpec;
 use crate::tempd::Tempd;
 use cluster_sim::ClusterSim;
@@ -142,20 +144,29 @@ pub struct AdmdService {
 }
 
 impl AdmdService {
-    /// Spawns the service on a loopback port, actuating `sim`. The admd
-    /// also samples LVS connection statistics every
-    /// [`FreonConfig::sample_period_s`] *scaled* by `time_compression`
-    /// (pass e.g. 0.01 to run a sped-up experiment: one wall millisecond
-    /// per emulated... your call — the daemons only see durations).
+    /// Spawns the service on a loopback port, actuating `sim` as `spec`
+    /// says: its connection-cap setting is used, and the admd samples LVS
+    /// connection statistics every [`PolicySpec::sample_period_s`]
+    /// *scaled* by `time_compression` (pass e.g. 0.0005 to run a sped-up
+    /// experiment — the daemons only see durations). The spec's rules
+    /// beyond the base throttle/release/red-line triple do not travel
+    /// over the wire.
     ///
     /// # Errors
     ///
-    /// Returns [`std::io::Error`] when the socket cannot be bound.
+    /// Returns [`std::io::ErrorKind::InvalidInput`] for a spec that does
+    /// not validate, before any socket work, and the [`std::io::Error`]
+    /// when the socket cannot be bound.
     pub fn spawn(
         sim: Arc<Mutex<ClusterSim>>,
-        config: FreonConfig,
+        spec: &PolicySpec,
         time_compression: f64,
     ) -> std::io::Result<Self> {
+        spec.validate()
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
+        let sample_every =
+            Duration::from_secs_f64((spec.sample_period_s as f64 * time_compression).max(0.001));
+        let connection_caps = spec.connection_caps;
         let socket = UdpSocket::bind("127.0.0.1:0")?;
         socket.set_read_timeout(Some(Duration::from_millis(10)))?;
         let addr = socket.local_addr()?;
@@ -169,9 +180,6 @@ impl AdmdService {
                 .spawn(move || {
                     let n = sim.lock().len();
                     let mut admd = Admd::new(n);
-                    let sample_every = Duration::from_secs_f64(
-                        (config.sample_period_s as f64 * time_compression).max(0.001),
-                    );
                     let mut last_sample = std::time::Instant::now();
                     let mut buf = [0u8; 512];
                     while !stop.load(Ordering::Relaxed) {
@@ -197,7 +205,7 @@ impl AdmdService {
                         match message {
                             TempdMessage::Throttle { server, output } if server < n => {
                                 admd.rescale_weight(&mut sim, server, output);
-                                if config.connection_caps {
+                                if connection_caps {
                                     admd.apply_connection_cap(&mut sim, server);
                                 }
                                 admd.end_interval();
@@ -221,25 +229,6 @@ impl AdmdService {
             thread: Some(thread),
             messages_handled,
         })
-    }
-
-    /// Spawns the service from a declarative [`PolicySpec`] instead of a
-    /// [`FreonConfig`] — the spec's periods, gains, thresholds, and
-    /// connection-cap setting are used; its rules beyond the base
-    /// throttle/release/red-line triple do not travel over the wire.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`std::io::Error`] when the socket cannot be bound;
-    /// invalid specs surface as [`std::io::ErrorKind::InvalidInput`].
-    pub fn spawn_spec(
-        sim: Arc<Mutex<ClusterSim>>,
-        spec: &PolicySpec,
-        time_compression: f64,
-    ) -> std::io::Result<Self> {
-        spec.validate()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-        Self::spawn(sim, spec.base_config(), time_compression)
     }
 
     /// The address tempds should send to.
@@ -280,22 +269,27 @@ pub struct TempdDaemon {
 }
 
 impl TempdDaemon {
-    /// Spawns a tempd for server `server`. `read_temps` produces
+    /// Spawns a tempd for server `server`, checking temperatures against
+    /// `spec`'s thresholds with its gains. `read_temps` produces
     /// `(component, °C)` pairs each wake-up — typically by reading
     /// Mercury sensors over UDP. The daemon wakes every
-    /// [`FreonConfig::monitor_period_s`] scaled by `time_compression`.
+    /// [`PolicySpec::check_period_s`] scaled by `time_compression`.
     ///
     /// # Errors
     ///
-    /// Returns [`std::io::Error`] when the reporting socket cannot be
-    /// created.
+    /// Returns [`std::io::ErrorKind::InvalidInput`] for a spec that does
+    /// not validate, before any socket work, and the [`std::io::Error`]
+    /// when the reporting socket cannot be created.
     pub fn spawn(
         server: usize,
-        config: FreonConfig,
+        spec: &PolicySpec,
         admd_addr: SocketAddr,
         time_compression: f64,
         mut read_temps: impl FnMut() -> Vec<(String, f64)> + Send + 'static,
     ) -> std::io::Result<Self> {
+        spec.validate()
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
+        let spec = spec.clone();
         let socket = UdpSocket::bind("127.0.0.1:0")?;
         socket.connect(admd_addr)?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -304,15 +298,15 @@ impl TempdDaemon {
             std::thread::Builder::new()
                 .name(format!("freon-tempd-{server}"))
                 .spawn(move || {
-                    let mut tempd = Tempd::new(&config);
+                    let mut tempd = Tempd::new(&spec);
                     let mut restricted = false;
                     let period = Duration::from_secs_f64(
-                        (config.monitor_period_s as f64 * time_compression).max(0.001),
+                        (spec.check_period_s as f64 * time_compression).max(0.001),
                     );
                     while !stop.load(Ordering::Relaxed) {
                         std::thread::sleep(period);
                         let temps = read_temps();
-                        let report = tempd.observe(&temps, &config);
+                        let report = tempd.observe(&temps, &spec);
                         let message = if report.red_lined.is_some() {
                             Some(TempdMessage::RedLine { server })
                         } else if let Some(output) = report.output {
@@ -334,32 +328,6 @@ impl TempdDaemon {
             stop,
             thread: Some(thread),
         })
-    }
-
-    /// Spawns a tempd configured by a declarative [`PolicySpec`] (its
-    /// thresholds, gains, and monitor period).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`std::io::Error`] when the reporting socket cannot be
-    /// created; invalid specs surface as
-    /// [`std::io::ErrorKind::InvalidInput`].
-    pub fn spawn_spec(
-        server: usize,
-        spec: &PolicySpec,
-        admd_addr: SocketAddr,
-        time_compression: f64,
-        read_temps: impl FnMut() -> Vec<(String, f64)> + Send + 'static,
-    ) -> std::io::Result<Self> {
-        spec.validate()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-        Self::spawn(
-            server,
-            spec.base_config(),
-            admd_addr,
-            time_compression,
-            read_temps,
-        )
     }
 
     /// Stops the daemon.
@@ -462,13 +430,13 @@ mod tests {
             2,
             ServerConfig::default(),
         )));
-        let config = FreonConfig::paper();
-        let admd = AdmdService::spawn(Arc::clone(&sim), config.clone(), 0.0005).unwrap();
+        let spec = PolicySpec::builtin("freon").unwrap();
+        let admd = AdmdService::spawn(Arc::clone(&sim), &spec, 0.0005).unwrap();
 
         // Server 0's CPU runs hot for a while, then cools below T_l.
         let hot_phase = Arc::new(AtomicBool::new(true));
         let hot_flag = Arc::clone(&hot_phase);
-        let tempd = TempdDaemon::spawn(0, config, admd.local_addr(), 0.0005, move || {
+        let tempd = TempdDaemon::spawn(0, &spec, admd.local_addr(), 0.0005, move || {
             let t = if hot_flag.load(Ordering::Relaxed) {
                 68.5
             } else {
@@ -509,9 +477,9 @@ mod tests {
             1,
             ServerConfig::default(),
         )));
-        let config = FreonConfig::paper();
-        let admd = AdmdService::spawn(Arc::clone(&sim), config.clone(), 0.0005).unwrap();
-        let tempd = TempdDaemon::spawn(0, config, admd.local_addr(), 0.0005, || {
+        let spec = PolicySpec::builtin("freon").unwrap();
+        let admd = AdmdService::spawn(Arc::clone(&sim), &spec, 0.0005).unwrap();
+        let tempd = TempdDaemon::spawn(0, &spec, admd.local_addr(), 0.0005, || {
             vec![("cpu".to_string(), 70.0)]
         })
         .unwrap();
@@ -530,15 +498,19 @@ mod tests {
         admd.shutdown();
     }
 
+    /// A spec other than the built-in `freon` drives both daemons (here
+    /// without connection caps), and each daemon's `spawn` refuses a spec
+    /// that does not validate.
     #[test]
     fn spec_spawned_daemons_match_the_config_path() {
         let sim = Arc::new(Mutex::new(ClusterSim::homogeneous(
             1,
             ServerConfig::default(),
         )));
-        let spec = PolicySpec::builtin("freon").unwrap();
-        let admd = AdmdService::spawn_spec(Arc::clone(&sim), &spec, 0.0005).unwrap();
-        let tempd = TempdDaemon::spawn_spec(0, &spec, admd.local_addr(), 0.0005, || {
+        let mut spec = PolicySpec::builtin("freon").unwrap();
+        spec.connection_caps = false;
+        let admd = AdmdService::spawn(Arc::clone(&sim), &spec, 0.0005).unwrap();
+        let tempd = TempdDaemon::spawn(0, &spec, admd.local_addr(), 0.0005, || {
             vec![("cpu".to_string(), 68.5)]
         })
         .unwrap();
@@ -556,12 +528,14 @@ mod tests {
         // An invalid spec is rejected before any socket work.
         let mut bad = PolicySpec::builtin("freon").unwrap();
         bad.check_period_s = 0;
-        assert_eq!(
-            AdmdService::spawn_spec(sim, &bad, 0.0005)
-                .unwrap_err()
-                .kind(),
-            std::io::ErrorKind::InvalidInput
-        );
+        let addr = "127.0.0.1:9".parse().unwrap();
+        for err in [
+            AdmdService::spawn(sim, &bad, 0.0005).unwrap_err(),
+            TempdDaemon::spawn(0, &bad, addr, 0.0005, Vec::new).unwrap_err(),
+        ] {
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+            assert!(err.to_string().contains("periods"), "{err}");
+        }
     }
 
     #[test]
@@ -570,7 +544,8 @@ mod tests {
             1,
             ServerConfig::default(),
         )));
-        let admd = AdmdService::spawn(Arc::clone(&sim), FreonConfig::paper(), 0.001).unwrap();
+        let spec = PolicySpec::builtin("freon").unwrap();
+        let admd = AdmdService::spawn(Arc::clone(&sim), &spec, 0.001).unwrap();
         let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
         let throttle = |server, output| TempdMessage::Throttle { server, output }.encode();
         let mut nan = throttle(0, 1.0);

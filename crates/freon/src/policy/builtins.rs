@@ -1,28 +1,16 @@
-//! The paper's policies as thin wrappers over the spec interpreter.
+//! [`NoPolicy`], the policy that reads no configuration, and the
+//! hidden `FreonPolicy`/`FreonConfig` pair the benchmark still names.
 //!
-//! Each wrapper builds its [`PolicySpec`]
-//! from the legacy config structs and delegates everything to
-//! [`SpecPolicy`], so the historical constructor signatures and
-//! accessors keep working while the actual decision logic lives in one
-//! interpreter. Construction fails fast: an invalid config (inverted
-//! thresholds, zero periods, bad region map) panics with a message
-//! naming the offending component and values.
+//! Every other policy is a [`PolicySpec`] run by [`SpecPolicy`].
 
-use crate::config::{EcConfig, FreonConfig};
 use crate::engine::ServerSnapshot;
 use crate::metrics::FreonMetrics;
-use crate::policy::actuators::EngineCommand;
+use crate::policy::actuators::{EngineCommand, IncidentRecord};
 use crate::policy::interp::SpecPolicy;
 use crate::policy::spec::PolicySpec;
 use crate::policy::ThermalPolicy;
 use cluster_sim::ClusterSim;
 use telemetry::{Registry, Tracer};
-
-fn build(spec: PolicySpec, n: usize) -> SpecPolicy {
-    let name = spec.name.clone();
-    SpecPolicy::new(spec, n)
-        .unwrap_or_else(|e| panic!("invalid `{name}` policy configuration: {e}"))
-}
 
 /// A policy that never intervenes — the control for validation runs.
 #[derive(Debug, Clone, Default)]
@@ -36,209 +24,75 @@ impl ThermalPolicy for NoPolicy {
     fn control(&mut self, _now_s: u64, _snapshots: &[ServerSnapshot], _sim: &mut ClusterSim) {}
 }
 
-/// The traditional approach (§5.1): ignore temperatures until a component
-/// crosses its red line, then turn the server off. Servers stay off for
-/// the rest of the run (the emergency persists, so they would immediately
-/// red-line again).
+/// Names the paper's configuration for [`FreonPolicy::new`].
+// `bench-e2e/src/workloads/freon_closed_loop.rs:130,197` still build
+// `FreonPolicy::new(FreonConfig::paper(), n)`; ROADMAP item 1(a) moves
+// them to the built-in `freon` spec and removes this shim and
+// `FreonPolicy` together.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub struct FreonConfig;
+
+impl FreonConfig {
+    /// The paper's §5 configuration: the built-in `freon` spec.
+    pub fn paper() -> Self {
+        FreonConfig
+    }
+}
+
+/// The built-in `freon` spec run by [`SpecPolicy`].
+// Kept only for `bench-e2e/src/workloads/freon_closed_loop.rs:130,197`;
+// ROADMAP item 1(a) removes it with `FreonConfig`.
+#[doc(hidden)]
 #[derive(Debug)]
-pub struct TraditionalPolicy {
-    inner: SpecPolicy,
-}
-
-impl TraditionalPolicy {
-    /// Creates the baseline for an `n`-server cluster.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `config` is invalid, naming the offending component
-    /// and values.
-    pub fn new(config: FreonConfig, n: usize) -> Self {
-        TraditionalPolicy {
-            inner: build(PolicySpec::traditional(&config), n),
-        }
-    }
-
-    /// When each server was turned off (`None` = survived the run).
-    pub fn shutdown_times(&self) -> &[Option<u64>] {
-        self.inner.shutdown_times()
-    }
-
-    /// The policy's telemetry handles.
-    pub fn metrics(&self) -> &FreonMetrics {
-        self.inner.metrics()
-    }
-}
-
-impl ThermalPolicy for TraditionalPolicy {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn control(&mut self, now_s: u64, snapshots: &[ServerSnapshot], sim: &mut ClusterSim) {
-        self.inner.control(now_s, snapshots, sim);
-    }
-
-    fn register_metrics(&self, registry: &Registry) {
-        self.inner.register_metrics(registry);
-    }
-
-    fn drain_engine_commands(&mut self) -> Vec<EngineCommand> {
-        self.inner.drain_engine_commands()
-    }
-
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.inner.set_tracer(tracer);
-    }
-
-    fn incidents(&self) -> &[crate::policy::IncidentRecord] {
-        ThermalPolicy::incidents(&self.inner)
-    }
-}
-
-/// The base Freon policy (§4.1): remote throttling via LVS weights and
-/// connection caps, driven by per-server PD controllers; red-line
-/// shutdown only as the last resort.
-#[derive(Debug)]
-pub struct FreonPolicy {
-    inner: SpecPolicy,
-}
+pub struct FreonPolicy(SpecPolicy);
 
 impl FreonPolicy {
-    /// Creates the policy for an `n`-server cluster.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `config` is invalid, naming the offending component
-    /// and values.
-    pub fn new(config: FreonConfig, n: usize) -> Self {
-        FreonPolicy {
-            inner: build(PolicySpec::freon(&config), n),
-        }
+    /// Builds the built-in `freon` spec for an `n`-server cluster.
+    pub fn new(_config: FreonConfig, n: usize) -> Self {
+        let spec = PolicySpec::builtin("freon").expect("`freon` is a built-in spec");
+        FreonPolicy(SpecPolicy::new(spec, n).expect("the built-in `freon` spec is valid"))
     }
 
     /// The policy's telemetry handles.
     pub fn metrics(&self) -> &FreonMetrics {
-        self.inner.metrics()
+        self.0.metrics()
     }
 
-    /// How many load-distribution adjustments admd has made.
+    /// How many load-distribution adjustments were made.
     pub fn adjustments(&self) -> u64 {
-        self.inner.adjustments()
+        self.0.adjustments()
     }
 
     /// How many servers were lost to red-line shutdowns.
     pub fn red_line_shutdowns(&self) -> u64 {
-        self.inner.red_line_shutdowns()
-    }
-
-    /// Which servers currently carry restrictions.
-    pub fn restricted(&self) -> &[bool] {
-        self.inner.restricted()
-    }
-
-    /// Structured records of every emergency shutdown so far.
-    pub fn incidents(&self) -> &[crate::policy::IncidentRecord] {
-        self.inner.incidents()
+        self.0.red_line_shutdowns()
     }
 }
 
 impl ThermalPolicy for FreonPolicy {
     fn name(&self) -> &str {
-        self.inner.name()
+        self.0.name()
     }
 
     fn control(&mut self, now_s: u64, snapshots: &[ServerSnapshot], sim: &mut ClusterSim) {
-        self.inner.control(now_s, snapshots, sim);
+        self.0.control(now_s, snapshots, sim);
     }
 
     fn register_metrics(&self, registry: &Registry) {
-        self.inner.register_metrics(registry);
+        self.0.register_metrics(registry);
     }
 
     fn drain_engine_commands(&mut self) -> Vec<EngineCommand> {
-        self.inner.drain_engine_commands()
+        self.0.drain_engine_commands()
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
-        self.inner.set_tracer(tracer);
+        self.0.set_tracer(tracer);
     }
 
-    fn incidents(&self) -> &[crate::policy::IncidentRecord] {
-        ThermalPolicy::incidents(&self.inner)
-    }
-}
-
-/// Freon-EC (§4.2, Figure 10): the base thermal policy plus cluster
-/// reconfiguration for energy conservation, with room regions guiding
-/// which servers replace which.
-#[derive(Debug)]
-pub struct FreonEcPolicy {
-    inner: SpecPolicy,
-}
-
-impl FreonEcPolicy {
-    /// Creates Freon-EC for a cluster of `ec.regions.len()` servers.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the config is invalid, naming the offending component
-    /// and values.
-    pub fn new(config: FreonConfig, ec: EcConfig) -> Self {
-        let n = ec.regions.len();
-        FreonEcPolicy {
-            inner: build(PolicySpec::freon_ec(&config, &ec), n),
-        }
-    }
-
-    /// The policy's telemetry handles.
-    pub fn metrics(&self) -> &FreonMetrics {
-        self.inner.metrics()
-    }
-
-    /// Servers powered on by the policy so far.
-    pub fn power_ons(&self) -> u64 {
-        self.inner.power_ons()
-    }
-
-    /// Servers powered off by the policy so far.
-    pub fn power_offs(&self) -> u64 {
-        self.inner.power_offs()
-    }
-
-    /// Load-distribution adjustments made by the base thermal policy.
-    pub fn adjustments(&self) -> u64 {
-        self.inner.adjustments()
-    }
-
-    /// Current per-region emergency counts.
-    pub fn region_emergencies(&self) -> &[i64] {
-        self.inner.region_emergencies()
-    }
-}
-
-impl ThermalPolicy for FreonEcPolicy {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn control(&mut self, now_s: u64, snapshots: &[ServerSnapshot], sim: &mut ClusterSim) {
-        self.inner.control(now_s, snapshots, sim);
-    }
-
-    fn register_metrics(&self, registry: &Registry) {
-        self.inner.register_metrics(registry);
-    }
-
-    fn drain_engine_commands(&mut self) -> Vec<EngineCommand> {
-        self.inner.drain_engine_commands()
-    }
-
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.inner.set_tracer(tracer);
-    }
-
-    fn incidents(&self) -> &[crate::policy::IncidentRecord] {
-        ThermalPolicy::incidents(&self.inner)
+    fn incidents(&self) -> &[IncidentRecord] {
+        ThermalPolicy::incidents(&self.0)
     }
 }
 
@@ -246,6 +100,10 @@ impl ThermalPolicy for FreonEcPolicy {
 mod tests {
     use super::*;
     use cluster_sim::ServerConfig;
+
+    fn builtin(name: &str, n: usize) -> SpecPolicy {
+        SpecPolicy::new(PolicySpec::builtin(name).unwrap(), n).unwrap()
+    }
 
     fn snapshots(specs: &[(f64, f64, bool)]) -> Vec<ServerSnapshot> {
         // (cpu_temp, cpu_util, powered)
@@ -267,7 +125,7 @@ mod tests {
 
     #[test]
     fn freon_throttles_only_at_monitor_boundaries() {
-        let mut policy = FreonPolicy::new(FreonConfig::paper(), 2);
+        let mut policy = builtin("freon", 2);
         let mut sim = ClusterSim::homogeneous(2, ServerConfig::default());
         let snaps = snapshots(&[(68.0, 0.7, true), (60.0, 0.7, true)]);
         policy.control(59, &snaps, &mut sim);
@@ -281,7 +139,7 @@ mod tests {
 
     #[test]
     fn freon_releases_after_cooling_below_low() {
-        let mut policy = FreonPolicy::new(FreonConfig::paper(), 2);
+        let mut policy = builtin("freon", 2);
         let mut sim = ClusterSim::homogeneous(2, ServerConfig::default());
         policy.control(
             60,
@@ -308,7 +166,7 @@ mod tests {
 
     #[test]
     fn freon_red_line_turns_the_server_off() {
-        let mut policy = FreonPolicy::new(FreonConfig::paper(), 2);
+        let mut policy = builtin("freon", 2);
         let mut sim = ClusterSim::homogeneous(2, ServerConfig::default());
         policy.control(
             60,
@@ -325,7 +183,7 @@ mod tests {
 
     #[test]
     fn traditional_ignores_everything_below_red_line() {
-        let mut policy = TraditionalPolicy::new(FreonConfig::paper(), 2);
+        let mut policy = builtin("traditional", 2);
         let mut sim = ClusterSim::homogeneous(2, ServerConfig::default());
         policy.control(
             60,
@@ -345,7 +203,7 @@ mod tests {
 
     #[test]
     fn ec_shrinks_under_light_load() {
-        let mut policy = FreonEcPolicy::new(FreonConfig::paper(), EcConfig::paper_four_servers());
+        let mut policy = builtin("freon-ec", 4);
         let mut sim = ClusterSim::homogeneous(4, ServerConfig::default());
         let light = snapshots(&[(40.0, 0.1, true); 4]);
         policy.control(60, &light, &mut sim);
@@ -360,7 +218,7 @@ mod tests {
 
     #[test]
     fn ec_grows_on_projected_load() {
-        let mut policy = FreonEcPolicy::new(FreonConfig::paper(), EcConfig::paper_four_servers());
+        let mut policy = builtin("freon-ec", 4);
         let mut sim = ClusterSim::homogeneous(4, ServerConfig::default());
         // Start with three servers off.
         for i in 1..4 {
@@ -385,7 +243,7 @@ mod tests {
 
     #[test]
     fn ec_replaces_hot_server_from_other_region() {
-        let mut policy = FreonEcPolicy::new(FreonConfig::paper(), EcConfig::paper_four_servers());
+        let mut policy = builtin("freon-ec", 4);
         let mut sim = ClusterSim::homogeneous(4, ServerConfig::default());
         // Servers 2 and 3 off; servers 0 and 1 at healthy load.
         for i in 2..4 {
@@ -411,7 +269,7 @@ mod tests {
 
     #[test]
     fn ec_emergency_counts_decrement_on_cooling() {
-        let mut policy = FreonEcPolicy::new(FreonConfig::paper(), EcConfig::paper_four_servers());
+        let mut policy = builtin("freon-ec", 4);
         let mut sim = ClusterSim::homogeneous(4, ServerConfig::default());
         let hot = snapshots(&[
             (68.0, 0.8, true),
@@ -433,13 +291,9 @@ mod tests {
 
     #[test]
     fn ec_never_removes_the_last_server() {
-        let mut policy = FreonEcPolicy::new(
-            FreonConfig::paper(),
-            EcConfig {
-                regions: vec![0],
-                ..EcConfig::paper_four_servers()
-            },
-        );
+        let mut spec = PolicySpec::builtin("freon-ec").unwrap();
+        spec.ec.as_mut().unwrap().regions = vec![0];
+        let mut policy = SpecPolicy::new(spec, 1).unwrap();
         let mut sim = ClusterSim::homogeneous(1, ServerConfig::default());
         let idle = snapshots(&[(30.0, 0.0, true)]);
         policy.control(60, &idle, &mut sim);
@@ -450,7 +304,7 @@ mod tests {
 
     #[test]
     fn policy_decisions_land_in_the_metrics_registry() {
-        let mut policy = FreonPolicy::new(FreonConfig::paper(), 2);
+        let mut policy = builtin("freon", 2);
         let registry = Registry::new();
         policy.register_metrics(&registry);
         let mut sim = ClusterSim::homogeneous(2, ServerConfig::default());
@@ -483,7 +337,7 @@ mod tests {
 
     #[test]
     fn ec_power_decisions_carry_reason_codes() {
-        let mut policy = FreonEcPolicy::new(FreonConfig::paper(), EcConfig::paper_four_servers());
+        let mut policy = builtin("freon-ec", 4);
         let mut sim = ClusterSim::homogeneous(4, ServerConfig::default());
         let light = snapshots(&[(40.0, 0.1, true); 4]);
         policy.control(60, &light, &mut sim);
@@ -509,8 +363,43 @@ mod tests {
     #[test]
     #[should_panic(expected = "must satisfy low < high < red_line")]
     fn invalid_config_fails_fast_at_construction() {
-        let mut config = FreonConfig::paper();
-        config.thresholds[0].low = 99.0;
-        let _ = FreonPolicy::new(config, 2);
+        let mut spec = PolicySpec::builtin("freon").unwrap();
+        spec.thresholds[0].low = 99.0;
+        SpecPolicy::new(spec, 2).unwrap();
+    }
+
+    /// The benchmark's `FreonPolicy` makes the decisions `SpecPolicy`
+    /// makes on the built-in `freon` spec: throttle, release, red line.
+    #[test]
+    fn freon_policy_shim_decides_like_the_builtin_spec() {
+        let mut shim = FreonPolicy::new(FreonConfig::paper(), 2);
+        let mut spec = builtin("freon", 2);
+        let mut shim_sim = ClusterSim::homogeneous(2, ServerConfig::default());
+        let mut spec_sim = ClusterSim::homogeneous(2, ServerConfig::default());
+        let script = [
+            (60, [(68.0, 0.7, true), (60.0, 0.7, true)]),
+            (65, [(68.5, 0.7, true), (60.0, 0.7, true)]),
+            (120, [(68.8, 0.6, true), (66.0, 0.7, true)]),
+            (180, [(63.0, 0.4, true), (69.5, 0.9, true)]),
+        ];
+        for (now_s, servers) in script {
+            let snaps = snapshots(&servers);
+            shim.control(now_s, &snaps, &mut shim_sim);
+            spec.control(now_s, &snaps, &mut spec_sim);
+            for i in 0..2 {
+                assert_eq!(shim_sim.lvs().weight(i), spec_sim.lvs().weight(i));
+                assert_eq!(
+                    shim_sim.server(i).is_powered(),
+                    spec_sim.server(i).is_powered()
+                );
+            }
+        }
+        assert_eq!(shim.name(), "freon");
+        assert_eq!(shim.adjustments(), spec.adjustments());
+        assert_eq!(shim.adjustments(), 2);
+        assert_eq!(shim.red_line_shutdowns(), spec.red_line_shutdowns());
+        assert_eq!(shim.red_line_shutdowns(), 1);
+        assert_eq!(shim.metrics().decisions(), spec.metrics().decisions());
+        assert_eq!(ThermalPolicy::incidents(&shim).len(), 1);
     }
 }

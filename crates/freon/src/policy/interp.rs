@@ -6,11 +6,9 @@
 //! `if/else if` chains), routes every action through the
 //! [`Mediator`], and — when the spec carries an
 //! `[ec]` section — runs the Figure 10 energy-conservation loop around
-//! the rule chain. The legacy policy types
-//! ([`FreonPolicy`](crate::FreonPolicy) etc.) are thin wrappers over
-//! this interpreter.
+//! the rule chain. Freon, Freon-EC, the traditional baseline and local
+//! DVFS are each a built-in spec run by this interpreter.
 
-use crate::config::FreonConfig;
 use crate::engine::ServerSnapshot;
 use crate::metrics::FreonMetrics;
 use crate::policy::actuators::{ActionRequest, EngineCommand, IncidentRecord};
@@ -105,8 +103,6 @@ struct Observation {
 #[derive(Debug)]
 pub struct SpecPolicy {
     spec: PolicySpec,
-    /// Daemon-side view of the spec (thresholds, periods, gains).
-    base: FreonConfig,
     tempds: Vec<Tempd>,
     restricted: Vec<bool>,
     shutdown_times: Vec<Option<u64>>,
@@ -129,8 +125,7 @@ impl SpecPolicy {
     /// values) when the spec is inconsistent or does not fit the cluster.
     pub fn new(spec: PolicySpec, n: usize) -> Result<Self, String> {
         spec.validate_for_cluster(n)?;
-        let base = spec.base_config();
-        let tempds = (0..n).map(|_| Tempd::new(&base)).collect();
+        let tempds = (0..n).map(|_| Tempd::new(&spec)).collect();
         let metrics = FreonMetrics::new();
         let mediator = Mediator::new(
             n,
@@ -142,7 +137,6 @@ impl SpecPolicy {
         let uses_admission = spec.uses_admission();
         Ok(SpecPolicy {
             spec,
-            base,
             tempds,
             restricted: vec![false; n],
             shutdown_times: vec![None; n],
@@ -256,7 +250,7 @@ impl SpecPolicy {
         snapshot: &ServerSnapshot,
     ) -> Observation {
         let span = self.tracer.start("tempd.observe", "freon");
-        let report = self.tempds[server].observe(&snapshot.temps, &self.base);
+        let report = self.tempds[server].observe(&snapshot.temps, &self.spec);
         let cause = span.id();
         if span.is_live() {
             let mut args = vec![
@@ -305,7 +299,7 @@ impl SpecPolicy {
                 .iter()
                 .find(|(c, _)| c == component)
                 .map(|(_, t)| *t);
-            req.threshold_c = self.base.thresholds_for(component).map(|t| t.red_line);
+            req.threshold_c = self.spec.thresholds_for(component).map(|t| t.red_line);
         }
         self.mediator.dispatch(&req, sim)
     }
@@ -606,7 +600,6 @@ impl ThermalPolicy for SpecPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FreonConfig;
     use cluster_sim::ServerConfig;
 
     fn snapshots(specs: &[(f64, f64, bool)]) -> Vec<ServerSnapshot> {
@@ -783,14 +776,11 @@ reason = \"below_low\"
 
     #[test]
     fn invalid_specs_are_rejected_at_construction() {
-        let mut spec = PolicySpec::freon(&FreonConfig::paper());
+        let mut spec = PolicySpec::builtin("freon").unwrap();
         spec.thresholds[0].low = 70.0;
         let err = SpecPolicy::new(spec, 2).unwrap_err();
         assert!(err.contains("cpu"), "{err}");
-        let spec = PolicySpec::freon_ec(
-            &FreonConfig::paper(),
-            &crate::config::EcConfig::paper_four_servers(),
-        );
+        let spec = PolicySpec::builtin("freon-ec").unwrap();
         assert!(SpecPolicy::new(spec, 3).unwrap_err().contains("region map"));
     }
 }

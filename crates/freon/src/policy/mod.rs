@@ -17,9 +17,11 @@
 //!    against per-server [`Tempd`](crate::Tempd) reports, including the
 //!    Freon-EC Figure 10 loop when the spec carries an `[ec]` section.
 //!
-//! The legacy policy types ([`FreonPolicy`], [`FreonEcPolicy`],
-//! [`TraditionalPolicy`], [`NoPolicy`], in [`builtins`]) wrap the
-//! interpreter and keep their historical constructors and accessors.
+//! A policy is configured only by a spec: a built-in
+//! ([`PolicySpec::builtin`]) or a TOML file, optionally edited field by
+//! field, run by [`SpecPolicy::new`]. The paper's Freon, Freon-EC,
+//! traditional and local-DVFS policies are built-in specs. [`NoPolicy`]
+//! (in [`builtins`]) reads no configuration at all.
 
 pub mod actuators;
 pub mod builtins;
@@ -32,7 +34,7 @@ pub use actuators::{
     ActionRequest, ActuationCtx, Actuator, AdmissionActuator, EngineCommand, FanActuator,
     FrequencyActuator, IncidentRecord, PowerActuator, DEFAULT_LEVELS,
 };
-pub use builtins::{FreonEcPolicy, FreonPolicy, NoPolicy, TraditionalPolicy};
+pub use builtins::NoPolicy;
 pub use interp::SpecPolicy;
 pub use mediator::Mediator;
 pub use spec::{

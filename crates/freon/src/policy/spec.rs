@@ -6,7 +6,7 @@
 //! *rules* — `(trigger, action, reason)` triples evaluated first-match
 //! per server at every check boundary. The interpreter
 //! ([`crate::policy::SpecPolicy`]) executes a spec; the built-in paper
-//! policies (Freon, Freon-EC, traditional, none) are themselves specs
+//! policies (Freon, Freon-EC, traditional, local DVFS, none) are specs
 //! (see [`PolicySpec::builtin`] and the TOML files under
 //! `crates/freon/policies/`), so everything the daemons can do is
 //! reachable from a config file.
@@ -36,7 +36,7 @@
 //! action = "release"
 //! ```
 
-use crate::config::{ComponentThresholds, EcConfig, FreonConfig};
+use crate::config::ComponentThresholds;
 use crate::policy::toml::{self, TomlError};
 use serde::{object, opt_field, req_field, DeError, Deserialize, Serialize, Value};
 
@@ -245,7 +245,8 @@ pub struct RuleSpec {
 /// active server set, with room regions guiding replacements.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EcSpec {
-    /// Region id per server (index-aligned with the cluster).
+    /// Region id per server (index-aligned with the cluster). Ids are
+    /// below the number of servers: one counter is kept per id.
     pub regions: Vec<usize>,
     /// `U_h`: add a server when projected utilization exceeds this.
     pub u_high: f64,
@@ -253,28 +254,6 @@ pub struct EcSpec {
     pub u_low: f64,
     /// Projection horizon in observation intervals.
     pub projection_intervals: u32,
-}
-
-impl EcSpec {
-    /// Converts from the legacy struct.
-    pub fn from_config(ec: &EcConfig) -> Self {
-        EcSpec {
-            regions: ec.regions.clone(),
-            u_high: ec.u_high,
-            u_low: ec.u_low,
-            projection_intervals: ec.projection_intervals,
-        }
-    }
-
-    /// Converts to the legacy struct.
-    pub fn to_config(&self) -> EcConfig {
-        EcConfig {
-            regions: self.regions.clone(),
-            u_high: self.u_high,
-            u_low: self.u_low,
-            projection_intervals: self.projection_intervals,
-        }
-    }
 }
 
 /// A complete declarative thermal policy.
@@ -306,139 +285,6 @@ pub struct PolicySpec {
 pub const BUILTIN_NAMES: &[&str] = &["none", "traditional", "freon", "freon-ec", "local-dvfs"];
 
 impl PolicySpec {
-    /// The standard thermal rule chain: red-line shutdown first, then
-    /// `hot_action` above `T_h`, then release below `T_l`.
-    fn standard_rules(hot_action: ActionSpec) -> Vec<RuleSpec> {
-        vec![
-            RuleSpec {
-                trigger: Trigger::RedLine,
-                action: ActionSpec::Shutdown,
-                reason: ReasonCode::RedLine,
-            },
-            RuleSpec {
-                trigger: Trigger::AboveHigh,
-                action: hot_action,
-                reason: ReasonCode::AboveHigh,
-            },
-            RuleSpec {
-                trigger: Trigger::BelowLow,
-                action: ActionSpec::Release,
-                reason: ReasonCode::BelowLow,
-            },
-        ]
-    }
-
-    /// A policy that never acts (the experimental control).
-    pub fn none() -> Self {
-        PolicySpec {
-            name: "none".to_string(),
-            gate: Gate::Powered,
-            check_period_s: 60,
-            sample_period_s: 5,
-            connection_caps: true,
-            gains: GainSpec::default(),
-            thresholds: Vec::new(),
-            rules: Vec::new(),
-            ec: None,
-            frequency_levels: crate::policy::DEFAULT_LEVELS.to_vec(),
-        }
-    }
-
-    /// The traditional baseline: ignore everything below the red line,
-    /// then turn the server off.
-    pub fn traditional(config: &FreonConfig) -> Self {
-        PolicySpec {
-            name: "traditional".to_string(),
-            gate: Gate::Accepting,
-            rules: vec![RuleSpec {
-                trigger: Trigger::RedLine,
-                action: ActionSpec::Shutdown,
-                reason: ReasonCode::RedLine,
-            }],
-            ..PolicySpec::from_base_config(config)
-        }
-    }
-
-    /// The base Freon policy (§4.1): PD-driven remote throttling.
-    pub fn freon(config: &FreonConfig) -> Self {
-        PolicySpec {
-            name: "freon".to_string(),
-            rules: Self::standard_rules(ActionSpec::Throttle),
-            ..PolicySpec::from_base_config(config)
-        }
-    }
-
-    /// Freon-EC (§4.2): the base policy plus the energy-conservation
-    /// extension.
-    pub fn freon_ec(config: &FreonConfig, ec: &EcConfig) -> Self {
-        PolicySpec {
-            name: "freon-ec".to_string(),
-            rules: Self::standard_rules(ActionSpec::Throttle),
-            ec: Some(EcSpec::from_config(ec)),
-            ..PolicySpec::from_base_config(config)
-        }
-    }
-
-    /// CPU-local DVFS (§4.3): each server steps its own frequency ladder.
-    pub fn local_dvfs(config: &FreonConfig, levels: Vec<f64>) -> Self {
-        PolicySpec {
-            name: "local-dvfs".to_string(),
-            thresholds: config.thresholds_for("cpu").cloned().into_iter().collect(),
-            rules: vec![
-                RuleSpec {
-                    trigger: Trigger::RedLine,
-                    action: ActionSpec::Shutdown,
-                    reason: ReasonCode::RedLine,
-                },
-                RuleSpec {
-                    trigger: Trigger::AboveHigh,
-                    action: ActionSpec::StepDownFrequency,
-                    reason: ReasonCode::AboveHigh,
-                },
-                RuleSpec {
-                    trigger: Trigger::BelowLow,
-                    action: ActionSpec::StepUpFrequency,
-                    reason: ReasonCode::BelowLow,
-                },
-            ],
-            frequency_levels: levels,
-            ..PolicySpec::from_base_config(config)
-        }
-    }
-
-    /// Carries the shared fields (thresholds, periods, gains, caps) over
-    /// from a [`FreonConfig`]; name and rules are left for the caller.
-    fn from_base_config(config: &FreonConfig) -> Self {
-        PolicySpec {
-            name: String::new(),
-            gate: Gate::Powered,
-            check_period_s: config.monitor_period_s,
-            sample_period_s: config.sample_period_s,
-            connection_caps: config.connection_caps,
-            gains: GainSpec {
-                kp: config.kp,
-                kd: config.kd,
-            },
-            thresholds: config.thresholds.clone(),
-            rules: Vec::new(),
-            ec: None,
-            frequency_levels: crate::policy::DEFAULT_LEVELS.to_vec(),
-        }
-    }
-
-    /// The equivalent daemon configuration (thresholds, periods, gains),
-    /// usable with [`crate::Tempd`] and the networked deployment.
-    pub fn base_config(&self) -> FreonConfig {
-        FreonConfig {
-            thresholds: self.thresholds.clone(),
-            monitor_period_s: self.check_period_s,
-            sample_period_s: self.sample_period_s,
-            kp: self.gains.kp,
-            kd: self.gains.kd,
-            connection_caps: self.connection_caps,
-        }
-    }
-
     /// Loads one of the built-in specs embedded in the crate (see
     /// [`BUILTIN_NAMES`]).
     pub fn builtin(name: &str) -> Option<Self> {
@@ -589,6 +435,13 @@ impl PolicySpec {
                 return Err(format!(
                     "policy `{}`: ec.regions must not be empty",
                     self.name
+                ));
+            }
+            if let Some(&id) = ec.regions.iter().find(|&&r| r >= ec.regions.len()) {
+                return Err(format!(
+                    "policy `{}`: ec.regions ids must be below the number of servers ({}), got {id}",
+                    self.name,
+                    ec.regions.len()
                 ));
             }
             if !(0.0 < ec.u_low && ec.u_low < ec.u_high && ec.u_high <= 1.0) {
@@ -997,6 +850,19 @@ mod tests {
         let mut spec = freon_ec();
         spec.ec.as_mut().unwrap().u_low = 0.8;
         assert!(spec.validate().unwrap_err().contains("0.8"));
+        // A region id is an index into per-region counters, so it is
+        // bounded by the map's length.
+        for (regions, ok) in [
+            ("[0, 1, 0, 3]", true),
+            ("[0, 1, 0, 4]", false),
+            ("[0, 1, 0, 4000000000]", false),
+        ] {
+            let text = format!("name = \"x\"\n[ec]\nregions = {regions}\n");
+            match PolicySpec::from_toml_str(&text).unwrap().validate() {
+                Ok(()) => assert!(ok, "{regions} validated"),
+                Err(err) => assert!(!ok && err.contains("ec.regions"), "{regions}: {err}"),
+            }
+        }
         let spec = freon_ec();
         assert!(spec.validate_for_cluster(4).is_ok());
         assert!(spec
@@ -1027,15 +893,5 @@ mod tests {
         // factor/cfm on the wrong action.
         let text = "name = \"x\"\n[[thresholds]]\ncomponent = \"cpu\"\nhigh = 67.0\nlow = 64.0\nred_line = 69.0\n[[rules]]\ntrigger = \"above_high\"\naction = \"throttle\"\nfactor = 0.5\n";
         assert!(PolicySpec::from_toml_str(text).is_err());
-    }
-
-    #[test]
-    fn base_config_round_trips() {
-        let cfg = FreonConfig {
-            connection_caps: false,
-            kd: 0.0,
-            ..FreonConfig::paper()
-        };
-        assert_eq!(PolicySpec::freon(&cfg).base_config(), cfg);
     }
 }

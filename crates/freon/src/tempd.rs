@@ -1,7 +1,7 @@
 //! `tempd` — the per-server temperature daemon (§4.1, Figure 9).
 
-use crate::config::FreonConfig;
 use crate::controller::PdController;
+use crate::policy::PolicySpec;
 use std::collections::HashMap;
 
 /// What one `tempd` observation produced.
@@ -34,13 +34,13 @@ pub struct Tempd {
 }
 
 impl Tempd {
-    /// Creates a daemon using the gains from `config`.
-    pub fn new(config: &FreonConfig) -> Self {
+    /// Creates a daemon using the PD gains of `spec`.
+    pub fn new(spec: &PolicySpec) -> Self {
         Tempd {
             controllers: HashMap::new(),
             above_high: HashMap::new(),
-            kp: config.kp,
-            kd: config.kd,
+            kp: spec.gains.kp,
+            kd: spec.gains.kd,
         }
     }
 
@@ -50,17 +50,17 @@ impl Tempd {
     }
 
     /// Processes one observation of `(component, temperature)` pairs
-    /// against the thresholds in `config`.
+    /// against the thresholds in `spec`.
     ///
     /// Components without configured thresholds are ignored (tempd only
     /// monitors the CPU(s) and disk(s) it was told about).
-    pub fn observe(&mut self, temps: &[(String, f64)], config: &FreonConfig) -> TempdReport {
+    pub fn observe(&mut self, temps: &[(String, f64)], spec: &PolicySpec) -> TempdReport {
         let mut report = TempdReport::default();
         let mut any_monitored = false;
         let mut all_below_low = true;
 
         for (component, temp) in temps {
-            let thresholds = match config.thresholds_for(component) {
+            let thresholds = match spec.thresholds_for(component) {
                 Some(t) => t,
                 None => continue,
             };
@@ -115,9 +115,9 @@ mod tests {
 
     #[test]
     fn silent_below_high_threshold() {
-        let cfg = FreonConfig::paper();
-        let mut tempd = Tempd::new(&cfg);
-        let report = tempd.observe(&temps(60.0, 50.0), &cfg);
+        let spec = PolicySpec::builtin("freon").unwrap();
+        let mut tempd = Tempd::new(&spec);
+        let report = tempd.observe(&temps(60.0, 50.0), &spec);
         assert_eq!(report.output, None);
         assert!(report.crossed_high.is_empty());
         assert!(report.all_below_low);
@@ -126,27 +126,27 @@ mod tests {
 
     #[test]
     fn crossing_high_triggers_output_and_episode() {
-        let cfg = FreonConfig::paper();
-        let mut tempd = Tempd::new(&cfg);
-        let report = tempd.observe(&temps(68.0, 50.0), &cfg);
+        let spec = PolicySpec::builtin("freon").unwrap();
+        let mut tempd = Tempd::new(&spec);
+        let report = tempd.observe(&temps(68.0, 50.0), &spec);
         assert_eq!(report.crossed_high, vec!["cpu".to_string()]);
         // kp·(68−67) + kd·0 = 0.1.
         assert!((report.output.unwrap() - 0.1).abs() < 1e-12);
         assert!(tempd.in_emergency());
         // Next observation, still hot and rising: output grows, but no new
         // crossing event.
-        let report = tempd.observe(&temps(69.0, 50.0), &cfg);
+        let report = tempd.observe(&temps(69.0, 50.0), &spec);
         assert!(report.crossed_high.is_empty());
         assert!((report.output.unwrap() - (0.2 + 0.2)).abs() < 1e-12);
     }
 
     #[test]
     fn between_low_and_high_keeps_quiet_but_episode_open() {
-        let cfg = FreonConfig::paper();
-        let mut tempd = Tempd::new(&cfg);
-        tempd.observe(&temps(68.0, 50.0), &cfg);
+        let spec = PolicySpec::builtin("freon").unwrap();
+        let mut tempd = Tempd::new(&spec);
+        tempd.observe(&temps(68.0, 50.0), &spec);
         // Drops to 65: between T_l=64 and T_h=67 -> no output, no release.
-        let report = tempd.observe(&temps(65.0, 50.0), &cfg);
+        let report = tempd.observe(&temps(65.0, 50.0), &spec);
         assert_eq!(report.output, None);
         assert!(report.crossed_low.is_empty());
         assert!(!report.all_below_low);
@@ -155,10 +155,10 @@ mod tests {
 
     #[test]
     fn falling_below_low_ends_the_episode() {
-        let cfg = FreonConfig::paper();
-        let mut tempd = Tempd::new(&cfg);
-        tempd.observe(&temps(68.0, 50.0), &cfg);
-        let report = tempd.observe(&temps(63.0, 50.0), &cfg);
+        let spec = PolicySpec::builtin("freon").unwrap();
+        let mut tempd = Tempd::new(&spec);
+        tempd.observe(&temps(68.0, 50.0), &spec);
+        let report = tempd.observe(&temps(63.0, 50.0), &spec);
         assert_eq!(report.crossed_low, vec!["cpu".to_string()]);
         assert!(report.all_below_low);
         assert!(!tempd.in_emergency());
@@ -166,29 +166,29 @@ mod tests {
 
     #[test]
     fn output_is_max_over_components() {
-        let cfg = FreonConfig::paper();
-        let mut tempd = Tempd::new(&cfg);
+        let spec = PolicySpec::builtin("freon").unwrap();
+        let mut tempd = Tempd::new(&spec);
         // CPU 1° over (0.1), disk 3° over its 65 threshold (0.3).
-        let report = tempd.observe(&temps(68.0, 68.0), &cfg);
+        let report = tempd.observe(&temps(68.0, 68.0), &spec);
         assert!((report.output.unwrap() - 0.3).abs() < 1e-12);
         assert_eq!(report.crossed_high.len(), 2);
     }
 
     #[test]
     fn red_line_detection() {
-        let cfg = FreonConfig::paper();
-        let mut tempd = Tempd::new(&cfg);
-        let report = tempd.observe(&temps(69.5, 50.0), &cfg);
+        let spec = PolicySpec::builtin("freon").unwrap();
+        let mut tempd = Tempd::new(&spec);
+        let report = tempd.observe(&temps(69.5, 50.0), &spec);
         assert_eq!(report.red_lined.as_deref(), Some("cpu"));
-        let report = tempd.observe(&temps(60.0, 67.5), &cfg);
+        let report = tempd.observe(&temps(60.0, 67.5), &spec);
         assert_eq!(report.red_lined.as_deref(), Some("disk_platters"));
     }
 
     #[test]
     fn unmonitored_components_are_ignored() {
-        let cfg = FreonConfig::paper();
-        let mut tempd = Tempd::new(&cfg);
-        let report = tempd.observe(&[("psu".to_string(), 500.0)], &cfg);
+        let spec = PolicySpec::builtin("freon").unwrap();
+        let mut tempd = Tempd::new(&spec);
+        let report = tempd.observe(&[("psu".to_string(), 500.0)], &spec);
         assert_eq!(report.output, None);
         assert!(report.red_lined.is_none());
         // No monitored component at all -> all_below_low is false (we

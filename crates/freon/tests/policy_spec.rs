@@ -4,15 +4,12 @@
 //!
 //! 1. any valid [`PolicySpec`] survives a TOML round trip unchanged,
 //! 2. malformed specs are rejected with errors naming the offender, and
-//! 3. the built-in TOML specs drive an experiment to *byte-identical*
-//!    logs as the legacy policy structs they replaced.
+//! 3. the built-in TOML specs drive an experiment to the outcomes the
+//!    hand-written policy types they replaced produced.
 
 use cluster_sim::{ClusterSim, ServerConfig};
 use freon::policy::{SpecPolicy, Trigger};
-use freon::{
-    EcConfig, Experiment, ExperimentConfig, FreonConfig, FreonEcPolicy, FreonPolicy, PolicySpec,
-    ThermalPolicy, TraditionalPolicy, BUILTIN_NAMES,
-};
+use freon::{Experiment, ExperimentConfig, PolicySpec, ThermalPolicy, BUILTIN_NAMES};
 use proptest::prelude::*;
 use workload_gen::{DiurnalProfile, RequestMix, WorkloadGenerator, WorkloadTrace};
 
@@ -43,35 +40,26 @@ fn valid_spec() -> impl Strategy<Value = PolicySpec> {
     )
         .prop_map(
             |((check, sample), (kp, kd), caps, cpu, disk, variant, (factor, intervals))| {
-                let mut config = FreonConfig::paper();
-                config.monitor_period_s = check;
-                config.sample_period_s = sample;
-                config.kp = kp;
-                config.kd = kd;
-                config.connection_caps = caps;
-                config.thresholds = vec![cpu, disk];
-                match variant {
-                    0 => PolicySpec::freon(&config),
-                    1 => {
-                        let ec = EcConfig {
-                            regions: vec![0, 1, 0, 1],
-                            u_high: 0.7,
-                            u_low: 0.6,
-                            projection_intervals: u32::from(intervals),
-                        };
-                        PolicySpec::freon_ec(&config, &ec)
-                    }
-                    _ => {
-                        let mut spec = PolicySpec::freon(&config);
-                        spec.name = "shed-variant".to_string();
-                        for rule in &mut spec.rules {
-                            if rule.trigger == Trigger::AboveHigh {
-                                rule.action = freon::ActionSpec::Shed { factor };
-                            }
+                let base = if variant == 1 { "freon-ec" } else { "freon" };
+                let mut spec = PolicySpec::builtin(base).unwrap();
+                spec.check_period_s = check;
+                spec.sample_period_s = sample;
+                spec.gains.kp = kp;
+                spec.gains.kd = kd;
+                spec.connection_caps = caps;
+                spec.thresholds = vec![cpu, disk];
+                if let Some(ec) = &mut spec.ec {
+                    ec.projection_intervals = u32::from(intervals);
+                }
+                if variant == 2 {
+                    spec.name = "shed-variant".to_string();
+                    for rule in &mut spec.rules {
+                        if rule.trigger == Trigger::AboveHigh {
+                            rule.action = freon::ActionSpec::Shed { factor };
                         }
-                        spec
                     }
                 }
+                spec
             },
         )
 }
@@ -139,7 +127,7 @@ action = \"overclock\"
 
 #[test]
 fn duplicate_triggers_are_rejected() {
-    let mut spec = PolicySpec::freon(&FreonConfig::paper());
+    let mut spec = PolicySpec::builtin("freon").unwrap();
     let dup = spec.rules[0].clone();
     spec.rules.push(dup);
     let err = spec.validate().unwrap_err();
@@ -205,25 +193,6 @@ fn builtin_specs_reproduce_the_legacy_policies() {
         let mut from_spec = SpecPolicy::new(spec, 4).unwrap();
         let spec_log = run(&mut from_spec, duration);
         assert_eq!(outcome(&from_spec, &spec_log), expected, "`{name}`");
-        let legacy_log = match name {
-            "traditional" => {
-                let mut p = TraditionalPolicy::new(FreonConfig::paper(), 4);
-                run(&mut p, duration)
-            }
-            "freon" => {
-                let mut p = FreonPolicy::new(FreonConfig::paper(), 4);
-                run(&mut p, duration)
-            }
-            _ => {
-                let mut p =
-                    FreonEcPolicy::new(FreonConfig::paper(), EcConfig::paper_four_servers());
-                run(&mut p, duration)
-            }
-        };
-        assert_eq!(
-            spec_log, legacy_log,
-            "`{name}` spec diverged from the legacy policy"
-        );
     }
 }
 

@@ -7,11 +7,16 @@
 //! must round-trip through the strict parser. The same registries check
 //! DESIGN.md §8's family catalogue both ways.
 
-use freon::{FreonConfig, FreonPolicy, ServerSnapshot, ThermalPolicy};
+use freon::{PolicySpec, ServerSnapshot, SpecPolicy, ThermalPolicy};
 use mercury::net::proto::Request;
 use mercury::net::{fetch_multipart, ServiceConfig, SolverService};
 use std::collections::BTreeMap;
 use std::time::Duration;
+
+/// The built-in `freon` spec for an `n`-server cluster.
+fn freon_policy(n: usize) -> SpecPolicy {
+    SpecPolicy::new(PolicySpec::builtin("freon").unwrap(), n).unwrap()
+}
 
 fn hot_snapshots(n: usize, hot: usize) -> Vec<ServerSnapshot> {
     (0..n)
@@ -36,7 +41,7 @@ fn scrape_covers_solver_cluster_freon_and_net_families() {
 
     // A Freon policy watching a (separately simulated) cluster registers
     // its decision counters on the same scrape surface.
-    let mut policy = FreonPolicy::new(FreonConfig::paper(), 4);
+    let mut policy = freon_policy(4);
     policy.register_metrics(service.registry());
     let mut sim = cluster_sim::ClusterSim::homogeneous(4, cluster_sim::ServerConfig::default());
     policy.control(60, &hot_snapshots(4, 0), &mut sim);
@@ -161,7 +166,7 @@ fn catalogue_matches_the_registries() {
     // families, with a policy's decision families registered on it.
     let model = mercury::presets::validation_cluster(2);
     let service = SolverService::spawn_cluster(&model, ServiceConfig::fast()).unwrap();
-    FreonPolicy::new(FreonConfig::paper(), 2).register_metrics(service.registry());
+    freon_policy(2).register_metrics(service.registry());
     // The bundles registered elsewhere: a monitord's client counters, a
     // trace replay's and an experiment engine's.
     let elsewhere = telemetry::Registry::new();

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example freon_cluster`
 
 use mercury_freon::cluster::{ClusterSim, ServerConfig};
-use mercury_freon::freon::{Experiment, ExperimentConfig, FreonConfig, FreonPolicy};
+use mercury_freon::freon::{Experiment, ExperimentConfig, PolicySpec, SpecPolicy};
 use mercury_freon::mercury::fiddle::FiddleScript;
 use mercury_freon::mercury::presets;
 use mercury_freon::workload::{DiurnalProfile, RequestMix, WorkloadGenerator};
@@ -33,7 +33,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         duration_s: 2000,
         ..Default::default()
     };
-    let mut policy = FreonPolicy::new(FreonConfig::paper(), 4);
+    // The paper's Freon: the built-in `freon` spec (§5's thresholds,
+    // one-minute checks, kp = 0.1, kd = 0.2).
+    let spec = PolicySpec::builtin("freon").ok_or("`freon` is a built-in spec")?;
+    let mut policy = SpecPolicy::new(spec, 4)?;
     let log = Experiment::new(&model, sim, &trace, Some(&script), config)?.run(&mut policy)?;
 
     println!("time   m1_temp m2_temp m3_temp m4_temp   m1_w  active  dropped");

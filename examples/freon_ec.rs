@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example freon_ec`
 
 use mercury_freon::cluster::{ClusterSim, ServerConfig};
-use mercury_freon::freon::{EcConfig, Experiment, ExperimentConfig, FreonConfig, FreonEcPolicy};
+use mercury_freon::freon::{Experiment, ExperimentConfig, PolicySpec, SpecPolicy};
 use mercury_freon::mercury::fiddle::FiddleScript;
 use mercury_freon::mercury::presets;
 use mercury_freon::workload::{DiurnalProfile, RequestMix, WorkloadGenerator};
@@ -28,8 +28,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Regions as in the paper: {machine1, machine3} near one AC,
     // {machine2, machine4} near the other — the emergencies hit region 0.
-    let ec = EcConfig::paper_four_servers();
-    let mut policy = FreonEcPolicy::new(FreonConfig::paper(), ec);
+    // The built-in `freon-ec` spec carries them as `regions = [0, 1, 0, 1]`.
+    let spec = PolicySpec::builtin("freon-ec").ok_or("`freon-ec` is a built-in spec")?;
+    let mut policy = SpecPolicy::new(spec, 4)?;
 
     let config = ExperimentConfig {
         duration_s: 2000,

@@ -12,7 +12,7 @@
 
 use mercury_freon::cluster::{ClusterSim, ServerConfig};
 use mercury_freon::freon::net::{AdmdService, TempdDaemon};
-use mercury_freon::freon::FreonConfig;
+use mercury_freon::freon::PolicySpec;
 use mercury_freon::mercury::fiddle::FiddleCommand;
 use mercury_freon::mercury::net::{
     send_fiddle, FnSource, Monitord, Sensor, ServiceConfig, SolverService,
@@ -49,8 +49,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- admd at the balancer ----------------------------------------------
     let compression = MS_PER_SECOND as f64 / 1000.0;
-    let config = FreonConfig::paper();
-    let admd = AdmdService::spawn(Arc::clone(&sim), config.clone(), compression)?;
+    let spec = PolicySpec::builtin("freon").ok_or("`freon` is a built-in spec")?;
+    let admd = AdmdService::spawn(Arc::clone(&sim), &spec, compression)?;
     println!("freon admd on {}", admd.local_addr());
 
     // --- One monitord + one tempd per server -------------------------------
@@ -77,22 +77,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // tempd: reads Mercury sensors over UDP, reports to admd.
         let cpu_sensor = Sensor::open(solver.local_addr(), machine.clone(), "cpu")?;
         let disk_sensor = Sensor::open(solver.local_addr(), machine.clone(), "disk_platters")?;
-        let tempd = TempdDaemon::spawn(
-            i,
-            config.clone(),
-            admd.local_addr(),
-            compression,
-            move || {
-                let mut temps = Vec::with_capacity(2);
-                if let Ok(t) = cpu_sensor.read() {
-                    temps.push(("cpu".to_string(), t.0));
-                }
-                if let Ok(t) = disk_sensor.read() {
-                    temps.push(("disk_platters".to_string(), t.0));
-                }
-                temps
-            },
-        )?;
+        let tempd = TempdDaemon::spawn(i, &spec, admd.local_addr(), compression, move || {
+            let mut temps = Vec::with_capacity(2);
+            if let Ok(t) = cpu_sensor.read() {
+                temps.push(("cpu".to_string(), t.0));
+            }
+            if let Ok(t) = disk_sensor.read() {
+                temps.push(("disk_platters".to_string(), t.0));
+            }
+            temps
+        })?;
         daemons.push((monitord, tempd));
     }
 

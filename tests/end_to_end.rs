@@ -2,10 +2,7 @@
 //! thermal model → cluster simulation → Freon policies → results.
 
 use mercury_freon::cluster::{ClusterSim, ServerConfig};
-use mercury_freon::freon::{
-    EcConfig, Experiment, ExperimentConfig, FreonConfig, FreonEcPolicy, FreonPolicy, NoPolicy,
-    TraditionalPolicy,
-};
+use mercury_freon::freon::{Experiment, ExperimentConfig, NoPolicy, PolicySpec, SpecPolicy};
 use mercury_freon::mercury::fiddle::FiddleScript;
 use mercury_freon::mercury::presets;
 use mercury_freon::workload::{DiurnalProfile, RequestMix, WorkloadGenerator, WorkloadTrace};
@@ -17,6 +14,17 @@ fn short_trace(duration: u64, peak_util: f64) -> WorkloadTrace {
         .with_peak_at(0.7)
         .with_plateau(0.3);
     WorkloadGenerator::new(profile, mix, 42).generate(duration)
+}
+
+/// The built-in policy `name` for an `n`-server cluster.
+fn builtin(name: &str, n: usize) -> SpecPolicy {
+    SpecPolicy::new(PolicySpec::builtin(name).unwrap(), n).unwrap()
+}
+
+/// The paper's CPU red line, from the built-in `freon` spec.
+fn cpu_red_line() -> f64 {
+    let spec = PolicySpec::builtin("freon").unwrap();
+    spec.thresholds_for("cpu").unwrap().red_line
 }
 
 fn emergency_script() -> FiddleScript {
@@ -38,7 +46,7 @@ fn freon_contains_emergencies_without_drops() {
         duration_s: 1500,
         ..Default::default()
     };
-    let mut policy = FreonPolicy::new(FreonConfig::paper(), 4);
+    let mut policy = builtin("freon", 4);
     let log = Experiment::new(&model, sim, &trace, Some(&script), config)
         .unwrap()
         .run(&mut policy)
@@ -46,7 +54,7 @@ fn freon_contains_emergencies_without_drops() {
 
     assert_eq!(log.total_dropped(), 0, "freon dropped requests");
     assert_eq!(policy.red_line_shutdowns(), 0, "freon lost a server");
-    let tr = FreonConfig::paper().thresholds_for("cpu").unwrap().red_line;
+    let tr = cpu_red_line();
     for server in 0..4 {
         assert!(
             log.max_cpu_temp(server) < tr,
@@ -74,9 +82,9 @@ fn freon_dominates_the_traditional_baseline() {
             .run(policy)
             .unwrap()
     };
-    let mut freon = FreonPolicy::new(FreonConfig::paper(), 4);
+    let mut freon = builtin("freon", 4);
     let freon_log = run(&mut freon);
-    let mut traditional = TraditionalPolicy::new(FreonConfig::paper(), 4);
+    let mut traditional = builtin("traditional", 4);
     let trad_log = run(&mut traditional);
 
     assert_eq!(freon_log.total_dropped(), 0);
@@ -102,7 +110,7 @@ fn freon_ec_shrinks_and_grows_the_configuration() {
         duration_s: 1500,
         ..Default::default()
     };
-    let mut policy = FreonEcPolicy::new(FreonConfig::paper(), EcConfig::paper_four_servers());
+    let mut policy = builtin("freon-ec", 4);
     let log = Experiment::new(&model, sim, &trace, None, config)
         .unwrap()
         .run(&mut policy)
@@ -139,7 +147,7 @@ fn the_emergencies_are_real_without_a_policy() {
         .unwrap()
         .run(&mut NoPolicy)
         .unwrap();
-    let tr = FreonConfig::paper().thresholds_for("cpu").unwrap().red_line;
+    let tr = cpu_red_line();
     assert!(
         log.max_cpu_temp(0) > tr,
         "machine1 only reached {:.1}",
@@ -175,7 +183,7 @@ fn experiments_are_exactly_repeatable() {
             duration_s: 400,
             ..Default::default()
         };
-        let mut policy = FreonPolicy::new(FreonConfig::paper(), 2);
+        let mut policy = builtin("freon", 2);
         Experiment::new(&model, sim, &trace, None, config)
             .unwrap()
             .run(&mut policy)
