@@ -51,14 +51,7 @@ impl EcState {
     /// regions that have at least one off server, preferring regions not
     /// under an emergency. Returns a server index to power on.
     fn select_server_to_turn_on(&mut self, snapshots: &[ServerSnapshot]) -> Option<usize> {
-        let region_count = self
-            .cfg
-            .regions
-            .iter()
-            .copied()
-            .max()
-            .map_or(0, |m| m + 1)
-            .max(1);
+        let region_count = self.region_emergencies.len().max(1);
         let has_off = |region: usize| {
             self.cfg
                 .regions
